@@ -202,5 +202,6 @@ def case_rows(p: int) -> tuple[CaseCensusRow, ...]:
         CaseCensusRow(3, 2, 3 * p * q**6),
         CaseCensusRow(3, 3, dense),
     )
-    assert sum(r.count for r in rows) == count_prime_zero(p)
+    if sum(r.count for r in rows) != count_prime_zero(p):
+        raise RuntimeError(f"case rows at p = {p} do not sum to the zero-permanent count")
     return rows

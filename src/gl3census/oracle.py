@@ -1,25 +1,35 @@
 """Exhaustive, exact censuses of GL3(Z/n) by permanent value.
 
 Two engines produce the same table. census_naive scans all n^9 matrices and
-evaluates permanent and determinant directly; it is the dumb, trustworthy
-reference and refuses n > 8. census_tiered enumerates only the n^6 prefixes
-(first two rows): for a fixed prefix, both the permanent and the determinant
-are linear forms in the third row, and the joint distribution of the two forms
-depends only on the subgroup of (Z/n)^2 generated by their coefficient
-columns. Prefixes are therefore bucketed by that subgroup, and the third-row
-counts are computed once per bucket, either by a direct n^3 inner loop
-(generic, any modulus) or by an analytic solve-for-one-variable fast path
-(prime modulus). The two inner paths are cross-validated in the test suite,
-and the two engines agree entry for entry wherever both run.
+evaluates permanent and determinant directly; it keeps no symmetry, is the
+dumb, trustworthy reference and refuses n > 8. census_tiered works on
+prefixes (the first two rows): for a fixed prefix, both the permanent and the
+determinant are linear forms in the third row, and the joint distribution of
+the two forms depends only on the subgroup of (Z/n)^2 generated by their three
+coefficient columns. Each subgroup is keyed by the Hermite normal form of its
+lattice between nZ^2 and Z^2, and the third-row counts are computed once per
+subgroup, either by a direct n^3 inner loop (generic, any modulus) or by an
+analytic solve-for-one-variable fast path (prime modulus). The two inner paths
+are cross-validated in the test suite, and the two engines agree entry for
+entry wherever both run.
 
-Censuses may run on several worker processes; prefixes are partitioned into
-fixed-size chunks, each worker tallies its chunks into int64 arrays whose
-entries are bounded by the chunk size, and the merge adds exact Python
-integers in chunk order. Results are identical for every thread count.
+The coefficients are bilinear in the two prefix rows, so scaling either row by
+a unit scales every coefficient by that unit and leaves the subgroup alone.
+The prefix pass therefore walks pairs of row orbits under unit scaling rather
+than all n^6 prefixes, and weights each pair by the product of its orbit sizes
+(orbit counting, as in Burnside's lemma). class_census and case_census share
+that pass: the class head and the zero pattern they key on are unchanged by
+unit scaling too.
+
+Censuses may run on several worker processes; orbit pairs (or, for the
+scanning engines, index ranges) are split into fixed chunks, each worker
+tallies its chunks into int64 arrays, and the merge adds them in chunk order.
+Results are identical for every thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +44,8 @@ NAIVE_LIMIT = 8
 TIERED_LIMIT = 16
 TWO_BY_TWO_LIMIT = 50
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # indices, or orbit pairs, per job
+_BLOCK = 1 << 16  # orbit pairs per vectorized block; bounds the pass's memory
 
 
 class CensusTooLarge(ValueError):
@@ -121,14 +132,16 @@ def _unit_mask(n: int) -> np.ndarray:
     return np.gcd(np.arange(n, dtype=np.int64), n) == 1
 
 
-def _digits(start: int, stop: int, n: int, k: int) -> list[np.ndarray]:
-    """The k base-n digits (least significant first) of indices [start, stop).
+def _digits(idx, n: int, k: int) -> list[np.ndarray]:
+    """The k base-n digits (least significant first) of idx, a range or an index array.
 
-    int32 whenever the index space allows: every digit product formed by the
-    census kernels stays far below 2^31.
+    A range is enumerated in int32 whenever its stop allows: the kernels that
+    split ranges (the naive and 2x2 scans, the third-row loop, the row-orbit
+    enumerator) form digit products far below 2^31. An array keeps its dtype.
+    The orbit-pair pass takes its rows from the orbit representatives instead.
     """
-    dtype = np.int32 if stop < 2**31 else np.int64
-    idx = np.arange(start, stop, dtype=dtype)
+    if isinstance(idx, range):
+        idx = np.arange(idx.start, idx.stop, dtype=np.int32 if idx.stop < 2**31 else np.int64)
     out = []
     for _ in range(k):
         out.append(idx % n)
@@ -136,117 +149,108 @@ def _digits(start: int, stop: int, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
-def _jobs(n: int, total: int) -> list[tuple[int, int, int]]:
-    return [(n, s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
+def _range_jobs(n: int, total: int) -> list[tuple[tuple[int, int, int], int]]:
+    """Chunks of the index range [0, total), each as (job args, indices covered)."""
+    return [((n, s, min(s + _CHUNK, total)), min(_CHUNK, total - s)) for s in range(0, total, _CHUNK)]
 
 
-def _map_jobs(fn, jobs, threads, progress, total):
-    """Run chunk jobs, inline or on a process pool, yielding results in job order."""
-    done = 0
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for job, res in zip(jobs, pool.map(fn, jobs)):
-                done += job[2] - job[1]
-                if progress is not None:
-                    progress(done, total)
-                yield res
-    else:
-        for job in jobs:
-            res = fn(job)
-            done += job[2] - job[1]
+def _map_jobs(fn, jobs, threads, progress):
+    """Run (args, size) jobs, inline or on a process pool, yielding results in job order.
+
+    progress(done, total) reports the summed sizes of the jobs finished. The
+    pool has at most one worker per job, and a single job runs inline.
+    """
+    total = sum(size for _, size in jobs)
+    workers = min(threads, len(jobs))
+    arglist = [args for args, _ in jobs]
+    pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool_cm as pool:
+        results = pool.map(fn, arglist) if pool is not None else map(fn, arglist)
+        done = 0
+        for (_, size), res in zip(jobs, results):
+            done += size
             if progress is not None:
                 progress(done, total)
             yield res
 
 
 # ---------------------------------------------------------------------------
-# linear-form buckets: subgroups of (Z/n)^2
+# linear-form buckets: subgroups of (Z/n)^2, keyed by Hermite normal form
 #
 # A pair of linear forms (perm, det) in the third row is summarized by the
-# subgroup of (Z/n)^2 generated by its three coefficient columns. The forms
-# map the n^3 third rows uniformly onto that subgroup, so two prefixes whose
-# columns generate the same subgroup have identical third-row count tables.
+# subgroup H of (Z/n)^2 generated by its three coefficient columns. The forms
+# map the n^3 third rows uniformly onto H, so two prefixes whose columns
+# generate the same subgroup have identical third-row count tables. The
+# lattice H + nZ^2 of Z^2 has a unique basis (a, 0), (b, d) with a | n, d | n
+# and 0 <= b < a (H. Cohen, A Course in Computational Algebraic Number Theory,
+# GTM 138, section 2.4); the triple (a, b, d) is the subgroup's key.
 
 
 @dataclass(frozen=True, eq=False)
 class _FormTables:
     n: int
-    cyc_id: np.ndarray  # (n*n,) class of the cyclic subgroup of a packed pair
-    join_id: np.ndarray  # (n_subs, n*n) class of subgroup + one more generator
-    reps: tuple[tuple[int, int, int, int, int, int], ...]  # representative forms
-    sizes: tuple[int, ...]
-    elements: tuple[tuple[int, ...], ...]
+    reps: tuple[tuple[int, int, int, int, int, int], ...]  # one form signature per subgroup
+    sizes: tuple[int, ...]  # subgroup orders
+    bucket: np.ndarray  # dense HNF key -> subgroup index; -1 for no subgroup
+    euclid: np.ndarray  # (n + 1, n, 3): (g, s, t) with s*y + t*v = g = gcd(y, v)
+
+
+def _hnf_index(n, a, b, d):
+    return (a * n + b) * (n + 1) + d
+
+
+def _ext_gcd(y: int, v: int) -> tuple[int, int, int]:
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while v:
+        q, y, v = y // v, v, y % v
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return y, s0, t0
 
 
 @lru_cache(maxsize=None)
 def _form_tables(n: int) -> _FormTables:
-    nn = n * n
-    mult = []
-    for g in range(nn):
-        u, v = divmod(g, n)
-        mult.append(
-            np.array(sorted({(u * t % n) * n + (v * t) % n for t in range(n)}), dtype=np.int64)
-        )
+    """Every subgroup of (Z/n)^2 as an HNF triple, with a generating form signature.
 
-    subs: dict[tuple[int, ...], int] = {}
-    elems: list[np.ndarray] = []
-    gens: list[tuple[int, int]] = []
-
-    def intern(arr: np.ndarray, gen_pair: tuple[int, int]) -> int:
-        key = tuple(arr.tolist())
-        sid = subs.get(key)
-        if sid is None:
-            sid = len(elems)
-            subs[key] = sid
-            elems.append(arr)
-            gens.append(gen_pair)
-        return sid
-
-    cyc = np.empty(nn, dtype=np.int32)
-    for g in range(nn):
-        cyc[g] = intern(mult[g], (g, 0))
-    n_cyclic = len(elems)
-
-    # Joining every cyclic subgroup with every element reaches every subgroup,
-    # since a subgroup of a rank-2 group needs at most two generators. The
-    # loop keeps going over subgroups found along the way so the join table is
-    # total; those later rows must not discover anything new.
-    join_rows: list[list[int]] = []
-    i = 0
-    while i < len(elems):
-        bu, bv = np.divmod(elems[i], n)
-        row = []
-        for g in range(nn):
-            mu, mv = np.divmod(mult[g], n)
-            joined = np.unique(
-                ((bu[:, None] + mu[None, :]) % n) * n + (bv[:, None] + mv[None, :]) % n
-            )
-            before = len(elems)
-            sid = intern(joined, (gens[i][0], g))
-            if sid >= before and i >= n_cyclic:
-                raise RuntimeError("subgroup needed three generators; impossible in rank 2")
-            row.append(sid)
-        join_rows.append(row)
-        i += 1
-
-    for sid, (g1, g2) in enumerate(gens):
-        if join_rows[int(cyc[g1])][g2] != sid:
-            raise RuntimeError("recorded generating pair does not span its subgroup")
-
-    reps = []
-    for g1, g2 in gens:
-        u1, v1 = divmod(g1, n)
-        u2, v2 = divmod(g2, n)
-        reps.append((u1, u2, 0, v1, v2, 0))
-
+    (a, b, d) is a valid triple when the lattice it spans contains nZ^2:
+    a | n, d | n and a | b * (n / d).
+    """
+    divisors = [v for v in range(1, n + 1) if n % v == 0]
+    triples = [
+        (a, b, d) for a in divisors for d in divisors for b in range(a) if b * (n // d) % a == 0
+    ]
+    bucket = np.full(n * (n + 1) ** 2, -1, dtype=np.int64)
+    for sid, (a, b, d) in enumerate(triples):
+        bucket[_hnf_index(n, a, b, d)] = sid
+    euclid = np.array([[_ext_gcd(y, v) for v in range(n)] for y in range(n + 1)], dtype=np.int64)
     return _FormTables(
         n=n,
-        cyc_id=cyc,
-        join_id=np.array(join_rows, dtype=np.int32),
-        reps=tuple(reps),
-        sizes=tuple(len(e) for e in elems),
-        elements=tuple(tuple(int(v) for v in e) for e in elems),
+        reps=tuple((b, a % n, 0, d % n, 0, 0) for a, b, d in triples),
+        sizes=tuple(n * n // (a * d) for a, _, d in triples),
+        bucket=bucket,
+        euclid=euclid,
     )
+
+
+def _hnf_buckets(t: _FormTables, forms) -> np.ndarray:
+    """Subgroup index of the columns (A, D), (B, E), (C, F) of forms = (A, B, C, D, E, F).
+
+    Row reduction from the pivot (0, n): an extended-Euclid step on second
+    coordinates folds each column into the pivot, and the combination it
+    drops has second coordinate 0, so it joins aZ x 0. What is left is the
+    HNF basis (a, 0), (b, d). Entries of forms lie in [0, n).
+    """
+    n = t.n
+    A, B, C, D, E, F = forms
+    a = np.full(np.shape(A), n, dtype=np.int64)
+    b = np.zeros_like(a)
+    d = np.full_like(a, n)
+    for u, v in ((A, D), (B, E), (C, F)):
+        g, s, r = np.moveaxis(t.euclid[d, v], -1, 0)
+        a = np.gcd(a, (v // g) * b - (d // g) * u)
+        b = (s * b + r * u) % a
+        d = g
+    return t.bucket[_hnf_index(n, a, b, d)]
 
 
 def _third_row_counts_generic(
@@ -254,7 +258,7 @@ def _third_row_counts_generic(
 ) -> np.ndarray:
     """Per-permanent counts of unit-determinant third rows, by enumerating all n^3."""
     A, B, C, D, E, F = sig
-    x, y, z = _digits(0, n**3, n, 3)
+    x, y, z = _digits(range(n**3), n, 3)
     perm = (A * x + B * y + C * z) % n
     det = (D * x + E * y + F * z) % n
     if unit_mask is None:
@@ -299,28 +303,134 @@ def _bucket_tables(n: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _prefix_forms(n, start, stop):
-    """Packed coefficient columns of the two third-row forms, per prefix.
+def _forms(r1, r2, n):
+    """Third-row coefficients (A, B, C, D, E, F) of the prefix rows r1, r2.
 
-    The prefix index packs the first two rows (a,b,c),(d,e,f); expansion along
-    the third row (x,y,z) gives perm = Ax + By + Cz and det = Dx + Ey + Fz.
+    With r1 = (a, b, c) and r2 = (d, e, f), expansion along the third row
+    (x, y, z) gives perm = Ax + By + Cz and det = Dx + Ey + Fz. Every
+    coefficient is bilinear in r1 and r2.
     """
-    a, b, c, d, e, f = _digits(start, stop, n, 6)
-    A = (b * f + c * e) % n
-    B = (a * f + c * d) % n
-    C = (a * e + b * d) % n
-    D = (b * f - c * e) % n
-    E = (c * d - a * f) % n
-    F = (a * e - b * d) % n
-    return (A * n + D, B * n + E, C * n + F), (a, b, c, d, e, f)
+    a, b, c = r1
+    d, e, f = r2
+    return (
+        (b * f + c * e) % n,
+        (a * f + c * d) % n,
+        (a * e + b * d) % n,
+        (b * f - c * e) % n,
+        (c * d - a * f) % n,
+        (a * e - b * d) % n,
+    )
 
 
-def _bucket_of(t: _FormTables, cols) -> np.ndarray:
-    g1, g2, g3 = cols
-    s = t.cyc_id[g1].astype(np.int64)
-    s = t.join_id[s, g2]
-    s = t.join_id[s, g3]
-    return s
+def _prefix_forms(n, start, stop):
+    """Forms of each prefix index in [start, stop), with its six digits; no symmetry."""
+    digits = _digits(range(start, stop), n, 6)
+    return _forms(digits[:3], digits[3:], n), digits
+
+
+# ---------------------------------------------------------------------------
+# the orbit-pair prefix pass
+#
+# Scaling a prefix row by a unit scales all six forms by that unit, which
+# keeps the subgroup, whether P11, P12 or P13 is a unit, and the zero pattern.
+# Each prefix engine therefore tallies one representative pair of row orbits
+# with weight |orbit 1| * |orbit 2|. Tallies are counted per weight class and
+# multiplied by the exact int64 weights at the end of each block.
+
+
+@dataclass(frozen=True, eq=False)
+class _RowOrbits:
+    """Orbits of (Z/n)^3 under scaling by units.
+
+    Row index r0 + r1 n + r2 n^2. reps holds the least member of each orbit
+    as three digit arrays, sizes each orbit's size, and
+    members[offsets[i]:offsets[i + 1]] the row indices of orbit i in
+    increasing order. wvals are the distinct sizes; wclass[i] indexes sizes[i]
+    in wvals.
+    """
+
+    reps: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sizes: np.ndarray
+    members: np.ndarray
+    offsets: np.ndarray
+    wvals: np.ndarray
+    wclass: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _row_orbits(n: int) -> _RowOrbits:
+    rows = _digits(range(n**3), n, 3)
+    least = None
+    for u in np.flatnonzero(_unit_mask(n)):
+        image = (u * rows[0]) % n + (u * rows[1]) % n * n + (u * rows[2]) % n * (n * n)
+        least = image if least is None else np.minimum(least, image)
+    rep_idx, orbit_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    wvals, wclass = np.unique(sizes, return_inverse=True)
+    return _RowOrbits(
+        reps=tuple(v.astype(np.int64) for v in _digits(rep_idx, n, 3)),
+        sizes=sizes.astype(np.int64),
+        members=np.argsort(orbit_of, kind="stable"),
+        offsets=np.concatenate(([0], np.cumsum(sizes))),
+        wvals=wvals.astype(np.int64),
+        wclass=wclass.astype(np.int64),
+    )
+
+
+def _orbit_jobs(n: int, *extra) -> list[tuple[tuple, int]]:
+    """Chunks of orbit pairs, split by first-row orbit, as (job args, prefixes covered).
+
+    Job (n, i0, i1, *extra) takes the pairs (i, j) with i0 <= i < i1 and every
+    j. Raises RuntimeError unless the pair weights sum to n^6.
+    """
+    o = _row_orbits(n)
+    m = len(o.sizes)
+    step = max(1, _CHUNK // m)
+    row_total = int(o.sizes.sum())
+    jobs = [
+        ((n, i, min(i + step, m), *extra), int(o.sizes[i : i + step].sum()) * row_total)
+        for i in range(0, m, step)
+    ]
+    covered = sum(size for _, size in jobs)
+    if covered != n**6:
+        raise RuntimeError(f"row orbits mod {n} cover {covered} prefixes, not n^6 = {n**6}")
+    return jobs
+
+
+def _orbit_blocks(n: int, i0: int, i1: int):
+    """Blocks of orbit pairs (i, j), i0 <= i < i1, as (rows, forms, buckets, weight classes).
+
+    rows is the slice of first-row orbits in the block; the arrays are shaped
+    (first-row orbits, all second-row orbits).
+    """
+    o = _row_orbits(n)
+    t = _form_tables(n)
+    m = len(o.sizes)
+    nw = len(o.wvals)
+    r2 = [v[None, :] for v in o.reps]
+    step = max(1, _BLOCK // m)
+    for s in range(i0, i1, step):
+        rows = slice(s, min(s + step, i1))
+        forms = _forms([v[rows, None] for v in o.reps], r2, n)
+        wclass = o.wclass[rows, None] * nw + o.wclass[None, :]
+        yield rows, forms, _hnf_buckets(t, forms), wclass
+
+
+def _weighted_tally(o: _RowOrbits, key, wclass, n_keys: int) -> np.ndarray:
+    """Prefixes per key: orbit pairs counted per (key, weight class), times exact weights."""
+    nw2 = len(o.wvals) ** 2
+    pairs = np.bincount((key * nw2 + wclass).ravel(), minlength=n_keys * nw2)
+    return pairs.reshape(n_keys, nw2) @ np.outer(o.wvals, o.wvals).ravel()
+
+
+def _pair_prefixes(o: _RowOrbits, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Every prefix index in the orbit pairs (i, j): a member of orbit i, plus n^3 times one of j."""
+    sj = o.sizes[j]
+    counts = o.sizes[i] * sj
+    pair = np.repeat(np.arange(i.size), counts)
+    q = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = o.members[o.offsets[i][pair] + q // sj[pair]]
+    second = o.members[o.offsets[j][pair] + q % sj[pair]]
+    return first + n**3 * second
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +438,26 @@ def _bucket_of(t: _FormTables, cols) -> np.ndarray:
 
 
 def _tiered_job(args):
-    n, start, stop = args
-    t = _form_tables(n)
-    cols, _ = _prefix_forms(n, start, stop)
-    return np.bincount(_bucket_of(t, cols), minlength=len(t.sizes))
+    n, i0, i1 = args
+    o = _row_orbits(n)
+    n_subs = len(_form_tables(n).sizes)
+    mult = np.zeros(n_subs, dtype=np.int64)
+    for _, _, s, wclass in _orbit_blocks(n, i0, i1):
+        mult += _weighted_tally(o, s, wclass, n_subs)
+    return mult
 
 
 def census_tiered(
     n: int | Modulus, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT
 ) -> CountTable:
-    """Exact permanent census over GL3(Z/n) via prefix bucketing; n <= 16 by default."""
+    """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= 16 by default."""
     modulus = factorize(n) if isinstance(n, int) else n
     n = modulus.n
     if n > limit:
         raise CensusTooLarge("census_tiered", n, limit)
     t = _form_tables(n)
-    total = n**6
     mult = np.zeros(len(t.sizes), dtype=np.int64)
-    for res in _map_jobs(_tiered_job, _jobs(n, total), threads, progress, total):
+    for res in _map_jobs(_tiered_job, _orbit_jobs(n), threads, progress):
         mult += res
     counts = mult @ _bucket_tables(n)  # entries bounded by n^9 < 2^63
     return CountTable(modulus, tuple(int(v) for v in counts))
@@ -353,7 +465,7 @@ def census_tiered(
 
 def _naive_job(args):
     n, start, stop = args
-    a, b, c, d, e, f, g, h, i = _digits(start, stop, n, 9)
+    a, b, c, d, e, f, g, h, i = _digits(range(start, stop), n, 9)
     t1 = e * i + f * h
     t2 = d * i + f * g
     t3 = d * h + e * g
@@ -373,9 +485,8 @@ def census_naive(
     n = modulus.n
     if n > limit:
         raise CensusTooLarge("census_naive", n, limit, hint="use census_tiered")
-    total = n**9
     counts = [0] * n
-    for res in _map_jobs(_naive_job, _jobs(n, total), threads, progress, total):
+    for res in _map_jobs(_naive_job, _range_jobs(n, n**9), threads, progress):
         for x in range(n):
             counts[x] += int(res[x])
     return CountTable(modulus, tuple(counts))
@@ -383,7 +494,7 @@ def census_naive(
 
 def _two_by_two_job(args):
     n, start, stop = args
-    a, b, c, d = _digits(start, stop, n, 4)
+    a, b, c, d = _digits(range(start, stop), n, 4)
     perm = (a * d + b * c) % n
     det = (a * d - b * c) % n
     return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
@@ -397,9 +508,8 @@ def census_2x2(
     n = modulus.n
     if n > limit:
         raise CensusTooLarge("census_2x2", n, limit)
-    total = n**4
     counts = [0] * n
-    for res in _map_jobs(_two_by_two_job, _jobs(n, total), threads, progress, total):
+    for res in _map_jobs(_two_by_two_job, _range_jobs(n, n**4), threads, progress):
         for x in range(n):
             counts[x] += int(res[x])
     return CountTable(modulus, tuple(counts))
@@ -411,33 +521,28 @@ def census_2x2(
 # The three row-1 sub-permanents P11, P12, P13 depend only on the prefix; if
 # one of them is a unit mod p the class of every matrix over that prefix is
 # already decided, and the (perm, det) pair is again two linear forms in the
-# inner row. Prefixes whose P11, P12, P13 are all divisible by p are rare and
-# are scanned exhaustively, deciding classes by P21 and then P22.
+# inner row. With rows 2 and 3 as the prefix, P11, P12, P13 are the forms A, B,
+# C and the row-1 cofactors are D, E, F. Prefixes whose P11, P12, P13 are all
+# divisible by p are rare; their orbit pairs are expanded back into prefixes
+# and scanned exhaustively, deciding classes by P21 and then P22.
 
 
 def _class_job(args):
-    n, start, stop, p = args
-    t = _form_tables(n)
-    d, e, f, x, y, z = _digits(start, stop, n, 6)
-    p11 = (e * z + f * y) % n
-    p12 = (d * z + f * x) % n
-    p13 = (d * y + e * x) % n
-    k1 = (e * z - f * y) % n
-    k2 = (f * x - d * z) % n
-    k3 = (d * y - e * x) % n
-    u1 = p11 % p != 0
-    u2 = p12 % p != 0
-    u3 = p13 % p != 0
-    headed = u1 | u2 | u3
-    lab = np.where(u1, 0, np.where(u2, 1, 2))
-    s = t.cyc_id[p11 * n + k1].astype(np.int64)
-    s = t.join_id[s, p12 * n + k2]
-    s = t.join_id[s, p13 * n + k3]
-    n_subs = len(t.sizes)
-    key = lab[headed] * n_subs + s[headed]
-    mult = np.bincount(key, minlength=3 * n_subs)
-    plain = np.arange(start, stop, dtype=np.int64)[~headed]
-    return mult, plain
+    n, i0, i1, p = args
+    o = _row_orbits(n)
+    n_subs = len(_form_tables(n).sizes)
+    mult = np.zeros(3 * n_subs, dtype=np.int64)
+    plain = [np.zeros(0, dtype=np.int64)]
+    for rows, (p11, p12, p13, *_), s, wclass in _orbit_blocks(n, i0, i1):
+        u1 = p11 % p != 0
+        u2 = p12 % p != 0
+        u3 = p13 % p != 0
+        headed = u1 | u2 | u3
+        lab = np.where(u1, 0, np.where(u2, 1, 2))
+        mult += _weighted_tally(o, (lab * n_subs + s)[headed], wclass[headed], 3 * n_subs)
+        i, j = np.nonzero(~headed)
+        plain.append(_pair_prefixes(o, i + rows.start, j, n))
+    return mult, np.concatenate(plain)
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT):
@@ -456,14 +561,11 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int =
         raise CensusTooLarge("class_census", n, limit)
     t = _form_tables(n)
     n_subs = len(t.sizes)
-    total = n**6
     mult = np.zeros(3 * n_subs, dtype=np.int64)
     plain_blocks = []
-    jobs = [(n, s, e, p) for _, s, e in _jobs(n, total)]
-    for res, plain in _map_jobs(_class_job, jobs, threads, progress, total):
+    for res, plain in _map_jobs(_class_job, _orbit_jobs(n, p), threads, progress):
         mult += res
-        if plain.size:
-            plain_blocks.append(plain)
+        plain_blocks.append(plain)
 
     counts = np.zeros((n, 5), dtype=np.int64)
     tables = _bucket_tables(n)
@@ -473,36 +575,27 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int =
     # exhaustive pass over the leftover prefixes
     violations = 0
     um = _unit_mask(n)
-    r, s_, t_ = _digits(0, n**3, n, 3)
-    for block in plain_blocks:
-        for bstart in range(0, block.size, 2048):
-            idx = block[bstart : bstart + 2048]
-            dd, ee, ff, xx, yy, zz = (arr[:, None] for arr in _digits_of(idx, n, 6))
-            p11 = (ee * zz + ff * yy) % n
-            p12 = (dd * zz + ff * xx) % n
-            p13 = (dd * yy + ee * xx) % n
-            perm = (r * p11 + s_ * p12 + t_ * p13) % n
-            det = (r * ((ee * zz - ff * yy) % n) + s_ * ((ff * xx - dd * zz) % n) + t_ * ((dd * yy - ee * xx) % n)) % n
-            p21 = (s_ * zz + t_ * yy) % n
-            p22 = (r * zz + t_ * xx) % n
-            ok = um[det]
-            is21 = p21 % p != 0
-            is22 = p22 % p != 0
-            c21 = ok & is21
-            c22 = ok & ~is21 & is22
-            violations += int((ok & ~is21 & ~is22).sum())
-            counts[:, 3] += np.bincount(perm[c21], minlength=n)
-            counts[:, 4] += np.bincount(perm[c22], minlength=n)
+    r, s_, t_ = _digits(range(n**3), n, 3)
+    plain = np.sort(np.concatenate(plain_blocks))
+    for bstart in range(0, plain.size, 2048):
+        idx = plain[bstart : bstart + 2048]
+        dd, ee, ff, xx, yy, zz = (arr[:, None] for arr in _digits(idx, n, 6))
+        p11 = (ee * zz + ff * yy) % n
+        p12 = (dd * zz + ff * xx) % n
+        p13 = (dd * yy + ee * xx) % n
+        perm = (r * p11 + s_ * p12 + t_ * p13) % n
+        det = (r * ((ee * zz - ff * yy) % n) + s_ * ((ff * xx - dd * zz) % n) + t_ * ((dd * yy - ee * xx) % n)) % n
+        p21 = (s_ * zz + t_ * yy) % n
+        p22 = (r * zz + t_ * xx) % n
+        ok = um[det]
+        is21 = p21 % p != 0
+        is22 = p22 % p != 0
+        c21 = ok & is21
+        c22 = ok & ~is21 & is22
+        violations += int((ok & ~is21 & ~is22).sum())
+        counts[:, 3] += np.bincount(perm[c21], minlength=n)
+        counts[:, 4] += np.bincount(perm[c22], minlength=n)
     return counts, violations
-
-
-def _digits_of(idx: np.ndarray, n: int, k: int) -> list[np.ndarray]:
-    out = []
-    idx = idx.copy()
-    for _ in range(k):
-        out.append(idx % n)
-        idx = idx // n
-    return out
 
 
 def class_census(
@@ -535,15 +628,15 @@ _PATTERN_KEYS = ((1, None), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 
 def _case_job(args):
-    n, start, stop = args
-    t = _form_tables(n)
-    cols, (a, b, c, d, e, f) = _prefix_forms(n, start, stop)
-    s = _bucket_of(t, cols)
-    nnz1 = (a != 0).astype(np.int64) + (b != 0) + (c != 0)
-    nnz2 = (d != 0).astype(np.int64) + (e != 0) + (f != 0)
-    pattern = _PATTERN_OF[nnz1, nnz2]
-    n_subs = len(t.sizes)
-    return np.bincount(pattern * n_subs + s, minlength=8 * n_subs)
+    n, i0, i1 = args
+    o = _row_orbits(n)
+    n_subs = len(_form_tables(n).sizes)
+    nnz = sum((v != 0).astype(np.int64) for v in o.reps)
+    mult = np.zeros(8 * n_subs, dtype=np.int64)
+    for rows, _, s, wclass in _orbit_blocks(n, i0, i1):
+        pattern = _PATTERN_OF[nnz[rows, None], nnz[None, :]]
+        mult += _weighted_tally(o, pattern * n_subs + s, wclass, 8 * n_subs)
+    return mult
 
 
 def case_census(
@@ -556,9 +649,8 @@ def case_census(
         raise CensusTooLarge("case_census", p, limit)
     t = _form_tables(p)
     n_subs = len(t.sizes)
-    total = p**6
     mult = np.zeros(8 * n_subs, dtype=np.int64)
-    for res in _map_jobs(_case_job, _jobs(p, total), threads, progress, total):
+    for res in _map_jobs(_case_job, _orbit_jobs(p), threads, progress):
         mult += res
     zeros = _bucket_tables(p)[:, 0]
     per_pattern = [int(mult[r * n_subs : (r + 1) * n_subs] @ zeros) for r in range(8)]

@@ -68,7 +68,8 @@ def psi_shift(m: Mat3, x: int | Residue, p: int, label: ClassLabel | None = None
     amount = Residue(xv * pow(pivot_val.value, -1, n), m.modulus)
     i, j = label.pivot
     image = m.with_entry(i, j, m.entry(i, j) + amount.value)
-    assert permanent3(image).value == (permanent3(m).value + xv) % n
+    if permanent3(image).value != (permanent3(m).value + xv) % n:
+        raise RuntimeError(f"shift by {xv} did not move the permanent by {xv}")
     return ShiftResult(image=image, position=(i, j), amount=amount)
 
 
@@ -105,7 +106,7 @@ def fiber_count(
     done = 0
     for start in range(0, total, 1 << 20):
         stop = min(start + (1 << 20), total)
-        t = oracle._digits(start, stop, q, 9)
+        t = oracle._digits(range(start, stop), q, 9)
         e = [flat[idx] + p * t[idx] for idx in range(9)]
         a1, b1, c1, d1, e1, f1, g1, h1, i1 = e
         perm = (a1 * (e1 * i1 + f1 * h1) + b1 * (d1 * i1 + f1 * g1) + c1 * (d1 * h1 + e1 * g1)) % n

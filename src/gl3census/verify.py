@@ -411,7 +411,8 @@ def _case_table(ctx):
     for p in ctx.profile.case_primes:
         observed = oracle.case_census(p, threads=ctx.threads)
         for want, got in zip(closed_form.case_rows(p), observed.rows):
-            assert want.key == got.key
+            if want.key != got.key:
+                raise RuntimeError(f"case census row {got.key} at p = {p} does not match {want.key}")
             out.append(
                 result(
                     "case-table",
@@ -540,14 +541,14 @@ def shift_round_trip(
         e = _sample_matrices(rng, n, sample, n)
         return e.shape[1], _shift_verify_members(e, n, p, shifts, inv_table)
     checked = 0
-    third = np.stack(oracle._digits(0, n**3, n, 3))
+    third = np.stack(oracle._digits(range(n**3), n, 3))
     unit = oracle._unit_mask(n)
     for start in range(0, n**6, 2048):
         stop = min(start + 2048, n**6)
-        cols6, digs = oracle._prefix_forms(n, start, stop)
+        forms, digs = oracle._prefix_forms(n, start, stop)
         prefix = [arr[:, None] for arr in digs]
-        coeff = [(cols6[i] // n)[:, None] for i in range(3)]
-        cof = [(cols6[i] % n)[:, None] for i in range(3)]
+        coeff = [arr[:, None] for arr in forms[:3]]
+        cof = [arr[:, None] for arr in forms[3:]]
         x3, y3, z3 = (third[i][None, :] for i in range(3))
         perm = (coeff[0] * x3 + coeff[1] * y3 + coeff[2] * z3) % n
         det = (cof[0] * x3 + cof[1] * y3 + cof[2] * z3) % n

@@ -130,11 +130,64 @@ def test_generic_counts_random_signatures():
         for _ in range(25):
             sig = tuple(int(v) for v in rng.integers(0, n, 6))
             direct = oracle._third_row_counts_generic(sig, n, um)
-            # bucketing a signature through the tables gives the same counts
-            cols = (sig[0] * n + sig[3], sig[1] * n + sig[4], sig[2] * n + sig[5])
-            sid = int(t.join_id[int(t.join_id[int(t.cyc_id[cols[0]]), cols[1]]), cols[2]])
+            # bucketing a signature through its HNF key gives the same counts
+            sid = int(oracle._hnf_buckets(t, [np.array(v) for v in sig]))
             via_rep = oracle._third_row_counts_generic(t.reps[sid], n, um)
             assert direct.tolist() == via_rep.tolist()
+
+
+def _closure(cols, n):
+    """The subgroup of (Z/n)^2 spanned by the columns, by brute force over all combinations."""
+    coeffs = oracle._digits(range(n**3), n, 3)
+    u = sum(c * a for c, (a, _) in zip(coeffs, cols)) % n
+    v = sum(c * d for c, (_, d) in zip(coeffs, cols)) % n
+    return frozenset((u * n + v).tolist())
+
+
+def _same_subgroup(cols, rng, n):
+    """Permute, shear and unit-scale the columns: the span does not change."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    cols = [cols[i] for i in rng.permutation(3)]
+    i, j = rng.choice(3, 2, replace=False)
+    k = int(rng.integers(n))
+    cols[i] = ((cols[i][0] + k * cols[j][0]) % n, (cols[i][1] + k * cols[j][1]) % n)
+    return [(u * a % n, u * d % n) for (a, d), u in zip(cols, rng.choice(units, 3))]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16])
+def test_hnf_keys_are_canonical_for_subgroups(n):
+    rng = np.random.default_rng(n)
+    t = oracle._form_tables(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    triples = []
+    for _ in range(30):
+        base = [
+            tuple(int(rng.integers(n)) * int(rng.choice(divisors)) % n for _ in range(2))
+            for _ in range(3)
+        ]
+        triples += [base, _same_subgroup(base, rng, n)]
+    forms = [np.array([cols[i][c] for cols in triples]) for c in (0, 1) for i in range(3)]
+    keys = oracle._hnf_buckets(t, forms).tolist()
+    closures = [_closure(cols, n) for cols in triples]
+    assert len(set(closures)) > 5
+    for i in range(len(triples)):
+        assert len(closures[i]) == t.sizes[keys[i]]
+        for j in range(i):
+            assert (keys[i] == keys[j]) == (closures[i] == closures[j]), (triples[i], triples[j])
+    # every bucket's representative lands in its own bucket
+    for sid, rep in enumerate(t.reps):
+        assert int(oracle._hnf_buckets(t, [np.array(v) for v in rep])) == sid
+        assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == t.sizes[sid]
+
+
+@pytest.mark.parametrize("n", [20, 25, 27])
+def test_tiered_census_beyond_default_limit(n):
+    assert oracle.census_tiered(n, limit=n).counts == tuple(cf.count(n, x) for x in range(n))
+
+
+def test_single_job_runs_inline():
+    # a lambda cannot be pickled, so this would fail on a process pool
+    assert list(oracle._map_jobs(lambda args: sum(args), [((1, 2), 5)], 4, None)) == [3]
 
 
 def test_parallel_censuses_are_deterministic():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gl3census
 from gl3census import closed_form, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
@@ -80,3 +84,45 @@ def test_render_table_summarizes():
     text = verify.render_table(results)
     assert "1/2 checks passed" in text
     assert "FAIL" in text and "PASS" in text
+
+
+_FORCED_MISMATCHES = """
+import dataclasses, sys
+from gl3census import closed_form, structure_maps, verify
+from gl3census.matrices import ClassLabel
+from gl3census.modring import Residue
+
+
+def raises(fn):
+    try:
+        fn()
+    except RuntimeError:
+        return True
+    return False
+
+
+real_zero, real_rows = closed_form.count_prime_zero, closed_form.case_rows
+closed_form.count_prime_zero = lambda p: real_zero(p) + 1
+sum_check = raises(lambda: closed_form.case_rows(5))
+closed_form.count_prime_zero = real_zero
+
+structure_maps.permanent3 = lambda m: Residue(0, m.modulus)
+member = structure_maps.witness(ClassLabel.C11, 3, 2)
+shift_check = raises(lambda: structure_maps.psi_shift(member, 3, 3))
+
+closed_form.case_rows = lambda p: tuple(reversed(real_rows(p)))
+ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), threads=1, seed=0)
+key_check = raises(lambda: verify._case_table(ctx))
+print(sys.flags.optimize, sum_check, shift_check, key_check)
+"""
+
+
+def test_invariants_raise_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gl3census.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_MISMATCHES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "True", "True"]
