@@ -22,8 +22,11 @@ CLASS_TABLE_SECTIONS = ("class-table", "4.2")
 CASE_TABLE_SECTIONS = ("case-table", "4-cases")
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _progress_printer(label: str):
@@ -70,14 +73,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    threads = args.threads or _default_threads()
     progress = _progress_printer(f"census n={args.n}") if args.progress else None
     if args.classes:
         factors = factorize(args.n).factors
         if len(factors) != 1:
             raise ValueError("--classes needs a prime-power modulus")
         p, k = factors[0]
-        census = oracle.class_census(p, k, threads=threads, progress=progress)
+        census = oracle.class_census(p, k, threads=args.threads, progress=progress)
         header = ["x", "count"] + [lab.name.lower() for lab in CLASS_LABELS]
         rows = []
         for x in range(args.n):
@@ -88,7 +90,7 @@ def _cmd_oracle(args) -> int:
         _emit_rows(header, rows, args.format)
         return 0
     engine = oracle.census_naive if args.engine == "naive" else oracle.census_tiered
-    table = engine(args.n, threads=threads, progress=progress)
+    table = engine(args.n, threads=args.threads, progress=progress)
     if args.x is not None:
         x = args.x % args.n
         if args.format == "json":
@@ -113,7 +115,6 @@ def _parse_moduli(text: str | None, default: tuple[int, ...]) -> list[int]:
 
 
 def _cmd_table(args) -> int:
-    threads = args.threads or _default_threads()
     if args.section in CLASS_TABLE_SECTIONS:
         moduli = _parse_moduli(args.p_list, (3, 5, 7, 9, 11, 13))
         header = ["n", "perm0", "c11", "c12", "c13", "c21", "c22"]
@@ -134,7 +135,7 @@ def _cmd_table(args) -> int:
                 ),
             ]
             if args.check:
-                census = oracle.class_census(p, k, threads=threads)
+                census = oracle.class_census(p, k, threads=args.threads)
                 observed = [
                     sum(census.counts[0]),
                     *(census.count(0, lab) for lab in CLASS_LABELS),
@@ -153,7 +154,7 @@ def _cmd_table(args) -> int:
             if not is_prime(p) or p == 2:
                 raise ValueError(f"case table needs odd primes, got {p}")
             closed_rows = closed_form.case_rows(p)
-            observed = oracle.case_census(p, threads=threads).rows if args.check else None
+            observed = oracle.case_census(p, threads=args.threads).rows if args.check else None
             for i, r in enumerate(closed_rows):
                 row = [p, r.row1_nonzeros, r.row2_nonzeros, r.count]
                 if observed is not None:
@@ -165,7 +166,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads or _default_threads()
     progress = None
     if args.progress:
 
@@ -174,7 +174,7 @@ def _cmd_verify(args) -> int:
             sys.stderr.flush()
 
     results = verify.run_suite(
-        args.profile, threads=threads, seed=args.seed, progress=progress
+        args.profile, threads=args.threads, seed=args.seed, progress=progress
     )
     if args.format == "json":
         sys.stdout.write(verify.to_json_lines(results))
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--x", type=int, default=None, help="report a single permanent value")
     p_oracle.add_argument("--classes", action="store_true", help="split by sub-permanent class (prime powers)")
     p_oracle.add_argument("--engine", choices=("tiered", "naive"), default="tiered")
-    p_oracle.add_argument("--threads", type=int, default=None)
+    p_oracle.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p_oracle.add_argument("--progress", action="store_true")
     p_oracle.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_oracle.set_defaults(fn=_cmd_oracle)
@@ -215,13 +215,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--p-list", default=None, help="comma-separated moduli")
     p_table.add_argument("--check", action="store_true", help="confirm each row against the census")
-    p_table.add_argument("--threads", type=int, default=None)
+    p_table.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p_table.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_table.set_defaults(fn=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the cross-check suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--threads", type=int, default=None)
+    p_verify.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--progress", action="store_true")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")

@@ -1,6 +1,7 @@
 """Dense 3x3 and 2x2 matrices over Z/n.
 
-Provides permanent, determinant, the five leading 2x2 sub-permanents, and the
+Provides the permanent/determinant/sub-permanent kernel that every census,
+scan and check calls, the Mat3/Mat2 wrappers around it, and the
 classification of an invertible matrix by the first sub-permanent (in the
 order P11, P12, P13, P21, P22) that is a unit mod p. Matrices are immutable
 value types; maps that modify entries return new matrices.
@@ -140,39 +141,82 @@ def format_mat3(m: Mat3) -> str:
     return ";".join(",".join(str(v) for v in row) for row in m.rows)
 
 
+# The kernel. Entries are row-major (a11, a12, ..., a33) and only + - * % are
+# used, so the same code runs exactly on Python ints (any n) and vectorized on
+# broadcastable numpy integer arrays. There, pass the small arrays as rows 2
+# and 3: their minors are formed before anything is broadcast.
+
+
+def forms(r1, r2, n):
+    """Third-row coefficients (A, B, C, D, E, F) of the rows r1, r2.
+
+    With r1 = (a, b, c) and r2 = (d, e, f), expansion along the third row
+    (x, y, z) gives perm = Ax + By + Cz and det = Dx + Ey + Fz. Every
+    coefficient is bilinear in r1 and r2.
+    """
+    a, b, c = r1
+    d, e, f = r2
+    return (
+        (b * f + c * e) % n,
+        (a * f + c * d) % n,
+        (a * e + b * d) % n,
+        (b * f - c * e) % n,
+        (c * d - a * f) % n,
+        (a * e - b * d) % n,
+    )
+
+
+def perm_det(e, n):
+    """(perm, det) mod n of the entries e, expanded along row 1 over forms(row 2, row 3).
+
+    That is the third-row expansion of the cyclic shift (row 2, row 3, row 1),
+    which has the same determinant.
+    """
+    A, B, C, D, E, F = forms(e[3:6], e[6:9], n)
+    x, y, z = e[0:3]
+    return (A * x + B * y + C * z) % n, (D * x + E * y + F * z) % n
+
+
+def subperms(e, n):
+    """The sub-permanents P11, P12, P13, P21, P22 mod n of the row-major entries e."""
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = e
+    return (
+        (a22 * a33 + a23 * a32) % n,
+        (a21 * a33 + a23 * a31) % n,
+        (a21 * a32 + a22 * a31) % n,
+        (a12 * a33 + a13 * a32) % n,
+        (a11 * a33 + a13 * a31) % n,
+    )
+
+
+def perm_det2(e, n):
+    """(perm, det) mod n of the row-major 2x2 entries e."""
+    a, b, c, d = e
+    return (a * d + b * c) % n, (a * d - b * c) % n
+
+
+def _entries(m: Mat3 | Mat2) -> list[int]:
+    return [v for row in m.rows for v in row]
+
+
 def permanent3(m: Mat3) -> Residue:
-    """Permanent of a 3x3 matrix: the determinant expansion with all signs +."""
-    (a, b, c), (d, e, f), (g, h, i) = m.rows
-    val = a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
-    return Residue(val, m.modulus)
+    return Residue(perm_det(_entries(m), m.modulus.n)[0], m.modulus)
 
 
 def determinant3(m: Mat3) -> Residue:
-    (a, b, c), (d, e, f), (g, h, i) = m.rows
-    val = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return Residue(val, m.modulus)
+    return Residue(perm_det(_entries(m), m.modulus.n)[1], m.modulus)
 
 
 def permanent2(m: Mat2) -> Residue:
-    (a, b), (c, d) = m.rows
-    return Residue(a * d + b * c, m.modulus)
+    return Residue(perm_det2(_entries(m), m.modulus.n)[0], m.modulus)
 
 
 def determinant2(m: Mat2) -> Residue:
-    (a, b), (c, d) = m.rows
-    return Residue(a * d - b * c, m.modulus)
+    return Residue(perm_det2(_entries(m), m.modulus.n)[1], m.modulus)
 
 
 def sub_permanents(m: Mat3) -> SubPermanents:
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = m.rows
-    mk = lambda v: Residue(v, m.modulus)
-    return SubPermanents(
-        p11=mk(a22 * a33 + a23 * a32),
-        p12=mk(a21 * a33 + a23 * a31),
-        p13=mk(a21 * a32 + a22 * a31),
-        p21=mk(a12 * a33 + a13 * a32),
-        p22=mk(a11 * a33 + a13 * a31),
-    )
+    return SubPermanents(*(Residue(v, m.modulus) for v in subperms(_entries(m), m.modulus.n)))
 
 
 def is_invertible(m: Mat3) -> bool:
@@ -191,11 +235,11 @@ def classify(m: Mat3, p: int) -> ClassLabel:
         raise ValueError(f"classification needs a prime, got {p}")
     if m.modulus.n % p != 0:
         raise ValueError(f"p={p} does not divide the matrix modulus {m.modulus.n}")
-    mp = m if m.modulus.n == p else Mat3(m.rows, factorize(p))
-    if determinant3(mp).value % p == 0:
+    e = _entries(m)
+    if perm_det(e, p)[1] == 0:
         return ClassLabel.NON_INVERTIBLE
-    for label, sub in zip(CLASS_LABELS, sub_permanents(mp).ordered()):
-        if sub.value % p != 0:
+    for label, sub in zip(CLASS_LABELS, subperms(e, p)):
+        if sub:
             return label
     raise RuntimeError(
         f"invertible matrix {format_mat3(m)} mod {p} has no unit sub-permanent; "

@@ -1,9 +1,10 @@
 """Exhaustive, exact censuses of GL3(Z/n) by permanent value.
 
-Two engines produce the same table. census_naive scans all n^9 matrices and
-evaluates permanent and determinant directly; it keeps no symmetry, is the
-dumb, trustworthy reference and refuses n > 8. census_tiered works on
-prefixes (the first two rows): for a fixed prefix, both the permanent and the
+Two engines produce the same table. census_naive evaluates all n^9 matrices
+by cofactor expansion, sweeping every first row against chunks of (row 2,
+row 3) prefixes through matrices.perm_det; it keeps no symmetry, is the dumb,
+trustworthy reference and refuses n > 8. census_tiered works on prefixes
+(the first two rows): for a fixed prefix, both the permanent and the
 determinant are linear forms in the third row, and the joint distribution of
 the two forms depends only on the subgroup of (Z/n)^2 generated by their three
 coefficient columns. Each subgroup is keyed by the Hermite normal form of its
@@ -37,15 +38,16 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_form import CaseCensusRow
-from .matrices import CLASS_LABELS, ClassLabel
+from .matrices import CLASS_LABELS, ClassLabel, forms, perm_det, perm_det2, subperms
 from .modring import Modulus, factorize, is_prime
 
 NAIVE_LIMIT = 8
 TIERED_LIMIT = 16
 TWO_BY_TWO_LIMIT = 50
 
-_CHUNK = 1 << 20  # indices, or orbit pairs, per job
+_CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 _BLOCK = 1 << 16  # orbit pairs per vectorized block; bounds the pass's memory
+_LEFTOVER_BLOCK = 512  # class leftover prefixes per block; (512, n^3) arrays bound its memory
 
 
 class CensusTooLarge(ValueError):
@@ -135,10 +137,10 @@ def _unit_mask(n: int) -> np.ndarray:
 def _digits(idx, n: int, k: int) -> list[np.ndarray]:
     """The k base-n digits (least significant first) of idx, a range or an index array.
 
-    A range is enumerated in int32 whenever its stop allows: the kernels that
-    split ranges (the naive and 2x2 scans, the third-row loop, the row-orbit
-    enumerator) form digit products far below 2^31. An array keeps its dtype.
-    The orbit-pair pass takes its rows from the orbit representatives instead.
+    A range is enumerated in int32 whenever its stop allows: its users (the
+    naive sweep's prefixes and first rows, the 2x2 scan, the third-row loop,
+    the row-orbit enumerator) form products of two residues, far below 2^31. An
+    array keeps its dtype. The orbit pass takes its rows from the orbit reps.
     """
     if isinstance(idx, range):
         idx = np.arange(idx.start, idx.stop, dtype=np.int32 if idx.stop < 2**31 else np.int64)
@@ -149,17 +151,14 @@ def _digits(idx, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
-def _range_jobs(n: int, total: int) -> list[tuple[tuple[int, int, int], int]]:
-    """Chunks of the index range [0, total), each as (job args, indices covered)."""
-    return [((n, s, min(s + _CHUNK, total)), min(_CHUNK, total - s)) for s in range(0, total, _CHUNK)]
-
-
 def _map_jobs(fn, jobs, threads, progress):
     """Run (args, size) jobs, inline or on a process pool, yielding results in job order.
 
     progress(done, total) reports the summed sizes of the jobs finished. The
     pool has at most one worker per job, and a single job runs inline.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     total = sum(size for _, size in jobs)
     workers = min(threads, len(jobs))
     arglist = [args for args, _ in jobs]
@@ -303,31 +302,6 @@ def _bucket_tables(n: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _forms(r1, r2, n):
-    """Third-row coefficients (A, B, C, D, E, F) of the prefix rows r1, r2.
-
-    With r1 = (a, b, c) and r2 = (d, e, f), expansion along the third row
-    (x, y, z) gives perm = Ax + By + Cz and det = Dx + Ey + Fz. Every
-    coefficient is bilinear in r1 and r2.
-    """
-    a, b, c = r1
-    d, e, f = r2
-    return (
-        (b * f + c * e) % n,
-        (a * f + c * d) % n,
-        (a * e + b * d) % n,
-        (b * f - c * e) % n,
-        (c * d - a * f) % n,
-        (a * e - b * d) % n,
-    )
-
-
-def _prefix_forms(n, start, stop):
-    """Forms of each prefix index in [start, stop), with its six digits; no symmetry."""
-    digits = _digits(range(start, stop), n, 6)
-    return _forms(digits[:3], digits[3:], n), digits
-
-
 # ---------------------------------------------------------------------------
 # the orbit-pair prefix pass
 #
@@ -410,9 +384,9 @@ def _orbit_blocks(n: int, i0: int, i1: int):
     step = max(1, _BLOCK // m)
     for s in range(i0, i1, step):
         rows = slice(s, min(s + step, i1))
-        forms = _forms([v[rows, None] for v in o.reps], r2, n)
+        coeffs = forms([v[rows, None] for v in o.reps], r2, n)
         wclass = o.wclass[rows, None] * nw + o.wclass[None, :]
-        yield rows, forms, _hnf_buckets(t, forms), wclass
+        yield rows, coeffs, _hnf_buckets(t, coeffs), wclass
 
 
 def _weighted_tally(o: _RowOrbits, key, wclass, n_keys: int) -> np.ndarray:
@@ -463,40 +437,41 @@ def census_tiered(
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
+def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, progress):
+    """Add up job(n, start, stop) over chunks of [0, count); each index is per_index matrices."""
+    n = modulus.n
+    step = max(1, _CHUNK // per_index)
+    bounds = [(s, min(s + step, count)) for s in range(0, count, step)]
+    jobs = [((n, a, b), (b - a) * per_index) for a, b in bounds]
+    counts = np.zeros(n, dtype=np.int64)
+    for res in _map_jobs(job, jobs, threads, progress):
+        counts += res
+    return CountTable(modulus, tuple(int(v) for v in counts))
+
+
 def _naive_job(args):
+    """Every first row against the (row 2, row 3) prefixes start..stop-1."""
     n, start, stop = args
-    a, b, c, d, e, f, g, h, i = _digits(range(start, stop), n, 9)
-    t1 = e * i + f * h
-    t2 = d * i + f * g
-    t3 = d * h + e * g
-    perm = (a * t1 + b * t2 + c * t3) % n
-    u1 = e * i - f * h
-    u2 = d * i - f * g
-    u3 = d * h - e * g
-    det = (a * u1 - b * u2 + c * u3) % n
+    first = _digits(range(n**3), n, 3)
+    prefixes = [v[:, None] for v in _digits(range(start, stop), n, 6)]
+    perm, det = perm_det([*first, *prefixes], n)
     return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
 
 
 def census_naive(
     n: int | Modulus, *, threads: int = 1, progress=None, limit: int = NAIVE_LIMIT
 ) -> CountTable:
-    """Exact permanent census by scanning all n^9 matrices; n <= 8 by default."""
+    """Exact permanent census by evaluating all n^9 matrices; n <= 8 by default."""
     modulus = factorize(n) if isinstance(n, int) else n
     n = modulus.n
     if n > limit:
         raise CensusTooLarge("census_naive", n, limit, hint="use census_tiered")
-    counts = [0] * n
-    for res in _map_jobs(_naive_job, _range_jobs(n, n**9), threads, progress):
-        for x in range(n):
-            counts[x] += int(res[x])
-    return CountTable(modulus, tuple(counts))
+    return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress)
 
 
 def _two_by_two_job(args):
     n, start, stop = args
-    a, b, c, d = _digits(range(start, stop), n, 4)
-    perm = (a * d + b * c) % n
-    det = (a * d - b * c) % n
+    perm, det = perm_det2(_digits(range(start, stop), n, 4), n)
     return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
 
 
@@ -508,11 +483,7 @@ def census_2x2(
     n = modulus.n
     if n > limit:
         raise CensusTooLarge("census_2x2", n, limit)
-    counts = [0] * n
-    for res in _map_jobs(_two_by_two_job, _range_jobs(n, n**4), threads, progress):
-        for x in range(n):
-            counts[x] += int(res[x])
-    return CountTable(modulus, tuple(counts))
+    return _scan_census(_two_by_two_job, modulus, n**4, 1, threads, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -572,30 +543,30 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int =
     for j in range(3):
         counts[:, j] = mult[j * n_subs : (j + 1) * n_subs] @ tables
 
-    # exhaustive pass over the leftover prefixes
     violations = 0
-    um = _unit_mask(n)
-    r, s_, t_ = _digits(range(n**3), n, 3)
+    first = _digits(range(n**3), n, 3)
     plain = np.sort(np.concatenate(plain_blocks))
-    for bstart in range(0, plain.size, 2048):
-        idx = plain[bstart : bstart + 2048]
-        dd, ee, ff, xx, yy, zz = (arr[:, None] for arr in _digits(idx, n, 6))
-        p11 = (ee * zz + ff * yy) % n
-        p12 = (dd * zz + ff * xx) % n
-        p13 = (dd * yy + ee * xx) % n
-        perm = (r * p11 + s_ * p12 + t_ * p13) % n
-        det = (r * ((ee * zz - ff * yy) % n) + s_ * ((ff * xx - dd * zz) % n) + t_ * ((dd * yy - ee * xx) % n)) % n
-        p21 = (s_ * zz + t_ * yy) % n
-        p22 = (r * zz + t_ * xx) % n
-        ok = um[det]
-        is21 = p21 % p != 0
-        is22 = p22 % p != 0
-        c21 = ok & is21
-        c22 = ok & ~is21 & is22
-        violations += int((ok & ~is21 & ~is22).sum())
-        counts[:, 3] += np.bincount(perm[c21], minlength=n)
-        counts[:, 4] += np.bincount(perm[c22], minlength=n)
+    for start in range(0, plain.size, _LEFTOVER_BLOCK):
+        violations += _leftover_block(plain[start : start + _LEFTOVER_BLOCK], first, p, counts)
     return counts, violations
+
+
+def _leftover_block(idx, first, p: int, counts: np.ndarray) -> int:
+    """Add the C21 and C22 tallies of the prefixes idx to counts; return the violations.
+
+    A function, so that each block's (prefixes x n^3) arrays are freed before
+    the next block allocates its own.
+    """
+    n = len(counts)
+    e = [*first, *(v[:, None] for v in _digits(idx, n, 6))]
+    perm, det = perm_det(e, n)
+    _, _, _, p21, p22 = subperms(e, n)
+    ok = _unit_mask(n)[det]
+    is21 = p21 % p != 0
+    is22 = p22 % p != 0
+    counts[:, 3] += np.bincount(perm[ok & is21], minlength=n)
+    counts[:, 4] += np.bincount(perm[ok & ~is21 & is22], minlength=n)
+    return int((ok & ~is21 & ~is22).sum())
 
 
 def class_census(

@@ -18,6 +18,7 @@ from .matrices import (
     Mat3,
     classify,
     is_invertible,
+    perm_det,
     permanent3,
     sub_permanents,
 )
@@ -103,18 +104,13 @@ def fiber_count(
     flat = [v for row in a.rows for v in row]
     unit = oracle._unit_mask(n)
     found = 0
-    done = 0
     for start in range(0, total, 1 << 20):
         stop = min(start + (1 << 20), total)
         t = oracle._digits(range(start, stop), q, 9)
-        e = [flat[idx] + p * t[idx] for idx in range(9)]
-        a1, b1, c1, d1, e1, f1, g1, h1, i1 = e
-        perm = (a1 * (e1 * i1 + f1 * h1) + b1 * (d1 * i1 + f1 * g1) + c1 * (d1 * h1 + e1 * g1)) % n
-        det = (a1 * (e1 * i1 - f1 * h1) - b1 * (d1 * i1 - f1 * g1) + c1 * (d1 * h1 - e1 * g1)) % n
+        perm, det = perm_det([f + p * d for f, d in zip(flat, t)], n)
         found += int((unit[det] & (perm % p == 0)).sum())
-        done = stop
         if progress is not None:
-            progress(done, total)
+            progress(stop, total)
     return found
 
 

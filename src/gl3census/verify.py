@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, prod
 
 import numpy as np
@@ -24,7 +24,9 @@ from .matrices import (
     format_mat3,
     is_invertible,
     mat3,
+    perm_det,
     permanent3,
+    subperms,
 )
 from .modring import factorize, is_prime, totient
 from .oracle import CountTable
@@ -139,23 +141,17 @@ QUICK = SuiteProfile(
     two_by_two_primes=(3, 5, 7),
 )
 
-FULL = SuiteProfile(
+FULL = replace(
+    QUICK,
     name="full",
     census_moduli=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
     engine_moduli=(2, 3, 4, 5, 6, 7, 8),
     class_moduli=((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)),
     case_primes=(3, 5, 7, 11, 13),
-    emptiness_moduli=((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)),
-    identity_moduli=(4, 9, 12, 49),
-    identity_samples=100_000,
-    shift_pairs=((3, 1), (3, 2), (5, 1), (7, 1)),
     shift_full_population=True,
-    shift_sample=10_000,
     fiber_samples=20,
     multiplicative_moduli=(6, 10, 12),
     witness_primes=(3, 5, 7, 11, 13),
-    partition_bound=27,
-    branch_bound=1000,
     two_by_two_primes=(3, 5, 7, 11, 13),
 )
 
@@ -196,30 +192,7 @@ def _check(tag):
 
 
 # ---------------------------------------------------------------------------
-# matrix-batch helpers (flat row-major entry layout e0..e8)
-
-
-def _batch_perm_det(e, n):
-    p11 = (e[4] * e[8] + e[5] * e[7]) % n
-    p12 = (e[3] * e[8] + e[5] * e[6]) % n
-    p13 = (e[3] * e[7] + e[4] * e[6]) % n
-    perm = (e[0] * p11 + e[1] * p12 + e[2] * p13) % n
-    det = (
-        e[0] * (e[4] * e[8] - e[5] * e[7])
-        - e[1] * (e[3] * e[8] - e[5] * e[6])
-        + e[2] * (e[3] * e[7] - e[4] * e[6])
-    ) % n
-    return perm, det
-
-
-def _batch_subperms(e, n):
-    return (
-        (e[4] * e[8] + e[5] * e[7]) % n,
-        (e[3] * e[8] + e[5] * e[6]) % n,
-        (e[3] * e[7] + e[4] * e[6]) % n,
-        (e[1] * e[8] + e[2] * e[7]) % n,
-        (e[0] * e[8] + e[2] * e[6]) % n,
-    )
+# matrix batches: (9, m) arrays of row-major entries, one matrix per column
 
 
 def _sample_matrices(rng, n: int, count: int, perm_divisor: int) -> np.ndarray:
@@ -229,7 +202,7 @@ def _sample_matrices(rng, n: int, count: int, perm_divisor: int) -> np.ndarray:
     have = 0
     while have < count:
         e = rng.integers(0, n, size=(9, 4096), dtype=np.int64)
-        perm, det = _batch_perm_det(e, n)
+        perm, det = perm_det(e, n)
         keep = unit[det] & (perm % perm_divisor == 0)
         picked = e[:, keep]
         rows.append(picked)
@@ -459,8 +432,8 @@ def _subperm_identity(ctx):
     for n in ctx.profile.identity_moduli:
         rng = ctx.rng(f"identity-{n}")
         e = rng.integers(0, n, size=(9, samples), dtype=np.int64)
-        p11, p12, p13, p21, p22 = _batch_subperms(e, n)
-        _, det = _batch_perm_det(e, n)
+        p11, p12, p13, p21, p22 = subperms(e, n)
+        _, det = perm_det(e, n)
         lhs = (
             2 * e[4] * p22 - e[0] * p11 + e[1] * p12 - 2 * e[3] * p21 - 3 * e[2] * p13
         ) % n
@@ -477,6 +450,19 @@ def _subperm_identity(ctx):
     return out
 
 
+def _label_pivot(e, n, p):
+    """Per matrix: the index of its first unit sub-permanent mod p, and that sub-permanent.
+
+    The index (0..4, P11, P12, P13, P21, P22) is also the row-major position
+    of the pivot entry. A matrix with no unit among the five gets index 4.
+    """
+    subs = np.stack(subperms(e, n))
+    units = subs % p != 0
+    units[4] = True
+    lab = units.argmax(axis=0)
+    return lab, np.take_along_axis(subs, lab[None, :], axis=0)[0]
+
+
 def _shift_verify_members(e, n, p, shifts, inv_table):
     """Verify the pivot-shift map on a batch of members of G(n, 0).
 
@@ -485,23 +471,15 @@ def _shift_verify_members(e, n, p, shifts, inv_table):
     """
     count = e.shape[1]
     unit = oracle._unit_mask(n)
-    subs = np.stack(_batch_subperms(e, n))
-    lab = np.full(count, 4, dtype=np.int64)
-    for j in (3, 2, 1, 0):
-        lab = np.where(subs[j] % p != 0, j, lab)
-    pivot = np.take_along_axis(subs, lab[None, :], axis=0)[0]
+    lab, pivot = _label_pivot(e, n, p)
     violations = {}
     cols = np.arange(count)
     for x in shifts:
         delta = (x * inv_table[pivot]) % n
         img = e.copy()
         img[lab, cols] = (img[lab, cols] + delta) % n
-        perm_i, det_i = _batch_perm_det(img, n)
-        subs_i = np.stack(_batch_subperms(img, n))
-        lab_i = np.full(count, 4, dtype=np.int64)
-        for j in (3, 2, 1, 0):
-            lab_i = np.where(subs_i[j] % p != 0, j, lab_i)
-        pivot_i = np.take_along_axis(subs_i, lab_i[None, :], axis=0)[0]
+        perm_i, det_i = perm_det(img, n)
+        lab_i, pivot_i = _label_pivot(img, n, p)
         back = img.copy()
         delta_back = ((n - x) * inv_table[pivot_i]) % n
         back[lab_i, cols] = (back[lab_i, cols] + delta_back) % n
@@ -541,21 +519,17 @@ def shift_round_trip(
         e = _sample_matrices(rng, n, sample, n)
         return e.shape[1], _shift_verify_members(e, n, p, shifts, inv_table)
     checked = 0
-    third = np.stack(oracle._digits(range(n**3), n, 3))
+    third = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
     unit = oracle._unit_mask(n)
     for start in range(0, n**6, 2048):
-        stop = min(start + 2048, n**6)
-        forms, digs = oracle._prefix_forms(n, start, stop)
-        prefix = [arr[:, None] for arr in digs]
-        coeff = [arr[:, None] for arr in forms[:3]]
-        cof = [arr[:, None] for arr in forms[3:]]
-        x3, y3, z3 = (third[i][None, :] for i in range(3))
-        perm = (coeff[0] * x3 + coeff[1] * y3 + coeff[2] * z3) % n
-        det = (cof[0] * x3 + cof[1] * y3 + cof[2] * z3) % n
+        prefix = [v[:, None] for v in oracle._digits(range(start, min(start + 2048, n**6)), n, 6)]
+        # rows (third, first, second): a cyclic shift, so the determinant is
+        # unchanged, and the minors are formed on the small prefix arrays
+        perm, det = perm_det(third + prefix, n)
         pi, ti = np.nonzero((perm == 0) & unit[det])
         if pi.size == 0:
             continue
-        e = np.stack([arr[pi, 0] for arr in prefix] + [third[i][ti] for i in range(3)])
+        e = np.stack([v[pi, 0] for v in prefix] + [v[0, ti] for v in third])
         checked += pi.size
         for x, v in _shift_verify_members(e, n, p, shifts, inv_table).items():
             viols[x] += v
@@ -611,8 +585,7 @@ def _fibers(ctx):
     rng = ctx.rng("fiber")
     samples = _sample_matrices(rng, 3, ctx.profile.fiber_samples, 3)
     for i in range(samples.shape[1]):
-        flat = [int(v) for v in samples[:, i]]
-        a = mat3((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])), 3)
+        a = mat3(samples[:, i].reshape(3, 3).tolist(), 3)
         out.append(
             result(
                 "fiber-size",
@@ -674,8 +647,7 @@ def _projection(ctx):
     e = _sample_matrices(rng, 9, 1000, 3)  # members of the union over 3 | x
     bad = 0
     for i in range(e.shape[1]):
-        flat = [int(v) for v in e[:, i]]
-        m = mat3((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])), 9)
+        m = mat3(e[:, i].reshape(3, 3).tolist(), 9)
         img = structure_maps.project(m, 3)
         if permanent3(img).value != 0 or not is_invertible(img):
             bad += 1

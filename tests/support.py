@@ -1,8 +1,10 @@
 """Shared frozen oracles for the test suite.
 
 object_census3 is a deliberately naive, object-level census used to validate
-the array engines at tiny moduli. The frozen tables below were produced by
-exhaustive enumeration.
+the array engines at tiny moduli. It evaluates through the same matrices
+kernel as the engines, so its independent pins are the Leibniz tests in
+test_matrices and the frozen tables below, which were produced by exhaustive
+enumeration.
 """
 
 import itertools

@@ -37,6 +37,15 @@ def test_usage_errors_exit_two(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_two(capsys, threads):
+    for argv in (["oracle", "3"], ["table", "--section", "case-table"], ["verify"]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--threads", threads])
+        assert err.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
+
+
 def test_eval_rejects_nonpositive_modulus(capsys):
     assert main(["eval", "0", "0"]) == 2
 

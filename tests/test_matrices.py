@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,9 +17,12 @@ from gl3census.matrices import (
     mat2,
     mat3,
     parse_mat3,
+    perm_det,
+    perm_det2,
     permanent2,
     permanent3,
     sub_permanents,
+    subperms,
 )
 
 # the running example matrix over Z/3 with permanent 0
@@ -160,3 +165,85 @@ def test_entry_access_and_update():
     m2 = m.with_entry(2, 3, 7)
     assert m2.entry(2, 3) == 1  # reduced mod 3
     assert m.entry(2, 3) == 2  # original untouched
+
+
+# ---------------------------------------------------------------------------
+# the kernel against an independent oracle: the Leibniz sum over S3
+
+SUBPERM_POSITIONS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))  # P11, P12, P13, P21, P22
+
+
+def leibniz(rows, n):
+    """(perm, det) mod n as the sum over all permutations, det signed by inversion count."""
+    k = len(rows)
+    perm = det = 0
+    for sigma in itertools.permutations(range(k)):
+        term = math.prod(rows[i][sigma[i]] for i in range(k))
+        inversions = sum(sigma[i] > sigma[j] for i in range(k) for j in range(i + 1, k))
+        perm += term
+        det += (-1) ** inversions * term
+    return perm % n, det % n
+
+
+def leibniz_subperms(rows, n):
+    minors = [
+        [[v for c, v in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+        for i, j in SUBPERM_POSITIONS
+    ]
+    return tuple(leibniz(m, n)[0] for m in minors)
+
+
+def as_rows(e):
+    return [list(e[0:3]), list(e[3:6]), list(e[6:9])]
+
+
+big_entries = st.lists(st.integers(-(10**30), 10**30), min_size=9, max_size=9)
+
+
+@given(st.integers(min_value=1, max_value=10**30), big_entries)
+def test_kernel_matches_leibniz_on_python_ints(n, e):
+    rows = as_rows(e)
+    assert perm_det(e, n) == leibniz(rows, n)
+    assert subperms(e, n) == leibniz_subperms(rows, n)
+    assert perm_det2(e[:4], n) == leibniz([e[0:2], e[2:4]], n)
+
+
+@st.composite
+def matrix_batch(draw):
+    n = draw(st.integers(min_value=1, max_value=10**6))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    mats = draw(st.lists(st.lists(entry, min_size=9, max_size=9), min_size=1, max_size=20))
+    return n, mats
+
+
+@given(matrix_batch())
+def test_kernel_on_int64_arrays_column_by_column(batch):
+    n, mats = batch
+    e = np.array(mats, dtype=np.int64).T  # (9, m): one matrix per column
+    perm, det = perm_det(e, n)
+    subs = subperms(e, n)
+    for col, m in enumerate(mats):
+        rows = as_rows(m)
+        assert (int(perm[col]), int(det[col])) == leibniz(rows, n)
+        assert tuple(int(s[col]) for s in subs) == leibniz_subperms(rows, n)
+
+
+@given(st.integers(min_value=1, max_value=10**30), big_entries)
+def test_kernel_invariant_under_cyclic_row_rotation(n, e):
+    want = leibniz(as_rows(e), n)
+    assert perm_det(e[6:9] + e[0:6], n) == want  # rows (third, first, second)
+    assert perm_det(e[3:9] + e[0:3], n) == want  # rows (second, third, first)
+
+
+@given(matrix_batch())
+def test_kernel_rotated_broadcast_layout(batch):
+    # the shift population scan's layout: third rows broadcast along one axis,
+    # (first, second) prefixes along the other, passed as (third, first, second)
+    n, mats = batch
+    e = np.array(mats, dtype=np.int64)
+    third = [e[None, :, c] for c in range(6, 9)]
+    prefix = [e[:, c, None] for c in range(6)]
+    perm, det = perm_det(third + prefix, n)
+    for i, j in itertools.product(range(len(mats)), repeat=2):
+        rows = as_rows(mats[i][:6] + mats[j][6:])
+        assert (int(perm[i, j]), int(det[i, j])) == leibniz(rows, n)

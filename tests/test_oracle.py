@@ -190,6 +190,14 @@ def test_single_job_runs_inline():
     assert list(oracle._map_jobs(lambda args: sum(args), [((1, 2), 5)], 4, None)) == [3]
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_raise(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        list(oracle._map_jobs(sum, [((1, 2), 5)], threads, None))
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        oracle.census_naive(2, threads=threads)
+
+
 def test_parallel_censuses_are_deterministic():
     for threads in (1, 2, 3):
         assert oracle.census_tiered(7, threads=threads).counts == CENSUS3[7]
