@@ -2,9 +2,10 @@
 
 Subcommands: eval (closed-form count), oracle (exhaustive census), table
 (reproduce the class and case tables), verify (run the cross-check suite).
-Exit codes: 0 success, 1 verification failures, 2 usage error, 3 census bound
-exceeded. Output carries no timestamps, so identical invocations produce
-identical bytes.
+Exit codes: 0 success, 1 verification failures (including a table --check
+row that disagrees), 2 usage error, 3 census bound exceeded, 4 a failed
+worker process or out of memory. Output carries no timestamps, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import closed_form, oracle, verify
 from .matrices import CLASS_LABELS
@@ -114,6 +116,11 @@ def _parse_moduli(text: str | None, default: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _check_status(rows: list[list], checked: bool) -> int:
+    """1 when a row checked against the census disagrees (its last column), else 0."""
+    return 1 if checked and not all(row[-1] for row in rows) else 0
+
+
 def _cmd_table(args) -> int:
     if args.section in CLASS_TABLE_SECTIONS:
         moduli = _parse_moduli(args.p_list, (3, 5, 7, 9, 11, 13))
@@ -143,7 +150,7 @@ def _cmd_table(args) -> int:
                 row.append(observed == row[1:7])
             rows.append(row)
         _emit_rows(header, rows, args.format)
-        return 0
+        return _check_status(rows, args.check)
     if args.section in CASE_TABLE_SECTIONS:
         primes = _parse_moduli(args.p_list, (3, 5, 7, 11, 13))
         header = ["p", "row1_nonzeros", "row2_nonzeros", "count"]
@@ -161,7 +168,7 @@ def _cmd_table(args) -> int:
                     row.append(observed[i].count == r.count)
                 rows.append(row)
         _emit_rows(header, rows, args.format)
-        return 0
+        return _check_status(rows, args.check)
     raise ValueError(f"unknown table section {args.section!r}")
 
 
@@ -238,6 +245,12 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.CensusTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenExecutor as exc:
+        print(f"error: a census worker failed: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ TWO_BY_TWO_LIMIT = 50
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 _BLOCK = 1 << 16  # orbit pairs per vectorized block; bounds the pass's memory
-_LEFTOVER_BLOCK = 512  # class leftover prefixes per block; (512, n^3) arrays bound its memory
+_LEFTOVER_BLOCK = 512  # class left-over orbit pairs per block; (512, row orbits) arrays bound its memory
 
 
 class CensusTooLarge(ValueError):
@@ -317,16 +317,12 @@ class _RowOrbits:
     """Orbits of (Z/n)^3 under scaling by units.
 
     Row index r0 + r1 n + r2 n^2. reps holds the least member of each orbit
-    as three digit arrays, sizes each orbit's size, and
-    members[offsets[i]:offsets[i + 1]] the row indices of orbit i in
-    increasing order. wvals are the distinct sizes; wclass[i] indexes sizes[i]
-    in wvals.
+    as three digit arrays and sizes each orbit's size. wvals are the
+    distinct sizes; wclass[i] indexes sizes[i] in wvals.
     """
 
     reps: tuple[np.ndarray, np.ndarray, np.ndarray]
     sizes: np.ndarray
-    members: np.ndarray
-    offsets: np.ndarray
     wvals: np.ndarray
     wclass: np.ndarray
 
@@ -338,13 +334,11 @@ def _row_orbits(n: int) -> _RowOrbits:
     for u in np.flatnonzero(_unit_mask(n)):
         image = (u * rows[0]) % n + (u * rows[1]) % n * n + (u * rows[2]) % n * (n * n)
         least = image if least is None else np.minimum(least, image)
-    rep_idx, orbit_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    rep_idx, sizes = np.unique(least, return_counts=True)
     wvals, wclass = np.unique(sizes, return_inverse=True)
     return _RowOrbits(
         reps=tuple(v.astype(np.int64) for v in _digits(rep_idx, n, 3)),
         sizes=sizes.astype(np.int64),
-        members=np.argsort(orbit_of, kind="stable"),
-        offsets=np.concatenate(([0], np.cumsum(sizes))),
         wvals=wvals.astype(np.int64),
         wclass=wclass.astype(np.int64),
     )
@@ -394,17 +388,6 @@ def _weighted_tally(o: _RowOrbits, key, wclass, n_keys: int) -> np.ndarray:
     nw2 = len(o.wvals) ** 2
     pairs = np.bincount((key * nw2 + wclass).ravel(), minlength=n_keys * nw2)
     return pairs.reshape(n_keys, nw2) @ np.outer(o.wvals, o.wvals).ravel()
-
-
-def _pair_prefixes(o: _RowOrbits, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Every prefix index in the orbit pairs (i, j): a member of orbit i, plus n^3 times one of j."""
-    sj = o.sizes[j]
-    counts = o.sizes[i] * sj
-    pair = np.repeat(np.arange(i.size), counts)
-    q = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    first = o.members[o.offsets[i][pair] + q // sj[pair]]
-    second = o.members[o.offsets[j][pair] + q % sj[pair]]
-    return first + n**3 * second
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +476,51 @@ def census_2x2(
 # one of them is a unit mod p the class of every matrix over that prefix is
 # already decided, and the (perm, det) pair is again two linear forms in the
 # inner row. With rows 2 and 3 as the prefix, P11, P12, P13 are the forms A, B,
-# C and the row-1 cofactors are D, E, F. Prefixes whose P11, P12, P13 are all
-# divisible by p are rare; their orbit pairs are expanded back into prefixes
-# and scanned exhaustively, deciding classes by P21 and then P22.
+# C and the row-1 cofactors are D, E, F.
+#
+# The orbit pairs whose P11, P12, P13 are all divisible by p are left over:
+# there the class depends on the first row, through P21 and then P22. A
+# left-over pair whose cofactors D, E, F are all divisible by p too has no
+# invertible completion and is skipped. At p = 2 that is every left-over
+# pair, since each cofactor is then congruent to its sub-permanent.
+#
+# Two symmetries reduce each remaining pair to one representative prefix
+# swept against one representative first row per orbit; U is the unit group.
+# - Scaling the first row by a unit w multiplies the determinant, the
+#   permanent, P21 and P22 by w. If first-row orbit r has size s_r and
+#   permanent v_r, its rows put s_r / |U| * #{w in U : w v_r = v} matrices
+#   at v. So over all n^3 first rows the tally is
+#   t[v] = 1/|U| * sum over w in U of T[w v], where T adds s_r at v_r. The
+#   division is exact; _leftover_tally raises RuntimeError if it is not.
+# - Scaling rows 2 and 3 by units u2 and u3 leaves unchanged, for every
+#   first row, whether the determinant is a unit and whether P21 or P22 is,
+#   and multiplies the permanent by u2 u3. As t[v] = t[u v] for every unit
+#   u, every prefix of the pair (i, j) has the tally t, and the pair
+#   contributes s_i s_j t.
+# Unit-determinant matrices with neither P21 nor P22 a unit are violations.
+
+
+def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int) -> np.ndarray:
+    """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, n).
+
+    A function, so that each block's (pairs x first-row orbits) arrays are
+    freed before the next block allocates its own.
+    """
+    nw = len(o.wvals)
+    r = [v.astype(np.int32) for v in o.reps]  # as in _digits: products of two residues
+    e = [*(v[None, :] for v in r), *(v[i, None] for v in r), *(v[j, None] for v in r)]
+    perm, det = perm_det(e, n)
+    _, _, _, p21, p22 = subperms(e, n)
+    label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
+    label[~_unit_mask(n)[det]] = 3
+    key = ((np.arange(i.size)[:, None] * 4 + label) * n + perm) * nw + o.wclass
+    bins = np.bincount(key.ravel(), minlength=4 * n * nw * i.size)
+    tally = bins.reshape(i.size, 4, n, nw)[:, :3] @ o.wvals
+    units = np.flatnonzero(_unit_mask(n))
+    whole, rest = np.divmod(tally[:, :, np.outer(units, np.arange(n)) % n].sum(axis=2), units.size)
+    if rest.any():
+        raise RuntimeError(f"left-over class tallies mod {n} are not divisible by {units.size}")
+    return np.tensordot(o.sizes[i] * o.sizes[j], whole, axes=1)
 
 
 def _class_job(args):
@@ -503,17 +528,19 @@ def _class_job(args):
     o = _row_orbits(n)
     n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
-    plain = [np.zeros(0, dtype=np.int64)]
-    for rows, (p11, p12, p13, *_), s, wclass in _orbit_blocks(n, i0, i1):
+    left = np.zeros((3, n), dtype=np.int64)
+    for rows, (p11, p12, p13, d1, d2, d3), s, wclass in _orbit_blocks(n, i0, i1):
         u1 = p11 % p != 0
         u2 = p12 % p != 0
         u3 = p13 % p != 0
         headed = u1 | u2 | u3
         lab = np.where(u1, 0, np.where(u2, 1, 2))
         mult += _weighted_tally(o, (lab * n_subs + s)[headed], wclass[headed], 3 * n_subs)
-        i, j = np.nonzero(~headed)
-        plain.append(_pair_prefixes(o, i + rows.start, j, n))
-    return mult, np.concatenate(plain)
+        i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
+        for b in range(0, i.size, _LEFTOVER_BLOCK):
+            pairs = slice(b, b + _LEFTOVER_BLOCK)
+            left += _leftover_tally(o, i[pairs] + rows.start, j[pairs], p, n)
+    return mult, left
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT):
@@ -530,43 +557,19 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int =
     n = p**k
     if n > limit:
         raise CensusTooLarge("class_census", n, limit)
-    t = _form_tables(n)
-    n_subs = len(t.sizes)
+    n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
-    plain_blocks = []
-    for res, plain in _map_jobs(_class_job, _orbit_jobs(n, p), threads, progress):
+    left = np.zeros((3, n), dtype=np.int64)
+    for res, res_left in _map_jobs(_class_job, _orbit_jobs(n, p), threads, progress):
         mult += res
-        plain_blocks.append(plain)
+        left += res_left
 
     counts = np.zeros((n, 5), dtype=np.int64)
     tables = _bucket_tables(n)
     for j in range(3):
         counts[:, j] = mult[j * n_subs : (j + 1) * n_subs] @ tables
-
-    violations = 0
-    first = _digits(range(n**3), n, 3)
-    plain = np.sort(np.concatenate(plain_blocks))
-    for start in range(0, plain.size, _LEFTOVER_BLOCK):
-        violations += _leftover_block(plain[start : start + _LEFTOVER_BLOCK], first, p, counts)
-    return counts, violations
-
-
-def _leftover_block(idx, first, p: int, counts: np.ndarray) -> int:
-    """Add the C21 and C22 tallies of the prefixes idx to counts; return the violations.
-
-    A function, so that each block's (prefixes x n^3) arrays are freed before
-    the next block allocates its own.
-    """
-    n = len(counts)
-    e = [*first, *(v[:, None] for v in _digits(idx, n, 6))]
-    perm, det = perm_det(e, n)
-    _, _, _, p21, p22 = subperms(e, n)
-    ok = _unit_mask(n)[det]
-    is21 = p21 % p != 0
-    is22 = p22 % p != 0
-    counts[:, 3] += np.bincount(perm[ok & is21], minlength=n)
-    counts[:, 4] += np.bincount(perm[ok & ~is21 & is22], minlength=n)
-    return int((ok & ~is21 & ~is22).sum())
+    counts[:, 3:] = left[:2].T
+    return counts, int(left[2].sum())
 
 
 def class_census(

@@ -161,8 +161,16 @@ def emptiness_scan(
 ) -> EmptinessReport:
     """Exhaustively confirm every invertible matrix mod p^k has a unit sub-permanent.
 
-    Scans all of GL3(Z/p^k); a violation is an invertible matrix whose five
-    sub-permanents P11, P12, P13, P21, P22 are all divisible by p.
+    Covers all of GL3(Z/p^k); a violation is an invertible matrix whose five
+    sub-permanents P11, P12, P13, P21, P22 are all divisible by p. The scan
+    is the class census's: it evaluates one prefix (rows 2 and 3) per pair of
+    row orbits under unit scaling, and, where P11, P12 and P13 are all
+    divisible by p, one first row per orbit. Scaling any row by a unit
+    scales each sub-permanent by a unit or not at all, and the determinant
+    by a unit, so every member of an orbit is a violation exactly when its
+    representative is; each representative is weighted by the size of what
+    it stands for. The report's scanned count is therefore still every
+    matrix covered, and equals |GL3(Z/p^k)|.
     """
     counts, violations = oracle._class_scan(p, k, threads=threads, progress=progress, limit=limit)
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)

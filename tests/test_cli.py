@@ -1,7 +1,10 @@
+import dataclasses
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from gl3census import oracle
 from gl3census.cli import main
 
 
@@ -127,6 +130,52 @@ def test_table_case_with_oracle_check(capsys):
                     "--check", "--format", "csv", "--threads", "1")
     assert code == 0
     assert all(line.endswith("True") for line in out.splitlines()[1:])
+
+
+def _off_by_one_censuses(monkeypatch):
+    """Make class_census and case_census each report one count too many."""
+    real_class, real_case = oracle.class_census, oracle.case_census
+
+    def class_census(p, k=1, **kwargs):
+        census = real_class(p, k, **kwargs)
+        first = (census.counts[0][0] + 1, *census.counts[0][1:])
+        return dataclasses.replace(census, counts=(first, *census.counts[1:]))
+
+    def case_census(p, **kwargs):
+        census = real_case(p, **kwargs)
+        first = dataclasses.replace(census.rows[0], count=census.rows[0].count + 1)
+        return dataclasses.replace(census, rows=(first, *census.rows[1:]))
+
+    monkeypatch.setattr(oracle, "class_census", class_census)
+    monkeypatch.setattr(oracle, "case_census", case_census)
+
+
+@pytest.mark.parametrize("section", ["class-table", "case-table"])
+def test_table_check_disagreement_exits_one(monkeypatch, capsys, section):
+    argv = ["table", "--section", section, "--p-list", "3", "--format", "csv", "--threads", "1"]
+    code, good = run(capsys, *argv, "--check")
+    assert code == 0
+    _off_by_one_censuses(monkeypatch)
+    code, bad = run(capsys, *argv, "--check")
+    assert code == 1
+    # stdout is the report, with only the disagreeing row's verdict changed
+    assert bad.splitlines()[2:] == good.splitlines()[2:]
+    assert bad.splitlines()[1] == good.splitlines()[1].replace("True", "False")
+    # without --check nothing is compared
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("failure", [BrokenProcessPool("a worker died"), MemoryError()])
+def test_failed_worker_exit_four(monkeypatch, capsys, failure):
+    def census_tiered(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(oracle, "census_tiered", census_tiered)
+    code = main(["oracle", "5"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_identical_invocations_identical_bytes(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from gl3census import closed_form as cf
 from gl3census import oracle
+from gl3census.matrices import forms, perm_det, subperms
 from gl3census.modring import factorize
 from support import CASE_ROWS, CENSUS2, CENSUS3, CLASS_TABLE, object_census3
 
@@ -72,6 +73,62 @@ def test_class_census_prime_power():
     # per-class counts repeat across permanents divisible by p
     assert cc.counts[3] == cc.counts[0]
     assert cc.counts[6] == cc.counts[0]
+
+
+def _class_sweep(p, k):
+    """(n, 5) class tallies and violations of all n^9 matrices mod p^k, with no symmetry."""
+    n = p**k
+    first = [(np.arange(n**3, dtype=np.int32) // n**t % n)[None, :] for t in range(3)]
+    counts = np.zeros(6 * n, dtype=np.int64)
+    for start in range(0, n**6, 1024):
+        idx = np.arange(start, min(start + 1024, n**6), dtype=np.int32)
+        e = [*first, *((idx // n**t % n)[:, None] for t in range(6))]
+        perm, det = perm_det(e, n)
+        units = [np.broadcast_to(v % p != 0, perm.shape) for v in subperms(e, n)]
+        label = np.argmax(np.stack([*units, np.ones_like(perm, dtype=bool)]), axis=0)
+        counts += np.bincount((label * n + perm)[det % p != 0], minlength=6 * n)
+    counts = counts.reshape(6, n)
+    return counts[:5].T, int(counts[5].sum())
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1)])
+def test_class_scan_matches_symmetry_free_sweep(p, k):
+    counts, violations = oracle._class_scan(p, k)
+    expected, expected_violations = _class_sweep(p, k)
+    assert counts.tolist() == expected.tolist()
+    assert violations == expected_violations == 0
+
+
+def _member_sweep(rep2, rep3, p, n):
+    """C21, C22 and violation tallies of every prefix (u2 rep2, u3 rep3) against all n^3 first rows."""
+    units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1])
+    rows2 = np.unique(np.outer(units, rep2) % n, axis=0)
+    rows3 = np.unique(np.outer(units, rep3) % n, axis=0)
+    prefixes = np.array([[*a, *b] for a in rows2 for b in rows3])
+    first = [(np.arange(n**3) // n**t % n)[None, :] for t in range(3)]
+    e = [*first, *(prefixes[:, [c]] for c in range(6))]
+    perm, det = perm_det(e, n)
+    _, _, _, p21, p22 = subperms(e, n)
+    label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
+    return np.bincount((label * n + perm)[det % p != 0], minlength=3 * n).reshape(3, n)
+
+
+@pytest.mark.parametrize("p,k,pairs", [(3, 2, None), (5, 2, 2)])
+def test_leftover_tally_matches_member_sweep(p, k, pairs):
+    # left-over pairs with an invertible completion; at p = 2 there are none,
+    # and at k = 1 their permanents are all 0, so these pin the unit relabelling
+    n = p**k
+    o = oracle._row_orbits(n)
+    i, j = np.indices((len(o.sizes),) * 2).reshape(2, -1)
+    A, B, C, D, E, F = (v % p for v in forms([v[i] for v in o.reps], [v[j] for v in o.reps], n))
+    left = np.flatnonzero((A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0)))
+    nonzero_permanents = 0
+    for pair in left[:pairs]:
+        tally = oracle._leftover_tally(o, i[[pair]], j[[pair]], p, n)
+        reps = [[int(v[x]) for v in o.reps] for x in (i[pair], j[pair])]
+        assert tally.tolist() == _member_sweep(*reps, p, n).tolist(), reps
+        nonzero_permanents += int(tally[:, 1:].sum())
+    assert nonzero_permanents > 0
 
 
 def test_class_census_rejects_composites():
