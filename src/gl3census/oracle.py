@@ -8,11 +8,11 @@ trustworthy reference and refuses n > 8. census_tiered works on prefixes
 determinant are linear forms in the third row, and the joint distribution of
 the two forms depends only on the subgroup of (Z/n)^2 generated by their three
 coefficient columns. Each subgroup is keyed by the Hermite normal form of its
-lattice between nZ^2 and Z^2, and the third-row counts are computed once per
-subgroup, either by a direct n^3 inner loop (generic, any modulus) or by an
-analytic solve-for-one-variable fast path (prime modulus). The two inner paths
-are cross-validated in the test suite, and the two engines agree entry for
-entry wherever both run.
+lattice between nZ^2 and Z^2, and its third-row counts are read off that
+basis: the forms map the n^3 third rows onto the subgroup H with every fiber
+of size n^3/|H|, so the counts are the first coordinates of the elements of H
+whose second coordinate is a unit, each counted n^3/|H| times. The two engines
+agree entry for entry wherever both run.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
 a unit scales every coefficient by that unit and leaves the subgroup alone.
@@ -44,6 +44,10 @@ from .modring import Modulus, factorize, is_prime
 NAIVE_LIMIT = 8
 TIERED_LIMIT = 16
 TWO_BY_TWO_LIMIT = 50
+# A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
+# products mult @ tables); 127^9 < 2^63 <= 128^9, so no limit= lets a 3x3
+# census run past n = 127.
+INT64_CEILING = 127
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 _BLOCK = 1 << 16  # orbit pairs per vectorized block; bounds the pass's memory
@@ -61,6 +65,13 @@ class CensusTooLarge(ValueError):
         self.engine = engine
         self.n = n
         self.bound = bound
+
+
+def _check_bound(engine: str, n: int, limit: int, hint: str = "") -> None:
+    """Raise CensusTooLarge past limit, or past INT64_CEILING whatever limit says."""
+    bound = min(limit, INT64_CEILING)
+    if n > bound:
+        raise CensusTooLarge(engine, n, bound, hint)
 
 
 @dataclass(frozen=True)
@@ -138,8 +149,8 @@ def _digits(idx, n: int, k: int) -> list[np.ndarray]:
     """The k base-n digits (least significant first) of idx, a range or an index array.
 
     A range is enumerated in int32 whenever its stop allows: its users (the
-    naive sweep's prefixes and first rows, the 2x2 scan, the third-row loop,
-    the row-orbit enumerator) form products of two residues, far below 2^31. An
+    naive sweep's prefixes and first rows, the 2x2 scan, the row-orbit
+    enumerator) form products of two residues, far below 2^31. An
     array keeps its dtype. The orbit pass takes its rows from the orbit reps.
     """
     if isinstance(idx, range):
@@ -151,8 +162,8 @@ def _digits(idx, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
-def _map_jobs(fn, jobs, threads, progress):
-    """Run (args, size) jobs, inline or on a process pool, yielding results in job order.
+def _sum_jobs(fn, jobs, threads, progress):
+    """Sum fn(args) over (args, size) jobs, inline or on a process pool, adding in job order.
 
     progress(done, total) reports the summed sizes of the jobs finished. The
     pool has at most one worker per job, and a single job runs inline.
@@ -165,12 +176,13 @@ def _map_jobs(fn, jobs, threads, progress):
     pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool_cm as pool:
         results = pool.map(fn, arglist) if pool is not None else map(fn, arglist)
-        done = 0
+        done = out = 0
         for (_, size), res in zip(jobs, results):
+            out = out + res
             done += size
             if progress is not None:
                 progress(done, total)
-            yield res
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +200,7 @@ def _map_jobs(fn, jobs, threads, progress):
 @dataclass(frozen=True, eq=False)
 class _FormTables:
     n: int
-    reps: tuple[tuple[int, int, int, int, int, int], ...]  # one form signature per subgroup
+    triples: tuple[tuple[int, int, int], ...]  # HNF (a, b, d): H = <(a, 0), (b, d)> mod n
     sizes: tuple[int, ...]  # subgroup orders
     bucket: np.ndarray  # dense HNF key -> subgroup index; -1 for no subgroup
     euclid: np.ndarray  # (n + 1, n, 3): (g, s, t) with s*y + t*v = g = gcd(y, v)
@@ -209,7 +221,7 @@ def _ext_gcd(y: int, v: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _form_tables(n: int) -> _FormTables:
-    """Every subgroup of (Z/n)^2 as an HNF triple, with a generating form signature.
+    """Every subgroup of (Z/n)^2 as an HNF triple.
 
     (a, b, d) is a valid triple when the lattice it spans contains nZ^2:
     a | n, d | n and a | b * (n / d).
@@ -224,7 +236,7 @@ def _form_tables(n: int) -> _FormTables:
     euclid = np.array([[_ext_gcd(y, v) for v in range(n)] for y in range(n + 1)], dtype=np.int64)
     return _FormTables(
         n=n,
-        reps=tuple((b, a % n, 0, d % n, 0, 0) for a, b, d in triples),
+        triples=tuple(triples),
         sizes=tuple(n * n // (a * d) for a, _, d in triples),
         bucket=bucket,
         euclid=euclid,
@@ -252,54 +264,24 @@ def _hnf_buckets(t: _FormTables, forms) -> np.ndarray:
     return t.bucket[_hnf_index(n, a, b, d)]
 
 
-def _third_row_counts_generic(
-    sig: tuple[int, int, int, int, int, int], n: int, unit_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-permanent counts of unit-determinant third rows, by enumerating all n^3."""
-    A, B, C, D, E, F = sig
-    x, y, z = _digits(range(n**3), n, 3)
-    perm = (A * x + B * y + C * z) % n
-    det = (D * x + E * y + F * z) % n
-    if unit_mask is None:
-        unit_mask = _unit_mask(n)
-    return np.bincount(perm[unit_mask[det]], minlength=n).astype(np.int64)
-
-
-def _third_row_counts_prime(sig: tuple[int, int, int, int, int, int], p: int) -> np.ndarray:
-    """Analytic third-row counts for a prime modulus.
-
-    Solve the permanent congruence for the first variable with a unit
-    coefficient; the determinant then reduces to an affine form in the two
-    free variables. Prefixes with no unit permanent coefficient have constant
-    permanent and only the determinant form matters.
-    """
-    A, B, C, D, E, F = (v % p for v in sig)
-    out = np.zeros(p, dtype=np.int64)
-    pairs = [(A, D), (B, E), (C, F)]
-    pivot = next((i for i, (pc, _) in enumerate(pairs) if pc), None)
-    if pivot is None:
-        if D or E or F:
-            out[0] = p**3 - p**2
-        return out
-    pc, dc = pairs.pop(pivot)
-    inv = pow(pc, -1, p)
-    residual = [(dj - dc * inv * pj) % p for pj, dj in pairs]
-    if any(residual):
-        out[:] = p * (p - 1)
-    elif dc:
-        out[1:] = p * p
-    return out
-
-
 def _bucket_tables(n: int) -> np.ndarray:
-    """Stack of third-row count vectors, one per form bucket."""
+    """Per-permanent counts of unit-determinant third rows, one row per subgroup.
+
+    H = <(a, 0), (b, d)> has the |H| = n^2 / (a d) distinct elements
+    i (a, 0) + j (b, d) mod n, 0 <= i < n / a, 0 <= j < n / d. The forms map
+    the n^3 third rows onto H, each element n^3 / |H| times, so a row counts
+    the first coordinates of the elements whose second coordinate is a unit.
+    The elements of every subgroup are enumerated in one flat array.
+    """
     t = _form_tables(n)
-    if is_prime(n):
-        rows = [_third_row_counts_prime(rep, n) for rep in t.reps]
-    else:
-        um = _unit_mask(n)
-        rows = [_third_row_counts_generic(rep, n, um) for rep in t.reps]
-    return np.stack(rows)
+    sizes = np.array(t.sizes, dtype=np.int64)
+    sid = np.repeat(np.arange(sizes.size), sizes)  # the subgroup of each element
+    a, b, d = (np.array(v, dtype=np.int64)[sid] for v in zip(*t.triples))
+    e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]  # index within its subgroup
+    i, j = e % (n // a), e // (n // a)
+    key = sid * n + (i * a + j * b) % n
+    counts = np.bincount(key[_unit_mask(n)[j * d % n]], minlength=sizes.size * n)
+    return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +392,8 @@ def census_tiered(
     """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= 16 by default."""
     modulus = factorize(n) if isinstance(n, int) else n
     n = modulus.n
-    if n > limit:
-        raise CensusTooLarge("census_tiered", n, limit)
-    t = _form_tables(n)
-    mult = np.zeros(len(t.sizes), dtype=np.int64)
-    for res in _map_jobs(_tiered_job, _orbit_jobs(n), threads, progress):
-        mult += res
-    counts = mult @ _bucket_tables(n)  # entries bounded by n^9 < 2^63
+    _check_bound("census_tiered", n, limit)
+    counts = _sum_jobs(_tiered_job, _orbit_jobs(n), threads, progress) @ _bucket_tables(n)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
@@ -426,9 +403,7 @@ def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, pro
     step = max(1, _CHUNK // per_index)
     bounds = [(s, min(s + step, count)) for s in range(0, count, step)]
     jobs = [((n, a, b), (b - a) * per_index) for a, b in bounds]
-    counts = np.zeros(n, dtype=np.int64)
-    for res in _map_jobs(job, jobs, threads, progress):
-        counts += res
+    counts = _sum_jobs(job, jobs, threads, progress)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
@@ -447,8 +422,7 @@ def census_naive(
     """Exact permanent census by evaluating all n^9 matrices; n <= 8 by default."""
     modulus = factorize(n) if isinstance(n, int) else n
     n = modulus.n
-    if n > limit:
-        raise CensusTooLarge("census_naive", n, limit, hint="use census_tiered")
+    _check_bound("census_naive", n, limit, hint="use census_tiered")
     return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress)
 
 
@@ -524,6 +498,7 @@ def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int)
 
 
 def _class_job(args):
+    """(3, subgroups + n): prefixes per (head class, subgroup), then the left-over tallies."""
     n, i0, i1, p = args
     o = _row_orbits(n)
     n_subs = len(_form_tables(n).sizes)
@@ -540,7 +515,7 @@ def _class_job(args):
         for b in range(0, i.size, _LEFTOVER_BLOCK):
             pairs = slice(b, b + _LEFTOVER_BLOCK)
             left += _leftover_tally(o, i[pairs] + rows.start, j[pairs], p, n)
-    return mult, left
+    return np.hstack([mult.reshape(3, n_subs), left])
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT):
@@ -555,21 +530,11 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int =
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     n = p**k
-    if n > limit:
-        raise CensusTooLarge("class_census", n, limit)
-    n_subs = len(_form_tables(n).sizes)
-    mult = np.zeros(3 * n_subs, dtype=np.int64)
-    left = np.zeros((3, n), dtype=np.int64)
-    for res, res_left in _map_jobs(_class_job, _orbit_jobs(n, p), threads, progress):
-        mult += res
-        left += res_left
-
-    counts = np.zeros((n, 5), dtype=np.int64)
+    _check_bound("class_census", n, limit)
+    tallies = _sum_jobs(_class_job, _orbit_jobs(n, p), threads, progress)
     tables = _bucket_tables(n)
-    for j in range(3):
-        counts[:, j] = mult[j * n_subs : (j + 1) * n_subs] @ tables
-    counts[:, 3:] = left[:2].T
-    return counts, int(left[2].sum())
+    heads, left = np.split(tallies, [len(tables)], axis=1)
+    return np.vstack([heads @ tables, left[:2]]).T, int(left[2].sum())
 
 
 def class_census(
@@ -619,15 +584,9 @@ def case_census(
     """Zero-permanent census over GL3(Z/p) split by the seven zero-pattern rows."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
-    if p > limit:
-        raise CensusTooLarge("case_census", p, limit)
-    t = _form_tables(p)
-    n_subs = len(t.sizes)
-    mult = np.zeros(8 * n_subs, dtype=np.int64)
-    for res in _map_jobs(_case_job, _orbit_jobs(p), threads, progress):
-        mult += res
-    zeros = _bucket_tables(p)[:, 0]
-    per_pattern = [int(mult[r * n_subs : (r + 1) * n_subs] @ zeros) for r in range(8)]
+    _check_bound("case_census", p, limit)
+    mult = _sum_jobs(_case_job, _orbit_jobs(p), threads, progress)
+    per_pattern = (mult.reshape(8, -1) @ _bucket_tables(p)[:, 0]).tolist()
     if per_pattern[7]:
         raise RuntimeError("matrices with an all-zero row counted as invertible")
     rows = tuple(

@@ -507,7 +507,12 @@ def shift_round_trip(
     determinant and an unchanged class, and the reverse shift must restore the
     member exactly. Returns (members checked, violations per shift).
     population=True enumerates all of G(p^k, 0); otherwise a seeded sample.
+    Defined for odd p and k >= 1: G(2^k, 0) is empty, as perm = det mod 2.
     """
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"shift maps need an odd prime, got {p}")
+    if k < 1:
+        raise ValueError(f"exponent must be >= 1, got {k}")
     n = p**k
     shifts = list(range(0, n, p))
     inv_table = np.array(

@@ -5,10 +5,16 @@ the array engines at tiny moduli. It evaluates through the same matrices
 kernel as the engines, so its independent pins are the Leibniz tests in
 test_matrices and the frozen tables below, which were produced by exhaustive
 enumeration.
+
+third_row_counts_generic is the reference for the per-subgroup third-row
+tables of the orbit engines, which read them off each subgroup's Hermite
+basis instead of sweeping all n^3 third rows.
 """
 
 import itertools
 from math import gcd
+
+import numpy as np
 
 from gl3census.matrices import Mat3, determinant3, permanent3
 from gl3census.modring import factorize
@@ -22,6 +28,19 @@ def object_census3(n: int) -> tuple[int, ...]:
         if gcd(determinant3(m).value, n) == 1:
             counts[permanent3(m).value] += 1
     return tuple(counts)
+
+
+def third_row_counts_generic(sig: tuple[int, int, int, int, int, int], n: int) -> np.ndarray:
+    """Per-permanent counts of unit-determinant third rows, by enumerating all n^3.
+
+    sig = (A, B, C, D, E, F): the permanent and the determinant of a matrix
+    with third row (x, y, z) are A x + B y + C z and D x + E y + F z mod n.
+    """
+    A, B, C, D, E, F = sig
+    x, y, z = (np.arange(n**3, dtype=np.int64) // n**t % n for t in range(3))
+    perm = (A * x + B * y + C * z) % n
+    det = (D * x + E * y + F * z) % n
+    return np.bincount(perm[np.gcd(det, n) == 1], minlength=n)
 
 
 # full permanent censuses of GL3(Z/n), x = 0..n-1

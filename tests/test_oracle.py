@@ -5,9 +5,16 @@ import pytest
 
 from gl3census import closed_form as cf
 from gl3census import oracle
-from gl3census.matrices import forms, perm_det, subperms
+from gl3census.matrices import CLASS_LABELS, forms, perm_det, subperms
 from gl3census.modring import factorize
-from support import CASE_ROWS, CENSUS2, CENSUS3, CLASS_TABLE, object_census3
+from support import (
+    CASE_ROWS,
+    CENSUS2,
+    CENSUS3,
+    CLASS_TABLE,
+    object_census3,
+    third_row_counts_generic,
+)
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS3))
@@ -169,27 +176,32 @@ def test_form_tables_composite_eleven_twelve():
     assert len(t12.sizes) == len(t4.sizes) * len(t3.sizes)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
-def test_prime_fast_path_matches_generic(n):
+def _signature(triple, n):
+    """Forms (A, B, C, D, E, F) whose columns (A, D), (B, E), (C, F) span the subgroup."""
+    a, b, d = triple
+    return (a % n, b, 0, 0, d % n, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_bucket_tables_match_third_row_sweep(n):
     t = oracle._form_tables(n)
-    um = oracle._unit_mask(n)
-    for rep in t.reps:
-        fast = oracle._third_row_counts_prime(rep, n)
-        slow = oracle._third_row_counts_generic(rep, n, um)
-        assert fast.tolist() == slow.tolist(), rep
+    tables = oracle._bucket_tables(n)
+    assert tables.shape == (len(t.triples), n)
+    for triple, row in zip(t.triples, tables):
+        assert row.tolist() == third_row_counts_generic(_signature(triple, n), n).tolist(), triple
 
 
 def test_generic_counts_random_signatures():
     rng = np.random.default_rng(7)
     for n in (4, 6, 9, 12):
-        um = oracle._unit_mask(n)
         t = oracle._form_tables(n)
+        tables = oracle._bucket_tables(n)
         for _ in range(25):
             sig = tuple(int(v) for v in rng.integers(0, n, 6))
-            direct = oracle._third_row_counts_generic(sig, n, um)
+            direct = third_row_counts_generic(sig, n)
             # bucketing a signature through its HNF key gives the same counts
             sid = int(oracle._hnf_buckets(t, [np.array(v) for v in sig]))
-            via_rep = oracle._third_row_counts_generic(t.reps[sid], n, um)
+            via_rep = tables[sid]
             assert direct.tolist() == via_rep.tolist()
 
 
@@ -231,26 +243,51 @@ def test_hnf_keys_are_canonical_for_subgroups(n):
         assert len(closures[i]) == t.sizes[keys[i]]
         for j in range(i):
             assert (keys[i] == keys[j]) == (closures[i] == closures[j]), (triples[i], triples[j])
-    # every bucket's representative lands in its own bucket
-    for sid, rep in enumerate(t.reps):
+    # every bucket's triple, as a signature, lands in its own bucket
+    for sid, triple in enumerate(t.triples):
+        rep = _signature(triple, n)
         assert int(oracle._hnf_buckets(t, [np.array(v) for v in rep])) == sid
         assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == t.sizes[sid]
 
 
-@pytest.mark.parametrize("n", [20, 25, 27])
+@pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32])
 def test_tiered_census_beyond_default_limit(n):
     assert oracle.census_tiered(n, limit=n).counts == tuple(cf.count(n, x) for x in range(n))
 
 
+@pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5)])
+def test_class_census_beyond_default_limit(p, k):
+    n = p**k
+    cc = oracle.class_census(p, k, limit=n)
+    assert cc.marginal().counts == tuple(cf.count(n, x) for x in range(n))
+    if p != 2:
+        for label in CLASS_LABELS:
+            assert cc.count(0, label) == cf.class_count_prime_power_zero(p, k, label), label
+
+
+def test_int64_ceiling_ignores_limit(monkeypatch):
+    # 127^9 < 2^63 <= 128^9: refused before any enumeration, whatever limit= says
+    monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("enumeration started"))
+    calls = [
+        lambda: oracle.census_tiered(128, limit=10**6),
+        lambda: oracle.census_naive(128, limit=10**6),
+        lambda: oracle._class_scan(2, 7, limit=10**6),
+        lambda: oracle.case_census(131, limit=10**6),
+    ]
+    for call in calls:
+        with pytest.raises(oracle.CensusTooLarge, match="n <= 127"):
+            call()
+
+
 def test_single_job_runs_inline():
     # a lambda cannot be pickled, so this would fail on a process pool
-    assert list(oracle._map_jobs(lambda args: sum(args), [((1, 2), 5)], 4, None)) == [3]
+    assert oracle._sum_jobs(lambda args: sum(args), [((1, 2), 5)], 4, None) == 3
 
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_raise(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        list(oracle._map_jobs(sum, [((1, 2), 5)], threads, None))
+        oracle._sum_jobs(sum, [((1, 2), 5)], threads, None)
     with pytest.raises(ValueError, match="threads must be >= 1"):
         oracle.census_naive(2, threads=threads)
 

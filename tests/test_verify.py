@@ -71,6 +71,14 @@ def test_corrupted_formula_is_detected(monkeypatch):
     assert any(not r.passed for r in results)
 
 
+def test_shift_round_trip_rejects_p_two(monkeypatch):
+    # G(2^k, 0) is empty (perm = det mod 2), so a sampler would draw forever
+    monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
+    for population in (False, True):
+        with pytest.raises(ValueError, match="odd prime"):
+            verify.shift_round_trip(2, 1, population=population)
+
+
 def test_quick_suite_passes_and_is_thread_independent():
     one = verify.run_suite("quick", threads=1)
     assert all(r.passed for r in one), [r.to_json() for r in one if not r.passed]
