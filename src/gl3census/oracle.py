@@ -50,8 +50,7 @@ TWO_BY_TWO_LIMIT = 50
 INT64_CEILING = 127
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
-_BLOCK = 1 << 16  # orbit pairs per vectorized block; bounds the pass's memory
-_LEFTOVER_BLOCK = 512  # class left-over orbit pairs per block; (512, row orbits) arrays bound its memory
+_BLOCK = 1 << 16  # array elements per vectorized block of the orbit pass; bounds its memory
 
 
 class CensusTooLarge(ValueError):
@@ -290,8 +289,8 @@ def _bucket_tables(n: int) -> np.ndarray:
 # Scaling a prefix row by a unit scales all six forms by that unit, which
 # keeps the subgroup, whether P11, P12 or P13 is a unit, and the zero pattern.
 # Each prefix engine therefore tallies one representative pair of row orbits
-# with weight |orbit 1| * |orbit 2|. Tallies are counted per weight class and
-# multiplied by the exact int64 weights at the end of each block.
+# with weight |orbit 1| * |orbit 2|, summed per key in int64: a weight is at
+# most phi(n)^2 and a key's sum at most n^6 <= 127^6 < 2^43, so sums are exact.
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,14 +298,11 @@ class _RowOrbits:
     """Orbits of (Z/n)^3 under scaling by units.
 
     Row index r0 + r1 n + r2 n^2. reps holds the least member of each orbit
-    as three digit arrays and sizes each orbit's size. wvals are the
-    distinct sizes; wclass[i] indexes sizes[i] in wvals.
+    as three digit arrays and sizes each orbit's size.
     """
 
     reps: tuple[np.ndarray, np.ndarray, np.ndarray]
     sizes: np.ndarray
-    wvals: np.ndarray
-    wclass: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -317,12 +313,9 @@ def _row_orbits(n: int) -> _RowOrbits:
         image = (u * rows[0]) % n + (u * rows[1]) % n * n + (u * rows[2]) % n * (n * n)
         least = image if least is None else np.minimum(least, image)
     rep_idx, sizes = np.unique(least, return_counts=True)
-    wvals, wclass = np.unique(sizes, return_inverse=True)
     return _RowOrbits(
         reps=tuple(v.astype(np.int64) for v in _digits(rep_idx, n, 3)),
         sizes=sizes.astype(np.int64),
-        wvals=wvals.astype(np.int64),
-        wclass=wclass.astype(np.int64),
     )
 
 
@@ -347,29 +340,27 @@ def _orbit_jobs(n: int, *extra) -> list[tuple[tuple, int]]:
 
 
 def _orbit_blocks(n: int, i0: int, i1: int):
-    """Blocks of orbit pairs (i, j), i0 <= i < i1, as (rows, forms, buckets, weight classes).
+    """Blocks of orbit pairs (i, j), i0 <= i < i1, as (rows, forms, buckets, weights).
 
     rows is the slice of first-row orbits in the block; the arrays are shaped
-    (first-row orbits, all second-row orbits).
+    (first-row orbits, all second-row orbits), with at most max(_BLOCK, m)
+    elements for m row orbits. weights are the pairs' |orbit i| * |orbit j|.
     """
     o = _row_orbits(n)
     t = _form_tables(n)
-    m = len(o.sizes)
-    nw = len(o.wvals)
     r2 = [v[None, :] for v in o.reps]
-    step = max(1, _BLOCK // m)
+    step = max(1, _BLOCK // len(o.sizes))
     for s in range(i0, i1, step):
         rows = slice(s, min(s + step, i1))
         coeffs = forms([v[rows, None] for v in o.reps], r2, n)
-        wclass = o.wclass[rows, None] * nw + o.wclass[None, :]
-        yield rows, coeffs, _hnf_buckets(t, coeffs), wclass
+        yield rows, coeffs, _hnf_buckets(t, coeffs), o.sizes[rows, None] * o.sizes[None, :]
 
 
-def _weighted_tally(o: _RowOrbits, key, wclass, n_keys: int) -> np.ndarray:
-    """Prefixes per key: orbit pairs counted per (key, weight class), times exact weights."""
-    nw2 = len(o.wvals) ** 2
-    pairs = np.bincount((key * nw2 + wclass).ravel(), minlength=n_keys * nw2)
-    return pairs.reshape(n_keys, nw2) @ np.outer(o.wvals, o.wvals).ravel()
+def _tally(key, weights, n_keys: int) -> np.ndarray:
+    """Exact int64 sums of weights per key in [0, n_keys); key and weights share a shape."""
+    out = np.zeros(n_keys, dtype=np.int64)
+    np.add.at(out, np.ravel(key), np.ravel(weights))  # flat operands take add.at's fast path
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +369,10 @@ def _weighted_tally(o: _RowOrbits, key, wclass, n_keys: int) -> np.ndarray:
 
 def _tiered_job(args):
     n, i0, i1 = args
-    o = _row_orbits(n)
     n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(n_subs, dtype=np.int64)
-    for _, _, s, wclass in _orbit_blocks(n, i0, i1):
-        mult += _weighted_tally(o, s, wclass, n_subs)
+    for _, _, s, w in _orbit_blocks(n, i0, i1):
+        mult += _tally(s, w, n_subs)
     return mult
 
 
@@ -480,16 +470,14 @@ def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int)
     A function, so that each block's (pairs x first-row orbits) arrays are
     freed before the next block allocates its own.
     """
-    nw = len(o.wvals)
     r = [v.astype(np.int32) for v in o.reps]  # as in _digits: products of two residues
     e = [*(v[None, :] for v in r), *(v[i, None] for v in r), *(v[j, None] for v in r)]
     perm, det = perm_det(e, n)
     _, _, _, p21, p22 = subperms(e, n)
     label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
-    label[~_unit_mask(n)[det]] = 3
-    key = ((np.arange(i.size)[:, None] * 4 + label) * n + perm) * nw + o.wclass
-    bins = np.bincount(key.ravel(), minlength=4 * n * nw * i.size)
-    tally = bins.reshape(i.size, 4, n, nw)[:, :3] @ o.wvals
+    key = (np.arange(i.size)[:, None] * 3 + label) * n + perm
+    weights = np.where(_unit_mask(n)[det], o.sizes, 0)
+    tally = _tally(key, weights, 3 * n * i.size).reshape(i.size, 3, n)
     units = np.flatnonzero(_unit_mask(n))
     whole, rest = np.divmod(tally[:, :, np.outer(units, np.arange(n)) % n].sum(axis=2), units.size)
     if rest.any():
@@ -504,17 +492,17 @@ def _class_job(args):
     n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
     left = np.zeros((3, n), dtype=np.int64)
-    for rows, (p11, p12, p13, d1, d2, d3), s, wclass in _orbit_blocks(n, i0, i1):
+    step = max(1, _BLOCK // len(o.sizes))  # left-over pairs per block
+    for rows, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(n, i0, i1):
         u1 = p11 % p != 0
         u2 = p12 % p != 0
         u3 = p13 % p != 0
         headed = u1 | u2 | u3
         lab = np.where(u1, 0, np.where(u2, 1, 2))
-        mult += _weighted_tally(o, (lab * n_subs + s)[headed], wclass[headed], 3 * n_subs)
+        mult += _tally((lab * n_subs + s)[headed], w[headed], 3 * n_subs)
         i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
-        for b in range(0, i.size, _LEFTOVER_BLOCK):
-            pairs = slice(b, b + _LEFTOVER_BLOCK)
-            left += _leftover_tally(o, i[pairs] + rows.start, j[pairs], p, n)
+        for b in range(0, i.size, step):
+            left += _leftover_tally(o, i[b : b + step] + rows.start, j[b : b + step], p, n)
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
@@ -572,9 +560,9 @@ def _case_job(args):
     n_subs = len(_form_tables(n).sizes)
     nnz = sum((v != 0).astype(np.int64) for v in o.reps)
     mult = np.zeros(8 * n_subs, dtype=np.int64)
-    for rows, _, s, wclass in _orbit_blocks(n, i0, i1):
+    for rows, _, s, w in _orbit_blocks(n, i0, i1):
         pattern = _PATTERN_OF[nnz[rows, None], nnz[None, :]]
-        mult += _weighted_tally(o, pattern * n_subs + s, wclass, 8 * n_subs)
+        mult += _tally(pattern * n_subs + s, w, 8 * n_subs)
     return mult
 
 

@@ -513,6 +513,8 @@ def shift_round_trip(
         raise ValueError(f"shift maps need an odd prime, got {p}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
+    if sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     n = p**k
     shifts = list(range(0, n, p))
     inv_table = np.array(
@@ -773,6 +775,8 @@ def run_suite(
     progress=None,
 ) -> list[CheckResult]:
     """Run every check in the profile; returns results in canonical order."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     prof = PROFILES[profile] if isinstance(profile, str) else profile
     ctx = _Ctx(profile=prof, threads=threads, seed=seed)
     results: list[CheckResult] = []

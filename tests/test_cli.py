@@ -192,6 +192,12 @@ def test_eval_agrees_with_oracle_spot_checks(capsys):
             assert closed == counted, (n, x)
 
 
+def test_verify_negative_seed_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "census_tiered", lambda *args, **kw: pytest.fail("census started"))
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_quick_cli(capsys):
     code, out = run(capsys, "verify", "--profile", "quick", "--format", "json", "--threads", "2")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -248,6 +249,50 @@ def test_hnf_keys_are_canonical_for_subgroups(n):
         rep = _signature(triple, n)
         assert int(oracle._hnf_buckets(t, [np.array(v) for v in rep])) == sid
         assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == t.sizes[sid]
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_bucket_symmetries_of_the_orbit_pass(n):
+    # unit row and column scaling keep a prefix's subgroup key; column
+    # permutations and the row swap may negate the determinant coordinate,
+    # which moves the key but keeps the bucket's third-row counts
+    rng = np.random.default_rng(n)
+    t = oracle._form_tables(n)
+    tables = oracle._bucket_tables(n)
+    units = np.flatnonzero(oracle._unit_mask(n))
+    r1, r2 = rng.integers(0, n, size=(2, 3, 200))
+
+    def key(a, b):
+        return oracle._hnf_buckets(t, forms(list(a), list(b), n))
+
+    base = key(r1, r2)
+    u, v = rng.choice(units, size=(2, 1, 200))
+    assert (key(r1 * u % n, r2 * v % n) == base).all()
+    d = rng.choice(units, size=(3, 200))
+    assert (key(r1 * d % n, r2 * d % n) == base).all()
+    for cols in itertools.permutations(range(3)):
+        assert (tables[key(r1[list(cols)], r2[list(cols)])] == tables[base]).all(), cols
+    assert (tables[key(r2, r1)] == tables[base]).all()
+
+
+def test_tally_sums_weights_exactly():
+    # 2^61 + 1 is not a float64, so a float accumulator would drop the 1
+    key = np.array([[0, 1, 2], [2, 1, 0]])
+    got = oracle._tally(key, np.array([[2**60 + 1, 10, 100], [1, 10, 2**60]]), 4)
+    assert got.tolist() == [2**61 + 1, 20, 101, 0]
+
+
+def _block_sensitive_results():
+    counts, violations = oracle._class_scan(3, 2)
+    return oracle.census_tiered(12).counts, counts.tolist(), violations, oracle.case_census(7)
+
+
+def test_results_do_not_depend_on_block_budget(monkeypatch):
+    # _BLOCK = 1 gives one first-row orbit per bucket block and one pair per
+    # left-over block
+    default = _block_sensitive_results()
+    monkeypatch.setattr(oracle, "_BLOCK", 1)
+    assert _block_sensitive_results() == default
 
 
 @pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32])

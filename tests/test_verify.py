@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import gl3census
-from gl3census import closed_form, verify
+from gl3census import closed_form, oracle, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
 
@@ -79,6 +80,20 @@ def test_shift_round_trip_rejects_p_two(monkeypatch):
             verify.shift_round_trip(2, 1, population=population)
 
 
+@pytest.mark.parametrize("sample", [0, -1])
+def test_shift_round_trip_rejects_empty_sample(monkeypatch, sample):
+    monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
+    with pytest.raises(ValueError, match="sample must be >= 1"):
+        verify.shift_round_trip(3, 1, population=False, sample=sample)
+
+
+def test_negative_seed_refused_before_any_census(monkeypatch):
+    monkeypatch.setattr(oracle, "census_tiered", lambda *args, **kw: pytest.fail("census started"))
+    monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        verify.run_suite("full", seed=-1)
+
+
 def test_quick_suite_passes_and_is_thread_independent():
     one = verify.run_suite("quick", threads=1)
     assert all(r.passed for r in one), [r.to_json() for r in one if not r.passed]
@@ -96,8 +111,9 @@ def test_render_table_summarizes():
 
 _FORCED_MISMATCHES = """
 import dataclasses, sys
+import numpy as np
 from gl3census import closed_form, oracle, structure_maps, verify
-from gl3census.matrices import ClassLabel
+from gl3census.matrices import ClassLabel, forms
 from gl3census.modring import Residue
 
 
@@ -122,10 +138,13 @@ closed_form.case_rows = lambda p: tuple(reversed(real_rows(p)))
 ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), threads=1, seed=0)
 key_check = raises(lambda: verify._case_table(ctx))
 
-# first-row orbit weights off by one make the left-over class tallies mod 9 inexact
-real_orbits = oracle._row_orbits
-oracle._row_orbits = lambda n: dataclasses.replace(real_orbits(n), wvals=real_orbits(n).wvals + 1)
-tally_check = raises(lambda: oracle._class_scan(3, 2))
+# first-row orbit sizes off by one make the left-over class tallies mod 9 inexact
+o = oracle._row_orbits(9)
+i, j = np.indices((len(o.sizes),) * 2).reshape(2, -1)
+A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in o.reps], [v[j] for v in o.reps], 9))
+left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
+bad = dataclasses.replace(o, sizes=o.sizes + 1)
+tally_check = raises(lambda: oracle._leftover_tally(bad, i[left], j[left], 3, 9))
 print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check)
 """
 
@@ -139,3 +158,16 @@ def test_invariants_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements, so every invariant in src must raise
+    src = os.path.dirname(os.path.abspath(gl3census.__file__))
+    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert "oracle.py" in names
+    found = []
+    for name in names:
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
