@@ -141,10 +141,27 @@ def format_mat3(m: Mat3) -> str:
     return ";".join(",".join(str(v) for v in row) for row in m.rows)
 
 
-# The kernel. Entries are row-major (a11, a12, ..., a33) and only + - * % are
+# The kernel. Entries are row-major (a11, a12, ..., a33) and only + - * // are
 # used, so the same code runs exactly on Python ints (any n) and vectorized on
 # broadcastable numpy integer arrays. There, pass the small arrays as rows 2
 # and 3: their minors are formed before anything is broadcast.
+
+
+def mod(a, n):
+    """a mod n in [0, n) for n >= 1: the value of a % n, computed as a - (a // n) n.
+
+    Both are floor division, so the two agree on Python ints and on numpy
+    integer arrays of any sign. numpy divides an integer array by a scalar
+    with SIMD but takes its remainder element by element, several times
+    slower. The product and the difference are formed in place on the
+    quotient, so this holds no more arrays at once than a % n. (a // n) n
+    lies within n - 1 of a, so no intermediate exceeds |a| + n - 1 in
+    magnitude.
+    """
+    r = a // n
+    r *= -n
+    r += a
+    return r
 
 
 def forms(r1, r2, n):
@@ -157,12 +174,12 @@ def forms(r1, r2, n):
     a, b, c = r1
     d, e, f = r2
     return (
-        (b * f + c * e) % n,
-        (a * f + c * d) % n,
-        (a * e + b * d) % n,
-        (b * f - c * e) % n,
-        (c * d - a * f) % n,
-        (a * e - b * d) % n,
+        mod(b * f + c * e, n),
+        mod(a * f + c * d, n),
+        mod(a * e + b * d, n),
+        mod(b * f - c * e, n),
+        mod(c * d - a * f, n),
+        mod(a * e - b * d, n),
     )
 
 
@@ -174,25 +191,25 @@ def perm_det(e, n):
     """
     A, B, C, D, E, F = forms(e[3:6], e[6:9], n)
     x, y, z = e[0:3]
-    return (A * x + B * y + C * z) % n, (D * x + E * y + F * z) % n
+    return mod(A * x + B * y + C * z, n), mod(D * x + E * y + F * z, n)
 
 
 def subperms(e, n):
     """The sub-permanents P11, P12, P13, P21, P22 mod n of the row-major entries e."""
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = e
     return (
-        (a22 * a33 + a23 * a32) % n,
-        (a21 * a33 + a23 * a31) % n,
-        (a21 * a32 + a22 * a31) % n,
-        (a12 * a33 + a13 * a32) % n,
-        (a11 * a33 + a13 * a31) % n,
+        mod(a22 * a33 + a23 * a32, n),
+        mod(a21 * a33 + a23 * a31, n),
+        mod(a21 * a32 + a22 * a31, n),
+        mod(a12 * a33 + a13 * a32, n),
+        mod(a11 * a33 + a13 * a31, n),
     )
 
 
 def perm_det2(e, n):
     """(perm, det) mod n of the row-major 2x2 entries e."""
     a, b, c, d = e
-    return (a * d + b * c) % n, (a * d - b * c) % n
+    return mod(a * d + b * c, n), mod(a * d - b * c, n)
 
 
 def _entries(m: Mat3 | Mat2) -> list[int]:

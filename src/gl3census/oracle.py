@@ -34,6 +34,7 @@ import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -144,13 +145,32 @@ def _unit_mask(n: int) -> np.ndarray:
     return np.gcd(np.arange(n, dtype=np.int64), n) == 1
 
 
+def _inverse_table(n: int, dtype):
+    """inverse[v] = v^-1 mod n for units v, 0 elsewhere."""
+    return np.array([pow(v, -1, n) if gcd(v, n) == 1 else 0 for v in range(n)], dtype=dtype)
+
+
+def _int_type(bound: int) -> type[np.signedinteger]:
+    """The narrowest signed numpy integer type that holds every value in [-bound, bound].
+
+    Callers pass the largest intermediate their arithmetic reaches: the kernel
+    (matrices.perm_det, subperms, forms) on residues mod n stays within
+    3 (n - 1)^2, so int16 serves every n <= 105. Raises OverflowError past int64.
+    """
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max:
+            return t
+    raise OverflowError(f"no numpy integer type holds {bound}")
+
+
 def _digits(idx, n: int, k: int) -> list[np.ndarray]:
     """The k base-n digits (least significant first) of idx, a range or an index array.
 
-    A range is enumerated in int32 whenever its stop allows: its users (the
-    naive sweep's prefixes and first rows, the 2x2 scan, the row-orbit
-    enumerator) form products of two residues, far below 2^31. An
-    array keeps its dtype. The orbit pass takes its rows from the orbit reps.
+    A range is enumerated in int32 whenever its stop is below 2^31, since
+    every index it holds, and so every digit, is below stop. That stop is the
+    largest value here: n^3 in _row_orbits, n^6 or n^4 in the naive and 2x2
+    sweeps. Callers that compute with the digits bound that arithmetic
+    themselves. An array keeps its dtype.
     """
     if isinstance(idx, range):
         idx = np.arange(idx.start, idx.stop, dtype=np.int32 if idx.stop < 2**31 else np.int64)
@@ -400,8 +420,9 @@ def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, pro
 def _naive_job(args):
     """Every first row against the (row 2, row 3) prefixes start..stop-1."""
     n, start, stop = args
-    first = _digits(range(n**3), n, 3)
-    prefixes = [v[:, None] for v in _digits(range(start, stop), n, 6)]
+    t = _int_type(3 * (n - 1) ** 2)  # the kernel's bound on residues
+    first = [v.astype(t) for v in _digits(range(n**3), n, 3)]
+    prefixes = [v.astype(t)[:, None] for v in _digits(range(start, stop), n, 6)]
     perm, det = perm_det([*first, *prefixes], n)
     return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
 
@@ -470,7 +491,7 @@ def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int)
     A function, so that each block's (pairs x first-row orbits) arrays are
     freed before the next block allocates its own.
     """
-    r = [v.astype(np.int32) for v in o.reps]  # as in _digits: products of two residues
+    r = [v.astype(_int_type(3 * (n - 1) ** 2)) for v in o.reps]  # the kernel's bound on residues
     e = [*(v[None, :] for v in r), *(v[i, None] for v in r), *(v[j, None] for v in r)]
     perm, det = perm_det(e, n)
     _, _, _, p21, p22 = subperms(e, n)

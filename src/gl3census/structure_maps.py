@@ -4,12 +4,15 @@ psi_shift realizes the entry-shift bijections between permanent classes,
 project is the entrywise reduction from Z/p^k to Z/p, fiber_count verifies the
 lift-fiber size by enumeration, witness builds explicit members of the five
 sub-permanent classes, and emptiness_scan exhaustively confirms that no
-invertible matrix escapes those five classes.
+invertible matrix escapes those five classes. zero_perm_members lists all of
+G(p^k, 0) by solving the permanent's linear form in the third row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import oracle
 from .matrices import (
@@ -17,7 +20,9 @@ from .matrices import (
     ClassLabel,
     Mat3,
     classify,
+    forms,
     is_invertible,
+    mod,
     perm_det,
     permanent3,
     sub_permanents,
@@ -174,3 +179,62 @@ def emptiness_scan(
     """
     counts, violations = oracle._class_scan(p, k, threads=threads, progress=progress, limit=limit)
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)
+
+
+_MEMBER_BLOCK = 1 << 20  # third-row candidates per block of the member enumeration, at most
+
+
+def zero_perm_members(p: int, k: int, dtype):
+    """Every member of G(p^k, 0), in (9, m) batches of row-major entries of the given dtype.
+
+    Over a prefix (rows 1 and 2), the permanent and the determinant are the
+    linear forms (A, B, C) and (D, E, F) of matrices.forms in the third row.
+    Let p^v be the gcd of A, B, C and n = p^k, c the first coordinate whose
+    coefficient has valuation v, that coefficient p^v u (u a unit) and the
+    other two p^v q1, p^v q2, at coordinates c1 < c2. The third rows of
+    permanent 0 are then the n^2 p^v distinct rows y K1 + z K2 + j K3 mod n,
+    0 <= y, z < n and 0 <= j < p^v, with K1 = e_c1 - u^-1 q1 e_c,
+    K2 = e_c2 - u^-1 q2 e_c and K3 = (n / p^v) e_c. On them the determinant
+    is the linear form y D.K1 + z D.K2 + j D.K3, so the unit filter runs on
+    (y, z, j) before any member is built. Every value stays within
+    3 (n - 1)^2.
+    """
+    n = p**k
+    val = np.array([max(t for t in range(k + 1) if r % p**t == 0) for r in range(n)])
+    power = (p ** np.arange(k + 1)).astype(dtype)
+    inv = oracle._inverse_table(n, dtype)
+    eye = np.eye(3, dtype=dtype)
+    y, z = np.arange(n, dtype=dtype)[:, None, None], np.arange(n, dtype=dtype)[None, :, None]
+    step = max(1, _MEMBER_BLOCK // n**3)
+    for start in range(0, n**6, step):
+        rows = range(start, min(start + step, n**6))
+        prefix = [v.astype(dtype) for v in oracle._digits(rows, n, 6)]
+        coeffs = forms(prefix[0:3], prefix[3:6], n)
+        vals = [val[c] for c in coeffs[:3]]
+        v = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
+        c = np.where(vals[0] == v, 0, np.where(vals[1] == v, 1, 2))
+        c1, c2 = np.where(c == 0, 1, 0), np.where(c == 2, 1, 2)
+        pv = power[v]
+        u, q1, q2 = (np.choose(i, coeffs[:3]) // pv for i in (c, c1, c2))
+        basis = [
+            (eye[c1] + mod(-inv[u] * q1, n)[:, None] * eye[c]).T,
+            (eye[c2] + mod(-inv[u] * q2, n)[:, None] * eye[c]).T,
+            (mod(n // pv, n)[:, None] * eye[c]).T,
+        ]
+        dets = [mod(coeffs[3] * K[0] + coeffs[4] * K[1] + coeffs[5] * K[2], n) for K in basis]
+        live = (mod(dets[0], p) != 0) | (mod(dets[1], p) != 0) | (mod(dets[2], p) != 0)
+        for w in range(k + 1):
+            sel = np.flatnonzero(live & (v == w))
+            if sel.size == 0:
+                continue
+            j = np.arange(p**w, dtype=dtype)[None, None, :]
+
+            def on_grid(coef):
+                # coef[0] y + coef[1] z + coef[2] j: prefixes sel on axis 0, then y, z, j
+                a, b, d = (t[sel, None, None, None] for t in coef)
+                return y * a + z * b + j * d
+
+            unit = mod(on_grid(dets), p) != 0
+            third = [mod(on_grid([K[i] for K in basis]), n)[unit] for i in range(3)]
+            counts = unit.sum(axis=(1, 2, 3))
+            yield np.stack([np.repeat(r[sel], counts) for r in prefix] + third)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, replace
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .matrices import (
     format_mat3,
     is_invertible,
     mat3,
+    mod,
     perm_det,
     permanent3,
     subperms,
@@ -456,15 +457,22 @@ def _label_pivot(e, n, p):
     The index (0..4, P11, P12, P13, P21, P22) is also the row-major position
     of the pivot entry. A matrix with no unit among the five gets index 4.
     """
-    subs = np.stack(subperms(e, n))
-    units = subs % p != 0
-    units[4] = True
-    lab = units.argmax(axis=0)
-    return lab, np.take_along_axis(subs, lab[None, :], axis=0)[0]
+    subs = subperms(e, n)
+    lab, pivot = np.full(e.shape[1], 4, dtype=np.int8), subs[4]
+    for i in (3, 2, 1, 0):
+        # a select by arithmetic: keep (lab, pivot) where P_i is not a unit, else take (i, P_i)
+        off = mod(subs[i], p) == 0
+        lab = off * (lab - i) + i
+        pivot = off * (pivot - subs[i]) + subs[i]
+    return lab, pivot
 
 
 def _shift_verify_members(e, n, p, shifts, inv_table):
     """Verify the pivot-shift map on a batch of members of G(n, 0).
+
+    e is a (9, m) array of row-major entries and inv_table an
+    oracle._inverse_table of the same dtype; the arithmetic stays within the
+    kernel's 3 (n - 1)^2.
 
     Returns per-shift violation counts; a violation is any member whose image
     fails perm == x, unit determinant, class preservation, or the round trip.
@@ -472,17 +480,19 @@ def _shift_verify_members(e, n, p, shifts, inv_table):
     count = e.shape[1]
     unit = oracle._unit_mask(n)
     lab, pivot = _label_pivot(e, n, p)
-    violations = {}
+    entries = e.reshape(-1)
     cols = np.arange(count)
+    at = cols + lab.astype(np.intp) * count  # each member's pivot entry in the flat entries
+    violations = {}
     for x in shifts:
-        delta = (x * inv_table[pivot]) % n
         img = e.copy()
-        img[lab, cols] = (img[lab, cols] + delta) % n
+        img.reshape(-1)[at] = mod(entries[at] + mod(x * inv_table[pivot], n), n)
         perm_i, det_i = perm_det(img, n)
         lab_i, pivot_i = _label_pivot(img, n, p)
         back = img.copy()
-        delta_back = ((n - x) * inv_table[pivot_i]) % n
-        back[lab_i, cols] = (back[lab_i, cols] + delta_back) % n
+        at_i = cols + lab_i.astype(np.intp) * count
+        back_entries = back.reshape(-1)
+        back_entries[at_i] = mod(back_entries[at_i] + mod((n - x) * inv_table[pivot_i], n), n)
         ok = (
             (perm_i == x % n)
             & unit[det_i]
@@ -508,6 +518,14 @@ def shift_round_trip(
     member exactly. Returns (members checked, violations per shift).
     population=True enumerates all of G(p^k, 0); otherwise a seeded sample.
     Defined for odd p and k >= 1: G(2^k, 0) is empty, as perm = det mod 2.
+
+    The population is not filtered out of all n^9 matrices. For each of the
+    n^6 prefixes (rows 1 and 2), structure_maps.zero_perm_members solves for
+    the third rows of permanent 0, a subgroup with an explicit basis, and
+    keeps those of unit determinant. That visits every member once and
+    nothing else, with no reduction by symmetry: each member is shifted and
+    checked on its own. Members are checked in the narrowest integer type
+    that holds the kernel's intermediates, 3 (n - 1)^2.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"shift maps need an odd prime, got {p}")
@@ -517,27 +535,16 @@ def shift_round_trip(
         raise ValueError(f"sample must be >= 1, got {sample}")
     n = p**k
     shifts = list(range(0, n, p))
-    inv_table = np.array(
-        [pow(v, -1, n) if gcd(v, n) == 1 else 0 for v in range(n)], dtype=np.int64
-    )
+    dtype = oracle._int_type(3 * (n - 1) ** 2)
+    inv_table = oracle._inverse_table(n, dtype)
     viols = {x: 0 for x in shifts}
     if not population:
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
-        e = _sample_matrices(rng, n, sample, n)
+        e = _sample_matrices(rng, n, sample, n).astype(dtype)
         return e.shape[1], _shift_verify_members(e, n, p, shifts, inv_table)
     checked = 0
-    third = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
-    unit = oracle._unit_mask(n)
-    for start in range(0, n**6, 2048):
-        prefix = [v[:, None] for v in oracle._digits(range(start, min(start + 2048, n**6)), n, 6)]
-        # rows (third, first, second): a cyclic shift, so the determinant is
-        # unchanged, and the minors are formed on the small prefix arrays
-        perm, det = perm_det(third + prefix, n)
-        pi, ti = np.nonzero((perm == 0) & unit[det])
-        if pi.size == 0:
-            continue
-        e = np.stack([v[pi, 0] for v in prefix] + [v[0, ti] for v in third])
-        checked += pi.size
+    for e in structure_maps.zero_perm_members(p, k, dtype):
+        checked += e.shape[1]
         for x, v in _shift_verify_members(e, n, p, shifts, inv_table).items():
             viols[x] += v
     return checked, viols

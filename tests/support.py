@@ -9,6 +9,11 @@ enumeration.
 third_row_counts_generic is the reference for the per-subgroup third-row
 tables of the orbit engines, which read them off each subgroup's Hermite
 basis instead of sweeping all n^3 third rows.
+
+zero_perm_members_by_filter is the reference for
+structure_maps.zero_perm_members, the shift check's member enumeration,
+which solves for the third rows of permanent 0 instead of filtering all n^3
+of them.
 """
 
 import itertools
@@ -16,7 +21,8 @@ from math import gcd
 
 import numpy as np
 
-from gl3census.matrices import Mat3, determinant3, permanent3
+from gl3census import oracle
+from gl3census.matrices import Mat3, determinant3, permanent3, perm_det
 from gl3census.modring import factorize
 
 
@@ -41,6 +47,22 @@ def third_row_counts_generic(sig: tuple[int, int, int, int, int, int], n: int) -
     perm = (A * x + B * y + C * z) % n
     det = (D * x + E * y + F * z) % n
     return np.bincount(perm[np.gcd(det, n) == 1], minlength=n)
+
+
+def zero_perm_members_by_filter(n: int):
+    """Every member of G(n, 0), in (9, m) batches, by testing all n^3 third rows of each prefix.
+
+    Prefixes (rows 1 and 2) go in blocks of 2048 against every third row;
+    the kernel sees rows (third, first, second), a cyclic shift with the same
+    permanent and determinant.
+    """
+    third = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
+    unit = oracle._unit_mask(n)
+    for start in range(0, n**6, 2048):
+        prefix = [v[:, None] for v in oracle._digits(range(start, min(start + 2048, n**6)), n, 6)]
+        perm, det = perm_det(third + prefix, n)
+        pi, ti = np.nonzero((perm == 0) & unit[det])
+        yield np.stack([v[pi, 0] for v in prefix] + [v[0, ti] for v in third])
 
 
 # full permanent censuses of GL3(Z/n), x = 0..n-1

@@ -16,6 +16,7 @@ from gl3census.matrices import (
     is_invertible,
     mat2,
     mat3,
+    mod,
     parse_mat3,
     perm_det,
     perm_det2,
@@ -237,8 +238,9 @@ def test_kernel_invariant_under_cyclic_row_rotation(n, e):
 
 @given(matrix_batch())
 def test_kernel_rotated_broadcast_layout(batch):
-    # the shift population scan's layout: third rows broadcast along one axis,
-    # (first, second) prefixes along the other, passed as (third, first, second)
+    # the layout of the filter scan in tests/support.py: third rows broadcast
+    # along one axis, (first, second) prefixes along the other, passed as
+    # (third, first, second)
     n, mats = batch
     e = np.array(mats, dtype=np.int64)
     third = [e[None, :, c] for c in range(6, 9)]
@@ -247,3 +249,60 @@ def test_kernel_rotated_broadcast_layout(batch):
     for i, j in itertools.product(range(len(mats)), repeat=2):
         rows = as_rows(mats[i][:6] + mats[j][6:])
         assert (int(perm[i, j]), int(det[i, j])) == leibniz(rows, n)
+
+
+# metamorphic relations: for a permutation matrix P and a unit diagonal D,
+# perm(P M) = perm(M P) = perm(M), det(P M) = det(M P) = sign(P) det(M), and
+# scaling row or column i by d_i multiplies both by d_i
+
+
+def sign(perm):
+    return (-1) ** sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+
+
+@given(matrix_batch())
+def test_kernel_under_row_and_column_permutations(batch):
+    n, mats = batch
+    e = np.array(mats, dtype=np.int64).T.reshape(3, 3, -1)  # (row, column, matrix)
+    perm, det = perm_det(e.reshape(9, -1), n)
+    for rows in itertools.permutations(range(3)):
+        for cols in itertools.permutations(range(3)):
+            moved = e[list(rows)][:, list(cols)].reshape(9, -1)
+            perm2, det2 = perm_det(moved, n)
+            assert (perm2 == perm).all()
+            assert (det2 == sign(rows) * sign(cols) * det % n).all()
+
+
+@st.composite
+def batch_and_units(draw):
+    n, mats = draw(matrix_batch())
+    unit = st.integers(min_value=0, max_value=n - 1).filter(lambda u: math.gcd(u, n) == 1)
+    units = st.lists(unit, min_size=3, max_size=3)
+    return n, mats, draw(units), draw(units)
+
+
+@given(batch_and_units())
+def test_kernel_under_unit_row_and_column_scaling(batch):
+    n, mats, row_units, col_units = batch
+    e = np.array(mats, dtype=np.int64).T.reshape(3, 3, -1)
+    perm, det = perm_det(e.reshape(9, -1), n)
+    scale = np.outer(row_units, col_units)[:, :, None] % n
+    perm2, det2 = perm_det((e * scale % n).reshape(9, -1), n)
+    d = math.prod(row_units) * math.prod(col_units) % n
+    assert (perm2 == perm * d % n).all()
+    assert (det2 == det * d % n).all()
+
+
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    st.lists(st.integers(min_value=-(2**15), max_value=2**15), min_size=1, max_size=50),
+)
+def test_mod_equals_the_remainder(n, dtype, values):
+    info = np.iinfo(dtype)
+    # mod's intermediates reach |a| + n - 1
+    a = np.array([v for v in values if info.min + n <= v <= info.max], dtype=dtype)
+    if n <= info.max:
+        assert np.array_equal(mod(a, n), a % n)
+        assert mod(a, n).dtype == dtype
+    assert [mod(int(v), n) for v in values] == [v % n for v in values]

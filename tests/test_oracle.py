@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -295,9 +296,47 @@ def test_results_do_not_depend_on_block_budget(monkeypatch):
     assert _block_sensitive_results() == default
 
 
+@functools.lru_cache(maxsize=None)
+def tiered_counts(n):
+    """census_tiered(n, limit=n).counts, computed once for the tests below."""
+    return oracle.census_tiered(n, limit=n).counts
+
+
 @pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32])
 def test_tiered_census_beyond_default_limit(n):
-    assert oracle.census_tiered(n, limit=n).counts == tuple(cf.count(n, x) for x in range(n))
+    assert tiered_counts(n) == tuple(cf.count(n, x) for x in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_census_is_invariant_under_units(n):
+    # the two-value property's source: scaling row 1 by a unit u maps
+    # permanent x to u x and keeps the determinant a unit
+    counts = tiered_counts(n)
+    for u in range(1, n + 1):
+        if math.gcd(u, n) == 1:
+            assert all(counts[x] == counts[u * x % n] for x in range(n)), u
+
+
+@pytest.mark.parametrize(
+    "n,want",
+    [
+        (7, np.int8),
+        (8, np.int16),
+        (105, np.int16),
+        (106, np.int32),
+        (26755, np.int32),
+        (26756, np.int64),
+    ],
+)
+def test_int_type_holds_the_kernel_bound(n, want):
+    # perm_det, subperms and forms on residues mod n stay within 3 (n - 1)^2
+    assert oracle._int_type(3 * (n - 1) ** 2) is want
+
+
+def test_int_type_refuses_past_int64():
+    assert oracle._int_type(2**63 - 1) is np.int64
+    with pytest.raises(OverflowError):
+        oracle._int_type(2**63)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5)])

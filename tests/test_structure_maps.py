@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import zero_perm_members_by_filter
 
+from gl3census import oracle
 from gl3census import structure_maps as sm
 from gl3census.matrices import (
     CLASS_LABELS,
@@ -9,6 +12,7 @@ from gl3census.matrices import (
     classify,
     is_invertible,
     mat3,
+    perm_det,
     permanent3,
 )
 from gl3census.oracle import CensusTooLarge
@@ -139,3 +143,37 @@ def test_emptiness_scan_small(p, k, order):
     report = sm.emptiness_scan(p, k)
     assert report.violations == 0
     assert report.scanned == order
+
+
+def flat_index(e, n):
+    """Each member's row-major entries as one base-n number, in int64."""
+    return sum(e[i].astype(np.int64) * n**i for i in range(9))
+
+
+def kernel_type(n):
+    return oracle._int_type(3 * (n - 1) ** 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_zero_perm_members_match_filter_scan(p):
+    solved = [flat_index(e, p) for e in sm.zero_perm_members(p, 1, kernel_type(p))]
+    filtered = [flat_index(e, p) for e in zero_perm_members_by_filter(p)]
+    assert np.array_equal(np.sort(np.concatenate(solved)), np.sort(np.concatenate(filtered)))
+
+
+def test_zero_perm_members_at_nine_are_all_distinct_members():
+    # the filter scan is too slow at 9^9 matrices; count, distinctness and membership instead
+    n = 9
+    want = oracle.census_tiered(n)[0]
+    flat = np.empty(want, dtype=np.uint32)  # 9^9 < 2^32
+    filled = 0
+    unit = oracle._unit_mask(n)
+    for e in sm.zero_perm_members(3, 2, kernel_type(n)):
+        assert e.dtype == np.int16 and filled + e.shape[1] <= want
+        perm, det = perm_det(e.astype(np.int64), n)
+        assert (perm == 0).all() and unit[det].all()
+        flat[filled : filled + e.shape[1]] = flat_index(e, n)
+        filled += e.shape[1]
+    assert filled == want
+    flat.sort()
+    assert (flat[1:] != flat[:-1]).all()

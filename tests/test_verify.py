@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gl3census
-from gl3census import closed_form, oracle, verify
+from gl3census import closed_form, oracle, structure_maps, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
 
@@ -92,6 +93,24 @@ def test_negative_seed_refused_before_any_census(monkeypatch):
     monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
     with pytest.raises(ValueError, match="seed must be >= 0"):
         verify.run_suite("full", seed=-1)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
+    n = p**k
+    narrow = oracle._int_type(3 * (n - 1) ** 2)
+    assert narrow is (np.int8 if n <= 7 else np.int16)
+    shifts = list(range(0, n, p))
+    members = next(structure_maps.zero_perm_members(p, k, narrow))
+    corrupted = members.copy()
+    lab, _ = verify._label_pivot(members, n, p)
+    corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
+    for batch, want in ((members, 0), (corrupted, 1)):
+        results = [
+            verify._shift_verify_members(batch.astype(t), n, p, shifts, oracle._inverse_table(n, t))
+            for t in (narrow, np.int64)
+        ]
+        assert results[0] == results[1] == {x: want for x in shifts}
 
 
 def test_quick_suite_passes_and_is_thread_independent():
