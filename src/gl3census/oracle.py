@@ -153,14 +153,23 @@ def _inverse_table(n: int, dtype):
 def _int_type(bound: int) -> type[np.signedinteger]:
     """The narrowest signed numpy integer type that holds every value in [-bound, bound].
 
-    Callers pass the largest intermediate their arithmetic reaches: the kernel
-    (matrices.perm_det, subperms, forms) on residues mod n stays within
-    3 (n - 1)^2, so int16 serves every n <= 105. Raises OverflowError past int64.
+    Callers pass the largest intermediate their arithmetic reaches. Raises
+    OverflowError past int64.
     """
     for t in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(t).max:
             return t
     raise OverflowError(f"no numpy integer type holds {bound}")
+
+
+def _kernel_type(n: int) -> type[np.signedinteger]:
+    """The narrowest type for the kernel's arithmetic on residues mod n.
+
+    matrices.forms, perm_det and subperms on entries in [0, n) stay within
+    3 (n - 1)^2 in magnitude, so int8 serves n <= 7 and int16 n <= 105. numpy
+    wraps integer arrays silently on overflow, so this bound is the only guard.
+    """
+    return _int_type(3 * (n - 1) ** 2)
 
 
 def _digits(idx, n: int, k: int) -> list[np.ndarray]:
@@ -420,7 +429,7 @@ def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, pro
 def _naive_job(args):
     """Every first row against the (row 2, row 3) prefixes start..stop-1."""
     n, start, stop = args
-    t = _int_type(3 * (n - 1) ** 2)  # the kernel's bound on residues
+    t = _kernel_type(n)
     first = [v.astype(t) for v in _digits(range(n**3), n, 3)]
     prefixes = [v.astype(t)[:, None] for v in _digits(range(start, stop), n, 6)]
     perm, det = perm_det([*first, *prefixes], n)
@@ -491,7 +500,7 @@ def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int)
     A function, so that each block's (pairs x first-row orbits) arrays are
     freed before the next block allocates its own.
     """
-    r = [v.astype(_int_type(3 * (n - 1) ** 2)) for v in o.reps]  # the kernel's bound on residues
+    r = [v.astype(_kernel_type(n)) for v in o.reps]
     e = [*(v[None, :] for v in r), *(v[i, None] for v in r), *(v[j, None] for v in r)]
     perm, det = perm_det(e, n)
     _, _, _, p21, p22 = subperms(e, n)

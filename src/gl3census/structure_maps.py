@@ -181,11 +181,12 @@ def emptiness_scan(
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)
 
 
-_MEMBER_BLOCK = 1 << 20  # third-row candidates per block of the member enumeration, at most
+def zero_perm_members(p: int, k: int):
+    """Every member of G(p^k, 0), in (9, m) batches of row-major entries.
 
-
-def zero_perm_members(p: int, k: int, dtype):
-    """Every member of G(p^k, 0), in (9, m) batches of row-major entries of the given dtype.
+    The entries are of oracle._kernel_type(p^k), the narrowest type that
+    holds the kernel's arithmetic; blocks of prefixes span at most
+    oracle._CHUNK third-row candidates.
 
     Over a prefix (rows 1 and 2), the permanent and the determinant are the
     linear forms (A, B, C) and (D, E, F) of matrices.forms in the third row.
@@ -200,12 +201,13 @@ def zero_perm_members(p: int, k: int, dtype):
     3 (n - 1)^2.
     """
     n = p**k
+    dtype = oracle._kernel_type(n)
     val = np.array([max(t for t in range(k + 1) if r % p**t == 0) for r in range(n)])
     power = (p ** np.arange(k + 1)).astype(dtype)
     inv = oracle._inverse_table(n, dtype)
     eye = np.eye(3, dtype=dtype)
     y, z = np.arange(n, dtype=dtype)[:, None, None], np.arange(n, dtype=dtype)[None, :, None]
-    step = max(1, _MEMBER_BLOCK // n**3)
+    step = max(1, oracle._CHUNK // n**3)
     for start in range(0, n**6, step):
         rows = range(start, min(start + step, n**6))
         prefix = [v.astype(dtype) for v in oracle._digits(rows, n, 6)]

@@ -470,9 +470,9 @@ def _label_pivot(e, n, p):
 def _shift_verify_members(e, n, p, shifts, inv_table):
     """Verify the pivot-shift map on a batch of members of G(n, 0).
 
-    e is a (9, m) array of row-major entries and inv_table an
-    oracle._inverse_table of the same dtype; the arithmetic stays within the
-    kernel's 3 (n - 1)^2.
+    e is a (9, m) array of row-major entries, of oracle._kernel_type(n) or
+    wider, and inv_table an oracle._inverse_table of the same dtype; the
+    arithmetic stays within the kernel's bound.
 
     Returns per-shift violation counts; a violation is any member whose image
     fails perm == x, unit determinant, class preservation, or the round trip.
@@ -524,8 +524,8 @@ def shift_round_trip(
     the third rows of permanent 0, a subgroup with an explicit basis, and
     keeps those of unit determinant. That visits every member once and
     nothing else, with no reduction by symmetry: each member is shifted and
-    checked on its own. Members are checked in the narrowest integer type
-    that holds the kernel's intermediates, 3 (n - 1)^2.
+    checked on its own. Members are checked in oracle._kernel_type(n), the
+    narrowest integer type that holds the kernel's intermediates.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"shift maps need an odd prime, got {p}")
@@ -535,7 +535,7 @@ def shift_round_trip(
         raise ValueError(f"sample must be >= 1, got {sample}")
     n = p**k
     shifts = list(range(0, n, p))
-    dtype = oracle._int_type(3 * (n - 1) ** 2)
+    dtype = oracle._kernel_type(n)
     inv_table = oracle._inverse_table(n, dtype)
     viols = {x: 0 for x in shifts}
     if not population:
@@ -543,7 +543,7 @@ def shift_round_trip(
         e = _sample_matrices(rng, n, sample, n).astype(dtype)
         return e.shape[1], _shift_verify_members(e, n, p, shifts, inv_table)
     checked = 0
-    for e in structure_maps.zero_perm_members(p, k, dtype):
+    for e in structure_maps.zero_perm_members(p, k):
         checked += e.shape[1]
         for x, v in _shift_verify_members(e, n, p, shifts, inv_table).items():
             viols[x] += v

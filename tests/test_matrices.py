@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gl3census import oracle
 from gl3census.matrices import (
     CLASS_LABELS,
     ClassLabel,
@@ -306,3 +307,17 @@ def test_mod_equals_the_remainder(n, dtype, values):
         assert np.array_equal(mod(a, n), a % n)
         assert mod(a, n).dtype == dtype
     assert [mod(int(v), n) for v in values] == [v % n for v in values]
+
+
+@pytest.mark.parametrize("n", [105, 107])
+def test_int16_kernel_at_the_edge_of_its_ceiling(n):
+    # {0, n - 1}^9 reaches the forms' and sub-permanents' extremes, +-2 (n - 1)^2. A first
+    # row of n - 1 over the rows (1, 1, 1) and (h, h, h), 2h = n - 1, has A = B = C = n - 1,
+    # so its permanent reaches 3 (n - 1)^2 before reduction: 32448 at 105, past int16 at 107.
+    h = (n - 1) // 2
+    mats = [*itertools.product((0, n - 1), repeat=9), (n - 1,) * 3 + (1,) * 3 + (h,) * 3]
+    e = np.array(mats, dtype=np.int64).T
+    wide = [*perm_det(e, n), *subperms(e, n)]
+    narrow = [*perm_det(e.astype(np.int16), n), *subperms(e.astype(np.int16), n)]
+    same = all(np.array_equal(a, b) for a, b in zip(narrow, wide))
+    assert same == (oracle._kernel_type(n) is np.int16)

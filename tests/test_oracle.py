@@ -330,7 +330,7 @@ def test_census_is_invariant_under_units(n):
 )
 def test_int_type_holds_the_kernel_bound(n, want):
     # perm_det, subperms and forms on residues mod n stay within 3 (n - 1)^2
-    assert oracle._int_type(3 * (n - 1) ** 2) is want
+    assert oracle._int_type(3 * (n - 1) ** 2) is oracle._kernel_type(n) is want
 
 
 def test_int_type_refuses_past_int64():

@@ -150,13 +150,9 @@ def flat_index(e, n):
     return sum(e[i].astype(np.int64) * n**i for i in range(9))
 
 
-def kernel_type(n):
-    return oracle._int_type(3 * (n - 1) ** 2)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_zero_perm_members_match_filter_scan(p):
-    solved = [flat_index(e, p) for e in sm.zero_perm_members(p, 1, kernel_type(p))]
+    solved = [flat_index(e, p) for e in sm.zero_perm_members(p, 1)]
     filtered = [flat_index(e, p) for e in zero_perm_members_by_filter(p)]
     assert np.array_equal(np.sort(np.concatenate(solved)), np.sort(np.concatenate(filtered)))
 
@@ -168,7 +164,7 @@ def test_zero_perm_members_at_nine_are_all_distinct_members():
     flat = np.empty(want, dtype=np.uint32)  # 9^9 < 2^32
     filled = 0
     unit = oracle._unit_mask(n)
-    for e in sm.zero_perm_members(3, 2, kernel_type(n)):
+    for e in sm.zero_perm_members(3, 2):
         assert e.dtype == np.int16 and filled + e.shape[1] <= want
         perm, det = perm_det(e.astype(np.int64), n)
         assert (perm == 0).all() and unit[det].all()

@@ -98,10 +98,11 @@ def test_negative_seed_refused_before_any_census(monkeypatch):
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
     n = p**k
-    narrow = oracle._int_type(3 * (n - 1) ** 2)
+    narrow = oracle._kernel_type(n)
     assert narrow is (np.int8 if n <= 7 else np.int16)
     shifts = list(range(0, n, p))
-    members = next(structure_maps.zero_perm_members(p, k, narrow))
+    members = next(structure_maps.zero_perm_members(p, k))
+    assert members.dtype == narrow
     corrupted = members.copy()
     lab, _ = verify._label_pivot(members, n, p)
     corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
