@@ -15,12 +15,14 @@ whose second coordinate is a unit, each counted n^3/|H| times. The two engines
 agree entry for entry wherever both run.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
-a unit scales every coefficient by that unit and leaves the subgroup alone.
-The prefix pass therefore walks pairs of row orbits under unit scaling rather
-than all n^6 prefixes, and weights each pair by the product of its orbit sizes
-(orbit counting, as in Burnside's lemma). class_census and case_census share
-that pass: the class head and the zero pattern they key on are unchanged by
-unit scaling too.
+a unit leaves the subgroup alone; so does scaling a column of both rows by a
+unit, and permuting the columns keeps each bucket's third-row counts. The
+prefix pass therefore walks pairs of a first-row orbit under those column maps
+(a sorted triple of divisors of n) and a second-row orbit under unit scaling,
+each weighted by the product of its orbit sizes (orbit counting, as in
+Burnside's lemma), rather than all n^6 prefixes. case_census shares that pass;
+class_census, whose class head a column permutation reorders, walks ordered
+triples.
 
 Censuses may run on several worker processes; orbit pairs (or, for the
 scanning engines, index ranges) are split into fixed chunks, each worker
@@ -31,6 +33,7 @@ Results are identical for every thread count.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +42,7 @@ from math import gcd
 import numpy as np
 
 from .closed_form import CaseCensusRow
-from .matrices import CLASS_LABELS, ClassLabel, forms, perm_det, perm_det2, subperms
+from .matrices import CLASS_LABELS, ClassLabel, forms, mod, perm_det, perm_det2, subperms
 from .modring import Modulus, factorize, is_prime
 
 NAIVE_LIMIT = 8
@@ -306,9 +309,9 @@ def _bucket_tables(n: int) -> np.ndarray:
     sid = np.repeat(np.arange(sizes.size), sizes)  # the subgroup of each element
     a, b, d = (np.array(v, dtype=np.int64)[sid] for v in zip(*t.triples))
     e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]  # index within its subgroup
-    i, j = e % (n // a), e // (n // a)
-    key = sid * n + (i * a + j * b) % n
-    counts = np.bincount(key[_unit_mask(n)[j * d % n]], minlength=sizes.size * n)
+    i, j = mod(e, n // a), e // (n // a)
+    key = sid * n + mod(i * a + j * b, n)
+    counts = np.bincount(key[_unit_mask(n)[mod(j * d, n)]], minlength=sizes.size * n)
     return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
 
 
@@ -317,17 +320,24 @@ def _bucket_tables(n: int) -> np.ndarray:
 #
 # Scaling a prefix row by a unit scales all six forms by that unit, which
 # keeps the subgroup, whether P11, P12 or P13 is a unit, and the zero pattern.
-# Each prefix engine therefore tallies one representative pair of row orbits
-# with weight |orbit 1| * |orbit 2|, summed per key in int64: a weight is at
-# most phi(n)^2 and a key's sum at most n^6 <= 127^6 < 2^43, so sums are exact.
+# For a column permutation P and a unit diagonal D, perm(M P D) = perm(M) prod
+# d_i and det(M P D) = +-det(M) prod d_i: the forms' coefficient columns are
+# scaled by units (same subgroup) or permuted with the determinant coordinate at
+# most negated (same third-row counts). (r1, r2) -> (r1 P D, r2 P D) permutes
+# the prefixes, so each first row of an orbit adds up like its rep. Units scale
+# a residue onto exactly the residues of its gcd g with n, so an orbit is a
+# triple of gcds (g = n for a zero entry), sorted, or ordered for the class
+# census (see there); the second row keeps its unit-scaling orbits. Each engine
+# sums the weights |orbit 1| * |orbit 2| of its pairs per key in int64; they
+# add up to n^6 <= 127^6 < 2^43, so every sum is exact.
 
 
 @dataclass(frozen=True, eq=False)
 class _RowOrbits:
-    """Orbits of (Z/n)^3 under scaling by units.
+    """Orbits of the rows (Z/n)^3 under a group of symmetries.
 
-    Row index r0 + r1 n + r2 n^2. reps holds the least member of each orbit
-    as three digit arrays and sizes each orbit's size.
+    reps holds one member of each orbit as three digit arrays and sizes each
+    orbit's size.
     """
 
     reps: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -336,10 +346,11 @@ class _RowOrbits:
 
 @lru_cache(maxsize=None)
 def _row_orbits(n: int) -> _RowOrbits:
+    """Orbits under scaling by units; row index r0 + r1 n + r2 n^2, least member as rep."""
     rows = _digits(range(n**3), n, 3)
     least = None
     for u in np.flatnonzero(_unit_mask(n)):
-        image = (u * rows[0]) % n + (u * rows[1]) % n * n + (u * rows[2]) % n * (n * n)
+        image = mod(u * rows[0], n) + mod(u * rows[1], n) * n + mod(u * rows[2], n) * (n * n)
         least = image if least is None else np.minimum(least, image)
     rep_idx, sizes = np.unique(least, return_counts=True)
     return _RowOrbits(
@@ -348,41 +359,62 @@ def _row_orbits(n: int) -> _RowOrbits:
     )
 
 
-def _orbit_jobs(n: int, *extra) -> list[tuple[tuple, int]]:
-    """Chunks of orbit pairs, split by first-row orbit, as (job args, prefixes covered).
+@lru_cache(maxsize=None)
+def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
+    """Orbits under unit column scaling, and under column permutation unless ordered.
 
-    Job (n, i0, i1, *extra) takes the pairs (i, j) with i0 <= i < i1 and every
-    j. Raises RuntimeError unless the pair weights sum to n^6.
+    An orbit is the triple (g1, g2, g3) of its entries' gcds with n, and its
+    rep the row (g1, g2, g3) mod n, sorted unless ordered. phi(n / g) residues
+    have gcd g, so an orbit has prod phi(n / g_i) rows, times the number of
+    distinct orderings (the multinomial coefficient) unless ordered.
     """
-    o = _row_orbits(n)
-    m = len(o.sizes)
-    step = max(1, _CHUNK // m)
-    row_total = int(o.sizes.sum())
-    jobs = [
-        ((n, i, min(i + step, m), *extra), int(o.sizes[i : i + step].sum()) * row_total)
-        for i in range(0, m, step)
-    ]
+    per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / g) at g
+    divisors = np.flatnonzero(per_gcd).tolist()
+    if ordered:
+        triples = list(itertools.product(divisors, repeat=3))
+    else:
+        triples = list(itertools.combinations_with_replacement(divisors, 3))
+    orderings = [1 if ordered else len(set(itertools.permutations(g))) for g in triples]
+    return _RowOrbits(
+        reps=tuple(np.array(v, dtype=np.int64) % n for v in zip(*triples)),
+        sizes=np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
+    )
+
+
+def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:
+    """Chunks of orbit pairs, split by first-row triple, as (job args, prefixes covered).
+
+    Job (n, ordered, i0, i1, *extra) takes the triples i0 <= i < i1 of
+    _divisor_rows(n, ordered) against every second-row orbit. Raises
+    RuntimeError unless the pair weights sum to n^6.
+    """
+    first, second = _divisor_rows(n, ordered), _row_orbits(n)
+    m = len(first.sizes)
+    step = max(1, _CHUNK // len(second.sizes))
+    n_second = int(second.sizes.sum())
+    bounds = [(i, min(i + step, m)) for i in range(0, m, step)]
+    jobs = [((n, ordered, a, b, *extra), int(first.sizes[a:b].sum()) * n_second) for a, b in bounds]
     covered = sum(size for _, size in jobs)
     if covered != n**6:
         raise RuntimeError(f"row orbits mod {n} cover {covered} prefixes, not n^6 = {n**6}")
     return jobs
 
 
-def _orbit_blocks(n: int, i0: int, i1: int):
+def _orbit_blocks(n: int, ordered: bool, i0: int, i1: int):
     """Blocks of orbit pairs (i, j), i0 <= i < i1, as (rows, forms, buckets, weights).
 
-    rows is the slice of first-row orbits in the block; the arrays are shaped
-    (first-row orbits, all second-row orbits), with at most max(_BLOCK, m)
-    elements for m row orbits. weights are the pairs' |orbit i| * |orbit j|.
+    rows is the slice of first-row triples in the block; the arrays are shaped
+    (triples, all second-row orbits), with at most max(_BLOCK, m) elements
+    for m second-row orbits. weights are the pairs' |orbit i| * |orbit j|.
     """
-    o = _row_orbits(n)
+    first, second = _divisor_rows(n, ordered), _row_orbits(n)
     t = _form_tables(n)
-    r2 = [v[None, :] for v in o.reps]
-    step = max(1, _BLOCK // len(o.sizes))
+    r2 = [v[None, :] for v in second.reps]
+    step = max(1, _BLOCK // len(second.sizes))
     for s in range(i0, i1, step):
         rows = slice(s, min(s + step, i1))
-        coeffs = forms([v[rows, None] for v in o.reps], r2, n)
-        yield rows, coeffs, _hnf_buckets(t, coeffs), o.sizes[rows, None] * o.sizes[None, :]
+        coeffs = forms([v[rows, None] for v in first.reps], r2, n)
+        yield rows, coeffs, _hnf_buckets(t, coeffs), first.sizes[rows, None] * second.sizes[None, :]
 
 
 def _tally(key, weights, n_keys: int) -> np.ndarray:
@@ -397,10 +429,9 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 
 
 def _tiered_job(args):
-    n, i0, i1 = args
-    n_subs = len(_form_tables(n).sizes)
+    n_subs = len(_form_tables(args[0]).sizes)
     mult = np.zeros(n_subs, dtype=np.int64)
-    for _, _, s, w in _orbit_blocks(n, i0, i1):
+    for _, _, s, w in _orbit_blocks(*args):
         mult += _tally(s, w, n_subs)
     return mult
 
@@ -412,7 +443,7 @@ def census_tiered(
     modulus = factorize(n) if isinstance(n, int) else n
     n = modulus.n
     _check_bound("census_tiered", n, limit)
-    counts = _sum_jobs(_tiered_job, _orbit_jobs(n), threads, progress) @ _bucket_tables(n)
+    counts = _sum_jobs(_tiered_job, _orbit_jobs(n, False), threads, progress) @ _bucket_tables(n)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
@@ -472,6 +503,9 @@ def census_2x2(
 # inner row. With rows 2 and 3 as the prefix, P11, P12, P13 are the forms A, B,
 # C and the row-1 cofactors are D, E, F.
 #
+# A column permutation reorders P11, P12 and P13, so row 2 runs over ordered
+# divisor triples (unit column scaling only), of weight prod phi(n / g_i).
+#
 # The orbit pairs whose P11, P12, P13 are all divisible by p are left over:
 # there the class depends on the first row, through P21 and then P22. A
 # left-over pair whose cofactors D, E, F are all divisible by p too has no
@@ -491,17 +525,24 @@ def census_2x2(
 #   and multiplies the permanent by u2 u3. As t[v] = t[u v] for every unit
 #   u, every prefix of the pair (i, j) has the tally t, and the pair
 #   contributes s_i s_j t.
+# - Scaling the columns by a unit diagonal D keeps whether det, P21 or P22
+#   is a unit, and multiplies the permanent by prod d_c; as t is
+#   unit-invariant and M -> M D permutes the first rows, the prefix
+#   (r2 D, r3 D) has the tally t of (r2, r3). So s_i may be a row-2 triple's.
 # Unit-determinant matrices with neither P21 nor P22 a unit are violations.
 
 
-def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int) -> np.ndarray:
+def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, i, j, p: int, n: int) -> np.ndarray:
     """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, n).
 
+    Row 2 is rep i of rows2, row 3 rep j of o, and the first rows run over o.
     A function, so that each block's (pairs x first-row orbits) arrays are
     freed before the next block allocates its own.
     """
-    r = [v.astype(_kernel_type(n)) for v in o.reps]
-    e = [*(v[None, :] for v in r), *(v[i, None] for v in r), *(v[j, None] for v in r)]
+    t = _kernel_type(n)
+    r = [v.astype(t) for v in o.reps]
+    r2 = [v[i, None].astype(t) for v in rows2.reps]
+    e = [*(v[None, :] for v in r), *r2, *(v[j, None] for v in r)]
     perm, det = perm_det(e, n)
     _, _, _, p21, p22 = subperms(e, n)
     label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
@@ -512,18 +553,18 @@ def _leftover_tally(o: _RowOrbits, i: np.ndarray, j: np.ndarray, p: int, n: int)
     whole, rest = np.divmod(tally[:, :, np.outer(units, np.arange(n)) % n].sum(axis=2), units.size)
     if rest.any():
         raise RuntimeError(f"left-over class tallies mod {n} are not divisible by {units.size}")
-    return np.tensordot(o.sizes[i] * o.sizes[j], whole, axes=1)
+    return np.tensordot(rows2.sizes[i] * o.sizes[j], whole, axes=1)
 
 
 def _class_job(args):
     """(3, subgroups + n): prefixes per (head class, subgroup), then the left-over tallies."""
-    n, i0, i1, p = args
-    o = _row_orbits(n)
+    n, ordered, _, _, p = args
+    rows2, o = _divisor_rows(n, ordered), _row_orbits(n)
     n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
     left = np.zeros((3, n), dtype=np.int64)
     step = max(1, _BLOCK // len(o.sizes))  # left-over pairs per block
-    for rows, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(n, i0, i1):
+    for rows, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:4]):
         u1 = p11 % p != 0
         u2 = p12 % p != 0
         u3 = p13 % p != 0
@@ -532,7 +573,7 @@ def _class_job(args):
         mult += _tally((lab * n_subs + s)[headed], w[headed], 3 * n_subs)
         i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
         for b in range(0, i.size, step):
-            left += _leftover_tally(o, i[b : b + step] + rows.start, j[b : b + step], p, n)
+            left += _leftover_tally(rows2, o, i[b : b + step] + rows.start, j[b : b + step], p, n)
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
@@ -549,7 +590,7 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int =
         raise ValueError(f"exponent must be >= 1, got {k}")
     n = p**k
     _check_bound("class_census", n, limit)
-    tallies = _sum_jobs(_class_job, _orbit_jobs(n, p), threads, progress)
+    tallies = _sum_jobs(_class_job, _orbit_jobs(n, True, p), threads, progress)
     tables = _bucket_tables(n)
     heads, left = np.split(tallies, [len(tables)], axis=1)
     return np.vstack([heads @ tables, left[:2]]).T, int(left[2].sum())
@@ -585,13 +626,13 @@ _PATTERN_KEYS = ((1, None), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 
 def _case_job(args):
-    n, i0, i1 = args
-    o = _row_orbits(n)
+    n, ordered = args[:2]
     n_subs = len(_form_tables(n).sizes)
-    nnz = sum((v != 0).astype(np.int64) for v in o.reps)
+    orbits = (_divisor_rows(n, ordered), _row_orbits(n))
+    nnz1, nnz2 = (sum((v != 0).astype(np.int64) for v in o.reps) for o in orbits)
     mult = np.zeros(8 * n_subs, dtype=np.int64)
-    for rows, _, s, w in _orbit_blocks(n, i0, i1):
-        pattern = _PATTERN_OF[nnz[rows, None], nnz[None, :]]
+    for rows, _, s, w in _orbit_blocks(*args):
+        pattern = _PATTERN_OF[nnz1[rows, None], nnz2[None, :]]
         mult += _tally(pattern * n_subs + s, w, 8 * n_subs)
     return mult
 
@@ -603,7 +644,7 @@ def case_census(
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
     _check_bound("case_census", p, limit)
-    mult = _sum_jobs(_case_job, _orbit_jobs(p), threads, progress)
+    mult = _sum_jobs(_case_job, _orbit_jobs(p, False), threads, progress)
     per_pattern = (mult.reshape(8, -1) @ _bucket_tables(p)[:, 0]).tolist()
     if per_pattern[7]:
         raise RuntimeError("matrices with an all-zero row counted as invertible")

@@ -168,14 +168,16 @@ def emptiness_scan(
 
     Covers all of GL3(Z/p^k); a violation is an invertible matrix whose five
     sub-permanents P11, P12, P13, P21, P22 are all divisible by p. The scan
-    is the class census's: it evaluates one prefix (rows 2 and 3) per pair of
-    row orbits under unit scaling, and, where P11, P12 and P13 are all
-    divisible by p, one first row per orbit. Scaling any row by a unit
-    scales each sub-permanent by a unit or not at all, and the determinant
-    by a unit, so every member of an orbit is a violation exactly when its
-    representative is; each representative is weighted by the size of what
-    it stands for. The report's scanned count is therefore still every
-    matrix covered, and equals |GL3(Z/p^k)|.
+    is the class census's: it evaluates one prefix (rows 2 and 3) per pair
+    of a row-2 orbit under unit column scaling (an ordered triple of divisors
+    of p^k) and a row-3 orbit under unit scaling, and, where P11, P12 and
+    P13 are all divisible by p, one first row per orbit under unit scaling.
+    Scaling any row or any column by a unit scales each sub-permanent by a
+    unit or not at all, and the determinant by a unit, so every member of an
+    orbit is a violation exactly when its representative is; each
+    representative is weighted by the size of what it stands for. The
+    report's scanned count is therefore still every matrix covered, and
+    equals |GL3(Z/p^k)|.
     """
     counts, violations = oracle._class_scan(p, k, threads=threads, progress=progress, limit=limit)
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)

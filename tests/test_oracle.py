@@ -7,7 +7,7 @@ import pytest
 
 from gl3census import closed_form as cf
 from gl3census import oracle
-from gl3census.matrices import CLASS_LABELS, forms, perm_det, subperms
+from gl3census.matrices import CLASS_LABELS, forms, mod, perm_det, subperms
 from gl3census.modring import factorize
 from support import (
     CASE_ROWS,
@@ -109,33 +109,49 @@ def test_class_scan_matches_symmetry_free_sweep(p, k):
 
 
 def _member_sweep(rep2, rep3, p, n):
-    """C21, C22 and violation tallies of every prefix (u2 rep2, u3 rep3) against all n^3 first rows."""
+    """C21, C22 and violation tallies of the prefixes a left-over pair stands for, and their number.
+
+    Those are, for each row r2 = rep2 D in rep2's orbit under unit column
+    scaling (one unit diagonal D per row), the rows u rep3 D for units u; each
+    prefix is swept against all n^3 first rows.
+    """
     units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1])
-    rows2 = np.unique(np.outer(units, rep2) % n, axis=0)
-    rows3 = np.unique(np.outer(units, rep3) % n, axis=0)
-    prefixes = np.array([[*a, *b] for a in rows2 for b in rows3])
-    first = [(np.arange(n**3) // n**t % n)[None, :] for t in range(3)]
-    e = [*first, *(prefixes[:, [c]] for c in range(6))]
-    perm, det = perm_det(e, n)
-    _, _, _, p21, p22 = subperms(e, n)
-    label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
-    return np.bincount((label * n + perm)[det % p != 0], minlength=3 * n).reshape(3, n)
+    diag = np.array(list(itertools.product(units, repeat=3)))
+    rows2, first_d = np.unique(diag * rep2 % n, axis=0, return_index=True)
+    prefixes = np.unique(
+        [[*r2, *(u * rep3 * d % n)] for r2, d in zip(rows2, diag[first_d]) for u in units], axis=0
+    ).astype(oracle._kernel_type(n))
+    first = [(np.arange(n**3) // n**t % n).astype(prefixes.dtype)[None, :] for t in range(3)]
+    counts = np.zeros(3 * n, dtype=np.int64)
+    for s in range(0, len(prefixes), 256):
+        e = [*first, *(prefixes[s : s + 256, [c]] for c in range(6))]
+        perm, det = perm_det(e, n)
+        _, _, _, p21, p22 = subperms(e, n)
+        label = np.where(mod(p21, p) != 0, 0, np.where(mod(p22, p) != 0, 1, 2))
+        counts += np.bincount((label * n + perm)[mod(det, p) != 0], minlength=3 * n)
+    return counts.reshape(3, n), len(prefixes)
 
 
 @pytest.mark.parametrize("p,k,pairs", [(3, 2, None), (5, 2, 2)])
 def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # left-over pairs with an invertible completion; at p = 2 there are none,
     # and at k = 1 their permanents are all 0, so these pin the unit relabelling
+    # and its invariance under unit column scaling. Row 2 runs over the class
+    # census's ordered divisor triples; at (5, 2) the lightest pairs come first.
     n = p**k
-    o = oracle._row_orbits(n)
-    i, j = np.indices((len(o.sizes),) * 2).reshape(2, -1)
-    A, B, C, D, E, F = (v % p for v in forms([v[i] for v in o.reps], [v[j] for v in o.reps], n))
+    rows2, o = oracle._divisor_rows(n, True), oracle._row_orbits(n)
+    i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
+    A, B, C, D, E, F = (v % p for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], n))
     left = np.flatnonzero((A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0)))
+    weights = rows2.sizes[i] * o.sizes[j]
+    left = left[np.argsort(weights[left], kind="stable")]
     nonzero_permanents = 0
     for pair in left[:pairs]:
-        tally = oracle._leftover_tally(o, i[[pair]], j[[pair]], p, n)
-        reps = [[int(v[x]) for v in o.reps] for x in (i[pair], j[pair])]
-        assert tally.tolist() == _member_sweep(*reps, p, n).tolist(), reps
+        tally = oracle._leftover_tally(rows2, o, i[[pair]], j[[pair]], p, n)
+        reps = [np.array([int(v[x]) for v in r.reps]) for r, x in ((rows2, i[pair]), (o, j[pair]))]
+        sweep, members = _member_sweep(*reps, p, n)
+        assert members == weights[pair]
+        assert tally.tolist() == sweep.tolist(), reps
         nonzero_permanents += int(tally[:, 1:].sum())
     assert nonzero_permanents > 0
 
@@ -276,6 +292,27 @@ def test_bucket_symmetries_of_the_orbit_pass(n):
     assert (tables[key(r2, r1)] == tables[base]).all()
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_divisor_rows_match_gcd_classes(n):
+    # group all n^3 rows by their triple of gcds with n, ordered and sorted:
+    # each class is one rep, whose gcd triple is the class, weighted by its size
+    rows = np.array(list(itertools.product(range(n), repeat=3)))
+    gcds = np.gcd(rows, n)
+    for ordered in (True, False):
+        keys = gcds if ordered else np.sort(gcds, axis=1)
+        classes, sizes = np.unique(keys, axis=0, return_counts=True)
+        o = oracle._divisor_rows(n, ordered)
+        reps = np.gcd(np.stack(o.reps, axis=1), n)
+        got = sorted(zip(map(tuple, reps.tolist()), o.sizes.tolist()))
+        assert got == sorted(zip(map(tuple, classes.tolist()), sizes.tolist())), ordered
+
+
+def test_divisor_row_weights_cover_every_row():
+    for n in range(1, oracle.INT64_CEILING + 1):
+        for ordered in (True, False):
+            assert int(oracle._divisor_rows(n, ordered).sizes.sum()) == n**3, (n, ordered)
+
+
 def test_tally_sums_weights_exactly():
     # 2^61 + 1 is not a float64, so a float accumulator would drop the 1
     key = np.array([[0, 1, 2], [2, 1, 0]])
@@ -296,13 +333,24 @@ def test_results_do_not_depend_on_block_budget(monkeypatch):
     assert _block_sensitive_results() == default
 
 
+def test_results_do_not_depend_on_chunking(monkeypatch):
+    # _CHUNK = 1 gives one first-row triple per job, so the pool merges many
+    default = _block_sensitive_results()
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+    assert len(oracle._orbit_jobs(12, False)) == len(oracle._divisor_rows(12, False).sizes)
+    counts, violations = oracle._class_scan(3, 2, threads=2)
+    chunked = oracle.census_tiered(12, threads=2).counts, counts.tolist(), violations
+    assert chunked == default[:3]
+    assert oracle.case_census(7, threads=2) == default[3]
+
+
 @functools.lru_cache(maxsize=None)
 def tiered_counts(n):
     """census_tiered(n, limit=n).counts, computed once for the tests below."""
     return oracle.census_tiered(n, limit=n).counts
 
 
-@pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32])
+@pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32, 36, 48, 60, 64, 81])
 def test_tiered_census_beyond_default_limit(n):
     assert tiered_counts(n) == tuple(cf.count(n, x) for x in range(n))
 
@@ -339,7 +387,7 @@ def test_int_type_refuses_past_int64():
         oracle._int_type(2**63)
 
 
-@pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5)])
+@pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5), (3, 3), (7, 2)])
 def test_class_census_beyond_default_limit(p, k):
     n = p**k
     cc = oracle.class_census(p, k, limit=n)
@@ -347,6 +395,11 @@ def test_class_census_beyond_default_limit(p, k):
     if p != 2:
         for label in CLASS_LABELS:
             assert cc.count(0, label) == cf.class_count_prime_power_zero(p, k, label), label
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_case_census_beyond_default_limit(p):
+    assert oracle.case_census(p, limit=p).rows == cf.case_rows(p)
 
 
 def test_int64_ceiling_ignores_limit(monkeypatch):

@@ -159,12 +159,12 @@ ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), threads=1
 key_check = raises(lambda: verify._case_table(ctx))
 
 # first-row orbit sizes off by one make the left-over class tallies mod 9 inexact
-o = oracle._row_orbits(9)
-i, j = np.indices((len(o.sizes),) * 2).reshape(2, -1)
-A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in o.reps], [v[j] for v in o.reps], 9))
+rows2, o = oracle._divisor_rows(9, True), oracle._row_orbits(9)
+i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
+A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], 9))
 left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
 bad = dataclasses.replace(o, sizes=o.sizes + 1)
-tally_check = raises(lambda: oracle._leftover_tally(bad, i[left], j[left], 3, 9))
+tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, i[left], j[left], 3, 9))
 print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check)
 """
 
