@@ -4,8 +4,9 @@ Subcommands: eval (closed-form count), oracle (exhaustive census), table
 (reproduce the class and case tables), verify (run the cross-check suite).
 Exit codes: 0 success, 1 verification failures (including a table --check
 row that disagrees), 2 usage error, 3 census bound exceeded, 4 a failed
-worker process or out of memory. Output carries no timestamps, so identical
-invocations produce identical bytes.
+census worker or out of memory. --threads sets the number of census worker
+threads, by default the CPUs this process may run on. Output carries no
+timestamps, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _thread_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _default_threads() -> int:
+    """The CPUs this process may run on; os.cpu_count() counts the whole host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _progress_printer(label: str):
@@ -208,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--x", type=int, default=None, help="report a single permanent value")
     p_oracle.add_argument("--classes", action="store_true", help="split by sub-permanent class (prime powers)")
     p_oracle.add_argument("--engine", choices=("tiered", "naive"), default="tiered")
-    p_oracle.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    p_oracle.add_argument("--threads", type=_thread_count, default=_default_threads())
     p_oracle.add_argument("--progress", action="store_true")
     p_oracle.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_oracle.set_defaults(fn=_cmd_oracle)
@@ -222,13 +231,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--p-list", default=None, help="comma-separated moduli")
     p_table.add_argument("--check", action="store_true", help="confirm each row against the census")
-    p_table.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    p_table.add_argument("--threads", type=_thread_count, default=_default_threads())
     p_table.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_table.set_defaults(fn=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the cross-check suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    p_verify.add_argument("--threads", type=_thread_count, default=_default_threads())
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--progress", action="store_true")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")

@@ -24,17 +24,19 @@ Burnside's lemma), rather than all n^6 prefixes. case_census shares that pass;
 class_census, whose class head a column permutation reorders, walks ordered
 triples.
 
-Censuses may run on several worker processes; orbit pairs (or, for the
-scanning engines, index ranges) are split into fixed chunks, each worker
+Censuses may run on several worker threads; orbit pairs (or, for the
+scanning engines, index ranges) are split into fixed chunks, each thread
 tallies its chunks into int64 arrays, and the merge adds them in chunk order.
-Results are identical for every thread count.
+Results are identical for every thread count. Threads scale because a job's
+time is spent in numpy's array loops, which release the interpreter lock, and
+they share one address space: no worker holds its own copy of the tables.
+The cached tables a job reads are built before the jobs are dispatched.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -194,18 +196,21 @@ def _digits(idx, n: int, k: int) -> list[np.ndarray]:
 
 
 def _sum_jobs(fn, jobs, threads, progress):
-    """Sum fn(args) over (args, size) jobs, inline or on a process pool, adding in job order.
+    """Sum fn(args) over (args, size) jobs, inline or on a thread pool, adding in job order.
 
     progress(done, total) reports the summed sizes of the jobs finished. The
-    pool has at most one worker per job, and a single job runs inline.
+    pool has at most one thread per job, and a single job runs inline. A job's
+    exception reaches the caller as it was raised. If the caller's side
+    raises (progress, or an interrupt while waiting), queued jobs are
+    cancelled and only the running ones are waited for.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     total = sum(size for _, size in jobs)
     workers = min(threads, len(jobs))
     arglist = [args for args, _ in jobs]
-    pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool_cm as pool:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
         results = pool.map(fn, arglist) if pool is not None else map(fn, arglist)
         done = out = 0
         for (_, size), res in zip(jobs, results):
@@ -213,6 +218,9 @@ def _sum_jobs(fn, jobs, threads, progress):
             done += size
             if progress is not None:
                 progress(done, total)
+    finally:
+        if pool is not None:  # after the last result nothing is left to cancel
+            pool.shutdown(cancel_futures=True)
     return out
 
 
@@ -385,10 +393,12 @@ def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:
     """Chunks of orbit pairs, split by first-row triple, as (job args, prefixes covered).
 
     Job (n, ordered, i0, i1, *extra) takes the triples i0 <= i < i1 of
-    _divisor_rows(n, ordered) against every second-row orbit. Raises
+    _divisor_rows(n, ordered) against every second-row orbit. Builds the
+    cached tables the jobs read, so that no two threads build one. Raises
     RuntimeError unless the pair weights sum to n^6.
     """
     first, second = _divisor_rows(n, ordered), _row_orbits(n)
+    _form_tables(n)
     m = len(first.sizes)
     step = max(1, _CHUNK // len(second.sizes))
     n_second = int(second.sizes.sum())
@@ -447,12 +457,20 @@ def census_tiered(
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
-def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, progress):
-    """Add up job(n, start, stop) over chunks of [0, count); each index is per_index matrices."""
-    n = modulus.n
+def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
+    """Jobs (*head, start, stop) over chunks of [0, count), as (job args, matrices covered).
+
+    Each index stands for per_index matrices, and a chunk spans at most
+    _CHUNK of them (at least one index).
+    """
     step = max(1, _CHUNK // per_index)
     bounds = [(s, min(s + step, count)) for s in range(0, count, step)]
-    jobs = [((n, a, b), (b - a) * per_index) for a, b in bounds]
+    return [((*head, a, b), (b - a) * per_index) for a, b in bounds]
+
+
+def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, progress):
+    """Add up job(n, start, stop) over chunks of [0, count); each index is per_index matrices."""
+    jobs = _range_jobs(count, per_index, modulus.n)
     counts = _sum_jobs(job, jobs, threads, progress)
     return CountTable(modulus, tuple(int(v) for v in counts))
 

@@ -183,12 +183,15 @@ def emptiness_scan(
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)
 
 
-def zero_perm_members(p: int, k: int):
-    """Every member of G(p^k, 0), in (9, m) batches of row-major entries.
+def zero_perm_members(p: int, k: int, prefixes: range | None = None):
+    """The members of G(p^k, 0) over the given prefixes, in (9, m) batches of row-major entries.
 
-    The entries are of oracle._kernel_type(p^k), the narrowest type that
-    holds the kernel's arithmetic; blocks of prefixes span at most
-    oracle._CHUNK third-row candidates.
+    prefixes is a range of prefix indices in [0, n^6), by default all of
+    them; prefix r has the base-n digits of r, least significant first, as
+    its six entries. The entries are of oracle._kernel_type(p^k), the
+    narrowest type that holds the kernel's arithmetic; blocks of prefixes,
+    counted from the range's start, span at most oracle._CHUNK third-row
+    candidates.
 
     Over a prefix (rows 1 and 2), the permanent and the determinant are the
     linear forms (A, B, C) and (D, E, F) of matrices.forms in the third row.
@@ -203,6 +206,9 @@ def zero_perm_members(p: int, k: int):
     3 (n - 1)^2.
     """
     n = p**k
+    prefixes = range(n**6) if prefixes is None else prefixes
+    if prefixes.step != 1 or prefixes.start < 0 or prefixes.stop > n**6:
+        raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
     dtype = oracle._kernel_type(n)
     val = np.array([max(t for t in range(k + 1) if r % p**t == 0) for r in range(n)])
     power = (p ** np.arange(k + 1)).astype(dtype)
@@ -210,8 +216,8 @@ def zero_perm_members(p: int, k: int):
     eye = np.eye(3, dtype=dtype)
     y, z = np.arange(n, dtype=dtype)[:, None, None], np.arange(n, dtype=dtype)[None, :, None]
     step = max(1, oracle._CHUNK // n**3)
-    for start in range(0, n**6, step):
-        rows = range(start, min(start + step, n**6))
+    for start in range(prefixes.start, prefixes.stop, step):
+        rows = range(start, min(start + step, prefixes.stop))
         prefix = [v.astype(dtype) for v in oracle._digits(rows, n, 6)]
         coeffs = forms(prefix[0:3], prefix[3:6], n)
         vals = [val[c] for c in coeffs[:3]]

@@ -503,6 +503,19 @@ def _shift_verify_members(e, n, p, shifts, inv_table):
     return violations
 
 
+def _shift_population_job(args):
+    """(members, violations per shift) over the prefixes start..stop-1, as an int64 vector."""
+    p, k, start, stop = args
+    n = p**k
+    shifts = range(0, n, p)
+    inv_table = oracle._inverse_table(n, oracle._kernel_type(n))
+    out = np.zeros(1 + len(shifts), dtype=np.int64)
+    for e in structure_maps.zero_perm_members(p, k, range(start, stop)):
+        out[0] += e.shape[1]
+        out[1:] += list(_shift_verify_members(e, n, p, shifts, inv_table).values())
+    return out
+
+
 def shift_round_trip(
     p: int,
     k: int,
@@ -510,6 +523,7 @@ def shift_round_trip(
     population: bool = True,
     sample: int = 10_000,
     seed: int = DEFAULT_SEED,
+    threads: int = 1,
 ) -> tuple[int, dict[int, int]]:
     """Verify the pivot-shift maps on members of G(p^k, 0), for every p | x.
 
@@ -526,6 +540,12 @@ def shift_round_trip(
     nothing else, with no reduction by symmetry: each member is shifted and
     checked on its own. Members are checked in oracle._kernel_type(n), the
     narrowest integer type that holds the kernel's intermediates.
+
+    The n^6 prefixes are split into zero_perm_members' own blocks of
+    oracle._CHUNK // n^3 prefixes (oracle._range_jobs), one job each. The
+    jobs run on up to threads threads through oracle._sum_jobs, which adds
+    their (members, violations per shift) vectors in job order, so the
+    result does not depend on threads.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"shift maps need an odd prime, got {p}")
@@ -535,19 +555,14 @@ def shift_round_trip(
         raise ValueError(f"sample must be >= 1, got {sample}")
     n = p**k
     shifts = list(range(0, n, p))
-    dtype = oracle._kernel_type(n)
-    inv_table = oracle._inverse_table(n, dtype)
-    viols = {x: 0 for x in shifts}
     if not population:
+        dtype = oracle._kernel_type(n)
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
         e = _sample_matrices(rng, n, sample, n).astype(dtype)
-        return e.shape[1], _shift_verify_members(e, n, p, shifts, inv_table)
-    checked = 0
-    for e in structure_maps.zero_perm_members(p, k):
-        checked += e.shape[1]
-        for x, v in _shift_verify_members(e, n, p, shifts, inv_table).items():
-            viols[x] += v
-    return checked, viols
+        return e.shape[1], _shift_verify_members(e, n, p, shifts, oracle._inverse_table(n, dtype))
+    jobs = oracle._range_jobs(n**6, n**3, p, k)
+    checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
+    return checked, dict(zip(shifts, viols))
 
 
 @_check("shift-bijection")
@@ -572,7 +587,12 @@ def _shift_bijection(ctx):
                 )
         full = ctx.profile.shift_full_population
         checked, viols = shift_round_trip(
-            p, k, population=full, sample=ctx.profile.shift_sample, seed=ctx.seed
+            p,
+            k,
+            population=full,
+            sample=ctx.profile.shift_sample,
+            seed=ctx.seed,
+            threads=ctx.threads,
         )
         if full:
             out.append(result("shift-population", ctx.census(n)[0], checked, p=p, k=k))

@@ -5,7 +5,6 @@ One test per numbered criterion; each prints a PASS/FAIL line (run with
 comparison is exact integer equality.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -15,12 +14,13 @@ import pytest
 
 from gl3census import closed_form as cf
 from gl3census import oracle, structure_maps, verify
+from gl3census.cli import _default_threads
 from gl3census.cli import main as cli_main
 from gl3census.matrices import CLASS_LABELS, is_invertible, mat3, permanent3
 from gl3census.modring import factorize, totient
 from support import ZERO_COUNTS
 
-THREADS = os.cpu_count() or 1
+THREADS = _default_threads()
 
 EXPECTED_CLASS_ROWS = [
     "3,3312,2208,576,96,384,48",
@@ -162,7 +162,7 @@ def test_criterion_7_structural_checks(census, classes):
         for x in range(0, p**k, p):
             for lab in CLASS_LABELS:
                 shift_ok = shift_ok and cc.count(x, lab) == cc.count(0, lab)
-        checked, viols = verify.shift_round_trip(p, k, population=True)
+        checked, viols = verify.shift_round_trip(p, k, population=True, threads=THREADS)
         shift_ok = shift_ok and checked == census(p**k)[0]
         shift_ok = shift_ok and all(v == 0 for v in viols.values())
 

@@ -1,10 +1,12 @@
 import dataclasses
 import json
-from concurrent.futures.process import BrokenProcessPool
+import os
+from concurrent.futures.thread import BrokenThreadPool
 
 import pytest
 
 from gl3census import oracle
+from gl3census import cli
 from gl3census.cli import main
 
 
@@ -165,7 +167,7 @@ def test_table_check_disagreement_exits_one(monkeypatch, capsys, section):
     assert run(capsys, *argv)[0] == 0
 
 
-@pytest.mark.parametrize("failure", [BrokenProcessPool("a worker died"), MemoryError()])
+@pytest.mark.parametrize("failure", [BrokenThreadPool("a worker died"), MemoryError()])
 def test_failed_worker_exit_four(monkeypatch, capsys, failure):
     def census_tiered(*args, **kwargs):
         raise failure
@@ -204,3 +206,33 @@ def test_verify_quick_cli(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert all(rec["status"] == "pass" for rec in lines)
     assert len(lines) > 300
+
+
+def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
+    # one first-row triple per job: several jobs at n = 5, on two threads
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+
+    def tiered_job(args):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "_tiered_job", tiered_job)
+    assert len(oracle._orbit_jobs(5, False)) > 1
+    assert main(["oracle", "5", "--threads", "2"]) == 4
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+ALL_THREADS_ARGV = (["oracle", "5"], ["table", "--section", "4.2"], ["verify"])
+
+
+@pytest.mark.parametrize("argv", ALL_THREADS_ARGV)
+def test_default_threads_are_the_cpus_the_process_may_use(monkeypatch, argv):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._build_parser().parse_args(argv).threads == 1
+
+
+@pytest.mark.parametrize("argv", ALL_THREADS_ARGV)
+def test_default_threads_fall_back_to_cpu_count(monkeypatch, argv):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._build_parser().parse_args(argv).threads == 64

@@ -1,6 +1,9 @@
 import functools
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -417,8 +420,53 @@ def test_int64_ceiling_ignores_limit(monkeypatch):
 
 
 def test_single_job_runs_inline():
-    # a lambda cannot be pickled, so this would fail on a process pool
     assert oracle._sum_jobs(lambda args: sum(args), [((1, 2), 5)], 4, None) == 3
+    # the job runs on the calling thread, not on a pool's
+    here = threading.get_ident()
+    assert oracle._sum_jobs(lambda args: threading.get_ident(), [((), 1)], 4, None) == here
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_raising_progress_cancels_queued_jobs(threads):
+    started, finished = [], []
+
+    def job(args):
+        started.append(args)
+        time.sleep(0.1)
+        finished.append(args)
+        return 1
+
+    def progress(done, total):
+        if done == 3:
+            raise KeyboardInterrupt
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        oracle._sum_jobs(job, [(i, 1) for i in range(20)], threads, progress)
+    # the 3 reported jobs, at most one running per thread, and one a thread
+    # may have taken up before the queue was cancelled; every one of them ran
+    # to its end before the map returned
+    assert 3 <= len(started) <= 3 + 2 * threads
+    assert sorted(finished) == sorted(started)
+    assert threading.active_count() == before
+
+
+class JobFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [JobFailed, MemoryError])
+def test_job_exception_reaches_the_caller_unwrapped(error):
+    raised = error("job 5")
+
+    def job(i):
+        if i == 5:
+            raise raised
+        return i
+
+    with pytest.raises(error) as info:
+        oracle._sum_jobs(job, [(i, 1) for i in range(10)], 3, None)
+    assert info.value is raised
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -436,6 +484,24 @@ def test_parallel_censuses_are_deterministic():
     one = oracle.class_census(5, 1, threads=1)
     two = oracle.class_census(5, 1, threads=2)
     assert one.counts == two.counts
+
+
+def test_threads_share_tables_built_before_dispatch(monkeypatch):
+    # one first-row triple per job, more threads than cores, frequent switches:
+    # every cached table a job reads is built once, before the jobs start
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+    cached = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
+    for f in cached:
+        f.cache_clear()
+    assert len(oracle._orbit_jobs(7, False)) == 4
+    assert [f.cache_info().currsize for f in cached] == [1, 1, 1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert oracle.census_tiered(7, threads=4).counts == CENSUS3[7]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [f.cache_info().misses for f in cached] == [1, 1, 1]
 
 
 def test_progress_hook_reports_completion():

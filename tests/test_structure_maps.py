@@ -157,6 +157,23 @@ def test_zero_perm_members_match_filter_scan(p):
     assert np.array_equal(np.sort(np.concatenate(solved)), np.sort(np.concatenate(filtered)))
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_zero_perm_members_over_two_halves_equal_the_whole(n):
+    def members(prefixes):
+        batches = [flat_index(e, n) for e in sm.zero_perm_members(n, 1, prefixes)]
+        return np.sort(np.concatenate(batches))
+
+    half = n**6 // 2  # not a block boundary of the whole range
+    halves = np.sort(np.concatenate([members(range(half)), members(range(half, n**6))]))
+    assert np.array_equal(halves, members(None))
+
+
+def test_zero_perm_members_rejects_bad_prefix_ranges():
+    for prefixes in (range(0, 10, 2), range(-1, 5), range(3**6 + 1)):
+        with pytest.raises(ValueError, match="prefixes"):
+            next(sm.zero_perm_members(3, 1, prefixes))
+
+
 def test_zero_perm_members_at_nine_are_all_distinct_members():
     # the filter scan is too slow at 9^9 matrices; count, distinctness and membership instead
     n = 9

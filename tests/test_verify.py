@@ -114,6 +114,14 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
         assert results[0] == results[1] == {x: want for x in shifts}
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1)])
+def test_shift_population_does_not_depend_on_threads(p, k):
+    results = [verify.shift_round_trip(p, k, threads=t) for t in (1, 2, 3)]
+    assert results[0][0] == oracle.census_tiered(p**k)[0]
+    assert results[0][1] == {x: 0 for x in range(0, p**k, p)}
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_quick_suite_passes_and_is_thread_independent():
     one = verify.run_suite("quick", threads=1)
     assert all(r.passed for r in one), [r.to_json() for r in one if not r.passed]
@@ -191,3 +199,15 @@ def test_src_has_no_assert_statements():
             tree = ast.parse(f.read(), name)
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_import_starts_no_process_machinery():
+    # census jobs run on threads; importing the package loads no multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gl3census.__file__)))
+    code = "import sys, gl3census; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
