@@ -1,18 +1,19 @@
 """Exhaustive, exact censuses of GL3(Z/n) by permanent value.
 
 Two engines produce the same table. census_naive evaluates all n^9 matrices
-by cofactor expansion, sweeping every first row against chunks of (row 2,
-row 3) prefixes through matrices.perm_det; it keeps no symmetry, is the dumb,
-trustworthy reference and refuses n > 8. census_tiered works on prefixes
-(the first two rows): for a fixed prefix, both the permanent and the
-determinant are linear forms in the third row, and the joint distribution of
-the two forms depends only on the subgroup of (Z/n)^2 generated by their three
-coefficient columns. Each subgroup is keyed by the Hermite normal form of its
-lattice between nZ^2 and Z^2, and its third-row counts are read off that
-basis: the forms map the n^3 third rows onto the subgroup H with every fiber
-of size n^3/|H|, so the counts are the first coordinates of the elements of H
-whose second coordinate is a unit, each counted n^3/|H| times. The two engines
-agree entry for entry wherever both run.
+by cofactor expansion, sweeping every first row against blocks of (row 2,
+row 3) prefixes through matrices.perm_det and tallying each block's (perm,
+det) pairs in one bincount; it keeps no symmetry, is the dumb, trustworthy
+reference and refuses n > 8. census_tiered works on prefixes (the first two
+rows): for a fixed prefix, both the permanent and the determinant are linear
+forms in the third row, and the joint distribution of the two forms depends
+only on the subgroup of (Z/n)^2 generated by their three coefficient columns.
+Each subgroup is keyed by the Hermite normal form of its lattice between nZ^2
+and Z^2, and its third-row counts are read off that basis: the forms map the
+n^3 third rows onto the subgroup H with every fiber of size n^3/|H|, so the
+counts are the first coordinates of the elements of H whose second coordinate
+is a unit, each counted n^3/|H| times. The two engines agree entry for entry
+wherever both run.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
 a unit leaves the subgroup alone; so does scaling a column of both rows by a
@@ -56,7 +57,9 @@ TWO_BY_TWO_LIMIT = 50
 INT64_CEILING = 127
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
-_BLOCK = 1 << 16  # array elements per vectorized block of the orbit pass; bounds its memory
+# array elements per vectorized block of the orbit pass and of the naive
+# sweep; bounds the memory of both
+_BLOCK = 1 << 16
 
 
 class CensusTooLarge(ValueError):
@@ -476,13 +479,23 @@ def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, pro
 
 
 def _naive_job(args):
-    """Every first row against the (row 2, row 3) prefixes start..stop-1."""
+    """Every first row against the (row 2, row 3) prefixes start..stop-1, in blocks.
+
+    A block holds max(1, _BLOCK // n^3) prefixes, each against all n^3 first
+    rows, and is tallied by one bincount of the joint index perm * n + det.
+    The unit-determinant columns of the (perm, det) tally are summed at the end.
+    """
     n, start, stop = args
     t = _kernel_type(n)
     first = [v.astype(t) for v in _digits(range(n**3), n, 3)]
-    prefixes = [v.astype(t)[:, None] for v in _digits(range(start, stop), n, 6)]
-    perm, det = perm_det([*first, *prefixes], n)
-    return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
+    step = max(1, _BLOCK // n**3)
+    joint = np.zeros(n * n, dtype=np.int64)
+    for s in range(start, stop, step):
+        prefixes = [v.astype(t)[:, None] for v in _digits(range(s, min(s + step, stop)), n, 6)]
+        perm, det = perm_det([*first, *prefixes], n)
+        # perm * n + det < n^2 <= 3 (n - 1)^2 + 1, so the kernel's type t holds it
+        joint += np.bincount((perm * n + det).ravel(), minlength=n * n)
+    return joint.reshape(n, n)[:, _unit_mask(n)].sum(axis=1)
 
 
 def census_naive(

@@ -433,21 +433,17 @@ def _subperm_identity(ctx):
     for n in ctx.profile.identity_moduli:
         rng = ctx.rng(f"identity-{n}")
         e = rng.integers(0, n, size=(9, samples), dtype=np.int64)
-        p11, p12, p13, p21, p22 = subperms(e, n)
-        _, det = perm_det(e, n)
-        lhs = (
-            2 * e[4] * p22 - e[0] * p11 + e[1] * p12 - 2 * e[3] * p21 - 3 * e[2] * p13
-        ) % n
-        rhs = (det - 6 * e[2] * e[3] * e[7]) % n
-        out.append(
-            result(
-                "subperm-identity",
-                0,
-                int((lhs != rhs).sum()),
-                n=n,
-                samples=samples,
+        bad = 0
+        for s in range(0, samples, oracle._BLOCK):
+            b = e[:, s : s + oracle._BLOCK]
+            p11, p12, p13, p21, p22 = subperms(b, n)
+            _, det = perm_det(b, n)
+            lhs = mod(
+                2 * b[4] * p22 - b[0] * p11 + b[1] * p12 - 2 * b[3] * p21 - 3 * b[2] * p13, n
             )
-        )
+            rhs = mod(det - 6 * b[2] * b[3] * b[7], n)
+            bad += int((lhs != rhs).sum())
+        out.append(result("subperm-identity", 0, bad, n=n, samples=samples))
     return out
 
 
@@ -470,29 +466,29 @@ def _label_pivot(e, n, p):
 def _shift_verify_members(e, n, p, shifts, inv_table):
     """Verify the pivot-shift map on a batch of members of G(n, 0).
 
-    e is a (9, m) array of row-major entries, of oracle._kernel_type(n) or
-    wider, and inv_table an oracle._inverse_table of the same dtype; the
-    arithmetic stays within the kernel's bound.
+    e is a (9, m) array of row-major entries in [0, n), of
+    oracle._kernel_type(n) or wider, and inv_table an oracle._inverse_table of
+    the same dtype; the arithmetic stays within the kernel's bound.
+
+    A member's pivot entry sits in row lab of its column, so a shift is one
+    update of rows 0..4 through the one-hot (5, m) mask of lab. Rows 5..8
+    hold no pivot; the image and return buffers copy them once per batch.
 
     Returns per-shift violation counts; a violation is any member whose image
     fails perm == x, unit determinant, class preservation, or the round trip.
     """
     count = e.shape[1]
     unit = oracle._unit_mask(n)
+    rows = np.arange(5)[:, None]
     lab, pivot = _label_pivot(e, n, p)
-    entries = e.reshape(-1)
-    cols = np.arange(count)
-    at = cols + lab.astype(np.intp) * count  # each member's pivot entry in the flat entries
+    hot = lab == rows
+    img, back = e.copy(), e.copy()
     violations = {}
     for x in shifts:
-        img = e.copy()
-        img.reshape(-1)[at] = mod(entries[at] + mod(x * inv_table[pivot], n), n)
+        img[:5] = mod(e[:5] + hot * mod(x * inv_table[pivot], n), n)
         perm_i, det_i = perm_det(img, n)
         lab_i, pivot_i = _label_pivot(img, n, p)
-        back = img.copy()
-        at_i = cols + lab_i.astype(np.intp) * count
-        back_entries = back.reshape(-1)
-        back_entries[at_i] = mod(back_entries[at_i] + mod((n - x) * inv_table[pivot_i], n), n)
+        back[:5] = mod(img[:5] + (lab_i == rows) * mod((n - x) * inv_table[pivot_i], n), n)
         ok = (
             (perm_i == x % n)
             & unit[det_i]
@@ -539,7 +535,9 @@ def shift_round_trip(
     keeps those of unit determinant. That visits every member once and
     nothing else, with no reduction by symmetry: each member is shifted and
     checked on its own. Members are checked in oracle._kernel_type(n), the
-    narrowest integer type that holds the kernel's intermediates.
+    narrowest integer type that holds the kernel's intermediates. Each batch
+    gets one image and one return buffer, and a shift moves every member's
+    pivot entry at once, in one masked update of the pivot rows 0..4.
 
     The n^6 prefixes are split into zero_perm_members' own blocks of
     oracle._CHUNK // n^3 prefixes (oracle._range_jobs), one job each. The

@@ -14,6 +14,11 @@ zero_perm_members_by_filter is the reference for
 structure_maps.zero_perm_members, the shift check's member enumeration,
 which solves for the third rows of permanent 0 instead of filtering all n^3
 of them.
+
+shift_verify_members_by_scatter is the reference for
+verify._shift_verify_members: it copies each batch per shift and moves the
+pivot entries by a flat gather and scatter, where the check under test
+updates rows 0..4 through a one-hot mask of the pivot row.
 """
 
 import itertools
@@ -22,7 +27,7 @@ from math import gcd
 import numpy as np
 
 from gl3census import oracle
-from gl3census.matrices import Mat3, determinant3, permanent3, perm_det
+from gl3census.matrices import Mat3, determinant3, mod, permanent3, perm_det, subperms
 from gl3census.modring import factorize
 
 
@@ -63,6 +68,50 @@ def zero_perm_members_by_filter(n: int):
         perm, det = perm_det(third + prefix, n)
         pi, ti = np.nonzero((perm == 0) & unit[det])
         yield np.stack([v[pi, 0] for v in prefix] + [v[0, ti] for v in third])
+
+
+def label_pivot(e, n, p):
+    """Per matrix: the index of its first unit sub-permanent mod p, and that sub-permanent.
+
+    The index (0..4, P11, P12, P13, P21, P22) is also the row-major position
+    of the pivot entry. A matrix with no unit among the five gets index 4.
+    """
+    subs = subperms(e, n)
+    lab, pivot = np.full(e.shape[1], 4, dtype=np.int8), subs[4]
+    for i in (3, 2, 1, 0):
+        off = mod(subs[i], p) == 0
+        lab = off * (lab - i) + i
+        pivot = off * (pivot - subs[i]) + subs[i]
+    return lab, pivot
+
+
+def shift_verify_members_by_scatter(e, n, p, shifts, inv_table):
+    """Per-shift violation counts of the pivot-shift map on the (9, m) batch e.
+
+    Each shift copies e, adds its step to every member's pivot entry through
+    flat indices into the copy, and shifts back the same way from a copy of
+    the image. A violation is any member whose image fails perm == x, unit
+    determinant, class preservation, or the round trip.
+    """
+    count = e.shape[1]
+    unit = oracle._unit_mask(n)
+    lab, pivot = label_pivot(e, n, p)
+    entries = e.reshape(-1)
+    cols = np.arange(count)
+    at = cols + lab.astype(np.intp) * count  # each member's pivot entry in the flat entries
+    violations = {}
+    for x in shifts:
+        img = e.copy()
+        img.reshape(-1)[at] = mod(entries[at] + mod(x * inv_table[pivot], n), n)
+        perm_i, det_i = perm_det(img, n)
+        lab_i, pivot_i = label_pivot(img, n, p)
+        back = img.copy()
+        at_i = cols + lab_i.astype(np.intp) * count
+        back_entries = back.reshape(-1)
+        back_entries[at_i] = mod(back_entries[at_i] + mod((n - x) * inv_table[pivot_i], n), n)
+        ok = (perm_i == x % n) & unit[det_i] & (lab_i == lab) & (back == e).all(axis=0)
+        violations[x] = count - int(ok.sum())
+    return violations
 
 
 # full permanent censuses of GL3(Z/n), x = 0..n-1

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,12 +326,19 @@ def test_tally_sums_weights_exactly():
 
 def _block_sensitive_results():
     counts, violations = oracle._class_scan(3, 2)
-    return oracle.census_tiered(12).counts, counts.tolist(), violations, oracle.case_census(7)
+    return (
+        oracle.census_tiered(12).counts,
+        counts.tolist(),
+        violations,
+        oracle.case_census(7),
+        oracle.census_naive(4).counts,
+        oracle.census_naive(5).counts,
+    )
 
 
 def test_results_do_not_depend_on_block_budget(monkeypatch):
-    # _BLOCK = 1 gives one first-row orbit per bucket block and one pair per
-    # left-over block
+    # _BLOCK = 1 gives one first-row orbit per bucket block, one pair per
+    # left-over block and one prefix per naive block
     default = _block_sensitive_results()
     monkeypatch.setattr(oracle, "_BLOCK", 1)
     assert _block_sensitive_results() == default
@@ -345,6 +353,25 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     chunked = oracle.census_tiered(12, threads=2).counts, counts.tolist(), violations
     assert chunked == default[:3]
     assert oracle.case_census(7, threads=2) == default[3]
+
+
+def test_naive_job_memory_is_bounded_by_the_block_budget():
+    # a job spans _CHUNK matrices; the sweep holds one block of them at a time
+    (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8)
+    assert size == oracle._CHUNK
+    tracemalloc.start()
+    try:
+        oracle._naive_job(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * oracle._BLOCK * 8
+
+
+def test_kernel_type_holds_the_naive_joint_index():
+    # the naive sweep tallies perm * n + det in the kernel's type
+    for n in range(1, oracle.INT64_CEILING + 1):
+        assert np.iinfo(oracle._kernel_type(n)).max >= n * n - 1, n
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import gl3census
 from gl3census import closed_form, oracle, structure_maps, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
+from support import label_pivot, shift_verify_members_by_scatter
 
 
 def table(n, counts):
@@ -104,7 +106,7 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
     members = next(structure_maps.zero_perm_members(p, k))
     assert members.dtype == narrow
     corrupted = members.copy()
-    lab, _ = verify._label_pivot(members, n, p)
+    lab, _ = label_pivot(members, n, p)
     corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
     for batch, want in ((members, 0), (corrupted, 1)):
         results = [
@@ -112,6 +114,32 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
             for t in (narrow, np.int64)
         ]
         assert results[0] == results[1] == {x: want for x in shifts}
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_shift_check_matches_the_scatter_reference(p, k):
+    # the first four batches of members, the same with one pivot entry moved,
+    # and the same with about 5% of the entries redrawn, which makes some
+    # columns non-members
+    n = p**k
+    shifts = list(range(0, n, p))
+    rng = np.random.default_rng([p, k])
+    found = {"members": 0, "pivot moved": 0, "redrawn": 0}
+    for members in itertools.islice(structure_maps.zero_perm_members(p, k), 4):
+        moved = members.copy()
+        lab, _ = label_pivot(members, n, p)
+        moved[lab[0], 0] = (moved[lab[0], 0] + 1) % n
+        redrawn = members.copy()
+        hit = rng.random(redrawn.shape) < 0.05
+        redrawn[hit] = rng.integers(0, n, size=int(hit.sum()))
+        for name, batch in (("members", members), ("pivot moved", moved), ("redrawn", redrawn)):
+            for t in (oracle._kernel_type(n), np.int64):
+                e, inv = batch.astype(t), oracle._inverse_table(n, t)
+                want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
+                assert verify._shift_verify_members(e, n, p, shifts, inv) == want, (name, t)
+            found[name] += sum(want.values())
+    assert found["members"] == 0
+    assert found["pivot moved"] > 0 and found["redrawn"] > 0
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1)])
