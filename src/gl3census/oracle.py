@@ -21,9 +21,12 @@ unit, and permuting the columns keeps each bucket's third-row counts. The
 prefix pass therefore walks pairs of a first-row orbit under those column maps
 (a sorted triple of divisors of n) and a second-row orbit under unit scaling,
 each weighted by the product of its orbit sizes (orbit counting, as in
-Burnside's lemma), rather than all n^6 prefixes. case_census shares that pass;
-class_census, whose class head a column permutation reorders, walks ordered
-triples.
+Burnside's lemma), rather than all n^6 prefixes. The second-row orbits are
+built from their normal form, prime power by prime power and joined by the
+Chinese remainder theorem, never by scanning the n^3 rows. A pair in which
+some prime p | n divides every entry of one row has no invertible completion,
+so the pass skips it. case_census shares that pass; class_census, whose class
+head a column permutation reorders, walks ordered triples.
 
 Censuses may run on several worker threads; orbit pairs (or, for the
 scanning engines, index ranges) are split into fixed chunks, each thread
@@ -184,10 +187,9 @@ def _digits(idx, n: int, k: int) -> list[np.ndarray]:
     """The k base-n digits (least significant first) of idx, a range or an index array.
 
     A range is enumerated in int32 whenever its stop is below 2^31, since
-    every index it holds, and so every digit, is below stop. That stop is the
-    largest value here: n^3 in _row_orbits, n^6 or n^4 in the naive and 2x2
-    sweeps. Callers that compute with the digits bound that arithmetic
-    themselves. An array keeps its dtype.
+    every index it holds, and so every digit, is below stop. Callers that
+    compute with the digits bound that arithmetic themselves. An array keeps
+    its dtype.
     """
     if isinstance(idx, range):
         idx = np.arange(idx.start, idx.stop, dtype=np.int32 if idx.stop < 2**31 else np.int64)
@@ -338,36 +340,76 @@ def _bucket_tables(n: int) -> np.ndarray:
 # the prefixes, so each first row of an orbit adds up like its rep. Units scale
 # a residue onto exactly the residues of its gcd g with n, so an orbit is a
 # triple of gcds (g = n for a zero entry), sorted, or ordered for the class
-# census (see there); the second row keeps its unit-scaling orbits. Each engine
-# sums the weights |orbit 1| * |orbit 2| of its pairs per key in int64; they
-# add up to n^6 <= 127^6 < 2^43, so every sum is exact.
+# census (see there); the second row keeps its unit-scaling orbits, built from
+# their normal form (see _row_orbits). Each engine sums the weights
+# |orbit 1| * |orbit 2| of its pairs per key in int64; they add up to
+# n^6 <= 127^6 < 2^43, so every sum is exact.
+#
+# A row is dead when some prime p | n divides all three of its entries. The
+# forms are bilinear, so a prefix with a dead row has all six coefficients
+# divisible by p: its determinant is never a unit, and no third row makes it
+# invertible. The pass walks only live pairs; the weight of the dead ones
+# still counts towards the n^6 the jobs cover.
 
 
 @dataclass(frozen=True, eq=False)
 class _RowOrbits:
     """Orbits of the rows (Z/n)^3 under a group of symmetries.
 
-    reps holds one member of each orbit as three digit arrays and sizes each
-    orbit's size.
+    reps holds one member of each orbit as three digit arrays, sizes each
+    orbit's size and live whether no prime dividing n divides all three
+    entries of the rep (the same holds for every member).
     """
 
     reps: tuple[np.ndarray, np.ndarray, np.ndarray]
     sizes: np.ndarray
+    live: np.ndarray
+
+
+def _orbits(reps, sizes, n: int) -> _RowOrbits:
+    r0, r1, r2 = reps
+    live = np.gcd(np.gcd(r0, r1), np.gcd(r2, n)) == 1
+    return _RowOrbits(reps=tuple(reps), sizes=sizes, live=live)
+
+
+def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normal forms of the unit-scaling orbits of (Z/p^k)^3, as (3, orbits) reps and sizes.
+
+    A nonzero row is p^v r' with v < k and r' mod p^(k - v) not divisible by
+    p. Let c be the first position where r' holds a unit; scaling by its
+    inverse sets it to 1, leaves multiples of p before c and anything mod
+    p^(k - v) after it. Only units that are 1 mod p^(k - v) fix r', so the
+    orbit has phi(p^(k - v)) rows. The zero row is an orbit of its own.
+    """
+    reps, sizes = [np.zeros((3, 1), dtype=np.int64)], [np.ones(1, dtype=np.int64)]
+    for v in range(k):
+        m = p ** (k - v)
+        for c in range(3):
+            axes = [np.arange(0, m, p)] * c + [np.arange(1, 2)] + [np.arange(m)] * (2 - c)
+            grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+            reps.append(p**v * grid)
+            sizes.append(np.full(grid.shape[1], m - m // p, dtype=np.int64))
+    return np.hstack(reps), np.concatenate(sizes)
 
 
 @lru_cache(maxsize=None)
 def _row_orbits(n: int) -> _RowOrbits:
-    """Orbits under scaling by units; row index r0 + r1 n + r2 n^2, least member as rep."""
-    rows = _digits(range(n**3), n, 3)
-    least = None
-    for u in np.flatnonzero(_unit_mask(n)):
-        image = mod(u * rows[0], n) + mod(u * rows[1], n) * n + mod(u * rows[2], n) * (n * n)
-        least = image if least is None else np.minimum(least, image)
-    rep_idx, sizes = np.unique(least, return_counts=True)
-    return _RowOrbits(
-        reps=tuple(v.astype(np.int64) for v in _digits(rep_idx, n, 3)),
-        sizes=sizes.astype(np.int64),
-    )
+    """Orbits under scaling by units, one normal-form rep each.
+
+    By the Chinese remainder theorem a row mod n and a unit mod n are their
+    residues mod each p^k || n, and each prime power's units act on its own
+    residues. So an orbit is one prime-power orbit per p^k, its rep their CRT
+    combination and its size the product of theirs.
+    """
+    reps, sizes, m = np.zeros((3, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
+    for p, k in factorize(n).factors:
+        q = p**k
+        local, local_sizes = _prime_power_row_orbits(p, k)
+        # x = reps mod m and x = local mod q; both coefficients are below m q <= n
+        x = reps[:, :, None] * (q * pow(q, -1, m)) + local[:, None, :] * (m * pow(m, -1, q))
+        reps, m = (x % (m * q)).reshape(3, -1), m * q
+        sizes = (sizes[:, None] * local_sizes[None, :]).ravel()
+    return _orbits(reps, sizes, n)
 
 
 @lru_cache(maxsize=None)
@@ -386,9 +428,10 @@ def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
     else:
         triples = list(itertools.combinations_with_replacement(divisors, 3))
     orderings = [1 if ordered else len(set(itertools.permutations(g))) for g in triples]
-    return _RowOrbits(
-        reps=tuple(np.array(v, dtype=np.int64) % n for v in zip(*triples)),
-        sizes=np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
+    return _orbits(
+        [np.array(v, dtype=np.int64) % n for v in zip(*triples)],
+        np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
+        n,
     )
 
 
@@ -396,9 +439,9 @@ def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:
     """Chunks of orbit pairs, split by first-row triple, as (job args, prefixes covered).
 
     Job (n, ordered, i0, i1, *extra) takes the triples i0 <= i < i1 of
-    _divisor_rows(n, ordered) against every second-row orbit. Builds the
-    cached tables the jobs read, so that no two threads build one. Raises
-    RuntimeError unless the pair weights sum to n^6.
+    _divisor_rows(n, ordered) against every second-row orbit, dead or live.
+    Builds the cached tables the jobs read, so that no two threads build one.
+    Raises RuntimeError unless the pair weights sum to n^6.
     """
     first, second = _divisor_rows(n, ordered), _row_orbits(n)
     _form_tables(n)
@@ -414,20 +457,24 @@ def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:
 
 
 def _orbit_blocks(n: int, ordered: bool, i0: int, i1: int):
-    """Blocks of orbit pairs (i, j), i0 <= i < i1, as (rows, forms, buckets, weights).
+    """Blocks of live orbit pairs (i, j), i0 <= i < i1, as (rows, cols, forms, buckets, weights).
 
-    rows is the slice of first-row triples in the block; the arrays are shaped
-    (triples, all second-row orbits), with at most max(_BLOCK, m) elements
-    for m second-row orbits. weights are the pairs' |orbit i| * |orbit j|.
+    rows are the live first-row triples of the block and cols the live
+    second-row orbits, both as indices into the full orbit tables; the arrays
+    are shaped (rows, cols), with at most max(_BLOCK, len(cols)) elements.
+    weights are the pairs' |orbit i| * |orbit j|.
     """
     first, second = _divisor_rows(n, ordered), _row_orbits(n)
     t = _form_tables(n)
-    r2 = [v[None, :] for v in second.reps]
-    step = max(1, _BLOCK // len(second.sizes))
-    for s in range(i0, i1, step):
-        rows = slice(s, min(s + step, i1))
+    live = i0 + np.flatnonzero(first.live[i0:i1])
+    cols = np.flatnonzero(second.live)
+    r2 = [v[None, cols] for v in second.reps]
+    step = max(1, _BLOCK // cols.size)
+    for s in range(0, live.size, step):
+        rows = live[s : s + step]
         coeffs = forms([v[rows, None] for v in first.reps], r2, n)
-        yield rows, coeffs, _hnf_buckets(t, coeffs), first.sizes[rows, None] * second.sizes[None, :]
+        weights = first.sizes[rows, None] * second.sizes[None, cols]
+        yield rows, cols, coeffs, _hnf_buckets(t, coeffs), weights
 
 
 def _tally(key, weights, n_keys: int) -> np.ndarray:
@@ -444,7 +491,7 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 def _tiered_job(args):
     n_subs = len(_form_tables(args[0]).sizes)
     mult = np.zeros(n_subs, dtype=np.int64)
-    for _, _, s, w in _orbit_blocks(*args):
+    for *_, s, w in _orbit_blocks(*args):
         mult += _tally(s, w, n_subs)
     return mult
 
@@ -595,7 +642,7 @@ def _class_job(args):
     mult = np.zeros(3 * n_subs, dtype=np.int64)
     left = np.zeros((3, n), dtype=np.int64)
     step = max(1, _BLOCK // len(o.sizes))  # left-over pairs per block
-    for rows, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:4]):
+    for rows, cols, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:4]):
         u1 = p11 % p != 0
         u2 = p12 % p != 0
         u3 = p13 % p != 0
@@ -604,7 +651,7 @@ def _class_job(args):
         mult += _tally((lab * n_subs + s)[headed], w[headed], 3 * n_subs)
         i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
         for b in range(0, i.size, step):
-            left += _leftover_tally(rows2, o, i[b : b + step] + rows.start, j[b : b + step], p, n)
+            left += _leftover_tally(rows2, o, rows[i[b : b + step]], cols[j[b : b + step]], p, n)
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
@@ -662,8 +709,8 @@ def _case_job(args):
     orbits = (_divisor_rows(n, ordered), _row_orbits(n))
     nnz1, nnz2 = (sum((v != 0).astype(np.int64) for v in o.reps) for o in orbits)
     mult = np.zeros(8 * n_subs, dtype=np.int64)
-    for rows, _, s, w in _orbit_blocks(*args):
-        pattern = _PATTERN_OF[nnz1[rows, None], nnz2[None, :]]
+    for rows, cols, _, s, w in _orbit_blocks(*args):
+        pattern = _PATTERN_OF[nnz1[rows, None], nnz2[None, cols]]
         mult += _tally(pattern * n_subs + s, w, 8 * n_subs)
     return mult
 

@@ -105,18 +105,21 @@ def fiber_count(
     if n > limit:
         raise oracle.CensusTooLarge("fiber_count", n, limit)
     q = p ** (k - 1)
-    total = q**9
-    flat = [v for row in a.rows for v in row]
-    unit = oracle._unit_mask(n)
-    found = 0
-    for start in range(0, total, 1 << 20):
-        stop = min(start + (1 << 20), total)
-        t = oracle._digits(range(start, stop), q, 9)
-        perm, det = perm_det([f + p * d for f, d in zip(flat, t)], n)
-        found += int((unit[det] & (perm % p == 0)).sum())
-        if progress is not None:
-            progress(stop, total)
-    return found
+    flat = tuple(v for row in a.rows for v in row)
+    jobs = oracle._range_jobs(q**9, 1, flat, p, k)
+    return int(oracle._sum_jobs(_fiber_job, jobs, 1, progress))
+
+
+def _fiber_job(args):
+    """Lifts start..stop-1 of fiber_count that are invertible with permanent divisible by p.
+
+    Lift t adds p times the base-p^(k - 1) digits of t to the base matrix's entries.
+    """
+    flat, p, k, start, stop = args
+    n = p**k
+    t = oracle._digits(range(start, stop), p ** (k - 1), 9)
+    perm, det = perm_det([f + p * d for f, d in zip(flat, t)], n)
+    return int((oracle._unit_mask(n)[det] & (perm % p == 0)).sum())
 
 
 def witness(label: ClassLabel, p: int, k: int = 1, x: int = 0) -> Mat3:

@@ -428,20 +428,27 @@ def _emptiness(ctx):
 
 @_check("subperm-identity")
 def _subperm_identity(ctx):
+    """2 a22 P22 - a11 P11 + a12 P12 - 2 a21 P21 - 3 a13 P13 = det - 6 a13 a21 a32 mod n.
+
+    Checked on identity_samples random matrices per modulus, drawn from the
+    modulus's seeded generator one block of oracle._BLOCK columns at a time,
+    in oracle._kernel_type(n). Every product is reduced mod n before it could
+    pass 3 (n - 1)^2, the bound that type holds, and the type's range of at
+    least 127 also holds 5 (n - 1).
+    """
     out = []
     samples = ctx.profile.identity_samples
     for n in ctx.profile.identity_moduli:
         rng = ctx.rng(f"identity-{n}")
-        e = rng.integers(0, n, size=(9, samples), dtype=np.int64)
+        t = oracle._kernel_type(n)
         bad = 0
         for s in range(0, samples, oracle._BLOCK):
-            b = e[:, s : s + oracle._BLOCK]
+            b = rng.integers(0, n, size=(9, min(oracle._BLOCK, samples - s)), dtype=t)
             p11, p12, p13, p21, p22 = subperms(b, n)
             _, det = perm_det(b, n)
-            lhs = mod(
-                2 * b[4] * p22 - b[0] * p11 + b[1] * p12 - 2 * b[3] * p21 - 3 * b[2] * p13, n
-            )
-            rhs = mod(det - 6 * b[2] * b[3] * b[7], n)
+            terms = (2 * b[4] * p22, -b[0] * p11, b[1] * p12, -2 * b[3] * p21, -3 * b[2] * p13)
+            lhs = mod(sum(mod(v, n) for v in terms), n)  # five residues add up to <= 5 (n - 1)
+            rhs = mod(det - mod(6 % n * mod(mod(b[2] * b[3], n) * b[7], n), n), n)
             bad += int((lhs != rhs).sum())
         out.append(result("subperm-identity", 0, bad, n=n, samples=samples))
     return out

@@ -15,6 +15,10 @@ structure_maps.zero_perm_members, the shift check's member enumeration,
 which solves for the third rows of permanent 0 instead of filtering all n^3
 of them.
 
+row_orbits_by_unit_minimum is the reference for oracle._row_orbits, which
+builds each unit-scaling orbit's normal form directly instead of taking the
+least image of every row over all units.
+
 shift_verify_members_by_scatter is the reference for
 verify._shift_verify_members: it copies each batch per shift and moves the
 pivot entries by a flat gather and scatter, where the check under test
@@ -52,6 +56,20 @@ def third_row_counts_generic(sig: tuple[int, int, int, int, int, int], n: int) -
     perm = (A * x + B * y + C * z) % n
     det = (D * x + E * y + F * z) % n
     return np.bincount(perm[np.gcd(det, n) == 1], minlength=n)
+
+
+def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the rows (Z/n)^3 under unit scaling, as (least row index, size) arrays.
+
+    Row r0 + r1 n + r2 n^2 is mapped to the least index of its images under
+    every unit; the distinct least indices are the orbits, sorted.
+    """
+    rows = oracle._digits(range(n**3), n, 3)
+    least = None
+    for u in np.flatnonzero(oracle._unit_mask(n)):
+        image = u * rows[0] % n + u * rows[1] % n * n + u * rows[2] % n * (n * n)
+        least = image if least is None else np.minimum(least, image)
+    return np.unique(least, return_counts=True)
 
 
 def zero_perm_members_by_filter(n: int):

@@ -19,6 +19,7 @@ from support import (
     CENSUS3,
     CLASS_TABLE,
     object_census3,
+    row_orbits_by_unit_minimum,
     third_row_counts_generic,
 )
 
@@ -315,6 +316,49 @@ def test_divisor_row_weights_cover_every_row():
     for n in range(1, oracle.INT64_CEILING + 1):
         for ordered in (True, False):
             assert int(oracle._divisor_rows(n, ordered).sizes.sum()) == n**3, (n, ordered)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_row_orbits_are_the_unit_scaling_orbits(n):
+    # each normal-form rep, scaled by every unit, fills an orbit of its stated
+    # size; the reps' orbits are distinct and are exactly the reference's
+    o = oracle._row_orbits(n)
+    units = np.flatnonzero(oracle._unit_mask(n))[:, None]
+    images = sum(units * r % n * n**c for c, r in enumerate(o.reps))
+    images.sort(axis=0)
+    assert ((np.diff(images, axis=0) != 0).sum(axis=0) + 1).tolist() == o.sizes.tolist()
+    assert int(o.sizes.sum()) == n**3
+    least, sizes = row_orbits_by_unit_minimum(n)
+    assert len(o.sizes) == len(least)
+    order = np.argsort(images[0])
+    assert images[0][order].tolist() == least.tolist()
+    assert o.sizes[order].tolist() == sizes.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_orbit_pass_skips_exactly_the_dead_prefixes(n):
+    # a row is dead when one prime p | n divides all three of its entries; the
+    # pass walks each pair of live orbits once, and the weight it skips is the
+    # number of prefixes with a dead row, by brute force over all n^6 of them
+    rows = np.array(list(itertools.product(range(n), repeat=3)))
+    dead = np.zeros(n**3, dtype=bool)
+    for p, _ in factorize(n).factors:
+        dead |= (rows % p == 0).all(axis=1)
+    dead_prefixes = int(np.logical_or.outer(dead, dead).sum())
+    second = oracle._row_orbits(n)
+    for ordered in (False, True):
+        first = oracle._divisor_rows(n, ordered)
+        pairs, walked = [], 0
+        for i, j, *_, w in oracle._orbit_blocks(n, ordered, 0, len(first.sizes)):
+            pairs += itertools.product(i.tolist(), j.tolist())
+            walked += int(w.sum())
+        live = np.outer(first.live, second.live)
+        assert sorted(pairs) == list(zip(*(v.tolist() for v in np.nonzero(live))))
+        weights = np.outer(first.sizes, second.sizes)
+        assert int(weights[~live].sum()) == n**6 - walked == dead_prefixes, ordered
+    seen = []
+    oracle.census_tiered(n, progress=lambda done, total: seen.append((done, total)))
+    assert seen[-1] == (n**6, n**6)
 
 
 def test_tally_sums_weights_exactly():

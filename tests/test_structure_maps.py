@@ -119,6 +119,18 @@ def test_fiber_count_example():
     assert sm.fiber_count(a, 3, 2) == 3**9
 
 
+def test_fiber_count_ticks_once_per_chunk_of_lifts():
+    # 5^9 lifts mod 25 span two chunks of 2^20; every lift of an invertible
+    # matrix with permanent 0 mod 5 is invertible with permanent divisible by 5
+    a = sm.witness(ClassLabel.C12, 5)
+    seen = []
+    assert sm.fiber_count(a, 5, 2, limit=25, progress=lambda *t: seen.append(t)) == 5**9
+    assert seen == [(1 << 20, 5**9), (5**9, 5**9)]
+    seen.clear()
+    assert sm.fiber_count(a, 5, 1, progress=lambda *t: seen.append(t)) == 1
+    assert seen == [(1, 1)]
+
+
 def test_fiber_count_preconditions():
     good = mat3(((1, 0, 0), (2, 1, 2), (1, 1, 1)), 3)
     with pytest.raises(CensusTooLarge):

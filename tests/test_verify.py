@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_corrupted_formula_is_detected(monkeypatch):
     ctx = verify._Ctx(profile=verify.QUICK, threads=1, seed=verify.DEFAULT_SEED)
     results = verify._zero_count_branches(ctx)
     assert any(not r.passed for r in results)
+
+
+def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
+    # each block of _BLOCK samples is drawn in the kernel's type, so the check
+    # never holds the whole (9, samples) int64 draw
+    ctx = verify._Ctx(profile=verify.FULL, threads=1, seed=verify.DEFAULT_SEED)
+    tracemalloc.start()
+    try:
+        results = verify._subperm_identity(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.actual for r in results] == [0] * len(verify.FULL.identity_moduli)
+    assert peak < 9 * verify.FULL.identity_samples * 8
+    # negative control: a wrong P11 shows as mismatches at every modulus
+    real = verify.subperms
+    monkeypatch.setattr(verify, "subperms", lambda e, n: (real(e, n)[0] + 1, *real(e, n)[1:]))
+    assert all(r.actual > 0 for r in verify._subperm_identity(ctx))
 
 
 def test_shift_round_trip_rejects_p_two(monkeypatch):
