@@ -194,6 +194,27 @@ def perm_det(e, n):
     return mod(A * x + B * y + C * z, n), mod(D * x + E * y + F * z, n)
 
 
+def perm_det_subperms(e, n):
+    """(perm, det, P11, P12, P13, P21, P22) mod n of the row-major entries e.
+
+    One forms(row 2, row 3) call gives the expansion along row 1, as in
+    perm_det, and its A, B, C are P11, P12, P13; only P21 and P22 are
+    formed on their own.
+    """
+    a11, a12, a13 = e[0:3]
+    a31, a32, a33 = e[6:9]
+    A, B, C, D, E, F = forms(e[3:6], e[6:9], n)
+    return (
+        mod(A * a11 + B * a12 + C * a13, n),
+        mod(D * a11 + E * a12 + F * a13, n),
+        A,
+        B,
+        C,
+        mod(a12 * a33 + a13 * a32, n),
+        mod(a11 * a33 + a13 * a31, n),
+    )
+
+
 def subperms(e, n):
     """The sub-permanents P11, P12, P13, P21, P22 mod n of the row-major entries e."""
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = e
@@ -252,10 +273,10 @@ def classify(m: Mat3, p: int) -> ClassLabel:
         raise ValueError(f"classification needs a prime, got {p}")
     if m.modulus.n % p != 0:
         raise ValueError(f"p={p} does not divide the matrix modulus {m.modulus.n}")
-    e = _entries(m)
-    if perm_det(e, p)[1] == 0:
+    _, det, *subs = perm_det_subperms(_entries(m), p)
+    if det == 0:
         return ClassLabel.NON_INVERTIBLE
-    for label, sub in zip(CLASS_LABELS, subperms(e, p)):
+    for label, sub in zip(CLASS_LABELS, subs):
         if sub:
             return label
     raise RuntimeError(

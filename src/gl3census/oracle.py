@@ -48,7 +48,15 @@ from math import gcd
 import numpy as np
 
 from .closed_form import CaseCensusRow
-from .matrices import CLASS_LABELS, ClassLabel, forms, mod, perm_det, perm_det2, subperms
+from .matrices import (
+    CLASS_LABELS,
+    ClassLabel,
+    forms,
+    mod,
+    perm_det,
+    perm_det2,
+    perm_det_subperms,
+)
 from .modring import Modulus, factorize, is_prime
 
 NAIVE_LIMIT = 8
@@ -176,9 +184,10 @@ def _int_type(bound: int) -> type[np.signedinteger]:
 def _kernel_type(n: int) -> type[np.signedinteger]:
     """The narrowest type for the kernel's arithmetic on residues mod n.
 
-    matrices.forms, perm_det and subperms on entries in [0, n) stay within
-    3 (n - 1)^2 in magnitude, so int8 serves n <= 7 and int16 n <= 105. numpy
-    wraps integer arrays silently on overflow, so this bound is the only guard.
+    matrices.forms, perm_det, perm_det_subperms and subperms on entries in
+    [0, n) stay within 3 (n - 1)^2 in magnitude, so int8 serves n <= 7 and
+    int16 n <= 105. numpy wraps integer arrays silently on overflow, so this
+    bound is the only guard.
     """
     return _int_type(3 * (n - 1) ** 2)
 
@@ -440,15 +449,18 @@ def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:
 
     Job (n, ordered, i0, i1, *extra) takes the triples i0 <= i < i1 of
     _divisor_rows(n, ordered) against every second-row orbit, dead or live.
-    Builds the cached tables the jobs read, so that no two threads build one.
-    Raises RuntimeError unless the pair weights sum to n^6.
+    Every live triple meets the same live second-row orbits, so the split
+    balances live pairs by giving each job max(1, _CHUNK // live second-row
+    orbits) live triples; a dead triple goes with the job whose range holds
+    it. Builds the cached tables the jobs read, so that no two threads build
+    one. Raises RuntimeError unless the pair weights sum to n^6.
     """
     first, second = _divisor_rows(n, ordered), _row_orbits(n)
     _form_tables(n)
-    m = len(first.sizes)
-    step = max(1, _CHUNK // len(second.sizes))
+    step = max(1, _CHUNK // int(second.live.sum()))
+    cuts = [0, *np.flatnonzero(first.live)[step::step].tolist(), len(first.sizes)]
     n_second = int(second.sizes.sum())
-    bounds = [(i, min(i + step, m)) for i in range(0, m, step)]
+    bounds = zip(cuts[:-1], cuts[1:])
     jobs = [((n, ordered, a, b, *extra), int(first.sizes[a:b].sum()) * n_second) for a, b in bounds]
     covered = sum(size for _, size in jobs)
     if covered != n**6:
@@ -621,8 +633,7 @@ def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, i, j, p: int, n: int) -> n
     r = [v.astype(t) for v in o.reps]
     r2 = [v[i, None].astype(t) for v in rows2.reps]
     e = [*(v[None, :] for v in r), *r2, *(v[j, None] for v in r)]
-    perm, det = perm_det(e, n)
-    _, _, _, p21, p22 = subperms(e, n)
+    perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
     label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
     key = (np.arange(i.size)[:, None] * 3 + label) * n + perm
     weights = np.where(_unit_mask(n)[det], o.sizes, 0)
@@ -722,10 +733,16 @@ def case_census(
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
     _check_bound("case_census", p, limit)
-    mult = _sum_jobs(_case_job, _orbit_jobs(p, False), threads, progress)
-    per_pattern = (mult.reshape(8, -1) @ _bucket_tables(p)[:, 0]).tolist()
-    if per_pattern[7]:
-        raise RuntimeError("matrices with an all-zero row counted as invertible")
+    mult = _sum_jobs(_case_job, _orbit_jobs(p, False), threads, progress).reshape(8, -1)
+    # at a prime the only dead row is the zero row, so the live pairs are the
+    # p^6 - (2 p^3 - 1) prefixes with no all-zero row, and none is pattern 7
+    live = p**6 - (2 * p**3 - 1)
+    if mult[7].any() or int(mult.sum()) != live:
+        raise RuntimeError(
+            f"case census mod {p} tallied {int(mult.sum())} prefixes, {int(mult[7].sum())} "
+            f"of them with an all-zero row; want {live} and none"
+        )
+    per_pattern = (mult @ _bucket_tables(p)[:, 0]).tolist()
     rows = tuple(
         CaseCensusRow(key[0], key[1], per_pattern[r]) for r, key in enumerate(_PATTERN_KEYS)
     )

@@ -192,9 +192,10 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     prefixes is a range of prefix indices in [0, n^6), by default all of
     them; prefix r has the base-n digits of r, least significant first, as
     its six entries. The entries are of oracle._kernel_type(p^k), the
-    narrowest type that holds the kernel's arithmetic; blocks of prefixes,
+    narrowest type that holds the kernel's arithmetic. Blocks of prefixes,
     counted from the range's start, span at most oracle._CHUNK third-row
-    candidates.
+    candidates, and a batch holds at most oracle._BLOCK members (at most
+    max(oracle._BLOCK, n p^k), which is oracle._BLOCK for n <= 256).
 
     Over a prefix (rows 1 and 2), the permanent and the determinant are the
     linear forms (A, B, C) and (D, E, F) of matrices.forms in the third row.
@@ -207,6 +208,12 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     is the linear form y D.K1 + z D.K2 + j D.K3, so the unit filter runs on
     (y, z, j) before any member is built. Every value stays within
     3 (n - 1)^2.
+
+    The prefixes of one block and one v span a (prefixes x n x n x p^v)
+    grid of (prefix, y, z, j). It is cut into lines of fixed (prefix, y),
+    of n p^v points each, and a batch takes as many whole lines as fit in
+    oracle._BLOCK points, one line at least; its arrays hold one point or
+    one member each.
     """
     n = p**k
     prefixes = range(n**6) if prefixes is None else prefixes
@@ -217,7 +224,7 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     power = (p ** np.arange(k + 1)).astype(dtype)
     inv = oracle._inverse_table(n, dtype)
     eye = np.eye(3, dtype=dtype)
-    y, z = np.arange(n, dtype=dtype)[:, None, None], np.arange(n, dtype=dtype)[None, :, None]
+    z = np.arange(n, dtype=dtype)[None, :, None]
     step = max(1, oracle._CHUNK // n**3)
     for start in range(prefixes.start, prefixes.stop, step):
         rows = range(start, min(start + step, prefixes.stop))
@@ -238,16 +245,23 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
         live = (mod(dets[0], p) != 0) | (mod(dets[1], p) != 0) | (mod(dets[2], p) != 0)
         for w in range(k + 1):
             sel = np.flatnonzero(live & (v == w))
-            if sel.size == 0:
-                continue
             j = np.arange(p**w, dtype=dtype)[None, None, :]
+            per = max(1, oracle._BLOCK // (n * p**w))  # lines per batch
+            for s in range(0, sel.size * n, per):
+                line = np.arange(s, min(s + per, sel.size * n))
+                at = sel[line // n]  # each line's prefix, by index into the block
+                y = (line % n).astype(dtype)[:, None, None]
 
-            def on_grid(coef):
-                # coef[0] y + coef[1] z + coef[2] j: prefixes sel on axis 0, then y, z, j
-                a, b, d = (t[sel, None, None, None] for t in coef)
-                return y * a + z * b + j * d
+                def on_grid(coef):
+                    # coef[0] y + coef[1] z + coef[2] j: lines on axis 0, then z, j
+                    a, b, d = (t[at, None, None] for t in coef)
+                    return y * a + z * b + j * d
 
-            unit = mod(on_grid(dets), p) != 0
-            third = [mod(on_grid([K[i] for K in basis]), n)[unit] for i in range(3)]
-            counts = unit.sum(axis=(1, 2, 3))
-            yield np.stack([np.repeat(r[sel], counts) for r in prefix] + third)
+                unit = mod(on_grid(dets), p) != 0
+                counts = unit.sum(axis=(1, 2))
+                batch = np.empty((9, int(counts.sum())), dtype=dtype)
+                for i, r in enumerate(prefix):
+                    batch[i] = np.repeat(r[at], counts)
+                for i in range(3):
+                    batch[6 + i] = mod(on_grid([K[i] for K in basis]), n)[unit]
+                yield batch

@@ -26,8 +26,8 @@ from .matrices import (
     mat3,
     mod,
     perm_det,
+    perm_det_subperms,
     permanent3,
-    subperms,
 )
 from .modring import factorize, is_prime, totient
 from .oracle import CountTable
@@ -444,8 +444,7 @@ def _subperm_identity(ctx):
         bad = 0
         for s in range(0, samples, oracle._BLOCK):
             b = rng.integers(0, n, size=(9, min(oracle._BLOCK, samples - s)), dtype=t)
-            p11, p12, p13, p21, p22 = subperms(b, n)
-            _, det = perm_det(b, n)
+            _, det, p11, p12, p13, p21, p22 = perm_det_subperms(b, n)
             terms = (2 * b[4] * p22, -b[0] * p11, b[1] * p12, -2 * b[3] * p21, -3 * b[2] * p13)
             lhs = mod(sum(mod(v, n) for v in terms), n)  # five residues add up to <= 5 (n - 1)
             rhs = mod(det - mod(6 % n * mod(mod(b[2] * b[3], n) * b[7], n), n), n)
@@ -454,20 +453,22 @@ def _subperm_identity(ctx):
     return out
 
 
-def _label_pivot(e, n, p):
-    """Per matrix: the index of its first unit sub-permanent mod p, and that sub-permanent.
+def _perm_det_label(e, n, p):
+    """Per matrix: perm and det mod n, and the index and value of its first unit sub-permanent.
 
-    The index (0..4, P11, P12, P13, P21, P22) is also the row-major position
-    of the pivot entry. A matrix with no unit among the five gets index 4.
+    All four come from one perm_det_subperms call, and a sub-permanent is a
+    unit when p does not divide it. The index (0..4, P11, P12, P13, P21,
+    P22) is also the row-major position of the pivot entry. A matrix with
+    no unit among the five gets index 4.
     """
-    subs = subperms(e, n)
-    lab, pivot = np.full(e.shape[1], 4, dtype=np.int8), subs[4]
+    perm, det, *subs = perm_det_subperms(e, n)
+    lab, pivot = np.full(np.shape(perm), 4, dtype=np.int8), subs[4]
     for i in (3, 2, 1, 0):
         # a select by arithmetic: keep (lab, pivot) where P_i is not a unit, else take (i, P_i)
         off = mod(subs[i], p) == 0
         lab = off * (lab - i) + i
         pivot = off * (pivot - subs[i]) + subs[i]
-    return lab, pivot
+    return perm, det, lab, pivot
 
 
 def _shift_verify_members(e, n, p, shifts, inv_table):
@@ -477,31 +478,39 @@ def _shift_verify_members(e, n, p, shifts, inv_table):
     oracle._kernel_type(n) or wider, and inv_table an oracle._inverse_table of
     the same dtype; the arithmetic stays within the kernel's bound.
 
-    A member's pivot entry sits in row lab of its column, so a shift is one
-    update of rows 0..4 through the one-hot (5, m) mask of lab. Rows 5..8
-    hold no pivot; the image and return buffers copy them once per batch.
+    One kernel call per matrix (_perm_det_label) gives its permanent,
+    determinant and label. A member's pivot entry sits in row lab of its
+    column, so a shift is one update of rows 0..4 of the image buffer
+    through the one-hot (5, m) mask of lab; rows 5..8 hold no pivot and are
+    copied once per batch. The return shift is then added to the image in
+    place, and must give back the member. Shifting by x = 0 maps every
+    column with entries in [0, n) to itself, so its image is checked on the
+    member's own kernel call.
 
     Returns per-shift violation counts; a violation is any member whose image
     fails perm == x, unit determinant, class preservation, or the round trip.
     """
     count = e.shape[1]
     unit = oracle._unit_mask(n)
-    rows = np.arange(5)[:, None]
-    lab, pivot = _label_pivot(e, n, p)
+    rows = np.arange(5, dtype=np.int8)[:, None]  # the type of the labels
+    perm, det, lab, pivot = _perm_det_label(e, n, p)
     hot = lab == rows
-    img, back = e.copy(), e.copy()
+    inv = inv_table[pivot]
+    img = e.copy()
     violations = {}
     for x in shifts:
-        img[:5] = mod(e[:5] + hot * mod(x * inv_table[pivot], n), n)
-        perm_i, det_i = perm_det(img, n)
-        lab_i, pivot_i = _label_pivot(img, n, p)
-        back[:5] = mod(img[:5] + (lab_i == rows) * mod((n - x) * inv_table[pivot_i], n), n)
-        ok = (
-            (perm_i == x % n)
-            & unit[det_i]
-            & (lab_i == lab)
-            & (back == e).all(axis=0)
-        )
+        if x % n == 0:
+            ok = (perm == 0) & unit[det]
+        else:
+            img[:5] = mod(e[:5] + hot * mod(x * inv, n), n)
+            perm_i, det_i, lab_i, pivot_i = _perm_det_label(img, n, p)
+            img[:5] += (lab_i == rows) * mod((n - x) * inv_table[pivot_i], n)
+            ok = (
+                (perm_i == x % n)
+                & unit[det_i]
+                & (lab_i == lab)
+                & (mod(img[:5], n) == e[:5]).all(axis=0)
+            )
         violations[x] = count - int(ok.sum())
     return violations
 
@@ -542,9 +551,13 @@ def shift_round_trip(
     keeps those of unit determinant. That visits every member once and
     nothing else, with no reduction by symmetry: each member is shifted and
     checked on its own. Members are checked in oracle._kernel_type(n), the
-    narrowest integer type that holds the kernel's intermediates. Each batch
-    gets one image and one return buffer, and a shift moves every member's
-    pivot entry at once, in one masked update of the pivot rows 0..4.
+    narrowest integer type that holds the kernel's intermediates; the
+    population comes in batches of at most oracle._BLOCK members. Each
+    matrix, member or image, is evaluated by one matrices.perm_det_subperms
+    call, which gives its permanent, determinant and class. Each batch gets
+    one image buffer: a shift moves every member's pivot entry at once, in
+    one masked update of the pivot rows 0..4, and the return shift is undone
+    in the same buffer.
 
     The n^6 prefixes are split into zero_perm_members' own blocks of
     oracle._CHUNK // n^3 prefixes (oracle._range_jobs), one job each. The

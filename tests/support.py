@@ -20,9 +20,12 @@ builds each unit-scaling orbit's normal form directly instead of taking the
 least image of every row over all units.
 
 shift_verify_members_by_scatter is the reference for
-verify._shift_verify_members: it copies each batch per shift and moves the
-pivot entries by a flat gather and scatter, where the check under test
-updates rows 0..4 through a one-hot mask of the pivot row.
+verify._shift_verify_members: it copies each batch per shift, moves the
+pivot entries by a flat gather and scatter, evaluates every image and return
+image through perm_det and subperms, and runs every check at x = 0 too.
+The check under test labels each matrix from one perm_det_subperms call,
+updates rows 0..4 of one image buffer through a one-hot mask of the pivot
+row, undoes the shift in place, and reads x = 0 off the member's own call.
 """
 
 import itertools

@@ -209,7 +209,7 @@ def test_verify_quick_cli(capsys):
 
 
 def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
-    # one first-row triple per job: several jobs at n = 5, on two threads
+    # one live first-row triple per job: several jobs at n = 5, on two threads
     monkeypatch.setattr(oracle, "_CHUNK", 1)
 
     def tiered_job(args):

@@ -21,6 +21,7 @@ from gl3census.matrices import (
     parse_mat3,
     perm_det,
     perm_det2,
+    perm_det_subperms,
     permanent2,
     permanent3,
     sub_permanents,
@@ -207,6 +208,7 @@ def test_kernel_matches_leibniz_on_python_ints(n, e):
     rows = as_rows(e)
     assert perm_det(e, n) == leibniz(rows, n)
     assert subperms(e, n) == leibniz_subperms(rows, n)
+    assert perm_det_subperms(e, n) == leibniz(rows, n) + leibniz_subperms(rows, n)
     assert perm_det2(e[:4], n) == leibniz([e[0:2], e[2:4]], n)
 
 
@@ -228,6 +230,27 @@ def test_kernel_on_int64_arrays_column_by_column(batch):
         rows = as_rows(m)
         assert (int(perm[col]), int(det[col])) == leibniz(rows, n)
         assert tuple(int(s[col]) for s in subs) == leibniz_subperms(rows, n)
+
+
+@pytest.mark.parametrize(
+    "dtype,moduli",
+    [(np.int8, (2, 3, 7)), (np.int16, (8, 9, 105)), (np.int64, (106, 127, 10**6))],
+)
+def test_fused_kernel_equals_perm_det_and_subperms(dtype, moduli):
+    # each type up to the largest n that oracle._kernel_type gives it, on a
+    # (9, m) batch and in _leftover_tally's layout: first rows along one axis,
+    # rows 2 and 3 along the other
+    rng = np.random.default_rng(dtype().itemsize)
+    for n in moduli:
+        assert np.iinfo(dtype).max >= np.iinfo(oracle._kernel_type(n)).max
+        e = rng.integers(0, n, size=(9, 2000), dtype=dtype)
+        spread = [*(v[None, :50] for v in e[0:3]), *(v[:40, None] for v in e[3:9])]
+        for batch in (e, spread):
+            want = (*perm_det(batch, n), *subperms(batch, n))
+            got = perm_det_subperms(batch, n)
+            assert len(got) == 7
+            for a, b in zip(got, want):
+                assert a.dtype == dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 @given(st.integers(min_value=1, max_value=10**30), big_entries)

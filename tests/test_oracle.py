@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -181,6 +182,25 @@ def test_case_census_rejects_bad_p():
         oracle.case_census(9)
 
 
+@pytest.mark.parametrize("live", ["zero row too", "one orbit short"])
+def test_case_census_guards_its_live_weight(monkeypatch, live):
+    # walking the zero row puts weight on pattern 7, whose bucket counts are
+    # all 0; skipping a live orbit leaves the tally short of p^6 - (2 p^3 - 1)
+    real = oracle._row_orbits
+
+    def row_orbits(n):
+        o = real(n)
+        if live == "zero row too":
+            return dataclasses.replace(o, live=np.ones_like(o.live))
+        mask = o.live.copy()
+        mask[np.flatnonzero(mask)[0]] = False
+        return dataclasses.replace(o, live=mask)
+
+    monkeypatch.setattr(oracle, "_row_orbits", row_orbits)
+    with pytest.raises(RuntimeError, match="case census mod 5"):
+        oracle.case_census(5)
+
+
 def test_form_tables_subgroup_counts():
     # (Z/p)^2 has the trivial group, p+1 lines, and the full group
     for p in (2, 3, 5, 7, 11, 13):
@@ -361,6 +381,28 @@ def test_orbit_pass_skips_exactly_the_dead_prefixes(n):
     assert seen[-1] == (n**6, n**6)
 
 
+@pytest.mark.parametrize("n,chunk", [(120, None), (12, 1), (12, 100)])
+def test_orbit_jobs_balance_live_pairs(monkeypatch, n, chunk):
+    # every live first-row triple meets the same live second-row orbits, so
+    # jobs of equal live-triple counts hold equal live-pair counts; the jobs
+    # tile the triples in order, dead ones included, and none is left without
+    # a live pair (at 120 the split by all triples left 13 of 55 jobs empty)
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    live_second = int(oracle._row_orbits(n).live.sum())
+    step = max(1, oracle._CHUNK // live_second)
+    for ordered in (False, True):
+        first = oracle._divisor_rows(n, ordered)
+        jobs = oracle._orbit_jobs(n, ordered)
+        bounds = [args[2:4] for args, _ in jobs]
+        assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+        assert bounds[-1][1] == len(first.sizes)
+        live = [int(first.live[a:b].sum()) for a, b in bounds]
+        assert live[:-1] == [step] * (len(jobs) - 1) and 1 <= live[-1] <= step
+        assert max(live) * live_second <= max(oracle._CHUNK, live_second)
+        assert sum(size for _, size in jobs) == n**6
+
+
 def test_tally_sums_weights_exactly():
     # 2^61 + 1 is not a float64, so a float accumulator would drop the 1
     key = np.array([[0, 1, 2], [2, 1, 0]])
@@ -389,10 +431,10 @@ def test_results_do_not_depend_on_block_budget(monkeypatch):
 
 
 def test_results_do_not_depend_on_chunking(monkeypatch):
-    # _CHUNK = 1 gives one first-row triple per job, so the pool merges many
+    # _CHUNK = 1 gives one live first-row triple per job, so the pool merges many
     default = _block_sensitive_results()
     monkeypatch.setattr(oracle, "_CHUNK", 1)
-    assert len(oracle._orbit_jobs(12, False)) == len(oracle._divisor_rows(12, False).sizes)
+    assert len(oracle._orbit_jobs(12, False)) == oracle._divisor_rows(12, False).live.sum()
     counts, violations = oracle._class_scan(3, 2, threads=2)
     chunked = oracle.census_tiered(12, threads=2).counts, counts.tolist(), violations
     assert chunked == default[:3]
@@ -558,13 +600,13 @@ def test_parallel_censuses_are_deterministic():
 
 
 def test_threads_share_tables_built_before_dispatch(monkeypatch):
-    # one first-row triple per job, more threads than cores, frequent switches:
-    # every cached table a job reads is built once, before the jobs start
+    # one live first-row triple per job, more threads than cores, frequent
+    # switches: every cached table a job reads is built once, before the jobs start
     monkeypatch.setattr(oracle, "_CHUNK", 1)
     cached = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
     for f in cached:
         f.cache_clear()
-    assert len(oracle._orbit_jobs(7, False)) == 4
+    assert len(oracle._orbit_jobs(7, False)) == 3
     assert [f.cache_info().currsize for f in cached] == [1, 1, 1]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

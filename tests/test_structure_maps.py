@@ -180,6 +180,28 @@ def test_zero_perm_members_over_two_halves_equal_the_whole(n):
     assert np.array_equal(halves, members(None))
 
 
+# at (3, 2) the enumerator's blocks 182..184, around the one whose job peaks highest
+DENSE_NINE = range(182 * 1438, 185 * 1438)
+
+
+@pytest.mark.parametrize(
+    "p,k,prefixes", [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, DENSE_NINE)]
+)
+def test_zero_perm_member_batches_hold_at_most_a_block(p, k, prefixes):
+    assert max(e.shape[1] for e in sm.zero_perm_members(p, k, prefixes)) <= oracle._BLOCK
+
+
+@pytest.mark.parametrize("block", [100, 1000])
+def test_zero_perm_members_do_not_depend_on_the_block_budget(monkeypatch, block):
+    # a line of fixed (prefix, y) holds n p^v = 9, 27 or 81 points at (3, 2),
+    # so these budgets cut the grid within a prefix, or between lines and prefixes
+    want = np.concatenate([flat_index(e, 9) for e in sm.zero_perm_members(3, 2, DENSE_NINE)])
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    batches = list(sm.zero_perm_members(3, 2, DENSE_NINE))
+    assert max(e.shape[1] for e in batches) <= max(block, 81)
+    assert np.array_equal(np.concatenate([flat_index(e, 9) for e in batches]), want)
+
+
 def test_zero_perm_members_rejects_bad_prefix_ranges():
     for prefixes in (range(0, 10, 2), range(-1, 5), range(3**6 + 1)):
         with pytest.raises(ValueError, match="prefixes"):

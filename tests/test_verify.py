@@ -89,9 +89,30 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
     assert [r.actual for r in results] == [0] * len(verify.FULL.identity_moduli)
     assert peak < 9 * verify.FULL.identity_samples * 8
     # negative control: a wrong P11 shows as mismatches at every modulus
-    real = verify.subperms
-    monkeypatch.setattr(verify, "subperms", lambda e, n: (real(e, n)[0] + 1, *real(e, n)[1:]))
+    real = verify.perm_det_subperms
+
+    def wrong_p11(e, n):
+        perm, det, p11, *rest = real(e, n)
+        return perm, det, p11 + 1, *rest
+
+    monkeypatch.setattr(verify, "perm_det_subperms", wrong_p11)
     assert all(r.actual > 0 for r in verify._subperm_identity(ctx))
+
+
+def test_shift_population_job_holds_one_block_at_a_time():
+    # job 183 of (3, 2), 69,282 members, peaks highest of the scan's 370 jobs.
+    # Its batches hold at most _BLOCK members, checked on one fused kernel
+    # call per matrix: tracemalloc puts its peak at 4.02 MB, against 6.92 MB
+    # with whole-grid batches and separate perm_det and subperms calls.
+    args, _ = oracle._range_jobs(9**6, 9**3, 3, 2)[183]
+    tracemalloc.start()
+    try:
+        out = verify._shift_population_job(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [69_282, 0, 0, 0]
+    assert peak < 9 * oracle._BLOCK * 8
 
 
 def test_shift_round_trip_rejects_p_two(monkeypatch):
