@@ -3,7 +3,8 @@
 Subcommands: eval (closed-form count), oracle (exhaustive census), table
 (reproduce the class and case tables), verify (run the cross-check suite).
 Exit codes: 0 success, 1 verification failures (including a table --check
-row that disagrees), 2 usage error, 3 census bound exceeded, 4 a failed
+row that disagrees), 2 usage error, 3 census bound exceeded (oracle's
+INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 a failed
 census worker or out of memory. --threads sets the number of census worker
 threads, by default the CPUs this process may run on. Output carries no
 timestamps, so identical invocations produce identical bytes.
@@ -86,6 +87,7 @@ def _cmd_eval(args) -> int:
 def _cmd_oracle(args) -> int:
     progress = _progress_printer(f"census n={args.n}") if args.progress else None
     if args.classes:
+        oracle._check_bound("class_census", args.n)
         factors = factorize(args.n).factors
         if len(factors) != 1:
             raise ValueError("--classes needs a prime-power modulus")

@@ -59,13 +59,14 @@ from .matrices import (
 )
 from .modring import Modulus, factorize, is_prime
 
-NAIVE_LIMIT = 8
-TIERED_LIMIT = 16
-TWO_BY_TWO_LIMIT = 50
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
-# products mult @ tables); 127^9 < 2^63 <= 128^9, so no limit= lets a 3x3
-# census run past n = 127.
+# products mult @ tables); 127^9 < 2^63 <= 128^9.
 INT64_CEILING = 127
+# Matrices a brute-force scan may evaluate one by one: 8^9 = 2^27, so the
+# naive reference still reaches n = 8 (n^9 matrices), census_2x2 n = 107
+# (n^4), fiber_count 2^4, 3^2, 5^2 and 7^2 but not 3^3 (p^(9(k - 1)) lifts),
+# and verify.shift_round_trip's population scan, charged n^8, n = 10.
+SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 # array elements per vectorized block of the orbit pass and of the naive
@@ -76,21 +77,33 @@ _BLOCK = 1 << 16
 class CensusTooLarge(ValueError):
     """Raised when a census is asked to enumerate beyond its size bound."""
 
-    def __init__(self, engine: str, n: int, bound: int, hint: str = ""):
-        msg = f"{engine} refuses n = {n}: bound is n <= {bound}"
-        if hint:
-            msg += f"; {hint}"
-        super().__init__(msg)
-        self.engine = engine
-        self.n = n
-        self.bound = bound
+
+def _at_most(p: int, e: int, bound: int) -> bool:
+    """Whether p^e <= bound, without forming p^e for a huge e: p >= 2 needs 2^e <= bound."""
+    return p < 2 or e < 1 or (e < bound.bit_length() and p**e <= bound)
 
 
-def _check_bound(engine: str, n: int, limit: int, hint: str = "") -> None:
-    """Raise CensusTooLarge past limit, or past INT64_CEILING whatever limit says."""
-    bound = min(limit, INT64_CEILING)
-    if n > bound:
-        raise CensusTooLarge(engine, n, bound, hint)
+def _check_bound(engine: str, p: int, k: int = 1, scan: int = 0) -> None:
+    """Raise CensusTooLarge unless n = p^k <= INT64_CEILING and p^scan <= SCAN_BUDGET.
+
+    p^scan is the number of matrices the engine evaluates one by one, and
+    scan = 0 for the orbit engines. Engines call this before any other work,
+    factorizing and primality tests included. A p below 2 or a k below 1
+    passes, for the engine's own checks to refuse.
+    """
+    n, var = (f"{p}^{k}", "p") if k > 1 else (f"{p}", "n")
+    if not _at_most(p, k, INT64_CEILING):
+        raise CensusTooLarge(f"{engine} refuses n = {n}: bound is n <= {INT64_CEILING}")
+    if not _at_most(p, scan, SCAN_BUDGET):
+        root = next(r for r in itertools.count(1) if (r + 1) ** scan > SCAN_BUDGET)
+        rule = f"{var}^{scan} <= {SCAN_BUDGET} scanned matrices"
+        raise CensusTooLarge(f"{engine} refuses n = {n}: bound is {var} <= {root}, for {rule}")
+
+
+def _modulus(engine: str, n: int | Modulus, scan: int = 0) -> Modulus:
+    """n as a Modulus, factorized only once _check_bound has passed it."""
+    _check_bound(engine, n if isinstance(n, int) else n.n, 1, scan)
+    return factorize(n) if isinstance(n, int) else n
 
 
 @dataclass(frozen=True)
@@ -508,13 +521,10 @@ def _tiered_job(args):
     return mult
 
 
-def census_tiered(
-    n: int | Modulus, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT
-) -> CountTable:
-    """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= 16 by default."""
-    modulus = factorize(n) if isinstance(n, int) else n
+def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
+    """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= INT64_CEILING."""
+    modulus = _modulus("census_tiered", n)
     n = modulus.n
-    _check_bound("census_tiered", n, limit)
     counts = _sum_jobs(_tiered_job, _orbit_jobs(n, False), threads, progress) @ _bucket_tables(n)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
@@ -557,13 +567,10 @@ def _naive_job(args):
     return joint.reshape(n, n)[:, _unit_mask(n)].sum(axis=1)
 
 
-def census_naive(
-    n: int | Modulus, *, threads: int = 1, progress=None, limit: int = NAIVE_LIMIT
-) -> CountTable:
-    """Exact permanent census by evaluating all n^9 matrices; n <= 8 by default."""
-    modulus = factorize(n) if isinstance(n, int) else n
+def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
+    """Exact permanent census by evaluating all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8."""
+    modulus = _modulus("census_naive", n, scan=9)
     n = modulus.n
-    _check_bound("census_naive", n, limit, hint="use census_tiered")
     return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress)
 
 
@@ -573,14 +580,10 @@ def _two_by_two_job(args):
     return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
 
 
-def census_2x2(
-    n: int | Modulus, *, threads: int = 1, progress=None, limit: int = TWO_BY_TWO_LIMIT
-) -> CountTable:
-    """Exact permanent census over GL2(Z/n), scanning all n^4 matrices."""
-    modulus = factorize(n) if isinstance(n, int) else n
+def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
+    """Exact permanent census over GL2(Z/n), scanning all n^4 <= SCAN_BUDGET matrices; n <= 107."""
+    modulus = _modulus("census_2x2", n, scan=4)
     n = modulus.n
-    if n > limit:
-        raise CensusTooLarge("census_2x2", n, limit)
     return _scan_census(_two_by_two_job, modulus, n**4, 1, threads, progress)
 
 
@@ -666,30 +669,28 @@ def _class_job(args):
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
-def _class_scan(p: int, k: int, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT):
-    """Shared engine for class_census and the emptiness scan.
+def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
+    """Shared engine for class_census and the emptiness scan; p^k <= INT64_CEILING.
 
     Returns (counts, violations): counts is an (n, 5) int array of per-x
     per-class tallies over GL3(Z/p^k); violations counts invertible matrices
     with no unit among the five sub-permanents (always 0 in practice).
     """
+    _check_bound("class_census", p, k)
     if not is_prime(p):
         raise ValueError(f"class census needs a prime, got {p}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     n = p**k
-    _check_bound("class_census", n, limit)
     tallies = _sum_jobs(_class_job, _orbit_jobs(n, True, p), threads, progress)
     tables = _bucket_tables(n)
     heads, left = np.split(tallies, [len(tables)], axis=1)
     return np.vstack([heads @ tables, left[:2]]).T, int(left[2].sum())
 
 
-def class_census(
-    p: int, k: int = 1, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT
-) -> ClassCensus:
-    """Per-permanent, per-class census over GL3(Z/p^k)."""
-    counts, violations = _class_scan(p, k, threads=threads, progress=progress, limit=limit)
+def class_census(p: int, k: int = 1, *, threads: int = 1, progress=None) -> ClassCensus:
+    """Per-permanent, per-class census over GL3(Z/p^k); p^k <= INT64_CEILING."""
+    counts, violations = _class_scan(p, k, threads=threads, progress=progress)
     if violations:
         raise RuntimeError(
             f"{violations} invertible matrices mod {p}^{k} fell outside the five classes"
@@ -726,13 +727,11 @@ def _case_job(args):
     return mult
 
 
-def case_census(
-    p: int, *, threads: int = 1, progress=None, limit: int = TIERED_LIMIT
-) -> CaseCensus:
-    """Zero-permanent census over GL3(Z/p) split by the seven zero-pattern rows."""
+def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
+    """Zero-permanent census over GL3(Z/p), p <= INT64_CEILING, split by the seven zero patterns."""
+    _check_bound("case_census", p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
-    _check_bound("case_census", p, limit)
     mult = _sum_jobs(_case_job, _orbit_jobs(p, False), threads, progress).reshape(8, -1)
     # at a prime the only dead row is the zero row, so the live pairs are the
     # p^6 - (2 p^3 - 1) prefixes with no all-zero row, and none is pattern 7

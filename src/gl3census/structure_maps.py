@@ -86,24 +86,20 @@ def project(m: Mat3, p: int) -> Mat3:
     return Mat3(m.rows, factorize(p))
 
 
-def fiber_count(
-    a: Mat3, p: int, k: int, *, progress=None, limit: int = oracle.TIERED_LIMIT
-) -> int:
+def fiber_count(a: Mat3, p: int, k: int, *, progress=None) -> int:
     """Entrywise lifts of a to Z/p^k that are invertible with permanent divisible by p.
 
-    Enumerates all p^(9(k-1)) lifts rather than assuming the fiber is full;
-    the point is verification. Requires a to be invertible mod p with
-    permanent 0 mod p.
+    Enumerates all p^(9(k-1)) lifts, within oracle.SCAN_BUDGET (so up to 7^2,
+    but not 3^3), rather than assuming the fiber is full; the point is
+    verification. Requires a to be invertible mod p with permanent 0 mod p.
     """
+    oracle._check_bound("fiber_count", p, k, scan=9 * (k - 1))
     if not is_prime(p) or a.modulus.n != p:
         raise ValueError(f"base matrix must live over Z/p for a prime p, got {a.modulus.n}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if permanent3(a).value != 0 or not is_invertible(a):
         raise ValueError("base matrix must be invertible with permanent 0 mod p")
-    n = p**k
-    if n > limit:
-        raise oracle.CensusTooLarge("fiber_count", n, limit)
     q = p ** (k - 1)
     flat = tuple(v for row in a.rows for v in row)
     jobs = oracle._range_jobs(q**9, 1, flat, p, k)
@@ -164,17 +160,16 @@ class EmptinessReport:
     violations: int
 
 
-def emptiness_scan(
-    p: int, k: int = 1, *, threads: int = 1, progress=None, limit: int = oracle.TIERED_LIMIT
-) -> EmptinessReport:
+def emptiness_scan(p: int, k: int = 1, *, threads: int = 1, progress=None) -> EmptinessReport:
     """Exhaustively confirm every invertible matrix mod p^k has a unit sub-permanent.
 
-    Covers all of GL3(Z/p^k); a violation is an invertible matrix whose five
-    sub-permanents P11, P12, P13, P21, P22 are all divisible by p. The scan
-    is the class census's: it evaluates one prefix (rows 2 and 3) per pair
-    of a row-2 orbit under unit column scaling (an ordered triple of divisors
-    of p^k) and a row-3 orbit under unit scaling, and, where P11, P12 and
-    P13 are all divisible by p, one first row per orbit under unit scaling.
+    Covers all of GL3(Z/p^k), p^k <= oracle.INT64_CEILING; a violation is an
+    invertible matrix whose five sub-permanents P11, P12, P13, P21, P22 are
+    all divisible by p. The scan is the class census's: it evaluates one
+    prefix (rows 2 and 3) per pair of a row-2 orbit under unit column scaling
+    (an ordered triple of divisors of p^k) and a row-3 orbit under unit
+    scaling, and, where P11, P12 and P13 are all divisible by p, one first
+    row per orbit under unit scaling.
     Scaling any row or any column by a unit scales each sub-permanent by a
     unit or not at all, and the determinant by a unit, so every member of an
     orbit is a violation exactly when its representative is; each
@@ -182,7 +177,7 @@ def emptiness_scan(
     report's scanned count is therefore still every matrix covered, and
     equals |GL3(Z/p^k)|.
     """
-    counts, violations = oracle._class_scan(p, k, threads=threads, progress=progress, limit=limit)
+    counts, violations = oracle._class_scan(p, k, threads=threads, progress=progress)
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)
 
 

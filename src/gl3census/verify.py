@@ -544,6 +544,8 @@ def shift_round_trip(
     member exactly. Returns (members checked, violations per shift).
     population=True enumerates all of G(p^k, 0); otherwise a seeded sample.
     Defined for odd p and k >= 1: G(2^k, 0) is empty, as perm = det mod 2.
+    The population scan is charged n^8 matrices, about the n^9 / n it solves
+    for, against oracle.SCAN_BUDGET, so it runs for n <= 10: 3, 3^2, 5 and 7.
 
     The population is not filtered out of all n^9 matrices. For each of the
     n^6 prefixes (rows 1 and 2), structure_maps.zero_perm_members solves for
@@ -565,6 +567,8 @@ def shift_round_trip(
     their (members, violations per shift) vectors in job order, so the
     result does not depend on threads.
     """
+    if population:
+        oracle._check_bound("shift_round_trip", p, k, scan=8 * k)
     if not is_prime(p) or p == 2:
         raise ValueError(f"shift maps need an odd prime, got {p}")
     if k < 1:

@@ -91,10 +91,24 @@ def test_oracle_classes_row(capsys):
 
 
 def test_oracle_bound_exit_three(capsys):
-    code = main(["oracle", "17"])
+    code = main(["oracle", "128"])
     err = capsys.readouterr().err
     assert code == 3
-    assert "16" in err
+    assert "127" in err
+
+
+@pytest.mark.parametrize("classes", [[], ["--classes"]])
+def test_oracle_refuses_a_huge_prime_before_factorizing(monkeypatch, capsys, classes):
+    # 2^61 - 1 is prime: trial division would run for minutes
+    def fail(*args):
+        pytest.fail("factorized before the bound check")
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "factorize", fail)
+        monkeypatch.setattr(module, "is_prime", fail)
+    code = main(["oracle", str(2**61 - 1), *classes])
+    assert code == 3
+    assert "n <= 127" in capsys.readouterr().err
 
 
 def test_table_class_section_csv(capsys):

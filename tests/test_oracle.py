@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from gl3census import closed_form as cf
-from gl3census import oracle
-from gl3census.matrices import CLASS_LABELS, forms, mod, perm_det, subperms
+from gl3census import oracle, verify
+from gl3census import structure_maps as sm
+from gl3census.matrices import CLASS_LABELS, ClassLabel, forms, mat3, mod, perm_det, subperms
 from gl3census.modring import factorize
 from support import (
     CASE_ROWS,
@@ -53,16 +54,17 @@ def test_census_2x2_matches_frozen():
         assert oracle.census_2x2(n).counts == row
 
 
-def test_bounds_are_enforced():
+def test_bounds_are_enforced(monkeypatch):
     with pytest.raises(oracle.CensusTooLarge) as err:
         oracle.census_naive(9)
     assert "n <= 8" in str(err.value)
     with pytest.raises(oracle.CensusTooLarge):
-        oracle.census_tiered(17)
+        oracle.census_tiered(128)
     with pytest.raises(oracle.CensusTooLarge):
-        oracle.census_2x2(51)
-    # bounds are configurable
-    assert oracle.census_naive(9, limit=9).counts == CENSUS3[9]
+        oracle.census_2x2(108)
+    # the naive engine is bounded by the scan budget alone: 9^9 admits n = 9
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", 9**9)
+    assert oracle.census_naive(9).counts == CENSUS3[9]
 
 
 def test_count_table_accessors():
@@ -462,8 +464,8 @@ def test_kernel_type_holds_the_naive_joint_index():
 
 @functools.lru_cache(maxsize=None)
 def tiered_counts(n):
-    """census_tiered(n, limit=n).counts, computed once for the tests below."""
-    return oracle.census_tiered(n, limit=n).counts
+    """census_tiered(n).counts, computed once for the tests below."""
+    return oracle.census_tiered(n).counts
 
 
 @pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32, 36, 48, 60, 64, 81])
@@ -506,7 +508,7 @@ def test_int_type_refuses_past_int64():
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5), (3, 3), (7, 2)])
 def test_class_census_beyond_default_limit(p, k):
     n = p**k
-    cc = oracle.class_census(p, k, limit=n)
+    cc = oracle.class_census(p, k)
     assert cc.marginal().counts == tuple(cf.count(n, x) for x in range(n))
     if p != 2:
         for label in CLASS_LABELS:
@@ -515,20 +517,82 @@ def test_class_census_beyond_default_limit(p, k):
 
 @pytest.mark.parametrize("p", [17, 19])
 def test_case_census_beyond_default_limit(p):
-    assert oracle.case_census(p, limit=p).rows == cf.case_rows(p)
+    assert oracle.case_census(p).rows == cf.case_rows(p)
 
 
-def test_int64_ceiling_ignores_limit(monkeypatch):
-    # 127^9 < 2^63 <= 128^9: refused before any enumeration, whatever limit= says
-    monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("enumeration started"))
+class Dispatched(Exception):
+    """Raised by a patched oracle._sum_jobs: the engine passed its bounds and dispatched jobs."""
+
+
+def _dispatched(*args):
+    raise Dispatched
+
+
+def test_size_rules_follow_from_their_arithmetic(monkeypatch):
+    # the int64 tallies reach n^9
+    assert oracle.INT64_CEILING**9 < 2**63 <= (oracle.INT64_CEILING + 1) ** 9
+    # the scan budget admits each brute-force scan at its bound
+    monkeypatch.setattr(oracle, "_sum_jobs", _dispatched)
     calls = [
-        lambda: oracle.census_tiered(128, limit=10**6),
-        lambda: oracle.census_naive(128, limit=10**6),
-        lambda: oracle._class_scan(2, 7, limit=10**6),
-        lambda: oracle.case_census(131, limit=10**6),
+        lambda: oracle.census_naive(8),
+        lambda: oracle.census_2x2(107),
+        *(lambda p=p: sm.fiber_count(sm.witness(ClassLabel.C12, p), p, 2) for p in (3, 5, 7)),
+        lambda: verify.shift_round_trip(3, 2),
+        lambda: verify.shift_round_trip(7, 1),
     ]
     for call in calls:
-        with pytest.raises(oracle.CensusTooLarge, match="n <= 127"):
+        with pytest.raises(Dispatched):
+            call()
+    # no invertible matrix mod 2 has permanent 0, so a fiber at 2^4 passes the
+    # budget and is refused only by fiber_count's own check
+    with pytest.raises(ValueError, match="permanent 0"):
+        sm.fiber_count(mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2), 2, 4)
+
+
+def test_every_engine_refuses_one_past_its_bound(monkeypatch):
+    # 127^9 < 2^63 <= 128^9 for the orbit engines, n^9, n^4, p^(9(k - 1)) and
+    # n^8 matrices within 2^27 for the scans: refused before any job is dispatched
+    monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("enumeration started"))
+    a = sm.witness(ClassLabel.C12, 3)
+    calls = [
+        ("n <= 127", lambda: oracle.census_tiered(128)),
+        ("n <= 127", lambda: oracle._class_scan(2, 7)),
+        ("n <= 127", lambda: oracle.class_census(2, 7)),
+        ("n <= 127", lambda: sm.emptiness_scan(2, 7)),
+        ("n <= 127", lambda: oracle.case_census(131)),
+        ("n <= 8", lambda: oracle.census_naive(9)),
+        ("n <= 107", lambda: oracle.census_2x2(108)),
+        ("p <= 2", lambda: sm.fiber_count(a, 3, 3)),
+        ("p <= 3", lambda: verify.shift_round_trip(5, 2)),
+        ("n <= 10", lambda: verify.shift_round_trip(11, 1)),
+        ("n <= 10", lambda: verify.shift_round_trip(13, 1)),
+    ]
+    for bound, call in calls:
+        with pytest.raises(oracle.CensusTooLarge, match=bound):
+            call()
+
+
+def test_bounds_are_checked_before_factorizing(monkeypatch):
+    # 2^61 - 1 is prime: trial division would run for minutes
+    def fail(*args):
+        pytest.fail("factorized before the bound check")
+
+    for module in (oracle, sm, verify):
+        monkeypatch.setattr(module, "factorize", fail)
+        monkeypatch.setattr(module, "is_prime", fail)
+    big = 2**61 - 1
+    calls = [
+        lambda: oracle.census_tiered(big),
+        lambda: oracle.census_naive(big),
+        lambda: oracle.census_2x2(big),
+        lambda: oracle.class_census(big),
+        lambda: oracle.class_census(2, 10**18),
+        lambda: oracle.case_census(big),
+        lambda: sm.emptiness_scan(big),
+        lambda: verify.shift_round_trip(big, 1),
+    ]
+    for call in calls:
+        with pytest.raises(oracle.CensusTooLarge):
             call()
 
 

@@ -124,7 +124,7 @@ def test_fiber_count_ticks_once_per_chunk_of_lifts():
     # matrix with permanent 0 mod 5 is invertible with permanent divisible by 5
     a = sm.witness(ClassLabel.C12, 5)
     seen = []
-    assert sm.fiber_count(a, 5, 2, limit=25, progress=lambda *t: seen.append(t)) == 5**9
+    assert sm.fiber_count(a, 5, 2, progress=lambda *t: seen.append(t)) == 5**9
     assert seen == [(1 << 20, 5**9), (5**9, 5**9)]
     seen.clear()
     assert sm.fiber_count(a, 5, 1, progress=lambda *t: seen.append(t)) == 1
@@ -134,7 +134,7 @@ def test_fiber_count_ticks_once_per_chunk_of_lifts():
 def test_fiber_count_preconditions():
     good = mat3(((1, 0, 0), (2, 1, 2), (1, 1, 1)), 3)
     with pytest.raises(CensusTooLarge):
-        sm.fiber_count(good, 3, 3)  # 27 > default bound
+        sm.fiber_count(good, 3, 3)  # 3^18 lifts > 2^27
     with pytest.raises(ValueError):
         sm.fiber_count(mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3), 3, 2)  # perm 1
     with pytest.raises(ValueError):
