@@ -137,6 +137,8 @@ def _cmd_table(args) -> int:
         moduli = _parse_moduli(args.p_list, (3, 5, 7, 9, 11, 13))
         header = ["n", "perm0", "c11", "c12", "c13", "c21", "c22"]
         if args.check:
+            for n in moduli:  # before factorize, which a huge modulus would stall
+                oracle._check_bound("class_census", n)
             header.append("oracle_agrees")
         rows = []
         for n in moduli:
@@ -166,6 +168,8 @@ def _cmd_table(args) -> int:
         primes = _parse_moduli(args.p_list, (3, 5, 7, 11, 13))
         header = ["p", "row1_nonzeros", "row2_nonzeros", "count"]
         if args.check:
+            for p in primes:  # before is_prime, which a huge prime would stall
+                oracle._check_bound("case_census", p)
             header.append("oracle_agrees")
         rows = []
         for p in primes:

@@ -261,6 +261,12 @@ def _sum_jobs(fn, jobs, threads, progress):
 # lattice H + nZ^2 of Z^2 has a unique basis (a, 0), (b, d) with a | n, d | n
 # and 0 <= b < a (H. Cohen, A Course in Computational Algebraic Number Theory,
 # GTM 138, section 2.4); the triple (a, b, d) is the subgroup's key.
+#
+# The span of columns c1, c2, c3 is <c1> + <c2> + <c3>, so a prefix's subgroup
+# is found by table lookups alone: cyclic names the cyclic subgroup <c> of
+# each of the n^2 columns, and join gives H_s + <c> for every subgroup s and
+# cyclic subgroup c. The Euclid reduction builds those two tables once per
+# modulus and never runs per prefix.
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,12 +274,8 @@ class _FormTables:
     n: int
     triples: tuple[tuple[int, int, int], ...]  # HNF (a, b, d): H = <(a, 0), (b, d)> mod n
     sizes: tuple[int, ...]  # subgroup orders
-    bucket: np.ndarray  # dense HNF key -> subgroup index; -1 for no subgroup
-    euclid: np.ndarray  # (n + 1, n, 3): (g, s, t) with s*y + t*v = g = gcd(y, v)
-
-
-def _hnf_index(n, a, b, d):
-    return (a * n + b) * (n + 1) + d
+    cyclic: np.ndarray  # column u * n + v -> index c of the cyclic subgroup <(u, v)>
+    join: np.ndarray  # (subgroups, cyclic subgroups): subgroup index of H_s + <c>
 
 
 def _ext_gcd(y: int, v: int) -> tuple[int, int, int]:
@@ -285,49 +287,75 @@ def _ext_gcd(y: int, v: int) -> tuple[int, int, int]:
     return y, s0, t0
 
 
+def _fold(euclid: np.ndarray, n: int, a, b, d, u, v):
+    """The HNF triple of <(a, 0), (b, d), (u, v)> mod n, from the HNF triple (a, b, d).
+
+    Row reduction: an extended-Euclid step on second coordinates folds (u, v)
+    into (b, d), and the combination it drops has second coordinate 0, so it
+    joins aZ x 0. euclid[:, d * n + v] = (g, s, t) with s*d + t*v = g =
+    gcd(d, v), for d | n and 0 <= v < n.
+    """
+    g, s, t = np.take(euclid, d * n + v, axis=1)
+    a = np.gcd(a, (v // g) * b - (d // g) * u)
+    return a, (s * b + t * u) % a, g
+
+
 @lru_cache(maxsize=None)
 def _form_tables(n: int) -> _FormTables:
-    """Every subgroup of (Z/n)^2 as an HNF triple.
+    """Every subgroup of (Z/n)^2 as an HNF triple, with the cyclic and join tables.
 
     (a, b, d) is a valid triple when the lattice it spans contains nZ^2:
-    a | n, d | n and a | b * (n / d).
+    a | n, d | n and a | b * (n / d). The last triple, (n, 0, n), is the
+    trivial subgroup, so join[-1, c] is the subgroup index of <c>. join is
+    built in blocks of at most _BLOCK entries.
     """
     divisors = [v for v in range(1, n + 1) if n % v == 0]
     triples = [
         (a, b, d) for a in divisors for d in divisors for b in range(a) if b * (n // d) % a == 0
     ]
-    bucket = np.full(n * (n + 1) ** 2, -1, dtype=np.int64)
-    for sid, (a, b, d) in enumerate(triples):
-        bucket[_hnf_index(n, a, b, d)] = sid
-    euclid = np.array([[_ext_gcd(y, v) for v in range(n)] for y in range(n + 1)], dtype=np.int64)
+    a, b, d = (np.array(v, dtype=np.int64) for v in zip(*triples))
+    # build-only lookup of a triple's index by (divisor position of a, b, of d)
+    pos = np.zeros(n + 1, dtype=np.int64)
+    pos[divisors] = range(len(divisors))
+    lookup = np.zeros(len(divisors) ** 2 * n, dtype=np.int64)
+    lookup[(pos[a] * n + b) * len(divisors) + pos[d]] = range(len(triples))
+
+    def index(a, b, d):
+        return lookup[(pos[a] * n + b) * len(divisors) + pos[d]]
+
+    euclid = np.zeros((3, (n + 1) * n), dtype=np.int64)
+    cells = [y * n + v for y in divisors for v in range(n)]
+    euclid[:, cells] = np.array([_ext_gcd(*divmod(c, n)) for c in cells]).T
+    u, v = np.divmod(np.arange(n * n), n)
+    # the lattice nZ^2 is (n, 0, n); rep holds one column of each cyclic subgroup
+    _, rep, cyclic = np.unique(
+        index(*_fold(euclid, n, n, 0, n, u, v)), return_index=True, return_inverse=True
+    )
+    u, v = u[rep], v[rep]
+    join = np.empty((len(triples), rep.size), dtype=_int_type(len(triples)))
+    step = max(1, _BLOCK // rep.size)
+    for s in range(0, len(triples), step):
+        rows = slice(s, s + step)
+        join[rows] = index(*_fold(euclid, n, a[rows, None], b[rows, None], d[rows, None], u, v))
     return _FormTables(
         n=n,
         triples=tuple(triples),
         sizes=tuple(n * n // (a * d) for a, _, d in triples),
-        bucket=bucket,
-        euclid=euclid,
+        cyclic=cyclic.astype(_int_type(rep.size)),
+        join=join,
     )
 
 
 def _hnf_buckets(t: _FormTables, forms) -> np.ndarray:
     """Subgroup index of the columns (A, D), (B, E), (C, F) of forms = (A, B, C, D, E, F).
 
-    Row reduction from the pivot (0, n): an extended-Euclid step on second
-    coordinates folds each column into the pivot, and the combination it
-    drops has second coordinate 0, so it joins aZ x 0. What is left is the
-    HNF basis (a, 0), (b, d). Entries of forms lie in [0, n).
+    The span 0 + <c1> + <c2> + <c3>, joined one cyclic subgroup at a time.
+    Entries of forms lie in [0, n).
     """
     n = t.n
     A, B, C, D, E, F = forms
-    a = np.full(np.shape(A), n, dtype=np.int64)
-    b = np.zeros_like(a)
-    d = np.full_like(a, n)
-    for u, v in ((A, D), (B, E), (C, F)):
-        g, s, r = np.moveaxis(t.euclid[d, v], -1, 0)
-        a = np.gcd(a, (v // g) * b - (d // g) * u)
-        b = (s * b + r * u) % a
-        d = g
-    return t.bucket[_hnf_index(n, a, b, d)]
+    c1, c2, c3 = (t.cyclic[u * n + v] for u, v in ((A, D), (B, E), (C, F)))
+    return t.join[t.join[t.join[-1, c1], c2], c3]
 
 
 def _bucket_tables(n: int) -> np.ndarray:

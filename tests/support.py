@@ -15,6 +15,10 @@ structure_maps.zero_perm_members, the shift check's member enumeration,
 which solves for the third rows of permanent 0 instead of filtering all n^3
 of them.
 
+hnf_buckets_by_euclid is the reference for oracle._hnf_buckets, which looks
+a prefix's subgroup up in the cyclic and join tables instead of reducing its
+three coefficient columns to Hermite normal form one prefix at a time.
+
 row_orbits_by_unit_minimum is the reference for oracle._row_orbits, which
 builds each unit-scaling orbit's normal form directly instead of taking the
 least image of every row over all units.
@@ -59,6 +63,28 @@ def third_row_counts_generic(sig: tuple[int, int, int, int, int, int], n: int) -
     perm = (A * x + B * y + C * z) % n
     det = (D * x + E * y + F * z) % n
     return np.bincount(perm[np.gcd(det, n) == 1], minlength=n)
+
+
+def hnf_buckets_by_euclid(n: int, forms) -> np.ndarray:
+    """Subgroup index of the columns (A, D), (B, E), (C, F) of forms, by row reduction per entry.
+
+    From the basis (n, 0), (0, n) of nZ^2, an extended-Euclid step on second
+    coordinates folds each column into (b, d), and the combination it drops
+    has second coordinate 0, so it joins aZ x 0. The HNF triple (a, b, d)
+    left is looked up among oracle._form_tables(n).triples.
+    """
+    euclid = np.array([[oracle._ext_gcd(y, v) for v in range(n)] for y in range(n + 1)])
+    A, B, C, D, E, F = (np.asarray(f, dtype=np.int64) for f in forms)
+    a = np.full(A.shape, n, dtype=np.int64)
+    b = np.zeros_like(a)
+    d = np.full_like(a, n)
+    for u, v in ((A, D), (B, E), (C, F)):
+        g, s, t = np.moveaxis(euclid[d, v], -1, 0)
+        a = np.gcd(a, (v // g) * b - (d // g) * u)
+        b = (s * b + t * u) % a
+        d = g
+    index = {triple: sid for sid, triple in enumerate(oracle._form_tables(n).triples)}
+    return np.array([index[key] for key in zip(a.flat, b.flat, d.flat)]).reshape(a.shape)
 
 
 def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:

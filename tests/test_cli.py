@@ -111,6 +111,19 @@ def test_oracle_refuses_a_huge_prime_before_factorizing(monkeypatch, capsys, cla
     assert "n <= 127" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["class-table", "case-table"])
+def test_table_check_refuses_a_huge_prime_before_factorizing(monkeypatch, capsys, section):
+    def fail(*args):
+        pytest.fail("factorized before the bound check")
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "factorize", fail)
+        monkeypatch.setattr(module, "is_prime", fail)
+    code = main(["table", "--section", section, "--p-list", str(2**61 - 1), "--check"])
+    assert code == 3
+    assert "n <= 127" in capsys.readouterr().err
+
+
 def test_table_class_section_csv(capsys):
     code, out = run(capsys, "table", "--section", "4.2", "--format", "csv")
     assert code == 0

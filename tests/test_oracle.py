@@ -20,6 +20,7 @@ from support import (
     CENSUS2,
     CENSUS3,
     CLASS_TABLE,
+    hnf_buckets_by_euclid,
     object_census3,
     row_orbits_by_unit_minimum,
     third_row_counts_generic,
@@ -293,6 +294,61 @@ def test_hnf_keys_are_canonical_for_subgroups(n):
         rep = _signature(triple, n)
         assert int(oracle._hnf_buckets(t, [np.array(v) for v in rep])) == sid
         assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == t.sizes[sid]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_and_join_tables_match_closures(n):
+    t = oracle._form_tables(n)
+    bases = [[(a % n, 0), (b, d % n)] for a, b, d in t.triples]
+    subgroup = {_closure(basis, n): sid for sid, basis in enumerate(bases)}
+    assert len(subgroup) == len(t.triples)
+    # each column's cyclic subgroup, read through the trivial subgroup's join row
+    columns = list(itertools.product(range(n), repeat=2))
+    cyclic = t.cyclic.tolist()
+    for (u, v), c in zip(columns, cyclic):
+        assert t.join[-1, c] == subgroup[_closure([(u, v)], n)], (u, v)
+    rep = {c: col for col, c in zip(columns, cyclic)}
+    assert sorted(rep) == list(range(t.join.shape[1]))
+    assert len({int(t.join[-1, c]) for c in rep}) == len(rep)
+    for sid, basis in enumerate(bases):
+        for c, col in rep.items():
+            assert t.join[sid, c] == subgroup[_closure([*basis, col], n)], (basis, col)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 16, 30, 36, 60, 64, 81, 96, 105, 120, 125, 127])
+def test_hnf_buckets_match_the_per_prefix_reduction(n):
+    rng = np.random.default_rng(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    # random forms times random divisors, so that small subgroups come up too
+    sig = rng.integers(0, n, (6, 1000)) * rng.choice(divisors, (6, 1000)) % n
+    r1, r2 = rng.integers(0, n, size=(2, 3, 1000))
+    for f in (list(sig), forms(list(r1), list(r2), n)):
+        keys = oracle._hnf_buckets(oracle._form_tables(n), f)
+        assert keys.tolist() == hnf_buckets_by_euclid(n, f).tolist()
+
+
+@pytest.mark.parametrize("n", [12, 16, 120, 127])
+def test_form_tables_hold_cyclic_and_join_entries_only(n):
+    # n^2 cyclic entries and S x C join entries, and no array indexed by the
+    # HNF triple itself, which would take n (n + 1)^2 slots (1.76 million at 120)
+    t = oracle._form_tables(n)
+    subgroups, cyclics = t.join.shape
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    assert sum(v.size for v in arrays) <= n * n + subgroups * cyclics
+
+
+def test_form_table_build_is_blocked():
+    # join (1,776 x 770 at 120) is built in blocks of _BLOCK entries: the
+    # peak is the tables plus a few int64 blocks, where one unblocked
+    # gather of the Euclid table alone would take 3 x 8 bytes per entry (33 MB)
+    oracle._form_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        t = oracle._form_tables(120)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.join.nbytes + t.cyclic.nbytes + 16 * oracle._BLOCK * 8
 
 
 @pytest.mark.parametrize("n", range(2, 33))
