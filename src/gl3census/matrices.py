@@ -183,15 +183,20 @@ def forms(r1, r2, n):
     )
 
 
-def perm_det(e, n):
-    """(perm, det) mod n of the entries e, expanded along row 1 over forms(row 2, row 3).
+def expand(coeffs, row, n):
+    """(perm, det) mod n of the matrix with first row row, given coeffs = forms(row 2, row 3, n).
 
     That is the third-row expansion of the cyclic shift (row 2, row 3, row 1),
-    which has the same determinant.
+    which has the same permanent and determinant.
     """
-    A, B, C, D, E, F = forms(e[3:6], e[6:9], n)
-    x, y, z = e[0:3]
+    A, B, C, D, E, F = coeffs
+    x, y, z = row
     return mod(A * x + B * y + C * z, n), mod(D * x + E * y + F * z, n)
+
+
+def perm_det(e, n):
+    """(perm, det) mod n of the entries e, expanded along row 1 over forms(row 2, row 3)."""
+    return expand(forms(e[3:6], e[6:9], n), e[0:3], n)
 
 
 def perm_det_subperms(e, n):
@@ -203,13 +208,10 @@ def perm_det_subperms(e, n):
     """
     a11, a12, a13 = e[0:3]
     a31, a32, a33 = e[6:9]
-    A, B, C, D, E, F = forms(e[3:6], e[6:9], n)
+    coeffs = forms(e[3:6], e[6:9], n)
     return (
-        mod(A * a11 + B * a12 + C * a13, n),
-        mod(D * a11 + E * a12 + F * a13, n),
-        A,
-        B,
-        C,
+        *expand(coeffs, e[0:3], n),
+        *coeffs[:3],
         mod(a12 * a33 + a13 * a32, n),
         mod(a11 * a33 + a13 * a31, n),
     )

@@ -5,7 +5,7 @@ project is the entrywise reduction from Z/p^k to Z/p, fiber_count verifies the
 lift-fiber size by enumeration, witness builds explicit members of the five
 sub-permanent classes, and emptiness_scan exhaustively confirms that no
 invertible matrix escapes those five classes. zero_perm_members lists all of
-G(p^k, 0) by solving the permanent's linear form in the third row.
+G(p^k, 0) by solving the permanent's linear form in the first row.
 """
 
 from __future__ import annotations
@@ -182,81 +182,114 @@ def emptiness_scan(p: int, k: int = 1, *, threads: int = 1, progress=None) -> Em
 
 
 def zero_perm_members(p: int, k: int, prefixes: range | None = None):
-    """The members of G(p^k, 0) over the given prefixes, in (9, m) batches of row-major entries.
+    """The members of G(p^k, 0) over the given prefixes, in grid batches.
 
     prefixes is a range of prefix indices in [0, n^6), by default all of
     them; prefix r has the base-n digits of r, least significant first, as
-    its six entries. The entries are of oracle._kernel_type(p^k), the
-    narrowest type that holds the kernel's arithmetic. Blocks of prefixes,
-    counted from the range's start, span at most oracle._CHUNK third-row
-    candidates, and a batch holds at most oracle._BLOCK members (at most
-    max(oracle._BLOCK, n p^k), which is oracle._BLOCK for n <= 256).
+    its six entries, rows 2 and 3. Row 1 is solved for. Every member has one
+    prefix, so this lists each member of G(p^k, 0) once and nothing else,
+    with no reduction by symmetry.
 
-    Over a prefix (rows 1 and 2), the permanent and the determinant are the
-    linear forms (A, B, C) and (D, E, F) of matrices.forms in the third row.
-    Let p^v be the gcd of A, B, C and n = p^k, c the first coordinate whose
-    coefficient has valuation v, that coefficient p^v u (u a unit) and the
-    other two p^v q1, p^v q2, at coordinates c1 < c2. The third rows of
-    permanent 0 are then the n^2 p^v distinct rows y K1 + z K2 + j K3 mod n,
-    0 <= y, z < n and 0 <= j < p^v, with K1 = e_c1 - u^-1 q1 e_c,
-    K2 = e_c2 - u^-1 q2 e_c and K3 = (n / p^v) e_c. On them the determinant
-    is the linear form y D.K1 + z D.K2 + j D.K3, so the unit filter runs on
-    (y, z, j) before any member is built. Every value stays within
-    3 (n - 1)^2.
+    A batch is a list of the nine row-major entries: the six of rows 2 and
+    3 are (1, G) arrays, one prefix to a column, and the three of row 1
+    (L, G) arrays, the L members over each prefix down its column. That is
+    oracle._naive_job's layout transposed, so that numpy's inner loops run
+    along a row of G prefixes rather than along the L members of one. The
+    entries are of oracle._kernel_type(p^k), the narrowest type that holds
+    the kernel's arithmetic, and matrices.perm_det on a batch forms the
+    minors of rows 2 and 3 once per prefix. The prefixes go in blocks of
+    oracle._CHUNK // n^2 (at least one), verify.shift_round_trip's job
+    split, whose per-prefix arrays are of that type too. A batch holds
+    whole prefixes of one block: at most oracle._BLOCK members, or one
+    prefix's (fewer than n^3, so oracle._BLOCK for n <= 40).
 
-    The prefixes of one block and one v span a (prefixes x n x n x p^v)
-    grid of (prefix, y, z, j). It is cut into lines of fixed (prefix, y),
-    of n p^v points each, and a batch takes as many whole lines as fit in
-    oracle._BLOCK points, one line at least; its arrays hold one point or
-    one member each.
+    Over a prefix, the permanent and the determinant are the linear forms
+    (A, B, C) and (D, E, F) of matrices.forms in row 1. Let p^v be the gcd
+    of A, B, C and n = p^k, c the first coordinate whose coefficient has
+    valuation v, that coefficient p^v u (u a unit) and the other two
+    p^v q1, p^v q2, at coordinates c1 < c2. The rows of permanent 0 are then
+    the n^2 p^v distinct rows y K1 + z K2 + j K3 mod n, 0 <= y, z < n and
+    0 <= j < p^v, with K1 = e_c1 - u^-1 q1 e_c, K2 = e_c2 - u^-1 q2 e_c and
+    K3 = (n / p^v) e_c. On them the determinant is y d1 + z d2 + j d3, with
+    d_i = (D, E, F) . K_i, and a unit exactly when it is not 0 mod p.
+
+    Only members are enumerated. The axis is a coordinate whose d is a unit
+    mod p: y, after swapping K1 and K2 where only d2 is; else j, which
+    happens only at v = k, as n / p^v is a multiple of p below that; a
+    prefix with neither has no member. For each value (s1, s2) of the other
+    two coordinates, the determinant is 0 mod p on one residue class of the
+    axis t mod p, a s1 + b s2 with (a, b) = -(d_s1, d_s2) / d_t mod p. So
+    t = p q + ((a s1 + b s2 + r) mod p), 1 <= r < p and every q, lists
+    exactly the members: (p - 1) n^2 p^(v - 1) per prefix. Prefixes go into
+    batches by (v, axis), so that L is the same across a batch. Every value
+    stays within 3 (n - 1)^2.
     """
     n = p**k
     prefixes = range(n**6) if prefixes is None else prefixes
     if prefixes.step != 1 or prefixes.start < 0 or prefixes.stop > n**6:
         raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
     dtype = oracle._kernel_type(n)
-    val = np.array([max(t for t in range(k + 1) if r % p**t == 0) for r in range(n)])
-    power = (p ** np.arange(k + 1)).astype(dtype)
-    inv = oracle._inverse_table(n, dtype)
-    eye = np.eye(3, dtype=dtype)
-    z = np.arange(n, dtype=dtype)[None, :, None]
-    step = max(1, oracle._CHUNK // n**3)
+    inv_p = oracle._inverse_table(p, dtype)
+    groups = [(w, 0) for w in range(k + 1)] + [(k, 2)]  # (v, axis): y, then j at v = k
+    step = max(1, oracle._CHUNK // n**2)
     for start in range(prefixes.start, prefixes.stop, step):
-        rows = range(start, min(start + step, prefixes.stop))
-        prefix = [v.astype(dtype) for v in oracle._digits(rows, n, 6)]
-        coeffs = forms(prefix[0:3], prefix[3:6], n)
-        vals = [val[c] for c in coeffs[:3]]
-        v = np.minimum(np.minimum(vals[0], vals[1]), vals[2])
-        c = np.where(vals[0] == v, 0, np.where(vals[1] == v, 1, 2))
-        c1, c2 = np.where(c == 0, 1, 0), np.where(c == 2, 1, 2)
-        pv = power[v]
-        u, q1, q2 = (np.choose(i, coeffs[:3]) // pv for i in (c, c1, c2))
-        basis = [
-            (eye[c1] + mod(-inv[u] * q1, n)[:, None] * eye[c]).T,
-            (eye[c2] + mod(-inv[u] * q2, n)[:, None] * eye[c]).T,
-            (mod(n // pv, n)[:, None] * eye[c]).T,
-        ]
-        dets = [mod(coeffs[3] * K[0] + coeffs[4] * K[1] + coeffs[5] * K[2], n) for K in basis]
-        live = (mod(dets[0], p) != 0) | (mod(dets[1], p) != 0) | (mod(dets[2], p) != 0)
-        for w in range(k + 1):
-            sel = np.flatnonzero(live & (v == w))
-            j = np.arange(p**w, dtype=dtype)[None, None, :]
-            per = max(1, oracle._BLOCK // (n * p**w))  # lines per batch
-            for s in range(0, sel.size * n, per):
-                line = np.arange(s, min(s + per, sel.size * n))
-                at = sel[line // n]  # each line's prefix, by index into the block
-                y = (line % n).astype(dtype)[:, None, None]
+        block = range(start, min(start + step, prefixes.stop))
+        prefix = [v.astype(dtype) for v in oracle._digits(block, n, 6)]
+        v, basis, d = _member_basis(prefix, p, k)
+        for w, axis in groups:
+            on_axis = d[0] != 0 if axis == 0 else (d[0] == 0) & (d[2] != 0)
+            sel = np.flatnonzero((v == w) & on_axis)
+            if not sel.size:
+                continue
+            others = [i for i in range(3) if i != axis]
+            size = [n, n, p**w]  # of y, z, j
+            shape = (size[axis] // p, p - 1, size[others[0]], size[others[1]])
+            # one (L, 1) column per coordinate: a member over each prefix to a row
+            pq, r, *s = np.indices(shape, dtype=dtype).reshape(4, -1, 1)
+            pq *= p
+            r += 1
+            s_p = [mod(t, p) for t in s]
+            a, b = (mod(-d[o] * inv_p.take(d[axis]), p) for o in others)
+            per = max(1, oracle._BLOCK // pq.size)  # prefixes per batch
+            for i in range(0, sel.size, per):
+                at = sel[i : i + per]
+                coord = list(s)
+                coord.insert(axis, pq + mod(a[at] * s_p[0] + b[at] * s_p[1] + r, p))
+                K = basis.take(at, axis=2)[:, :, None]  # (K_i, entry, 1, G)
+                row1 = mod(coord[0] * K[0] + coord[1] * K[1] + coord[2] * K[2], n)
+                del coord  # not held while the batch is checked
+                yield [*row1, *(e[None, at] for e in prefix)]
 
-                def on_grid(coef):
-                    # coef[0] y + coef[1] z + coef[2] j: lines on axis 0, then z, j
-                    a, b, d = (t[at, None, None] for t in coef)
-                    return y * a + z * b + j * d
 
-                unit = mod(on_grid(dets), p) != 0
-                counts = unit.sum(axis=(1, 2))
-                batch = np.empty((9, int(counts.sum())), dtype=dtype)
-                for i, r in enumerate(prefix):
-                    batch[i] = np.repeat(r[at], counts)
-                for i in range(3):
-                    batch[6 + i] = mod(on_grid([K[i] for K in basis]), n)[unit]
-                yield batch
+def _member_basis(prefix, p: int, k: int):
+    """Per prefix (rows 2 and 3): v, the basis K1, K2, K3 and its determinant coefficients mod p.
+
+    The basis is (K_i, entry, prefix) and the coefficients d_i (i, prefix),
+    as set out in zero_perm_members, with K1 and K2 swapped where d2 is a
+    unit mod p and d1 is not. Selections are made by gathers and
+    arithmetic, and everything is of the prefix's type. A function, so
+    that the block's intermediates are freed before its batches are built.
+    """
+    n = p**k
+    dtype = prefix[0].dtype
+    val = np.array([max(t for t in range(k + 1) if r % p**t == 0) for r in range(n)], dtype=dtype)
+    coeffs = forms(prefix[0:3], prefix[3:6], n)
+    perm_c, det_c = np.stack(coeffs[:3]), np.stack(coeffs[3:])
+    vals = val.take(perm_c)
+    v = vals.min(axis=0)
+    first, second = (vals[i] == v for i in (0, 1))
+    c = (~first * (2 - second)).astype(dtype)  # the first coordinate of valuation v
+    at = np.stack([c, (c == 0).astype(dtype), 2 - (c == 2).astype(dtype)])  # c, c1, c2
+    hot = (np.arange(3, dtype=dtype)[:, None, None] == at).astype(dtype)  # hot[e, i]: entry e is at[i]
+    pv = (p ** np.arange(k + 1)).astype(dtype)[v]
+    u, q1, q2 = (hot * perm_c[:, None]).sum(axis=0, dtype=dtype) // pv
+    d_c, d_c1, d_c2 = (hot * det_c[:, None]).sum(axis=0, dtype=dtype)
+    minus_inv_u = -oracle._inverse_table(n, dtype).take(u)
+    scale = np.stack([mod(minus_inv_u * q1, n), mod(minus_inv_u * q2, n), mod(n // pv, n)])  # K_i at c
+    at_c = hot[:, 0]
+    basis = np.stack([hot[:, 1] + scale[0] * at_c, hot[:, 2] + scale[1] * at_c, scale[2] * at_c])
+    d = np.stack([mod(d_c1 + scale[0] * d_c, p), mod(d_c2 + scale[1] * d_c, p), mod(scale[2] * d_c, p)])
+    swap = ((d[0] == 0) & (d[1] != 0)).astype(dtype)
+    basis[:2] += swap * (basis[1::-1] - basis[:2])
+    d[:2] += swap * (d[1::-1] - d[:2])
+    return v, basis, d

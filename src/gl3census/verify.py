@@ -21,7 +21,9 @@ from . import closed_form, oracle, structure_maps
 from .matrices import (
     CLASS_LABELS,
     classify,
+    expand,
     format_mat3,
+    forms,
     is_invertible,
     mat3,
     mod,
@@ -453,6 +455,17 @@ def _subperm_identity(ctx):
     return out
 
 
+def _first_unit(subs, p):
+    """Per entry: the index and value of the first of subs that is a unit mod p; the last if none is."""
+    lab, pivot = np.full(np.shape(subs[-1]), len(subs) - 1, dtype=np.int8), subs[-1]
+    for i in range(len(subs) - 2, -1, -1):
+        # a select by arithmetic: keep (lab, pivot) where subs[i] is not a unit, else take (i, subs[i])
+        off = mod(subs[i], p) == 0
+        lab = off * (lab - i) + i
+        pivot = off * (pivot - subs[i]) + subs[i]
+    return lab, pivot
+
+
 def _perm_det_label(e, n, p):
     """Per matrix: perm and det mod n, and the index and value of its first unit sub-permanent.
 
@@ -462,57 +475,112 @@ def _perm_det_label(e, n, p):
     no unit among the five gets index 4.
     """
     perm, det, *subs = perm_det_subperms(e, n)
-    lab, pivot = np.full(np.shape(perm), 4, dtype=np.int8), subs[4]
-    for i in (3, 2, 1, 0):
-        # a select by arithmetic: keep (lab, pivot) where P_i is not a unit, else take (i, P_i)
-        off = mod(subs[i], p) == 0
-        lab = off * (lab - i) + i
-        pivot = off * (pivot - subs[i]) + subs[i]
-    return perm, det, lab, pivot
+    return perm, det, *_first_unit(subs, p)
 
 
 def _shift_verify_members(e, n, p, shifts, inv_table):
-    """Verify the pivot-shift map on a batch of members of G(n, 0).
+    """Verify the pivot-shift map on a batch of members of G(n, 0), n = p^k.
 
-    e is a (9, m) array of row-major entries in [0, n), of
-    oracle._kernel_type(n) or wider, and inv_table an oracle._inverse_table of
-    the same dtype; the arithmetic stays within the kernel's bound.
+    e holds the nine row-major entries, in [0, n), as arrays that broadcast
+    together: a (9, m) array, or a structure_maps.zero_perm_members batch.
+    They are of oracle._kernel_type(n) or wider, and inv_table is an
+    oracle._inverse_table of the same dtype; the arithmetic stays within
+    the kernel's bound.
 
     One kernel call per matrix (_perm_det_label) gives its permanent,
-    determinant and label. A member's pivot entry sits in row lab of its
-    column, so a shift is one update of rows 0..4 of the image buffer
-    through the one-hot (5, m) mask of lab; rows 5..8 hold no pivot and are
-    copied once per batch. The return shift is then added to the image in
-    place, and must give back the member. Shifting by x = 0 maps every
-    column with entries in [0, n) to itself, so its image is checked on the
-    member's own kernel call.
+    determinant and label. A member's pivot is entry lab, one of 0..4, so a
+    shift updates entries 0..4 of the image, each through the mask
+    lab == r; entries 5..8 hold no pivot and are the member's own. The
+    return shift must then give back entries 0..4. Shifting by x = 0 maps
+    every member with entries in [0, n) to itself, so its image is checked
+    on the member's own kernel call. As n = p^k, a determinant is a unit
+    exactly when p does not divide it.
 
     Returns per-shift violation counts; a violation is any member whose image
     fails perm == x, unit determinant, class preservation, or the round trip.
     """
-    count = e.shape[1]
-    unit = oracle._unit_mask(n)
-    rows = np.arange(5, dtype=np.int8)[:, None]  # the type of the labels
+    count = np.broadcast(*e).size
     perm, det, lab, pivot = _perm_det_label(e, n, p)
-    hot = lab == rows
-    inv = inv_table[pivot]
-    img = e.copy()
+    member = (perm == 0) & (mod(det, p) != 0)
+    inv = inv_table.take(pivot)
+    del perm, det, pivot  # member and inv are all that the shifts read
+    img = list(e)
     violations = {}
     for x in shifts:
         if x % n == 0:
-            ok = (perm == 0) & unit[det]
+            ok = member
         else:
-            img[:5] = mod(e[:5] + hot * mod(x * inv, n), n)
+            step = mod(x * inv, n)
+            for r in range(5):
+                img[r] = mod(e[r] + (lab == r) * step, n)
             perm_i, det_i, lab_i, pivot_i = _perm_det_label(img, n, p)
-            img[:5] += (lab_i == rows) * mod((n - x) * inv_table[pivot_i], n)
-            ok = (
-                (perm_i == x % n)
-                & unit[det_i]
-                & (lab_i == lab)
-                & (mod(img[:5], n) == e[:5]).all(axis=0)
-            )
+            back = mod((n - x) * inv_table.take(pivot_i), n)
+            ok = (perm_i == x % n) & (mod(det_i, p) != 0) & (lab_i == lab)
+            for r in range(5):
+                ok &= mod(img[r] + (lab_i == r) * back, n) == e[r]
         violations[x] = count - int(ok.sum())
     return violations
+
+
+def _shift_verify_decided(e, n, p, shifts, inv_table, coeffs):
+    """_shift_verify_members on a grid batch whose prefixes all have a unit among P11, P12, P13.
+
+    e is a structure_maps.zero_perm_members batch: row 1 as (L, G) arrays,
+    rows 2 and 3 as (1, G) arrays, and coeffs = matrices.forms(row 2,
+    row 3), whose A, B, C are P11, P12, P13. Each member's pivot entry is
+    then in row 1, at the column of its prefix's first unit among them, so
+    the label, the pivot value, its inverse and the step x P^-1 of a shift
+    are per prefix. An image differs from its member in row 1 only, so it
+    stays on the grid, with row 1 one (3, L, G) array. Each member and each
+    image is still evaluated on its own: the forms of its own rows 2 and 3,
+    once per prefix, give its label and, through matrices.expand, its
+    permanent and determinant. The return shift must restore all three
+    entries of row 1; rows 2 and 3 are the member's own arrays.
+    """
+    count = np.broadcast(*e).size
+    row = np.stack(e[0:3])
+    perm, det = expand(coeffs, row, n)
+    member = (perm == 0) & (mod(det, p) != 0)
+    lab, pivot = _first_unit(coeffs[:3], p)
+    cols = np.arange(3, dtype=np.int8)[:, None, None]  # the type of the labels
+    hot = lab == cols
+    inv = inv_table.take(pivot)
+    violations = {}
+    for x in shifts:
+        if x % n == 0:
+            ok = member
+        else:
+            img = mod(row + hot * mod(x * inv, n), n)
+            coeffs_i = forms(e[3:6], e[6:9], n)  # the image's rows 2 and 3
+            perm_i, det_i = expand(coeffs_i, img, n)
+            lab_i, pivot_i = _first_unit(coeffs_i[:3], p)
+            back = mod((n - x) * inv_table.take(pivot_i), n)
+            ok = (perm_i == x % n) & (mod(det_i, p) != 0) & (lab_i == lab)
+            ok &= (mod(img + (lab_i == cols) * back, n) == row).all(axis=0)
+        violations[x] = count - int(ok.sum())
+    return violations
+
+
+def _shift_verify_grid(e, n, p, shifts, inv_table):
+    """Per-shift violation counts over one structure_maps.zero_perm_members batch.
+
+    A prefix with a unit among P11, P12, P13 decides the class of every
+    member over it, with the pivot in row 1: those prefixes are checked on
+    the grid (_shift_verify_decided). The rest are left over: their pivot
+    is in row 2, which a shift moves along with the minors of rows 2 and 3,
+    so they are checked member by member (_shift_verify_members), as the
+    sampled check is. A batch with both is split in two.
+    """
+    coeffs = forms(e[3:6], e[6:9], n)
+    _, pivot = _first_unit(coeffs[:3], p)
+    decided = (mod(pivot, p) != 0).ravel()
+    if decided.all():
+        return _shift_verify_decided(e, n, p, shifts, inv_table, coeffs)
+    if not decided.any():
+        return _shift_verify_members(e, n, p, shifts, inv_table)
+    halves = ([v[:, half] for v in e] for half in (decided, ~decided))
+    parts = [_shift_verify_grid(half, n, p, shifts, inv_table) for half in halves]
+    return {x: parts[0][x] + parts[1][x] for x in shifts}
 
 
 def _shift_population_job(args):
@@ -523,8 +591,8 @@ def _shift_population_job(args):
     inv_table = oracle._inverse_table(n, oracle._kernel_type(n))
     out = np.zeros(1 + len(shifts), dtype=np.int64)
     for e in structure_maps.zero_perm_members(p, k, range(start, stop)):
-        out[0] += e.shape[1]
-        out[1:] += list(_shift_verify_members(e, n, p, shifts, inv_table).values())
+        out[0] += np.broadcast(*e).size
+        out[1:] += list(_shift_verify_grid(e, n, p, shifts, inv_table).values())
     return out
 
 
@@ -544,31 +612,36 @@ def shift_round_trip(
     member exactly. Returns (members checked, violations per shift).
     population=True enumerates all of G(p^k, 0); otherwise a seeded sample.
     Defined for odd p and k >= 1: G(2^k, 0) is empty, as perm = det mod 2.
-    The population scan is charged n^8 matrices, about the n^9 / n it solves
-    for, against oracle.SCAN_BUDGET, so it runs for n <= 10: 3, 3^2, 5 and 7.
+    Either way n = p^k <= oracle.INT64_CEILING. The population scan is
+    charged n^8 matrices, about the n^9 / n it solves for, against
+    oracle.SCAN_BUDGET, so it runs for n <= 10: 3, 3^2, 5 and 7. Both bounds
+    are checked before p is tested for primality.
 
     The population is not filtered out of all n^9 matrices. For each of the
-    n^6 prefixes (rows 1 and 2), structure_maps.zero_perm_members solves for
-    the third rows of permanent 0, a subgroup with an explicit basis, and
-    keeps those of unit determinant. That visits every member once and
+    n^6 prefixes (rows 2 and 3), structure_maps.zero_perm_members solves for
+    the first rows of permanent 0, a subgroup with an explicit basis, and
+    lists only those of unit determinant. That visits every member once and
     nothing else, with no reduction by symmetry: each member is shifted and
     checked on its own. Members are checked in oracle._kernel_type(n), the
-    narrowest integer type that holds the kernel's intermediates; the
-    population comes in batches of at most oracle._BLOCK members. Each
-    matrix, member or image, is evaluated by one matrices.perm_det_subperms
-    call, which gives its permanent, determinant and class. Each batch gets
-    one image buffer: a shift moves every member's pivot entry at once, in
-    one masked update of the pivot rows 0..4, and the return shift is undone
-    in the same buffer.
+    narrowest integer type that holds the kernel's intermediates, in
+    batches of at most oracle._BLOCK members laid out on a grid: row 1 per
+    member, rows 2 and 3 per prefix. A prefix with a unit among P11, P12,
+    P13 puts every member's pivot in row 1, so its label, pivot and inverse
+    are the prefix's, and its members and their images are evaluated on the
+    grid, with the minors of rows 2 and 3 formed once per prefix; the
+    left-over prefixes, with their pivot in row 2, are checked member by
+    member (_shift_verify_grid).
 
-    The n^6 prefixes are split into zero_perm_members' own blocks of
-    oracle._CHUNK // n^3 prefixes (oracle._range_jobs), one job each. The
-    jobs run on up to threads threads through oracle._sum_jobs, which adds
-    their (members, violations per shift) vectors in job order, so the
+    The n^6 prefixes are split into jobs of oracle._CHUNK // n^2 prefixes
+    (oracle._range_jobs, charging each prefix n^2 matrices; one that decides
+    the class holds (p - 1) n^2 / p members), zero_perm_members' own
+    blocks. Jobs that large keep the batches full, and so the number of
+    numpy calls, each of which takes the interpreter lock, low per member.
+    The jobs run on up to threads threads through oracle._sum_jobs, which
+    adds their (members, violations per shift) vectors in job order, so the
     result does not depend on threads.
     """
-    if population:
-        oracle._check_bound("shift_round_trip", p, k, scan=8 * k)
+    oracle._check_bound("shift_round_trip", p, k, scan=8 * k if population else 0)
     if not is_prime(p) or p == 2:
         raise ValueError(f"shift maps need an odd prime, got {p}")
     if k < 1:
@@ -582,7 +655,7 @@ def shift_round_trip(
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
         e = _sample_matrices(rng, n, sample, n).astype(dtype)
         return e.shape[1], _shift_verify_members(e, n, p, shifts, oracle._inverse_table(n, dtype))
-    jobs = oracle._range_jobs(n**6, n**3, p, k)
+    jobs = oracle._range_jobs(n**6, n**2, p, k)
     checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
     return checked, dict(zip(shifts, viols))
 

@@ -10,10 +10,12 @@ third_row_counts_generic is the reference for the per-subgroup third-row
 tables of the orbit engines, which read them off each subgroup's Hermite
 basis instead of sweeping all n^3 third rows.
 
-zero_perm_members_by_filter is the reference for
-structure_maps.zero_perm_members, the shift check's member enumeration,
-which solves for the third rows of permanent 0 instead of filtering all n^3
-of them.
+zero_perm_members_by_filter and members_per_prefix_by_filter are the
+references for structure_maps.zero_perm_members, the shift check's member
+enumeration, which solves for the first rows of permanent 0 and lists only
+those of unit determinant instead of filtering all n^3 of them. materialize
+turns one of its grid batches into (9, m) members, and member_groups counts
+the prefixes of a range in each of its (v, axis) groups.
 
 hnf_buckets_by_euclid is the reference for oracle._hnf_buckets, which looks
 a prefix's subgroup up in the cyclic and join tables instead of reducing its
@@ -23,13 +25,14 @@ row_orbits_by_unit_minimum is the reference for oracle._row_orbits, which
 builds each unit-scaling orbit's normal form directly instead of taking the
 least image of every row over all units.
 
-shift_verify_members_by_scatter is the reference for
-verify._shift_verify_members: it copies each batch per shift, moves the
-pivot entries by a flat gather and scatter, evaluates every image and return
-image through perm_det and subperms, and runs every check at x = 0 too.
-The check under test labels each matrix from one perm_det_subperms call,
-updates rows 0..4 of one image buffer through a one-hot mask of the pivot
-row, undoes the shift in place, and reads x = 0 off the member's own call.
+shift_verify_members_by_scatter is the reference for the shift check,
+verify._shift_verify_members on (9, m) members and verify._shift_verify_grid
+on grid batches: it copies each batch per shift, moves the pivot entries by
+a flat gather and scatter, evaluates every image and return image through
+perm_det and subperms, and runs every check at x = 0 too. The checks under
+test label each matrix from one kernel call, update the pivot entries
+through masks of the label (per prefix, on the grid, where rows 2 and 3
+decide it), and read x = 0 off the member's own call.
 """
 
 import itertools
@@ -37,7 +40,7 @@ from math import gcd
 
 import numpy as np
 
-from gl3census import oracle
+from gl3census import oracle, structure_maps
 from gl3census.matrices import Mat3, determinant3, mod, permanent3, perm_det, subperms
 from gl3census.modring import factorize
 
@@ -102,19 +105,54 @@ def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zero_perm_members_by_filter(n: int):
-    """Every member of G(n, 0), in (9, m) batches, by testing all n^3 third rows of each prefix.
+    """Every member of G(n, 0), in (9, m) batches, by testing all n^3 first rows of each prefix.
 
-    Prefixes (rows 1 and 2) go in blocks of 2048 against every third row;
-    the kernel sees rows (third, first, second), a cyclic shift with the same
-    permanent and determinant.
+    Prefixes (rows 2 and 3) go in blocks of 2048 against every first row.
     """
-    third = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
+    first = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
     unit = oracle._unit_mask(n)
     for start in range(0, n**6, 2048):
         prefix = [v[:, None] for v in oracle._digits(range(start, min(start + 2048, n**6)), n, 6)]
-        perm, det = perm_det(third + prefix, n)
-        pi, ti = np.nonzero((perm == 0) & unit[det])
-        yield np.stack([v[pi, 0] for v in prefix] + [v[0, ti] for v in third])
+        perm, det = perm_det(first + prefix, n)
+        pi, fi = np.nonzero((perm == 0) & unit[det])
+        yield np.stack([v[0, fi] for v in first] + [v[pi, 0] for v in prefix])
+
+
+def members_per_prefix_by_filter(n: int, prefixes: range) -> np.ndarray:
+    """The members of G(n, 0) over each prefix (rows 2 and 3) of prefixes, among all n^3 first rows."""
+    first = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
+    prefix = [v[:, None] for v in oracle._digits(prefixes, n, 6)]
+    perm, det = perm_det(first + prefix, n)
+    return ((perm == 0) & oracle._unit_mask(n)[det]).sum(axis=1)
+
+
+def materialize(batch) -> np.ndarray:
+    """The (9, m) row-major entries of a structure_maps.zero_perm_members batch.
+
+    The batch's nine arrays broadcast to (L, G), L members over each of G
+    prefixes; the members come prefix by prefix.
+    """
+    shape = np.broadcast_shapes(*(np.shape(e) for e in batch))
+    return np.stack([np.broadcast_to(e, shape).T.ravel() for e in batch])
+
+
+def member_groups(p: int, k: int, prefixes: range) -> dict:
+    """How many prefixes of the range fall in each (v, axis) group of zero_perm_members.
+
+    Read off structure_maps._member_basis, the enumerator's own per-prefix
+    basis, to show that a test's prefixes reach every group.
+    """
+    n = p**k
+    prefix = [v.astype(oracle._kernel_type(n)) for v in oracle._digits(prefixes, n, 6)]
+    v, _, d = structure_maps._member_basis(prefix, p, k)
+    out = {(w, "y"): int(((v == w) & (d[0] != 0)).sum()) for w in range(k + 1)}
+    out[(k, "j")] = int(((v == k) & (d[0] == 0) & (d[2] != 0)).sum())
+    return out
+
+
+def prefix_index(e, n: int) -> np.ndarray:
+    """Each of the (9, m) members' prefix index: the base-n number with entries 3..8 as digits."""
+    return sum(e[3 + i].astype(np.int64) * n**i for i in range(6))
 
 
 def label_pivot(e, n, p):

@@ -606,8 +606,9 @@ def test_size_rules_follow_from_their_arithmetic(monkeypatch):
 
 
 def test_every_engine_refuses_one_past_its_bound(monkeypatch):
-    # 127^9 < 2^63 <= 128^9 for the orbit engines, n^9, n^4, p^(9(k - 1)) and
-    # n^8 matrices within 2^27 for the scans: refused before any job is dispatched
+    # 127^9 < 2^63 <= 128^9 for the orbit engines and the sampled shift check,
+    # n^9, n^4, p^(9(k - 1)) and n^8 matrices within 2^27 for the scans:
+    # refused before any job is dispatched or any matrix sampled
     monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("enumeration started"))
     a = sm.witness(ClassLabel.C12, 3)
     calls = [
@@ -622,6 +623,7 @@ def test_every_engine_refuses_one_past_its_bound(monkeypatch):
         ("p <= 3", lambda: verify.shift_round_trip(5, 2)),
         ("n <= 10", lambda: verify.shift_round_trip(11, 1)),
         ("n <= 10", lambda: verify.shift_round_trip(13, 1)),
+        ("n <= 127", lambda: verify.shift_round_trip(131, 1, population=False)),
     ]
     for bound, call in calls:
         with pytest.raises(oracle.CensusTooLarge, match=bound):
@@ -646,6 +648,7 @@ def test_bounds_are_checked_before_factorizing(monkeypatch):
         lambda: oracle.case_census(big),
         lambda: sm.emptiness_scan(big),
         lambda: verify.shift_round_trip(big, 1),
+        lambda: verify.shift_round_trip(big, 1, population=False),
     ]
     for call in calls:
         with pytest.raises(oracle.CensusTooLarge):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import zero_perm_members_by_filter
+from support import (
+    materialize,
+    member_groups,
+    members_per_prefix_by_filter,
+    prefix_index,
+    zero_perm_members_by_filter,
+)
 
 from gl3census import oracle
 from gl3census import structure_maps as sm
@@ -158,48 +164,88 @@ def test_emptiness_scan_small(p, k, order):
 
 
 def flat_index(e, n):
-    """Each member's row-major entries as one base-n number, in int64."""
+    """Each of the (9, m) members' row-major entries as one base-n number, in int64."""
     return sum(e[i].astype(np.int64) * n**i for i in range(9))
+
+
+def members(p, k, prefixes=None):
+    """The members zero_perm_members lists, in order, as flat indices."""
+    batches = sm.zero_perm_members(p, k, prefixes)
+    return np.concatenate([flat_index(materialize(e), p**k) for e in batches])
+
+
+# at (3, 2), 4,000 prefixes that hold every (v, axis) group of the enumeration:
+# v = 0, 1 and 2 with axis y, and v = 2 with axis j (from prefix 65,763 on)
+DENSE_NINE = range(64_000, 68_000)
+
+
+def test_dense_nine_holds_every_group():
+    assert all(count > 0 for count in member_groups(3, 2, DENSE_NINE).values())
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_zero_perm_members_match_filter_scan(p):
-    solved = [flat_index(e, p) for e in sm.zero_perm_members(p, 1)]
     filtered = [flat_index(e, p) for e in zero_perm_members_by_filter(p)]
-    assert np.array_equal(np.sort(np.concatenate(solved)), np.sort(np.concatenate(filtered)))
+    assert np.array_equal(np.sort(members(p, 1)), np.sort(np.concatenate(filtered)))
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_zero_perm_members_over_two_halves_equal_the_whole(n):
-    def members(prefixes):
-        batches = [flat_index(e, n) for e in sm.zero_perm_members(n, 1, prefixes)]
-        return np.sort(np.concatenate(batches))
-
     half = n**6 // 2  # not a block boundary of the whole range
-    halves = np.sort(np.concatenate([members(range(half)), members(range(half, n**6))]))
-    assert np.array_equal(halves, members(None))
+    halves = np.concatenate([members(n, 1, range(half)), members(n, 1, range(half, n**6))])
+    assert np.array_equal(np.sort(halves), np.sort(members(n, 1)))
 
 
-# at (3, 2) the enumerator's blocks 182..184, around the one whose job peaks highest
-DENSE_NINE = range(182 * 1438, 185 * 1438)
+def prefix_counts(p, k, prefixes):
+    """Members listed over each prefix of the range, by the prefix index of each member."""
+    n = p**k
+    counts = np.zeros(len(prefixes), dtype=np.int64)
+    for e in sm.zero_perm_members(p, k, prefixes):
+        counts += np.bincount(prefix_index(materialize(e), n) - prefixes.start, minlength=len(prefixes))
+    return counts
+
+
+@pytest.mark.parametrize("p,k,samples", [(3, 1, None), (5, 1, None), (3, 2, 32)])
+def test_only_members_are_listed_and_all_of_them(p, k, samples):
+    # the member-only parametrization lists, over every prefix, exactly the
+    # members the filter finds among all n^3 first rows: every prefix at
+    # (3, 1) and (5, 1); at (3, 2), 32 seeded runs of 64 prefixes and DENSE_NINE
+    n = p**k
+    if samples is None:
+        ranges = [range(n**6)]
+    else:
+        starts = np.random.default_rng([p, k]).integers(0, n**6 - 64, size=samples)
+        ranges = [range(s, s + 64) for s in starts.tolist()] + [DENSE_NINE]
+    listed = 0
+    for prefixes in ranges:
+        want = members_per_prefix_by_filter(n, prefixes)
+        assert np.array_equal(prefix_counts(p, k, prefixes), want), prefixes
+        listed += int(want.sum())
+    assert listed > 0
 
 
 @pytest.mark.parametrize(
     "p,k,prefixes", [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, DENSE_NINE)]
 )
 def test_zero_perm_member_batches_hold_at_most_a_block(p, k, prefixes):
-    assert max(e.shape[1] for e in sm.zero_perm_members(p, k, prefixes)) <= oracle._BLOCK
+    batches = list(sm.zero_perm_members(p, k, prefixes))
+    assert max(np.broadcast(*e).size for e in batches) <= oracle._BLOCK
+    # the layout: row 1 per member, rows 2 and 3 per prefix
+    for e in batches:
+        (L, G), t = e[0].shape, oracle._kernel_type(p**k)
+        assert all(v.shape == (L, G) and v.dtype == t for v in e[:3])
+        assert all(v.shape == (1, G) and v.dtype == t for v in e[3:])
 
 
 @pytest.mark.parametrize("block", [100, 1000])
 def test_zero_perm_members_do_not_depend_on_the_block_budget(monkeypatch, block):
-    # a line of fixed (prefix, y) holds n p^v = 9, 27 or 81 points at (3, 2),
-    # so these budgets cut the grid within a prefix, or between lines and prefixes
-    want = np.concatenate([flat_index(e, 9) for e in sm.zero_perm_members(3, 2, DENSE_NINE)])
+    # a prefix holds L = 54, 162 or 486 members at v = 0, 1 or 2, so these
+    # budgets put one prefix in a batch, or a few
+    want = members(3, 2, DENSE_NINE)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     batches = list(sm.zero_perm_members(3, 2, DENSE_NINE))
-    assert max(e.shape[1] for e in batches) <= max(block, 81)
-    assert np.array_equal(np.concatenate([flat_index(e, 9) for e in batches]), want)
+    assert max(np.broadcast(*e).size for e in batches) <= max(block, 486)
+    assert np.array_equal(np.concatenate([flat_index(materialize(e), 9) for e in batches]), want)
 
 
 def test_zero_perm_members_rejects_bad_prefix_ranges():
@@ -215,8 +261,10 @@ def test_zero_perm_members_at_nine_are_all_distinct_members():
     flat = np.empty(want, dtype=np.uint32)  # 9^9 < 2^32
     filled = 0
     unit = oracle._unit_mask(n)
-    for e in sm.zero_perm_members(3, 2):
-        assert e.dtype == np.int16 and filled + e.shape[1] <= want
+    for batch in sm.zero_perm_members(3, 2):
+        assert all(v.dtype == np.int16 for v in batch)
+        e = materialize(batch)
+        assert filled + e.shape[1] <= want
         perm, det = perm_det(e.astype(np.int64), n)
         assert (perm == 0).all() and unit[det].all()
         flat[filled : filled + e.shape[1]] = flat_index(e, n)

@@ -13,7 +13,7 @@ import gl3census
 from gl3census import closed_form, oracle, structure_maps, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
-from support import label_pivot, shift_verify_members_by_scatter
+from support import label_pivot, materialize, member_groups, shift_verify_members_by_scatter
 
 
 def table(n, counts):
@@ -100,18 +100,19 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
 
 
 def test_shift_population_job_holds_one_block_at_a_time():
-    # job 183 of (3, 2), 69,282 members, peaks highest of the scan's 370 jobs.
-    # Its batches hold at most _BLOCK members, checked on one fused kernel
-    # call per matrix: tracemalloc puts its peak at 4.02 MB, against 6.92 MB
-    # with whole-grid batches and separate perm_det and subperms calls.
-    args, _ = oracle._range_jobs(9**6, 9**3, 3, 2)[183]
+    # job 18 of (3, 2), 551,448 members, peaks highest of the scan's 42 jobs,
+    # with 14, 28 and 31: each holds a full batch of left-over prefixes,
+    # checked member by member. Its batches hold at most _BLOCK members,
+    # checked on one kernel call per matrix: tracemalloc puts its peak at
+    # 4.25 MB, with the job's per-prefix arrays.
+    args, _ = oracle._range_jobs(9**6, 9**2, 3, 2)[18]
     tracemalloc.start()
     try:
         out = verify._shift_population_job(args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.tolist() == [69_282, 0, 0, 0]
+    assert out.tolist() == [551_448, 0, 0, 0]
     assert peak < 9 * oracle._BLOCK * 8
 
 
@@ -143,8 +144,9 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
     narrow = oracle._kernel_type(n)
     assert narrow is (np.int8 if n <= 7 else np.int16)
     shifts = list(range(0, n, p))
-    members = next(structure_maps.zero_perm_members(p, k))
-    assert members.dtype == narrow
+    batch = next(structure_maps.zero_perm_members(p, k))
+    assert all(v.dtype == narrow for v in batch)
+    members = materialize(batch)
     corrupted = members.copy()
     lab, _ = label_pivot(members, n, p)
     corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
@@ -165,7 +167,8 @@ def test_shift_check_matches_the_scatter_reference(p, k):
     shifts = list(range(0, n, p))
     rng = np.random.default_rng([p, k])
     found = {"members": 0, "pivot moved": 0, "redrawn": 0}
-    for members in itertools.islice(structure_maps.zero_perm_members(p, k), 4):
+    for batch in itertools.islice(structure_maps.zero_perm_members(p, k), 4):
+        members = materialize(batch)
         moved = members.copy()
         lab, _ = label_pivot(members, n, p)
         moved[lab[0], 0] = (moved[lab[0], 0] + 1) % n
@@ -180,6 +183,72 @@ def test_shift_check_matches_the_scatter_reference(p, k):
             found[name] += sum(want.values())
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["redrawn"] > 0
+
+
+def grid_variants(batch, n, p):
+    """The batch; one member's pivot entry moved; and prefix 0's rows 2 and 3 changed.
+
+    A decided prefix's pivot is in row 1, a left-over one's in row 2, which
+    is per prefix, so moving it moves every member over that prefix. Giving
+    prefix 0 of a batch the rows 2 and 3 of a prefix of the other kind makes
+    a batch of decided and left-over prefixes.
+    """
+    lab, _ = label_pivot(materialize(batch)[:, :1], n, p)
+    moved = [v.copy() for v in batch]
+    moved[lab[0]][0, 0] = (moved[lab[0]][0, 0] + 1) % n  # moves the permanent by a unit
+    mixed = [v.copy() for v in batch]
+    other = (1, 1, 0, n - 1, 1, 0) if lab[0] < 3 else (0, 1, 0, 0, 0, 1)  # left-over, decided
+    for v, entry in zip(mixed[3:], other):
+        v[0, 0] = entry
+    return {"members": batch, "pivot moved": moved, "mixed": mixed}
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
+    # every batch of the first job, plain, with one pivot entry moved and with
+    # a prefix of the other kind mixed in, then the job under an inverse table
+    # that is off by one, which only a shift by x != 0 reads
+    n = p**k
+    shifts = list(range(0, n, p))
+    t = oracle._kernel_type(n)
+    inv = oracle._inverse_table(n, t)
+    (_, _, start, stop), _ = oracle._range_jobs(n**6, n**2, p, k)[0]
+    found = {"members": 0, "pivot moved": 0, "mixed": 0}
+    kinds = set()
+    batches = list(structure_maps.zero_perm_members(p, k, range(start, stop)))
+    for batch in batches:
+        kinds.add(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]) < 3)
+        for name, e in grid_variants(batch, n, p).items():
+            want = shift_verify_members_by_scatter(materialize(e), n, p, shifts, inv)
+            assert verify._shift_verify_grid(e, n, p, shifts, inv) == want, name
+            found[name] += sum(want.values())
+    assert kinds == {True, False}  # decided and left-over batches
+    assert found["members"] == 0
+    assert found["pivot moved"] > 0 and found["mixed"] > 0
+
+    def off_by_one(n, dtype):
+        return ((np.array([pow(v, -1, n) if v % p else 0 for v in range(n)]) + 1) % n).astype(dtype)
+
+    # the job checks the batches above; the enumerator's own inverses stay right
+    monkeypatch.setattr(structure_maps, "zero_perm_members", lambda *args: iter(batches))
+    monkeypatch.setattr(oracle, "_inverse_table", off_by_one)
+    bad = off_by_one(n, t)
+    found = [shift_verify_members_by_scatter(materialize(e), n, p, shifts, bad) for e in batches]
+    want = [sum(f[x] for f in found) for x in shifts]
+    got = verify._shift_population_job((p, k, start, stop))
+    assert got.tolist() == [sum(np.broadcast(*e).size for e in batches), *want]
+    assert (sum(want) > 0) == (n > p)  # at k = 1 the only shift is x = 0
+
+
+def test_shift_population_on_three_jobs_does_not_depend_on_threads():
+    # jobs 4..6 of (3, 2) hold decided and left-over prefixes, and every
+    # (v, axis) group: v = 0, 1, 2 on axis y, and v = 2 on axis j
+    jobs = oracle._range_jobs(9**6, 9**2, 3, 2)[4:7]
+    groups = member_groups(3, 2, range(jobs[0][0][2], jobs[-1][0][3]))
+    assert len(groups) == 4 and all(count > 0 for count in groups.values())
+    results = [oracle._sum_jobs(verify._shift_population_job, jobs, t, None).tolist() for t in (1, 2, 3)]
+    assert results[0][0] > 0 and results[0][1:] == [0, 0, 0]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1)])
