@@ -72,15 +72,19 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str) -> None:
             )
 
 
-def _cmd_eval(args) -> int:
-    value = closed_form.count(args.n, args.x)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "x": args.x % args.n, "count": value}, sort_keys=True))
-    elif args.format == "csv":
+def _emit_count(n: int, x: int, count: int, fmt: str) -> None:
+    """One (n, x, count) answer: the bare count as a table, or a csv row or json object."""
+    if fmt == "json":
+        print(json.dumps({"n": n, "x": x, "count": count}, sort_keys=True))
+    elif fmt == "csv":
         print("n,x,count")
-        print(f"{args.n},{args.x % args.n},{value}")
+        print(f"{n},{x},{count}")
     else:
-        print(value)
+        print(count)
+
+
+def _cmd_eval(args) -> int:
+    _emit_count(args.n, args.x % args.n, closed_form.count(args.n, args.x), args.format)
     return 0
 
 
@@ -105,14 +109,7 @@ def _cmd_oracle(args) -> int:
     engine = oracle.census_naive if args.engine == "naive" else oracle.census_tiered
     table = engine(args.n, threads=args.threads, progress=progress)
     if args.x is not None:
-        x = args.x % args.n
-        if args.format == "json":
-            print(json.dumps({"n": args.n, "x": x, "count": table[x]}, sort_keys=True))
-        elif args.format == "csv":
-            print("n,x,count")
-            print(f"{args.n},{x},{table[x]}")
-        else:
-            print(table[x])
+        _emit_count(args.n, args.x % args.n, table[args.x], args.format)
         return 0
     _emit_rows(["x", "count"], [[x, table[x]] for x in range(args.n)], args.format)
     return 0

@@ -177,6 +177,20 @@ def _unit_mask(n: int) -> np.ndarray:
     return np.gcd(np.arange(n, dtype=np.int64), n) == 1
 
 
+@lru_cache(maxsize=None)
+def _valuations(p: int, k: int) -> np.ndarray:
+    """val[v] = the largest t <= k with p^t | v, for 0 <= v < p^k; val[0] = k.
+
+    Units scale a residue onto exactly the residues of its valuation, so
+    the values of val are the unit orbits mod p^k: phi(p^(k - g)) residues
+    at g < k, and 0 alone at g = k.
+    """
+    val = np.zeros(p**k, dtype=_int_type(k))
+    for t in range(1, k + 1):
+        val[:: p**t] = t
+    return val
+
+
 def _inverse_table(n: int, dtype):
     """inverse[v] = v^-1 mod n for units v, 0 elsewhere."""
     return np.array([pow(v, -1, n) if gcd(v, n) == 1 else 0 for v in range(n)], dtype=dtype)
@@ -634,18 +648,21 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # pair, since each cofactor is then congruent to its sub-permanent.
 #
 # Two symmetries reduce each remaining pair to one representative prefix
-# swept against one representative first row per orbit; U is the unit group.
+# swept against one representative first row per orbit.
 # - Scaling the first row by a unit w multiplies the determinant, the
-#   permanent, P21 and P22 by w. If first-row orbit r has size s_r and
-#   permanent v_r, its rows put s_r / |U| * #{w in U : w v_r = v} matrices
-#   at v. So over all n^3 first rows the tally is
-#   t[v] = 1/|U| * sum over w in U of T[w v], where T adds s_r at v_r. The
-#   division is exact; _leftover_tally raises RuntimeError if it is not.
+#   permanent, P21 and P22 by w. Units scale a residue onto exactly the
+#   residues of its valuation, the class C_g of valuation g: phi(p^(k - g))
+#   residues for g < k, and 0 alone at g = k. So the rows of first-row orbit
+#   r (size s_r, permanent v_r) spread evenly over the class of v_r, and
+#   over all n^3 first rows the tally is t[v] = T(C_g) / |C_g| at every v
+#   of valuation g, where T(C_g) adds s_r over the reps whose permanent has
+#   valuation g. The division is exact; _leftover_tally raises RuntimeError
+#   if it is not.
 # - Scaling rows 2 and 3 by units u2 and u3 leaves unchanged, for every
 #   first row, whether the determinant is a unit and whether P21 or P22 is,
-#   and multiplies the permanent by u2 u3. As t[v] = t[u v] for every unit
-#   u, every prefix of the pair (i, j) has the tally t, and the pair
-#   contributes s_i s_j t.
+#   and multiplies the permanent by u2 u3. As t is constant on each
+#   valuation class, every prefix of the pair (i, j) has the tally t, and
+#   the pair contributes s_i s_j t.
 # - Scaling the columns by a unit diagonal D keeps whether det, P21 or P22
 #   is a unit, and multiplies the permanent by prod d_c; as t is
 #   unit-invariant and M -> M D permutes the first rows, the prefix
@@ -653,33 +670,36 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # Unit-determinant matrices with neither P21 nor P22 a unit are violations.
 
 
-def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, i, j, p: int, n: int) -> np.ndarray:
-    """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, n).
+def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, first, i, j, p: int, k: int) -> np.ndarray:
+    """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, p^k).
 
-    Row 2 is rep i of rows2, row 3 rep j of o, and the first rows run over o.
-    A function, so that each block's (pairs x first-row orbits) arrays are
-    freed before the next block allocates its own.
+    Row 2 is rep i of rows2, row 3 rep j of o, and the first rows run over
+    o; first holds o's reps in _kernel_type(p^k). Each pair is tallied by
+    (label, valuation of the permanent), and each valuation class's tally
+    divided by the class's size. A function, so that each block's (pairs x
+    first-row orbits) arrays are freed before the next block allocates its
+    own.
     """
-    t = _kernel_type(n)
-    r = [v.astype(t) for v in o.reps]
-    r2 = [v[i, None].astype(t) for v in rows2.reps]
-    e = [*(v[None, :] for v in r), *r2, *(v[j, None] for v in r)]
+    n = p**k
+    val = _valuations(p, k)
+    r2 = [v[i, None].astype(first[0].dtype) for v in rows2.reps]
+    e = [*(v[None, :] for v in first), *r2, *(v[j, None] for v in first)]
     perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
     label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
-    key = (np.arange(i.size)[:, None] * 3 + label) * n + perm
-    weights = np.where(_unit_mask(n)[det], o.sizes, 0)
-    tally = _tally(key, weights, 3 * n * i.size).reshape(i.size, 3, n)
-    units = np.flatnonzero(_unit_mask(n))
-    whole, rest = np.divmod(tally[:, :, np.outer(units, np.arange(n)) % n].sum(axis=2), units.size)
+    key = (np.arange(i.size)[:, None] * 3 + label) * (k + 1) + val.take(perm)
+    weights = np.where(mod(det, p) != 0, o.sizes, 0)
+    tally = _tally(key, weights, 3 * (k + 1) * i.size).reshape(i.size, 3, k + 1)
+    whole, rest = np.divmod(tally, np.bincount(val, minlength=k + 1))
     if rest.any():
-        raise RuntimeError(f"left-over class tallies mod {n} are not divisible by {units.size}")
-    return np.tensordot(rows2.sizes[i] * o.sizes[j], whole, axes=1)
+        raise RuntimeError(f"left-over class tallies mod {n} are not divisible by their class sizes")
+    return np.tensordot(rows2.sizes[i] * o.sizes[j], whole, axes=1).take(val, axis=1)
 
 
 def _class_job(args):
     """(3, subgroups + n): prefixes per (head class, subgroup), then the left-over tallies."""
-    n, ordered, _, _, p = args
+    n, ordered, _, _, p, k = args
     rows2, o = _divisor_rows(n, ordered), _row_orbits(n)
+    first = [v.astype(_kernel_type(n)) for v in o.reps]
     n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
     left = np.zeros((3, n), dtype=np.int64)
@@ -693,7 +713,8 @@ def _class_job(args):
         mult += _tally((lab * n_subs + s)[headed], w[headed], 3 * n_subs)
         i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
         for b in range(0, i.size, step):
-            left += _leftover_tally(rows2, o, rows[i[b : b + step]], cols[j[b : b + step]], p, n)
+            block = slice(b, b + step)
+            left += _leftover_tally(rows2, o, first, rows[i[block]], cols[j[block]], p, k)
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
@@ -710,7 +731,7 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     n = p**k
-    tallies = _sum_jobs(_class_job, _orbit_jobs(n, True, p), threads, progress)
+    tallies = _sum_jobs(_class_job, _orbit_jobs(n, True, p, k), threads, progress)
     tables = _bucket_tables(n)
     heads, left = np.split(tallies, [len(tables)], axis=1)
     return np.vstack([heads @ tables, left[:2]]).T, int(left[2].sum())

@@ -267,21 +267,22 @@ def _member_basis(prefix, p: int, k: int):
     The basis is (K_i, entry, prefix) and the coefficients d_i (i, prefix),
     as set out in zero_perm_members, with K1 and K2 swapped where d2 is a
     unit mod p and d1 is not. Selections are made by gathers and
-    arithmetic, and everything is of the prefix's type. A function, so
-    that the block's intermediates are freed before its batches are built.
+    arithmetic. v is of the type of oracle._valuations, the cached table
+    it is read from, and everything else of the prefix's type. A function,
+    so that the block's intermediates are freed before its batches are
+    built.
     """
     n = p**k
     dtype = prefix[0].dtype
-    val = np.array([max(t for t in range(k + 1) if r % p**t == 0) for r in range(n)], dtype=dtype)
     coeffs = forms(prefix[0:3], prefix[3:6], n)
     perm_c, det_c = np.stack(coeffs[:3]), np.stack(coeffs[3:])
-    vals = val.take(perm_c)
+    vals = oracle._valuations(p, k).take(perm_c)
     v = vals.min(axis=0)
     first, second = (vals[i] == v for i in (0, 1))
     c = (~first * (2 - second)).astype(dtype)  # the first coordinate of valuation v
     at = np.stack([c, (c == 0).astype(dtype), 2 - (c == 2).astype(dtype)])  # c, c1, c2
     hot = (np.arange(3, dtype=dtype)[:, None, None] == at).astype(dtype)  # hot[e, i]: entry e is at[i]
-    pv = (p ** np.arange(k + 1)).astype(dtype)[v]
+    pv = (p ** np.arange(k + 1)).astype(dtype).take(v)
     u, q1, q2 = (hot * perm_c[:, None]).sum(axis=0, dtype=dtype) // pv
     d_c, d_c1, d_c2 = (hot * det_c[:, None]).sum(axis=0, dtype=dtype)
     minus_inv_u = -oracle._inverse_table(n, dtype).take(u)

@@ -206,7 +206,7 @@ def _sample_matrices(rng, n: int, count: int, perm_divisor: int) -> np.ndarray:
     while have < count:
         e = rng.integers(0, n, size=(9, 4096), dtype=np.int64)
         perm, det = perm_det(e, n)
-        keep = unit[det] & (perm % perm_divisor == 0)
+        keep = unit.take(det) & (perm % perm_divisor == 0)
         picked = e[:, keep]
         rows.append(picked)
         have += picked.shape[1]
@@ -565,22 +565,19 @@ def _shift_verify_grid(e, n, p, shifts, inv_table):
     """Per-shift violation counts over one structure_maps.zero_perm_members batch.
 
     A prefix with a unit among P11, P12, P13 decides the class of every
-    member over it, with the pivot in row 1: those prefixes are checked on
-    the grid (_shift_verify_decided). The rest are left over: their pivot
-    is in row 2, which a shift moves along with the minors of rows 2 and 3,
-    so they are checked member by member (_shift_verify_members), as the
-    sampled check is. A batch with both is split in two.
+    member over it, with the pivot in row 1. zero_perm_members batches
+    prefixes by (v, axis), and v = 0 exactly when one of P11, P12, P13 is a
+    unit, so its batches are all decided or all left over. A decided batch
+    is checked on the grid (_shift_verify_decided). Any other batch is
+    checked member by member (_shift_verify_members, which takes any
+    batch), as the sampled check is: a left-over prefix has its pivot in
+    row 2, which a shift moves along with the minors of rows 2 and 3.
     """
     coeffs = forms(e[3:6], e[6:9], n)
     _, pivot = _first_unit(coeffs[:3], p)
-    decided = (mod(pivot, p) != 0).ravel()
-    if decided.all():
+    if (mod(pivot, p) != 0).all():
         return _shift_verify_decided(e, n, p, shifts, inv_table, coeffs)
-    if not decided.any():
-        return _shift_verify_members(e, n, p, shifts, inv_table)
-    halves = ([v[:, half] for v in e] for half in (decided, ~decided))
-    parts = [_shift_verify_grid(half, n, p, shifts, inv_table) for half in halves]
-    return {x: parts[0][x] + parts[1][x] for x in shifts}
+    return _shift_verify_members(e, n, p, shifts, inv_table)
 
 
 def _shift_population_job(args):

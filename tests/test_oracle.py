@@ -14,7 +14,7 @@ from gl3census import closed_form as cf
 from gl3census import oracle, verify
 from gl3census import structure_maps as sm
 from gl3census.matrices import CLASS_LABELS, ClassLabel, forms, mat3, mod, perm_det, subperms
-from gl3census.modring import factorize
+from gl3census.modring import factorize, is_prime
 from support import (
     CASE_ROWS,
     CENSUS2,
@@ -141,28 +141,55 @@ def _member_sweep(rep2, rep3, p, n):
     return counts.reshape(3, n), len(prefixes)
 
 
-@pytest.mark.parametrize("p,k,pairs", [(3, 2, None), (5, 2, 2)])
+@pytest.mark.parametrize("p,k,pairs", [(3, 2, None), (5, 2, 2), (3, 3, 2)])
 def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # left-over pairs with an invertible completion; at p = 2 there are none,
-    # and at k = 1 their permanents are all 0, so these pin the unit relabelling
-    # and its invariance under unit column scaling. Row 2 runs over the class
-    # census's ordered divisor triples; at (5, 2) the lightest pairs come first.
+    # and at k = 1 their permanents are all 0, so these pin the division of
+    # each valuation class's tally by its size and its invariance under unit
+    # column scaling. Row 2 runs over the class census's ordered divisor
+    # triples; at (5, 2) and (3, 3) the lightest pairs come first, and at
+    # (3, 3) the second of them reaches the permanents of valuation 2 and 3.
     n = p**k
     rows2, o = oracle._divisor_rows(n, True), oracle._row_orbits(n)
+    first = [v.astype(oracle._kernel_type(n)) for v in o.reps]
     i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
     A, B, C, D, E, F = (v % p for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], n))
     left = np.flatnonzero((A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0)))
     weights = rows2.sizes[i] * o.sizes[j]
     left = left[np.argsort(weights[left], kind="stable")]
-    nonzero_permanents = 0
+    reached = set()
     for pair in left[:pairs]:
-        tally = oracle._leftover_tally(rows2, o, i[[pair]], j[[pair]], p, n)
+        tally = oracle._leftover_tally(rows2, o, first, i[[pair]], j[[pair]], p, k)
         reps = [np.array([int(v[x]) for v in r.reps]) for r, x in ((rows2, i[pair]), (o, j[pair]))]
         sweep, members = _member_sweep(*reps, p, n)
         assert members == weights[pair]
         assert tally.tolist() == sweep.tolist(), reps
-        nonzero_permanents += int(tally[:, 1:].sum())
-    assert nonzero_permanents > 0
+        reached |= set(oracle._valuations(p, k)[np.flatnonzero(tally.sum(axis=0))].tolist())
+    assert reached == set(range(1, k + 1))
+
+
+def _prime_powers(bound):
+    return [(p, k) for p in range(2, bound + 1) if is_prime(p) for k in range(1, 8) if p**k <= bound]
+
+
+def test_valuations_match_brute_force():
+    powers = _prime_powers(oracle.INT64_CEILING)
+    assert len(powers) == 43
+    for p, k in powers:
+        want = [k] + [max(t for t in range(k) if v % p**t == 0) for v in range(1, p**k)]
+        assert oracle._valuations(p, k).tolist() == want, (p, k)
+
+
+def test_valuation_classes_are_the_unit_orbits():
+    # the class of valuation g is the unit orbit of p^g: phi(p^(k - g)) residues, 0 alone at g = k
+    for p, k in _prime_powers(oracle.INT64_CEILING):
+        n = p**k
+        val = oracle._valuations(p, k)
+        units = np.flatnonzero(oracle._unit_mask(n))
+        sizes = [p ** (k - g) - p ** (k - g - 1) for g in range(k)] + [1]
+        assert np.bincount(val, minlength=k + 1).tolist() == sizes, (p, k)
+        for g in range(k + 1):
+            assert np.flatnonzero(val == g).tolist() == np.unique(units * p**g % n).tolist(), (p, k, g)
 
 
 def test_class_census_rejects_composites():

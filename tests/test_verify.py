@@ -309,7 +309,8 @@ i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
 A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], 9))
 left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
 bad = dataclasses.replace(o, sizes=o.sizes + 1)
-tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, i[left], j[left], 3, 9))
+first = [v.astype(oracle._kernel_type(9)) for v in o.reps]
+tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, first, i[left], j[left], 3, 2))
 print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check)
 """
 
