@@ -3,7 +3,8 @@
 Provides the permanent/determinant/sub-permanent kernel that every census,
 scan and check calls, the Mat3/Mat2 wrappers around it, and the
 classification of an invertible matrix by the first sub-permanent (in the
-order P11, P12, P13, P21, P22) that is a unit mod p. Matrices are immutable
+order P11, P12, P13, P21, P22) that is a unit mod p, one matrix at a time
+(classify) or per entry of arrays (first_unit). Matrices are immutable
 value types; maps that modify entries return new matrices.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .modring import Modulus, Residue, factorize, is_prime
 
@@ -227,6 +230,23 @@ def subperms(e, n):
         mod(a12 * a33 + a13 * a32, n),
         mod(a11 * a33 + a13 * a31, n),
     )
+
+
+def first_unit(subs, p):
+    """Per entry: the index and value of the first of the arrays subs that is a unit mod p.
+
+    An entry with no unit among subs gets the last index and value. On the
+    five sub-permanents in scan order the index (0..4 for P11, P12, P13,
+    P21, P22) is the class label and the row-major position of the pivot
+    entry. The index is int8; widen it before it takes part in a key.
+    """
+    lab, pivot = np.full(np.shape(subs[-1]), len(subs) - 1, dtype=np.int8), subs[-1]
+    for i in range(len(subs) - 2, -1, -1):
+        # a select by arithmetic: keep (lab, pivot) where subs[i] is not a unit, else take (i, subs[i])
+        off = mod(subs[i], p) == 0
+        lab = off * (lab - i) + i
+        pivot = off * (pivot - subs[i]) + subs[i]
+    return lab, pivot
 
 
 def perm_det2(e, n):

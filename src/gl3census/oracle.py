@@ -51,6 +51,7 @@ from .closed_form import CaseCensusRow
 from .matrices import (
     CLASS_LABELS,
     ClassLabel,
+    first_unit,
     forms,
     mod,
     perm_det,
@@ -685,7 +686,9 @@ def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, first, i, j, p: int, k: in
     r2 = [v[i, None].astype(first[0].dtype) for v in rows2.reps]
     e = [*(v[None, :] for v in first), *r2, *(v[j, None] for v in first)]
     perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
-    label = np.where(p21 % p != 0, 0, np.where(p22 % p != 0, 1, 2))
+    lab, pivot = first_unit((p21, p22), p)
+    label = lab + (mod(pivot, p) == 0)  # 0 or 1 for C21 or C22, 2 where neither is a unit
+    # int8 label plus the int64 pair index: the key is formed in int64
     key = (np.arange(i.size)[:, None] * 3 + label) * (k + 1) + val.take(perm)
     weights = np.where(mod(det, p) != 0, o.sizes, 0)
     tally = _tally(key, weights, 3 * (k + 1) * i.size).reshape(i.size, 3, k + 1)
@@ -705,12 +708,9 @@ def _class_job(args):
     left = np.zeros((3, n), dtype=np.int64)
     step = max(1, _BLOCK // len(o.sizes))  # left-over pairs per block
     for rows, cols, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:4]):
-        u1 = p11 % p != 0
-        u2 = p12 % p != 0
-        u3 = p13 % p != 0
-        headed = u1 | u2 | u3
-        lab = np.where(u1, 0, np.where(u2, 1, 2))
-        mult += _tally((lab * n_subs + s)[headed], w[headed], 3 * n_subs)
+        lab, pivot = first_unit((p11, p12, p13), p)
+        headed = mod(pivot, p) != 0
+        mult += _tally((lab.astype(np.int64) * n_subs + s)[headed], w[headed], 3 * n_subs)
         i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
         for b in range(0, i.size, step):
             block = slice(b, b + step)

@@ -22,6 +22,7 @@ from .matrices import (
     CLASS_LABELS,
     classify,
     expand,
+    first_unit,
     format_mat3,
     forms,
     is_invertible,
@@ -455,55 +456,57 @@ def _subperm_identity(ctx):
     return out
 
 
-def _first_unit(subs, p):
-    """Per entry: the index and value of the first of subs that is a unit mod p; the last if none is."""
-    lab, pivot = np.full(np.shape(subs[-1]), len(subs) - 1, dtype=np.int8), subs[-1]
-    for i in range(len(subs) - 2, -1, -1):
-        # a select by arithmetic: keep (lab, pivot) where subs[i] is not a unit, else take (i, subs[i])
-        off = mod(subs[i], p) == 0
-        lab = off * (lab - i) + i
-        pivot = off * (pivot - subs[i]) + subs[i]
-    return lab, pivot
-
-
-def _perm_det_label(e, n, p):
-    """Per matrix: perm and det mod n, and the index and value of its first unit sub-permanent.
-
-    All four come from one perm_det_subperms call, and a sub-permanent is a
-    unit when p does not divide it. The index (0..4, P11, P12, P13, P21,
-    P22) is also the row-major position of the pivot entry. A matrix with
-    no unit among the five gets index 4.
-    """
-    perm, det, *subs = perm_det_subperms(e, n)
-    return perm, det, *_first_unit(subs, p)
-
-
-def _shift_verify_members(e, n, p, shifts, inv_table):
-    """Verify the pivot-shift map on a batch of members of G(n, 0), n = p^k.
+def _shift_verify(e, n, p, shifts, inv_table):
+    """Per-shift violation counts of the pivot-shift map on a batch of members of G(n, 0), n = p^k.
 
     e holds the nine row-major entries, in [0, n), as arrays that broadcast
-    together: a (9, m) array, or a structure_maps.zero_perm_members batch.
-    They are of oracle._kernel_type(n) or wider, and inv_table is an
+    together: a (9, m) sample, or a structure_maps.zero_perm_members batch,
+    with row 1 per member and rows 2 and 3 per prefix. They are of
+    oracle._kernel_type(n) or wider, and inv_table is an
     oracle._inverse_table of the same dtype; the arithmetic stays within
     the kernel's bound.
 
-    One kernel call per matrix (_perm_det_label) gives its permanent,
-    determinant and label. A member's pivot is entry lab, one of 0..4, so a
-    shift updates entries 0..4 of the image, each through the mask
-    lab == r; entries 5..8 hold no pivot and are the member's own. The
-    return shift must then give back entries 0..4. Shifting by x = 0 maps
-    every member with entries in [0, n) to itself, so its image is checked
-    on the member's own kernel call. As n = p^k, a determinant is a unit
-    exactly when p does not divide it.
+    Every matrix is evaluated on its own. forms(row 2, row 3) gives its
+    permanent and determinant, through expand, and P11, P12, P13; P21 and
+    P22 are formed only if some matrix has no unit among those three. Its
+    label, the index of its first unit sub-permanent among the five
+    (matrices.first_unit; 4 if there is none), is also the row-major
+    position of its pivot entry. A shift by x adds x P^-1 to the pivot
+    entry through a mask of the label per entry: row 1 if every label is
+    below 3, else entries 0..4. The other entries stay the member's own
+    arrays, so on a grid batch whose prefixes all have a unit among P11,
+    P12, P13, the image's rows 2 and 3 stay per prefix and its minors are
+    formed once per prefix. The image must have permanent x, a unit
+    determinant and the member's label, and the return shift must give
+    back the moved entries. Shifting by x = 0 maps every member to itself,
+    so its image is checked on the member's own evaluation. As n = p^k, a
+    determinant is a unit exactly when p does not divide it.
 
-    Returns per-shift violation counts; a violation is any member whose image
-    fails perm == x, unit determinant, class preservation, or the round trip.
+    A violation is any member whose image fails perm == x, unit determinant,
+    class preservation, or the round trip.
     """
+
+    def evaluate(e):
+        """perm and det mod n of the matrices e, and each one's label and pivot value."""
+        coeffs = forms(e[3:6], e[6:9], n)
+        perm, det = expand(coeffs, e[0:3], n)
+        lab, pivot = first_unit(coeffs[:3], p)
+        del coeffs
+        if (mod(pivot, p) == 0).any():
+            a11, a12, a13 = e[0:3]
+            a31, a32, a33 = e[6:9]
+            p21, p22 = mod(a12 * a33 + a13 * a32, n), mod(a11 * a33 + a13 * a31, n)
+            # resume the fold: where P11, P12, P13 hold no unit, lab is 2 and the pivot P13
+            more, pivot = first_unit((pivot, p21, p22), p)
+            lab = lab + more
+        return perm, det, lab, pivot
+
     count = np.broadcast(*e).size
-    perm, det, lab, pivot = _perm_det_label(e, n, p)
+    perm, det, lab, pivot = evaluate(e)
     member = (perm == 0) & (mod(det, p) != 0)
     inv = inv_table.take(pivot)
     del perm, det, pivot  # member and inv are all that the shifts read
+    moved = range(3 if (lab < 3).all() else 5)
     img = list(e)
     violations = {}
     for x in shifts:
@@ -511,73 +514,15 @@ def _shift_verify_members(e, n, p, shifts, inv_table):
             ok = member
         else:
             step = mod(x * inv, n)
-            for r in range(5):
+            for r in moved:
                 img[r] = mod(e[r] + (lab == r) * step, n)
-            perm_i, det_i, lab_i, pivot_i = _perm_det_label(img, n, p)
+            perm_i, det_i, lab_i, pivot_i = evaluate(img)
             back = mod((n - x) * inv_table.take(pivot_i), n)
             ok = (perm_i == x % n) & (mod(det_i, p) != 0) & (lab_i == lab)
-            for r in range(5):
+            for r in moved:
                 ok &= mod(img[r] + (lab_i == r) * back, n) == e[r]
         violations[x] = count - int(ok.sum())
     return violations
-
-
-def _shift_verify_decided(e, n, p, shifts, inv_table, coeffs):
-    """_shift_verify_members on a grid batch whose prefixes all have a unit among P11, P12, P13.
-
-    e is a structure_maps.zero_perm_members batch: row 1 as (L, G) arrays,
-    rows 2 and 3 as (1, G) arrays, and coeffs = matrices.forms(row 2,
-    row 3), whose A, B, C are P11, P12, P13. Each member's pivot entry is
-    then in row 1, at the column of its prefix's first unit among them, so
-    the label, the pivot value, its inverse and the step x P^-1 of a shift
-    are per prefix. An image differs from its member in row 1 only, so it
-    stays on the grid, with row 1 one (3, L, G) array. Each member and each
-    image is still evaluated on its own: the forms of its own rows 2 and 3,
-    once per prefix, give its label and, through matrices.expand, its
-    permanent and determinant. The return shift must restore all three
-    entries of row 1; rows 2 and 3 are the member's own arrays.
-    """
-    count = np.broadcast(*e).size
-    row = np.stack(e[0:3])
-    perm, det = expand(coeffs, row, n)
-    member = (perm == 0) & (mod(det, p) != 0)
-    lab, pivot = _first_unit(coeffs[:3], p)
-    cols = np.arange(3, dtype=np.int8)[:, None, None]  # the type of the labels
-    hot = lab == cols
-    inv = inv_table.take(pivot)
-    violations = {}
-    for x in shifts:
-        if x % n == 0:
-            ok = member
-        else:
-            img = mod(row + hot * mod(x * inv, n), n)
-            coeffs_i = forms(e[3:6], e[6:9], n)  # the image's rows 2 and 3
-            perm_i, det_i = expand(coeffs_i, img, n)
-            lab_i, pivot_i = _first_unit(coeffs_i[:3], p)
-            back = mod((n - x) * inv_table.take(pivot_i), n)
-            ok = (perm_i == x % n) & (mod(det_i, p) != 0) & (lab_i == lab)
-            ok &= (mod(img + (lab_i == cols) * back, n) == row).all(axis=0)
-        violations[x] = count - int(ok.sum())
-    return violations
-
-
-def _shift_verify_grid(e, n, p, shifts, inv_table):
-    """Per-shift violation counts over one structure_maps.zero_perm_members batch.
-
-    A prefix with a unit among P11, P12, P13 decides the class of every
-    member over it, with the pivot in row 1. zero_perm_members batches
-    prefixes by (v, axis), and v = 0 exactly when one of P11, P12, P13 is a
-    unit, so its batches are all decided or all left over. A decided batch
-    is checked on the grid (_shift_verify_decided). Any other batch is
-    checked member by member (_shift_verify_members, which takes any
-    batch), as the sampled check is: a left-over prefix has its pivot in
-    row 2, which a shift moves along with the minors of rows 2 and 3.
-    """
-    coeffs = forms(e[3:6], e[6:9], n)
-    _, pivot = _first_unit(coeffs[:3], p)
-    if (mod(pivot, p) != 0).all():
-        return _shift_verify_decided(e, n, p, shifts, inv_table, coeffs)
-    return _shift_verify_members(e, n, p, shifts, inv_table)
 
 
 def _shift_population_job(args):
@@ -589,7 +534,7 @@ def _shift_population_job(args):
     out = np.zeros(1 + len(shifts), dtype=np.int64)
     for e in structure_maps.zero_perm_members(p, k, range(start, stop)):
         out[0] += np.broadcast(*e).size
-        out[1:] += list(_shift_verify_grid(e, n, p, shifts, inv_table).values())
+        out[1:] += list(_shift_verify(e, n, p, shifts, inv_table).values())
     return out
 
 
@@ -622,12 +567,13 @@ def shift_round_trip(
     checked on its own. Members are checked in oracle._kernel_type(n), the
     narrowest integer type that holds the kernel's intermediates, in
     batches of at most oracle._BLOCK members laid out on a grid: row 1 per
-    member, rows 2 and 3 per prefix. A prefix with a unit among P11, P12,
-    P13 puts every member's pivot in row 1, so its label, pivot and inverse
-    are the prefix's, and its members and their images are evaluated on the
-    grid, with the minors of rows 2 and 3 formed once per prefix; the
-    left-over prefixes, with their pivot in row 2, are checked member by
-    member (_shift_verify_grid).
+    member, rows 2 and 3 per prefix. Every batch, and the sampled one, goes
+    through one verifier, _shift_verify. A prefix with a unit among P11,
+    P12, P13 puts every member's pivot in row 1, so its label, pivot and
+    inverse are the prefix's; a batch of such prefixes moves row 1 only, and
+    the minors of rows 2 and 3 are formed once per prefix for its members
+    and their images alike. A left-over prefix has its pivot in row 2, which
+    a shift moves along with those minors, so they are formed per member.
 
     The n^6 prefixes are split into jobs of oracle._CHUNK // n^2 prefixes
     (oracle._range_jobs, charging each prefix n^2 matrices; one that decides
@@ -645,13 +591,15 @@ def shift_round_trip(
         raise ValueError(f"exponent must be >= 1, got {k}")
     if sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = p**k
     shifts = list(range(0, n, p))
     if not population:
         dtype = oracle._kernel_type(n)
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
         e = _sample_matrices(rng, n, sample, n).astype(dtype)
-        return e.shape[1], _shift_verify_members(e, n, p, shifts, oracle._inverse_table(n, dtype))
+        return e.shape[1], _shift_verify(e, n, p, shifts, oracle._inverse_table(n, dtype))
     jobs = oracle._range_jobs(n**6, n**2, p, k)
     checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
     return checked, dict(zip(shifts, viols))
@@ -896,6 +844,8 @@ def run_suite(
     """Run every check in the profile; returns results in canonical order."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if isinstance(profile, str) and profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; known profiles: {', '.join(PROFILES)}")
     prof = PROFILES[profile] if isinstance(profile, str) else profile
     ctx = _Ctx(profile=prof, threads=threads, seed=seed)
     results: list[CheckResult] = []

@@ -26,13 +26,16 @@ builds each unit-scaling orbit's normal form directly instead of taking the
 least image of every row over all units.
 
 shift_verify_members_by_scatter is the reference for the shift check,
-verify._shift_verify_members on (9, m) members and verify._shift_verify_grid
-on grid batches: it copies each batch per shift, moves the pivot entries by
-a flat gather and scatter, evaluates every image and return image through
-perm_det and subperms, and runs every check at x = 0 too. The checks under
-test label each matrix from one kernel call, update the pivot entries
-through masks of the label (per prefix, on the grid, where rows 2 and 3
-decide it), and read x = 0 off the member's own call.
+verify._shift_verify, on (9, m) members and on grid batches alike: it copies
+each batch per shift, moves the pivot entries by a flat gather and scatter,
+evaluates every image and return image through perm_det and subperms, and
+runs every check at x = 0 too. The check under test labels each matrix by
+matrices.first_unit from the forms of its rows 2 and 3, forming P21 and P22
+only for a batch in which some P11, P12, P13 hold no unit, moves the pivot
+entries through masks of the label (per prefix, on the grid, where rows 2
+and 3 decide it), and reads x = 0 off the member's own evaluation.
+label_pivot is the reference for matrices.first_unit on the five
+sub-permanents.
 """
 
 import itertools

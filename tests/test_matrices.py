@@ -13,6 +13,7 @@ from gl3census.matrices import (
     classify,
     determinant2,
     determinant3,
+    first_unit,
     format_mat3,
     is_invertible,
     mat2,
@@ -27,6 +28,7 @@ from gl3census.matrices import (
     sub_permanents,
     subperms,
 )
+from support import label_pivot
 
 # the running example matrix over Z/3 with permanent 0
 EXAMPLE = ((1, 0, 0), (2, 1, 2), (1, 1, 1))
@@ -344,3 +346,24 @@ def test_int16_kernel_at_the_edge_of_its_ceiling(n):
     narrow = [*perm_det(e.astype(np.int16), n), *subperms(e.astype(np.int16), n)]
     same = all(np.array_equal(a, b) for a, b in zip(narrow, wide))
     assert same == (oracle._kernel_type(n) is np.int16)
+
+
+@pytest.mark.parametrize("n,p", [(9, 3), (25, 5), (27, 3)])
+def test_first_unit_matches_the_reference_and_classify(n, p):
+    # seeded draws, non-members and singular matrices included; a matrix with
+    # no unit among the five sub-permanents gets index 4
+    e = np.random.default_rng(n).integers(0, n, size=(9, 20_000), dtype=np.int64)
+    subs = subperms(e, n)
+    lab, pivot = first_unit(subs, p)
+    want_lab, want_pivot = label_pivot(e, n, p)
+    assert lab.dtype == np.int8
+    assert (lab == want_lab).all() and (pivot == want_pivot).all()
+    none = (np.stack(subs) % p == 0).all(axis=0)
+    assert none.any() and (lab[none] == 4).all() and (pivot[none] == subs[4][none]).all()
+    # classify, the scalar path, on up to 40 invertible draws of each label
+    invertible = perm_det(e, n)[1] % p != 0
+    for i, label in enumerate(CLASS_LABELS):
+        cols = np.flatnonzero(invertible & (lab == i))[:40]
+        assert cols.size > 0, label
+        for c in cols:
+            assert classify(mat3(e[:, c].reshape(3, 3).tolist(), n), p) is label

@@ -552,7 +552,7 @@ def tiered_counts(n):
 
 
 @pytest.mark.parametrize("n", [20, 25, 27, 28, 30, 32, 36, 48, 60, 64, 81])
-def test_tiered_census_beyond_default_limit(n):
+def test_tiered_census_matches_closed_form(n):
     assert tiered_counts(n) == tuple(cf.count(n, x) for x in range(n))
 
 
@@ -589,7 +589,7 @@ def test_int_type_refuses_past_int64():
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5), (3, 3), (7, 2)])
-def test_class_census_beyond_default_limit(p, k):
+def test_class_census_matches_closed_forms(p, k):
     n = p**k
     cc = oracle.class_census(p, k)
     assert cc.marginal().counts == tuple(cf.count(n, x) for x in range(n))
@@ -599,7 +599,7 @@ def test_class_census_beyond_default_limit(p, k):
 
 
 @pytest.mark.parametrize("p", [17, 19])
-def test_case_census_beyond_default_limit(p):
+def test_case_census_matches_case_rows(p):
     assert oracle.case_census(p).rows == cf.case_rows(p)
 
 

@@ -131,6 +131,21 @@ def test_shift_round_trip_rejects_empty_sample(monkeypatch, sample):
         verify.shift_round_trip(3, 1, population=False, sample=sample)
 
 
+@pytest.mark.parametrize("population", [False, True])
+@pytest.mark.parametrize("threads", [0, -1])
+def test_shift_round_trip_rejects_threads_below_one(monkeypatch, population, threads):
+    monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
+    monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("jobs dispatched"))
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        verify.shift_round_trip(3, 1, population=population, threads=threads)
+
+
+def test_unknown_profile_refused_naming_the_known_ones(monkeypatch):
+    monkeypatch.setattr(oracle, "census_tiered", lambda *args, **kw: pytest.fail("census started"))
+    with pytest.raises(ValueError, match="unknown profile 'bogus'; known profiles: quick, full"):
+        verify.run_suite("bogus")
+
+
 def test_negative_seed_refused_before_any_census(monkeypatch):
     monkeypatch.setattr(oracle, "census_tiered", lambda *args, **kw: pytest.fail("census started"))
     monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
@@ -152,7 +167,7 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
     corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
     for batch, want in ((members, 0), (corrupted, 1)):
         results = [
-            verify._shift_verify_members(batch.astype(t), n, p, shifts, oracle._inverse_table(n, t))
+            verify._shift_verify(batch.astype(t), n, p, shifts, oracle._inverse_table(n, t))
             for t in (narrow, np.int64)
         ]
         assert results[0] == results[1] == {x: want for x in shifts}
@@ -179,7 +194,7 @@ def test_shift_check_matches_the_scatter_reference(p, k):
             for t in (oracle._kernel_type(n), np.int64):
                 e, inv = batch.astype(t), oracle._inverse_table(n, t)
                 want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
-                assert verify._shift_verify_members(e, n, p, shifts, inv) == want, (name, t)
+                assert verify._shift_verify(e, n, p, shifts, inv) == want, (name, t)
             found[name] += sum(want.values())
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["redrawn"] > 0
@@ -220,7 +235,7 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
         kinds.add(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]) < 3)
         for name, e in grid_variants(batch, n, p).items():
             want = shift_verify_members_by_scatter(materialize(e), n, p, shifts, inv)
-            assert verify._shift_verify_grid(e, n, p, shifts, inv) == want, name
+            assert verify._shift_verify(e, n, p, shifts, inv) == want, name
             found[name] += sum(want.values())
     assert kinds == {True, False}  # decided and left-over batches
     assert found["members"] == 0
