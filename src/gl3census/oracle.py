@@ -1,10 +1,13 @@
 """Exhaustive, exact censuses of GL3(Z/n) by permanent value.
 
 Two engines produce the same table. census_naive evaluates all n^9 matrices
-by cofactor expansion, sweeping every first row against blocks of (row 2,
-row 3) prefixes through matrices.perm_det and tallying each block's (perm,
-det) pairs in one bincount; it keeps no symmetry, is the dumb, trustworthy
-reference and refuses n > 8. census_tiered works on prefixes (the first two
+by cofactor expansion along the first row: each job forms its (row 2, row 3)
+prefixes' coefficients once and tabulates, per prefix, what each first-row
+entry adds to a matrix's unreduced (perm, det) index; a block of prefixes
+against every first row is then one add, listing each matrix's index, and
+one bincount, and the job reduces its tally mod n at the end. It keeps no
+symmetry, is the dumb, trustworthy reference and refuses n > 8.
+census_tiered works on prefixes (the first two
 rows): for a fixed prefix, both the permanent and the determinant are linear
 forms in the third row, and the joint distribution of the two forms depends
 only on the subgroup of (Z/n)^2 generated by their three coefficient columns.
@@ -54,7 +57,6 @@ from .matrices import (
     first_unit,
     forms,
     mod,
-    perm_det,
     perm_det2,
     perm_det_subperms,
 )
@@ -71,7 +73,8 @@ SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 # array elements per vectorized block of the orbit pass and of the naive
-# sweep; bounds the memory of both
+# sweep; bounds the memory of both, with the naive sweep's per-job tables
+# (about _CHUNK / n entries)
 _BLOCK = 1 << 16
 
 
@@ -590,28 +593,55 @@ def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, pro
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
+def _naive_tables(n: int, start: int, stop: int):
+    """Per prefix start..stop-1, the (x, y) part and the z part of its matrices' unreduced index.
+
+    Over a prefix with forms (A, B, C, D, E, F), the matrix with first row
+    (x, y, z) has the index perm' w + det', w = 3n - 2, where
+    perm' = (A x mod n) + (B y mod n) + (C z mod n) and det' is the same
+    sum over D, E, F: perm and det unreduced, each below w, so the index is
+    below w^2. Each entry adds its terms on its own, so the parts are the
+    terms of x and y, shaped (prefixes, n^2) with x major, and those of z,
+    shaped (prefixes, n). They are of the narrowest type that holds
+    w^2 - 1, which also holds the kernel's 3 (n - 1)^2.
+    """
+    w = 3 * n - 2
+    t = _int_type(w * w - 1)
+    prefix = [v.astype(t)[:, None] for v in _digits(range(start, stop), n, 6)]
+    coeffs = forms(prefix[0:3], prefix[3:6], n)
+    row = np.arange(n, dtype=t)
+    x, y, z = (mod(a * row, n) * w + mod(d * row, n) for a, d in zip(coeffs[:3], coeffs[3:]))
+    return (x[:, :, None] + y[:, None, :]).reshape(len(x), n * n), z
+
+
 def _naive_job(args):
     """Every first row against the (row 2, row 3) prefixes start..stop-1, in blocks.
 
-    A block holds max(1, _BLOCK // n^3) prefixes, each against all n^3 first
-    rows, and is tallied by one bincount of the joint index perm * n + det.
-    The unit-determinant columns of the (perm, det) tally are summed at the end.
+    The prefixes' forms are formed once per job, into the per-prefix index
+    parts of _naive_tables. A block of max(1, _BLOCK // n^3) prefixes, each
+    against all n^3 first rows, is then one add, which lists each of its
+    matrices' unreduced indexes, and one bincount of them. The job's
+    (w, w) tally of unreduced (perm, det), w = 3n - 2, is reduced mod n
+    once at the end, and its unit-determinant columns summed.
     """
     n, start, stop = args
-    t = _kernel_type(n)
-    first = [v.astype(t) for v in _digits(range(n**3), n, 3)]
+    w = 3 * n - 2
+    xy, z = _naive_tables(n, start, stop)
     step = max(1, _BLOCK // n**3)
-    joint = np.zeros(n * n, dtype=np.int64)
-    for s in range(start, stop, step):
-        prefixes = [v.astype(t)[:, None] for v in _digits(range(s, min(s + step, stop)), n, 6)]
-        perm, det = perm_det([*first, *prefixes], n)
-        # perm * n + det < n^2 <= 3 (n - 1)^2 + 1, so the kernel's type t holds it
-        joint += np.bincount((perm * n + det).ravel(), minlength=n * n)
-    return joint.reshape(n, n)[:, _unit_mask(n)].sum(axis=1)
+    joint = np.zeros(w * w, dtype=np.int64)
+    for s in range(0, stop - start, step):
+        # z outermost, so that numpy's inner loop runs along the n^2 (x, y) entries
+        joint += np.bincount((z[s : s + step, :, None] + xy[s : s + step, None, :]).ravel(), minlength=w * w)
+    fold = mod(np.arange(w), n)
+    return _tally(fold, joint.reshape(w, w)[:, _unit_mask(n).take(fold)].sum(axis=1), n)
 
 
 def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
-    """Exact permanent census by evaluating all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8."""
+    """Exact permanent census by evaluating all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8.
+
+    Each matrix is listed and tallied on its own index, with no symmetry
+    used: jobs of _CHUNK matrices run _naive_job.
+    """
     modulus = _modulus("census_naive", n, scan=9)
     n = modulus.n
     return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress)

@@ -192,9 +192,9 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
 
     A batch is a list of the nine row-major entries: the six of rows 2 and
     3 are (1, G) arrays, one prefix to a column, and the three of row 1
-    (L, G) arrays, the L members over each prefix down its column. That is
-    oracle._naive_job's layout transposed, so that numpy's inner loops run
-    along a row of G prefixes rather than along the L members of one. The
+    (L, G) arrays, the L members over each prefix down its column, so that
+    numpy's inner loops run along a row of G prefixes rather than along the
+    L members of one. The
     entries are of oracle._kernel_type(p^k), the narrowest type that holds
     the kernel's arithmetic, and matrices.perm_det on a batch forms the
     minors of rows 2 and 3 once per prefix. The prefixes go in blocks of
@@ -220,9 +220,14 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     two coordinates, the determinant is 0 mod p on one residue class of the
     axis t mod p, a s1 + b s2 with (a, b) = -(d_s1, d_s2) / d_t mod p. So
     t = p q + ((a s1 + b s2 + r) mod p), 1 <= r < p and every q, lists
-    exactly the members: (p - 1) n^2 p^(v - 1) per prefix. Prefixes go into
-    batches by (v, axis), so that L is the same across a batch. Every value
-    stays within 3 (n - 1)^2.
+    exactly the members: (p - 1) n^2 p^(v - 1) per prefix. At v = 0, j is
+    always 0 (p^0 = 1, and K3 = n e_c is 0 mod n), so it is left out.
+    Prefixes go into batches by (v, axis), so that L is the same across a
+    batch, and at v = 0 also by c, the head label: A, B, C are P11, P12,
+    P13, so c indexes the first of them that is a unit mod p, and every
+    member over the prefix has the label c and its pivot at coordinate c
+    of row 1. At v > 0 none of them is a unit, and each member's pivot is
+    in row 2. Every value stays within 3 (n - 1)^2.
     """
     n = p**k
     prefixes = range(n**6) if prefixes is None else prefixes
@@ -230,42 +235,53 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
         raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
     dtype = oracle._kernel_type(n)
     inv_p = oracle._inverse_table(p, dtype)
-    groups = [(w, 0) for w in range(k + 1)] + [(k, 2)]  # (v, axis): y, then j at v = k
+    # (v, axis, head label): axis y, then j at v = k; the head label only at v = 0
+    groups = [(0, 0, c) for c in range(3)] + [(w, 0, None) for w in range(1, k + 1)] + [(k, 2, None)]
     step = max(1, oracle._CHUNK // n**2)
     for start in range(prefixes.start, prefixes.stop, step):
         block = range(start, min(start + step, prefixes.stop))
         prefix = [v.astype(dtype) for v in oracle._digits(block, n, 6)]
-        v, basis, d = _member_basis(prefix, p, k)
-        for w, axis in groups:
+        v, c, basis, d = _member_basis(prefix, p, k)
+        for w, axis, head in groups:
             on_axis = d[0] != 0 if axis == 0 else (d[0] == 0) & (d[2] != 0)
-            sel = np.flatnonzero((v == w) & on_axis)
+            sel = (v == w) & on_axis
+            if head is not None:
+                sel &= c == head
+            sel = np.flatnonzero(sel)
             if not sel.size:
                 continue
-            others = [i for i in range(3) if i != axis]
             size = [n, n, p**w]  # of y, z, j
-            shape = (size[axis] // p, p - 1, size[others[0]], size[others[1]])
+            others = [i for i in range(3) if i != axis and size[i] > 1]
+            shape = (size[axis] // p, p - 1, *(size[o] for o in others))
             # one (L, 1) column per coordinate: a member over each prefix to a row
-            pq, r, *s = np.indices(shape, dtype=dtype).reshape(4, -1, 1)
+            pq, r, *s = np.indices(shape, dtype=dtype).reshape(len(shape), -1, 1)
             pq *= p
             r += 1
             s_p = [mod(t, p) for t in s]
-            a, b = (mod(-d[o] * inv_p.take(d[axis]), p) for o in others)
+            slope = [mod(-d[o] * inv_p.take(d[axis]), p) for o in others]  # (a, b)
             per = max(1, oracle._BLOCK // pq.size)  # prefixes per batch
             for i in range(0, sel.size, per):
                 at = sel[i : i + per]
-                coord = list(s)
-                coord.insert(axis, pq + mod(a[at] * s_p[0] + b[at] * s_p[1] + r, p))
+                t = slope[0][at] * s_p[0]
+                if len(slope) > 1:
+                    t += slope[1][at] * s_p[1]
+                t += r
+                t = pq + mod(t, p)
                 K = basis.take(at, axis=2)[:, :, None]  # (K_i, entry, 1, G)
-                row1 = mod(coord[0] * K[0] + coord[1] * K[1] + coord[2] * K[2], n)
-                del coord  # not held while the batch is checked
+                row1 = t * K[axis]
+                del t  # not held while the batch is checked
+                for o, g in zip(others, s):
+                    row1 += g * K[o]
+                row1 = mod(row1, n)
                 yield [*row1, *(e[None, at] for e in prefix)]
 
 
 def _member_basis(prefix, p: int, k: int):
-    """Per prefix (rows 2 and 3): v, the basis K1, K2, K3 and its determinant coefficients mod p.
+    """Per prefix (rows 2 and 3): v, c, the basis K1, K2, K3 and its determinant coefficients mod p.
 
-    The basis is (K_i, entry, prefix) and the coefficients d_i (i, prefix),
-    as set out in zero_perm_members, with K1 and K2 swapped where d2 is a
+    c is the first coordinate whose coefficient has valuation v, the basis
+    is (K_i, entry, prefix) and the coefficients d_i (i, prefix), as set out
+    in zero_perm_members, with K1 and K2 swapped where d2 is a
     unit mod p and d1 is not. Selections are made by gathers and
     arithmetic. v is of the type of oracle._valuations, the cached table
     it is read from, and everything else of the prefix's type. A function,
@@ -293,4 +309,4 @@ def _member_basis(prefix, p: int, k: int):
     swap = ((d[0] == 0) & (d[1] != 0)).astype(dtype)
     basis[:2] += swap * (basis[1::-1] - basis[:2])
     d[:2] += swap * (d[1::-1] - d[:2])
-    return v, basis, d
+    return v, c, basis, d

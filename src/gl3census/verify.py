@@ -472,11 +472,13 @@ def _shift_verify(e, n, p, shifts, inv_table):
     label, the index of its first unit sub-permanent among the five
     (matrices.first_unit; 4 if there is none), is also the row-major
     position of its pivot entry. A shift by x adds x P^-1 to the pivot
-    entry through a mask of the label per entry: row 1 if every label is
-    below 3, else entries 0..4. The other entries stay the member's own
-    arrays, so on a grid batch whose prefixes all have a unit among P11,
-    P12, P13, the image's rows 2 and 3 stay per prefix and its minors are
-    formed once per prefix. The image must have permanent x, a unit
+    entry, and moves only the entries that some pivot is at: on a batch of
+    one label, that entry, with no mask; else each through a mask of the
+    label. The other entries stay the member's own arrays. So on a batch
+    whose labels are all below 3, such as a zero_perm_members batch at
+    v = 0, an image's rows 2 and 3 are the member's arrays, and the image
+    is expanded on the member's own forms, label and pivot: on the grid,
+    those are per prefix. The image must have permanent x, a unit
     determinant and the member's label, and the return shift must give
     back the moved entries. Shifting by x = 0 maps every member to itself,
     so its image is checked on the member's own evaluation. As n = p^k, a
@@ -486,12 +488,9 @@ def _shift_verify(e, n, p, shifts, inv_table):
     class preservation, or the round trip.
     """
 
-    def evaluate(e):
-        """perm and det mod n of the matrices e, and each one's label and pivot value."""
-        coeffs = forms(e[3:6], e[6:9], n)
-        perm, det = expand(coeffs, e[0:3], n)
+    def label(e, coeffs):
+        """Each matrix's label and pivot value, given coeffs = forms(row 2, row 3)."""
         lab, pivot = first_unit(coeffs[:3], p)
-        del coeffs
         if (mod(pivot, p) == 0).any():
             a11, a12, a13 = e[0:3]
             a31, a32, a33 = e[6:9]
@@ -499,14 +498,20 @@ def _shift_verify(e, n, p, shifts, inv_table):
             # resume the fold: where P11, P12, P13 hold no unit, lab is 2 and the pivot P13
             more, pivot = first_unit((pivot, p21, p22), p)
             lab = lab + more
-        return perm, det, lab, pivot
+        return lab, pivot
 
     count = np.broadcast(*e).size
-    perm, det, lab, pivot = evaluate(e)
+    coeffs = forms(e[3:6], e[6:9], n)
+    perm, det = expand(coeffs, e[0:3], n)
+    lab, pivot = label(e, coeffs)
     member = (perm == 0) & (mod(det, p) != 0)
     inv = inv_table.take(pivot)
     del perm, det, pivot  # member and inv are all that the shifts read
-    moved = range(3 if (lab < 3).all() else 5)
+    lo, hi = int(lab.min()), int(lab.max())
+    moved = [r for r in range(lo, hi + 1) if r in (lo, hi) or (lab == r).any()]
+    uniform = lo == hi  # the one moved entry needs no mask
+    if hi >= 3:
+        del coeffs  # some pivot is in row 2, so each image gets forms of its own
     img = list(e)
     violations = {}
     for x in shifts:
@@ -515,12 +520,20 @@ def _shift_verify(e, n, p, shifts, inv_table):
         else:
             step = mod(x * inv, n)
             for r in moved:
-                img[r] = mod(e[r] + (lab == r) * step, n)
-            perm_i, det_i, lab_i, pivot_i = evaluate(img)
-            back = mod((n - x) * inv_table.take(pivot_i), n)
+                img[r] = mod(e[r] + (step if uniform else (lab == r) * step), n)
+            if hi < 3:  # rows 2 and 3 are the member's arrays
+                perm_i, det_i = expand(coeffs, img[0:3], n)
+                lab_i, back = lab, mod((n - x) * inv, n)
+            else:
+                coeffs_i = forms(img[3:6], img[6:9], n)
+                perm_i, det_i = expand(coeffs_i, img[0:3], n)
+                lab_i, pivot_i = label(img, coeffs_i)
+                del coeffs_i
+                back = mod((n - x) * inv_table.take(pivot_i), n)
             ok = (perm_i == x % n) & (mod(det_i, p) != 0) & (lab_i == lab)
+            same = uniform and lab_i is lab  # the image's one label: no mask either
             for r in moved:
-                ok &= mod(img[r] + (lab_i == r) * back, n) == e[r]
+                ok &= mod(img[r] + (back if same else (lab_i == r) * back), n) == e[r]
         violations[x] = count - int(ok.sum())
     return violations
 
@@ -569,11 +582,13 @@ def shift_round_trip(
     batches of at most oracle._BLOCK members laid out on a grid: row 1 per
     member, rows 2 and 3 per prefix. Every batch, and the sampled one, goes
     through one verifier, _shift_verify. A prefix with a unit among P11,
-    P12, P13 puts every member's pivot in row 1, so its label, pivot and
-    inverse are the prefix's; a batch of such prefixes moves row 1 only, and
-    the minors of rows 2 and 3 are formed once per prefix for its members
-    and their images alike. A left-over prefix has its pivot in row 2, which
-    a shift moves along with those minors, so they are formed per member.
+    P12, P13 puts every member's pivot at the first of them, in row 1, so
+    its label, pivot and inverse are the prefix's, and zero_perm_members
+    batches such prefixes by that head label. A shift then moves that one
+    row-1 entry, with no mask, and the images are expanded on the members'
+    own forms, formed once per prefix. A left-over prefix has each
+    member's pivot at a21 or a22, in row 2, which a shift moves along with
+    the minors of rows 2 and 3, so an image's are formed per member.
 
     The n^6 prefixes are split into jobs of oracle._CHUNK // n^2 prefixes
     (oracle._range_jobs, charging each prefix n^2 matrices; one that decides

@@ -31,9 +31,10 @@ each batch per shift, moves the pivot entries by a flat gather and scatter,
 evaluates every image and return image through perm_det and subperms, and
 runs every check at x = 0 too. The check under test labels each matrix by
 matrices.first_unit from the forms of its rows 2 and 3, forming P21 and P22
-only for a batch in which some P11, P12, P13 hold no unit, moves the pivot
-entries through masks of the label (per prefix, on the grid, where rows 2
-and 3 decide it), and reads x = 0 off the member's own evaluation.
+only for a batch in which some P11, P12, P13 hold no unit, moves only the
+entries some pivot is at (through masks of the label unless the batch has
+one label), expands the images on the members' own forms where every pivot
+is in row 1, and reads x = 0 off the member's own evaluation.
 label_pivot is the reference for matrices.first_unit on the five
 sub-permanents.
 """
@@ -147,7 +148,7 @@ def member_groups(p: int, k: int, prefixes: range) -> dict:
     """
     n = p**k
     prefix = [v.astype(oracle._kernel_type(n)) for v in oracle._digits(prefixes, n, 6)]
-    v, _, d = structure_maps._member_basis(prefix, p, k)
+    v, _, _, d = structure_maps._member_basis(prefix, p, k)
     out = {(w, "y"): int(((v == w) & (d[0] != 0)).sum()) for w in range(k + 1)}
     out[(k, "j")] = int(((v == k) & (d[0] == 0) & (d[2] != 0)).sum())
     return out

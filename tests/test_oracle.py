@@ -32,7 +32,7 @@ def test_tiered_census_matches_frozen(n):
     assert oracle.census_tiered(n).counts == CENSUS3[n]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_naive_equals_tiered(n):
     assert oracle.census_naive(n).counts == oracle.census_tiered(n).counts
 
@@ -527,7 +527,9 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
 
 
 def test_naive_job_memory_is_bounded_by_the_block_budget():
-    # a job spans _CHUNK matrices; the sweep holds one block of them at a time
+    # a job spans _CHUNK matrices, 2,048 prefixes at n = 8. It holds their
+    # index parts (2,048 x 72 int16 entries) and one block of 128 prefixes x
+    # 512 first rows at a time: tracemalloc puts its peak at 0.96 MB
     (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8)
     assert size == oracle._CHUNK
     tracemalloc.start()
@@ -539,10 +541,28 @@ def test_naive_job_memory_is_bounded_by_the_block_budget():
     assert peak < 4 * oracle._BLOCK * 8
 
 
-def test_kernel_type_holds_the_naive_joint_index():
-    # the naive sweep tallies perm * n + det in the kernel's type
-    for n in range(1, oracle.INT64_CEILING + 1):
-        assert np.iinfo(oracle._kernel_type(n)).max >= n * n - 1, n
+def test_naive_index_type_holds_the_largest_raw_index():
+    # the sweep tallies each matrix by its unreduced index perm' w + det',
+    # w = 3n - 2, where perm' = (A x mod n) + (B y mod n) + (C z mod n) over
+    # the prefix's forms and det' likewise with D, E, F. Each is at most
+    # 3 (n - 1) = w - 1, so the index is at most w^2 - 1, which the type of
+    # the sweep's tables must hold; n = 9 is swept in test_bounds_are_enforced.
+    # On seeded prefixes the tables must give that index, as computed in
+    # Python ints.
+    rng = np.random.default_rng(9)
+    for n in range(1, 10):
+        w = 3 * n - 2
+        x = np.arange(n, dtype=np.int64)
+        for r in rng.integers(0, n**6, size=8).tolist():
+            xy, z = oracle._naive_tables(n, r, r + 1)
+            assert xy.dtype == z.dtype and np.iinfo(xy.dtype).max >= w * w - 1, n
+            digits = [r // n**i % n for i in range(6)]
+            A, B, C, D, E, F = forms(digits[0:3], digits[3:6], n)
+            perm = (A * x % n)[:, None, None] + (B * x % n)[None, :, None] + (C * x % n)[None, None, :]
+            det = (D * x % n)[:, None, None] + (E * x % n)[None, :, None] + (F * x % n)[None, None, :]
+            got = xy.reshape(n, n, 1).astype(np.int64) + z.reshape(1, 1, n)
+            assert np.array_equal(got, perm * w + det), (n, r)
+            assert got.max() <= w * w - 1
 
 
 @functools.lru_cache(maxsize=None)

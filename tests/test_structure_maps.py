@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
+    label_pivot,
     materialize,
     member_groups,
     members_per_prefix_by_filter,
@@ -235,6 +236,22 @@ def test_zero_perm_member_batches_hold_at_most_a_block(p, k, prefixes):
         (L, G), t = e[0].shape, oracle._kernel_type(p**k)
         assert all(v.shape == (L, G) and v.dtype == t for v in e[:3])
         assert all(v.shape == (1, G) and v.dtype == t for v in e[3:])
+
+
+@pytest.mark.parametrize(
+    "p,k,prefixes", [(3, 1, None), (5, 1, None), (7, 1, range(20_000)), (3, 2, DENSE_NINE)]
+)
+def test_zero_perm_member_batches_share_one_head_label(p, k, prefixes):
+    # the head label is a prefix's first unit among P11, P12, P13 (3 for
+    # none): every member of a batch has its pivot at the same row-1 entry,
+    # or every one in row 2
+    heads = set()
+    for e in sm.zero_perm_members(p, k, prefixes):
+        lab, _ = label_pivot(materialize(e), p**k, p)
+        head = np.unique(np.minimum(lab, 3))
+        assert head.size == 1
+        heads.add(int(head[0]))
+    assert heads == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("block", [100, 1000])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -101,10 +102,10 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
 
 def test_shift_population_job_holds_one_block_at_a_time():
     # job 18 of (3, 2), 551,448 members, peaks highest of the scan's 42 jobs,
-    # with 14, 28 and 31: each holds a full batch of left-over prefixes,
-    # checked member by member. Its batches hold at most _BLOCK members,
-    # checked on one kernel call per matrix: tracemalloc puts its peak at
-    # 4.25 MB, with the job's per-prefix arrays.
+    # with 6 and 35 within 0.2 kB: each holds a full batch of left-over
+    # prefixes, whose images move row 2 and so get minors of their own. Its
+    # batches hold at most _BLOCK members: tracemalloc puts its peak at
+    # 4.09 MB, with the job's per-prefix arrays.
     args, _ = oracle._range_jobs(9**6, 9**2, 3, 2)[18]
     tracemalloc.start()
     try:
@@ -220,24 +221,26 @@ def grid_variants(batch, n, p):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
-    # every batch of the first job, plain, with one pivot entry moved and with
+    # every batch of the middle job, plain, with one pivot entry moved and with
     # a prefix of the other kind mixed in, then the job under an inverse table
-    # that is off by one, which only a shift by x != 0 reads
+    # that is off by one, which only a shift by x != 0 reads. A plain batch
+    # has one head label; a mixed one moves entries through masks
     n = p**k
     shifts = list(range(0, n, p))
     t = oracle._kernel_type(n)
     inv = oracle._inverse_table(n, t)
-    (_, _, start, stop), _ = oracle._range_jobs(n**6, n**2, p, k)[0]
+    jobs = oracle._range_jobs(n**6, n**2, p, k)
+    (_, _, start, stop), _ = jobs[len(jobs) // 2]
     found = {"members": 0, "pivot moved": 0, "mixed": 0}
-    kinds = set()
+    heads = set()
     batches = list(structure_maps.zero_perm_members(p, k, range(start, stop)))
     for batch in batches:
-        kinds.add(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]) < 3)
+        heads.add(min(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]), 3))
         for name, e in grid_variants(batch, n, p).items():
             want = shift_verify_members_by_scatter(materialize(e), n, p, shifts, inv)
             assert verify._shift_verify(e, n, p, shifts, inv) == want, name
             found[name] += sum(want.values())
-    assert kinds == {True, False}  # decided and left-over batches
+    assert heads == {0, 1, 2, 3}  # decided batches of each head label, and left-over ones
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["mixed"] > 0
 
@@ -253,6 +256,71 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
     got = verify._shift_population_job((p, k, start, stop))
     assert got.tolist() == [sum(np.broadcast(*e).size for e in batches), *want]
     assert (sum(want) > 0) == (n > p)  # at k = 1 the only shift is x = 0
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_sampled_check_matches_the_scatter_reference(p, k):
+    # shift_round_trip's own seeded sample holds every label, so its pivots
+    # are in rows 1 and 2 and each moved entry goes through a mask; then the
+    # same with one member's pivot entry moved
+    n = p**k
+    t = oracle._kernel_type(n)
+    inv = oracle._inverse_table(n, t)
+    shifts = list(range(0, n, p))
+    checked, viols = verify.shift_round_trip(p, k, population=False)
+    rng = np.random.default_rng([verify.DEFAULT_SEED, zlib.crc32(f"shift-{p}-{k}".encode())])
+    e = verify._sample_matrices(rng, n, checked, n).astype(t)
+    lab, _ = label_pivot(e, n, p)
+    assert set(lab.tolist()) == {0, 1, 2, 3, 4}
+    assert viols == shift_verify_members_by_scatter(e, n, p, shifts, inv) == {x: 0 for x in shifts}
+    e[lab[0], 0] = (e[lab[0], 0] + 1) % n  # moves the permanent by a unit
+    want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
+    assert verify._shift_verify(e, n, p, shifts, inv) == want == {x: 1 for x in shifts}
+
+
+def test_decided_images_are_expanded_on_the_members_own_forms(monkeypatch):
+    # a batch of one head label moves row 1 only, so its images' rows 2 and 3
+    # are the member's arrays: forms runs once, on the batch's own rows 2 and
+    # 3, and the members and both images are expanded on its result. A
+    # left-over batch moves row 2, and each image gets forms of its own
+    p, k, n = 3, 2, 9
+    shifts = [0, 3, 6]
+    inv = oracle._inverse_table(n, oracle._kernel_type(n))
+    batches = {}
+    for e in structure_maps.zero_perm_members(p, k, range(64_000, 68_000)):
+        head = min(int(label_pivot(materialize(e)[:, :1], n, p)[0][0]), 3)
+        batches.setdefault(head, e)
+    formed, expanded = [], []
+    real_forms, real_expand = verify.forms, verify.expand
+
+    def spy_forms(r1, r2, n):
+        formed.append((r1, r2, real_forms(r1, r2, n)))
+        return formed[-1][2]
+
+    def spy_expand(coeffs, row, n):
+        expanded.append(coeffs)
+        return real_expand(coeffs, row, n)
+
+    def check(e):
+        formed.clear()
+        expanded.clear()
+        assert verify._shift_verify(e, n, p, shifts, inv) == {x: 0 for x in shifts}
+
+    monkeypatch.setattr(verify, "forms", spy_forms)
+    monkeypatch.setattr(verify, "expand", spy_expand)
+    for head in (0, 1, 2):
+        e = batches[head]
+        check(e)
+        ((r2, r3, coeffs),) = formed
+        assert all(a is b for a, b in zip([*r2, *r3], e[3:9]))
+        assert len(expanded) == 3 and all(c is coeffs for c in expanded)
+    e = batches[3]
+    check(e)
+    assert len(formed) == len(expanded) == 3
+    assert all(c is f[2] for c, f in zip(expanded, formed))
+    for r2, r3, _ in formed[1:]:
+        assert all(a is b for a, b in zip(r3, e[6:9]))
+        assert any(a is not b for a, b in zip(r2, e[3:6]))
 
 
 def test_shift_population_on_three_jobs_does_not_depend_on_threads():
