@@ -84,7 +84,8 @@ def _emit_count(n: int, x: int, count: int, fmt: str) -> None:
 
 
 def _cmd_eval(args) -> int:
-    _emit_count(args.n, args.x % args.n, closed_form.count(args.n, args.x), args.format)
+    count = closed_form.count(args.n, args.x)  # validates n before x is reduced mod n
+    _emit_count(args.n, args.x % args.n, count, args.format)
     return 0
 
 

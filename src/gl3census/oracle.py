@@ -195,9 +195,9 @@ def _valuations(p: int, k: int) -> np.ndarray:
     return val
 
 
-def _inverse_table(n: int, dtype):
-    """inverse[v] = v^-1 mod n for units v, 0 elsewhere."""
-    return np.array([pow(v, -1, n) if gcd(v, n) == 1 else 0 for v in range(n)], dtype=dtype)
+def _inverse_table(n: int) -> np.ndarray:
+    """inverse[v] = v^-1 mod n for units v, 0 elsewhere, in _kernel_type(n): the kernel multiplies it."""
+    return np.array([pow(v, -1, n) if gcd(v, n) == 1 else 0 for v in range(n)], dtype=_kernel_type(n))
 
 
 def _int_type(bound: int) -> type[np.signedinteger]:
@@ -223,16 +223,15 @@ def _kernel_type(n: int) -> type[np.signedinteger]:
     return _int_type(3 * (n - 1) ** 2)
 
 
-def _digits(idx, n: int, k: int) -> list[np.ndarray]:
-    """The k base-n digits (least significant first) of idx, a range or an index array.
+def _digits(idx: range, n: int, k: int) -> list[np.ndarray]:
+    """The k base-n digits (least significant first) of every index in the range idx.
 
-    A range is enumerated in int32 whenever its stop is below 2^31, since
-    every index it holds, and so every digit, is below stop. Callers that
-    compute with the digits bound that arithmetic themselves. An array keeps
-    its dtype.
+    The range is enumerated in the wider of _int_type(stop), which holds
+    every index and so every digit, and _kernel_type(n), which holds the
+    kernel's arithmetic on the digits as residues mod n. Callers that
+    compute more with the digits bound that arithmetic themselves.
     """
-    if isinstance(idx, range):
-        idx = np.arange(idx.start, idx.stop, dtype=np.int32 if idx.stop < 2**31 else np.int64)
+    idx = np.arange(idx.start, idx.stop, dtype=np.promote_types(_int_type(idx.stop), _kernel_type(n)))
     out = []
     for _ in range(k):
         out.append(idx % n)
@@ -368,11 +367,11 @@ def _hnf_buckets(t: _FormTables, forms) -> np.ndarray:
     """Subgroup index of the columns (A, D), (B, E), (C, F) of forms = (A, B, C, D, E, F).
 
     The span 0 + <c1> + <c2> + <c3>, joined one cyclic subgroup at a time.
-    Entries of forms lie in [0, n).
+    Entries of forms lie in [0, n), so u n + v < n^2 stays within their _kernel_type(n).
     """
     n = t.n
     A, B, C, D, E, F = forms
-    c1, c2, c3 = (t.cyclic[u * n + v] for u, v in ((A, D), (B, E), (C, F)))
+    c1, c2, c3 = (t.cyclic.take(u * n + v) for u, v in ((A, D), (B, E), (C, F)))
     return t.join[t.join[t.join[-1, c1], c2], c3]
 
 
@@ -424,9 +423,11 @@ def _bucket_tables(n: int) -> np.ndarray:
 class _RowOrbits:
     """Orbits of the rows (Z/n)^3 under a group of symmetries.
 
-    reps holds one member of each orbit as three digit arrays, sizes each
-    orbit's size and live whether no prime dividing n divides all three
-    entries of the rep (the same holds for every member).
+    reps holds one member of each orbit as three digit arrays of
+    _kernel_type(n), as the prefix pass feeds them to the kernel, sizes each
+    orbit's size in int64, as the weights are summed, and live whether no
+    prime dividing n divides all three entries of the rep (the same holds
+    for every member).
     """
 
     reps: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -435,9 +436,9 @@ class _RowOrbits:
 
 
 def _orbits(reps, sizes, n: int) -> _RowOrbits:
-    r0, r1, r2 = reps
+    r0, r1, r2 = (v.astype(_kernel_type(n)) for v in reps)
     live = np.gcd(np.gcd(r0, r1), np.gcd(r2, n)) == 1
-    return _RowOrbits(reps=tuple(reps), sizes=sizes, live=live)
+    return _RowOrbits(reps=(r0, r1, r2), sizes=sizes, live=live)
 
 
 def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -650,7 +651,7 @@ def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountT
 def _two_by_two_job(args):
     n, start, stop = args
     perm, det = perm_det2(_digits(range(start, stop), n, 4), n)
-    return np.bincount(perm[_unit_mask(n)[det]], minlength=n)
+    return np.bincount(perm[_unit_mask(n).take(det)], minlength=n)
 
 
 def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
@@ -701,20 +702,19 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # Unit-determinant matrices with neither P21 nor P22 a unit are violations.
 
 
-def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, first, i, j, p: int, k: int) -> np.ndarray:
+def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, i, j, p: int, k: int) -> np.ndarray:
     """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, p^k).
 
     Row 2 is rep i of rows2, row 3 rep j of o, and the first rows run over
-    o; first holds o's reps in _kernel_type(p^k). Each pair is tallied by
-    (label, valuation of the permanent), and each valuation class's tally
-    divided by the class's size. A function, so that each block's (pairs x
-    first-row orbits) arrays are freed before the next block allocates its
-    own.
+    o; the kernel runs in the reps' own type, _kernel_type(p^k). Each pair
+    is tallied by (label, valuation of the permanent) in int64, and each
+    valuation class's tally divided by the class's size. A function, so
+    that each block's (pairs x first-row orbits) arrays are freed before
+    the next block allocates its own.
     """
     n = p**k
     val = _valuations(p, k)
-    r2 = [v[i, None].astype(first[0].dtype) for v in rows2.reps]
-    e = [*(v[None, :] for v in first), *r2, *(v[j, None] for v in first)]
+    e = [*(v[None, :] for v in o.reps), *(v[i, None] for v in rows2.reps), *(v[j, None] for v in o.reps)]
     perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
     lab, pivot = first_unit((p21, p22), p)
     label = lab + (mod(pivot, p) == 0)  # 0 or 1 for C21 or C22, 2 where neither is a unit
@@ -732,7 +732,6 @@ def _class_job(args):
     """(3, subgroups + n): prefixes per (head class, subgroup), then the left-over tallies."""
     n, ordered, _, _, p, k = args
     rows2, o = _divisor_rows(n, ordered), _row_orbits(n)
-    first = [v.astype(_kernel_type(n)) for v in o.reps]
     n_subs = len(_form_tables(n).sizes)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
     left = np.zeros((3, n), dtype=np.int64)
@@ -741,10 +740,10 @@ def _class_job(args):
         lab, pivot = first_unit((p11, p12, p13), p)
         headed = mod(pivot, p) != 0
         mult += _tally((lab.astype(np.int64) * n_subs + s)[headed], w[headed], 3 * n_subs)
-        i, j = np.nonzero(~headed & ((d1 % p != 0) | (d2 % p != 0) | (d3 % p != 0)))
+        i, j = np.nonzero(~headed & ((mod(d1, p) != 0) | (mod(d2, p) != 0) | (mod(d3, p) != 0)))
         for b in range(0, i.size, step):
             block = slice(b, b + step)
-            left += _leftover_tally(rows2, o, first, rows[i[block]], cols[j[block]], p, k)
+            left += _leftover_tally(rows2, o, rows[i[block]], cols[j[block]], p, k)
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
@@ -761,6 +760,7 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     n = p**k
+    _valuations(p, k)  # read by the jobs' left-over sweeps; _orbit_jobs builds the rest
     tallies = _sum_jobs(_class_job, _orbit_jobs(n, True, p, k), threads, progress)
     tables = _bucket_tables(n)
     heads, left = np.split(tallies, [len(tables)], axis=1)

@@ -109,13 +109,13 @@ def fiber_count(a: Mat3, p: int, k: int, *, progress=None) -> int:
 def _fiber_job(args):
     """Lifts start..stop-1 of fiber_count that are invertible with permanent divisible by p.
 
-    Lift t adds p times the base-p^(k - 1) digits of t to the base matrix's entries.
+    Lift t adds p times the base-p^(k - 1) digits of t, in _kernel_type(n), to the base matrix's entries.
     """
     flat, p, k, start, stop = args
     n = p**k
     t = oracle._digits(range(start, stop), p ** (k - 1), 9)
-    perm, det = perm_det([f + p * d for f, d in zip(flat, t)], n)
-    return int((oracle._unit_mask(n)[det] & (perm % p == 0)).sum())
+    perm, det = perm_det([f + p * d.astype(oracle._kernel_type(n)) for f, d in zip(flat, t)], n)
+    return int((oracle._unit_mask(n).take(det) & (perm % p == 0)).sum())
 
 
 def witness(label: ClassLabel, p: int, k: int = 1, x: int = 0) -> Mat3:
@@ -234,7 +234,7 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     if prefixes.step != 1 or prefixes.start < 0 or prefixes.stop > n**6:
         raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
     dtype = oracle._kernel_type(n)
-    inv_p = oracle._inverse_table(p, dtype)
+    inv = oracle._inverse_table(n)  # of the prefix's type; a unit's inverse mod n is its inverse mod p
     # (v, axis, head label): axis y, then j at v = k; the head label only at v = 0
     groups = [(0, 0, c) for c in range(3)] + [(w, 0, None) for w in range(1, k + 1)] + [(k, 2, None)]
     step = max(1, oracle._CHUNK // n**2)
@@ -258,7 +258,7 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
             pq *= p
             r += 1
             s_p = [mod(t, p) for t in s]
-            slope = [mod(-d[o] * inv_p.take(d[axis]), p) for o in others]  # (a, b)
+            slope = [mod(-d[o] * inv.take(d[axis]), p) for o in others]  # (a, b)
             per = max(1, oracle._BLOCK // pq.size)  # prefixes per batch
             for i in range(0, sel.size, per):
                 at = sel[i : i + per]
@@ -301,7 +301,7 @@ def _member_basis(prefix, p: int, k: int):
     pv = (p ** np.arange(k + 1)).astype(dtype).take(v)
     u, q1, q2 = (hot * perm_c[:, None]).sum(axis=0, dtype=dtype) // pv
     d_c, d_c1, d_c2 = (hot * det_c[:, None]).sum(axis=0, dtype=dtype)
-    minus_inv_u = -oracle._inverse_table(n, dtype).take(u)
+    minus_inv_u = -oracle._inverse_table(n).take(u)
     scale = np.stack([mod(minus_inv_u * q1, n), mod(minus_inv_u * q2, n), mod(n // pv, n)])  # K_i at c
     at_c = hot[:, 0]
     basis = np.stack([hot[:, 1] + scale[0] * at_c, hot[:, 2] + scale[1] * at_c, scale[2] * at_c])

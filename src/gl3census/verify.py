@@ -462,9 +462,8 @@ def _shift_verify(e, n, p, shifts, inv_table):
     e holds the nine row-major entries, in [0, n), as arrays that broadcast
     together: a (9, m) sample, or a structure_maps.zero_perm_members batch,
     with row 1 per member and rows 2 and 3 per prefix. They are of
-    oracle._kernel_type(n) or wider, and inv_table is an
-    oracle._inverse_table of the same dtype; the arithmetic stays within
-    the kernel's bound.
+    oracle._kernel_type(n) or wider, and inv_table is oracle._inverse_table(n),
+    of _kernel_type(n); the arithmetic stays within the kernel's bound.
 
     Every matrix is evaluated on its own. forms(row 2, row 3) gives its
     permanent and determinant, through expand, and P11, P12, P13; P21 and
@@ -543,7 +542,7 @@ def _shift_population_job(args):
     p, k, start, stop = args
     n = p**k
     shifts = range(0, n, p)
-    inv_table = oracle._inverse_table(n, oracle._kernel_type(n))
+    inv_table = oracle._inverse_table(n)
     out = np.zeros(1 + len(shifts), dtype=np.int64)
     for e in structure_maps.zero_perm_members(p, k, range(start, stop)):
         out[0] += np.broadcast(*e).size
@@ -611,11 +610,11 @@ def shift_round_trip(
     n = p**k
     shifts = list(range(0, n, p))
     if not population:
-        dtype = oracle._kernel_type(n)
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
-        e = _sample_matrices(rng, n, sample, n).astype(dtype)
-        return e.shape[1], _shift_verify(e, n, p, shifts, oracle._inverse_table(n, dtype))
+        e = _sample_matrices(rng, n, sample, n).astype(oracle._kernel_type(n))
+        return e.shape[1], _shift_verify(e, n, p, shifts, oracle._inverse_table(n))
     jobs = oracle._range_jobs(n**6, n**2, p, k)
+    oracle._valuations(p, k)  # read by the jobs' zero_perm_members
     checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
     return checked, dict(zip(shifts, viols))
 

@@ -52,7 +52,10 @@ def test_threads_below_one_exit_two(capsys, threads):
 
 
 def test_eval_rejects_nonpositive_modulus(capsys):
-    assert main(["eval", "0", "0"]) == 2
+    # the modulus is checked before x is reduced by it, as in oracle
+    for argv in (["eval", "0", "0"], ["eval", "0", "1"], ["oracle", "0"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cannot factor 0; need a positive integer\n"
 
 
 def test_oracle_single_value(capsys):

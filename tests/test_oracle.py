@@ -151,7 +151,6 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # (3, 3) the second of them reaches the permanents of valuation 2 and 3.
     n = p**k
     rows2, o = oracle._divisor_rows(n, True), oracle._row_orbits(n)
-    first = [v.astype(oracle._kernel_type(n)) for v in o.reps]
     i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
     A, B, C, D, E, F = (v % p for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], n))
     left = np.flatnonzero((A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0)))
@@ -159,7 +158,7 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     left = left[np.argsort(weights[left], kind="stable")]
     reached = set()
     for pair in left[:pairs]:
-        tally = oracle._leftover_tally(rows2, o, first, i[[pair]], j[[pair]], p, k)
+        tally = oracle._leftover_tally(rows2, o, i[[pair]], j[[pair]], p, k)
         reps = [np.array([int(v[x]) for v in r.reps]) for r, x in ((rows2, i[pair]), (o, j[pair]))]
         sweep, members = _member_sweep(*reps, p, n)
         assert members == weights[pair]
@@ -602,6 +601,31 @@ def test_int_type_holds_the_kernel_bound(n, want):
     assert oracle._int_type(3 * (n - 1) ** 2) is oracle._kernel_type(n) is want
 
 
+@pytest.mark.parametrize("n", [7, 8, 105, 106, 127])
+def test_tables_are_built_in_the_kernel_type(n):
+    # the int8 edge (7, 8), the int16 edge (105, 106) and the int32 range
+    # (127): the table builders hold their residues in _kernel_type(n), so
+    # the orbit pass forms its coefficients in that type with no cast
+    t = oracle._kernel_type(n)
+    assert all(v.dtype == t for v in oracle._row_orbits(n).reps)
+    for ordered in (False, True):
+        first = oracle._divisor_rows(n, ordered)
+        assert all(v.dtype == t for v in first.reps)
+        _, _, coeffs, _, _ = next(oracle._orbit_blocks(n, ordered, 0, len(first.sizes)))
+        assert all(v.dtype == t for v in coeffs)
+    # _hnf_buckets indexes cyclic by u n + v, up to n^2 - 1, in that type
+    top = [np.full(1, n - 1, dtype=t)] * 6
+    assert n * n - 1 <= np.iinfo(t).max
+    assert oracle._hnf_buckets(oracle._form_tables(n), top) == hnf_buckets_by_euclid(n, top)
+    inverse = oracle._inverse_table(n)
+    assert inverse.dtype == t
+    unit = oracle._unit_mask(n)
+    assert (np.arange(n) * inverse.astype(np.int64) % n == unit).all()
+    assert all(v.dtype == t for v in oracle._digits(range(n**2), n, 2))
+    if n > 100:
+        assert oracle.census_tiered(n).counts == tuple(cf.count(n, x) for x in range(n))
+
+
 def test_int_type_refuses_past_int64():
     assert oracle._int_type(2**63 - 1) is np.int64
     with pytest.raises(OverflowError):
@@ -770,21 +794,47 @@ def test_parallel_censuses_are_deterministic():
 
 
 def test_threads_share_tables_built_before_dispatch(monkeypatch):
-    # one live first-row triple per job, more threads than cores, frequent
-    # switches: every cached table a job reads is built once, before the jobs start
-    monkeypatch.setattr(oracle, "_CHUNK", 1)
-    cached = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
-    for f in cached:
-        f.cache_clear()
-    assert len(oracle._orbit_jobs(7, False)) == 3
-    assert [f.cache_info().currsize for f in cached] == [1, 1, 1]
+    # more jobs and threads than cores, frequent switches: every cached table
+    # a job reads is built once, before the jobs are dispatched. _CHUNK = 1
+    # gives one live first-row triple per orbit job, and 25,000 the shift
+    # population 16 jobs of 1,000 prefixes
+    orbit_tables = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
+    cases = [
+        (1, orbit_tables, lambda: oracle.census_tiered(7, threads=4).counts, CENSUS3[7]),
+        (
+            1,
+            (*orbit_tables, oracle._valuations),
+            lambda: oracle.class_census(3, 2, threads=4).counts,
+            oracle.class_census(3, 2).counts,
+        ),
+        (
+            25_000,
+            (oracle._valuations,),
+            lambda: verify.shift_round_trip(5, 1, threads=4),
+            (oracle.census_tiered(5)[0], {0: 0}),
+        ),
+    ]
+    real_sum_jobs, at_dispatch = oracle._sum_jobs, []
+
+    def sum_jobs(fn, jobs, threads, progress):
+        at_dispatch.append((len(jobs), [f.cache_info().currsize for f in cached]))
+        return real_sum_jobs(fn, jobs, threads, progress)
+
+    monkeypatch.setattr(oracle, "_sum_jobs", sum_jobs)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     try:
-        assert oracle.census_tiered(7, threads=4).counts == CENSUS3[7]
+        for chunk, cached, run, want in cases:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            for f in cached:
+                f.cache_clear()
+            sys.setswitchinterval(1e-6)
+            assert run() == want
+            sys.setswitchinterval(interval)
+            jobs, built = at_dispatch.pop()
+            assert jobs >= 3 and built == [1] * len(cached), (jobs, built)
+            assert [f.cache_info().misses for f in cached] == [1] * len(cached)
     finally:
         sys.setswitchinterval(interval)
-    assert [f.cache_info().misses for f in cached] == [1, 1, 1]
 
 
 def test_progress_hook_reports_completion():

@@ -124,6 +124,9 @@ def test_fiber_count_example():
     a = mat3(((1, 0, 0), (2, 1, 2), (1, 1, 1)), 3)
     assert sm.fiber_count(a, 3, 1) == 1
     assert sm.fiber_count(a, 3, 2) == 3**9
+    # at k = 1 the one lift's digits (mod 1) are int8, but the kernel mod 127 on large entries needs int32
+    b = mat3(((120, 123, 115), (124, 110, 112), (114, 125, 103)), 127)
+    assert sm.fiber_count(b, 127, 1) == 1
 
 
 def test_fiber_count_ticks_once_per_chunk_of_lifts():

@@ -168,7 +168,7 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
     corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
     for batch, want in ((members, 0), (corrupted, 1)):
         results = [
-            verify._shift_verify(batch.astype(t), n, p, shifts, oracle._inverse_table(n, t))
+            verify._shift_verify(batch.astype(t), n, p, shifts, oracle._inverse_table(n).astype(t))
             for t in (narrow, np.int64)
         ]
         assert results[0] == results[1] == {x: want for x in shifts}
@@ -193,7 +193,7 @@ def test_shift_check_matches_the_scatter_reference(p, k):
         redrawn[hit] = rng.integers(0, n, size=int(hit.sum()))
         for name, batch in (("members", members), ("pivot moved", moved), ("redrawn", redrawn)):
             for t in (oracle._kernel_type(n), np.int64):
-                e, inv = batch.astype(t), oracle._inverse_table(n, t)
+                e, inv = batch.astype(t), oracle._inverse_table(n).astype(t)
                 want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
                 assert verify._shift_verify(e, n, p, shifts, inv) == want, (name, t)
             found[name] += sum(want.values())
@@ -227,8 +227,7 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
     # has one head label; a mixed one moves entries through masks
     n = p**k
     shifts = list(range(0, n, p))
-    t = oracle._kernel_type(n)
-    inv = oracle._inverse_table(n, t)
+    inv = oracle._inverse_table(n)
     jobs = oracle._range_jobs(n**6, n**2, p, k)
     (_, _, start, stop), _ = jobs[len(jobs) // 2]
     found = {"members": 0, "pivot moved": 0, "mixed": 0}
@@ -244,13 +243,14 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["mixed"] > 0
 
-    def off_by_one(n, dtype):
-        return ((np.array([pow(v, -1, n) if v % p else 0 for v in range(n)]) + 1) % n).astype(dtype)
+    def off_by_one(n):
+        inverse = [pow(v, -1, n) if v % p else 0 for v in range(n)]
+        return ((np.array(inverse) + 1) % n).astype(oracle._kernel_type(n))
 
     # the job checks the batches above; the enumerator's own inverses stay right
     monkeypatch.setattr(structure_maps, "zero_perm_members", lambda *args: iter(batches))
     monkeypatch.setattr(oracle, "_inverse_table", off_by_one)
-    bad = off_by_one(n, t)
+    bad = off_by_one(n)
     found = [shift_verify_members_by_scatter(materialize(e), n, p, shifts, bad) for e in batches]
     want = [sum(f[x] for f in found) for x in shifts]
     got = verify._shift_population_job((p, k, start, stop))
@@ -265,7 +265,7 @@ def test_sampled_check_matches_the_scatter_reference(p, k):
     # same with one member's pivot entry moved
     n = p**k
     t = oracle._kernel_type(n)
-    inv = oracle._inverse_table(n, t)
+    inv = oracle._inverse_table(n)
     shifts = list(range(0, n, p))
     checked, viols = verify.shift_round_trip(p, k, population=False)
     rng = np.random.default_rng([verify.DEFAULT_SEED, zlib.crc32(f"shift-{p}-{k}".encode())])
@@ -285,7 +285,7 @@ def test_decided_images_are_expanded_on_the_members_own_forms(monkeypatch):
     # left-over batch moves row 2, and each image gets forms of its own
     p, k, n = 3, 2, 9
     shifts = [0, 3, 6]
-    inv = oracle._inverse_table(n, oracle._kernel_type(n))
+    inv = oracle._inverse_table(n)
     batches = {}
     for e in structure_maps.zero_perm_members(p, k, range(64_000, 68_000)):
         head = min(int(label_pivot(materialize(e)[:, :1], n, p)[0][0]), 3)
@@ -392,8 +392,7 @@ i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
 A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], 9))
 left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
 bad = dataclasses.replace(o, sizes=o.sizes + 1)
-first = [v.astype(oracle._kernel_type(9)) for v in o.reps]
-tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, first, i[left], j[left], 3, 2))
+tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, i[left], j[left], 3, 2))
 print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check)
 """
 
