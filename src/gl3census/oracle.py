@@ -72,9 +72,9 @@ INT64_CEILING = 127
 SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
-# array elements per vectorized block of the orbit pass and of the naive
-# sweep; bounds the memory of both, with the naive sweep's per-job tables
-# (about _CHUNK / n entries)
+# array elements per vectorized block of the orbit pass; the naive sweep and
+# the shift population's head batches take 2 _BLOCK. Bounds the memory of
+# each, with the naive sweep's per-job tables (about _CHUNK / n entries)
 _BLOCK = 1 << 16
 
 
@@ -366,13 +366,20 @@ def _form_tables(n: int) -> _FormTables:
 def _hnf_buckets(t: _FormTables, forms) -> np.ndarray:
     """Subgroup index of the columns (A, D), (B, E), (C, F) of forms = (A, B, C, D, E, F).
 
-    The span 0 + <c1> + <c2> + <c3>, joined one cyclic subgroup at a time.
-    Entries of forms lie in [0, n), so u n + v < n^2 stays within their _kernel_type(n).
+    The span 0 + <c1> + <c2> + <c3>, joined one cyclic subgroup at a time,
+    each join a take from the flattened table at s * C + c (C cyclic
+    subgroups). Entries of forms lie in [0, n), so u n + v < n^2 stays
+    within their _kernel_type(n).
     """
     n = t.n
     A, B, C, D, E, F = forms
     c1, c2, c3 = (t.cyclic.take(u * n + v) for u, v in ((A, D), (B, E), (C, F)))
-    return t.join[t.join[t.join[-1, c1], c2], c3]
+    flat, width = t.join.reshape(-1), t.join.shape[1]
+    at = _int_type(t.join.size - 1)  # holds every flat index s * width + c
+    s = t.join[-1].take(c1)
+    for c in (c2, c3):
+        s = flat.take(s.astype(at, copy=False) * width + c)
+    return s
 
 
 def _bucket_tables(n: int) -> np.ndarray:
@@ -619,7 +626,7 @@ def _naive_job(args):
     """Every first row against the (row 2, row 3) prefixes start..stop-1, in blocks.
 
     The prefixes' forms are formed once per job, into the per-prefix index
-    parts of _naive_tables. A block of max(1, _BLOCK // n^3) prefixes, each
+    parts of _naive_tables. A block of max(1, 2 _BLOCK // n^3) prefixes, each
     against all n^3 first rows, is then one add, which lists each of its
     matrices' unreduced indexes, and one bincount of them. The job's
     (w, w) tally of unreduced (perm, det), w = 3n - 2, is reduced mod n
@@ -628,7 +635,7 @@ def _naive_job(args):
     n, start, stop = args
     w = 3 * n - 2
     xy, z = _naive_tables(n, start, stop)
-    step = max(1, _BLOCK // n**3)
+    step = max(1, 2 * _BLOCK // n**3)
     joint = np.zeros(w * w, dtype=np.int64)
     for s in range(0, stop - start, step):
         # z outermost, so that numpy's inner loop runs along the n^2 (x, y) entries

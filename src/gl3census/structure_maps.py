@@ -5,11 +5,13 @@ project is the entrywise reduction from Z/p^k to Z/p, fiber_count verifies the
 lift-fiber size by enumeration, witness builds explicit members of the five
 sub-permanent classes, and emptiness_scan exhaustively confirms that no
 invertible matrix escapes those five classes. zero_perm_members lists all of
-G(p^k, 0) by solving the permanent's linear form in the first row.
+G(p^k, 0) by solving the permanent's linear form in row 1, or in row 2 where
+no sub-permanent of row 1 is a unit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,8 @@ from .matrices import (
     ClassLabel,
     Mat3,
     classify,
+    expand,
+    first_unit,
     forms,
     is_invertible,
     mod,
@@ -186,127 +190,180 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
 
     prefixes is a range of prefix indices in [0, n^6), by default all of
     them; prefix r has the base-n digits of r, least significant first, as
-    its six entries, rows 2 and 3. Row 1 is solved for. Every member has one
-    prefix, so this lists each member of G(p^k, 0) once and nothing else,
-    with no reduction by symmetry.
+    six entries, which two grids read differently. The head grid
+    (_head_grid) reads them as rows 2 and 3 and solves row 1; it lists the
+    members with a unit among P11, P12, P13, 87% of G(9, 0). The left-over
+    grid (_leftover_grid) reads them as rows 1 and 3 and solves row 2; it
+    lists the members with none, whose pivot is in row 2. So each member of
+    G(p^k, 0) is listed once, over one prefix of one grid, and nothing else
+    is, with no reduction by symmetry. The grids run one after the other,
+    so the head grid's block tables are freed before the left-over grid
+    starts.
 
-    A batch is a list of the nine row-major entries: the six of rows 2 and
-    3 are (1, G) arrays, one prefix to a column, and the three of row 1
-    (L, G) arrays, the L members over each prefix down its column, so that
-    numpy's inner loops run along a row of G prefixes rather than along the
-    L members of one. The
-    entries are of oracle._kernel_type(p^k), the narrowest type that holds
-    the kernel's arithmetic, and matrices.perm_det on a batch forms the
-    minors of rows 2 and 3 once per prefix. The prefixes go in blocks of
-    oracle._CHUNK // n^2 (at least one), verify.shift_round_trip's job
-    split, whose per-prefix arrays are of that type too. A batch holds
-    whole prefixes of one block: at most oracle._BLOCK members, or one
-    prefix's (fewer than n^3, so oracle._BLOCK for n <= 40).
-
-    Over a prefix, the permanent and the determinant are the linear forms
-    (A, B, C) and (D, E, F) of matrices.forms in row 1. Let p^v be the gcd
-    of A, B, C and n = p^k, c the first coordinate whose coefficient has
-    valuation v, that coefficient p^v u (u a unit) and the other two
-    p^v q1, p^v q2, at coordinates c1 < c2. The rows of permanent 0 are then
-    the n^2 p^v distinct rows y K1 + z K2 + j K3 mod n, 0 <= y, z < n and
-    0 <= j < p^v, with K1 = e_c1 - u^-1 q1 e_c, K2 = e_c2 - u^-1 q2 e_c and
-    K3 = (n / p^v) e_c. On them the determinant is y d1 + z d2 + j d3, with
-    d_i = (D, E, F) . K_i, and a unit exactly when it is not 0 mod p.
-
-    Only members are enumerated. The axis is a coordinate whose d is a unit
-    mod p: y, after swapping K1 and K2 where only d2 is; else j, which
-    happens only at v = k, as n / p^v is a multiple of p below that; a
-    prefix with neither has no member. For each value (s1, s2) of the other
-    two coordinates, the determinant is 0 mod p on one residue class of the
-    axis t mod p, a s1 + b s2 with (a, b) = -(d_s1, d_s2) / d_t mod p. So
-    t = p q + ((a s1 + b s2 + r) mod p), 1 <= r < p and every q, lists
-    exactly the members: (p - 1) n^2 p^(v - 1) per prefix. At v = 0, j is
-    always 0 (p^0 = 1, and K3 = n e_c is 0 mod n), so it is left out.
-    Prefixes go into batches by (v, axis), so that L is the same across a
-    batch, and at v = 0 also by c, the head label: A, B, C are P11, P12,
-    P13, so c indexes the first of them that is a unit mod p, and every
-    member over the prefix has the label c and its pivot at coordinate c
-    of row 1. At v > 0 none of them is a unit, and each member's pivot is
-    in row 2. Every value stays within 3 (n - 1)^2.
+    A batch is a list of the nine row-major entries: the solved row's three
+    are (L, G) arrays, the L members over each prefix down its column, and
+    the other six (1, G) arrays, one prefix to a column, so that numpy's
+    inner loops run along a row of G prefixes rather than along the L
+    members of one. The entries are of oracle._kernel_type(p^k), the
+    narrowest type that holds the kernel's arithmetic, and every value the
+    grids form stays within 3 (n - 1)^2. Each batch holds whole prefixes of
+    one block of oracle._CHUNK // n^2 prefixes (at least one),
+    verify.shift_round_trip's job split, and every member of a batch has
+    one label, the same pivot and the same pivot inverse per prefix: a head
+    batch at most 2 oracle._BLOCK members, a left-over batch at most
+    oracle._BLOCK, or one prefix's members if they are more.
     """
     n = p**k
     prefixes = range(n**6) if prefixes is None else prefixes
     if prefixes.step != 1 or prefixes.start < 0 or prefixes.stop > n**6:
         raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
-    dtype = oracle._kernel_type(n)
-    inv = oracle._inverse_table(n)  # of the prefix's type; a unit's inverse mod n is its inverse mod p
-    # (v, axis, head label): axis y, then j at v = k; the head label only at v = 0
-    groups = [(0, 0, c) for c in range(3)] + [(w, 0, None) for w in range(1, k + 1)] + [(k, 2, None)]
+    return itertools.chain(_head_grid(p, k, prefixes), _leftover_grid(p, k, prefixes))
+
+
+def _prefix_blocks(n: int, prefixes: range):
+    """The six base-n digits of each block of oracle._CHUNK // n^2 prefixes, in oracle._kernel_type(n)."""
     step = max(1, oracle._CHUNK // n**2)
     for start in range(prefixes.start, prefixes.stop, step):
         block = range(start, min(start + step, prefixes.stop))
-        prefix = [v.astype(dtype) for v in oracle._digits(block, n, 6)]
-        v, c, basis, d = _member_basis(prefix, p, k)
-        for w, axis, head in groups:
-            on_axis = d[0] != 0 if axis == 0 else (d[0] == 0) & (d[2] != 0)
-            sel = (v == w) & on_axis
-            if head is not None:
-                sel &= c == head
-            sel = np.flatnonzero(sel)
-            if not sel.size:
-                continue
-            size = [n, n, p**w]  # of y, z, j
-            others = [i for i in range(3) if i != axis and size[i] > 1]
-            shape = (size[axis] // p, p - 1, *(size[o] for o in others))
-            # one (L, 1) column per coordinate: a member over each prefix to a row
-            pq, r, *s = np.indices(shape, dtype=dtype).reshape(len(shape), -1, 1)
-            pq *= p
-            r += 1
-            s_p = [mod(t, p) for t in s]
-            slope = [mod(-d[o] * inv.take(d[axis]), p) for o in others]  # (a, b)
-            per = max(1, oracle._BLOCK // pq.size)  # prefixes per batch
+        yield [v.astype(oracle._kernel_type(n)) for v in oracle._digits(block, n, 6)]
+
+
+def _head_grid(p: int, k: int, prefixes: range):
+    """The members with a unit among P11, P12, P13, by solving row 1 over each prefix (rows 2 and 3).
+
+    Over a prefix, the permanent and the determinant are the linear forms
+    (A, B, C) = (P11, P12, P13) and (D, E, F) of matrices.forms in row 1.
+    Let c be the first coordinate whose coefficient u is a unit mod p (the
+    head label), c1 < c2 the other two and q1, q2 their coefficients. The
+    rows of permanent 0 are then the n^2 rows y K1 + z K2 mod n,
+    0 <= y, z < n, with K1 = e_c1 - u^-1 q1 e_c and K2 = e_c2 - u^-1 q2 e_c.
+    On them the determinant is y d1 + z d2, d_i = (D, E, F) . K_i, a unit
+    exactly when it is not 0 mod p (_member_basis). The axis t is y, or z
+    where only d2 is a unit mod p, and s is the other; a prefix where
+    neither is has no member. For each s, the determinant is 0 mod p on one
+    residue class of t mod p, a s with a = -d_s / d_t mod p, so
+    t = p q + ((a s + r) mod p), 1 <= r < p and 0 <= q < n / p, lists
+    exactly the members: (p - 1) n^2 / p per prefix. K1 and K2 are one-hot
+    away from c, so row 1 holds y and z themselves at c1 and c2, read off
+    per-call tables by the prefix's slope a and axis, and is formed and
+    reduced mod n at c alone. Prefixes go into batches by head label, which
+    is every member's label and the row-1 position of its pivot, sorted by
+    (a, axis) within a block, so that a batch repeats each table column
+    over a run of prefixes.
+    """
+    n = p**k
+    dtype = oracle._kernel_type(n)
+    # one (L, 1) column per coordinate: a member over each prefix to a row
+    pq, r, s = np.indices((n // p, p - 1, n), dtype=dtype).reshape(3, -1, 1)
+    pq *= p
+    r += 1
+    # t for each slope a, (L, p), and row 1 at c1 and c2 for each key a + p swap, (L, 2p)
+    t = pq + mod(np.arange(p, dtype=dtype) * mod(s, p) + r, p)
+    s = np.broadcast_to(s, t.shape)
+    y, z = np.concatenate([t, s], axis=1), np.concatenate([s, t], axis=1)
+    per = max(1, 2 * oracle._BLOCK // t.shape[0])  # prefixes per batch
+    for prefix in _prefix_blocks(n, prefixes):
+        head, key, scale = _member_basis(prefix, p, k)
+        for c in range(3):
+            c1, c2 = (i for i in range(3) if i != c)
+            sel = np.flatnonzero(head == c)
+            sel = sel[np.argsort(key[sel], kind="stable")]
             for i in range(0, sel.size, per):
                 at = sel[i : i + per]
-                t = slope[0][at] * s_p[0]
-                if len(slope) > 1:
-                    t += slope[1][at] * s_p[1]
-                t += r
-                t = pq + mod(t, p)
-                K = basis.take(at, axis=2)[:, :, None]  # (K_i, entry, 1, G)
-                row1 = t * K[axis]
-                del t  # not held while the batch is checked
-                for o, g in zip(others, s):
-                    row1 += g * K[o]
-                row1 = mod(row1, n)
+                runs = np.bincount(key[at], minlength=2 * p)
+                row1 = [None] * 3
+                row1[c1], row1[c2] = np.repeat(y, runs, axis=1), np.repeat(z, runs, axis=1)
+                row1[c] = mod(row1[c1] * scale[0, at] + row1[c2] * scale[1, at], n)
                 yield [*row1, *(e[None, at] for e in prefix)]
 
 
 def _member_basis(prefix, p: int, k: int):
-    """Per prefix (rows 2 and 3): v, c, the basis K1, K2, K3 and its determinant coefficients mod p.
+    """Per prefix (rows 2 and 3): the head label c, the key a + p swap and the entries of K1 and K2 at c.
 
-    c is the first coordinate whose coefficient has valuation v, the basis
-    is (K_i, entry, prefix) and the coefficients d_i (i, prefix), as set out
-    in zero_perm_members, with K1 and K2 swapped where d2 is a
-    unit mod p and d1 is not. Selections are made by gathers and
-    arithmetic. v is of the type of oracle._valuations, the cached table
-    it is read from, and everything else of the prefix's type. A function,
-    so that the block's intermediates are freed before its batches are
-    built.
+    As set out in _head_grid. The head label is 3 where the prefix has no
+    member: no unit among P11, P12, P13, or neither d1 nor d2 a unit mod
+    p. swap is 1 where d1 is not, so that z is the axis, and a is the
+    slope -d_s / d_t mod p. scale holds the entries of K1 and K2 at c, (2,
+    prefix), of the prefix's type. A function, so that the block's
+    intermediates are freed before its batches are built.
     """
     n = p**k
-    dtype = prefix[0].dtype
-    coeffs = forms(prefix[0:3], prefix[3:6], n)
-    perm_c, det_c = np.stack(coeffs[:3]), np.stack(coeffs[3:])
-    vals = oracle._valuations(p, k).take(perm_c)
-    v = vals.min(axis=0)
-    first, second = (vals[i] == v for i in (0, 1))
-    c = (~first * (2 - second)).astype(dtype)  # the first coordinate of valuation v
-    at = np.stack([c, (c == 0).astype(dtype), 2 - (c == 2).astype(dtype)])  # c, c1, c2
-    hot = (np.arange(3, dtype=dtype)[:, None, None] == at).astype(dtype)  # hot[e, i]: entry e is at[i]
-    pv = (p ** np.arange(k + 1)).astype(dtype).take(v)
-    u, q1, q2 = (hot * perm_c[:, None]).sum(axis=0, dtype=dtype) // pv
-    d_c, d_c1, d_c2 = (hot * det_c[:, None]).sum(axis=0, dtype=dtype)
+    A, B, C, D, E, F = forms(prefix[0:3], prefix[3:6], n)
+    head, u = first_unit((A, B, C), p)  # c, and its coefficient u
+    # per prefix, the coefficients at c1 and c2, and the determinant's at c (any where there is no unit)
+    first, last = head == 0, head == 2
+    q1, q2 = np.where(first, B, A), np.where(last, B, C)
+    d_c, d_c1, d_c2 = np.where(first, D, np.where(last, F, E)), np.where(first, E, D), np.where(last, E, F)
+    head = head + (mod(u, p) == 0)  # 3 where there is no unit
     minus_inv_u = -oracle._inverse_table(n).take(u)
-    scale = np.stack([mod(minus_inv_u * q1, n), mod(minus_inv_u * q2, n), mod(n // pv, n)])  # K_i at c
-    at_c = hot[:, 0]
-    basis = np.stack([hot[:, 1] + scale[0] * at_c, hot[:, 2] + scale[1] * at_c, scale[2] * at_c])
-    d = np.stack([mod(d_c1 + scale[0] * d_c, p), mod(d_c2 + scale[1] * d_c, p), mod(scale[2] * d_c, p)])
-    swap = ((d[0] == 0) & (d[1] != 0)).astype(dtype)
-    basis[:2] += swap * (basis[1::-1] - basis[:2])
-    d[:2] += swap * (d[1::-1] - d[:2])
-    return v, c, basis, d
+    scale = np.stack([mod(minus_inv_u * q1, n), mod(minus_inv_u * q2, n)])
+    d1, d2 = mod(d_c1 + scale[0] * d_c, p), mod(d_c2 + scale[1] * d_c, p)
+    swap = d1 == 0
+    d_t, d_s = np.where(swap, d2, d1), np.where(swap, d1, d2)
+    head[d_t == 0] = 3
+    key = mod(-d_s * oracle._inverse_table(n).take(d_t), p) + p * swap
+    return head, key, scale
+
+
+def _leftover_grid(p: int, k: int, prefixes: range):
+    """The members with no unit among P11, P12, P13, by solving row 2 over each prefix (rows 1 and 3).
+
+    (P11, P12, P13) = S r2 with S = [[0, a33, a32], [a33, 0, a31],
+    [a32, a31, 0]], and det S = 2 a31 a32 a33. So for odd p a member needs
+    r3 to have one or two entries that are not 0 mod p, and then r2 is
+    mu w mod p, 1 <= mu < p, with w spanning the kernel of S mod p
+    (_leftover_basis). Along row 2 the permanent and the determinant are
+    the linear forms Q = (P21, P22, P23) and D of forms(row 3, row 1). Let
+    c be the first of P21, P22 that is a unit mod p: it is each member's
+    label - 3, its pivot column and the coordinate solved for. The members
+    are r2_a = mu w_a + p u_a and r2_2 = mu w_2 + p u_2 mod n, with a the
+    other of 0 and 1 and 0 <= u_a, u_2 < p^(k - 1), and r2_c solved from
+    Q . r2 = 0 mod n. That lists every member exactly when Q . w = 0 and
+    D . w != 0 mod p, (p - 1) p^(2(k - 1)) of them per prefix, and a prefix
+    where either fails has none. Prefixes go into batches by c.
+    """
+    n = p**k
+    dtype = oracle._kernel_type(n)
+    mu = np.arange(1, p, dtype=dtype)[:, None]
+    lift = p * np.indices((n // p, n // p), dtype=dtype).reshape(2, 1, -1, 1)  # p u_a and p u_2
+    size = (p - 1) * lift[0].size  # members per prefix
+    per = max(1, oracle._BLOCK // size)  # prefixes per batch
+    for prefix in _prefix_blocks(n, prefixes):
+        col, w, solve = _leftover_basis(prefix, p, k)
+        for c in (0, 1):
+            a = 1 - c
+            sel = np.flatnonzero(col == c)
+            for i in range(0, sel.size, per):
+                at = sel[i : i + per]
+                row2 = [None] * 3
+                for j, u in zip((a, 2), lift):
+                    row2[j] = (mod(mu * w[j, at], p)[:, None] + u).reshape(size, at.size)
+                row2[c] = mod(solve[0, at] * row2[a] + solve[1, at] * row2[2], n)
+                yield [*(e[None, at] for e in prefix[0:3]), *row2, *(e[None, at] for e in prefix[3:6])]
+
+
+def _leftover_basis(prefix, p: int, k: int):
+    """Per prefix (rows 1 and 3): the pivot column c, the kernel vector w mod p and the solve for r2_c.
+
+    As set out in _leftover_grid. w is r3 mod p with the last of its
+    entries that are not 0 mod p negated, which spans the kernel of S mod
+    p when r3 has one or two such entries. c is 2 where the prefix has no
+    member: S w, Q . w or D . w fails, or neither P21 nor P22 is a unit
+    mod p. solve holds -P2c^-1 times the coefficients of r2_a and r2_2 in
+    Q, mod n. Everything is of the prefix's type.
+    """
+    n = p**k
+    r1, r3 = prefix[0:3], prefix[3:6]
+    r3p = [mod(v, p) for v in r3]
+    last = ((r3p[1] == 0) & (r3p[2] == 0), r3p[2] == 0, True)  # no later entry is a unit
+    w = np.stack([mod(np.where(neg, -v, v), p) for v, neg in zip(r3p, last)])
+    coeffs = forms(r3, r1, n)  # P21, P22, P23 and row 2's determinant coefficients
+    col, pivot = first_unit(coeffs[:2], p)
+    qw, dw = expand(coeffs, w, p)
+    live = (qw == 0) & (dw != 0) & (mod(pivot, p) != 0)
+    for sw in forms(w, r3p, p)[:3]:  # S w
+        live &= sw == 0
+    col[~live] = 2
+    minus_inv = -oracle._inverse_table(n).take(pivot)
+    solve = np.stack([mod(minus_inv * (coeffs[0] + coeffs[1] - pivot), n), mod(minus_inv * coeffs[2], n)])
+    return col, w, solve

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -21,7 +22,6 @@ from . import closed_form, oracle, structure_maps
 from .matrices import (
     CLASS_LABELS,
     classify,
-    expand,
     first_unit,
     format_mat3,
     forms,
@@ -461,79 +461,107 @@ def _shift_verify(e, n, p, shifts, inv_table):
 
     e holds the nine row-major entries, in [0, n), as arrays that broadcast
     together: a (9, m) sample, or a structure_maps.zero_perm_members batch,
-    with row 1 per member and rows 2 and 3 per prefix. They are of
-    oracle._kernel_type(n) or wider, and inv_table is oracle._inverse_table(n),
-    of _kernel_type(n); the arithmetic stays within the kernel's bound.
+    with the solved row per member and the other two per prefix. They are
+    of oracle._kernel_type(n) or wider, and inv_table is
+    oracle._inverse_table(n), of _kernel_type(n); the arithmetic stays
+    within the kernel's bound.
 
-    Every matrix is evaluated on its own. forms(row 2, row 3) gives its
-    permanent and determinant, through expand, and P11, P12, P13; P21 and
-    P22 are formed only if some matrix has no unit among those three. Its
-    label, the index of its first unit sub-permanent among the five
-    (matrices.first_unit; 4 if there is none), is also the row-major
-    position of its pivot entry. A shift by x adds x P^-1 to the pivot
-    entry, and moves only the entries that some pivot is at: on a batch of
-    one label, that entry, with no mask; else each through a mask of the
-    label. The other entries stay the member's own arrays. So on a batch
-    whose labels are all below 3, such as a zero_perm_members batch at
-    v = 0, an image's rows 2 and 3 are the member's arrays, and the image
-    is expanded on the member's own forms, label and pivot: on the grid,
-    those are per prefix. The image must have permanent x, a unit
-    determinant and the member's label, and the return shift must give
-    back the moved entries. Shifting by x = 0 maps every member to itself,
-    so its image is checked on the member's own evaluation. As n = p^k, a
+    Every matrix is evaluated on its own. Its label, the index of its
+    first unit sub-permanent among P11, P12, P13, P21, P22 (matrices.first_unit;
+    4 if there is none), is also the row-major position of its pivot entry.
+    The batch must have every pivot in one row r, 1 or 2, else this raises
+    RuntimeError; shift_round_trip splits its sample by pivot row. P11,
+    P12, P13 are formed first, from rows 2 and 3: a unit among them puts
+    the pivot in row 1. The batch is then expanded along row r on the forms
+    of the other two rows, forms(row 2, row 3) for row 1 and
+    forms(row 3, row 1) for row 2, whose first coefficients are the
+    sub-permanents that do not involve row r: P11, P12, P13, or P21, P22,
+    P23. On a grid batch they are per prefix.
+
+    A shift by x adds x P^-1 to the pivot entry, and moves only the entries
+    of row r that some pivot is at: on a batch of one label, that entry,
+    with no mask; else each through a mask of the label. The terms of the
+    unmoved entries are summed once per member and shared by the member and
+    its images. The image must have permanent x, a unit determinant and the
+    member's label, and the return shift must give back the moved entries.
+    In row 1 the image's P11, P12, P13 are the member's own arrays, so its
+    label and pivot are the member's. In row 2 its P21 and P22 are, so its
+    label is the member's exactly when none of its own P11, P12, P13,
+    formed from its moved row 2, is a unit, and then its pivot is the
+    member's too. Shifting by x = 0 maps every member to itself, so its
+    image is checked on the member's own evaluation. As n = p^k, a
     determinant is a unit exactly when p does not divide it.
 
     A violation is any member whose image fails perm == x, unit determinant,
     class preservation, or the round trip.
     """
 
-    def label(e, coeffs):
-        """Each matrix's label and pivot value, given coeffs = forms(row 2, row 3)."""
-        lab, pivot = first_unit(coeffs[:3], p)
-        if (mod(pivot, p) == 0).any():
-            a11, a12, a13 = e[0:3]
-            a31, a32, a33 = e[6:9]
-            p21, p22 = mod(a12 * a33 + a13 * a32, n), mod(a11 * a33 + a13 * a31, n)
-            # resume the fold: where P11, P12, P13 hold no unit, lab is 2 and the pivot P13
-            more, pivot = first_unit((pivot, p21, p22), p)
-            lab = lab + more
-        return lab, pivot
+    def dot(f, entries, cols):
+        """The sum of f[c] entries[c] over cols, unreduced, or None if it has no terms; f[c] None is 0."""
+        out = None
+        for c in cols:
+            if f[c] is not None:
+                term = f[c] * entries[c]
+                out = term if out is None else np.add(out, term, out=out)
+        return out
 
+    a31, a32, a33 = e[6:9]
+    subs = ((None, a33, a32), (a33, None, a31), (a32, a31, None))  # P11, P12, P13 as forms in row 2
     count = np.broadcast(*e).size
-    coeffs = forms(e[3:6], e[6:9], n)
-    perm, det = expand(coeffs, e[0:3], n)
-    lab, pivot = label(e, coeffs)
-    member = (perm == 0) & (mod(det, p) != 0)
+    top = [dot(f, e[3:6], range(3)) for f in subs]  # P11, P12, P13, unreduced
+    in_row1 = mod(top[0], p) != 0
+    for t in top[1:]:
+        in_row1 |= mod(t, p) != 0
+    if in_row1.all():
+        r, coeffs, subs = 0, forms(e[3:6], e[6:9], n), ()
+        lab, pivot = first_unit(coeffs[:3], p)
+    elif not in_row1.any():
+        r, coeffs = 1, forms(e[6:9], e[0:3], n)
+        col, pivot = first_unit(coeffs[:2], p)  # none of P11, P12, P13 is a unit
+        lab = col + 3
+    else:
+        raise RuntimeError("a shift batch must have all of its pivots in one row")
+    del top, in_row1
+    row = e[3 * r : 3 * r + 3]
+    col = lab - 3 * r  # the pivot's column in row r
+    lo, hi = int(col.min()), int(col.max())
+    moved = [c for c in range(lo, hi + 1) if c in (lo, hi) or (col == c).any()]
+    uniform = lo == hi  # the one moved entry needs no mask
+    # the permanent, the determinant and, along row 2, P11, P12, P13: linear forms in row r
+    linear = (coeffs[:3], coeffs[3:], *subs)
+    rest = [dot(f, row, [c for c in range(3) if c not in moved]) for f in linear]
+
+    def values(entries, forms_):
+        """The forms, unreduced, with row r's moved entries taken from entries; None where none is moved."""
+        out = []
+        for f, t in zip(forms_, rest):
+            v = dot(f, entries, moved)
+            out.append(v if v is None or t is None else np.add(v, t, out=v))
+        return out
+
+    perm, det = values(row, linear[:2])
+    member = (mod(perm, n) == 0) & (mod(det, p) != 0)
     inv = inv_table.take(pivot)
     del perm, det, pivot  # member and inv are all that the shifts read
-    lo, hi = int(lab.min()), int(lab.max())
-    moved = [r for r in range(lo, hi + 1) if r in (lo, hi) or (lab == r).any()]
-    uniform = lo == hi  # the one moved entry needs no mask
-    if hi >= 3:
-        del coeffs  # some pivot is in row 2, so each image gets forms of its own
-    img = list(e)
+    img = list(row)
     violations = {}
     for x in shifts:
         if x % n == 0:
             ok = member
         else:
             step = mod(x * inv, n)
-            for r in moved:
-                img[r] = mod(e[r] + (step if uniform else (lab == r) * step), n)
-            if hi < 3:  # rows 2 and 3 are the member's arrays
-                perm_i, det_i = expand(coeffs, img[0:3], n)
-                lab_i, back = lab, mod((n - x) * inv, n)
-            else:
-                coeffs_i = forms(img[3:6], img[6:9], n)
-                perm_i, det_i = expand(coeffs_i, img[0:3], n)
-                lab_i, pivot_i = label(img, coeffs_i)
-                del coeffs_i
-                back = mod((n - x) * inv_table.take(pivot_i), n)
-            ok = (perm_i == x % n) & (mod(det_i, p) != 0) & (lab_i == lab)
-            same = uniform and lab_i is lab  # the image's one label: no mask either
-            for r in moved:
-                ok &= mod(img[r] + (back if same else (lab_i == r) * back), n) == e[r]
-        violations[x] = count - int(ok.sum())
+            for c in moved:
+                img[c] = mod(row[c] + (step if uniform else (col == c) * step), n)
+            perm_i, det_i, *subs_i = values(img, linear)
+            ok = (mod(perm_i, n) == x % n) & (mod(det_i, p) != 0)
+            del perm_i, det_i
+            for v in subs_i:  # a P1j the shift leaves as the member's is not a unit
+                if v is not None:
+                    ok &= mod(v, p) == 0
+            back = mod((n - x) * inv, n)
+            for c in moved:
+                ok &= mod(img[c] + (back if uniform else (col == c) * back), n) == row[c]
+        violations[x] = count - int(np.count_nonzero(ok))
     return violations
 
 
@@ -571,27 +599,26 @@ def shift_round_trip(
     oracle.SCAN_BUDGET, so it runs for n <= 10: 3, 3^2, 5 and 7. Both bounds
     are checked before p is tested for primality.
 
-    The population is not filtered out of all n^9 matrices. For each of the
-    n^6 prefixes (rows 2 and 3), structure_maps.zero_perm_members solves for
-    the first rows of permanent 0, a subgroup with an explicit basis, and
-    lists only those of unit determinant. That visits every member once and
-    nothing else, with no reduction by symmetry: each member is shifted and
-    checked on its own. Members are checked in oracle._kernel_type(n), the
-    narrowest integer type that holds the kernel's intermediates, in
-    batches of at most oracle._BLOCK members laid out on a grid: row 1 per
-    member, rows 2 and 3 per prefix. Every batch, and the sampled one, goes
-    through one verifier, _shift_verify. A prefix with a unit among P11,
-    P12, P13 puts every member's pivot at the first of them, in row 1, so
-    its label, pivot and inverse are the prefix's, and zero_perm_members
-    batches such prefixes by that head label. A shift then moves that one
-    row-1 entry, with no mask, and the images are expanded on the members'
-    own forms, formed once per prefix. A left-over prefix has each
-    member's pivot at a21 or a22, in row 2, which a shift moves along with
-    the minors of rows 2 and 3, so an image's are formed per member.
+    The population is not filtered out of all n^9 matrices.
+    structure_maps.zero_perm_members solves for one row of permanent 0 over
+    each of the n^6 prefixes of two grids, a subgroup with an explicit
+    basis, and lists only the rows of unit determinant: row 1 over rows 2
+    and 3 for the members with a unit among P11, P12, P13, and row 2 over
+    rows 1 and 3 for the others. That visits every member once and nothing
+    else, with no reduction by symmetry: each member is shifted and checked
+    on its own. Members are checked in oracle._kernel_type(n), the narrowest
+    integer type that holds the kernel's intermediates, in batches laid out
+    on a grid, the solved row per member and the other two per prefix: at
+    most 2 oracle._BLOCK members over rows 2 and 3, oracle._BLOCK over rows
+    1 and 3. Every member of a batch has one label, pivot and inverse per
+    prefix. Every batch goes through one verifier, _shift_verify, which
+    expands it along its pivot row on the forms of the other two rows,
+    formed once per prefix, so a shift moves one entry with no mask. The
+    seeded sample is split by pivot row, and each part goes through the
+    same verifier, with masks of the label.
 
     The n^6 prefixes are split into jobs of oracle._CHUNK // n^2 prefixes
-    (oracle._range_jobs, charging each prefix n^2 matrices; one that decides
-    the class holds (p - 1) n^2 / p members), zero_perm_members' own
+    (oracle._range_jobs, charging each prefix n^2 matrices), the grids' own
     blocks. Jobs that large keep the batches full, and so the number of
     numpy calls, each of which takes the interpreter lock, low per member.
     The jobs run on up to threads threads through oracle._sum_jobs, which
@@ -612,9 +639,15 @@ def shift_round_trip(
     if not population:
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
         e = _sample_matrices(rng, n, sample, n).astype(oracle._kernel_type(n))
-        return e.shape[1], _shift_verify(e, n, p, shifts, oracle._inverse_table(n))
+        _, pivot = first_unit(forms(e[3:6], e[6:9], n)[:3], p)
+        in_row1 = mod(pivot, p) != 0
+        viols = dict.fromkeys(shifts, 0)
+        for part in (e[:, in_row1], e[:, ~in_row1]):  # by pivot row
+            if part.shape[1]:
+                for x, v in _shift_verify(part, n, p, shifts, oracle._inverse_table(n)).items():
+                    viols[x] += v
+        return e.shape[1], viols
     jobs = oracle._range_jobs(n**6, n**2, p, k)
-    oracle._valuations(p, k)  # read by the jobs' zero_perm_members
     checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
     return checked, dict(zip(shifts, viols))
 

@@ -12,10 +12,13 @@ basis instead of sweeping all n^3 third rows.
 
 zero_perm_members_by_filter and members_per_prefix_by_filter are the
 references for structure_maps.zero_perm_members, the shift check's member
-enumeration, which solves for the first rows of permanent 0 and lists only
-those of unit determinant instead of filtering all n^3 of them. materialize
-turns one of its grid batches into (9, m) members, and member_groups counts
-the prefixes of a range in each of its (v, axis) groups.
+enumeration, which solves for one row of permanent 0 over each prefix of
+two grids and lists only members, instead of filtering all n^3 rows. The
+head grid solves row 1 over rows 2 and 3 and lists the members with a unit
+among P11, P12, P13; the left-over grid solves row 2 over rows 1 and 3 and
+lists the others. grid names the grid of a batch by its layout, materialize
+turns a batch into (9, m) members, and member_groups counts the prefixes of
+a range in each label group of each grid.
 
 hnf_buckets_by_euclid is the reference for oracle._hnf_buckets, which looks
 a prefix's subgroup up in the cyclic and join tables instead of reducing its
@@ -29,14 +32,14 @@ shift_verify_members_by_scatter is the reference for the shift check,
 verify._shift_verify, on (9, m) members and on grid batches alike: it copies
 each batch per shift, moves the pivot entries by a flat gather and scatter,
 evaluates every image and return image through perm_det and subperms, and
-runs every check at x = 0 too. The check under test labels each matrix by
-matrices.first_unit from the forms of its rows 2 and 3, forming P21 and P22
-only for a batch in which some P11, P12, P13 hold no unit, moves only the
-entries some pivot is at (through masks of the label unless the batch has
-one label), expands the images on the members' own forms where every pivot
-is in row 1, and reads x = 0 off the member's own evaluation.
-label_pivot is the reference for matrices.first_unit on the five
-sub-permanents.
+runs every check at x = 0 too. The check under test takes batches whose
+pivots are all in one row, expands them along that row on the forms of the
+other two, formed once per prefix on the grid, moves only the entries some
+pivot is at (through masks of the label unless the batch has one label),
+sums the terms of the unmoved entries once per member, and reads x = 0 off
+the member's own evaluation. by_pivot_row splits (9, m) matrices into the
+parts it takes. label_pivot is the reference for matrices.first_unit on the
+five sub-permanents.
 """
 
 import itertools
@@ -109,9 +112,11 @@ def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zero_perm_members_by_filter(n: int):
-    """Every member of G(n, 0), in (9, m) batches, by testing all n^3 first rows of each prefix.
+    """Every member of G(n, 0), n prime, in (9, m) batches, by testing all n^3 first rows of each prefix.
 
     Prefixes (rows 2 and 3) go in blocks of 2048 against every first row.
+    Each batch comes with a mask of its members with a unit among P11, P12,
+    P13, the ones the head grid lists.
     """
     first = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
     unit = oracle._unit_mask(n)
@@ -119,15 +124,38 @@ def zero_perm_members_by_filter(n: int):
         prefix = [v[:, None] for v in oracle._digits(range(start, min(start + 2048, n**6)), n, 6)]
         perm, det = perm_det(first + prefix, n)
         pi, fi = np.nonzero((perm == 0) & unit[det])
-        yield np.stack([v[0, fi] for v in first] + [v[pi, 0] for v in prefix])
+        e = np.stack([v[0, fi] for v in first] + [v[pi, 0] for v in prefix])
+        yield e, head_members(e, n, n)
 
 
-def members_per_prefix_by_filter(n: int, prefixes: range) -> np.ndarray:
-    """The members of G(n, 0) over each prefix (rows 2 and 3) of prefixes, among all n^3 first rows."""
-    first = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
-    prefix = [v[:, None] for v in oracle._digits(prefixes, n, 6)]
-    perm, det = perm_det(first + prefix, n)
-    return ((perm == 0) & oracle._unit_mask(n)[det]).sum(axis=1)
+def head_members(e, n: int, p: int) -> np.ndarray:
+    """Which of the matrices e have a unit among P11, P12, P13 mod p: their pivot is in row 1."""
+    return (np.stack(subperms(e, n)[:3]) % p != 0).any(axis=0)
+
+
+def members_per_prefix_by_filter(p: int, k: int, prefixes: range) -> tuple[np.ndarray, np.ndarray]:
+    """Per prefix of prefixes, the members of G(p^k, 0) each grid lists over it, among all n^3 solved rows.
+
+    The head count is over the members with the prefix as rows 2 and 3 and a
+    unit among P11, P12, P13 mod p; the left-over count over those with the
+    prefix as rows 1 and 3 and none. Prefixes go in blocks of 512.
+    """
+    n = p**k
+    free = [v[None, :] for v in oracle._digits(range(n**3), n, 3)]
+    counts = ([], [])
+    for start in range(prefixes.start, prefixes.stop, 512):
+        prefix = [v[:, None] for v in oracle._digits(range(start, min(start + 512, prefixes.stop)), n, 6)]
+        grids = ((free + prefix, True), (prefix[0:3] + free + prefix[3:6], False))
+        for count, (e, head) in zip(counts, grids):
+            perm, det = perm_det(e, n)
+            member = (perm == 0) & oracle._unit_mask(n)[det]
+            count.append((member & (head_members(e, n, p) == head)).sum(axis=1))
+    return np.concatenate(counts[0]), np.concatenate(counts[1])
+
+
+def grid(batch) -> str:
+    """The grid of a structure_maps.zero_perm_members batch, by its layout: the row that is per member."""
+    return "head" if batch[0].shape[0] > 1 else "left-over"
 
 
 def materialize(batch) -> np.ndarray:
@@ -141,22 +169,33 @@ def materialize(batch) -> np.ndarray:
 
 
 def member_groups(p: int, k: int, prefixes: range) -> dict:
-    """How many prefixes of the range fall in each (v, axis) group of zero_perm_members.
+    """How many prefixes of the range fall in each (grid, label) group of zero_perm_members.
 
-    Read off structure_maps._member_basis, the enumerator's own per-prefix
-    basis, to show that a test's prefixes reach every group.
+    Read off structure_maps._member_basis and _leftover_basis, the grids' own
+    per-prefix bases, to show that a test's prefixes reach every group: the
+    head labels 0, 1, 2 and the left-over labels 3 and 4.
     """
     n = p**k
     prefix = [v.astype(oracle._kernel_type(n)) for v in oracle._digits(prefixes, n, 6)]
-    v, _, _, d = structure_maps._member_basis(prefix, p, k)
-    out = {(w, "y"): int(((v == w) & (d[0] != 0)).sum()) for w in range(k + 1)}
-    out[(k, "j")] = int(((v == k) & (d[0] == 0) & (d[2] != 0)).sum())
-    return out
+    head = np.bincount(structure_maps._member_basis(prefix, p, k)[0], minlength=4)
+    left = np.bincount(structure_maps._leftover_basis(prefix, p, k)[0], minlength=3)
+    groups = {("head", c): int(head[c]) for c in range(3)}
+    return groups | {("left-over", c + 3): int(left[c]) for c in range(2)}
 
 
-def prefix_index(e, n: int) -> np.ndarray:
-    """Each of the (9, m) members' prefix index: the base-n number with entries 3..8 as digits."""
-    return sum(e[3 + i].astype(np.int64) * n**i for i in range(6))
+def by_pivot_row(e, n: int, p: int) -> list[np.ndarray]:
+    """The (9, m) matrices e with their pivot in row 1, and those with it in row 2, each if there are any."""
+    head = head_members(e, n, p)
+    return [part for part in (e[:, head], e[:, ~head]) if part.shape[1]]
+
+
+def prefix_index(e, n: int, rows=(1, 2)) -> np.ndarray:
+    """Each of the (9, m) members' prefix index: the base-n number with the entries of rows as digits.
+
+    rows are 0-based: (1, 2) for the head grid's prefixes, (0, 2) for the left-over grid's.
+    """
+    entries = [e[3 * r + i] for r in rows for i in range(3)]
+    return sum(v.astype(np.int64) * n**i for i, v in enumerate(entries))
 
 
 def label_pivot(e, n, p):

@@ -527,8 +527,8 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
 
 def test_naive_job_memory_is_bounded_by_the_block_budget():
     # a job spans _CHUNK matrices, 2,048 prefixes at n = 8. It holds their
-    # index parts (2,048 x 72 int16 entries) and one block of 128 prefixes x
-    # 512 first rows at a time: tracemalloc puts its peak at 0.96 MB
+    # index parts (2,048 x 72 int16 entries) and one block of 256 prefixes x
+    # 512 first rows at a time: tracemalloc puts its peak at 1.62 MB
     (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8)
     assert size == oracle._CHUNK
     tracemalloc.start()
@@ -797,7 +797,7 @@ def test_threads_share_tables_built_before_dispatch(monkeypatch):
     # more jobs and threads than cores, frequent switches: every cached table
     # a job reads is built once, before the jobs are dispatched. _CHUNK = 1
     # gives one live first-row triple per orbit job, and 25,000 the shift
-    # population 16 jobs of 1,000 prefixes
+    # population 16 jobs of 1,000 prefixes, which read no cached table
     orbit_tables = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
     cases = [
         (1, orbit_tables, lambda: oracle.census_tiered(7, threads=4).counts, CENSUS3[7]),
@@ -809,7 +809,7 @@ def test_threads_share_tables_built_before_dispatch(monkeypatch):
         ),
         (
             25_000,
-            (oracle._valuations,),
+            (),
             lambda: verify.shift_round_trip(5, 1, threads=4),
             (oracle.census_tiered(5)[0], {0: 0}),
         ),

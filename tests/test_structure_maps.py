@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
+    grid,
     label_pivot,
     materialize,
     member_groups,
@@ -172,25 +173,46 @@ def flat_index(e, n):
     return sum(e[i].astype(np.int64) * n**i for i in range(9))
 
 
-def members(p, k, prefixes=None):
-    """The members zero_perm_members lists, in order, as flat indices."""
-    batches = sm.zero_perm_members(p, k, prefixes)
+def members(p, k, prefixes=None, of=("head", "left-over")):
+    """The members zero_perm_members lists, in order, as flat indices; of names the grids to take."""
+    batches = [e for e in sm.zero_perm_members(p, k, prefixes) if grid(e) in of]
     return np.concatenate([flat_index(materialize(e), p**k) for e in batches])
 
 
-# at (3, 2), 4,000 prefixes that hold every (v, axis) group of the enumeration:
-# v = 0, 1 and 2 with axis y, and v = 2 with axis j (from prefix 65,763 on)
+# at (3, 2), 4,000 prefixes that hold every label group of both grids: head
+# labels 0, 1 and 2 (prefixes as rows 2 and 3) and left-over labels 3 and 4
+# (prefixes as rows 1 and 3)
 DENSE_NINE = range(64_000, 68_000)
 
 
 def test_dense_nine_holds_every_group():
-    assert all(count > 0 for count in member_groups(3, 2, DENSE_NINE).values())
+    groups = member_groups(3, 2, DENSE_NINE)
+    assert len(groups) == 5 and all(count > 0 for count in groups.values())
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_zero_perm_members_match_filter_scan(p):
-    filtered = [flat_index(e, p) for e in zero_perm_members_by_filter(p)]
-    assert np.array_equal(np.sort(members(p, 1)), np.sort(np.concatenate(filtered)))
+    # each grid lists exactly its members: the head grid those with a unit
+    # among P11, P12, P13, the left-over grid the others; each once
+    filtered = {"head": [], "left-over": []}
+    for e, head in zero_perm_members_by_filter(p):
+        filtered["head"].append(flat_index(e[:, head], p))
+        filtered["left-over"].append(flat_index(e[:, ~head], p))
+    for name, want in filtered.items():
+        got = members(p, 1, of=(name,))
+        assert np.array_equal(np.sort(got), np.sort(np.concatenate(want))), name
+
+
+@pytest.mark.parametrize("p,k,want", [(3, 1, 432), (5, 1, 19_200), (7, 1, 190_512), (3, 2, 2_834_352)])
+def test_leftover_grid_lists_the_members_with_pivot_in_row_two(p, k, want):
+    # the members with no unit among P11, P12, P13, (p - 1) p^(2(k - 1)) over
+    # each prefix that has any: 13% of G(9, 0)
+    listed = 0
+    for e in sm.zero_perm_members(p, k):
+        if grid(e) == "left-over":
+            assert e[3].shape[0] == (p - 1) * p ** (2 * (k - 1))
+            listed += np.broadcast(*e).size
+    assert listed == want
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -201,70 +223,80 @@ def test_zero_perm_members_over_two_halves_equal_the_whole(n):
 
 
 def prefix_counts(p, k, prefixes):
-    """Members listed over each prefix of the range, by the prefix index of each member."""
+    """Members each grid lists over each prefix of the range, by the prefix index of each member."""
     n = p**k
-    counts = np.zeros(len(prefixes), dtype=np.int64)
+    counts = {name: np.zeros(len(prefixes), dtype=np.int64) for name in ("head", "left-over")}
     for e in sm.zero_perm_members(p, k, prefixes):
-        counts += np.bincount(prefix_index(materialize(e), n) - prefixes.start, minlength=len(prefixes))
-    return counts
+        rows = (1, 2) if grid(e) == "head" else (0, 2)
+        index = prefix_index(materialize(e), n, rows) - prefixes.start
+        counts[grid(e)] += np.bincount(index, minlength=len(prefixes))
+    return counts["head"], counts["left-over"]
 
 
 @pytest.mark.parametrize("p,k,samples", [(3, 1, None), (5, 1, None), (3, 2, 32)])
 def test_only_members_are_listed_and_all_of_them(p, k, samples):
-    # the member-only parametrization lists, over every prefix, exactly the
-    # members the filter finds among all n^3 first rows: every prefix at
-    # (3, 1) and (5, 1); at (3, 2), 32 seeded runs of 64 prefixes and DENSE_NINE
+    # the grids list, over every prefix, exactly the members the filter finds
+    # among all n^3 solved rows: the head grid over rows 2 and 3, the
+    # left-over grid over rows 1 and 3. Every prefix at (3, 1) and (5, 1); at
+    # (3, 2), 32 seeded runs of 64 prefixes and DENSE_NINE
     n = p**k
     if samples is None:
         ranges = [range(n**6)]
     else:
         starts = np.random.default_rng([p, k]).integers(0, n**6 - 64, size=samples)
         ranges = [range(s, s + 64) for s in starts.tolist()] + [DENSE_NINE]
-    listed = 0
+    listed = [0, 0]
     for prefixes in ranges:
-        want = members_per_prefix_by_filter(n, prefixes)
-        assert np.array_equal(prefix_counts(p, k, prefixes), want), prefixes
-        listed += int(want.sum())
-    assert listed > 0
+        want = members_per_prefix_by_filter(p, k, prefixes)
+        got = prefix_counts(p, k, prefixes)
+        for i in range(2):
+            assert np.array_equal(got[i], want[i]), (prefixes, i)
+            listed[i] += int(want[i].sum())
+    assert min(listed) > 0
 
 
 @pytest.mark.parametrize(
     "p,k,prefixes", [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, DENSE_NINE)]
 )
 def test_zero_perm_member_batches_hold_at_most_a_block(p, k, prefixes):
+    # head batches hold at most 2 _BLOCK members, left-over batches _BLOCK
     batches = list(sm.zero_perm_members(p, k, prefixes))
-    assert max(np.broadcast(*e).size for e in batches) <= oracle._BLOCK
-    # the layout: row 1 per member, rows 2 and 3 per prefix
+    assert max(np.broadcast(*e).size for e in batches) <= 2 * oracle._BLOCK
+    assert max(np.broadcast(*e).size for e in batches if grid(e) == "left-over") <= oracle._BLOCK
+    # the layout: the solved row per member, the other two per prefix
     for e in batches:
-        (L, G), t = e[0].shape, oracle._kernel_type(p**k)
-        assert all(v.shape == (L, G) and v.dtype == t for v in e[:3])
-        assert all(v.shape == (1, G) and v.dtype == t for v in e[3:])
+        solved = 0 if grid(e) == "head" else 1
+        (L, G), t = e[3 * solved].shape, oracle._kernel_type(p**k)
+        for r in range(3):
+            shape = (L, G) if r == solved else (1, G)
+            assert all(v.shape == shape and v.dtype == t for v in e[3 * r : 3 * r + 3])
 
 
 @pytest.mark.parametrize(
     "p,k,prefixes", [(3, 1, None), (5, 1, None), (7, 1, range(20_000)), (3, 2, DENSE_NINE)]
 )
 def test_zero_perm_member_batches_share_one_head_label(p, k, prefixes):
-    # the head label is a prefix's first unit among P11, P12, P13 (3 for
-    # none): every member of a batch has its pivot at the same row-1 entry,
-    # or every one in row 2
-    heads = set()
+    # every member of a batch has one label, the first unit among its five
+    # sub-permanents: a head batch's is below 3, its pivot in row 1, and a
+    # left-over batch's 3 or 4, its pivot in row 2
+    labels = set()
     for e in sm.zero_perm_members(p, k, prefixes):
         lab, _ = label_pivot(materialize(e), p**k, p)
-        head = np.unique(np.minimum(lab, 3))
-        assert head.size == 1
-        heads.add(int(head[0]))
-    assert heads == {0, 1, 2, 3}
+        lab = np.unique(lab)
+        assert lab.size == 1
+        assert (lab[0] < 3) == (grid(e) == "head")
+        labels.add(int(lab[0]))
+    assert labels == {0, 1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("block", [100, 1000])
 def test_zero_perm_members_do_not_depend_on_the_block_budget(monkeypatch, block):
-    # a prefix holds L = 54, 162 or 486 members at v = 0, 1 or 2, so these
-    # budgets put one prefix in a batch, or a few
+    # a prefix holds L = 54 members in the head grid and 18 in the left-over
+    # grid, so these budgets put one prefix in a batch, or a few
     want = members(3, 2, DENSE_NINE)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     batches = list(sm.zero_perm_members(3, 2, DENSE_NINE))
-    assert max(np.broadcast(*e).size for e in batches) <= max(block, 486)
+    assert max(np.broadcast(*e).size for e in batches) <= max(2 * block, 54)
     assert np.array_equal(np.concatenate([flat_index(materialize(e), 9) for e in batches]), want)
 
 

@@ -1,5 +1,4 @@
 import ast
-import itertools
 import json
 import os
 import subprocess
@@ -14,7 +13,14 @@ import gl3census
 from gl3census import closed_form, oracle, structure_maps, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
-from support import label_pivot, materialize, member_groups, shift_verify_members_by_scatter
+from support import (
+    by_pivot_row,
+    grid,
+    label_pivot,
+    materialize,
+    member_groups,
+    shift_verify_members_by_scatter,
+)
 
 
 def table(n, counts):
@@ -101,11 +107,10 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
 
 
 def test_shift_population_job_holds_one_block_at_a_time():
-    # job 18 of (3, 2), 551,448 members, peaks highest of the scan's 42 jobs,
-    # with 6 and 35 within 0.2 kB: each holds a full batch of left-over
-    # prefixes, whose images move row 2 and so get minors of their own. Its
-    # batches hold at most _BLOCK members: tracemalloc puts its peak at
-    # 4.09 MB, with the job's per-prefix arrays.
+    # job 18 of (3, 2), 551,934 members, peaks within 2 kB of the highest of
+    # the scan's 42 jobs: each holds a full head batch of 2 _BLOCK members,
+    # and its left-over batches hold at most _BLOCK. tracemalloc puts its
+    # peak at 3.36 MB, with the job's per-prefix arrays.
     args, _ = oracle._range_jobs(9**6, 9**2, 3, 2)[18]
     tracemalloc.start()
     try:
@@ -113,7 +118,7 @@ def test_shift_population_job_holds_one_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.tolist() == [551_448, 0, 0, 0]
+    assert out.tolist() == [551_934, 0, 0, 0]
     assert peak < 9 * oracle._BLOCK * 8
 
 
@@ -174,16 +179,28 @@ def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
         assert results[0] == results[1] == {x: want for x in shifts}
 
 
+def middle_job_batches(p, k):
+    """The prefix range of the middle job of shift_round_trip(p, k), and its zero_perm_members batches."""
+    n = p**k
+    jobs = oracle._range_jobs(n**6, n**2, p, k)
+    (_, _, start, stop), _ = jobs[len(jobs) // 2]
+    return start, stop, list(structure_maps.zero_perm_members(p, k, range(start, stop)))
+
+
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_shift_check_matches_the_scatter_reference(p, k):
-    # the first four batches of members, the same with one pivot entry moved,
-    # and the same with about 5% of the entries redrawn, which makes some
-    # columns non-members
+    # two head and two left-over batches of members, the same with one pivot
+    # entry moved, and the same with about 5% of the entries redrawn, which
+    # makes some columns non-members and mixes pivot rows: those are checked
+    # split by pivot row
     n = p**k
     shifts = list(range(0, n, p))
     rng = np.random.default_rng([p, k])
     found = {"members": 0, "pivot moved": 0, "redrawn": 0}
-    for batch in itertools.islice(structure_maps.zero_perm_members(p, k), 4):
+    batches = middle_job_batches(p, k)[2]
+    picked = [e for e in batches if grid(e) == "head"][:2] + [e for e in batches if grid(e) == "left-over"][:2]
+    assert len(picked) == 4
+    for batch in picked:
         members = materialize(batch)
         moved = members.copy()
         lab, _ = label_pivot(members, n, p)
@@ -193,53 +210,66 @@ def test_shift_check_matches_the_scatter_reference(p, k):
         redrawn[hit] = rng.integers(0, n, size=int(hit.sum()))
         for name, batch in (("members", members), ("pivot moved", moved), ("redrawn", redrawn)):
             for t in (oracle._kernel_type(n), np.int64):
-                e, inv = batch.astype(t), oracle._inverse_table(n).astype(t)
-                want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
-                assert verify._shift_verify(e, n, p, shifts, inv) == want, (name, t)
-            found[name] += sum(want.values())
+                inv = oracle._inverse_table(n).astype(t)
+                for e in by_pivot_row(batch.astype(t), n, p):
+                    want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
+                    assert verify._shift_verify(e, n, p, shifts, inv) == want, (name, t)
+                    found[name] += sum(want.values())
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["redrawn"] > 0
 
 
 def grid_variants(batch, n, p):
-    """The batch; one member's pivot entry moved; and prefix 0's rows 2 and 3 changed.
+    """The batch; one member's pivot entry moved; and prefix 0 given a pivot in the other row.
 
-    A decided prefix's pivot is in row 1, a left-over one's in row 2, which
-    is per prefix, so moving it moves every member over that prefix. Giving
-    prefix 0 of a batch the rows 2 and 3 of a prefix of the other kind makes
-    a batch of decided and left-over prefixes.
+    A head batch has its pivots in row 1 and a left-over one in row 2.
+    Giving prefix 0 of a head batch the rows 2 and 3 of a left-over prefix,
+    or prefix 0 of a left-over batch a row 3 with three units, which makes
+    P11, P12, P13 a unit for a row 2 that is not 0 mod p, makes a batch
+    with pivots in both rows.
     """
     lab, _ = label_pivot(materialize(batch)[:, :1], n, p)
     moved = [v.copy() for v in batch]
     moved[lab[0]][0, 0] = (moved[lab[0]][0, 0] + 1) % n  # moves the permanent by a unit
     mixed = [v.copy() for v in batch]
-    other = (1, 1, 0, n - 1, 1, 0) if lab[0] < 3 else (0, 1, 0, 0, 0, 1)  # left-over, decided
-    for v, entry in zip(mixed[3:], other):
-        v[0, 0] = entry
+    if grid(batch) == "head":
+        for v, entry in zip(mixed[3:], (1, 1, 0, n - 1, 1, 0)):  # P11, P12, P13 = 0, 0, n
+            v[0, 0] = entry
+    else:
+        for v in mixed[6:]:
+            v[0, 0] = 1
     return {"members": batch, "pivot moved": moved, "mixed": mixed}
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
-    # every batch of the middle job, plain, with one pivot entry moved and with
-    # a prefix of the other kind mixed in, then the job under an inverse table
-    # that is off by one, which only a shift by x != 0 reads. A plain batch
-    # has one head label; a mixed one moves entries through masks
+    # every batch of the middle job, plain and with one pivot entry moved; with
+    # a prefix of pivots in the other row mixed in, it is refused, and its
+    # members split by pivot row match the reference. Then the job under an
+    # inverse table that is off by one, which only a shift by x != 0 reads. A
+    # plain batch has one label
     n = p**k
     shifts = list(range(0, n, p))
     inv = oracle._inverse_table(n)
-    jobs = oracle._range_jobs(n**6, n**2, p, k)
-    (_, _, start, stop), _ = jobs[len(jobs) // 2]
+    start, stop, batches = middle_job_batches(p, k)
     found = {"members": 0, "pivot moved": 0, "mixed": 0}
-    heads = set()
-    batches = list(structure_maps.zero_perm_members(p, k, range(start, stop)))
+    labels = set()
     for batch in batches:
-        heads.add(min(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]), 3))
+        labels.add(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]))
         for name, e in grid_variants(batch, n, p).items():
             want = shift_verify_members_by_scatter(materialize(e), n, p, shifts, inv)
-            assert verify._shift_verify(e, n, p, shifts, inv) == want, name
+            parts = by_pivot_row(materialize(e), n, p)
+            # a moved row-2 pivot entry can give its member a unit among P11, P12, P13
+            assert len(parts) == 2 if name == "mixed" else len(parts) in (1, 2)
+            if len(parts) == 1:
+                assert verify._shift_verify(e, n, p, shifts, inv) == want, name
+            else:
+                with pytest.raises(RuntimeError, match="one row"):
+                    verify._shift_verify(e, n, p, shifts, inv)
+                got = [verify._shift_verify(part, n, p, shifts, inv) for part in parts]
+                assert {x: sum(g[x] for g in got) for x in shifts} == want, name
             found[name] += sum(want.values())
-    assert heads == {0, 1, 2, 3}  # decided batches of each head label, and left-over ones
+    assert labels == {0, 1, 2, 3, 4}  # head batches of each label, and left-over ones of both
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["mixed"] > 0
 
@@ -247,7 +277,7 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
         inverse = [pow(v, -1, n) if v % p else 0 for v in range(n)]
         return ((np.array(inverse) + 1) % n).astype(oracle._kernel_type(n))
 
-    # the job checks the batches above; the enumerator's own inverses stay right
+    # the job checks the batches above; the grids' own inverses stay right
     monkeypatch.setattr(structure_maps, "zero_perm_members", lambda *args: iter(batches))
     monkeypatch.setattr(oracle, "_inverse_table", off_by_one)
     bad = off_by_one(n)
@@ -261,8 +291,9 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_sampled_check_matches_the_scatter_reference(p, k):
     # shift_round_trip's own seeded sample holds every label, so its pivots
-    # are in rows 1 and 2 and each moved entry goes through a mask; then the
-    # same with one member's pivot entry moved
+    # are in rows 1 and 2: the whole sample is refused, and each part by
+    # pivot row moves its entries through masks of the label. Then the same
+    # with one member's pivot entry moved
     n = p**k
     t = oracle._kernel_type(n)
     inv = oracle._inverse_table(n)
@@ -272,63 +303,52 @@ def test_sampled_check_matches_the_scatter_reference(p, k):
     e = verify._sample_matrices(rng, n, checked, n).astype(t)
     lab, _ = label_pivot(e, n, p)
     assert set(lab.tolist()) == {0, 1, 2, 3, 4}
+    with pytest.raises(RuntimeError, match="one row"):
+        verify._shift_verify(e, n, p, shifts, inv)
     assert viols == shift_verify_members_by_scatter(e, n, p, shifts, inv) == {x: 0 for x in shifts}
     e[lab[0], 0] = (e[lab[0], 0] + 1) % n  # moves the permanent by a unit
     want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
-    assert verify._shift_verify(e, n, p, shifts, inv) == want == {x: 1 for x in shifts}
+    assert want == {x: 1 for x in shifts}
+    parts = by_pivot_row(e, n, p)
+    assert [set(label_pivot(part, n, p)[0].tolist()) for part in parts] == [{0, 1, 2}, {3, 4}]
+    got = [verify._shift_verify(part, n, p, shifts, inv) for part in parts]
+    assert {x: sum(g[x] for g in got) for x in shifts} == want
 
 
 def test_decided_images_are_expanded_on_the_members_own_forms(monkeypatch):
-    # a batch of one head label moves row 1 only, so its images' rows 2 and 3
-    # are the member's arrays: forms runs once, on the batch's own rows 2 and
-    # 3, and the members and both images are expanded on its result. A
-    # left-over batch moves row 2, and each image gets forms of its own
+    # a head batch is expanded along row 1 on forms(row 2, row 3), and a
+    # left-over batch along row 2 on forms(row 3, row 1): forms runs once per
+    # batch, on the batch's own per-prefix arrays, and the members and their
+    # images share its result
     p, k, n = 3, 2, 9
     shifts = [0, 3, 6]
     inv = oracle._inverse_table(n)
     batches = {}
     for e in structure_maps.zero_perm_members(p, k, range(64_000, 68_000)):
-        head = min(int(label_pivot(materialize(e)[:, :1], n, p)[0][0]), 3)
-        batches.setdefault(head, e)
-    formed, expanded = [], []
-    real_forms, real_expand = verify.forms, verify.expand
+        batches.setdefault(grid(e), e)
+    formed = []
+    real_forms = verify.forms
 
     def spy_forms(r1, r2, n):
-        formed.append((r1, r2, real_forms(r1, r2, n)))
-        return formed[-1][2]
-
-    def spy_expand(coeffs, row, n):
-        expanded.append(coeffs)
-        return real_expand(coeffs, row, n)
-
-    def check(e):
-        formed.clear()
-        expanded.clear()
-        assert verify._shift_verify(e, n, p, shifts, inv) == {x: 0 for x in shifts}
+        formed.append((r1, r2))
+        return real_forms(r1, r2, n)
 
     monkeypatch.setattr(verify, "forms", spy_forms)
-    monkeypatch.setattr(verify, "expand", spy_expand)
-    for head in (0, 1, 2):
-        e = batches[head]
-        check(e)
-        ((r2, r3, coeffs),) = formed
-        assert all(a is b for a, b in zip([*r2, *r3], e[3:9]))
-        assert len(expanded) == 3 and all(c is coeffs for c in expanded)
-    e = batches[3]
-    check(e)
-    assert len(formed) == len(expanded) == 3
-    assert all(c is f[2] for c, f in zip(expanded, formed))
-    for r2, r3, _ in formed[1:]:
-        assert all(a is b for a, b in zip(r3, e[6:9]))
-        assert any(a is not b for a, b in zip(r2, e[3:6]))
+    for name, rows in (("head", (1, 2)), ("left-over", (2, 0))):
+        e = batches[name]
+        formed.clear()
+        assert verify._shift_verify(e, n, p, shifts, inv) == {x: 0 for x in shifts}
+        ((r1, r2),) = formed
+        want = [e[3 * r + i] for r in rows for i in range(3)]
+        assert all(a is b for a, b in zip([*r1, *r2], want)), name
+        assert all(v.shape[0] == 1 for v in want)
 
 
 def test_shift_population_on_three_jobs_does_not_depend_on_threads():
-    # jobs 4..6 of (3, 2) hold decided and left-over prefixes, and every
-    # (v, axis) group: v = 0, 1, 2 on axis y, and v = 2 on axis j
+    # jobs 4..6 of (3, 2) hold every label group of both grids
     jobs = oracle._range_jobs(9**6, 9**2, 3, 2)[4:7]
     groups = member_groups(3, 2, range(jobs[0][0][2], jobs[-1][0][3]))
-    assert len(groups) == 4 and all(count > 0 for count in groups.values())
+    assert len(groups) == 5 and all(count > 0 for count in groups.values())
     results = [oracle._sum_jobs(verify._shift_population_job, jobs, t, None).tolist() for t in (1, 2, 3)]
     assert results[0][0] > 0 and results[0][1:] == [0, 0, 0]
     assert results[1] == results[0] and results[2] == results[0]
