@@ -159,9 +159,13 @@ def mod(a, n):
     slower. The product and the difference are formed in place on the
     quotient, so this holds no more arrays at once than a % n. (a // n) n
     lies within n - 1 of a, so no intermediate exceeds |a| + n - 1 in
-    magnitude.
+    magnitude. An unsigned array has no -n, so there the multiple is
+    subtracted from a instead: (a // n) n <= a, so nothing wraps.
     """
     r = a // n
+    if isinstance(r, np.ndarray) and r.dtype.kind == "u":
+        r *= n
+        return np.subtract(a, r, out=r)
     r *= -n
     r += a
     return r
@@ -238,7 +242,10 @@ def first_unit(subs, p):
     An entry with no unit among subs gets the last index and value. On the
     five sub-permanents in scan order the index (0..4 for P11, P12, P13,
     P21, P22) is the class label and the row-major position of the pivot
-    entry. The index is int8; widen it before it takes part in a key.
+    entry. The index is int8; widen it before it takes part in a key. On
+    unsigned arrays pivot - subs[i] wraps, but the select is still exact:
+    arithmetic mod 2^bits is a ring, so the select's value is congruent to
+    the kept entry, and both lie in the type's range.
     """
     lab, pivot = np.full(np.shape(subs[-1]), len(subs) - 1, dtype=np.int8), subs[-1]
     for i in range(len(subs) - 2, -1, -1):

@@ -72,9 +72,10 @@ INT64_CEILING = 127
 SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
-# array elements per vectorized block of the orbit pass; the naive sweep and
-# the shift population's head batches take 2 _BLOCK. Bounds the memory of
-# each, with the naive sweep's per-job tables (about _CHUNK / n entries)
+# array elements per vectorized block of the orbit pass; the naive sweep
+# takes 2 _BLOCK, and the shift population's one-byte batches 4 _BLOCK (head)
+# and 2 _BLOCK (left-over) members. Bounds the memory of each, with the
+# naive sweep's per-job tables (about _CHUNK / n entries)
 _BLOCK = 1 << 16
 
 

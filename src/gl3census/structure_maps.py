@@ -11,7 +11,6 @@ no sub-permanent of row 1 is a unit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,39 +195,90 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     grid (_leftover_grid) reads them as rows 1 and 3 and solves row 2; it
     lists the members with none, whose pivot is in row 2. So each member of
     G(p^k, 0) is listed once, over one prefix of one grid, and nothing else
-    is, with no reduction by symmetry. The grids run one after the other,
-    so the head grid's block tables are freed before the left-over grid
-    starts.
+    is, with no reduction by symmetry. The prefixes go in blocks of
+    oracle._CHUNK // _prefix_charge(n), about 2 oracle._CHUNK / n^2 (at
+    least one), verify.shift_round_trip's job split. The digits of each
+    block are listed once, and both grids run on them in turn: the head
+    grid's block tables are freed before the left-over grid builds its
+    own. Each grid forms its per-prefix basis over each half of the block
+    (_in_halves), which bounds the basis's intermediates, and cuts its
+    batches from the whole block, so that few batches are partly full.
 
     A batch is a list of the nine row-major entries: the solved row's three
     are (L, G) arrays, the L members over each prefix down its column, and
     the other six (1, G) arrays, one prefix to a column, so that numpy's
     inner loops run along a row of G prefixes rather than along the L
-    members of one. The entries are of oracle._kernel_type(p^k), the
-    narrowest type that holds the kernel's arithmetic, and every value the
-    grids form stays within 3 (n - 1)^2. Each batch holds whole prefixes of
-    one block of oracle._CHUNK // n^2 prefixes (at least one),
-    verify.shift_round_trip's job split, and every member of a batch has
-    one label, the same pivot and the same pivot inverse per prefix: a head
-    batch at most 2 oracle._BLOCK members, a left-over batch at most
-    oracle._BLOCK, or one prefix's members if they are more.
+    members of one. The entries are of _member_type(p^k), the narrowest
+    unsigned type that holds 3 (n - 1)^2: every value the grids form from
+    them is a sum of at most two products of residues mod n. What negates
+    or subtracts, the grids' per-prefix bases, runs in the signed
+    oracle._kernel_type(p^k) and reaches the batches as residues. Each batch
+    holds whole prefixes of one block, and every member of a batch has one
+    label, the same pivot and the same pivot inverse per prefix: a head
+    batch at most 4 oracle._BLOCK members, a left-over batch at most
+    2 oracle._BLOCK, or one prefix's members if they are more.
     """
     n = p**k
     prefixes = range(n**6) if prefixes is None else prefixes
     if prefixes.step != 1 or prefixes.start < 0 or prefixes.stop > n**6:
         raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
-    return itertools.chain(_head_grid(p, k, prefixes), _leftover_grid(p, k, prefixes))
+    grids = (_head_grid(p, k), _leftover_grid(p, k))
+    return (batch for block in _prefix_blocks(n, prefixes) for batches in grids for batch in batches(block))
+
+
+def _member_type(n: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned numpy integer type that holds 3 (n - 1)^2, the members' type mod n.
+
+    Every value that the grids and verify._shift_verify form from member
+    entries is a sum of at most three products of residues mod n, so it
+    lies in [0, 3 (n - 1)^2]. That is uint8 up to n = 10, every n the
+    population scan runs at (its n^8 scan budget), and wider past it.
+    numpy wraps unsigned arrays silently, so whatever negates or subtracts
+    stays in oracle._kernel_type(n).
+    """
+    return np.min_scalar_type(3 * (n - 1) ** 2).type
+
+
+def _prefix_charge(n: int) -> int:
+    """The matrices a prefix is charged in the population's job split: n^2 // 2 (at least one).
+
+    verify.shift_round_trip's jobs of oracle._CHUNK charged matrices are
+    then zero_perm_members's blocks of about 2 oracle._CHUNK / n^2
+    prefixes, whose halves the grids form their bases over.
+    """
+    return max(1, n**2 // 2)
 
 
 def _prefix_blocks(n: int, prefixes: range):
-    """The six base-n digits of each block of oracle._CHUNK // n^2 prefixes, in oracle._kernel_type(n)."""
-    step = max(1, oracle._CHUNK // n**2)
+    """The six base-n digits, in _member_type(n), of each block of oracle._CHUNK // _prefix_charge(n) prefixes.
+
+    Each grid widens them to oracle._kernel_type(n) for its basis
+    (_in_halves), so that a block holds only its member-type digits between
+    the two grids.
+    """
+    step = max(1, oracle._CHUNK // _prefix_charge(n))
     for start in range(prefixes.start, prefixes.stop, step):
         block = range(start, min(start + step, prefixes.stop))
-        yield [v.astype(oracle._kernel_type(n)) for v in oracle._digits(block, n, 6)]
+        yield [v.astype(_member_type(n)) for v in oracle._digits(block, n, 6)]
 
 
-def _head_grid(p: int, k: int, prefixes: range):
+def _in_halves(basis, entries, p: int, k: int):
+    """basis(prefix, p, k) over each half of a block's digits, widened to oracle._kernel_type(n), joined.
+
+    A basis holds a few dozen per-prefix intermediates at once, so halves
+    bound them at those of about oracle._CHUNK / n^2 prefixes; the halves'
+    per-prefix tables, about ten bytes a prefix, are joined along the
+    prefix axis.
+    """
+    half = -(-entries[0].size // 2)
+    parts = [
+        basis([v[i : i + half].astype(oracle._kernel_type(p**k)) for v in entries], p, k)
+        for i in range(0, entries[0].size, half)
+    ]
+    return [np.concatenate(tables, axis=-1) for tables in zip(*parts)]
+
+
+def _head_grid(p: int, k: int):
     """The members with a unit among P11, P12, P13, by solving row 1 over each prefix (rows 2 and 3).
 
     Over a prefix, the permanent and the determinant are the linear forms
@@ -246,13 +296,17 @@ def _head_grid(p: int, k: int, prefixes: range):
     exactly the members: (p - 1) n^2 / p per prefix. K1 and K2 are one-hot
     away from c, so row 1 holds y and z themselves at c1 and c2, read off
     per-call tables by the prefix's slope a and axis, and is formed and
-    reduced mod n at c alone. Prefixes go into batches by head label, which
-    is every member's label and the row-1 position of its pivot, sorted by
+    reduced mod n at c alone, from two products of residues. Prefixes go
+    into batches of at most 4 oracle._BLOCK members by head label, which is
+    every member's label and the row-1 position of its pivot, sorted by
     (a, axis) within a block, so that a batch repeats each table column
     over a run of prefixes.
+
+    Returns the function that lists one block's batches from its digits
+    (_prefix_blocks).
     """
     n = p**k
-    dtype = oracle._kernel_type(n)
+    dtype = _member_type(n)
     # one (L, 1) column per coordinate: a member over each prefix to a row
     pq, r, s = np.indices((n // p, p - 1, n), dtype=dtype).reshape(3, -1, 1)
     pq *= p
@@ -261,9 +315,11 @@ def _head_grid(p: int, k: int, prefixes: range):
     t = pq + mod(np.arange(p, dtype=dtype) * mod(s, p) + r, p)
     s = np.broadcast_to(s, t.shape)
     y, z = np.concatenate([t, s], axis=1), np.concatenate([s, t], axis=1)
-    per = max(1, 2 * oracle._BLOCK // t.shape[0])  # prefixes per batch
-    for prefix in _prefix_blocks(n, prefixes):
-        head, key, scale = _member_basis(prefix, p, k)
+    per = max(1, 4 * oracle._BLOCK // t.shape[0])  # prefixes per batch
+
+    def batches(entries):
+        head, key, scale = _in_halves(_member_basis, entries, p, k)
+        scale = scale.astype(dtype)  # residues mod n
         for c in range(3):
             c1, c2 = (i for i in range(3) if i != c)
             sel = np.flatnonzero(head == c)
@@ -274,7 +330,9 @@ def _head_grid(p: int, k: int, prefixes: range):
                 row1 = [None] * 3
                 row1[c1], row1[c2] = np.repeat(y, runs, axis=1), np.repeat(z, runs, axis=1)
                 row1[c] = mod(row1[c1] * scale[0, at] + row1[c2] * scale[1, at], n)
-                yield [*row1, *(e[None, at] for e in prefix)]
+                yield [*row1, *(e[None, at] for e in entries)]
+
+    return batches
 
 
 def _member_basis(prefix, p: int, k: int):
@@ -284,8 +342,10 @@ def _member_basis(prefix, p: int, k: int):
     member: no unit among P11, P12, P13, or neither d1 nor d2 a unit mod
     p. swap is 1 where d1 is not, so that z is the axis, and a is the
     slope -d_s / d_t mod p. scale holds the entries of K1 and K2 at c, (2,
-    prefix), of the prefix's type. A function, so that the block's
-    intermediates are freed before its batches are built.
+    prefix), as residues mod n of the prefix's type, oracle._kernel_type(n):
+    they are formed by negation, which an unsigned type would wrap, and the
+    grid casts them to the member type once per block. A function, so that
+    the block's intermediates are freed before its batches are built.
     """
     n = p**k
     A, B, C, D, E, F = forms(prefix[0:3], prefix[3:6], n)
@@ -305,7 +365,7 @@ def _member_basis(prefix, p: int, k: int):
     return head, key, scale
 
 
-def _leftover_grid(p: int, k: int, prefixes: range):
+def _leftover_grid(p: int, k: int):
     """The members with no unit among P11, P12, P13, by solving row 2 over each prefix (rows 1 and 3).
 
     (P11, P12, P13) = S r2 with S = [[0, a33, a32], [a33, 0, a31],
@@ -318,18 +378,25 @@ def _leftover_grid(p: int, k: int, prefixes: range):
     label - 3, its pivot column and the coordinate solved for. The members
     are r2_a = mu w_a + p u_a and r2_2 = mu w_2 + p u_2 mod n, with a the
     other of 0 and 1 and 0 <= u_a, u_2 < p^(k - 1), and r2_c solved from
-    Q . r2 = 0 mod n. That lists every member exactly when Q . w = 0 and
-    D . w != 0 mod p, (p - 1) p^(2(k - 1)) of them per prefix, and a prefix
-    where either fails has none. Prefixes go into batches by c.
+    Q . r2 = 0 mod n, two products of residues reduced mod n. That lists
+    every member exactly when Q . w = 0 and D . w != 0 mod p,
+    (p - 1) p^(2(k - 1)) of them per prefix, and a prefix where either
+    fails has none. Prefixes go into batches of at most 2 oracle._BLOCK
+    members by c.
+
+    Returns the function that lists one block's batches from its digits
+    (_prefix_blocks).
     """
     n = p**k
-    dtype = oracle._kernel_type(n)
+    dtype = _member_type(n)
     mu = np.arange(1, p, dtype=dtype)[:, None]
     lift = p * np.indices((n // p, n // p), dtype=dtype).reshape(2, 1, -1, 1)  # p u_a and p u_2
     size = (p - 1) * lift[0].size  # members per prefix
-    per = max(1, oracle._BLOCK // size)  # prefixes per batch
-    for prefix in _prefix_blocks(n, prefixes):
-        col, w, solve = _leftover_basis(prefix, p, k)
+    per = max(1, 2 * oracle._BLOCK // size)  # prefixes per batch
+
+    def batches(entries):
+        col, w, solve = _in_halves(_leftover_basis, entries, p, k)
+        w, solve = w.astype(dtype), solve.astype(dtype)  # residues mod p and mod n
         for c in (0, 1):
             a = 1 - c
             sel = np.flatnonzero(col == c)
@@ -339,7 +406,9 @@ def _leftover_grid(p: int, k: int, prefixes: range):
                 for j, u in zip((a, 2), lift):
                     row2[j] = (mod(mu * w[j, at], p)[:, None] + u).reshape(size, at.size)
                 row2[c] = mod(solve[0, at] * row2[a] + solve[1, at] * row2[2], n)
-                yield [*(e[None, at] for e in prefix[0:3]), *row2, *(e[None, at] for e in prefix[3:6])]
+                yield [*(e[None, at] for e in entries[0:3]), *row2, *(e[None, at] for e in entries[3:6])]
+
+    return batches
 
 
 def _leftover_basis(prefix, p: int, k: int):
@@ -350,7 +419,10 @@ def _leftover_basis(prefix, p: int, k: int):
     p when r3 has one or two such entries. c is 2 where the prefix has no
     member: S w, Q . w or D . w fails, or neither P21 nor P22 is a unit
     mod p. solve holds -P2c^-1 times the coefficients of r2_a and r2_2 in
-    Q, mod n. Everything is of the prefix's type.
+    Q, mod n. Everything is of the prefix's type, oracle._kernel_type(n):
+    w and solve are formed by negation, which an unsigned type would wrap,
+    and the grid casts them, as residues, to the member type once per
+    block.
     """
     n = p**k
     r1, r3 = prefix[0:3], prefix[3:6]

@@ -459,12 +459,18 @@ def _subperm_identity(ctx):
 def _shift_verify(e, n, p, shifts, inv_table):
     """Per-shift violation counts of the pivot-shift map on a batch of members of G(n, 0), n = p^k.
 
-    e holds the nine row-major entries, in [0, n), as arrays that broadcast
-    together: a (9, m) sample, or a structure_maps.zero_perm_members batch,
-    with the solved row per member and the other two per prefix. They are
-    of oracle._kernel_type(n) or wider, and inv_table is
-    oracle._inverse_table(n), of _kernel_type(n); the arithmetic stays
-    within the kernel's bound.
+    e holds the nine row-major entries, in [0, n), as arrays of one type
+    that broadcast together: a (9, m) sample, of oracle._kernel_type(n), or
+    a structure_maps.zero_perm_members batch, with the solved row per member
+    and the other two per prefix, of the unsigned
+    structure_maps._member_type(n); any wider integer type serves too.
+    inv_table is oracle._inverse_table(n), and the inverses are taken in the
+    batch's type. Every value formed from the entries is a sum of at most
+    three products of residues, within [0, 3 (n - 1)^2], which both types
+    hold, and is reduced before it takes part in more. Only the forms of
+    two rows subtract (b f - c e); on an unsigned batch they are formed in
+    _kernel_type(n), once per batch, and read as residues in the batch's
+    type.
 
     Every matrix is evaluated on its own. Its label, the index of its
     first unit sub-permanent among P11, P12, P13, P21, P22 (matrices.first_unit;
@@ -493,17 +499,27 @@ def _shift_verify(e, n, p, shifts, inv_table):
     determinant is a unit exactly when p does not divide it.
 
     A violation is any member whose image fails perm == x, unit determinant,
-    class preservation, or the round trip.
+    class preservation, or the round trip. Each per-member array is freed
+    as soon as it has been read, so that a batch of 4 oracle._BLOCK
+    one-byte members peaks at about a dozen arrays of its size.
     """
 
-    def dot(f, entries, cols):
-        """The sum of f[c] entries[c] over cols, unreduced, or None if it has no terms; f[c] None is 0."""
+    def dot(f, entries, cols, rest=None):
+        """The sum of f[c] entries[c] over cols, unreduced, plus rest if given; None if no f[c] over cols is given."""
         out = None
         for c in cols:
             if f[c] is not None:
                 term = f[c] * entries[c]
                 out = term if out is None else np.add(out, term, out=out)
-        return out
+        return out if out is None or rest is None else np.add(out, rest, out=out)
+
+    dtype = np.result_type(*e)
+
+    def residue_forms(r1, r2):
+        """forms(r1, r2, n) as residues of the batch's type, formed in a signed type: b f - c e wraps unsigned."""
+        if dtype.kind == "u":
+            r1, r2 = ([v.astype(oracle._kernel_type(n)) for v in r] for r in (r1, r2))
+        return [f.astype(dtype, copy=False) for f in forms(r1, r2, n)]
 
     a31, a32, a33 = e[6:9]
     subs = ((None, a33, a32), (a33, None, a31), (a32, a31, None))  # P11, P12, P13 as forms in row 2
@@ -513,10 +529,10 @@ def _shift_verify(e, n, p, shifts, inv_table):
     for t in top[1:]:
         in_row1 |= mod(t, p) != 0
     if in_row1.all():
-        r, coeffs, subs = 0, forms(e[3:6], e[6:9], n), ()
+        r, coeffs, subs = 0, residue_forms(e[3:6], e[6:9]), ()
         lab, pivot = first_unit(coeffs[:3], p)
     elif not in_row1.any():
-        r, coeffs = 1, forms(e[6:9], e[0:3], n)
+        r, coeffs = 1, residue_forms(e[6:9], e[0:3])
         col, pivot = first_unit(coeffs[:2], p)  # none of P11, P12, P13 is a unit
         lab = col + 3
     else:
@@ -532,36 +548,41 @@ def _shift_verify(e, n, p, shifts, inv_table):
     rest = [dot(f, row, [c for c in range(3) if c not in moved]) for f in linear]
 
     def values(entries, forms_):
-        """The forms, unreduced, with row r's moved entries taken from entries; None where none is moved."""
-        out = []
-        for f, t in zip(forms_, rest):
-            v = dot(f, entries, moved)
-            out.append(v if v is None or t is None else np.add(v, t, out=v))
-        return out
+        """The forms, unreduced, with row r's moved entries taken from entries; None where none is moved.
 
-    perm, det = values(row, linear[:2])
-    member = (mod(perm, n) == 0) & (mod(det, p) != 0)
-    inv = inv_table.take(pivot)
-    del perm, det, pivot  # member and inv are all that the shifts read
+        One at a time, and holding none once yielded, so that each is freed
+        as soon as the caller has read it.
+        """
+        for f, t in zip(forms_, rest):
+            yield dot(f, entries, moved, t)
+
+    own = values(row, linear[:2])  # the permanent, then the determinant
+    member = mod(next(own), n) == 0
+    member &= mod(next(own), p) != 0
+    fixed = count - int(np.count_nonzero(member))  # a shift by x = 0 maps every member to itself
+    inv = inv_table.astype(dtype, copy=False).take(pivot)
+    del member, pivot  # inv is all that the shifts read
     img = list(row)
     violations = {}
     for x in shifts:
         if x % n == 0:
-            ok = member
-        else:
-            step = mod(x * inv, n)
-            for c in moved:
-                img[c] = mod(row[c] + (step if uniform else (col == c) * step), n)
-            perm_i, det_i, *subs_i = values(img, linear)
-            ok = (mod(perm_i, n) == x % n) & (mod(det_i, p) != 0)
-            del perm_i, det_i
-            for v in subs_i:  # a P1j the shift leaves as the member's is not a unit
-                if v is not None:
-                    ok &= mod(v, p) == 0
-            back = mod((n - x) * inv, n)
-            for c in moved:
-                ok &= mod(img[c] + (back if uniform else (col == c) * back), n) == row[c]
+            violations[x] = fixed
+            continue
+        step = mod(x * inv, n)
+        for c in moved:
+            img[c] = mod(row[c] + (step if uniform else (col == c) * step), n)
+        image = values(img, linear)
+        ok = mod(next(image), n) == x % n
+        ok &= mod(next(image), p) != 0
+        for v in image:  # a P1j the shift leaves as the member's is not a unit
+            if v is not None:
+                ok &= mod(v, p) == 0
+        back = mod((n - x) * inv, n)
+        for c in moved:  # img[c] is this shift's own array, so the return shift moves it in place
+            img[c] += back if uniform else (col == c) * back
+            ok &= mod(img[c], n) == row[c]
         violations[x] = count - int(np.count_nonzero(ok))
+        del ok  # before the next shift builds its own
     return violations
 
 
@@ -606,21 +627,28 @@ def shift_round_trip(
     and 3 for the members with a unit among P11, P12, P13, and row 2 over
     rows 1 and 3 for the others. That visits every member once and nothing
     else, with no reduction by symmetry: each member is shifted and checked
-    on its own. Members are checked in oracle._kernel_type(n), the narrowest
-    integer type that holds the kernel's intermediates, in batches laid out
-    on a grid, the solved row per member and the other two per prefix: at
-    most 2 oracle._BLOCK members over rows 2 and 3, oracle._BLOCK over rows
-    1 and 3. Every member of a batch has one label, pivot and inverse per
+    on its own. Members are listed and checked in
+    structure_maps._member_type(n), the narrowest unsigned type that holds
+    3 (n - 1)^2, the largest value the check forms from them: one byte at
+    every n the scan runs at. They come in batches laid out on a grid, the
+    solved row per member and the other two per prefix: at most
+    4 oracle._BLOCK members over rows 2 and 3, 2 oracle._BLOCK over rows 1
+    and 3, as many bytes as 2 oracle._BLOCK and oracle._BLOCK two-byte
+    members. Every member of a batch has one label, pivot and inverse per
     prefix. Every batch goes through one verifier, _shift_verify, which
     expands it along its pivot row on the forms of the other two rows,
     formed once per prefix, so a shift moves one entry with no mask. The
-    seeded sample is split by pivot row, and each part goes through the
-    same verifier, with masks of the label.
+    seeded sample, of the signed oracle._kernel_type(n), is split by pivot
+    row, and each part goes through the same verifier, with masks of the
+    label.
 
-    The n^6 prefixes are split into jobs of oracle._CHUNK // n^2 prefixes
-    (oracle._range_jobs, charging each prefix n^2 matrices), the grids' own
+    The n^6 prefixes are split into jobs of about 2 oracle._CHUNK / n^2
+    prefixes (oracle._range_jobs, charging each prefix
+    structure_maps._prefix_charge(n) = n^2 // 2 matrices), the grids' own
     blocks. Jobs that large keep the batches full, and so the number of
-    numpy calls, each of which takes the interpreter lock, low per member.
+    numpy calls, each of which takes the interpreter lock, low per member:
+    on 2 threads the check's time follows that number, not the bytes each
+    call moves.
     The jobs run on up to threads threads through oracle._sum_jobs, which
     adds their (members, violations per shift) vectors in job order, so the
     result does not depend on threads.
@@ -647,7 +675,7 @@ def shift_round_trip(
                 for x, v in _shift_verify(part, n, p, shifts, oracle._inverse_table(n)).items():
                     viols[x] += v
         return e.shape[1], viols
-    jobs = oracle._range_jobs(n**6, n**2, p, k)
+    jobs = oracle._range_jobs(n**6, structure_maps._prefix_charge(n), p, k)
     checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
     return checked, dict(zip(shifts, viols))
 

@@ -17,8 +17,9 @@ two grids and lists only members, instead of filtering all n^3 rows. The
 head grid solves row 1 over rows 2 and 3 and lists the members with a unit
 among P11, P12, P13; the left-over grid solves row 2 over rows 1 and 3 and
 lists the others. grid names the grid of a batch by its layout, materialize
-turns a batch into (9, m) members, and member_groups counts the prefixes of
-a range in each label group of each grid.
+turns a batch into (9, m) members, widened from the batch's unsigned member
+type to int64, and member_groups counts the prefixes of a range in each
+label group of each grid.
 
 hnf_buckets_by_euclid is the reference for oracle._hnf_buckets, which looks
 a prefix's subgroup up in the cyclic and join tables instead of reducing its
@@ -159,13 +160,15 @@ def grid(batch) -> str:
 
 
 def materialize(batch) -> np.ndarray:
-    """The (9, m) row-major entries of a structure_maps.zero_perm_members batch.
+    """The (9, m) row-major entries of a structure_maps.zero_perm_members batch, in int64.
 
     The batch's nine arrays broadcast to (L, G), L members over each of G
-    prefixes; the members come prefix by prefix.
+    prefixes; the members come prefix by prefix. The batch's own type is
+    unsigned, which wraps on the subtraction in the kernel's forms, so the
+    references get the members widened before any arithmetic.
     """
     shape = np.broadcast_shapes(*(np.shape(e) for e in batch))
-    return np.stack([np.broadcast_to(e, shape).T.ravel() for e in batch])
+    return np.stack([np.broadcast_to(e, shape).T.ravel() for e in batch]).astype(np.int64)
 
 
 def member_groups(p: int, k: int, prefixes: range) -> dict:
@@ -219,8 +222,11 @@ def shift_verify_members_by_scatter(e, n, p, shifts, inv_table):
     Each shift copies e, adds its step to every member's pivot entry through
     flat indices into the copy, and shifts back the same way from a copy of
     the image. A violation is any member whose image fails perm == x, unit
-    determinant, class preservation, or the round trip.
+    determinant, class preservation, or the round trip. e and inv_table are
+    widened to int64 before any arithmetic, so the reference is exact on
+    batches of any type, unsigned ones included.
     """
+    e, inv_table = np.asarray(e, dtype=np.int64), np.asarray(inv_table, dtype=np.int64)
     count = e.shape[1]
     unit = oracle._unit_mask(n)
     lab, pivot = label_pivot(e, n, p)

@@ -334,6 +334,20 @@ def test_mod_equals_the_remainder(n, dtype, values):
     assert [mod(int(v), n) for v in values] == [v % n for v in values]
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_mod_on_unsigned_arrays_equals_the_remainder(dtype):
+    # every value of the type, at every n of uint8 and a spread of n up to
+    # the type's largest in uint16: -n has no unsigned value, so mod takes
+    # the multiple off a instead, and a itself is left as it was
+    info = np.iinfo(dtype)
+    a = np.arange(info.max + 1, dtype=dtype)
+    moduli = range(1, info.max + 1) if dtype is np.uint8 else (1, 2, 3, 9, 10, 255, 256, 4099, info.max)
+    for n in moduli:
+        r = mod(a, n)
+        assert r.dtype == dtype and np.array_equal(r, a % n), n
+    assert np.array_equal(a, np.arange(info.max + 1))
+
+
 @pytest.mark.parametrize("n", [105, 107])
 def test_int16_kernel_at_the_edge_of_its_ceiling(n):
     # {0, n - 1}^9 reaches the forms' and sub-permanents' extremes, +-2 (n - 1)^2. A first
@@ -358,6 +372,9 @@ def test_first_unit_matches_the_reference_and_classify(n, p):
     want_lab, want_pivot = label_pivot(e, n, p)
     assert lab.dtype == np.int8
     assert (lab == want_lab).all() and (pivot == want_pivot).all()
+    # on unsigned arrays pivot - subs[i] wraps, and the select is still exact
+    lab_u, pivot_u = first_unit([v.astype(np.uint8) for v in subs], p)
+    assert pivot_u.dtype == np.uint8 and (lab_u == lab).all() and (pivot_u == pivot).all()
     none = (np.stack(subs) % p == 0).all(axis=0)
     assert none.any() and (lab[none] == 4).all() and (pivot[none] == subs[4][none]).all()
     # classify, the scalar path, on up to 40 invertible draws of each label

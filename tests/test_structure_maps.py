@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,17 +261,32 @@ def test_only_members_are_listed_and_all_of_them(p, k, samples):
     "p,k,prefixes", [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, DENSE_NINE)]
 )
 def test_zero_perm_member_batches_hold_at_most_a_block(p, k, prefixes):
-    # head batches hold at most 2 _BLOCK members, left-over batches _BLOCK
+    # head batches hold at most 4 _BLOCK members, left-over batches 2 _BLOCK,
+    # in one-byte entries: as many bytes as 2 _BLOCK and _BLOCK int16 members
     batches = list(sm.zero_perm_members(p, k, prefixes))
-    assert max(np.broadcast(*e).size for e in batches) <= 2 * oracle._BLOCK
-    assert max(np.broadcast(*e).size for e in batches if grid(e) == "left-over") <= oracle._BLOCK
+    assert max(np.broadcast(*e).size for e in batches) <= 4 * oracle._BLOCK
+    assert max(np.broadcast(*e).size for e in batches if grid(e) == "left-over") <= 2 * oracle._BLOCK
+    assert sm._member_type(p**k) is np.uint8
     # the layout: the solved row per member, the other two per prefix
     for e in batches:
         solved = 0 if grid(e) == "head" else 1
-        (L, G), t = e[3 * solved].shape, oracle._kernel_type(p**k)
+        (L, G), t = e[3 * solved].shape, sm._member_type(p**k)
         for r in range(3):
             shape = (L, G) if r == solved else (1, G)
             assert all(v.shape == shape and v.dtype == t for v in e[3 * r : 3 * r + 3])
+
+
+def test_full_head_batches_hold_four_blocks_of_members():
+    # a whole block of 26,214 prefixes at (3, 2) fills head batches to
+    # 4 _BLOCK members less what a prefix's 54 members leave over; its
+    # left-over prefixes (18 members each) stay within 2 _BLOCK members
+    n = 9
+    step = oracle._CHUNK // sm._prefix_charge(n)
+    sizes = {"head": [], "left-over": []}
+    for e in sm.zero_perm_members(3, 2, range(9 * step, 10 * step)):
+        sizes[grid(e)].append(np.broadcast(*e).size)
+    assert max(sizes["head"]) == 4 * oracle._BLOCK // 54 * 54
+    assert max(sizes["left-over"]) <= 2 * oracle._BLOCK
 
 
 @pytest.mark.parametrize(
@@ -296,7 +313,7 @@ def test_zero_perm_members_do_not_depend_on_the_block_budget(monkeypatch, block)
     want = members(3, 2, DENSE_NINE)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     batches = list(sm.zero_perm_members(3, 2, DENSE_NINE))
-    assert max(np.broadcast(*e).size for e in batches) <= max(2 * block, 54)
+    assert max(np.broadcast(*e).size for e in batches) <= max(4 * block, 54)
     assert np.array_equal(np.concatenate([flat_index(materialize(e), 9) for e in batches]), want)
 
 
@@ -314,7 +331,7 @@ def test_zero_perm_members_at_nine_are_all_distinct_members():
     filled = 0
     unit = oracle._unit_mask(n)
     for batch in sm.zero_perm_members(3, 2):
-        assert all(v.dtype == np.int16 for v in batch)
+        assert all(v.dtype == np.uint8 for v in batch)
         e = materialize(batch)
         assert filled + e.shape[1] <= want
         perm, det = perm_det(e.astype(np.int64), n)
@@ -324,3 +341,99 @@ def test_zero_perm_members_at_nine_are_all_distinct_members():
     assert filled == want
     flat.sort()
     assert (flat[1:] != flat[:-1]).all()
+
+
+@pytest.mark.parametrize("n,want", [(3, np.uint8), (9, np.uint8), (10, np.uint8), (11, np.uint16), (127, np.uint16)])
+def test_member_type_is_the_narrowest_unsigned_type_for_three_squares(n, want):
+    # every value the member path forms is at most 3 (n - 1)^2: 243 at 10, 300 at 11
+    bound = 3 * (n - 1) ** 2
+    assert sm._member_type(n) is want
+    assert bound <= np.iinfo(want).max and (want is np.uint8 or bound > np.iinfo(np.uint8).max)
+
+
+def test_zero_perm_members_past_ten_are_listed_in_a_wider_type():
+    # a direct call at 11, past the population scan's range, lists uint16 members
+    n = 11
+    batches = list(sm.zero_perm_members(n, 1, range(20_000)))
+    assert {v.dtype for e in batches for v in e} == {np.dtype(np.uint16)}
+    assert {grid(e) for e in batches} == {"head", "left-over"}
+    e = np.concatenate([materialize(e) for e in batches], axis=1)
+    perm, det = perm_det(e, n)
+    assert (perm == 0).all() and oracle._unit_mask(n)[det].all()
+
+
+def test_grid_values_fit_the_member_type(monkeypatch):
+    # the grids form row1[c] and row2[c] from two products of residues, at
+    # most 2 (n - 1)^2 = 128 at n = 9. With every basis entry at its largest
+    # residue, the one-byte batches equal those listed in int64, and the
+    # largest value that mod receives reaches that bound
+    n = 9
+    real_basis, real_leftover, real_mod = sm._member_basis, sm._leftover_basis, sm.mod
+
+    def largest_scale(prefix, p, k):
+        head, key, scale = real_basis(prefix, p, k)
+        return head, key, np.full_like(scale, n - 1)
+
+    def largest_solve(prefix, p, k):
+        col, w, solve = real_leftover(prefix, p, k)
+        return col, np.full_like(w, p - 1), np.full_like(solve, n - 1)
+
+    largest = []
+
+    def spy_mod(a, m):
+        largest.append(int(np.max(a)))
+        return real_mod(a, m)
+
+    monkeypatch.setattr(sm, "_member_basis", largest_scale)
+    monkeypatch.setattr(sm, "_leftover_basis", largest_solve)
+    monkeypatch.setattr(sm, "mod", spy_mod)
+    narrow = list(sm.zero_perm_members(3, 2, DENSE_NINE))
+    assert max(largest) == 2 * (n - 1) ** 2
+    monkeypatch.setattr(sm, "_member_type", lambda n: np.int64)
+    wide = list(sm.zero_perm_members(3, 2, DENSE_NINE))
+    assert len(narrow) == len(wide) > 0
+    for a, b in zip(narrow, wide):
+        assert all(u.dtype == np.uint8 and v.dtype == np.int64 and np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def test_each_block_is_listed_once_for_both_grids(monkeypatch):
+    # blocks of 202 prefixes at n = 9: one listing of digits per block, the
+    # head grid's batches before the left-over grid's, each basis formed
+    # over the halves of a block, and the head grid's block tables gone
+    # before the left-over grid builds its own
+    monkeypatch.setattr(oracle, "_CHUNK", 100 * 81)
+    step = oracle._CHUNK // sm._prefix_charge(9)
+    assert step == 202
+    prefixes = range(64_000, 64_450)
+    real_digits, real_parts, real_basis = oracle._digits, sm._in_halves, sm._member_basis
+    listed, parts, tables = [], [], []
+
+    def spy_digits(idx, n, k):
+        listed.append(idx)
+        return real_digits(idx, n, k)
+
+    def spy_basis(prefix, p, k):
+        parts.append(prefix[0].size)
+        return real_basis(prefix, p, k)
+
+    def spy_parts(basis, entries, p, k):
+        if basis is sm._leftover_basis:
+            assert all(ref() is None for ref in tables)
+        out = real_parts(basis, entries, p, k)
+        if basis is spy_basis:
+            tables.extend(weakref.ref(v) for v in out)
+        return out
+
+    monkeypatch.setattr(oracle, "_digits", spy_digits)
+    monkeypatch.setattr(sm, "_in_halves", spy_parts)
+    monkeypatch.setattr(sm, "_member_basis", spy_basis)
+    order = []
+    for e in sm.zero_perm_members(3, 2, prefixes):
+        rows = (1, 2) if grid(e) == "head" else (0, 2)
+        block = np.unique((prefix_index(materialize(e), 9, rows) - prefixes.start) // step)
+        assert block.size == 1
+        order.append((int(block[0]), grid(e)))
+    assert listed == [range(s, min(s + step, prefixes.stop)) for s in range(prefixes.start, prefixes.stop, step)]
+    assert parts == [101, 101, 101, 101, 23, 23] and len(tables) == 3 * 3
+    assert order == sorted(order) and {b for b, _ in order} == {0, 1, 2}
+    assert {g for _, g in order} == {"head", "left-over"}

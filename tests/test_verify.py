@@ -107,18 +107,20 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
 
 
 def test_shift_population_job_holds_one_block_at_a_time():
-    # job 18 of (3, 2), 551,934 members, peaks within 2 kB of the highest of
-    # the scan's 42 jobs: each holds a full head batch of 2 _BLOCK members,
-    # and its left-over batches hold at most _BLOCK. tracemalloc puts its
-    # peak at 3.36 MB, with the job's per-prefix arrays.
-    args, _ = oracle._range_jobs(9**6, 9**2, 3, 2)[18]
+    # job 9 of (3, 2), 1,153,872 members, peaks within 1 kB of the highest
+    # of the scan's 21 jobs: each holds a full head batch of 4 _BLOCK
+    # one-byte members, and its left-over batches hold at most 2 _BLOCK.
+    # tracemalloc puts its peak at 3.02 MB with the job's per-prefix
+    # arrays (3.37 MB for the jobs of half as many prefixes and 2 _BLOCK
+    # int16 batches before one-byte members)
+    args, _ = oracle._range_jobs(9**6, structure_maps._prefix_charge(9), 3, 2)[9]
     tracemalloc.start()
     try:
         out = verify._shift_population_job(args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.tolist() == [551_934, 0, 0, 0]
+    assert out.tolist() == [1_153_872, 0, 0, 0]
     assert peak < 9 * oracle._BLOCK * 8
 
 
@@ -161,28 +163,60 @@ def test_negative_seed_refused_before_any_census(monkeypatch):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
+    # the population's unsigned member type, the sample's signed kernel type
+    # and int64 give the same counts, on members and with one pivot moved
     n = p**k
-    narrow = oracle._kernel_type(n)
-    assert narrow is (np.int8 if n <= 7 else np.int16)
+    member, kernel = structure_maps._member_type(n), oracle._kernel_type(n)
+    assert member is np.uint8 and kernel is (np.int8 if n <= 7 else np.int16)
     shifts = list(range(0, n, p))
     batch = next(structure_maps.zero_perm_members(p, k))
-    assert all(v.dtype == narrow for v in batch)
+    assert all(v.dtype == member for v in batch)
     members = materialize(batch)
     corrupted = members.copy()
     lab, _ = label_pivot(members, n, p)
     corrupted[lab[0], 0] = (corrupted[lab[0], 0] + 1) % n  # moves the permanent by a unit
     for batch, want in ((members, 0), (corrupted, 1)):
         results = [
-            verify._shift_verify(batch.astype(t), n, p, shifts, oracle._inverse_table(n).astype(t))
-            for t in (narrow, np.int64)
+            verify._shift_verify(batch.astype(t), n, p, shifts, oracle._inverse_table(n))
+            for t in (member, kernel, np.int64)
         ]
-        assert results[0] == results[1] == {x: want for x in shifts}
+        assert results[0] == results[1] == results[2] == {x: want for x in shifts}
+
+
+@pytest.mark.parametrize("p", [5, 2])
+def test_member_path_values_fit_the_member_type_at_ten(monkeypatch, p):
+    # n = 10, the population scan's largest n, at its worst case: every entry
+    # and every coefficient of the forms n - 1. Each value the verifier forms
+    # passes through mod, and in the one-byte batch each equals its int64
+    # value. p = 5 puts the pivots in row 1 and p = 2 in row 2; both reach
+    # the bound 3 (n - 1)^2 = 243
+    n = 10
+    assert structure_maps._member_type(n) is np.uint8
+    monkeypatch.setattr(verify, "forms", lambda r1, r2, n: [np.full(np.shape(r1[0]), n - 1)] * 6)
+    real_mod = verify.mod
+    seen = {}
+
+    def spy_mod(a, m):
+        seen[t].append(np.array(a, dtype=np.int64))
+        return real_mod(a, m)
+
+    monkeypatch.setattr(verify, "mod", spy_mod)
+    shifts = list(range(0, n, p))
+    counts = {}
+    for t in (np.uint8, np.int64):
+        seen[t] = []
+        e = [np.full((1, 4), n - 1, dtype=t) for _ in range(9)]
+        counts[t] = verify._shift_verify(e, n, p, shifts, oracle._inverse_table(n))
+    assert counts[np.uint8] == counts[np.int64] == {x: 4 for x in shifts}  # perm 243 is not 0 mod 10
+    assert len(seen[np.uint8]) == len(seen[np.int64])
+    assert all(np.array_equal(a, b) for a, b in zip(seen[np.uint8], seen[np.int64]))
+    assert max(int(a.max()) for a in seen[np.int64]) == 3 * (n - 1) ** 2
 
 
 def middle_job_batches(p, k):
     """The prefix range of the middle job of shift_round_trip(p, k), and its zero_perm_members batches."""
     n = p**k
-    jobs = oracle._range_jobs(n**6, n**2, p, k)
+    jobs = oracle._range_jobs(n**6, structure_maps._prefix_charge(n), p, k)
     (_, _, start, stop), _ = jobs[len(jobs) // 2]
     return start, stop, list(structure_maps.zero_perm_members(p, k, range(start, stop)))
 
@@ -209,12 +243,12 @@ def test_shift_check_matches_the_scatter_reference(p, k):
         hit = rng.random(redrawn.shape) < 0.05
         redrawn[hit] = rng.integers(0, n, size=int(hit.sum()))
         for name, batch in (("members", members), ("pivot moved", moved), ("redrawn", redrawn)):
-            for t in (oracle._kernel_type(n), np.int64):
-                inv = oracle._inverse_table(n).astype(t)
-                for e in by_pivot_row(batch.astype(t), n, p):
-                    want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
-                    assert verify._shift_verify(e, n, p, shifts, inv) == want, (name, t)
-                    found[name] += sum(want.values())
+            for e in by_pivot_row(batch, n, p):
+                want = shift_verify_members_by_scatter(e, n, p, shifts, oracle._inverse_table(n))
+                for t in (structure_maps._member_type(n), oracle._kernel_type(n), np.int64):
+                    inv = oracle._inverse_table(n).astype(t)
+                    assert verify._shift_verify(e.astype(t), n, p, shifts, inv) == want, (name, t)
+                found[name] += sum(want.values())
     assert found["members"] == 0
     assert found["pivot moved"] > 0 and found["redrawn"] > 0
 
@@ -318,8 +352,9 @@ def test_sampled_check_matches_the_scatter_reference(p, k):
 def test_decided_images_are_expanded_on_the_members_own_forms(monkeypatch):
     # a head batch is expanded along row 1 on forms(row 2, row 3), and a
     # left-over batch along row 2 on forms(row 3, row 1): forms runs once per
-    # batch, on the batch's own per-prefix arrays, and the members and their
-    # images share its result
+    # batch, on the values of the batch's own per-prefix arrays, widened from
+    # the unsigned member type to the signed kernel type, since forms
+    # subtracts; the members and their images share its result
     p, k, n = 3, 2, 9
     shifts = [0, 3, 6]
     inv = oracle._inverse_table(n)
@@ -340,12 +375,13 @@ def test_decided_images_are_expanded_on_the_members_own_forms(monkeypatch):
         assert verify._shift_verify(e, n, p, shifts, inv) == {x: 0 for x in shifts}
         ((r1, r2),) = formed
         want = [e[3 * r + i] for r in rows for i in range(3)]
-        assert all(a is b for a, b in zip([*r1, *r2], want)), name
-        assert all(v.shape[0] == 1 for v in want)
+        assert all(v.shape[0] == 1 and v.dtype == np.uint8 for v in want)
+        assert all(a.dtype == oracle._kernel_type(n) and np.array_equal(a, b) for a, b in zip([*r1, *r2], want)), name
 
 
 def test_shift_population_on_three_jobs_does_not_depend_on_threads():
-    # jobs 4..6 of (3, 2) hold every label group of both grids
+    # three ranges of 12,945 prefixes at (3, 2), each half a job, hold every
+    # label group of both grids
     jobs = oracle._range_jobs(9**6, 9**2, 3, 2)[4:7]
     groups = member_groups(3, 2, range(jobs[0][0][2], jobs[-1][0][3]))
     assert len(groups) == 5 and all(count > 0 for count in groups.values())
