@@ -224,18 +224,6 @@ def perm_det_subperms(e, n):
     )
 
 
-def subperms(e, n):
-    """The sub-permanents P11, P12, P13, P21, P22 mod n of the row-major entries e."""
-    a11, a12, a13, a21, a22, a23, a31, a32, a33 = e
-    return (
-        mod(a22 * a33 + a23 * a32, n),
-        mod(a21 * a33 + a23 * a31, n),
-        mod(a21 * a32 + a22 * a31, n),
-        mod(a12 * a33 + a13 * a32, n),
-        mod(a11 * a33 + a13 * a31, n),
-    )
-
-
 def first_unit(subs, p):
     """Per entry: the index and value of the first of the arrays subs that is a unit mod p.
 
@@ -283,7 +271,8 @@ def determinant2(m: Mat2) -> Residue:
 
 
 def sub_permanents(m: Mat3) -> SubPermanents:
-    return SubPermanents(*(Residue(v, m.modulus) for v in subperms(_entries(m), m.modulus.n)))
+    subs = perm_det_subperms(_entries(m), m.modulus.n)[2:]
+    return SubPermanents(*(Residue(v, m.modulus) for v in subs))
 
 
 def is_invertible(m: Mat3) -> bool:

@@ -216,10 +216,10 @@ def _int_type(bound: int) -> type[np.signedinteger]:
 def _kernel_type(n: int) -> type[np.signedinteger]:
     """The narrowest type for the kernel's arithmetic on residues mod n.
 
-    matrices.forms, perm_det, perm_det_subperms and subperms on entries in
-    [0, n) stay within 3 (n - 1)^2 in magnitude, so int8 serves n <= 7 and
-    int16 n <= 105. numpy wraps integer arrays silently on overflow, so this
-    bound is the only guard.
+    matrices.forms, perm_det and perm_det_subperms on entries in [0, n)
+    stay within 3 (n - 1)^2 in magnitude, so int8 serves n <= 7 and int16
+    n <= 105. numpy wraps integer arrays silently on overflow, so this bound
+    is the only guard.
     """
     return _int_type(3 * (n - 1) ** 2)
 

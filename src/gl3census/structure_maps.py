@@ -433,8 +433,10 @@ def _leftover_basis(prefix, p: int, k: int):
     col, pivot = first_unit(coeffs[:2], p)
     qw, dw = expand(coeffs, w, p)
     live = (qw == 0) & (dw != 0) & (mod(pivot, p) != 0)
-    for sw in forms(w, r3p, p)[:3]:  # S w
-        live &= sw == 0
+    (a31, a32, a33), (w1, w2, w3) = r3p, w
+    # S w, from the products of its off-diagonal entries: S has a zero diagonal
+    for sw in (a33 * w2 + a32 * w3, a33 * w1 + a31 * w3, a32 * w1 + a31 * w2):
+        live &= mod(sw, p) == 0
     col[~live] = 2
     minus_inv = -oracle._inverse_table(n).take(pivot)
     solve = np.stack([mod(minus_inv * (coeffs[0] + coeffs[1] - pivot), n), mod(minus_inv * coeffs[2], n)])

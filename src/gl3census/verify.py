@@ -15,6 +15,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import prod
+from operator import iadd
 
 import numpy as np
 
@@ -459,44 +460,42 @@ def _subperm_identity(ctx):
 def _shift_verify(e, n, p, shifts, inv_table):
     """Per-shift violation counts of the pivot-shift map on a batch of members of G(n, 0), n = p^k.
 
-    e holds the nine row-major entries, in [0, n), as arrays of one type
-    that broadcast together: a (9, m) sample, of oracle._kernel_type(n), or
-    a structure_maps.zero_perm_members batch, with the solved row per member
-    and the other two per prefix, of the unsigned
-    structure_maps._member_type(n); any wider integer type serves too.
-    inv_table is oracle._inverse_table(n), and the inverses are taken in the
-    batch's type. Every value formed from the entries is a sum of at most
-    three products of residues, within [0, 3 (n - 1)^2], which both types
-    hold, and is reduced before it takes part in more. Only the forms of
-    two rows subtract (b f - c e); on an unsigned batch they are formed in
-    _kernel_type(n), once per batch, and read as residues in the batch's
-    type.
+    e holds the nine row-major entries, in [0, n), as arrays of the unsigned
+    structure_maps._member_type(n) that broadcast together: a
+    structure_maps.zero_perm_members batch, with the solved row per member
+    and the other two per prefix, or one label's part of shift_round_trip's
+    (9, m) sample. inv_table is oracle._inverse_table(n), and the inverses
+    are taken in the batch's type. Every value formed from the entries is a
+    sum of at most three products of residues, within [0, 3 (n - 1)^2],
+    which the type holds, and is reduced before it takes part in more. Only
+    the forms of two rows subtract (b f - c e); they are formed in
+    oracle._kernel_type(n), once per batch, and read as residues in the
+    batch's type.
 
-    Every matrix is evaluated on its own. Its label, the index of its
-    first unit sub-permanent among P11, P12, P13, P21, P22 (matrices.first_unit;
-    4 if there is none), is also the row-major position of its pivot entry.
-    The batch must have every pivot in one row r, 1 or 2, else this raises
-    RuntimeError; shift_round_trip splits its sample by pivot row. P11,
-    P12, P13 are formed first, from rows 2 and 3: a unit among them puts
-    the pivot in row 1. The batch is then expanded along row r on the forms
-    of the other two rows, forms(row 2, row 3) for row 1 and
+    The batch must have one label, else this raises RuntimeError. A
+    matrix's label, the index of its first unit sub-permanent among P11,
+    P12, P13, P21, P22 (matrices.first_unit; 4 if there is none), is also
+    the row-major position of its pivot entry: row r, 1 or 2, and column c.
+    P11, P12, P13 are formed first, from rows 2 and 3: a unit among them
+    puts the pivot in row 1, so they are the per-member proof that every
+    pivot of the batch is in row r. The batch is then expanded along row r
+    on the forms of the other two rows, forms(row 2, row 3) for row 1 and
     forms(row 3, row 1) for row 2, whose first coefficients are the
     sub-permanents that do not involve row r: P11, P12, P13, or P21, P22,
     P23. On a grid batch they are per prefix.
 
-    A shift by x adds x P^-1 to the pivot entry, and moves only the entries
-    of row r that some pivot is at: on a batch of one label, that entry,
-    with no mask; else each through a mask of the label. The terms of the
-    unmoved entries are summed once per member and shared by the member and
-    its images. The image must have permanent x, a unit determinant and the
-    member's label, and the return shift must give back the moved entries.
-    In row 1 the image's P11, P12, P13 are the member's own arrays, so its
-    label and pivot are the member's. In row 2 its P21 and P22 are, so its
-    label is the member's exactly when none of its own P11, P12, P13,
-    formed from its moved row 2, is a unit, and then its pivot is the
-    member's too. Shifting by x = 0 maps every member to itself, so its
-    image is checked on the member's own evaluation. As n = p^k, a
-    determinant is a unit exactly when p does not divide it.
+    A shift by x adds x P^-1 to the pivot entry, row r's entry c, the only
+    entry it moves. The terms of the other two entries are summed once per
+    member and shared by the member and its images. The image must have
+    permanent x, a unit determinant and the member's label, and the return
+    shift must give back the moved entry. In row 1 the image's P11, P12,
+    P13 are the member's own arrays, so its label and pivot are the
+    member's. In row 2 its P21 and P22 are, so its label is the member's
+    exactly when none of its own P11, P12, P13, formed from its moved
+    row 2, is a unit, and then its pivot is the member's too. Shifting by
+    x = 0 maps every member to itself, so its image is checked on the
+    member's own evaluation. As n = p^k, a determinant is a unit exactly
+    when p does not divide it.
 
     A violation is any member whose image fails perm == x, unit determinant,
     class preservation, or the round trip. Each per-member array is freed
@@ -504,21 +503,20 @@ def _shift_verify(e, n, p, shifts, inv_table):
     one-byte members peaks at about a dozen arrays of its size.
     """
 
-    def dot(f, entries, cols, rest=None):
-        """The sum of f[c] entries[c] over cols, unreduced, plus rest if given; None if no f[c] over cols is given."""
+    def dot(f, entries, cols):
+        """The sum of f[c] entries[c] over cols where f[c] is given, unreduced."""
         out = None
         for c in cols:
             if f[c] is not None:
                 term = f[c] * entries[c]
                 out = term if out is None else np.add(out, term, out=out)
-        return out if out is None or rest is None else np.add(out, rest, out=out)
+        return out
 
     dtype = np.result_type(*e)
 
     def residue_forms(r1, r2):
-        """forms(r1, r2, n) as residues of the batch's type, formed in a signed type: b f - c e wraps unsigned."""
-        if dtype.kind == "u":
-            r1, r2 = ([v.astype(oracle._kernel_type(n)) for v in r] for r in (r1, r2))
+        """forms(r1, r2, n) as residues of the batch's type, formed in _kernel_type(n): b f - c e wraps unsigned."""
+        r1, r2 = ([v.astype(oracle._kernel_type(n)) for v in r] for r in (r1, r2))
         return [f.astype(dtype, copy=False) for f in forms(r1, r2, n)]
 
     a31, a32, a33 = e[6:9]
@@ -530,57 +528,50 @@ def _shift_verify(e, n, p, shifts, inv_table):
         in_row1 |= mod(t, p) != 0
     if in_row1.all():
         r, coeffs, subs = 0, residue_forms(e[3:6], e[6:9]), ()
-        lab, pivot = first_unit(coeffs[:3], p)
     elif not in_row1.any():
         r, coeffs = 1, residue_forms(e[6:9], e[0:3])
-        col, pivot = first_unit(coeffs[:2], p)  # none of P11, P12, P13 is a unit
-        lab = col + 3
     else:
-        raise RuntimeError("a shift batch must have all of its pivots in one row")
+        raise RuntimeError("a shift batch must have one label, so all of its pivots in one row")
     del top, in_row1
+    col, pivot = first_unit(coeffs[: 3 - r], p)  # the pivot's column; in row 2 none of P11, P12, P13 is a unit
+    c = int(col.flat[0])
+    if (col != c).any():
+        raise RuntimeError("a shift batch must have one label")
+    del col
     row = e[3 * r : 3 * r + 3]
-    col = lab - 3 * r  # the pivot's column in row r
-    lo, hi = int(col.min()), int(col.max())
-    moved = [c for c in range(lo, hi + 1) if c in (lo, hi) or (col == c).any()]
-    uniform = lo == hi  # the one moved entry needs no mask
     # the permanent, the determinant and, along row 2, P11, P12, P13: linear forms in row r
     linear = (coeffs[:3], coeffs[3:], *subs)
-    rest = [dot(f, row, [c for c in range(3) if c not in moved]) for f in linear]
+    rest = [dot(f, row, [i for i in range(3) if i != c]) for f in linear]
 
-    def values(entries, forms_):
-        """The forms, unreduced, with row r's moved entries taken from entries; None where none is moved.
+    def values(entry):
+        """The forms, unreduced, with row r's entry c taken as entry; None for a form with no term in it.
 
         One at a time, and holding none once yielded, so that each is freed
         as soon as the caller has read it.
         """
-        for f, t in zip(forms_, rest):
-            yield dot(f, entries, moved, t)
+        for f, t in zip(linear, rest):
+            yield None if f[c] is None else iadd(f[c] * entry, t)  # in the product's own array
 
-    own = values(row, linear[:2])  # the permanent, then the determinant
+    own = values(row[c])  # the permanent, then the determinant
     member = mod(next(own), n) == 0
     member &= mod(next(own), p) != 0
     fixed = count - int(np.count_nonzero(member))  # a shift by x = 0 maps every member to itself
     inv = inv_table.astype(dtype, copy=False).take(pivot)
     del member, pivot  # inv is all that the shifts read
-    img = list(row)
     violations = {}
     for x in shifts:
         if x % n == 0:
             violations[x] = fixed
             continue
-        step = mod(x * inv, n)
-        for c in moved:
-            img[c] = mod(row[c] + (step if uniform else (col == c) * step), n)
-        image = values(img, linear)
+        moved = mod(row[c] + mod(x * inv, n), n)
+        image = values(moved)
         ok = mod(next(image), n) == x % n
         ok &= mod(next(image), p) != 0
         for v in image:  # a P1j the shift leaves as the member's is not a unit
             if v is not None:
                 ok &= mod(v, p) == 0
-        back = mod((n - x) * inv, n)
-        for c in moved:  # img[c] is this shift's own array, so the return shift moves it in place
-            img[c] += back if uniform else (col == c) * back
-            ok &= mod(img[c], n) == row[c]
+        moved += mod((n - x) * inv, n)  # the return shift, in place
+        ok &= mod(moved, n) == row[c]
         violations[x] = count - int(np.count_nonzero(ok))
         del ok  # before the next shift builds its own
     return violations
@@ -635,12 +626,12 @@ def shift_round_trip(
     4 oracle._BLOCK members over rows 2 and 3, 2 oracle._BLOCK over rows 1
     and 3, as many bytes as 2 oracle._BLOCK and oracle._BLOCK two-byte
     members. Every member of a batch has one label, pivot and inverse per
-    prefix. Every batch goes through one verifier, _shift_verify, which
-    expands it along its pivot row on the forms of the other two rows,
-    formed once per prefix, so a shift moves one entry with no mask. The
-    seeded sample, of the signed oracle._kernel_type(n), is split by pivot
-    row, and each part goes through the same verifier, with masks of the
-    label.
+    prefix. The seeded sample is labelled once, in the sampler's int64,
+    cast to the member type and split into its five label parts. Every grid
+    batch and every label part goes through one verifier, _shift_verify,
+    which takes batches of one label only: it expands each along its pivot
+    row on the forms of the other two rows, formed once per prefix, so a
+    shift moves one entry.
 
     The n^6 prefixes are split into jobs of about 2 oracle._CHUNK / n^2
     prefixes (oracle._range_jobs, charging each prefix
@@ -666,13 +657,15 @@ def shift_round_trip(
     shifts = list(range(0, n, p))
     if not population:
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
-        e = _sample_matrices(rng, n, sample, n).astype(oracle._kernel_type(n))
-        _, pivot = first_unit(forms(e[3:6], e[6:9], n)[:3], p)
-        in_row1 = mod(pivot, p) != 0
+        e = _sample_matrices(rng, n, sample, n)
+        lab, _ = first_unit(perm_det_subperms(e, n)[2:], p)
+        e = e.astype(structure_maps._member_type(n))
         viols = dict.fromkeys(shifts, 0)
-        for part in (e[:, in_row1], e[:, ~in_row1]):  # by pivot row
+        inv_table = oracle._inverse_table(n)
+        for c in range(len(CLASS_LABELS)):
+            part = e[:, lab == c]
             if part.shape[1]:
-                for x, v in _shift_verify(part, n, p, shifts, oracle._inverse_table(n)).items():
+                for x, v in _shift_verify(part, n, p, shifts, inv_table).items():
                     viols[x] += v
         return e.shape[1], viols
     jobs = oracle._range_jobs(n**6, structure_maps._prefix_charge(n), p, k)

@@ -32,15 +32,15 @@ least image of every row over all units.
 shift_verify_members_by_scatter is the reference for the shift check,
 verify._shift_verify, on (9, m) members and on grid batches alike: it copies
 each batch per shift, moves the pivot entries by a flat gather and scatter,
-evaluates every image and return image through perm_det and subperms, and
-runs every check at x = 0 too. The check under test takes batches whose
-pivots are all in one row, expands them along that row on the forms of the
-other two, formed once per prefix on the grid, moves only the entries some
-pivot is at (through masks of the label unless the batch has one label),
-sums the terms of the unmoved entries once per member, and reads x = 0 off
-the member's own evaluation. by_pivot_row splits (9, m) matrices into the
-parts it takes. label_pivot is the reference for matrices.first_unit on the
-five sub-permanents.
+evaluates every image and return image through perm_det and
+perm_det_subperms, and runs every check at x = 0 too; it takes batches of
+any labels. The check under test takes batches of one label only, expands
+them along the pivot row on the forms of the other two, formed once per
+prefix on the grid, moves the one pivot entry, sums the terms of the other
+two entries once per member, and reads x = 0 off the member's own
+evaluation. by_label splits (9, m) matrices into the parts it takes.
+label_pivot is the reference for matrices.first_unit on the five
+sub-permanents.
 """
 
 import itertools
@@ -49,7 +49,7 @@ from math import gcd
 import numpy as np
 
 from gl3census import oracle, structure_maps
-from gl3census.matrices import Mat3, determinant3, mod, permanent3, perm_det, subperms
+from gl3census.matrices import Mat3, determinant3, mod, permanent3, perm_det, perm_det_subperms
 from gl3census.modring import factorize
 
 
@@ -131,7 +131,7 @@ def zero_perm_members_by_filter(n: int):
 
 def head_members(e, n: int, p: int) -> np.ndarray:
     """Which of the matrices e have a unit among P11, P12, P13 mod p: their pivot is in row 1."""
-    return (np.stack(subperms(e, n)[:3]) % p != 0).any(axis=0)
+    return (np.stack(perm_det_subperms(e, n)[2:5]) % p != 0).any(axis=0)
 
 
 def members_per_prefix_by_filter(p: int, k: int, prefixes: range) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +186,10 @@ def member_groups(p: int, k: int, prefixes: range) -> dict:
     return groups | {("left-over", c + 3): int(left[c]) for c in range(2)}
 
 
-def by_pivot_row(e, n: int, p: int) -> list[np.ndarray]:
-    """The (9, m) matrices e with their pivot in row 1, and those with it in row 2, each if there are any."""
-    head = head_members(e, n, p)
-    return [part for part in (e[:, head], e[:, ~head]) if part.shape[1]]
+def by_label(e, n: int, p: int) -> list[np.ndarray]:
+    """The (9, m) matrices e split by label, 0 to 4 in order, each part if it has any."""
+    lab, _ = label_pivot(e, n, p)
+    return [part for part in (e[:, lab == c] for c in range(5)) if part.shape[1]]
 
 
 def prefix_index(e, n: int, rows=(1, 2)) -> np.ndarray:
@@ -207,7 +207,7 @@ def label_pivot(e, n, p):
     The index (0..4, P11, P12, P13, P21, P22) is also the row-major position
     of the pivot entry. A matrix with no unit among the five gets index 4.
     """
-    subs = subperms(e, n)
+    subs = perm_det_subperms(e, n)[2:]
     lab, pivot = np.full(e.shape[1], 4, dtype=np.int8), subs[4]
     for i in (3, 2, 1, 0):
         off = mod(subs[i], p) == 0

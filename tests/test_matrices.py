@@ -26,7 +26,6 @@ from gl3census.matrices import (
     permanent2,
     permanent3,
     sub_permanents,
-    subperms,
 )
 from support import label_pivot
 
@@ -209,7 +208,6 @@ big_entries = st.lists(st.integers(-(10**30), 10**30), min_size=9, max_size=9)
 def test_kernel_matches_leibniz_on_python_ints(n, e):
     rows = as_rows(e)
     assert perm_det(e, n) == leibniz(rows, n)
-    assert subperms(e, n) == leibniz_subperms(rows, n)
     assert perm_det_subperms(e, n) == leibniz(rows, n) + leibniz_subperms(rows, n)
     assert perm_det2(e[:4], n) == leibniz([e[0:2], e[2:4]], n)
 
@@ -227,7 +225,7 @@ def test_kernel_on_int64_arrays_column_by_column(batch):
     n, mats = batch
     e = np.array(mats, dtype=np.int64).T  # (9, m): one matrix per column
     perm, det = perm_det(e, n)
-    subs = subperms(e, n)
+    subs = perm_det_subperms(e, n)[2:]
     for col, m in enumerate(mats):
         rows = as_rows(m)
         assert (int(perm[col]), int(det[col])) == leibniz(rows, n)
@@ -241,14 +239,17 @@ def test_kernel_on_int64_arrays_column_by_column(batch):
 def test_fused_kernel_equals_perm_det_and_subperms(dtype, moduli):
     # each type up to the largest n that oracle._kernel_type gives it, on a
     # (9, m) batch and in _leftover_tally's layout: first rows along one axis,
-    # rows 2 and 3 along the other
+    # rows 2 and 3 along the other. The sub-permanents are the permanents of
+    # the 2x2 minors, by perm_det2
     rng = np.random.default_rng(dtype().itemsize)
     for n in moduli:
         assert np.iinfo(dtype).max >= np.iinfo(oracle._kernel_type(n)).max
         e = rng.integers(0, n, size=(9, 2000), dtype=dtype)
         spread = [*(v[None, :50] for v in e[0:3]), *(v[:40, None] for v in e[3:9])]
         for batch in (e, spread):
-            want = (*perm_det(batch, n), *subperms(batch, n))
+            # the minor of P_ij leaves out row i and column j
+            minors = [[batch[r] for r in range(9) if r // 3 != i and r % 3 != j] for i, j in SUBPERM_POSITIONS]
+            want = (*perm_det(batch, n), *(perm_det2(m, n)[0] for m in minors))
             got = perm_det_subperms(batch, n)
             assert len(got) == 7
             for a, b in zip(got, want):
@@ -356,8 +357,8 @@ def test_int16_kernel_at_the_edge_of_its_ceiling(n):
     h = (n - 1) // 2
     mats = [*itertools.product((0, n - 1), repeat=9), (n - 1,) * 3 + (1,) * 3 + (h,) * 3]
     e = np.array(mats, dtype=np.int64).T
-    wide = [*perm_det(e, n), *subperms(e, n)]
-    narrow = [*perm_det(e.astype(np.int16), n), *subperms(e.astype(np.int16), n)]
+    wide = perm_det_subperms(e, n)
+    narrow = perm_det_subperms(e.astype(np.int16), n)
     same = all(np.array_equal(a, b) for a, b in zip(narrow, wide))
     assert same == (oracle._kernel_type(n) is np.int16)
 
@@ -367,7 +368,7 @@ def test_first_unit_matches_the_reference_and_classify(n, p):
     # seeded draws, non-members and singular matrices included; a matrix with
     # no unit among the five sub-permanents gets index 4
     e = np.random.default_rng(n).integers(0, n, size=(9, 20_000), dtype=np.int64)
-    subs = subperms(e, n)
+    subs = perm_det_subperms(e, n)[2:]
     lab, pivot = first_unit(subs, p)
     want_lab, want_pivot = label_pivot(e, n, p)
     assert lab.dtype == np.int8

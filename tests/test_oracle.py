@@ -13,7 +13,7 @@ import pytest
 from gl3census import closed_form as cf
 from gl3census import oracle, verify
 from gl3census import structure_maps as sm
-from gl3census.matrices import CLASS_LABELS, ClassLabel, forms, mat3, mod, perm_det, subperms
+from gl3census.matrices import CLASS_LABELS, ClassLabel, forms, mat3, mod, perm_det_subperms
 from gl3census.modring import factorize, is_prime
 from support import (
     CASE_ROWS,
@@ -101,8 +101,8 @@ def _class_sweep(p, k):
     for start in range(0, n**6, 1024):
         idx = np.arange(start, min(start + 1024, n**6), dtype=np.int32)
         e = [*first, *((idx // n**t % n)[:, None] for t in range(6))]
-        perm, det = perm_det(e, n)
-        units = [np.broadcast_to(v % p != 0, perm.shape) for v in subperms(e, n)]
+        perm, det, *subs = perm_det_subperms(e, n)
+        units = [np.broadcast_to(v % p != 0, perm.shape) for v in subs]
         label = np.argmax(np.stack([*units, np.ones_like(perm, dtype=bool)]), axis=0)
         counts += np.bincount((label * n + perm)[det % p != 0], minlength=6 * n)
     counts = counts.reshape(6, n)
@@ -134,8 +134,7 @@ def _member_sweep(rep2, rep3, p, n):
     counts = np.zeros(3 * n, dtype=np.int64)
     for s in range(0, len(prefixes), 256):
         e = [*first, *(prefixes[s : s + 256, [c]] for c in range(6))]
-        perm, det = perm_det(e, n)
-        _, _, _, p21, p22 = subperms(e, n)
+        perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
         label = np.where(mod(p21, p) != 0, 0, np.where(mod(p22, p) != 0, 1, 2))
         counts += np.bincount((label * n + perm)[mod(det, p) != 0], minlength=3 * n)
     return counts.reshape(3, n), len(prefixes)
@@ -597,7 +596,7 @@ def test_census_is_invariant_under_units(n):
     ],
 )
 def test_int_type_holds_the_kernel_bound(n, want):
-    # perm_det, subperms and forms on residues mod n stay within 3 (n - 1)^2
+    # perm_det, perm_det_subperms and forms on residues mod n stay within 3 (n - 1)^2
     assert oracle._int_type(3 * (n - 1) ** 2) is oracle._kernel_type(n) is want
 
 

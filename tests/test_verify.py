@@ -14,7 +14,7 @@ from gl3census import closed_form, oracle, structure_maps, verify
 from gl3census.modring import factorize
 from gl3census.oracle import CountTable
 from support import (
-    by_pivot_row,
+    by_label,
     grid,
     label_pivot,
     materialize,
@@ -163,8 +163,9 @@ def test_negative_seed_refused_before_any_census(monkeypatch):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_shift_check_is_the_same_in_narrow_and_int64(p, k):
-    # the population's unsigned member type, the sample's signed kernel type
-    # and int64 give the same counts, on members and with one pivot moved
+    # the unsigned member type of the population and the sample, the signed
+    # kernel type and int64 give the same counts, on members and with one
+    # pivot moved
     n = p**k
     member, kernel = structure_maps._member_type(n), oracle._kernel_type(n)
     assert member is np.uint8 and kernel is (np.int8 if n <= 7 else np.int16)
@@ -225,8 +226,8 @@ def middle_job_batches(p, k):
 def test_shift_check_matches_the_scatter_reference(p, k):
     # two head and two left-over batches of members, the same with one pivot
     # entry moved, and the same with about 5% of the entries redrawn, which
-    # makes some columns non-members and mixes pivot rows: those are checked
-    # split by pivot row
+    # makes some columns non-members and mixes labels: each is checked split
+    # by label
     n = p**k
     shifts = list(range(0, n, p))
     rng = np.random.default_rng([p, k])
@@ -243,7 +244,7 @@ def test_shift_check_matches_the_scatter_reference(p, k):
         hit = rng.random(redrawn.shape) < 0.05
         redrawn[hit] = rng.integers(0, n, size=int(hit.sum()))
         for name, batch in (("members", members), ("pivot moved", moved), ("redrawn", redrawn)):
-            for e in by_pivot_row(batch, n, p):
+            for e in by_label(batch, n, p):
                 want = shift_verify_members_by_scatter(e, n, p, shifts, oracle._inverse_table(n))
                 for t in (structure_maps._member_type(n), oracle._kernel_type(n), np.int64):
                     inv = oracle._inverse_table(n).astype(t)
@@ -254,58 +255,64 @@ def test_shift_check_matches_the_scatter_reference(p, k):
 
 
 def grid_variants(batch, n, p):
-    """The batch; one member's pivot entry moved; and prefix 0 given a pivot in the other row.
+    """The batch; one member's pivot entry moved; prefix 0 given a pivot in the other row or another label.
 
     A head batch has its pivots in row 1 and a left-over one in row 2.
     Giving prefix 0 of a head batch the rows 2 and 3 of a left-over prefix,
     or prefix 0 of a left-over batch a row 3 with three units, which makes
     P11, P12, P13 a unit for a row 2 that is not 0 mod p, makes a batch
-    with pivots in both rows.
+    with pivots in both rows. Rows 2 and 3 of (0, 1, 0), (0, 0, 1) make
+    P11 = 1, label 0, and (1, 0, 0), (0, 1, 0) make P11 = P12 = 0 and
+    P13 = 1, label 2: one of them is another label than a head batch's.
     """
     lab, _ = label_pivot(materialize(batch)[:, :1], n, p)
     moved = [v.copy() for v in batch]
     moved[lab[0]][0, 0] = (moved[lab[0]][0, 0] + 1) % n  # moves the permanent by a unit
     mixed = [v.copy() for v in batch]
-    if grid(batch) == "head":
-        for v, entry in zip(mixed[3:], (1, 1, 0, n - 1, 1, 0)):  # P11, P12, P13 = 0, 0, n
-            v[0, 0] = entry
-    else:
+    if grid(batch) == "left-over":
         for v in mixed[6:]:
             v[0, 0] = 1
-    return {"members": batch, "pivot moved": moved, "mixed": mixed}
+        return {"members": batch, "pivot moved": moved, "mixed": mixed}
+    for v, entry in zip(mixed[3:], (1, 1, 0, n - 1, 1, 0)):  # P11, P12, P13 = 0, 0, n
+        v[0, 0] = entry
+    relabelled = [v.copy() for v in batch]
+    for v, entry in zip(relabelled[3:], (1, 0, 0, 0, 1, 0) if lab[0] == 0 else (0, 1, 0, 0, 0, 1)):
+        v[0, 0] = entry
+    return {"members": batch, "pivot moved": moved, "mixed": mixed, "relabelled": relabelled}
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
     # every batch of the middle job, plain and with one pivot entry moved; with
-    # a prefix of pivots in the other row mixed in, it is refused, and its
-    # members split by pivot row match the reference. Then the job under an
-    # inverse table that is off by one, which only a shift by x != 0 reads. A
-    # plain batch has one label
+    # a prefix of pivots in the other row mixed in, or a head batch's prefix
+    # of another row-1 label, it is refused, and its members split by label
+    # match the reference. Then the job under an inverse table that is off by
+    # one, which only a shift by x != 0 reads. A plain batch has one label
     n = p**k
     shifts = list(range(0, n, p))
     inv = oracle._inverse_table(n)
     start, stop, batches = middle_job_batches(p, k)
-    found = {"members": 0, "pivot moved": 0, "mixed": 0}
+    found = {"members": 0, "pivot moved": 0, "mixed": 0, "relabelled": 0}
+    # a moved row-2 pivot entry can give its member a unit among P11, P12, P13
+    want_parts = {"members": {1}, "pivot moved": {1, 2}, "mixed": {2, 3, 4, 5}, "relabelled": {2}}
     labels = set()
     for batch in batches:
         labels.add(int(label_pivot(materialize(batch)[:, :1], n, p)[0][0]))
         for name, e in grid_variants(batch, n, p).items():
             want = shift_verify_members_by_scatter(materialize(e), n, p, shifts, inv)
-            parts = by_pivot_row(materialize(e), n, p)
-            # a moved row-2 pivot entry can give its member a unit among P11, P12, P13
-            assert len(parts) == 2 if name == "mixed" else len(parts) in (1, 2)
+            parts = by_label(materialize(e), n, p)
+            assert len(parts) in want_parts[name], name
             if len(parts) == 1:
                 assert verify._shift_verify(e, n, p, shifts, inv) == want, name
             else:
-                with pytest.raises(RuntimeError, match="one row"):
+                with pytest.raises(RuntimeError, match="one label"):
                     verify._shift_verify(e, n, p, shifts, inv)
                 got = [verify._shift_verify(part, n, p, shifts, inv) for part in parts]
                 assert {x: sum(g[x] for g in got) for x in shifts} == want, name
             found[name] += sum(want.values())
     assert labels == {0, 1, 2, 3, 4}  # head batches of each label, and left-over ones of both
     assert found["members"] == 0
-    assert found["pivot moved"] > 0 and found["mixed"] > 0
+    assert found["pivot moved"] > 0 and found["mixed"] > 0 and found["relabelled"] > 0
 
     def off_by_one(n):
         inverse = [pow(v, -1, n) if v % p else 0 for v in range(n)]
@@ -323,29 +330,36 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
-def test_sampled_check_matches_the_scatter_reference(p, k):
-    # shift_round_trip's own seeded sample holds every label, so its pivots
-    # are in rows 1 and 2: the whole sample is refused, and each part by
-    # pivot row moves its entries through masks of the label. Then the same
+def test_sampled_check_matches_the_scatter_reference(monkeypatch, p, k):
+    # shift_round_trip's own seeded sample holds every label: the whole
+    # sample is refused, and shift_round_trip checks it in five parts of the
+    # member type, one label each, which match the reference. Then the same
     # with one member's pivot entry moved
     n = p**k
-    t = oracle._kernel_type(n)
+    t = structure_maps._member_type(n)
     inv = oracle._inverse_table(n)
     shifts = list(range(0, n, p))
+    seen = []
+    real_verify = verify._shift_verify
+
+    def spy_verify(e, *args):
+        seen.append((e.dtype, set(label_pivot(e, n, p)[0].tolist())))
+        return real_verify(e, *args)
+
+    monkeypatch.setattr(verify, "_shift_verify", spy_verify)
     checked, viols = verify.shift_round_trip(p, k, population=False)
+    monkeypatch.undo()
+    assert seen == [(np.dtype(t), {c}) for c in range(5)]
     rng = np.random.default_rng([verify.DEFAULT_SEED, zlib.crc32(f"shift-{p}-{k}".encode())])
-    e = verify._sample_matrices(rng, n, checked, n).astype(t)
-    lab, _ = label_pivot(e, n, p)
-    assert set(lab.tolist()) == {0, 1, 2, 3, 4}
-    with pytest.raises(RuntimeError, match="one row"):
-        verify._shift_verify(e, n, p, shifts, inv)
+    e = verify._sample_matrices(rng, n, checked, n)
+    with pytest.raises(RuntimeError, match="one label"):
+        verify._shift_verify(e.astype(t), n, p, shifts, inv)
     assert viols == shift_verify_members_by_scatter(e, n, p, shifts, inv) == {x: 0 for x in shifts}
+    lab, _ = label_pivot(e, n, p)
     e[lab[0], 0] = (e[lab[0], 0] + 1) % n  # moves the permanent by a unit
     want = shift_verify_members_by_scatter(e, n, p, shifts, inv)
     assert want == {x: 1 for x in shifts}
-    parts = by_pivot_row(e, n, p)
-    assert [set(label_pivot(part, n, p)[0].tolist()) for part in parts] == [{0, 1, 2}, {3, 4}]
-    got = [verify._shift_verify(part, n, p, shifts, inv) for part in parts]
+    got = [verify._shift_verify(part.astype(t), n, p, shifts, inv) for part in by_label(e, n, p)]
     assert {x: sum(g[x] for g in got) for x in shifts} == want
 
 
@@ -421,11 +435,11 @@ from gl3census.matrices import ClassLabel, forms
 from gl3census.modring import Residue
 
 
-def raises(fn):
+def raises(fn, match=""):
     try:
         fn()
-    except RuntimeError:
-        return True
+    except RuntimeError as err:
+        return match in str(err)
     return False
 
 
@@ -449,7 +463,14 @@ A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in rows2.reps], [v[j] for v
 left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
 bad = dataclasses.replace(o, sizes=o.sizes + 1)
 tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, i[left], j[left], 3, 2))
-print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check)
+
+# the first head batch of (3, 2) has label 0; rows 2 and 3 of (1, 0, 0), (0, 1, 0) give prefix 0 label 2
+batch = [v.copy() for v in next(structure_maps.zero_perm_members(3, 2))]
+for v, entry in zip(batch[3:], (1, 0, 0, 0, 1, 0)):
+    v[0, 0] = entry
+inv = oracle._inverse_table(9)
+label_check = raises(lambda: verify._shift_verify(batch, 9, 3, [0, 3, 6], inv), "one label")
+print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check, label_check)
 """
 
 
@@ -461,7 +482,7 @@ def test_invariants_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
+    assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True"]
 
 
 def test_src_has_no_assert_statements():
