@@ -5,9 +5,11 @@ Subcommands: eval (closed-form count), oracle (exhaustive census), table
 Exit codes: 0 success, 1 verification failures (including a table --check
 row that disagrees), 2 usage error, 3 census bound exceeded (oracle's
 INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 a failed
-census worker or out of memory. --threads sets the number of census worker
-threads, by default the CPUs this process may run on. Output carries no
-timestamps, so identical invocations produce identical bytes.
+census worker or out of memory. --threads sets the number of worker threads,
+by default the CPUs this process may run on: oracle and table give them to
+each census's jobs, verify to whole checks, which run side by side with each
+census inside them on one thread. Output carries no timestamps, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Exhaustive, exact censuses of GL3(Z/n) by permanent value.
 
 Two engines produce the same table. census_naive evaluates all n^9 matrices
-by cofactor expansion along the first row: each job forms its (row 2, row 3)
-prefixes' coefficients once and tabulates, per prefix, what each first-row
-entry adds to a matrix's unreduced (perm, det) index; a block of prefixes
-against every first row is then one add, listing each matrix's index, and
-one bincount, and the job reduces its tally mod n at the end. It keeps no
-symmetry, is the dumb, trustworthy reference and refuses n > 8.
+by cofactor expansion along the first row: once per census it keys every
+(row 2, row 3) prefix by its coefficient columns and tabulates what each
+first-row entry adds, under each column, to a matrix's unreduced (perm, det)
+index; a block of prefixes against every first row is then one add of two
+table lookups, listing each matrix's index, and one bincount, and each job
+reduces its tally mod n at the end. It keeps no symmetry, is the dumb,
+trustworthy reference and refuses n > 8.
 census_tiered works on prefixes (the first two
 rows): for a fixed prefix, both the permanent and the determinant are linear
 forms in the third row, and the joint distribution of the two forms depends
@@ -34,16 +35,23 @@ head a column permutation reorders, walks ordered triples.
 Censuses may run on several worker threads; orbit pairs (or, for the
 scanning engines, index ranges) are split into fixed chunks, each thread
 tallies its chunks into int64 arrays, and the merge adds them in chunk order.
-Results are identical for every thread count. Threads scale because a job's
-time is spent in numpy's array loops, which release the interpreter lock, and
-they share one address space: no worker holds its own copy of the tables.
-The cached tables a job reads are built before the jobs are dispatched.
+Results are identical for every thread count. The threads share one address
+space, so no worker holds its own copy of the tables; the tables a job reads
+are built before the jobs are dispatched. Only a numpy call's array loop
+runs without the interpreter lock, and every call hands the lock over, so
+threads gain on large calls and lose on small ones: on a 2-vCPU host a
+262,144-element uint8 add ran 1.72 times as fast on two threads, a
+2,400-element one 0.49 times, and a thread making the large calls fell from
+89,800 to 28,300 calls/s beside one making the small ones. The engines
+therefore keep their calls block-sized, and verify.run_suite gives its
+threads to whole checks rather than to each census.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -73,9 +81,9 @@ SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 # array elements per vectorized block of the orbit pass; the naive sweep
-# takes 2 _BLOCK, and the shift population's one-byte batches 4 _BLOCK (head)
-# and 2 _BLOCK (left-over) members. Bounds the memory of each, with the
-# naive sweep's per-job tables (about _CHUNK / n entries)
+# takes 2 _BLOCK, and builds its per-census keys from slices of _BLOCK, and
+# the shift population's one-byte batches 4 _BLOCK (head) and 2 _BLOCK
+# (left-over) members. Bounds the memory of each
 _BLOCK = 1 << 16
 
 
@@ -241,30 +249,48 @@ def _digits(idx: range, n: int, k: int) -> list[np.ndarray]:
 
 
 def _sum_jobs(fn, jobs, threads, progress):
-    """Sum fn(args) over (args, size) jobs, inline or on a thread pool, adding in job order.
+    """Sum fn(args) over one or more (args, size) jobs, inline or on a thread pool, adding in job order.
 
-    progress(done, total) reports the summed sizes of the jobs finished. The
-    pool has at most one thread per job, and a single job runs inline. A job's
-    exception reaches the caller as it was raised. If the caller's side
-    raises (progress, or an interrupt while waiting), queued jobs are
-    cancelled and only the running ones are waited for.
+    The sum starts from the first job's result, so jobs may return numbers,
+    arrays or lists (which it concatenates). progress(done, total) reports
+    the summed sizes of the jobs finished, from the calling thread. The pool
+    has at most one thread per job, and a single job runs inline. A job's
+    exception reaches the caller as it was raised, and no later job starts
+    once it has been raised. If the caller's side raises (progress, or an
+    interrupt while waiting), queued jobs are cancelled and only the running
+    ones are waited for.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     total = sum(size for _, size in jobs)
     workers = min(threads, len(jobs))
     arglist = [args for args, _ in jobs]
+    failed = len(jobs)  # the first job that raised; -1 once the caller's side has
+    lock = threading.Lock()
+
+    def run(i):
+        nonlocal failed
+        if i > failed:  # a job before the one that raised still runs: its result is read first
+            raise CancelledError
+        try:
+            return fn(arglist[i])
+        except BaseException:
+            with lock:
+                failed = min(failed, i)
+            raise
+
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = pool.map(fn, arglist) if pool is not None else map(fn, arglist)
-        done = out = 0
+        results = pool.map(run, range(len(jobs))) if pool is not None else map(fn, arglist)
+        done, out = 0, None
         for (_, size), res in zip(jobs, results):
-            out = out + res
+            out = res if out is None else out + res
             done += size
             if progress is not None:
                 progress(done, total)
     finally:
         if pool is not None:  # after the last result nothing is left to cancel
+            failed = -1
             pool.shutdown(cancel_futures=True)
     return out
 
@@ -595,52 +621,71 @@ def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
     return [((*head, a, b), (b - a) * per_index) for a, b in bounds]
 
 
-def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, progress):
-    """Add up job(n, start, stop) over chunks of [0, count); each index is per_index matrices."""
-    jobs = _range_jobs(count, per_index, modulus.n)
+def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, progress, *extra):
+    """Add up job(n, *extra, start, stop) over chunks of [0, count); each index is per_index matrices."""
+    jobs = _range_jobs(count, per_index, modulus.n, *extra)
     counts = _sum_jobs(job, jobs, threads, progress)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
-def _naive_tables(n: int, start: int, stop: int):
-    """Per prefix start..stop-1, the (x, y) part and the z part of its matrices' unreduced index.
+def _naive_keys(n: int):
+    """The naive sweep's tables (key12, key3, T, TT), built once per census.
 
-    Over a prefix with forms (A, B, C, D, E, F), the matrix with first row
-    (x, y, z) has the index perm' w + det', w = 3n - 2, where
-    perm' = (A x mod n) + (B y mod n) + (C z mod n) and det' is the same
+    Over the prefix r = i2 + n^3 i3, second row i2 and third row i3 (base-n
+    digits, least significant first), with forms (A, B, C, D, E, F), the
+    matrix with first row (x, y, z) has the index perm' w + det', w = 3n - 2,
+    where perm' = (A x mod n) + (B y mod n) + (C z mod n) and det' is the same
     sum over D, E, F: perm and det unreduced, each below w, so the index is
-    below w^2. Each entry adds its terms on its own, so the parts are the
-    terms of x and y, shaped (prefixes, n^2) with x major, and those of z,
-    shaped (prefixes, n). They are of the narrowest type that holds
-    w^2 - 1, which also holds the kernel's 3 (n - 1)^2.
+    below w^2. Each entry adds its terms on its own: T[u n + v, x] =
+    (u x mod n) w + (v x mod n), shaped (n^2, n), is the term of an entry x
+    under the coefficient column (u, v), and TT[c1 n^2 + c2, x n + y] =
+    T[c1, x] + T[c2, y], shaped (n^4, n^2), those of x and y together. The
+    keys key12[r] = (A n + D) n^2 + (B n + E) and key3[r] = C n + F then give
+    the index as T[key3[r], z] + TT[key12[r], x n + y].
+
+    The keys are of _int_type(n^4 - 1) and _int_type(n^2 - 1), and are
+    formed by forms over all n^3 second rows against slices of at most
+    max(1, _BLOCK // n^3) third rows. T and TT are of _int_type(w^2 - 1),
+    which holds every index and every product u x < n^2 formed on the way.
     """
     w = 3 * n - 2
-    t = _int_type(w * w - 1)
-    prefix = [v.astype(t)[:, None] for v in _digits(range(start, stop), n, 6)]
-    coeffs = forms(prefix[0:3], prefix[3:6], n)
-    row = np.arange(n, dtype=t)
-    x, y, z = (mod(a * row, n) * w + mod(d * row, n) for a, d in zip(coeffs[:3], coeffs[3:]))
-    return (x[:, :, None] + y[:, None, :]).reshape(len(x), n * n), z
+    t12, t3, t = _int_type(n**4 - 1), _int_type(n * n - 1), _int_type(w * w - 1)
+    key12, key3 = np.empty(n**6, dtype=t12), np.empty(n**6, dtype=t3)
+    row2 = [v[None, :] for v in _digits(range(n**3), n, 3)]
+    step = max(1, _BLOCK // n**3)
+    for s in range(0, n**3, step):
+        row3 = [v[:, None] for v in _digits(range(s, min(s + step, n**3)), n, 3)]
+        A, B, C, D, E, F = forms(row2, row3, n)
+        rows = slice(s * n**3, (s + len(row3[0])) * n**3)
+        key12[rows] = ((A.astype(t12) * n + D) * (n * n) + B * n + E).ravel()
+        key3[rows] = (C.astype(t3) * n + F).ravel()
+    x = np.arange(n, dtype=t)
+    u, v = (c.astype(t)[:, None] for c in np.divmod(np.arange(n * n), n))
+    T = mod(u * x, n) * w + mod(v * x, n)
+    TT = (T[:, None, :, None] + T[None, :, None, :]).reshape(n**4, n * n)
+    return key12, key3, T, TT
 
 
 def _naive_job(args):
     """Every first row against the (row 2, row 3) prefixes start..stop-1, in blocks.
 
-    The prefixes' forms are formed once per job, into the per-prefix index
-    parts of _naive_tables. A block of max(1, 2 _BLOCK // n^3) prefixes, each
-    against all n^3 first rows, is then one add, which lists each of its
-    matrices' unreduced indexes, and one bincount of them. The job's
-    (w, w) tally of unreduced (perm, det), w = 3n - 2, is reduced mod n
-    once at the end, and its unit-determinant columns summed.
+    The job reads the census's _naive_keys tables and makes no per-prefix
+    table of its own. A block of max(1, 2 _BLOCK // n^3) prefixes, each
+    against all n^3 first rows, lists its matrices' unreduced indexes as
+    T.take(key3) + TT.take(key12), one add, and tallies them with one
+    bincount. The job's (w, w) tally of unreduced (perm, det), w = 3n - 2,
+    is reduced mod n once at the end, and its unit-determinant columns
+    summed.
     """
-    n, start, stop = args
+    n, (key12, key3, T, TT), start, stop = args
     w = 3 * n - 2
-    xy, z = _naive_tables(n, start, stop)
     step = max(1, 2 * _BLOCK // n**3)
     joint = np.zeros(w * w, dtype=np.int64)
-    for s in range(0, stop - start, step):
+    for s in range(start, stop, step):
+        block = slice(s, min(s + step, stop))
         # z outermost, so that numpy's inner loop runs along the n^2 (x, y) entries
-        joint += np.bincount((z[s : s + step, :, None] + xy[s : s + step, None, :]).ravel(), minlength=w * w)
+        index = T.take(key3[block], axis=0)[:, :, None] + TT.take(key12[block], axis=0)[:, None, :]
+        joint += np.bincount(index.ravel(), minlength=w * w)
     fold = mod(np.arange(w), n)
     return _tally(fold, joint.reshape(w, w)[:, _unit_mask(n).take(fold)].sum(axis=1), n)
 
@@ -649,11 +694,13 @@ def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountT
     """Exact permanent census by evaluating all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8.
 
     Each matrix is listed and tallied on its own index, with no symmetry
-    used: jobs of _CHUNK matrices run _naive_job.
+    used: the census builds its _naive_keys tables, about 1.3 MB at n = 8,
+    before it dispatches jobs of _CHUNK matrices to _naive_job, and frees
+    them when it returns.
     """
     modulus = _modulus("census_naive", n, scan=9)
     n = modulus.n
-    return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress)
+    return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress, _naive_keys(n))
 
 
 def _two_by_two_job(args):

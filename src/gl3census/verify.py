@@ -11,6 +11,7 @@ count, produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import threading
 import zlib
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -163,23 +164,36 @@ FULL = replace(
 PROFILES = {"quick": QUICK, "full": FULL}
 
 
+class _Once:
+    """make(*key), computed once per key, also when threads ask for one key at the same moment."""
+
+    def __init__(self, make):
+        self.make = make
+        self.values: dict = {}
+        self.locks: dict = {}
+        self.lock = threading.Lock()
+
+    def __call__(self, *key):
+        with self.lock:
+            lock = self.locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self.values:
+                self.values[key] = self.make(*key)
+        return self.values[key]
+
+
 @dataclass
 class _Ctx:
+    """What the checks share: the profile, the seed and the censuses, each computed once.
+
+    Every engine call runs on one thread: the suite gives its threads to
+    whole checks.
+    """
+
     profile: SuiteProfile
-    threads: int
     seed: int
-    censuses: dict[int, CountTable] = field(default_factory=dict)
-    classes: dict[tuple[int, int], oracle.ClassCensus] = field(default_factory=dict)
-
-    def census(self, n: int) -> CountTable:
-        if n not in self.censuses:
-            self.censuses[n] = oracle.census_tiered(n, threads=self.threads)
-        return self.censuses[n]
-
-    def class_census(self, p: int, k: int) -> oracle.ClassCensus:
-        if (p, k) not in self.classes:
-            self.classes[(p, k)] = oracle.class_census(p, k, threads=self.threads)
-        return self.classes[(p, k)]
+    census: _Once = field(default_factory=lambda: _Once(lambda n: oracle.census_tiered(n)))
+    class_census: _Once = field(default_factory=lambda: _Once(lambda p, k: oracle.class_census(p, k)))
 
     def rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
@@ -234,7 +248,7 @@ def _census_matches_closed_form(ctx):
 def _engines_agree(ctx):
     out = []
     for n in ctx.profile.engine_moduli:
-        naive = oracle.census_naive(n, threads=ctx.threads)
+        naive = oracle.census_naive(n)
         out += diff_tables(naive, ctx.census(n), check_id="engine-agreement")
     return out
 
@@ -387,7 +401,7 @@ def _class_counts(ctx):
 def _case_table(ctx):
     out = []
     for p in ctx.profile.case_primes:
-        observed = oracle.case_census(p, threads=ctx.threads)
+        observed = oracle.case_census(p)
         for want, got in zip(closed_form.case_rows(p), observed.rows):
             if want.key != got.key:
                 raise RuntimeError(f"case census row {got.key} at p = {p} does not match {want.key}")
@@ -416,7 +430,7 @@ def _case_table(ctx):
 def _emptiness(ctx):
     out = []
     for p, k in ctx.profile.emptiness_moduli:
-        rep = structure_maps.emptiness_scan(p, k, threads=ctx.threads)
+        rep = structure_maps.emptiness_scan(p, k)
         out.append(result("emptiness", 0, rep.violations, p=p, k=k))
         out.append(
             result(
@@ -700,7 +714,6 @@ def _shift_bijection(ctx):
             population=full,
             sample=ctx.profile.shift_sample,
             seed=ctx.seed,
-            threads=ctx.threads,
         )
         if full:
             out.append(result("shift-population", ctx.census(n)[0], checked, p=p, k=k))
@@ -855,7 +868,7 @@ def _partition(ctx):
 def _two_by_two(ctx):
     out = []
     for p in ctx.profile.two_by_two_primes:
-        ct = oracle.census_2x2(p, threads=ctx.threads)
+        ct = oracle.census_2x2(p)
         out.append(
             result("two-by-two-zero", closed_form.count2_prime(p, 0), ct[0], p=p)
         )
@@ -909,20 +922,36 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     progress=None,
 ) -> list[CheckResult]:
-    """Run every check in the profile; returns results in canonical order."""
+    """Run every check in the profile; returns results in canonical order.
+
+    The checks run as jobs of oracle._sum_jobs, whole checks side by side
+    on up to threads threads, taken up in registration order; at threads = 1
+    they run inline, one after another. Each engine call inside a check runs
+    on one thread: small numpy calls from two threads hand the interpreter
+    lock to each other, so a thread given a whole check loses less than a
+    census split across threads. The censuses the checks share are computed
+    once each (_Ctx), and the report does not depend on threads.
+    progress(i, total, tag) is called from the calling thread for i = 0 to
+    total - 1 in registration order, check i's tick once every check before
+    it has returned, then (total, total, "done"). A check or a progress
+    callback that raises stops the checks not yet started.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; known profiles: {', '.join(PROFILES)}")
     prof = PROFILES[profile] if isinstance(profile, str) else profile
-    ctx = _Ctx(profile=prof, threads=threads, seed=seed)
-    results: list[CheckResult] = []
-    for i, (tag, fn) in enumerate(_CHECKS):
-        if progress is not None:
-            progress(i, len(_CHECKS), tag)
-        results.extend(fn(ctx))
+    ctx = _Ctx(profile=prof, seed=seed)
+    tags = [tag for tag, _ in _CHECKS] + ["done"]
+    tick = None
     if progress is not None:
-        progress(len(_CHECKS), len(_CHECKS), "done")
+        progress(0, len(_CHECKS), tags[0])
+
+        def tick(done, total):
+            progress(done, total, tags[done])
+
+    jobs = [(fn, 1) for _, fn in _CHECKS]
+    results = oracle._sum_jobs(lambda fn: fn(ctx), jobs, threads, tick)
     results.sort(key=lambda r: (r.check_id, r.to_json()))
     gaps = coverage_gaps(results)
     if gaps:

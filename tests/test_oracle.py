@@ -525,10 +525,11 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
 
 
 def test_naive_job_memory_is_bounded_by_the_block_budget():
-    # a job spans _CHUNK matrices, 2,048 prefixes at n = 8. It holds their
-    # index parts (2,048 x 72 int16 entries) and one block of 256 prefixes x
-    # 512 first rows at a time: tracemalloc puts its peak at 1.62 MB
-    (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8)
+    # a job spans _CHUNK matrices, 2,048 prefixes at n = 8, and reads the
+    # census's key tables. It holds one block of 256 prefixes x 512 first
+    # rows at a time, 256 kB of int16 indexes and bincount's int64 copy of
+    # them: tracemalloc puts its peak at 1.32 MB
+    (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8, oracle._naive_keys(8))
     assert size == oracle._CHUNK
     tracemalloc.start()
     try:
@@ -539,26 +540,46 @@ def test_naive_job_memory_is_bounded_by_the_block_budget():
     assert peak < 4 * oracle._BLOCK * 8
 
 
+def test_naive_keys_are_built_in_slices_of_the_block_budget():
+    # at n = 8 the tables hold 1.31 MB: key12 and TT of 8^6 and 8^4 x 8^2
+    # int16 entries, key3 of 8^6 int8 ones and T of 8^2 x 8. They are formed
+    # from slices of 128 third rows against the 512 second rows, _BLOCK
+    # entries each: forms' six int16 arrays, and with the temporaries of forms
+    # and of the keys at most twelve such arrays at a time. tracemalloc puts
+    # the peak at 2.63 MB
+    tracemalloc.start()
+    try:
+        tables = oracle._naive_keys(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.nbytes for t in tables) == 2 * 8**6 * 2 + 8**6 + 8**3 * 2
+    assert peak < sum(t.nbytes for t in tables) + 12 * oracle._BLOCK * 2
+
+
 def test_naive_index_type_holds_the_largest_raw_index():
     # the sweep tallies each matrix by its unreduced index perm' w + det',
     # w = 3n - 2, where perm' = (A x mod n) + (B y mod n) + (C z mod n) over
     # the prefix's forms and det' likewise with D, E, F. Each is at most
     # 3 (n - 1) = w - 1, so the index is at most w^2 - 1, which the type of
-    # the sweep's tables must hold; n = 9 is swept in test_bounds_are_enforced.
-    # On seeded prefixes the tables must give that index, as computed in
-    # Python ints.
+    # the term tables T and TT must hold, as the key types must hold the
+    # largest keys, n^4 - 1 and n^2 - 1; n = 9 is swept in
+    # test_bounds_are_enforced. On seeded prefixes T[key3] + TT[key12] must
+    # give that index, as computed in Python ints.
     rng = np.random.default_rng(9)
     for n in range(1, 10):
         w = 3 * n - 2
+        key12, key3, T, TT = oracle._naive_keys(n)
+        assert np.iinfo(key12.dtype).max >= n**4 - 1 and np.iinfo(key3.dtype).max >= n**2 - 1, n
+        assert T.dtype == TT.dtype and np.iinfo(T.dtype).max >= w * w - 1, n
+        assert key12.shape == key3.shape == (n**6,) and T.shape == (n * n, n) and TT.shape == (n**4, n * n)
         x = np.arange(n, dtype=np.int64)
         for r in rng.integers(0, n**6, size=8).tolist():
-            xy, z = oracle._naive_tables(n, r, r + 1)
-            assert xy.dtype == z.dtype and np.iinfo(xy.dtype).max >= w * w - 1, n
             digits = [r // n**i % n for i in range(6)]
             A, B, C, D, E, F = forms(digits[0:3], digits[3:6], n)
             perm = (A * x % n)[:, None, None] + (B * x % n)[None, :, None] + (C * x % n)[None, None, :]
             det = (D * x % n)[:, None, None] + (E * x % n)[None, :, None] + (F * x % n)[None, None, :]
-            got = xy.reshape(n, n, 1).astype(np.int64) + z.reshape(1, 1, n)
+            got = TT[key12[r]].reshape(n, n, 1).astype(np.int64) + T[key3[r]].reshape(1, 1, n)
             assert np.array_equal(got, perm * w + det), (n, r)
             assert got.max() <= w * w - 1
 
@@ -773,6 +794,34 @@ def test_job_exception_reaches_the_caller_unwrapped(error):
     with pytest.raises(error) as info:
         oracle._sum_jobs(job, [(i, 1) for i in range(10)], 3, None)
     assert info.value is raised
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_job_lists_are_concatenated_in_job_order(threads):
+    def job(i):
+        time.sleep(0.01 * (i % 2))  # odd jobs finish after the even job behind them
+        return [i, i]
+
+    got = oracle._sum_jobs(job, [(i, 1) for i in range(6)], threads, None)
+    assert got == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+def test_no_later_job_starts_once_a_job_has_raised():
+    # job 0 holds one thread while job 1 raises on the other; that thread
+    # then takes up jobs 2 and 3 but must not run them
+    started, raised = [], JobFailed("job 1")
+
+    def job(i):
+        started.append(i)
+        if i == 1:
+            raise raised
+        time.sleep(0.2 if i == 0 else 0)
+        return i
+
+    with pytest.raises(JobFailed) as info:
+        oracle._sum_jobs(job, [(i, 1) for i in range(4)], 2, None)
+    assert info.value is raised
+    assert sorted(started) == [0, 1]
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -3,8 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -78,7 +81,7 @@ def test_corrupted_formula_is_detected(monkeypatch):
         return real(p) + (1 if p == 3 else 0)
 
     monkeypatch.setattr(closed_form, "count_prime_zero", broken)
-    ctx = verify._Ctx(profile=verify.QUICK, threads=1, seed=verify.DEFAULT_SEED)
+    ctx = verify._Ctx(profile=verify.QUICK, seed=verify.DEFAULT_SEED)
     results = verify._zero_count_branches(ctx)
     assert any(not r.passed for r in results)
 
@@ -86,7 +89,7 @@ def test_corrupted_formula_is_detected(monkeypatch):
 def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
     # each block of _BLOCK samples is drawn in the kernel's type, so the check
     # never holds the whole (9, samples) int64 draw
-    ctx = verify._Ctx(profile=verify.FULL, threads=1, seed=verify.DEFAULT_SEED)
+    ctx = verify._Ctx(profile=verify.FULL, seed=verify.DEFAULT_SEED)
     tracemalloc.start()
     try:
         results = verify._subperm_identity(ctx)
@@ -420,6 +423,108 @@ def test_quick_suite_passes_and_is_thread_independent():
     assert verify.to_json_lines(one) == verify.to_json_lines(two)
 
 
+ENGINES = (
+    (oracle, "census_tiered"),
+    (oracle, "class_census"),
+    (oracle, "census_naive"),
+    (oracle, "case_census"),
+    (oracle, "census_2x2"),
+    (structure_maps, "emptiness_scan"),
+    (verify, "shift_round_trip"),
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_suite_computes_each_census_once_on_one_thread(monkeypatch, threads):
+    # the checks share the tiered and class censuses, computed once per
+    # modulus; every engine call inside the suite runs on one thread
+    calls = {name: [] for _, name in ENGINES}
+    for module, name in ENGINES:
+
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name].append((args, kwargs.get("threads", 1)))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert all(r.passed for r in verify.run_suite("quick", threads=threads))
+    assert all(t == 1 for made in calls.values() for _, t in made), calls
+    tiered = sorted(args for args, _ in calls["census_tiered"])
+    classes = sorted(args for args, _ in calls["class_census"])
+    assert tiered and tiered == sorted(set(tiered))
+    assert classes == sorted({*verify.QUICK.class_moduli, *verify.QUICK.shift_pairs})
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_suite_progress_ticks_in_registration_order(threads):
+    here, ticks = threading.get_ident(), []
+
+    def progress(i, total, tag):
+        assert threading.get_ident() == here
+        ticks.append((i, total, tag))
+
+    verify.run_suite("quick", threads=threads, progress=progress)
+    total = len(verify._CHECKS)
+    assert ticks == [(i, total, tag) for i, (tag, _) in enumerate(verify._CHECKS)] + [(total, total, "done")]
+
+
+class CheckFailed(Exception):
+    pass
+
+
+def test_raising_check_stops_the_checks_after_it(monkeypatch):
+    # on two threads the first check holds one thread while the second
+    # raises on the other, which must start none of the checks after it
+    started, raised = [], CheckFailed("second check")
+
+    def hold(ctx):
+        started.append("hold")
+        time.sleep(0.2)
+        return []
+
+    def fail(ctx):
+        started.append("fail")
+        raise raised
+
+    def later(ctx):
+        started.append("later")
+        return []
+
+    checks = [("hold", hold), ("fail", fail), ("later-1", later), ("later-2", later)]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    with pytest.raises(CheckFailed) as info:
+        verify.run_suite("quick", threads=2)
+    assert info.value is raised
+    assert sorted(started) == ["fail", "hold"]
+
+
+def test_ctx_computes_a_census_once_when_threads_ask_together(monkeypatch):
+    # more threads than cores, frequent switches: eight threads ask for
+    # three moduli at once, and each census is made once
+    made = []
+
+    def census_tiered(n):
+        made.append(n)
+        time.sleep(0.01)
+        return n * n
+
+    monkeypatch.setattr(oracle, "census_tiered", census_tiered)
+    ctx = verify._Ctx(profile=verify.QUICK, seed=verify.DEFAULT_SEED)
+    barrier = threading.Barrier(8)
+
+    def ask(n):
+        barrier.wait(timeout=10)
+        return ctx.census(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(ask, [5, 5, 5, 7, 7, 9, 5, 9], timeout=10))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [25, 25, 25, 49, 49, 81, 25, 81] and sorted(made) == [5, 7, 9]
+
+
 def test_render_table_summarizes():
     results = [verify.result("demo", 1, 1, p=3), verify.result("demo", 1, 2, p=5)]
     text = verify.render_table(results)
@@ -453,7 +558,7 @@ member = structure_maps.witness(ClassLabel.C11, 3, 2)
 shift_check = raises(lambda: structure_maps.psi_shift(member, 3, 3))
 
 closed_form.case_rows = lambda p: tuple(reversed(real_rows(p)))
-ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), threads=1, seed=0)
+ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), seed=0)
 key_check = raises(lambda: verify._case_table(ctx))
 
 # first-row orbit sizes off by one make the left-over class tallies mod 9 inexact
