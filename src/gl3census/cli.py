@@ -4,10 +4,11 @@ Subcommands: eval (closed-form count), oracle (exhaustive census), table
 (reproduce the class and case tables), verify (run the cross-check suite).
 Exit codes: 0 success, 1 verification failures (including a table --check
 row that disagrees), 2 usage error, 3 census bound exceeded (oracle's
-INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 a failed
-census worker or out of memory. --threads sets the number of worker threads,
-by default the CPUs this process may run on: oracle and table give them to
-each census's jobs, verify to whole checks, which run side by side with each
+INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 out of
+memory, or a census, one of its workers or a check that fails its own
+invariant (a RuntimeError). --threads sets the number of worker threads, by
+default the CPUs this process may run on: oracle and table give them to each
+census's jobs, verify to whole checks, which run side by side with each
 census inside them on one thread. Output carries no timestamps, so
 identical invocations produce identical bytes.
 """
@@ -18,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from . import closed_form, oracle, verify
 from .matrices import CLASS_LABELS
@@ -260,11 +260,11 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.CensusTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BrokenExecutor as exc:
-        print(f"error: a census worker failed: {exc}", file=sys.stderr)
-        return 4
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 4
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

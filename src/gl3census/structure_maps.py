@@ -196,13 +196,14 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     lists the members with none, whose pivot is in row 2. So each member of
     G(p^k, 0) is listed once, over one prefix of one grid, and nothing else
     is, with no reduction by symmetry. The prefixes go in blocks of
-    oracle._CHUNK // _prefix_charge(n), about 2 oracle._CHUNK / n^2 (at
-    least one), verify.shift_round_trip's job split. The digits of each
-    block are listed once, and both grids run on them in turn: the head
-    grid's block tables are freed before the left-over grid builds its
-    own. Each grid forms its per-prefix basis over each half of the block
-    (_in_halves), which bounds the basis's intermediates, and cuts its
-    batches from the whole block, so that few batches are partly full.
+    _block_prefixes(n), about 2 oracle._CHUNK / n^2 prefixes, one block at
+    a time and in order; the blocks are the population's only split. The
+    digits of each block are listed once, and both grids run on them in
+    turn: the head grid's block tables are freed before the left-over grid
+    builds its own. Each grid forms its per-prefix basis over each half of
+    the block (_in_halves), which bounds the basis's intermediates, and
+    cuts its batches from the whole block, so that few batches are partly
+    full and the numpy calls per member stay few.
 
     A batch is a list of the nine row-major entries: the solved row's three
     are (L, G) arrays, the L members over each prefix down its column, and
@@ -239,24 +240,19 @@ def _member_type(n: int) -> type[np.unsignedinteger]:
     return np.min_scalar_type(3 * (n - 1) ** 2).type
 
 
-def _prefix_charge(n: int) -> int:
-    """The matrices a prefix is charged in the population's job split: n^2 // 2 (at least one).
-
-    verify.shift_round_trip's jobs of oracle._CHUNK charged matrices are
-    then zero_perm_members's blocks of about 2 oracle._CHUNK / n^2
-    prefixes, whose halves the grids form their bases over.
-    """
-    return max(1, n**2 // 2)
+def _block_prefixes(n: int) -> int:
+    """Prefixes per block of zero_perm_members: oracle._CHUNK // (n^2 // 2), each at least one."""
+    return max(1, oracle._CHUNK // max(1, n**2 // 2))
 
 
 def _prefix_blocks(n: int, prefixes: range):
-    """The six base-n digits, in _member_type(n), of each block of oracle._CHUNK // _prefix_charge(n) prefixes.
+    """The six base-n digits, in _member_type(n), of each block of _block_prefixes(n) prefixes.
 
     Each grid widens them to oracle._kernel_type(n) for its basis
     (_in_halves), so that a block holds only its member-type digits between
     the two grids.
     """
-    step = max(1, oracle._CHUNK // _prefix_charge(n))
+    step = _block_prefixes(n)
     for start in range(prefixes.start, prefixes.stop, step):
         block = range(start, min(start + step, prefixes.stop))
         yield [v.astype(_member_type(n)) for v in oracle._digits(block, n, 6)]

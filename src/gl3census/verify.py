@@ -591,19 +591,6 @@ def _shift_verify(e, n, p, shifts, inv_table):
     return violations
 
 
-def _shift_population_job(args):
-    """(members, violations per shift) over the prefixes start..stop-1, as an int64 vector."""
-    p, k, start, stop = args
-    n = p**k
-    shifts = range(0, n, p)
-    inv_table = oracle._inverse_table(n)
-    out = np.zeros(1 + len(shifts), dtype=np.int64)
-    for e in structure_maps.zero_perm_members(p, k, range(start, stop)):
-        out[0] += np.broadcast(*e).size
-        out[1:] += list(_shift_verify(e, n, p, shifts, inv_table).values())
-    return out
-
-
 def shift_round_trip(
     p: int,
     k: int,
@@ -611,7 +598,6 @@ def shift_round_trip(
     population: bool = True,
     sample: int = 10_000,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> tuple[int, dict[int, int]]:
     """Verify the pivot-shift maps on members of G(p^k, 0), for every p | x.
 
@@ -645,18 +631,8 @@ def shift_round_trip(
     batch and every label part goes through one verifier, _shift_verify,
     which takes batches of one label only: it expands each along its pivot
     row on the forms of the other two rows, formed once per prefix, so a
-    shift moves one entry.
-
-    The n^6 prefixes are split into jobs of about 2 oracle._CHUNK / n^2
-    prefixes (oracle._range_jobs, charging each prefix
-    structure_maps._prefix_charge(n) = n^2 // 2 matrices), the grids' own
-    blocks. Jobs that large keep the batches full, and so the number of
-    numpy calls, each of which takes the interpreter lock, low per member:
-    on 2 threads the check's time follows that number, not the bytes each
-    call moves.
-    The jobs run on up to threads threads through oracle._sum_jobs, which
-    adds their (members, violations per shift) vectors in job order, so the
-    result does not depend on threads.
+    shift moves one entry. One loop adds up the members and the violations
+    per shift of either source's batches, on the calling thread.
     """
     oracle._check_bound("shift_round_trip", p, k, scan=8 * k if population else 0)
     if not is_prime(p) or p == 2:
@@ -665,26 +641,23 @@ def shift_round_trip(
         raise ValueError(f"exponent must be >= 1, got {k}")
     if sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n = p**k
-    shifts = list(range(0, n, p))
-    if not population:
+    if population:
+        batches = structure_maps.zero_perm_members(p, k)
+    else:
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
         e = _sample_matrices(rng, n, sample, n)
         lab, _ = first_unit(perm_det_subperms(e, n)[2:], p)
         e = e.astype(structure_maps._member_type(n))
-        viols = dict.fromkeys(shifts, 0)
-        inv_table = oracle._inverse_table(n)
-        for c in range(len(CLASS_LABELS)):
-            part = e[:, lab == c]
-            if part.shape[1]:
-                for x, v in _shift_verify(part, n, p, shifts, inv_table).items():
-                    viols[x] += v
-        return e.shape[1], viols
-    jobs = oracle._range_jobs(n**6, structure_maps._prefix_charge(n), p, k)
-    checked, *viols = oracle._sum_jobs(_shift_population_job, jobs, threads, None).tolist()
-    return checked, dict(zip(shifts, viols))
+        batches = [e[:, lab == c] for c in range(len(CLASS_LABELS)) if (lab == c).any()]
+    shifts = list(range(0, n, p))
+    inv_table = oracle._inverse_table(n)
+    checked, viols = 0, dict.fromkeys(shifts, 0)
+    for batch in batches:
+        checked += np.broadcast(*batch).size
+        for x, v in _shift_verify(batch, n, p, shifts, inv_table).items():
+            viols[x] += v
+    return checked, viols
 
 
 @_check("shift-bijection")

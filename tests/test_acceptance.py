@@ -162,7 +162,7 @@ def test_criterion_7_structural_checks(census, classes):
         for x in range(0, p**k, p):
             for lab in CLASS_LABELS:
                 shift_ok = shift_ok and cc.count(x, lab) == cc.count(0, lab)
-        checked, viols = verify.shift_round_trip(p, k, population=True, threads=THREADS)
+        checked, viols = verify.shift_round_trip(p, k, population=True)
         shift_ok = shift_ok and checked == census(p**k)[0]
         shift_ok = shift_ok and all(v == 0 for v in viols.values())
 

@@ -1,12 +1,11 @@
 import dataclasses
 import json
 import os
-from concurrent.futures.thread import BrokenThreadPool
 
 import pytest
 
 from gl3census import oracle
-from gl3census import cli
+from gl3census import cli, verify
 from gl3census.cli import main
 
 
@@ -197,7 +196,7 @@ def test_table_check_disagreement_exits_one(monkeypatch, capsys, section):
     assert run(capsys, *argv)[0] == 0
 
 
-@pytest.mark.parametrize("failure", [BrokenThreadPool("a worker died"), MemoryError()])
+@pytest.mark.parametrize("failure", [RuntimeError("a census failed its own check"), MemoryError()])
 def test_failed_worker_exit_four(monkeypatch, capsys, failure):
     def census_tiered(*args, **kwargs):
         raise failure
@@ -249,6 +248,37 @@ def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
     assert len(oracle._orbit_jobs(5, False)) > 1
     assert main(["oracle", "5", "--threads", "2"]) == 4
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_runtime_error_in_a_pool_job_exits_four(monkeypatch, capsys):
+    # an engine's self-check that fails inside a job, on two threads: one
+    # stderr line and exit 4, not a traceback
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+
+    def tiered_job(args):
+        raise RuntimeError("row orbits mod 5 cover too few rows")
+
+    monkeypatch.setattr(oracle, "_tiered_job", tiered_job)
+    assert len(oracle._orbit_jobs(5, False)) > 1
+    code = main(["oracle", "5", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: row orbits mod 5 cover too few rows\n"
+
+
+def test_runtime_error_in_a_verify_check_exits_four(monkeypatch, capsys):
+    # a check that fails its own invariant is not a failed verify check (exit 1)
+    def fine(ctx):
+        return []
+
+    def broken(ctx):
+        raise RuntimeError("a shift batch must have one label")
+
+    monkeypatch.setattr(verify, "_CHECKS", [("fine", fine), ("broken", broken)])
+    code = main(["verify", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: a shift batch must have one label\n"
 
 
 ALL_THREADS_ARGV = (["oracle", "5"], ["table", "--section", "4.2"], ["verify"])

@@ -678,8 +678,10 @@ def _dispatched(*args):
 def test_size_rules_follow_from_their_arithmetic(monkeypatch):
     # the int64 tallies reach n^9
     assert oracle.INT64_CEILING**9 < 2**63 <= (oracle.INT64_CEILING + 1) ** 9
-    # the scan budget admits each brute-force scan at its bound
+    # the scan budget admits each brute-force scan at its bound; the shift
+    # population starts by listing its members
     monkeypatch.setattr(oracle, "_sum_jobs", _dispatched)
+    monkeypatch.setattr(sm, "zero_perm_members", _dispatched)
     calls = [
         lambda: oracle.census_naive(8),
         lambda: oracle.census_2x2(107),
@@ -699,8 +701,9 @@ def test_size_rules_follow_from_their_arithmetic(monkeypatch):
 def test_every_engine_refuses_one_past_its_bound(monkeypatch):
     # 127^9 < 2^63 <= 128^9 for the orbit engines and the sampled shift check,
     # n^9, n^4, p^(9(k - 1)) and n^8 matrices within 2^27 for the scans:
-    # refused before any job is dispatched or any matrix sampled
+    # refused before any job is dispatched, any member listed or any matrix sampled
     monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("enumeration started"))
+    monkeypatch.setattr(sm, "zero_perm_members", lambda *args: pytest.fail("enumeration started"))
     a = sm.witness(ClassLabel.C12, 3)
     calls = [
         ("n <= 127", lambda: oracle.census_tiered(128)),
@@ -844,8 +847,7 @@ def test_parallel_censuses_are_deterministic():
 def test_threads_share_tables_built_before_dispatch(monkeypatch):
     # more jobs and threads than cores, frequent switches: every cached table
     # a job reads is built once, before the jobs are dispatched. _CHUNK = 1
-    # gives one live first-row triple per orbit job, and 25,000 the shift
-    # population 16 jobs of 1,000 prefixes, which read no cached table
+    # gives one live first-row triple per orbit job
     orbit_tables = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
     cases = [
         (1, orbit_tables, lambda: oracle.census_tiered(7, threads=4).counts, CENSUS3[7]),
@@ -854,12 +856,6 @@ def test_threads_share_tables_built_before_dispatch(monkeypatch):
             (*orbit_tables, oracle._valuations),
             lambda: oracle.class_census(3, 2, threads=4).counts,
             oracle.class_census(3, 2).counts,
-        ),
-        (
-            25_000,
-            (),
-            lambda: verify.shift_round_trip(5, 1, threads=4),
-            (oracle.census_tiered(5)[0], {0: 0}),
         ),
     ]
     real_sum_jobs, at_dispatch = oracle._sum_jobs, []

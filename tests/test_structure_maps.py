@@ -281,7 +281,7 @@ def test_full_head_batches_hold_four_blocks_of_members():
     # 4 _BLOCK members less what a prefix's 54 members leave over; its
     # left-over prefixes (18 members each) stay within 2 _BLOCK members
     n = 9
-    step = oracle._CHUNK // sm._prefix_charge(n)
+    step = sm._block_prefixes(n)
     sizes = {"head": [], "left-over": []}
     for e in sm.zero_perm_members(3, 2, range(9 * step, 10 * step)):
         sizes[grid(e)].append(np.broadcast(*e).size)
@@ -402,7 +402,7 @@ def test_each_block_is_listed_once_for_both_grids(monkeypatch):
     # over the halves of a block, and the head grid's block tables gone
     # before the left-over grid builds its own
     monkeypatch.setattr(oracle, "_CHUNK", 100 * 81)
-    step = oracle._CHUNK // sm._prefix_charge(9)
+    step = sm._block_prefixes(9)
     assert step == 202
     prefixes = range(64_000, 64_450)
     real_digits, real_parts, real_basis = oracle._digits, sm._in_halves, sm._member_basis

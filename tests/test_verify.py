@@ -21,7 +21,6 @@ from support import (
     grid,
     label_pivot,
     materialize,
-    member_groups,
     shift_verify_members_by_scatter,
 )
 
@@ -109,21 +108,22 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
     assert all(r.actual > 0 for r in verify._subperm_identity(ctx))
 
 
-def test_shift_population_job_holds_one_block_at_a_time():
-    # job 9 of (3, 2), 1,153,872 members, peaks within 1 kB of the highest
-    # of the scan's 21 jobs: each holds a full head batch of 4 _BLOCK
+def test_shift_population_job_holds_one_block_at_a_time(monkeypatch):
+    # block 9 of (3, 2), 1,153,872 members, peaks within 1 kB of the highest
+    # of the scan's 21 blocks: each holds a full head batch of 4 _BLOCK
     # one-byte members, and its left-over batches hold at most 2 _BLOCK.
-    # tracemalloc puts its peak at 3.02 MB with the job's per-prefix
-    # arrays (3.37 MB for the jobs of half as many prefixes and 2 _BLOCK
+    # tracemalloc puts its peak at 3.02 MB with the block's per-prefix
+    # arrays (3.37 MB for blocks of half as many prefixes and 2 _BLOCK
     # int16 batches before one-byte members)
-    args, _ = oracle._range_jobs(9**6, structure_maps._prefix_charge(9), 3, 2)[9]
+    step, real = structure_maps._block_prefixes(9), structure_maps.zero_perm_members
+    monkeypatch.setattr(structure_maps, "zero_perm_members", lambda p, k: real(p, k, range(9 * step, 10 * step)))
     tracemalloc.start()
     try:
-        out = verify._shift_population_job(args)
+        out = verify.shift_round_trip(3, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.tolist() == [1_153_872, 0, 0, 0]
+    assert out == (1_153_872, {0: 0, 3: 0, 6: 0})
     assert peak < 9 * oracle._BLOCK * 8
 
 
@@ -140,15 +140,6 @@ def test_shift_round_trip_rejects_empty_sample(monkeypatch, sample):
     monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
     with pytest.raises(ValueError, match="sample must be >= 1"):
         verify.shift_round_trip(3, 1, population=False, sample=sample)
-
-
-@pytest.mark.parametrize("population", [False, True])
-@pytest.mark.parametrize("threads", [0, -1])
-def test_shift_round_trip_rejects_threads_below_one(monkeypatch, population, threads):
-    monkeypatch.setattr(verify, "_sample_matrices", lambda *args: pytest.fail("sampler reached"))
-    monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("jobs dispatched"))
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        verify.shift_round_trip(3, 1, population=population, threads=threads)
 
 
 def test_unknown_profile_refused_naming_the_known_ones(monkeypatch):
@@ -217,12 +208,12 @@ def test_member_path_values_fit_the_member_type_at_ten(monkeypatch, p):
     assert max(int(a.max()) for a in seen[np.int64]) == 3 * (n - 1) ** 2
 
 
-def middle_job_batches(p, k):
-    """The prefix range of the middle job of shift_round_trip(p, k), and its zero_perm_members batches."""
+def middle_block_batches(p, k):
+    """The zero_perm_members batches of the middle block of the population of G(p^k, 0)."""
     n = p**k
-    jobs = oracle._range_jobs(n**6, structure_maps._prefix_charge(n), p, k)
-    (_, _, start, stop), _ = jobs[len(jobs) // 2]
-    return start, stop, list(structure_maps.zero_perm_members(p, k, range(start, stop)))
+    step = structure_maps._block_prefixes(n)
+    start = (-(-(n**6) // step) // 2) * step
+    return list(structure_maps.zero_perm_members(p, k, range(start, min(start + step, n**6))))
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -235,7 +226,7 @@ def test_shift_check_matches_the_scatter_reference(p, k):
     shifts = list(range(0, n, p))
     rng = np.random.default_rng([p, k])
     found = {"members": 0, "pivot moved": 0, "redrawn": 0}
-    batches = middle_job_batches(p, k)[2]
+    batches = middle_block_batches(p, k)
     picked = [e for e in batches if grid(e) == "head"][:2] + [e for e in batches if grid(e) == "left-over"][:2]
     assert len(picked) == 4
     for batch in picked:
@@ -286,15 +277,16 @@ def grid_variants(batch, n, p):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
-    # every batch of the middle job, plain and with one pivot entry moved; with
+    # every batch of the middle block, plain and with one pivot entry moved; with
     # a prefix of pivots in the other row mixed in, or a head batch's prefix
     # of another row-1 label, it is refused, and its members split by label
-    # match the reference. Then the job under an inverse table that is off by
-    # one, which only a shift by x != 0 reads. A plain batch has one label
+    # match the reference. Then shift_round_trip over the block, under an
+    # inverse table that is off by one, which only a shift by x != 0 reads. A
+    # plain batch has one label
     n = p**k
     shifts = list(range(0, n, p))
     inv = oracle._inverse_table(n)
-    start, stop, batches = middle_job_batches(p, k)
+    batches = middle_block_batches(p, k)
     found = {"members": 0, "pivot moved": 0, "mixed": 0, "relabelled": 0}
     # a moved row-2 pivot entry can give its member a unit among P11, P12, P13
     want_parts = {"members": {1}, "pivot moved": {1, 2}, "mixed": {2, 3, 4, 5}, "relabelled": {2}}
@@ -321,15 +313,14 @@ def test_grid_check_matches_the_scatter_reference(monkeypatch, p, k):
         inverse = [pow(v, -1, n) if v % p else 0 for v in range(n)]
         return ((np.array(inverse) + 1) % n).astype(oracle._kernel_type(n))
 
-    # the job checks the batches above; the grids' own inverses stay right
+    # shift_round_trip checks the batches above; the grids' own inverses stay right
     monkeypatch.setattr(structure_maps, "zero_perm_members", lambda *args: iter(batches))
     monkeypatch.setattr(oracle, "_inverse_table", off_by_one)
     bad = off_by_one(n)
     found = [shift_verify_members_by_scatter(materialize(e), n, p, shifts, bad) for e in batches]
-    want = [sum(f[x] for f in found) for x in shifts]
-    got = verify._shift_population_job((p, k, start, stop))
-    assert got.tolist() == [sum(np.broadcast(*e).size for e in batches), *want]
-    assert (sum(want) > 0) == (n > p)  # at k = 1 the only shift is x = 0
+    want = {x: sum(f[x] for f in found) for x in shifts}
+    assert verify.shift_round_trip(p, k) == (sum(np.broadcast(*e).size for e in batches), want)
+    assert (sum(want.values()) > 0) == (n > p)  # at k = 1 the only shift is x = 0
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -396,23 +387,30 @@ def test_decided_images_are_expanded_on_the_members_own_forms(monkeypatch):
         assert all(a.dtype == oracle._kernel_type(n) and np.array_equal(a, b) for a, b in zip([*r1, *r2], want)), name
 
 
-def test_shift_population_on_three_jobs_does_not_depend_on_threads():
-    # three ranges of 12,945 prefixes at (3, 2), each half a job, hold every
-    # label group of both grids
-    jobs = oracle._range_jobs(9**6, 9**2, 3, 2)[4:7]
-    groups = member_groups(3, 2, range(jobs[0][0][2], jobs[-1][0][3]))
-    assert len(groups) == 5 and all(count > 0 for count in groups.values())
-    results = [oracle._sum_jobs(verify._shift_population_job, jobs, t, None).tolist() for t in (1, 2, 3)]
-    assert results[0][0] > 0 and results[0][1:] == [0, 0, 0]
-    assert results[1] == results[0] and results[2] == results[0]
-
-
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1)])
-def test_shift_population_does_not_depend_on_threads(p, k):
-    results = [verify.shift_round_trip(p, k, threads=t) for t in (1, 2, 3)]
-    assert results[0][0] == oracle.census_tiered(p**k)[0]
-    assert results[0][1] == {x: 0 for x in range(0, p**k, p)}
-    assert results[1] == results[0] and results[2] == results[0]
+def test_shift_population_is_the_census_at_zero(p, k):
+    checked, viols = verify.shift_round_trip(p, k)
+    assert checked == oracle.census_tiered(p**k)[0]
+    assert viols == {x: 0 for x in range(0, p**k, p)}
+
+
+@pytest.mark.parametrize("p,chunk,blocks", [(3, oracle._CHUNK, 1), (5, oracle._CHUNK, 1), (3, 1000, 3), (5, 1000, 189)])
+def test_shift_population_blocks_tile_every_prefix_in_order(monkeypatch, p, chunk, blocks):
+    # the population's blocks are its only split: listed in order, each of
+    # _block_prefixes(n) prefixes but the last, with no gap or overlap
+    want = oracle.census_tiered(p)[0]
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    real_digits, listed = oracle._digits, []
+
+    def spy_digits(idx, n, k):
+        listed.append((idx.start, idx.stop))
+        return real_digits(idx, n, k)
+
+    monkeypatch.setattr(oracle, "_digits", spy_digits)
+    assert verify.shift_round_trip(p, 1) == (want, {0: 0})
+    step = structure_maps._block_prefixes(p)
+    assert listed == [(s, min(s + step, p**6)) for s in range(0, p**6, step)]
+    assert len(listed) == blocks
 
 
 def test_quick_suite_passes_and_is_thread_independent():
