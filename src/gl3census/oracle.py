@@ -83,8 +83,11 @@ _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
 # array elements per vectorized block of the orbit pass; the naive sweep
 # takes 2 _BLOCK, and builds its per-census keys from slices of _BLOCK, and
 # the shift population's one-byte batches 4 _BLOCK (head) and 2 _BLOCK
-# (left-over) members. Bounds the memory of each
+# (left-over) members. Bounds the memory of each such step: its temporaries
+# hold a few _BLOCK elements, whatever n and the chunk size.
 _BLOCK = 1 << 16
+# int8, then twice the bits per type: _int_type indexes this by bit width
+_INT_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 class CensusTooLarge(ValueError):
@@ -210,15 +213,17 @@ def _inverse_table(n: int) -> np.ndarray:
 
 
 def _int_type(bound: int) -> type[np.signedinteger]:
-    """The narrowest signed numpy integer type that holds every value in [-bound, bound].
+    """The narrowest signed numpy integer type that holds every value in [-bound, bound], bound >= 0.
 
-    Callers pass the largest intermediate their arithmetic reaches. Raises
-    OverflowError past int64.
+    Callers pass the largest intermediate their arithmetic reaches. A type
+    of 8 * 2^i bits holds magnitudes of 8 * 2^i - 1 bits, so the index i is
+    the bit length of bound's bit length over 8. Raises OverflowError past
+    int64.
     """
-    for t in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(t).max:
-            return t
-    raise OverflowError(f"no numpy integer type holds {bound}")
+    i = (int(bound).bit_length() >> 3).bit_length()
+    if i >= len(_INT_TYPES):
+        raise OverflowError(f"no numpy integer type holds {bound}")
+    return _INT_TYPES[i]
 
 
 def _kernel_type(n: int) -> type[np.signedinteger]:
@@ -322,26 +327,26 @@ class _FormTables:
     join: np.ndarray  # (subgroups, cyclic subgroups): subgroup index of H_s + <c>
 
 
-def _ext_gcd(y: int, v: int) -> tuple[int, int, int]:
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while v:
-        q, y, v = y // v, v, y % v
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return y, s0, t0
+def _euclid_table(n: int, divisors: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (5, nd n) table of (s, t, v / g, d / g, pos[g]) and the nd n gcds g, at pos[d] n + v.
 
-
-def _fold(euclid: np.ndarray, n: int, a, b, d, u, v):
-    """The HNF triple of <(a, 0), (b, d), (u, v)> mod n, from the HNF triple (a, b, d).
-
-    Row reduction: an extended-Euclid step on second coordinates folds (u, v)
-    into (b, d), and the combination it drops has second coordinate 0, so it
-    joins aZ x 0. euclid[:, d * n + v] = (g, s, t) with s*d + t*v = g =
-    gcd(d, v), for d | n and 0 <= v < n.
+    For every divisor d of n and v < n, g = gcd(d, v) = s d + t v, and
+    pos[g] is g's place among the nd divisors; both arrays have the dtype of
+    pos. Any such s and t serve _form_tables' fold. t is the least t >= 0
+    with t v = g mod d: it depends on v mod d alone, so it is searched once
+    per cell (d, r), r < d, among t < n (sigma(n) n <= 43,200 < _BLOCK
+    candidates at every n <= INT64_CEILING). It is below d / g, so
+    |s| = |g - t v| / d < n.
     """
-    g, s, t = np.take(euclid, d * n + v, axis=1)
-    a = np.gcd(a, (v // g) * b - (d // g) * u)
-    return a, (s * b + t * u) % a, g
+    start = np.cumsum(divisors) - divisors  # the cell (d, 0) of each divisor
+    cell_d = np.repeat(divisors, divisors)
+    r = np.arange(cell_d.size) - np.repeat(start, divisors)
+    least = (np.arange(n)[:, None] * r % cell_d == np.gcd(cell_d, r)).argmax(axis=0)
+    d, v = divisors[:, None], np.arange(n)
+    t = least[start[:, None] + v % d]
+    g = np.gcd(d, v)
+    euclid = np.stack([(g - t * v) // d, t, v // g, d // g, pos[g]]).reshape(5, -1)
+    return euclid.astype(pos.dtype), g.ravel().astype(pos.dtype)
 
 
 @lru_cache(maxsize=None)
@@ -349,43 +354,65 @@ def _form_tables(n: int) -> _FormTables:
     """Every subgroup of (Z/n)^2 as an HNF triple, with the cyclic and join tables.
 
     (a, b, d) is a valid triple when the lattice it spans contains nZ^2:
-    a | n, d | n and a | b * (n / d). The last triple, (n, 0, n), is the
-    trivial subgroup, so join[-1, c] is the subgroup index of <c>. join is
-    built in blocks of at most _BLOCK entries.
+    a | n, d | n and a | b * (n / d), that is, b is one of the gcd(a, n / d)
+    multiples of a / gcd(a, n / d) below a. The triples are listed by a,
+    then d, then b. The last triple, (n, 0, n), is the trivial subgroup, so
+    join[-1, c] is the subgroup index of <c>. The cyclic subgroups are
+    numbered in the order of their triples. join is built in blocks of at
+    most _BLOCK entries.
+
+    A fold reads a triple's index off a lookup at (pos[a] n + r) nd + pos[d]
+    for every residue r mod n, nd divisors: the index of (a, r mod a, d),
+    where r mod a is a valid b, as it is for every lattice the fold forms.
+    The folds run in _int_type(max(2 n^2, nd^2 n)): s, t, u, v, b and the
+    quotients are below n, so every value they form, mod's intermediates
+    included, is below 2 n^2 in magnitude, and every place in the lookup
+    below nd^2 n; int16 holds both at every n <= INT64_CEILING.
     """
-    divisors = [v for v in range(1, n + 1) if n % v == 0]
-    triples = [
-        (a, b, d) for a in divisors for d in divisors for b in range(a) if b * (n // d) % a == 0
-    ]
-    a, b, d = (np.array(v, dtype=np.int64) for v in zip(*triples))
-    # build-only lookup of a triple's index by (divisor position of a, b, of d)
-    pos = np.zeros(n + 1, dtype=np.int64)
-    pos[divisors] = range(len(divisors))
-    lookup = np.zeros(len(divisors) ** 2 * n, dtype=np.int64)
-    lookup[(pos[a] * n + b) * len(divisors) + pos[d]] = range(len(triples))
+    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+    nd = divisors.size
+    a, d = divisors[np.indices((nd, nd)).reshape(2, -1)]
+    per = np.gcd(a, n // d)  # triples per (a, d)
+    first, step = np.cumsum(per) - per, a // per
+    pair = np.repeat(np.arange(nd * nd), per)
+    it = _int_type(max(2 * n * n, nd * nd * n))
+    a, b, d = np.stack([a[pair], (np.arange(pair.size) - first[pair]) * step[pair], d[pair]]).astype(it)
+    r = np.arange(n)[:, None] % divisors[:, None, None]  # (nd, n, 1): r mod a
+    lookup = (first.reshape(nd, 1, nd) + r // step.reshape(nd, 1, nd)).ravel().astype(_int_type(pair.size))
+    pos = np.zeros(n + 1, dtype=it)
+    pos[divisors] = np.arange(nd)
+    at_n, at_lookup = pos * n, pos * (n * nd)  # by a divisor: its first cell, its first lookup place
+    euclid, gcds = _euclid_table(n, divisors, pos)
 
-    def index(a, b, d):
-        return lookup[(pos[a] * n + b) * len(divisors) + pos[d]]
+    def fold(a, b, d, u, v):
+        # an extended-Euclid step on second coordinates folds (u, v) into
+        # s (b, d) + t (u, v) = (b', g), and the combination it drops,
+        # (d / g) (u, v) - (v / g) (b, d), has second coordinate 0, so it
+        # joins aZ x 0: a' = gcd(a, (v / g) b - (d / g) u), and the result
+        # is the index of (a', b' mod a', g). As a | n, a' and b' are read
+        # through residues mod n.
+        s, t, vg, dg, g = np.take(euclid, at_n.take(d) + v, axis=1)
+        a = gcds.take(at_n.take(a) + mod(vg * b - dg * u, n))
+        return lookup.take(at_lookup.take(a) + mod(s * b + t * u, n) * nd + g)
 
-    euclid = np.zeros((3, (n + 1) * n), dtype=np.int64)
-    cells = [y * n + v for y in divisors for v in range(n)]
-    euclid[:, cells] = np.array([_ext_gcd(*divmod(c, n)) for c in cells]).T
-    u, v = np.divmod(np.arange(n * n), n)
-    # the lattice nZ^2 is (n, 0, n); rep holds one column of each cyclic subgroup
-    _, rep, cyclic = np.unique(
-        index(*_fold(euclid, n, n, 0, n, u, v)), return_index=True, return_inverse=True
-    )
-    u, v = u[rep], v[rep]
-    join = np.empty((len(triples), rep.size), dtype=_int_type(len(triples)))
-    step = max(1, _BLOCK // rep.size)
-    for s in range(0, len(triples), step):
-        rows = slice(s, s + step)
-        join[rows] = index(*_fold(euclid, n, a[rows, None], b[rows, None], d[rows, None], u, v))
+    # the lattice nZ^2 is (n, 0, n): the triple index of each column's cyclic subgroup
+    keys = fold(n, 0, n, *np.divmod(np.arange(n * n, dtype=it), n))
+    is_cyclic = np.zeros(pair.size, dtype=bool)
+    is_cyclic[keys] = True
+    # any column of a cyclic subgroup generates it, so whichever one the scatter keeps serves
+    rep = np.empty(pair.size, dtype=it)
+    rep[keys] = np.arange(n * n)
+    u, v = np.divmod(rep[is_cyclic], n)
+    join = np.empty((pair.size, u.size), dtype=lookup.dtype)
+    rows_per = max(1, _BLOCK // u.size)
+    for s in range(0, pair.size, rows_per):
+        rows = slice(s, s + rows_per)
+        join[rows] = fold(a[rows, None], b[rows, None], d[rows, None], u, v)
     return _FormTables(
         n=n,
-        triples=tuple(triples),
-        sizes=tuple(n * n // (a * d) for a, _, d in triples),
-        cyclic=cyclic.astype(_int_type(rep.size)),
+        triples=tuple(zip(a.tolist(), b.tolist(), d.tolist())),
+        sizes=tuple((n * n // (a * d)).tolist()),
+        cyclic=(np.cumsum(is_cyclic) - 1)[keys].astype(_int_type(u.size)),
         join=join,
     )
 
@@ -414,19 +441,20 @@ def _bucket_tables(n: int) -> np.ndarray:
 
     H = <(a, 0), (b, d)> has the |H| = n^2 / (a d) distinct elements
     i (a, 0) + j (b, d) mod n, 0 <= i < n / a, 0 <= j < n / d. The forms map
-    the n^3 third rows onto H, each element n^3 / |H| times, so a row counts
-    the first coordinates of the elements whose second coordinate is a unit.
-    The elements of every subgroup are enumerated in one flat array.
+    the n^3 third rows onto H, each element n^3 / |H| = n a d times, so a
+    row counts the first coordinates of the elements whose second
+    coordinate is a unit. A second coordinate j d is a unit only if d = 1,
+    as d | n; then j runs over the units mod n, and i a over the multiples
+    of a, so x is hit once for each unit j with j b = x mod a.
     """
     t = _form_tables(n)
-    sizes = np.array(t.sizes, dtype=np.int64)
-    sid = np.repeat(np.arange(sizes.size), sizes)  # the subgroup of each element
-    a, b, d = (np.array(v, dtype=np.int64)[sid] for v in zip(*t.triples))
-    e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]  # index within its subgroup
-    i, j = mod(e, n // a), e // (n // a)
-    key = sid * n + mod(i * a + j * b, n)
-    counts = np.bincount(key[_unit_mask(n)[mod(j * d, n)]], minlength=sizes.size * n)
-    return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
+    sid, a, b = np.array([(s, a, b) for s, (a, b, d) in enumerate(t.triples) if d == 1]).T[..., None]
+    rows = np.arange(sid.size)[:, None]
+    units = np.flatnonzero(_unit_mask(n))
+    hits = np.bincount((rows * n + units * b % a).ravel(), minlength=sid.size * n).reshape(-1, n)
+    tables = np.zeros((len(t.triples), n), dtype=np.int64)
+    tables[sid[:, 0]] = hits[rows, np.arange(n) % a] * (n * a)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -469,30 +497,41 @@ class _RowOrbits:
     live: np.ndarray
 
 
-def _orbits(reps, sizes, n: int) -> _RowOrbits:
-    r0, r1, r2 = (v.astype(_kernel_type(n)) for v in reps)
-    live = np.gcd(np.gcd(r0, r1), np.gcd(r2, n)) == 1
-    return _RowOrbits(reps=(r0, r1, r2), sizes=sizes, live=live)
+def _orbits(reps: np.ndarray, sizes: np.ndarray, live: np.ndarray, n: int) -> _RowOrbits:
+    """The (3, orbits) int64 reps as three digit arrays of _kernel_type(n), cast in one step."""
+    return _RowOrbits(reps=tuple(reps.astype(_kernel_type(n))), sizes=sizes, live=live)
 
 
 def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normal forms of the unit-scaling orbits of (Z/p^k)^3, as (3, orbits) reps and sizes.
+    """Normal forms of the unit-scaling orbits of (Z/p^k)^3, as (3, orbits) int64 reps and sizes.
 
     A nonzero row is p^v r' with v < k and r' mod p^(k - v) not divisible by
     p. Let c be the first position where r' holds a unit; scaling by its
     inverse sets it to 1, leaves multiples of p before c and anything mod
     p^(k - v) after it. Only units that are 1 mod p^(k - v) fix r', so the
     orbit has phi(p^(k - v)) rows. The zero row is an orbit of its own.
+
+    The zero row comes first, then one block per (v, c), v outer, each in C
+    order: with m = p^(k - v), the block's two free entries are a high
+    digit, of radix m / p before c and m after it, and a low digit, of
+    radix m / p at c = 2 and m otherwise. All blocks are decoded from one
+    flat index.
     """
-    reps, sizes = [np.zeros((3, 1), dtype=np.int64)], [np.ones(1, dtype=np.int64)]
-    for v in range(k):
-        m = p ** (k - v)
-        for c in range(3):
-            axes = [np.arange(0, m, p)] * c + [np.arange(1, 2)] + [np.arange(m)] * (2 - c)
-            grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-            reps.append(p**v * grid)
-            sizes.append(np.full(grid.shape[1], m - m // p, dtype=np.int64))
-    return np.hstack(reps), np.concatenate(sizes)
+    v, c = np.divmod(np.arange(3 * k), 3)
+    m = p ** (k - v)
+    low = np.where(c < 2, m, m // p)
+    count = np.where(c < 1, m, m // p) * low
+    block = np.repeat(np.arange(3 * k), count)
+    hi, lo = np.divmod(np.arange(block.size) - np.repeat(np.cumsum(count) - count, count), low[block])
+    c = c[block]
+    reps = np.ones((3, 1 + block.size), dtype=np.int64)
+    reps[:, 0] = 0
+    # the pivot c holds 1; before it the digits step by p
+    reps[0, 1:] = np.where(c == 0, 1, p * hi)
+    reps[1, 1:] = np.choose(c, (hi, 1, p * lo))
+    reps[2, 1:] = np.where(c == 2, 1, lo)
+    reps[:, 1:] *= (p**v)[block]
+    return reps, np.concatenate([[1], np.repeat(m - m // p, count)])
 
 
 @lru_cache(maxsize=None)
@@ -502,17 +541,20 @@ def _row_orbits(n: int) -> _RowOrbits:
     By the Chinese remainder theorem a row mod n and a unit mod n are their
     residues mod each p^k || n, and each prime power's units act on its own
     residues. So an orbit is one prime-power orbit per p^k, its rep their CRT
-    combination and its size the product of theirs.
+    combination and its size the product of theirs; it is live when each
+    prime power's rep has an entry prime to its p.
     """
     reps, sizes, m = np.zeros((3, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
+    live = np.ones(1, dtype=bool)
     for p, k in factorize(n).factors:
         q = p**k
         local, local_sizes = _prime_power_row_orbits(p, k)
         # x = reps mod m and x = local mod q; both coefficients are below m q <= n
         x = reps[:, :, None] * (q * pow(q, -1, m)) + local[:, None, :] * (m * pow(m, -1, q))
         reps, m = (x % (m * q)).reshape(3, -1), m * q
-        sizes = (sizes[:, None] * local_sizes[None, :]).ravel()
-    return _orbits(reps, sizes, n)
+        sizes = np.multiply.outer(sizes, local_sizes).ravel()
+        live = np.logical_and.outer(live, (local % p).any(axis=0)).ravel()
+    return _orbits(reps, sizes, live, n)
 
 
 @lru_cache(maxsize=None)
@@ -525,17 +567,15 @@ def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
     distinct orderings (the multinomial coefficient) unless ordered.
     """
     per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / g) at g
-    divisors = np.flatnonzero(per_gcd).tolist()
-    if ordered:
-        triples = list(itertools.product(divisors, repeat=3))
-    else:
-        triples = list(itertools.combinations_with_replacement(divisors, 3))
-    orderings = [1 if ordered else len(set(itertools.permutations(g))) for g in triples]
-    return _orbits(
-        [np.array(v, dtype=np.int64) % n for v in zip(*triples)],
-        np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
-        n,
-    )
+    divisors = np.flatnonzero(per_gcd)
+    i = np.indices((divisors.size,) * 3).reshape(3, -1)  # divisor positions, in product order
+    if not ordered:
+        i = i[:, (i[0] <= i[1]) & (i[1] <= i[2])]  # sorted, in combinations_with_replacement order
+    g = divisors[i]
+    sizes = per_gcd[g].prod(axis=0)
+    if not ordered:  # 1, 3 or 6 orderings for 1, 2 or 3 distinct gcds
+        sizes *= np.array([1, 3, 6])[(i[1:] != i[:2]).sum(axis=0)]
+    return _orbits(g % n, sizes, np.gcd(np.gcd(g[0], g[1]), g[2]) == 1, n)
 
 
 def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:

@@ -29,6 +29,16 @@ row_orbits_by_unit_minimum is the reference for oracle._row_orbits, which
 builds each unit-scaling orbit's normal form directly instead of taking the
 least image of every row over all units.
 
+normal_forms_by_meshgrid, row_orbits_by_crt_loop, divisor_rows_by_itertools
+and form_tables_by_unique are the earlier constructions of
+oracle._prime_power_row_orbits, _row_orbits, _divisor_rows and _form_tables,
+kept as references for the whole-array builders: one meshgrid per
+(valuation, pivot) block of normal forms, a Chinese-remainder loop that
+tests each rep's gcds for liveness, divisor triples listed by itertools, and
+cyclic subgroups numbered by np.unique over a Euclid table of one Python
+extended-Euclid step per cell. bucket_tables_by_elements is the earlier
+oracle._bucket_tables, which lists every element of every subgroup.
+
 shift_verify_members_by_scatter is the reference for the shift check,
 verify._shift_verify, on (9, m) members and on grid batches alike: it copies
 each batch per shift, moves the pivot entries by a flat gather and scatter,
@@ -84,7 +94,7 @@ def hnf_buckets_by_euclid(n: int, forms) -> np.ndarray:
     has second coordinate 0, so it joins aZ x 0. The HNF triple (a, b, d)
     left is looked up among oracle._form_tables(n).triples.
     """
-    euclid = np.array([[oracle._ext_gcd(y, v) for v in range(n)] for y in range(n + 1)])
+    euclid = np.array([[ext_gcd(y, v) for v in range(n)] for y in range(n + 1)])
     A, B, C, D, E, F = (np.asarray(f, dtype=np.int64) for f in forms)
     a = np.full(A.shape, n, dtype=np.int64)
     b = np.zeros_like(a)
@@ -110,6 +120,130 @@ def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:
         image = u * rows[0] % n + u * rows[1] % n * n + u * rows[2] % n * (n * n)
         least = image if least is None else np.minimum(least, image)
     return np.unique(least, return_counts=True)
+
+
+def ext_gcd(y: int, v: int) -> tuple[int, int, int]:
+    """(g, s, t) with s y + t v = g = gcd(y, v), by the extended Euclidean algorithm."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while v:
+        q, y, v = y // v, v, y % v
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return y, s0, t0
+
+
+def fold(euclid: np.ndarray, n: int, a, b, d, u, v):
+    """The HNF triple of <(a, 0), (b, d), (u, v)> mod n, from the HNF triple (a, b, d).
+
+    euclid[:, d * n + v] = (g, s, t) with s d + t v = g = gcd(d, v); an
+    extended-Euclid step on second coordinates folds (u, v) into (b, d),
+    and the combination it drops has second coordinate 0, so it joins aZ x 0.
+    """
+    g, s, t = np.take(euclid, d * n + v, axis=1)
+    a = np.gcd(a, (v // g) * b - (d // g) * u)
+    return a, (s * b + t * u) % a, g
+
+
+def normal_forms_by_meshgrid(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-scaling orbits of (Z/p^k)^3 as (3, orbits) int64 reps and sizes, one meshgrid per block.
+
+    The zero row, then for each valuation v < k and pivot c < 3 the rows
+    p^v r' with r'_c = 1, multiples of p before c and anything mod p^(k - v)
+    after it, in C order; each orbit has phi(p^(k - v)) rows.
+    """
+    reps, sizes = [np.zeros((3, 1), dtype=np.int64)], [np.ones(1, dtype=np.int64)]
+    for v in range(k):
+        m = p ** (k - v)
+        for c in range(3):
+            axes = [np.arange(0, m, p)] * c + [np.arange(1, 2)] + [np.arange(m)] * (2 - c)
+            grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+            reps.append(p**v * grid)
+            sizes.append(np.full(grid.shape[1], m - m // p, dtype=np.int64))
+    return np.hstack(reps), np.concatenate(sizes)
+
+
+def _orbits_by_gcd(reps, sizes, n: int) -> oracle._RowOrbits:
+    r0, r1, r2 = (v.astype(oracle._kernel_type(n)) for v in reps)
+    live = np.gcd(np.gcd(r0, r1), np.gcd(r2, n)) == 1
+    return oracle._RowOrbits(reps=(r0, r1, r2), sizes=sizes, live=live)
+
+
+def row_orbits_by_crt_loop(n: int) -> oracle._RowOrbits:
+    """oracle._row_orbits(n): the prime powers' normal forms joined one CRT step at a time."""
+    reps, sizes, m = np.zeros((3, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
+    for p, k in factorize(n).factors:
+        q = p**k
+        local, local_sizes = normal_forms_by_meshgrid(p, k)
+        x = reps[:, :, None] * (q * pow(q, -1, m)) + local[:, None, :] * (m * pow(m, -1, q))
+        reps, m = (x % (m * q)).reshape(3, -1), m * q
+        sizes = (sizes[:, None] * local_sizes[None, :]).ravel()
+    return _orbits_by_gcd(reps, sizes, n)
+
+
+def divisor_rows_by_itertools(n: int, ordered: bool) -> oracle._RowOrbits:
+    """oracle._divisor_rows(n, ordered): gcd triples listed by itertools, orderings counted by set."""
+    per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)
+    divisors = np.flatnonzero(per_gcd).tolist()
+    if ordered:
+        triples = list(itertools.product(divisors, repeat=3))
+    else:
+        triples = list(itertools.combinations_with_replacement(divisors, 3))
+    orderings = [1 if ordered else len(set(itertools.permutations(g))) for g in triples]
+    return _orbits_by_gcd(
+        [np.array(v, dtype=np.int64) % n for v in zip(*triples)],
+        np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
+        n,
+    )
+
+
+def form_tables_by_unique(n: int):
+    """(triples, sizes, cyclic, join) of oracle._form_tables(n), cyclic subgroups numbered by np.unique.
+
+    The triples are listed by a Python loop over (a, d, b), the Euclid
+    table filled by one ext_gcd per cell, and the cyclic subgroups are the
+    distinct triple indices of the n^2 columns, in index order.
+    """
+    divisors = [v for v in range(1, n + 1) if n % v == 0]
+    triples = [
+        (a, b, d) for a in divisors for d in divisors for b in range(a) if b * (n // d) % a == 0
+    ]
+    a, b, d = (np.array(v, dtype=np.int64) for v in zip(*triples))
+    pos = np.zeros(n + 1, dtype=np.int64)
+    pos[divisors] = range(len(divisors))
+    lookup = np.zeros(len(divisors) ** 2 * n, dtype=np.int64)
+    lookup[(pos[a] * n + b) * len(divisors) + pos[d]] = range(len(triples))
+
+    def index(a, b, d):
+        return lookup[(pos[a] * n + b) * len(divisors) + pos[d]]
+
+    euclid = np.zeros((3, (n + 1) * n), dtype=np.int64)
+    cells = [y * n + v for y in divisors for v in range(n)]
+    euclid[:, cells] = np.array([ext_gcd(*divmod(c, n)) for c in cells]).T
+    u, v = np.divmod(np.arange(n * n), n)
+    _, rep, cyclic = np.unique(
+        index(*fold(euclid, n, n, 0, n, u, v)), return_index=True, return_inverse=True
+    )
+    u, v = u[rep], v[rep]
+    join = np.empty((len(triples), rep.size), dtype=oracle._int_type(len(triples)))
+    step = max(1, oracle._BLOCK // rep.size)
+    for s in range(0, len(triples), step):
+        rows = slice(s, s + step)
+        join[rows] = index(*fold(euclid, n, a[rows, None], b[rows, None], d[rows, None], u, v))
+    sizes = tuple(n * n // (a * d) for a, _, d in triples)
+    return tuple(triples), sizes, cyclic.astype(oracle._int_type(rep.size)), join
+
+
+def bucket_tables_by_elements(n: int) -> np.ndarray:
+    """oracle._bucket_tables(n), by listing every element i (a, 0) + j (b, d) of every subgroup."""
+    t = oracle._form_tables(n)
+    sizes = np.array(t.sizes, dtype=np.int64)
+    sid = np.repeat(np.arange(sizes.size), sizes)
+    a, b, d = (np.array(v, dtype=np.int64)[sid] for v in zip(*t.triples))
+    e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]
+    i, j = e % (n // a), e // (n // a)
+    key = sid * n + (i * a + j * b) % n
+    counts = np.bincount(key[oracle._unit_mask(n)[j * d % n]], minlength=sizes.size * n)
+    return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
 
 
 def zero_perm_members_by_filter(n: int):

@@ -20,8 +20,13 @@ from support import (
     CENSUS2,
     CENSUS3,
     CLASS_TABLE,
+    bucket_tables_by_elements,
+    divisor_rows_by_itertools,
+    form_tables_by_unique,
     hnf_buckets_by_euclid,
+    normal_forms_by_meshgrid,
     object_census3,
+    row_orbits_by_crt_loop,
     row_orbits_by_unit_minimum,
     third_row_counts_generic,
 )
@@ -415,6 +420,73 @@ def test_divisor_rows_match_gcd_classes(n):
         assert got == sorted(zip(map(tuple, classes.tolist()), sizes.tolist())), ordered
 
 
+def _same_arrays(got, want):
+    """Equal values, shapes and dtypes, array for array."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def _same_orbits(got: oracle._RowOrbits, want: oracle._RowOrbits):
+    _same_arrays([*got.reps, got.sizes, got.live], [*want.reps, want.sizes, want.live])
+
+
+def test_prime_power_row_orbits_match_the_meshgrid_blocks():
+    # the flat decode lists the same normal forms in the same order as one
+    # meshgrid per (valuation, pivot) block, at every p^k <= INT64_CEILING
+    for p, k in _prime_powers(oracle.INT64_CEILING):
+        _same_arrays(oracle._prime_power_row_orbits(p, k), normal_forms_by_meshgrid(p, k))
+
+
+@pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1, 16))
+def test_row_and_divisor_orbits_match_the_earlier_builds(n):
+    # sixteen moduli per test, n, n + 1, ..., n + 15: the same reps, sizes
+    # and live flags, in the same order and types, as the CRT loop that
+    # tests gcds and the itertools listing
+    for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
+        _same_orbits(oracle._row_orbits(m), row_orbits_by_crt_loop(m))
+        for ordered in (False, True):
+            _same_orbits(oracle._divisor_rows(m, ordered), divisor_rows_by_itertools(m, ordered))
+
+
+@pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1, 16))
+def test_form_tables_match_the_unique_numbering(n):
+    # the triples, sizes, cyclic and join tables, values and dtypes, equal
+    # the build that lists triples in Python, fills the Euclid table one
+    # extended-Euclid step per cell and numbers cyclic subgroups by np.unique
+    for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
+        t = oracle._form_tables(m)
+        triples, sizes, cyclic, join = form_tables_by_unique(m)
+        assert t.triples == triples and t.sizes == sizes, m
+        assert all(type(v) is int for v in (*t.triples[-1], t.sizes[-1]))
+        _same_arrays([t.cyclic, t.join], [cyclic, join])
+
+
+def test_euclid_table_holds_bezout_within_the_fold_bound():
+    # every cell (d, v), d | n, v < n: s d + t v = g = gcd(d, v), and s, t,
+    # v / g and d / g within n, the bounds that keep _form_tables' folds in
+    # _int_type(2 n^2); the gcds and the divisor places of g beside them
+    for n in range(1, oracle.INT64_CEILING + 1):
+        divisors = np.array([d for d in range(1, n + 1) if n % d == 0])
+        pos = np.zeros(n + 1, dtype=np.int64)
+        pos[divisors] = np.arange(divisors.size)
+        euclid, gcds = oracle._euclid_table(n, divisors, pos)
+        s, t, vg, dg, place = euclid
+        d, v = (x.ravel() for x in np.meshgrid(divisors, np.arange(n), indexing="ij"))
+        g = np.gcd(d, v)
+        assert (gcds == g).all() and (divisors[place] == g).all(), n
+        assert (s * d + t * v == g).all() and (vg == v // g).all() and (dg == d // g).all(), n
+        assert (np.abs(s) <= max(n - 1, 1)).all(), n
+        assert (0 <= t).all() and (t < np.maximum(d // g, 1)).all(), n
+
+
+@pytest.mark.parametrize("n", [*range(33, 49), 64, 81, 96, 120, 125, 126, 127])
+def test_bucket_tables_match_every_element(n):
+    # above the third-row sweep's range: the d = 1 rows read off the unit
+    # multiples of b mod a, against a listing of every element of every subgroup
+    _same_arrays([oracle._bucket_tables(n)], [bucket_tables_by_elements(n)])
+
+
 def test_divisor_row_weights_cover_every_row():
     for n in range(1, oracle.INT64_CEILING + 1):
         for ordered in (True, False):
@@ -650,6 +722,19 @@ def test_int_type_refuses_past_int64():
     assert oracle._int_type(2**63 - 1) is np.int64
     with pytest.raises(OverflowError):
         oracle._int_type(2**63)
+
+
+def test_int_type_matches_iinfo_at_each_edge():
+    # _int_type reads the type off the bound's bit length; np.iinfo is the reference
+    types = (np.int8, np.int16, np.int32, np.int64)
+    for narrow, wide in zip(types, types[1:]):
+        top = int(np.iinfo(narrow).max)
+        assert oracle._int_type(top) is narrow, narrow
+        assert oracle._int_type(top + 1) is wide, narrow
+    assert oracle._int_type(0) is np.int8
+    assert oracle._int_type(int(np.iinfo(np.int64).max)) is np.int64
+    with pytest.raises(OverflowError):
+        oracle._int_type(int(np.iinfo(np.int64).max) + 1)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (2, 5), (3, 3), (7, 2)])
