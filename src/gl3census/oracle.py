@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -272,6 +271,8 @@ def _sum_jobs(fn, jobs, threads, progress):
     arglist = [args for args, _ in jobs]
     failed = len(jobs)  # the first job that raised; -1 once the caller's side has
     lock = threading.Lock()
+    if workers > 1:  # imported here, so that a run without a pool never loads it
+        from concurrent.futures import CancelledError, ThreadPoolExecutor
 
     def run(i):
         nonlocal failed

@@ -92,6 +92,22 @@ def test_oracle_classes_row(capsys):
     ]
 
 
+def test_oracle_classes_refuses_the_naive_engine(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "class_census", lambda *args, **kw: pytest.fail("census started"))
+    code = main(["oracle", "9", "--classes", "--engine", "naive"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --classes runs the class census, not the naive engine\n"
+
+
+def test_verify_help_shows_the_seed_default(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--help"])
+    assert err.value.code == 0
+    assert f"(default: {verify.DEFAULT_SEED})" in capsys.readouterr().out
+    assert cli._build_parser().parse_args(["verify"]).seed == verify.DEFAULT_SEED
+
+
 def test_oracle_bound_exit_three(capsys):
     code = main(["oracle", "128"])
     err = capsys.readouterr().err
