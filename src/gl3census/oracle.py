@@ -1,13 +1,16 @@
 """Exhaustive, exact censuses of GL3(Z/n) by permanent value.
 
-Two engines produce the same table. census_naive evaluates all n^9 matrices
+Two engines produce the same table. census_naive covers all n^9 matrices
 by cofactor expansion along the first row: once per census it keys every
 (row 2, row 3) prefix by its coefficient columns and tabulates what each
 first-row entry adds, under each column, to a matrix's unreduced (perm, det)
-index; a block of prefixes against every first row is then one add of two
-table lookups, listing each matrix's index, and one bincount, and each job
-reduces its tally mod n at the end. It keeps no symmetry, is the dumb,
-trustworthy reference and refuses n > 8.
+index. The third entry's term depends on the prefix only through its
+z-column key, so a job tallies each prefix's n^2 first-two-entry terms
+(one lookup, one add and one bincount per block) by that key, and the
+census adds the n third-entry terms to the summed tally once per key, by
+the distributive law over z, then reduces it mod n. Every matrix is
+covered exactly once and no symmetry is used: it is the dumb, trustworthy
+reference and refuses n > 8.
 census_tiered works on prefixes (the first two
 rows): for a fixed prefix, both the permanent and the determinant are linear
 forms in the third row, and the joint distribution of the two forms depends
@@ -72,18 +75,20 @@ from .modring import Modulus, factorize, is_prime
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
 # products mult @ tables); 127^9 < 2^63 <= 128^9.
 INT64_CEILING = 127
-# Matrices a brute-force scan may evaluate one by one: 8^9 = 2^27, so the
-# naive reference still reaches n = 8 (n^9 matrices), census_2x2 n = 107
+# Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
+# still reaches n = 8 (n^9 matrices, each covered once, its third entry's
+# term added per z-column key rather than per matrix), census_2x2 n = 107
 # (n^4), fiber_count 2^4, 3^2, 5^2 and 7^2 but not 3^3 (p^(9(k - 1)) lifts),
 # and verify.shift_round_trip's population scan, charged n^8, n = 10.
 SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices, or orbit pairs, per job
-# array elements per vectorized block of the orbit pass; the naive sweep
-# takes 2 _BLOCK, and builds its per-census keys from slices of _BLOCK, and
-# the shift population's one-byte batches 4 _BLOCK (head) and 2 _BLOCK
-# (left-over) members. Bounds the memory of each such step: its temporaries
-# hold a few _BLOCK elements, whatever n and the chunk size.
+# array elements per vectorized block of the orbit pass and of the naive
+# sweep's grouped indexes; the naive sweep builds its per-census keys from
+# slices of _BLOCK, and the shift population's one-byte batches take 4 _BLOCK
+# (head) and 2 _BLOCK (left-over) members. Bounds the memory of each such
+# step: its temporaries hold a few _BLOCK elements, whatever n and the chunk
+# size.
 _BLOCK = 1 << 16
 # int8, then twice the bits per type: _int_type indexes this by bit width
 _INT_TYPES = (np.int8, np.int16, np.int32, np.int64)
@@ -101,10 +106,10 @@ def _at_most(p: int, e: int, bound: int) -> bool:
 def _check_bound(engine: str, p: int, k: int = 1, scan: int = 0) -> None:
     """Raise CensusTooLarge unless n = p^k <= INT64_CEILING and p^scan <= SCAN_BUDGET.
 
-    p^scan is the number of matrices the engine evaluates one by one, and
-    scan = 0 for the orbit engines. Engines call this before any other work,
-    factorizing and primality tests included. A p below 2 or a k below 1
-    passes, for the engine's own checks to refuse.
+    p^scan is the number of matrices the engine scans, each covered without
+    symmetry, and scan = 0 for the orbit engines. Engines call this before
+    any other work, factorizing and primality tests included. A p below 2
+    or a k below 1 passes, for the engine's own checks to refuse.
     """
     n, var = (f"{p}^{k}", "p") if k > 1 else (f"{p}", "n")
     if not _at_most(p, k, INT64_CEILING):
@@ -662,13 +667,6 @@ def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
     return [((*head, a, b), (b - a) * per_index) for a, b in bounds]
 
 
-def _scan_census(job, modulus: Modulus, count: int, per_index: int, threads, progress, *extra):
-    """Add up job(n, *extra, start, stop) over chunks of [0, count); each index is per_index matrices."""
-    jobs = _range_jobs(count, per_index, modulus.n, *extra)
-    counts = _sum_jobs(job, jobs, threads, progress)
-    return CountTable(modulus, tuple(int(v) for v in counts))
-
-
 def _naive_keys(n: int):
     """The naive sweep's tables (key12, key3, T, TT), built once per census.
 
@@ -682,7 +680,8 @@ def _naive_keys(n: int):
     under the coefficient column (u, v), and TT[c1 n^2 + c2, x n + y] =
     T[c1, x] + T[c2, y], shaped (n^4, n^2), those of x and y together. The
     keys key12[r] = (A n + D) n^2 + (B n + E) and key3[r] = C n + F then give
-    the index as T[key3[r], z] + TT[key12[r], x n + y].
+    the index as T[key3[r], z] + TT[key12[r], x n + y]: the jobs tally the
+    second term per z-column key key3, and census_naive adds the first.
 
     The keys are of _int_type(n^4 - 1) and _int_type(n^2 - 1), and are
     formed by forms over all n^3 second rows against slices of at most
@@ -707,41 +706,75 @@ def _naive_keys(n: int):
     return key12, key3, T, TT
 
 
-def _naive_job(args):
-    """Every first row against the (row 2, row 3) prefixes start..stop-1, in blocks.
+def _naive_width(n: int) -> int:
+    """W = TT.max() + 1 of _naive_keys(n): the span of the first two entries' terms.
 
-    The job reads the census's _naive_keys tables and makes no per-prefix
-    table of its own. A block of max(1, 2 _BLOCK // n^3) prefixes, each
-    against all n^3 first rows, lists its matrices' unreduced indexes as
-    T.take(key3) + TT.take(key12), one add, and tallies them with one
-    bincount. The job's (w, w) tally of unreduced (perm, det), w = 3n - 2,
-    is reduced mod n once at the end, and its unit-determinant columns
-    summed.
+    One entry's term is at most (n - 1) w + (n - 1) = (w^2 - 1) / 3, w = 3n - 2,
+    so two entries' terms stay below W = 2 (w^2 - 1) / 3 + 1, and the third
+    entry's term plus W is at most w^2.
     """
-    n, (key12, key3, T, TT), start, stop = args
     w = 3 * n - 2
-    step = max(1, 2 * _BLOCK // n**3)
-    joint = np.zeros(w * w, dtype=np.int64)
+    return 2 * (w * w - 1) // 3 + 1
+
+
+def _naive_job(args):
+    """The tally by z-column key of the first two entries' terms over prefixes start..stop-1.
+
+    Each of the prefix's matrices has the unreduced index T[key3, z] +
+    TT[key12, x n + y] (see _naive_keys), and the term of z depends on the
+    prefix only through its z-column key key3. So the job lists each prefix's
+    n^2 pairs (x, y) once, as key3 W + TT[key12, x n + y] with W =
+    _naive_width(n), of _int_type(n^2 W - 1), and tallies them into an
+    (n^2, W) int64 array by z-column key; census_naive then adds the n z-terms
+    per key. A block of max(1, _BLOCK // n^2) prefixes is one take, one add
+    and one bincount. The job reads the census's _naive_keys tables and
+    makes no per-prefix table of its own.
+    """
+    n, (key12, key3, _, TT), start, stop = args
+    width = _naive_width(n)
+    t = _int_type(n * n * width - 1)
+    step = max(1, _BLOCK // (n * n))
+    tally = np.zeros(n * n * width, dtype=np.int64)
     for s in range(start, stop, step):
         block = slice(s, min(s + step, stop))
-        # z outermost, so that numpy's inner loop runs along the n^2 (x, y) entries
-        index = T.take(key3[block], axis=0)[:, :, None] + TT.take(key12[block], axis=0)[:, None, :]
-        joint += np.bincount(index.ravel(), minlength=w * w)
-    fold = mod(np.arange(w), n)
-    return _tally(fold, joint.reshape(w, w)[:, _unit_mask(n).take(fold)].sum(axis=1), n)
+        index = TT.take(key12[block], axis=0).astype(t, copy=False)
+        index += key3[block].astype(t)[:, None] * width
+        tally += np.bincount(index.ravel(), minlength=tally.size)
+    return tally
+
+
+def _naive_joint(n: int, T: np.ndarray, tally: np.ndarray) -> np.ndarray:
+    """The (w^2,) tally of unreduced indexes perm' w + det', w = 3n - 2, from _naive_job's tally.
+
+    Adds each z-column key's row of the tally at offset T[key3, z], for each
+    of the n values of z: by the distributive law over z this covers every
+    first row of every prefix the tally came from, once. The highest offset
+    is (w^2 - 1) / 3, so the last entry lands on w^2 - 1.
+    """
+    w = 3 * n - 2
+    rows = tally.reshape(n * n, -1)
+    span = np.arange(rows.shape[1])
+    return sum(_tally(T[:, z, None] + span, rows, w * w) for z in range(n))
 
 
 def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
-    """Exact permanent census by evaluating all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8.
+    """Exact permanent census covering all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8.
 
-    Each matrix is listed and tallied on its own index, with no symmetry
-    used: the census builds its _naive_keys tables, about 1.3 MB at n = 8,
-    before it dispatches jobs of _CHUNK matrices to _naive_job, and frees
-    them when it returns.
+    Every matrix is covered exactly once, with no symmetry used: the census
+    builds its _naive_keys tables, about 1.3 MB at n = 8, dispatches jobs of
+    _CHUNK matrices to _naive_job, adds the third entry's terms to the summed
+    tallies once per z-column key (_naive_joint), reduces the unreduced
+    (perm, det) tally mod n, and sums its unit-determinant columns. It frees
+    the tables when it returns.
     """
     modulus = _modulus("census_naive", n, scan=9)
-    n = modulus.n
-    return _scan_census(_naive_job, modulus, n**6, n**3, threads, progress, _naive_keys(n))
+    n, w = modulus.n, 3 * modulus.n - 2
+    tables = _naive_keys(n)
+    tally = _sum_jobs(_naive_job, _range_jobs(n**6, n**3, n, tables), threads, progress)
+    fold = mod(np.arange(w), n)
+    joint = _naive_joint(n, tables[2], tally).reshape(w, w)
+    counts = _tally(fold, joint[:, _unit_mask(n).take(fold)].sum(axis=1), n)
+    return CountTable(modulus, tuple(int(v) for v in counts))
 
 
 def _two_by_two_job(args):
@@ -754,7 +787,8 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
     """Exact permanent census over GL2(Z/n), scanning all n^4 <= SCAN_BUDGET matrices; n <= 107."""
     modulus = _modulus("census_2x2", n, scan=4)
     n = modulus.n
-    return _scan_census(_two_by_two_job, modulus, n**4, 1, threads, progress)
+    counts = _sum_jobs(_two_by_two_job, _range_jobs(n**4, 1, n), threads, progress)
+    return CountTable(modulus, tuple(int(v) for v in counts))
 
 
 # ---------------------------------------------------------------------------

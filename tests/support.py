@@ -39,6 +39,11 @@ cyclic subgroups numbered by np.unique over a Euclid table of one Python
 extended-Euclid step per cell. bucket_tables_by_elements is the earlier
 oracle._bucket_tables, which lists every element of every subgroup.
 
+naive_joint_by_matrix is the earlier oracle._naive_job, the reference for the
+naive sweep's tallies: it lists each matrix's own index over all n^3 first
+rows of each prefix, where the job lists the first two entries once per prefix
+and oracle._naive_joint adds the third entry's term per z-column key.
+
 shift_verify_members_by_scatter is the reference for the shift check,
 verify._shift_verify, on (9, m) members and on grid batches alike: it copies
 each batch per shift, moves the pivot entries by a flat gather and scatter,
@@ -244,6 +249,25 @@ def bucket_tables_by_elements(n: int) -> np.ndarray:
     key = sid * n + (i * a + j * b) % n
     counts = np.bincount(key[oracle._unit_mask(n)[j * d % n]], minlength=sizes.size * n)
     return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
+
+
+def naive_joint_by_matrix(args) -> np.ndarray:
+    """The (w^2,) unreduced (perm, det) tally, w = 3n - 2, of the matrices of an oracle._naive_job chunk.
+
+    The earlier oracle._naive_job before its reduction mod n: it lists every
+    matrix's own index, T[key3, z] + TT[key12, x n + y] over all n^3 first
+    rows (x, y, z) of each prefix, in blocks of max(1, 2 _BLOCK // n^3)
+    prefixes, and bincounts them.
+    """
+    n, (key12, key3, T, TT), start, stop = args
+    w = 3 * n - 2
+    step = max(1, 2 * oracle._BLOCK // n**3)
+    joint = np.zeros(w * w, dtype=np.int64)
+    for s in range(start, stop, step):
+        block = slice(s, min(s + step, stop))
+        index = T.take(key3[block], axis=0)[:, :, None] + TT.take(key12[block], axis=0)[:, None, :]
+        joint += np.bincount(index.ravel(), minlength=w * w)
+    return joint
 
 
 def zero_perm_members_by_filter(n: int):

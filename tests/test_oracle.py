@@ -24,6 +24,7 @@ from support import (
     divisor_rows_by_itertools,
     form_tables_by_unique,
     hnf_buckets_by_euclid,
+    naive_joint_by_matrix,
     normal_forms_by_meshgrid,
     object_census3,
     row_orbits_by_crt_loop,
@@ -37,7 +38,7 @@ def test_tiered_census_matches_frozen(n):
     assert oracle.census_tiered(n).counts == CENSUS3[n]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_naive_equals_tiered(n):
     assert oracle.census_naive(n).counts == oracle.census_tiered(n).counts
 
@@ -596,11 +597,28 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert oracle.case_census(7, threads=2) == default[3]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_naive_job_matches_the_per_matrix_listing(n):
+    # the job lists each prefix's first two entries once, tallied by z-column
+    # key, and _naive_joint adds the third entry's term per key: folded, the
+    # tally must be the per-matrix listing's, on the first, a middle and the
+    # last chunk (one chunk below n = 6, ten at 6, 128 at 8)
+    tables = oracle._naive_keys(n)
+    jobs = oracle._range_jobs(n**6, n**3, n, tables)
+    for args, _ in (jobs[0], jobs[len(jobs) // 2], jobs[-1]):
+        tally = oracle._naive_job(args)
+        assert tally.shape == (n * n * oracle._naive_width(n),)
+        folded = oracle._naive_joint(n, tables[2], tally)
+        assert np.array_equal(folded, naive_joint_by_matrix(args)), (n, args[2:])
+        assert folded.sum() == (args[3] - args[2]) * n**3
+
+
 def test_naive_job_memory_is_bounded_by_the_block_budget():
     # a job spans _CHUNK matrices, 2,048 prefixes at n = 8, and reads the
-    # census's key tables. It holds one block of 256 prefixes x 512 first
-    # rows at a time, 256 kB of int16 indexes and bincount's int64 copy of
-    # them: tracemalloc puts its peak at 1.32 MB
+    # census's key tables. Its block of _BLOCK // 64 = 1,024 prefixes x 64
+    # (x, y) pairs is 128 kB of int16 grouped indexes, bincount's int64 copy
+    # of them 512 kB, and the bincount and the job's (64 x 323) tally 165 kB
+    # each: tracemalloc puts its peak at 0.99 MB
     (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8, oracle._naive_keys(8))
     assert size == oracle._CHUNK
     tracemalloc.start()
@@ -630,21 +648,27 @@ def test_naive_keys_are_built_in_slices_of_the_block_budget():
 
 
 def test_naive_index_type_holds_the_largest_raw_index():
-    # the sweep tallies each matrix by its unreduced index perm' w + det',
+    # the sweep covers each matrix by its unreduced index perm' w + det',
     # w = 3n - 2, where perm' = (A x mod n) + (B y mod n) + (C z mod n) over
     # the prefix's forms and det' likewise with D, E, F. Each is at most
     # 3 (n - 1) = w - 1, so the index is at most w^2 - 1, which the type of
     # the term tables T and TT must hold, as the key types must hold the
     # largest keys, n^4 - 1 and n^2 - 1; n = 9 is swept in
     # test_bounds_are_enforced. On seeded prefixes T[key3] + TT[key12] must
-    # give that index, as computed in Python ints.
+    # give that index, as computed in Python ints. The job groups the first
+    # two entries' terms under the z-column key as key3 W + TT[key12], W =
+    # TT.max() + 1, so its index type must hold n^2 W - 1, and the third
+    # entry's offsets T[key3, z] must carry the last of them to exactly
+    # w^2 - 1.
     rng = np.random.default_rng(9)
     for n in range(1, 10):
-        w = 3 * n - 2
+        w, width = 3 * n - 2, oracle._naive_width(n)
         key12, key3, T, TT = oracle._naive_keys(n)
         assert np.iinfo(key12.dtype).max >= n**4 - 1 and np.iinfo(key3.dtype).max >= n**2 - 1, n
         assert T.dtype == TT.dtype and np.iinfo(T.dtype).max >= w * w - 1, n
         assert key12.shape == key3.shape == (n**6,) and T.shape == (n * n, n) and TT.shape == (n**4, n * n)
+        assert width == TT.max() + 1 and T.max() + width - 1 == w * w - 1, n
+        assert np.iinfo(oracle._int_type(n * n * width - 1)).max >= n * n * width - 1, n
         x = np.arange(n, dtype=np.int64)
         for r in rng.integers(0, n**6, size=8).tolist():
             digits = [r // n**i % n for i in range(6)]
@@ -654,6 +678,16 @@ def test_naive_index_type_holds_the_largest_raw_index():
             got = TT[key12[r]].reshape(n, n, 1).astype(np.int64) + T[key3[r]].reshape(1, 1, n)
             assert np.array_equal(got, perm * w + det), (n, r)
             assert got.max() <= w * w - 1
+        # the job's last slot, grouped index n^2 W - 1, is the column key
+        # (n - 1, n - 1) with its largest first-two-entries term. _naive_joint
+        # adds it at each z's offset, and at z = 1 (the key's largest term,
+        # n > 1) it lands on exactly w^2 - 1, the last slot of the joint tally
+        tally = np.zeros(n * n * width, dtype=np.int64)
+        tally[-1] = 1
+        joint = oracle._naive_joint(n, T, tally)
+        assert joint.shape == (w * w,) and joint.sum() == n, n
+        assert np.flatnonzero(joint).max() == w * w - 1, n
+        assert np.array_equal(np.flatnonzero(joint), np.unique(T[-1].astype(np.int64) + width - 1)), n
 
 
 @functools.lru_cache(maxsize=None)
