@@ -7,10 +7,9 @@ row that disagrees), 2 usage error, 3 census bound exceeded (oracle's
 INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 out of
 memory, or a census, one of its workers or a check that fails its own
 invariant (a RuntimeError). --threads sets the number of worker threads, by
-default the CPUs this process may run on: oracle and table give them to each
-census's jobs, verify to whole checks, which run side by side with each
-census inside them on one thread. Output carries no timestamps, so
-identical invocations produce identical bytes.
+default the CPUs this process may run on: oracle, table and verify give them
+to each census's jobs, and verify runs its checks one after another. Output
+carries no timestamps, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations

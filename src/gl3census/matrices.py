@@ -150,7 +150,7 @@ def format_mat3(m: Mat3) -> str:
 # and 3: their minors are formed before anything is broadcast.
 
 
-def mod(a, n):
+def mod(a, n, out=None):
     """a mod n in [0, n) for n >= 1: the value of a % n, computed as a - (a // n) n.
 
     Both are floor division, so the two agree on Python ints and on numpy
@@ -160,9 +160,11 @@ def mod(a, n):
     quotient, so this holds no more arrays at once than a % n. (a // n) n
     lies within n - 1 of a, so no intermediate exceeds |a| + n - 1 in
     magnitude. An unsigned array has no -n, so there the multiple is
-    subtracted from a instead: (a // n) n <= a, so nothing wraps.
+    subtracted from a instead: (a // n) n <= a, so nothing wraps. Given
+    out, an array of a's type and shape other than a itself, the quotient
+    is formed there and the residue returned in it, so nothing is allocated.
     """
-    r = a // n
+    r = a // n if out is None else np.floor_divide(a, n, out=out)
     if isinstance(r, np.ndarray) and r.dtype.kind == "u":
         r *= n
         return np.subtract(a, r, out=r)

@@ -46,8 +46,10 @@ threads gain on large calls and lose on small ones: on a 2-vCPU host a
 262,144-element uint8 add ran 1.72 times as fast on two threads, a
 2,400-element one 0.49 times, and a thread making the large calls fell from
 89,800 to 28,300 calls/s beside one making the small ones. The engines
-therefore keep their calls block-sized, and verify.run_suite gives its
-threads to whole checks rather than to each census.
+therefore keep their calls block-sized. verify.run_suite runs its checks
+one after another and gives its threads to each census's jobs, so that no
+two checks share the interpreter lock and their working sets are never in
+memory at once.
 """
 
 from __future__ import annotations
@@ -247,27 +249,29 @@ def _digits(idx: range, n: int, k: int) -> list[np.ndarray]:
     The range is enumerated in the wider of _int_type(stop), which holds
     every index and so every digit, and _kernel_type(n), which holds the
     kernel's arithmetic on the digits as residues mod n. Callers that
-    compute more with the digits bound that arithmetic themselves.
+    compute more with the digits bound that arithmetic themselves. Each
+    digit is the index less n times its quotient, as in matrices.mod: one
+    floor division per digit, which numpy runs with SIMD, and no remainder.
     """
     idx = np.arange(idx.start, idx.stop, dtype=np.promote_types(_int_type(idx.stop), _kernel_type(n)))
     out = []
     for _ in range(k):
-        out.append(idx % n)
-        idx = idx // n
+        q = idx // n
+        out.append(idx - q * n)  # q n <= idx: nothing wraps
+        idx = q
     return out
 
 
 def _sum_jobs(fn, jobs, threads, progress):
     """Sum fn(args) over one or more (args, size) jobs, inline or on a thread pool, adding in job order.
 
-    The sum starts from the first job's result, so jobs may return numbers,
-    arrays or lists (which it concatenates). progress(done, total) reports
-    the summed sizes of the jobs finished, from the calling thread. The pool
-    has at most one thread per job, and a single job runs inline. A job's
-    exception reaches the caller as it was raised, and no later job starts
-    once it has been raised. If the caller's side raises (progress, or an
-    interrupt while waiting), queued jobs are cancelled and only the running
-    ones are waited for.
+    The sum starts from the first job's result, so jobs may return numbers
+    or arrays. progress(done, total) reports the summed sizes of the jobs
+    finished, from the calling thread. The pool has at most one thread per
+    job, and a single job runs inline. A job's exception reaches the caller
+    as it was raised, and no later job starts once it has been raised. If
+    the caller's side raises (progress, or an interrupt while waiting),
+    queued jobs are cancelled and only the running ones are waited for.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

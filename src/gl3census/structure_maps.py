@@ -11,6 +11,7 @@ no sub-permanent of row 1 is a unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,7 @@ def _fiber_job(args):
     n = p**k
     t = oracle._digits(range(start, stop), p ** (k - 1), 9)
     perm, det = perm_det([f + p * d.astype(oracle._kernel_type(n)) for f, d in zip(flat, t)], n)
-    return int((oracle._unit_mask(n).take(det) & (perm % p == 0)).sum())
+    return int((oracle._unit_mask(n).take(det) & (mod(perm, p) == 0)).sum())
 
 
 def witness(label: ClassLabel, p: int, k: int = 1, x: int = 0) -> Mat3:
@@ -184,7 +185,29 @@ def emptiness_scan(p: int, k: int = 1, *, threads: int = 1, progress=None) -> Em
     return EmptinessReport(p=p, k=k, scanned=int(counts.sum()) + violations, violations=violations)
 
 
-def zero_perm_members(p: int, k: int, prefixes: range | None = None):
+class _Held:
+    """Arrays held from batch to batch, one per name, handed out as views of each batch's shape.
+
+    held(name, shape, dtype) is the first prod(shape) elements of the flat
+    array held under name, reshaped to shape. The array is allocated on the
+    first call for its name, and again only when a call needs more elements
+    or another dtype, so a caller that asks at most the batch bound of each
+    name writes every batch into the same memory through numpy's out=. A
+    view is valid until the next call for its name.
+    """
+
+    def __init__(self):
+        self.arrays: dict = {}
+
+    def __call__(self, name, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        a = self.arrays.get(name)
+        if a is None or a.size < size or a.dtype != dtype:
+            a = self.arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
+def zero_perm_members(p: int, k: int, prefixes: range | None = None, held: _Held | None = None):
     """The members of G(p^k, 0) over the given prefixes, in grid batches.
 
     prefixes is a range of prefix indices in [0, n^6), by default all of
@@ -218,12 +241,19 @@ def zero_perm_members(p: int, k: int, prefixes: range | None = None):
     label, the same pivot and the same pivot inverse per prefix: a head
     batch at most 4 oracle._BLOCK members, a left-over batch at most
     2 oracle._BLOCK, or one prefix's members if they are more.
+
+    The solved row's arrays are written through numpy's out= into arrays
+    of held, the names ("solved", 0), ("solved", 1), ("solved", 2) and
+    "scratch", or of a _Held of its own per batch when held is None. With a
+    shared held, a batch is valid until the next is taken, and the caller
+    may use "scratch" in between; that is how verify.shift_round_trip
+    keeps every batch in the same memory.
     """
     n = p**k
     prefixes = range(n**6) if prefixes is None else prefixes
     if prefixes.step != 1 or prefixes.start < 0 or prefixes.stop > n**6:
         raise ValueError(f"prefixes must be a step-1 range within [0, {n**6}), got {prefixes}")
-    grids = (_head_grid(p, k), _leftover_grid(p, k))
+    grids = (_head_grid(p, k, held), _leftover_grid(p, k, held))
     return (batch for block in _prefix_blocks(n, prefixes) for batches in grids for batch in batches(block))
 
 
@@ -274,7 +304,7 @@ def _in_halves(basis, entries, p: int, k: int):
     return [np.concatenate(tables, axis=-1) for tables in zip(*parts)]
 
 
-def _head_grid(p: int, k: int):
+def _head_grid(p: int, k: int, held: _Held | None):
     """The members with a unit among P11, P12, P13, by solving row 1 over each prefix (rows 2 and 3).
 
     Over a prefix, the permanent and the determinant are the linear forms
@@ -296,7 +326,8 @@ def _head_grid(p: int, k: int):
     into batches of at most 4 oracle._BLOCK members by head label, which is
     every member's label and the row-1 position of its pivot, sorted by
     (a, axis) within a block, so that a batch repeats each table column
-    over a run of prefixes.
+    over a run of prefixes. Row 1 at c1 and c2 is taken from those columns,
+    and at c formed, into the arrays of held (see zero_perm_members).
 
     Returns the function that lists one block's batches from its digits
     (_prefix_blocks).
@@ -322,10 +353,14 @@ def _head_grid(p: int, k: int):
             sel = sel[np.argsort(key[sel], kind="stable")]
             for i in range(0, sel.size, per):
                 at = sel[i : i + per]
-                runs = np.bincount(key[at], minlength=2 * p)
-                row1 = [None] * 3
-                row1[c1], row1[c2] = np.repeat(y, runs, axis=1), np.repeat(z, runs, axis=1)
-                row1[c] = mod(row1[c1] * scale[0, at] + row1[c2] * scale[1, at], n)
+                h, shape = _Held() if held is None else held, (t.shape[0], at.size)
+                row1 = [h(("solved", j), shape, dtype) for j in range(3)]
+                ends = np.cumsum(np.bincount(key[at], minlength=2 * p)).tolist()
+                for j, run in enumerate(zip([0, *ends], ends)):  # the run of prefixes of key j
+                    row1[c1][:, slice(*run)], row1[c2][:, slice(*run)] = y[:, j, None], z[:, j, None]
+                scratch = np.multiply(row1[c1], scale[0, at], out=h("scratch", shape, dtype))
+                scratch += np.multiply(row1[c2], scale[1, at], out=row1[c])
+                mod(scratch, n, out=row1[c])
                 yield [*row1, *(e[None, at] for e in entries)]
 
     return batches
@@ -361,7 +396,7 @@ def _member_basis(prefix, p: int, k: int):
     return head, key, scale
 
 
-def _leftover_grid(p: int, k: int):
+def _leftover_grid(p: int, k: int, held: _Held | None):
     """The members with no unit among P11, P12, P13, by solving row 2 over each prefix (rows 1 and 3).
 
     (P11, P12, P13) = S r2 with S = [[0, a33, a32], [a33, 0, a31],
@@ -378,7 +413,8 @@ def _leftover_grid(p: int, k: int):
     every member exactly when Q . w = 0 and D . w != 0 mod p,
     (p - 1) p^(2(k - 1)) of them per prefix, and a prefix where either
     fails has none. Prefixes go into batches of at most 2 oracle._BLOCK
-    members by c.
+    members by c. Row 2 is formed into the arrays of held (see
+    zero_perm_members).
 
     Returns the function that lists one block's batches from its digits
     (_prefix_blocks).
@@ -398,10 +434,13 @@ def _leftover_grid(p: int, k: int):
             sel = np.flatnonzero(col == c)
             for i in range(0, sel.size, per):
                 at = sel[i : i + per]
-                row2 = [None] * 3
+                h, shape = _Held() if held is None else held, (size, at.size)
+                row2 = [h(("solved", j), shape, dtype) for j in range(3)]
                 for j, u in zip((a, 2), lift):
-                    row2[j] = (mod(mu * w[j, at], p)[:, None] + u).reshape(size, at.size)
-                row2[c] = mod(solve[0, at] * row2[a] + solve[1, at] * row2[2], n)
+                    np.add(mod(mu * w[j, at], p)[:, None], u, out=row2[j].reshape(p - 1, -1, at.size))
+                scratch = np.multiply(solve[0, at], row2[a], out=h("scratch", shape, dtype))
+                scratch += np.multiply(solve[1, at], row2[2], out=row2[c])
+                mod(scratch, n, out=row2[c])
                 yield [*(e[None, at] for e in entries[0:3]), *row2, *(e[None, at] for e in entries[3:6])]
 
     return batches

@@ -11,12 +11,9 @@ count, produce byte-identical reports.
 from __future__ import annotations
 
 import json
-import threading
 import zlib
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from math import prod
-from operator import iadd
 
 import numpy as np
 
@@ -164,36 +161,29 @@ FULL = replace(
 PROFILES = {"quick": QUICK, "full": FULL}
 
 
-class _Once:
-    """make(*key), computed once per key, also when threads ask for one key at the same moment."""
-
-    def __init__(self, make):
-        self.make = make
-        self.values: dict = {}
-        self.locks: dict = {}
-        self.lock = threading.Lock()
-
-    def __call__(self, *key):
-        with self.lock:
-            lock = self.locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self.values:
-                self.values[key] = self.make(*key)
-        return self.values[key]
-
-
 @dataclass
 class _Ctx:
-    """What the checks share: the profile, the seed and the censuses, each computed once.
+    """What the checks share: the profile, the seed, the threads and the censuses, each computed once.
 
-    Every engine call runs on one thread: the suite gives its threads to
-    whole checks.
+    The checks run one after another on the calling thread, and every
+    census they run gives the suite's threads to its own jobs.
     """
 
     profile: SuiteProfile
     seed: int
-    census: _Once = field(default_factory=lambda: _Once(lambda n: oracle.census_tiered(n)))
-    class_census: _Once = field(default_factory=lambda: _Once(lambda p, k: oracle.class_census(p, k)))
+    threads: int = 1
+    made: dict = field(default_factory=dict, repr=False)
+
+    def _once(self, engine, *key):
+        if (engine, key) not in self.made:
+            self.made[engine, key] = engine(*key, threads=self.threads)
+        return self.made[engine, key]
+
+    def census(self, n: int) -> CountTable:
+        return self._once(oracle.census_tiered, n)
+
+    def class_census(self, p: int, k: int) -> oracle.ClassCensus:
+        return self._once(oracle.class_census, p, k)
 
     def rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
@@ -222,7 +212,7 @@ def _sample_matrices(rng, n: int, count: int, perm_divisor: int) -> np.ndarray:
     while have < count:
         e = rng.integers(0, n, size=(9, 4096), dtype=np.int64)
         perm, det = perm_det(e, n)
-        keep = unit.take(det) & (perm % perm_divisor == 0)
+        keep = unit.take(det) & (mod(perm, perm_divisor) == 0)
         picked = e[:, keep]
         rows.append(picked)
         have += picked.shape[1]
@@ -248,7 +238,7 @@ def _census_matches_closed_form(ctx):
 def _engines_agree(ctx):
     out = []
     for n in ctx.profile.engine_moduli:
-        naive = oracle.census_naive(n)
+        naive = oracle.census_naive(n, threads=ctx.threads)
         out += diff_tables(naive, ctx.census(n), check_id="engine-agreement")
     return out
 
@@ -401,7 +391,7 @@ def _class_counts(ctx):
 def _case_table(ctx):
     out = []
     for p in ctx.profile.case_primes:
-        observed = oracle.case_census(p)
+        observed = oracle.case_census(p, threads=ctx.threads)
         for want, got in zip(closed_form.case_rows(p), observed.rows):
             if want.key != got.key:
                 raise RuntimeError(f"case census row {got.key} at p = {p} does not match {want.key}")
@@ -430,7 +420,7 @@ def _case_table(ctx):
 def _emptiness(ctx):
     out = []
     for p, k in ctx.profile.emptiness_moduli:
-        rep = structure_maps.emptiness_scan(p, k)
+        rep = structure_maps.emptiness_scan(p, k, threads=ctx.threads)
         out.append(result("emptiness", 0, rep.violations, p=p, k=k))
         out.append(
             result(
@@ -450,28 +440,33 @@ def _subperm_identity(ctx):
 
     Checked on identity_samples random matrices per modulus, drawn from the
     modulus's seeded generator one block of oracle._BLOCK columns at a time,
-    in oracle._kernel_type(n). Every product is reduced mod n before it could
-    pass 3 (n - 1)^2, the bound that type holds, and the type's range of at
-    least 127 also holds 5 (n - 1).
+    in oracle._kernel_type(n). The kernel and the identity run over slices
+    of oracle._BLOCK // 9 columns of each block, so that their temporaries,
+    a dozen or so arrays of one slice, stay within the block's own size.
+    Every product is reduced mod n before it could pass 3 (n - 1)^2, the
+    bound that type holds, and the type's range of at least 127 also holds
+    5 (n - 1).
     """
     out = []
-    samples = ctx.profile.identity_samples
+    samples, width = ctx.profile.identity_samples, oracle._BLOCK // 9
     for n in ctx.profile.identity_moduli:
         rng = ctx.rng(f"identity-{n}")
         t = oracle._kernel_type(n)
         bad = 0
         for s in range(0, samples, oracle._BLOCK):
-            b = rng.integers(0, n, size=(9, min(oracle._BLOCK, samples - s)), dtype=t)
-            _, det, p11, p12, p13, p21, p22 = perm_det_subperms(b, n)
-            terms = (2 * b[4] * p22, -b[0] * p11, b[1] * p12, -2 * b[3] * p21, -3 * b[2] * p13)
-            lhs = mod(sum(mod(v, n) for v in terms), n)  # five residues add up to <= 5 (n - 1)
-            rhs = mod(det - mod(6 % n * mod(mod(b[2] * b[3], n) * b[7], n), n), n)
-            bad += int((lhs != rhs).sum())
+            block = rng.integers(0, n, size=(9, min(oracle._BLOCK, samples - s)), dtype=t)
+            for c in range(0, block.shape[1], width):
+                b = block[:, c : c + width]
+                _, det, p11, p12, p13, p21, p22 = perm_det_subperms(b, n)
+                terms = (2 * b[4] * p22, -b[0] * p11, b[1] * p12, -2 * b[3] * p21, -3 * b[2] * p13)
+                lhs = mod(sum(mod(v, n) for v in terms), n)  # five residues add up to <= 5 (n - 1)
+                rhs = mod(det - mod(6 % n * mod(mod(b[2] * b[3], n) * b[7], n), n), n)
+                bad += int((lhs != rhs).sum())
         out.append(result("subperm-identity", 0, bad, n=n, samples=samples))
     return out
 
 
-def _shift_verify(e, n, p, shifts, inv_table):
+def _shift_verify(e, n, p, shifts, inv_table, held=None):
     """Per-shift violation counts of the pivot-shift map on a batch of members of G(n, 0), n = p^k.
 
     e holds the nine row-major entries, in [0, n), as arrays of the unsigned
@@ -512,21 +507,30 @@ def _shift_verify(e, n, p, shifts, inv_table):
     when p does not divide it.
 
     A violation is any member whose image fails perm == x, unit determinant,
-    class preservation, or the round trip. Each per-member array is freed
-    as soon as it has been read, so that a batch of 4 oracle._BLOCK
-    one-byte members peaks at about a dozen arrays of its size.
+    class preservation, or the round trip. Every per-member array is written
+    through numpy's out= into an array of held (structure_maps._Held, one of
+    its own when None): "value" and "scratch" for each form and its
+    residue, "moved" for the moved entry, "ok" and "test" for the masks,
+    and ("rest", i) for the terms of the forms, five at most. A caller that
+    passes one held for all its batches so allocates them once at the batch
+    bound. Only the per-prefix arrays are allocated per batch.
     """
 
-    def dot(f, entries, cols):
-        """The sum of f[c] entries[c] over cols where f[c] is given, unreduced."""
-        out = None
-        for c in cols:
-            if f[c] is not None:
-                term = f[c] * entries[c]
-                out = term if out is None else np.add(out, term, out=out)
-        return out
-
+    held = structure_maps._Held() if held is None else held
     dtype = np.result_type(*e)
+
+    def arrays(shape):
+        """The held "value" and "scratch" arrays of the batch's type and the "ok" and "test" masks, shaped."""
+        value, scratch = (held(name, shape, dtype) for name in ("value", "scratch"))
+        return value, scratch, held("ok", shape, bool), held("test", shape, bool)
+
+    def dot(f, entries, cols, out, scratch):
+        """The sum of f[c] entries[c] over cols where f[c] is given, unreduced, in out; scratch takes the terms."""
+        terms = [(f[c], entries[c]) for c in cols if f[c] is not None]
+        np.multiply(*terms[0], out=out)
+        for term in terms[1:]:
+            out += np.multiply(*term, out=scratch)
+        return out
 
     def residue_forms(r1, r2):
         """forms(r1, r2, n) as residues of the batch's type, formed in _kernel_type(n): b f - c e wraps unsigned."""
@@ -535,59 +539,67 @@ def _shift_verify(e, n, p, shifts, inv_table):
 
     a31, a32, a33 = e[6:9]
     subs = ((None, a33, a32), (a33, None, a31), (a32, a31, None))  # P11, P12, P13 as forms in row 2
-    count = np.broadcast(*e).size
-    top = [dot(f, e[3:6], range(3)) for f in subs]  # P11, P12, P13, unreduced
-    in_row1 = mod(top[0], p) != 0
-    for t in top[1:]:
-        in_row1 |= mod(t, p) != 0
+    top = np.broadcast_shapes(*(np.shape(v) for v in e[3:9]))  # rows 2 and 3: per prefix on a head batch
+    value, scratch, in_row1, test = arrays(top)
+    for i, f in enumerate(subs):  # P11, P12, P13, unreduced
+        np.not_equal(mod(dot(f, e[3:6], range(3), value, scratch), p, out=scratch), 0, out=test if i else in_row1)
+        if i:
+            in_row1 |= test
     if in_row1.all():
         r, coeffs, subs = 0, residue_forms(e[3:6], e[6:9]), ()
     elif not in_row1.any():
         r, coeffs = 1, residue_forms(e[6:9], e[0:3])
     else:
         raise RuntimeError("a shift batch must have one label, so all of its pivots in one row")
-    del top, in_row1
     col, pivot = first_unit(coeffs[: 3 - r], p)  # the pivot's column; in row 2 none of P11, P12, P13 is a unit
     c = int(col.flat[0])
     if (col != c).any():
         raise RuntimeError("a shift batch must have one label")
     del col
     row = e[3 * r : 3 * r + 3]
+    shape = np.broadcast_shapes(*(np.shape(v) for v in e))  # a member to an element
+    count = prod(shape)
+    value, scratch, ok, test = arrays(shape)
     # the permanent, the determinant and, along row 2, P11, P12, P13: linear forms in row r
     linear = (coeffs[:3], coeffs[3:], *subs)
-    rest = [dot(f, row, [i for i in range(3) if i != c]) for f in linear]
+    others = [i for i in range(3) if i != c]
+    rest = [dot(f, row, others, held(("rest", i), shape, dtype), scratch) for i, f in enumerate(linear)]
 
     def values(entry):
         """The forms, unreduced, with row r's entry c taken as entry; None for a form with no term in it.
 
-        One at a time, and holding none once yielded, so that each is freed
-        as soon as the caller has read it.
+        One at a time, each in value, which the next overwrites.
         """
         for f, t in zip(linear, rest):
-            yield None if f[c] is None else iadd(f[c] * entry, t)  # in the product's own array
+            if f[c] is None:
+                yield None
+            else:
+                v = np.multiply(f[c], entry, out=value)
+                v += t
+                yield v
 
     own = values(row[c])  # the permanent, then the determinant
-    member = mod(next(own), n) == 0
-    member &= mod(next(own), p) != 0
-    fixed = count - int(np.count_nonzero(member))  # a shift by x = 0 maps every member to itself
+    np.equal(mod(next(own), n, out=scratch), 0, out=ok)
+    ok &= np.not_equal(mod(next(own), p, out=scratch), 0, out=test)
+    fixed = count - int(np.count_nonzero(ok))  # a shift by x = 0 maps every member to itself
     inv = inv_table.astype(dtype, copy=False).take(pivot)
-    del member, pivot  # inv is all that the shifts read
+    del pivot  # inv is all that the shifts read
+    moved = held("moved", shape, dtype)
     violations = {}
     for x in shifts:
         if x % n == 0:
             violations[x] = fixed
             continue
-        moved = mod(row[c] + mod(x * inv, n), n)
+        mod(np.add(row[c], mod(x * inv, n), out=value), n, out=moved)
         image = values(moved)
-        ok = mod(next(image), n) == x % n
-        ok &= mod(next(image), p) != 0
+        np.equal(mod(next(image), n, out=scratch), x % n, out=ok)
+        ok &= np.not_equal(mod(next(image), p, out=scratch), 0, out=test)
         for v in image:  # a P1j the shift leaves as the member's is not a unit
             if v is not None:
-                ok &= mod(v, p) == 0
+                ok &= np.equal(mod(v, p, out=scratch), 0, out=test)
         moved += mod((n - x) * inv, n)  # the return shift, in place
-        ok &= mod(moved, n) == row[c]
+        ok &= np.equal(mod(moved, n, out=scratch), row[c], out=test)
         violations[x] = count - int(np.count_nonzero(ok))
-        del ok  # before the next shift builds its own
     return violations
 
 
@@ -632,7 +644,10 @@ def shift_round_trip(
     which takes batches of one label only: it expands each along its pivot
     row on the forms of the other two rows, formed once per prefix, so a
     shift moves one entry. One loop adds up the members and the violations
-    per shift of either source's batches, on the calling thread.
+    per shift of either source's batches, on the calling thread. The grids
+    and the verifier write every batch's per-member arrays into the arrays
+    of one structure_maps._Held, allocated at the batch bound in the call's
+    first batches and reused by every later one.
     """
     oracle._check_bound("shift_round_trip", p, k, scan=8 * k if population else 0)
     if not is_prime(p) or p == 2:
@@ -642,8 +657,9 @@ def shift_round_trip(
     if sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
     n = p**k
+    held = structure_maps._Held()
     if population:
-        batches = structure_maps.zero_perm_members(p, k)
+        batches = structure_maps.zero_perm_members(p, k, range(n**6), held)
     else:
         rng = np.random.default_rng([seed, zlib.crc32(f"shift-{p}-{k}".encode())])
         e = _sample_matrices(rng, n, sample, n)
@@ -655,7 +671,7 @@ def shift_round_trip(
     checked, viols = 0, dict.fromkeys(shifts, 0)
     for batch in batches:
         checked += np.broadcast(*batch).size
-        for x, v in _shift_verify(batch, n, p, shifts, inv_table).items():
+        for x, v in _shift_verify(batch, n, p, shifts, inv_table, held).items():
             viols[x] += v
     return checked, viols
 
@@ -841,7 +857,7 @@ def _partition(ctx):
 def _two_by_two(ctx):
     out = []
     for p in ctx.profile.two_by_two_primes:
-        ct = oracle.census_2x2(p)
+        ct = oracle.census_2x2(p, threads=ctx.threads)
         out.append(
             result("two-by-two-zero", closed_form.count2_prime(p, 0), ct[0], p=p)
         )
@@ -897,34 +913,29 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every check in the profile; returns results in canonical order.
 
-    The checks run as jobs of oracle._sum_jobs, whole checks side by side
-    on up to threads threads, taken up in registration order; at threads = 1
-    they run inline, one after another. Each engine call inside a check runs
-    on one thread: small numpy calls from two threads hand the interpreter
-    lock to each other, so a thread given a whole check loses less than a
-    census split across threads. The censuses the checks share are computed
-    once each (_Ctx), and the report does not depend on threads.
-    progress(i, total, tag) is called from the calling thread for i = 0 to
-    total - 1 in registration order, check i's tick once every check before
-    it has returned, then (total, total, "done"). A check or a progress
-    callback that raises stops the checks not yet started.
+    The checks run one after another on the calling thread, in
+    registration order, and every census they run gives its jobs to up to
+    threads threads, as oracle and table do. The censuses the checks share
+    are computed once each (_Ctx), and the report does not depend on
+    threads. progress(i, total, tag) is called just before check i runs,
+    for i = 0 to total - 1, then (total, total, "done"). A check or a
+    progress callback that raises stops the checks after it.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; known profiles: {', '.join(PROFILES)}")
     prof = PROFILES[profile] if isinstance(profile, str) else profile
-    ctx = _Ctx(profile=prof, seed=seed)
-    tags = [tag for tag, _ in _CHECKS] + ["done"]
-    tick = None
+    ctx = _Ctx(profile=prof, seed=seed, threads=threads)
+    total, results = len(_CHECKS), []
+    for i, (tag, fn) in enumerate(_CHECKS):
+        if progress is not None:
+            progress(i, total, tag)
+        results += fn(ctx)
     if progress is not None:
-        progress(0, len(_CHECKS), tags[0])
-
-        def tick(done, total):
-            progress(done, total, tags[done])
-
-    jobs = [(fn, 1) for _, fn in _CHECKS]
-    results = oracle._sum_jobs(lambda fn: fn(ctx), jobs, threads, tick)
+        progress(total, total, "done")
     results.sort(key=lambda r: (r.check_id, r.to_json()))
     gaps = coverage_gaps(results)
     if gaps:

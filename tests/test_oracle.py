@@ -752,6 +752,33 @@ def test_tables_are_built_in_the_kernel_type(n):
         assert oracle.census_tiered(n).counts == tuple(cf.count(n, x) for x in range(n))
 
 
+@pytest.mark.parametrize(
+    "start,stop,n,k",
+    [
+        (0, 127, 2, 7),  # int8 up to its top
+        (100, 128, 3, 5),  # past int8's top: int16
+        (32_700, 32_767, 7, 6),  # int16 up to its top
+        (32_700, 32_800, 7, 6),  # past int16's top: int32
+        (9 * 26_214, 10 * 26_214, 9, 6),  # a block of the (3, 2) shift population
+        (2**31 - 300, 2**31 - 1, 5, 14),  # int32 up to its top
+        (2**31 - 100, 2**31 + 100, 127, 5),  # past int32's top: int64
+        (0, 1, 1, 3),
+        (0, 125, 126, 2),  # n above stop: the kernel type sets the dtype
+    ],
+)
+def test_digits_match_divmod(start, stop, n, k):
+    # each digit is the index less n times its floor quotient; np.divmod on
+    # the same arange is the reference, digit for digit and dtype for dtype
+    idx = np.arange(start, stop, dtype=np.promote_types(oracle._int_type(stop), oracle._kernel_type(n)))
+    want = []
+    for _ in range(k):
+        idx, digit = np.divmod(idx, n)
+        want.append(digit)
+    got = oracle._digits(range(start, stop), n, k)
+    assert len(got) == k
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_int_type_refuses_past_int64():
     assert oracle._int_type(2**63 - 1) is np.int64
     with pytest.raises(OverflowError):

@@ -380,9 +380,9 @@ def test_grid_values_fit_the_member_type(monkeypatch):
 
     largest = []
 
-    def spy_mod(a, m):
+    def spy_mod(a, m, **out):
         largest.append(int(np.max(a)))
-        return real_mod(a, m)
+        return real_mod(a, m, **out)
 
     monkeypatch.setattr(sm, "_member_basis", largest_scale)
     monkeypatch.setattr(sm, "_leftover_basis", largest_solve)

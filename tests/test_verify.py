@@ -4,10 +4,8 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -109,22 +107,65 @@ def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
 
 
 def test_shift_population_job_holds_one_block_at_a_time(monkeypatch):
-    # block 9 of (3, 2), 1,153,872 members, peaks within 1 kB of the highest
-    # of the scan's 21 blocks: each holds a full head batch of 4 _BLOCK
-    # one-byte members, and its left-over batches hold at most 2 _BLOCK.
-    # tracemalloc puts its peak at 3.02 MB with the block's per-prefix
-    # arrays (3.37 MB for blocks of half as many prefixes and 2 _BLOCK
-    # int16 batches before one-byte members)
+    # blocks 9 and 10 of (3, 2), 2,359,692 members, of the scan's 21: each
+    # holds a full head batch of 4 _BLOCK one-byte members, and its
+    # left-over batches hold at most 2 _BLOCK. The arrays held from batch to
+    # batch, about 2.9 MB, are live while block 10 builds its per-prefix
+    # tables, so tracemalloc puts the peak at 4.38 MB, within 0.06 MB of the
+    # whole scan's; block 9 alone peaks at 3.71 MB (3.02 MB when each batch
+    # allocated its own arrays)
     step, real = structure_maps._block_prefixes(9), structure_maps.zero_perm_members
-    monkeypatch.setattr(structure_maps, "zero_perm_members", lambda p, k: real(p, k, range(9 * step, 10 * step)))
+    monkeypatch.setattr(
+        structure_maps, "zero_perm_members", lambda p, k, _, held: real(p, k, range(9 * step, 11 * step), held)
+    )
     tracemalloc.start()
     try:
         out = verify.shift_round_trip(3, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out == (1_153_872, {0: 0, 3: 0, 6: 0})
+    assert out == (2_359_692, {0: 0, 3: 0, 6: 0})
     assert peak < 9 * oracle._BLOCK * 8
+
+
+@pytest.mark.parametrize("block", [oracle._BLOCK, oracle._BLOCK // 2])
+def test_shift_round_trip_allocates_no_array_per_batch_member(monkeypatch, block):
+    # block 9 of (3, 2), in batches of 4 and 2 _BLOCK members and in twice
+    # as many of half the size. Each batch's step, the grid listing it and
+    # the verifier checking it, is traced from the end of the step before:
+    # past the first head and the first left-over batch, which allocate the
+    # held arrays and build the block's per-prefix tables, no step's traced
+    # peak passes one byte a member, 64 bytes a prefix and 32 kB. With the
+    # per-member arrays allocated per batch every step passes it (200-330
+    # bytes a prefix)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    step, real = structure_maps._block_prefixes(9), structure_maps.zero_perm_members
+    monkeypatch.setattr(
+        structure_maps, "zero_perm_members", lambda p, k, _, held: real(p, k, range(9 * step, 10 * step), held)
+    )
+    real_verify, steps, start = verify._shift_verify, [], 0  # traced bytes at the end of the step before
+
+    def traced(e, *args):
+        nonlocal start
+        out = real_verify(e, *args)
+        current, peak = tracemalloc.get_traced_memory()
+        members, (_, prefixes) = np.broadcast(*e).size, np.broadcast(*e).shape
+        head = np.shape(e[0])[0] > 1  # row 1 per member
+        steps.append((head, peak - start - (members + 64 * prefixes + (1 << 15))))
+        tracemalloc.reset_peak()
+        start = current
+        return out
+
+    monkeypatch.setattr(verify, "_shift_verify", traced)
+    tracemalloc.start()
+    try:
+        assert verify.shift_round_trip(3, 2) == (1_153_872, {0: 0, 3: 0, 6: 0})
+    finally:
+        tracemalloc.stop()
+    first_leftover = next(i for i, (head, _) in enumerate(steps) if not head)
+    over = {i for i, (_, excess) in enumerate(steps) if excess > 0}
+    assert len(steps) >= 9 * oracle._BLOCK // block
+    assert 0 in over and over <= {0, first_leftover}, steps
 
 
 def test_shift_round_trip_rejects_p_two(monkeypatch):
@@ -191,9 +232,9 @@ def test_member_path_values_fit_the_member_type_at_ten(monkeypatch, p):
     real_mod = verify.mod
     seen = {}
 
-    def spy_mod(a, m):
+    def spy_mod(a, m, **out):
         seen[t].append(np.array(a, dtype=np.int64))
-        return real_mod(a, m)
+        return real_mod(a, m, **out)
 
     monkeypatch.setattr(verify, "mod", spy_mod)
     shifts = list(range(0, n, p))
@@ -433,19 +474,22 @@ ENGINES = (
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_suite_computes_each_census_once_on_one_thread(monkeypatch, threads):
+def test_suite_computes_each_census_once_on_the_suites_threads(monkeypatch, threads):
     # the checks share the tiered and class censuses, computed once per
-    # modulus; every engine call inside the suite runs on one thread
+    # modulus; every engine call inside the suite is given the suite's
+    # threads, but shift_round_trip, which takes none
     calls = {name: [] for _, name in ENGINES}
     for module, name in ENGINES:
 
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls[_name].append((args, kwargs.get("threads", 1)))
+            calls[_name].append((args, kwargs.get("threads")))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_suite("quick", threads=threads))
-    assert all(t == 1 for made in calls.values() for _, t in made), calls
+    assert all(made for made in calls.values()), calls
+    assert all(t == threads for name, made in calls.items() if name != "shift_round_trip" for _, t in made), calls
+    assert all(t is None for _, t in calls["shift_round_trip"])
     tiered = sorted(args for args, _ in calls["census_tiered"])
     classes = sorted(args for args, _ in calls["class_census"])
     assert tiered and tiered == sorted(set(tiered))
@@ -465,18 +509,39 @@ def test_suite_progress_ticks_in_registration_order(threads):
     assert ticks == [(i, total, tag) for i, (tag, _) in enumerate(verify._CHECKS)] + [(total, total, "done")]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_check_runs_between_its_tick_and_the_next(monkeypatch, threads):
+    # the checks run one after another: check i starts after tick i and has
+    # returned before tick i + 1, whatever the threads
+    events = []
+
+    def logged(i, fn):
+        def check(ctx):
+            events.append(("start", i))
+            out = fn(ctx)
+            events.append(("end", i))
+            return out
+
+        return check
+
+    checks = [(tag, logged(i, fn)) for i, (tag, fn) in enumerate(verify._CHECKS)]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    verify.run_suite("quick", threads=threads, progress=lambda i, total, tag: events.append(("tick", i)))
+    total = len(checks)
+    assert events == [(e, i) for i in range(total) for e in ("tick", "start", "end")] + [("tick", total)]
+
+
 class CheckFailed(Exception):
     pass
 
 
 def test_raising_check_stops_the_checks_after_it(monkeypatch):
-    # on two threads the first check holds one thread while the second
-    # raises on the other, which must start none of the checks after it
+    # the second check raises, on two threads too: none of the checks after
+    # it starts, and the caller gets its exception
     started, raised = [], CheckFailed("second check")
 
     def hold(ctx):
         started.append("hold")
-        time.sleep(0.2)
         return []
 
     def fail(ctx):
@@ -493,34 +558,6 @@ def test_raising_check_stops_the_checks_after_it(monkeypatch):
         verify.run_suite("quick", threads=2)
     assert info.value is raised
     assert sorted(started) == ["fail", "hold"]
-
-
-def test_ctx_computes_a_census_once_when_threads_ask_together(monkeypatch):
-    # more threads than cores, frequent switches: eight threads ask for
-    # three moduli at once, and each census is made once
-    made = []
-
-    def census_tiered(n):
-        made.append(n)
-        time.sleep(0.01)
-        return n * n
-
-    monkeypatch.setattr(oracle, "census_tiered", census_tiered)
-    ctx = verify._Ctx(profile=verify.QUICK, seed=verify.DEFAULT_SEED)
-    barrier = threading.Barrier(8)
-
-    def ask(n):
-        barrier.wait(timeout=10)
-        return ctx.census(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(ask, [5, 5, 5, 7, 7, 9, 5, 9], timeout=10))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == [25, 25, 25, 49, 49, 81, 25, 81] and sorted(made) == [5, 7, 9]
 
 
 def test_render_table_summarizes():
