@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import closed_form, oracle
-from .matrices import CLASS_LABELS
+from .matrices import CLASS_LABELS, DEFAULT_SEED
 from .modring import factorize, is_prime
 
 CLASS_TABLE_SECTIONS = ("class-table", "4.2")
@@ -40,30 +40,6 @@ def _default_threads() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser whose late_defaults(), if given, sets defaults just before it parses.
-
-    verify's --seed default is verify.DEFAULT_SEED, and the other
-    subcommands never load verify, so its parser reads that default only
-    when the verify subcommand is parsed (and --help shows it).
-    """
-
-    def __init__(self, *args, late_defaults=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.late_defaults = late_defaults
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.late_defaults is not None:
-            self.set_defaults(**self.late_defaults())
-        return super().parse_known_args(args, namespace)
-
-
-def _verify_defaults() -> dict:
-    from . import verify
-
-    return {"seed": verify.DEFAULT_SEED}
 
 
 def _progress_printer(label: str):
@@ -237,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gl3census",
         description="Count invertible 3x3 matrices over Z/n by permanent value.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="closed-form count of GL3(Z/n) matrices with permanent x")
     p_eval.add_argument("n", type=int)
@@ -268,13 +244,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_table.set_defaults(fn=_cmd_table)
 
-    p_verify = sub.add_parser(
-        "verify", help="run the cross-check suite", late_defaults=_verify_defaults
-    )
+    p_verify = sub.add_parser("verify", help="run the cross-check suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--threads", type=_thread_count, default=_default_threads())
     p_verify.add_argument(
-        "--seed", type=int, help="seed of the sampled checks (default: %(default)s)"
+        "--seed", type=int, default=DEFAULT_SEED, help="seed of the sampled checks (default: %(default)s)"
     )
     p_verify.add_argument("--progress", action="store_true")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")

@@ -21,6 +21,11 @@ from .modring import Modulus, Residue, factorize, is_prime
 Rows3 = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 Rows2 = tuple[tuple[int, int], tuple[int, int]]
 
+# Seed of verify's sampled matrices when the caller gives none. It lives here,
+# in a module the command line loads for every subcommand, so that verify's
+# --help shows it without loading verify.
+DEFAULT_SEED = 0x5EED
+
 
 class ClassLabel(Enum):
     """Position of the first unit sub-permanent, or NON_INVERTIBLE.

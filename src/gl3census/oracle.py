@@ -35,21 +35,21 @@ some prime p | n divides every entry of one row has no invertible completion,
 so the pass skips it. case_census shares that pass; class_census, whose class
 head a column permutation reorders, walks ordered triples.
 
-Censuses may run on several worker threads; orbit pairs (or, for the
-scanning engines, index ranges) are split into fixed chunks, each thread
-tallies its chunks into int64 arrays, and the merge adds them in chunk order.
-Results are identical for every thread count. The threads share one address
-space, so no worker holds its own copy of the tables; the tables a job reads
-are built before the jobs are dispatched. Only a numpy call's array loop
-runs without the interpreter lock, and every call hands the lock over, so
-threads gain on large calls and lose on small ones: on a 2-vCPU host a
-262,144-element uint8 add ran 1.72 times as fast on two threads, a
+Censuses may run on several worker threads; orbit pairs (or, for the scanning
+engines, index ranges) are split into fixed chunks, each thread tallies its
+chunks into int64 arrays, and the merge adds them in chunk order. Results are
+identical for every thread count. An orbit census hands its jobs every table
+they read in one record (_OrbitTables), built before they are dispatched, and
+contracts their summed tally with its bucket tables once. Only a numpy call's
+array loop runs without the interpreter lock, and every call hands the lock
+over, so threads gain on large calls and lose on small ones: on a 2-vCPU host
+a 262,144-element uint8 add ran 1.72 times as fast on two threads, a
 2,400-element one 0.49 times, and a thread making the large calls fell from
 89,800 to 28,300 calls/s beside one making the small ones. The engines
-therefore keep their calls block-sized. verify.run_suite runs its checks
-one after another and gives its threads to each census's jobs, so that no
-two checks share the interpreter lock and their working sets are never in
-memory at once.
+therefore keep their calls block-sized. verify.run_suite runs its checks one
+after another and gives its threads to each census's jobs, so that no two
+checks share the interpreter lock and their working sets are never in memory
+at once.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .matrices import (
 from .modring import Modulus, factorize, is_prime
 
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
-# products mult @ tables); 127^9 < 2^63 <= 128^9.
+# orbit censuses' contraction, _OrbitTables.contract); 127^9 < 2^63 <= 128^9.
 INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
 # still reaches n = 8 (n^9 matrices, each covered once, its third entry's
@@ -199,7 +199,6 @@ def _unit_mask(n: int) -> np.ndarray:
     return np.gcd(np.arange(n, dtype=np.int64), n) == 1
 
 
-@lru_cache(maxsize=None)
 def _valuations(p: int, k: int) -> np.ndarray:
     """val[v] = the largest t <= k with p^t | v, for 0 <= v < p^k; val[0] = k.
 
@@ -265,11 +264,12 @@ def _digits(idx: range, n: int, k: int) -> list[np.ndarray]:
 def _sum_jobs(fn, jobs, threads, progress):
     """Sum fn(args) over one or more (args, size) jobs, inline or on a thread pool, adding in job order.
 
-    The sum starts from the first job's result, so jobs may return numbers
-    or arrays. progress(done, total) reports the summed sizes of the jobs
-    finished, from the calling thread. The pool has at most one thread per
-    job, and a single job runs inline. A job's exception reaches the caller
-    as it was raised, and no later job starts once it has been raised. If
+    The sum starts from the first job's result and adds the others into it
+    in place, so jobs return numbers or fresh arrays that nothing else holds.
+    progress(done, total) reports the summed sizes of the jobs finished, from
+    the calling thread. The pool has at most one thread per job, and a single
+    job runs inline. A job's exception reaches the caller as it was raised,
+    and no later job starts once it has been raised. If
     the caller's side raises (progress, or an interrupt while waiting),
     queued jobs are cancelled and only the running ones are waited for.
     """
@@ -299,7 +299,10 @@ def _sum_jobs(fn, jobs, threads, progress):
         results = pool.map(run, range(len(jobs))) if pool is not None else map(fn, arglist)
         done, out = 0, None
         for (_, size), res in zip(jobs, results):
-            out = res if out is None else out + res
+            if out is None:
+                out = res
+            else:
+                out += res
             done += size
             if progress is not None:
                 progress(done, total)
@@ -331,8 +334,7 @@ def _sum_jobs(fn, jobs, threads, progress):
 @dataclass(frozen=True, eq=False)
 class _FormTables:
     n: int
-    triples: tuple[tuple[int, int, int], ...]  # HNF (a, b, d): H = <(a, 0), (b, d)> mod n
-    sizes: tuple[int, ...]  # subgroup orders
+    triples: tuple[tuple[int, int, int], ...]  # HNF (a, b, d): H = <(a, 0), (b, d)> mod n, of order n^2 / (a d)
     cyclic: np.ndarray  # column u * n + v -> index c of the cyclic subgroup <(u, v)>
     join: np.ndarray  # (subgroups, cyclic subgroups): subgroup index of H_s + <c>
 
@@ -421,7 +423,6 @@ def _form_tables(n: int) -> _FormTables:
     return _FormTables(
         n=n,
         triples=tuple(zip(a.tolist(), b.tolist(), d.tolist())),
-        sizes=tuple((n * n // (a * d)).tolist()),
         cyclic=(np.cumsum(is_cyclic) - 1)[keys].astype(_int_type(u.size)),
         join=join,
     )
@@ -588,49 +589,75 @@ def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
     return _orbits(g % n, sizes, np.gcd(np.gcd(g[0], g[1]), g[2]) == 1, n)
 
 
-def _orbit_jobs(n: int, ordered: bool, *extra) -> list[tuple[tuple, int]]:
-    """Chunks of orbit pairs, split by first-row triple, as (job args, prefixes covered).
+@dataclass(frozen=True, eq=False)
+class _OrbitTables:
+    """Every table the jobs of one orbit census read, handed to each job in its arguments."""
 
-    Job (n, ordered, i0, i1, *extra) takes the triples i0 <= i < i1 of
-    _divisor_rows(n, ordered) against every second-row orbit, dead or live.
-    Every live triple meets the same live second-row orbits, so the split
-    balances live pairs by giving each job max(1, _CHUNK // live second-row
-    orbits) live triples; a dead triple goes with the job whose range holds
-    it. Builds the cached tables the jobs read, so that no two threads build
-    one. Raises RuntimeError unless the pair weights sum to n^6.
+    n: int
+    subgroups: _FormTables  # keys the coefficient columns of a pair
+    first: _RowOrbits  # first-row triples
+    second: _RowOrbits  # second-row orbits
+    buckets: np.ndarray  # third-row counts of each subgroup
+
+    def contract(self, mult: np.ndarray) -> np.ndarray:
+        """Counts by permanent, (keys, n), of prefix weights tallied per key and subgroup in mult.
+
+        Row s of buckets counts the completions of any prefix in subgroup
+        s, so an entry counts at most n^9 matrices.
+        """
+        return mult.reshape(-1, len(self.buckets)) @ self.buckets
+
+
+def _orbit_tables(n: int, ordered: bool) -> _OrbitTables:
+    """The tables of one census mod n, built before dispatch; first-row triples ordered for the class census.
+
+    Consecutive censuses at one modulus (the tiered, class and case censuses
+    at a prime, table --check, verify) share the tables that _form_tables,
+    _row_orbits and _divisor_rows cache for the process (ROADMAP item 10).
     """
-    first, second = _divisor_rows(n, ordered), _row_orbits(n)
-    _form_tables(n)
+    return _OrbitTables(n, _form_tables(n), _divisor_rows(n, ordered), _row_orbits(n), _bucket_tables(n))
+
+
+def _orbit_jobs(c: _OrbitTables, *extra) -> list[tuple[tuple, int]]:
+    """Chunks of the orbit pairs of c, split by first-row triple, as (job args, prefixes covered).
+
+    Job (c, i0, i1, *extra) takes the triples i0 <= i < i1 of c.first
+    against every second-row orbit, dead or live, and reads the tables of c
+    alone. Every live triple meets the same live second-row orbits, so the
+    split balances live pairs by giving each job max(1, _CHUNK // live
+    second-row orbits) live triples; a dead triple goes with the job whose
+    range holds it. Raises RuntimeError unless the pair weights sum to n^6.
+    """
+    first, second, n = c.first, c.second, c.n
     step = max(1, _CHUNK // int(second.live.sum()))
     cuts = [0, *np.flatnonzero(first.live)[step::step].tolist(), len(first.sizes)]
     n_second = int(second.sizes.sum())
     bounds = zip(cuts[:-1], cuts[1:])
-    jobs = [((n, ordered, a, b, *extra), int(first.sizes[a:b].sum()) * n_second) for a, b in bounds]
+    jobs = [((c, a, b, *extra), int(first.sizes[a:b].sum()) * n_second) for a, b in bounds]
     covered = sum(size for _, size in jobs)
     if covered != n**6:
         raise RuntimeError(f"row orbits mod {n} cover {covered} prefixes, not n^6 = {n**6}")
     return jobs
 
 
-def _orbit_blocks(n: int, ordered: bool, i0: int, i1: int):
+def _orbit_blocks(c: _OrbitTables, i0: int, i1: int):
     """Blocks of live orbit pairs (i, j), i0 <= i < i1, as (rows, cols, forms, buckets, weights).
 
     rows are the live first-row triples of the block and cols the live
-    second-row orbits, both as indices into the full orbit tables; the arrays
+    second-row orbits, both as indices into c.first and c.second; the arrays
     are shaped (rows, cols), with at most max(_BLOCK, len(cols)) elements.
     weights are the pairs' |orbit i| * |orbit j|.
     """
-    first, second = _divisor_rows(n, ordered), _row_orbits(n)
-    t = _form_tables(n)
+    first, second = c.first, c.second
     live = i0 + np.flatnonzero(first.live[i0:i1])
     cols = np.flatnonzero(second.live)
     r2 = [v[None, cols] for v in second.reps]
     step = max(1, _BLOCK // cols.size)
     for s in range(0, live.size, step):
         rows = live[s : s + step]
-        coeffs = forms([v[rows, None] for v in first.reps], r2, n)
+        coeffs = forms([v[rows, None] for v in first.reps], r2, c.n)
         weights = first.sizes[rows, None] * second.sizes[None, cols]
-        yield rows, cols, coeffs, _hnf_buckets(t, coeffs), weights
+        yield rows, cols, coeffs, _hnf_buckets(c.subgroups, coeffs), weights
 
 
 def _tally(key, weights, n_keys: int) -> np.ndarray:
@@ -645,18 +672,18 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 
 
 def _tiered_job(args):
-    n_subs = len(_form_tables(args[0]).sizes)
-    mult = np.zeros(n_subs, dtype=np.int64)
+    c = args[0]
+    mult = np.zeros(len(c.buckets), dtype=np.int64)
     for *_, s, w in _orbit_blocks(*args):
-        mult += _tally(s, w, n_subs)
+        mult += _tally(s, w, mult.size)
     return mult
 
 
 def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
     """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= INT64_CEILING."""
     modulus = _modulus("census_tiered", n)
-    n = modulus.n
-    counts = _sum_jobs(_tiered_job, _orbit_jobs(n, False), threads, progress) @ _bucket_tables(n)
+    c = _orbit_tables(modulus.n, False)
+    counts = c.contract(_sum_jobs(_tiered_job, _orbit_jobs(c), threads, progress))[0]
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
@@ -836,18 +863,17 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # Unit-determinant matrices with neither P21 nor P22 a unit are violations.
 
 
-def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, i, j, p: int, k: int) -> np.ndarray:
+def _leftover_tally(c: _OrbitTables, i, j, p: int, k: int, val: np.ndarray) -> np.ndarray:
     """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, p^k).
 
-    Row 2 is rep i of rows2, row 3 rep j of o, and the first rows run over
-    o; the kernel runs in the reps' own type, _kernel_type(p^k). Each pair
-    is tallied by (label, valuation of the permanent) in int64, and each
-    valuation class's tally divided by the class's size. A function, so
-    that each block's (pairs x first-row orbits) arrays are freed before
-    the next block allocates its own.
+    Row 2 is rep i of c.first, row 3 rep j of c.second, the first rows run
+    over c.second, and the kernel runs in the reps' type. Each pair is
+    tallied in int64 by label and the valuation val = _valuations(p, k) of
+    its permanent, and each valuation class's tally divided by the class's
+    size. A function, so that each block's (pairs x first-row orbits) arrays
+    are freed before the next block allocates its own.
     """
-    n = p**k
-    val = _valuations(p, k)
+    n, rows2, o = c.n, c.first, c.second
     e = [*(v[None, :] for v in o.reps), *(v[i, None] for v in rows2.reps), *(v[j, None] for v in o.reps)]
     perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
     lab, pivot = first_unit((p21, p22), p)
@@ -864,20 +890,19 @@ def _leftover_tally(rows2: _RowOrbits, o: _RowOrbits, i, j, p: int, k: int) -> n
 
 def _class_job(args):
     """(3, subgroups + n): prefixes per (head class, subgroup), then the left-over tallies."""
-    n, ordered, _, _, p, k = args
-    rows2, o = _divisor_rows(n, ordered), _row_orbits(n)
-    n_subs = len(_form_tables(n).sizes)
+    c, _, _, p, k, val = args
+    n_subs = len(c.buckets)
     mult = np.zeros(3 * n_subs, dtype=np.int64)
-    left = np.zeros((3, n), dtype=np.int64)
-    step = max(1, _BLOCK // len(o.sizes))  # left-over pairs per block
-    for rows, cols, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:4]):
+    left = np.zeros((3, c.n), dtype=np.int64)
+    step = max(1, _BLOCK // len(c.second.sizes))  # left-over pairs per block
+    for rows, cols, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:3]):
         lab, pivot = first_unit((p11, p12, p13), p)
         headed = mod(pivot, p) != 0
         mult += _tally((lab.astype(np.int64) * n_subs + s)[headed], w[headed], 3 * n_subs)
         i, j = np.nonzero(~headed & ((mod(d1, p) != 0) | (mod(d2, p) != 0) | (mod(d3, p) != 0)))
         for b in range(0, i.size, step):
             block = slice(b, b + step)
-            left += _leftover_tally(rows2, o, rows[i[block]], cols[j[block]], p, k)
+            left += _leftover_tally(c, rows[i[block]], cols[j[block]], p, k, val)
     return np.hstack([mult.reshape(3, n_subs), left])
 
 
@@ -893,12 +918,10 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
         raise ValueError(f"class census needs a prime, got {p}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    n = p**k
-    _valuations(p, k)  # read by the jobs' left-over sweeps; _orbit_jobs builds the rest
-    tallies = _sum_jobs(_class_job, _orbit_jobs(n, True, p, k), threads, progress)
-    tables = _bucket_tables(n)
-    heads, left = np.split(tallies, [len(tables)], axis=1)
-    return np.vstack([heads @ tables, left[:2]]).T, int(left[2].sum())
+    c = _orbit_tables(p**k, True)
+    tallies = _sum_jobs(_class_job, _orbit_jobs(c, p, k, _valuations(p, k)), threads, progress)
+    heads, left = np.split(tallies, [len(c.buckets)], axis=1)
+    return np.vstack([c.contract(heads), left[:2]]).T, int(left[2].sum())
 
 
 def class_census(p: int, k: int = 1, *, threads: int = 1, progress=None) -> ClassCensus:
@@ -929,10 +952,9 @@ _PATTERN_KEYS = ((1, None), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 
 def _case_job(args):
-    n, ordered = args[:2]
-    n_subs = len(_form_tables(n).sizes)
-    orbits = (_divisor_rows(n, ordered), _row_orbits(n))
-    nnz1, nnz2 = (sum((v != 0).astype(np.int64) for v in o.reps) for o in orbits)
+    c = args[0]
+    n_subs = len(c.buckets)
+    nnz1, nnz2 = (sum((v != 0).astype(np.int64) for v in o.reps) for o in (c.first, c.second))
     mult = np.zeros(8 * n_subs, dtype=np.int64)
     for rows, cols, _, s, w in _orbit_blocks(*args):
         pattern = _PATTERN_OF[nnz1[rows, None], nnz2[None, cols]]
@@ -945,7 +967,8 @@ def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
     _check_bound("case_census", p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
-    mult = _sum_jobs(_case_job, _orbit_jobs(p, False), threads, progress).reshape(8, -1)
+    c = _orbit_tables(p, False)
+    mult = _sum_jobs(_case_job, _orbit_jobs(c), threads, progress).reshape(8, -1)
     # at a prime the only dead row is the zero row, so the live pairs are the
     # p^6 - (2 p^3 - 1) prefixes with no all-zero row, and none is pattern 7
     live = p**6 - (2 * p**3 - 1)
@@ -954,7 +977,7 @@ def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
             f"case census mod {p} tallied {int(mult.sum())} prefixes, {int(mult[7].sum())} "
             f"of them with an all-zero row; want {live} and none"
         )
-    per_pattern = (mult @ _bucket_tables(p)[:, 0]).tolist()
+    per_pattern = c.contract(mult)[:, 0].tolist()
     rows = tuple(
         CaseCensusRow(key[0], key[1], per_pattern[r]) for r, key in enumerate(_PATTERN_KEYS)
     )

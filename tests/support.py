@@ -202,7 +202,7 @@ def divisor_rows_by_itertools(n: int, ordered: bool) -> oracle._RowOrbits:
 
 
 def form_tables_by_unique(n: int):
-    """(triples, sizes, cyclic, join) of oracle._form_tables(n), cyclic subgroups numbered by np.unique.
+    """(triples, cyclic, join) of oracle._form_tables(n), cyclic subgroups numbered by np.unique.
 
     The triples are listed by a Python loop over (a, d, b), the Euclid
     table filled by one ext_gcd per cell, and the cyclic subgroups are the
@@ -234,16 +234,15 @@ def form_tables_by_unique(n: int):
     for s in range(0, len(triples), step):
         rows = slice(s, s + step)
         join[rows] = index(*fold(euclid, n, a[rows, None], b[rows, None], d[rows, None], u, v))
-    sizes = tuple(n * n // (a * d) for a, _, d in triples)
-    return tuple(triples), sizes, cyclic.astype(oracle._int_type(rep.size)), join
+    return tuple(triples), cyclic.astype(oracle._int_type(rep.size)), join
 
 
 def bucket_tables_by_elements(n: int) -> np.ndarray:
     """oracle._bucket_tables(n), by listing every element i (a, 0) + j (b, d) of every subgroup."""
-    t = oracle._form_tables(n)
-    sizes = np.array(t.sizes, dtype=np.int64)
+    a, b, d = (np.array(v, dtype=np.int64) for v in zip(*oracle._form_tables(n).triples))
+    sizes = n * n // (a * d)
     sid = np.repeat(np.arange(sizes.size), sizes)
-    a, b, d = (np.array(v, dtype=np.int64)[sid] for v in zip(*t.triples))
+    a, b, d = a[sid], b[sid], d[sid]
     e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]
     i, j = e % (n // a), e // (n // a)
     key = sid * n + (i * a + j * b) % n

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import sys
 import threading
 import time
 import tracemalloc
@@ -155,7 +154,8 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # triples; at (5, 2) and (3, 3) the lightest pairs come first, and at
     # (3, 3) the second of them reaches the permanents of valuation 2 and 3.
     n = p**k
-    rows2, o = oracle._divisor_rows(n, True), oracle._row_orbits(n)
+    c = oracle._orbit_tables(n, True)
+    rows2, o, val = c.first, c.second, oracle._valuations(p, k)
     i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
     A, B, C, D, E, F = (v % p for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], n))
     left = np.flatnonzero((A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0)))
@@ -163,12 +163,12 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     left = left[np.argsort(weights[left], kind="stable")]
     reached = set()
     for pair in left[:pairs]:
-        tally = oracle._leftover_tally(rows2, o, i[[pair]], j[[pair]], p, k)
+        tally = oracle._leftover_tally(c, i[[pair]], j[[pair]], p, k, val)
         reps = [np.array([int(v[x]) for v in r.reps]) for r, x in ((rows2, i[pair]), (o, j[pair]))]
         sweep, members = _member_sweep(*reps, p, n)
         assert members == weights[pair]
         assert tally.tolist() == sweep.tolist(), reps
-        reached |= set(oracle._valuations(p, k)[np.flatnonzero(tally.sum(axis=0))].tolist())
+        reached |= set(val[np.flatnonzero(tally.sum(axis=0))].tolist())
     assert reached == set(range(1, k + 1))
 
 
@@ -238,10 +238,10 @@ def test_case_census_guards_its_live_weight(monkeypatch, live):
 def test_form_tables_subgroup_counts():
     # (Z/p)^2 has the trivial group, p+1 lines, and the full group
     for p in (2, 3, 5, 7, 11, 13):
-        t = oracle._form_tables(p)
-        assert len(t.sizes) == p + 3
-        assert sorted(set(t.sizes)) == [1, p, p * p]
-        for size in t.sizes:
+        orders = [p * p // (a * d) for a, _, d in oracle._form_tables(p).triples]
+        assert len(orders) == p + 3
+        assert sorted(set(orders)) == [1, p, p * p]
+        for size in orders:
             assert (p * p) % size == 0  # Lagrange
 
 
@@ -250,7 +250,7 @@ def test_form_tables_composite_eleven_twelve():
     t12 = oracle._form_tables(12)
     t4 = oracle._form_tables(4)
     t3 = oracle._form_tables(3)
-    assert len(t12.sizes) == len(t4.sizes) * len(t3.sizes)
+    assert len(t12.triples) == len(t4.triples) * len(t3.triples)
 
 
 def _signature(triple, n):
@@ -316,15 +316,16 @@ def test_hnf_keys_are_canonical_for_subgroups(n):
     keys = oracle._hnf_buckets(t, forms).tolist()
     closures = [_closure(cols, n) for cols in triples]
     assert len(set(closures)) > 5
+    orders = [n * n // (a * d) for a, _, d in t.triples]
     for i in range(len(triples)):
-        assert len(closures[i]) == t.sizes[keys[i]]
+        assert len(closures[i]) == orders[keys[i]]
         for j in range(i):
             assert (keys[i] == keys[j]) == (closures[i] == closures[j]), (triples[i], triples[j])
     # every bucket's triple, as a signature, lands in its own bucket
     for sid, triple in enumerate(t.triples):
         rep = _signature(triple, n)
         assert int(oracle._hnf_buckets(t, [np.array(v) for v in rep])) == sid
-        assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == t.sizes[sid]
+        assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == orders[sid]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -452,14 +453,14 @@ def test_row_and_divisor_orbits_match_the_earlier_builds(n):
 
 @pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1, 16))
 def test_form_tables_match_the_unique_numbering(n):
-    # the triples, sizes, cyclic and join tables, values and dtypes, equal
+    # the triples, cyclic and join tables, values and dtypes, equal
     # the build that lists triples in Python, fills the Euclid table one
     # extended-Euclid step per cell and numbers cyclic subgroups by np.unique
     for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
         t = oracle._form_tables(m)
-        triples, sizes, cyclic, join = form_tables_by_unique(m)
-        assert t.triples == triples and t.sizes == sizes, m
-        assert all(type(v) is int for v in (*t.triples[-1], t.sizes[-1]))
+        triples, cyclic, join = form_tables_by_unique(m)
+        assert t.triples == triples, m
+        assert all(type(v) is int for v in t.triples[-1])
         _same_arrays([t.cyclic, t.join], [cyclic, join])
 
 
@@ -521,11 +522,11 @@ def test_orbit_pass_skips_exactly_the_dead_prefixes(n):
     for p, _ in factorize(n).factors:
         dead |= (rows % p == 0).all(axis=1)
     dead_prefixes = int(np.logical_or.outer(dead, dead).sum())
-    second = oracle._row_orbits(n)
     for ordered in (False, True):
-        first = oracle._divisor_rows(n, ordered)
+        c = oracle._orbit_tables(n, ordered)
+        first, second = c.first, c.second
         pairs, walked = [], 0
-        for i, j, *_, w in oracle._orbit_blocks(n, ordered, 0, len(first.sizes)):
+        for i, j, *_, w in oracle._orbit_blocks(c, 0, len(first.sizes)):
             pairs += itertools.product(i.tolist(), j.tolist())
             walked += int(w.sum())
         live = np.outer(first.live, second.live)
@@ -548,9 +549,9 @@ def test_orbit_jobs_balance_live_pairs(monkeypatch, n, chunk):
     live_second = int(oracle._row_orbits(n).live.sum())
     step = max(1, oracle._CHUNK // live_second)
     for ordered in (False, True):
-        first = oracle._divisor_rows(n, ordered)
-        jobs = oracle._orbit_jobs(n, ordered)
-        bounds = [args[2:4] for args, _ in jobs]
+        c = oracle._orbit_tables(n, ordered)
+        first, jobs = c.first, oracle._orbit_jobs(c)
+        bounds = [args[1:3] for args, _ in jobs]
         assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
         assert bounds[-1][1] == len(first.sizes)
         live = [int(first.live[a:b].sum()) for a, b in bounds]
@@ -584,17 +585,6 @@ def test_results_do_not_depend_on_block_budget(monkeypatch):
     default = _block_sensitive_results()
     monkeypatch.setattr(oracle, "_BLOCK", 1)
     assert _block_sensitive_results() == default
-
-
-def test_results_do_not_depend_on_chunking(monkeypatch):
-    # _CHUNK = 1 gives one live first-row triple per job, so the pool merges many
-    default = _block_sensitive_results()
-    monkeypatch.setattr(oracle, "_CHUNK", 1)
-    assert len(oracle._orbit_jobs(12, False)) == oracle._divisor_rows(12, False).live.sum()
-    counts, violations = oracle._class_scan(3, 2, threads=2)
-    chunked = oracle.census_tiered(12, threads=2).counts, counts.tolist(), violations
-    assert chunked == default[:3]
-    assert oracle.case_census(7, threads=2) == default[3]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -735,9 +725,9 @@ def test_tables_are_built_in_the_kernel_type(n):
     t = oracle._kernel_type(n)
     assert all(v.dtype == t for v in oracle._row_orbits(n).reps)
     for ordered in (False, True):
-        first = oracle._divisor_rows(n, ordered)
-        assert all(v.dtype == t for v in first.reps)
-        _, _, coeffs, _, _ = next(oracle._orbit_blocks(n, ordered, 0, len(first.sizes)))
+        c = oracle._orbit_tables(n, ordered)
+        assert all(v.dtype == t for v in c.first.reps)
+        _, _, coeffs, _, _ = next(oracle._orbit_blocks(c, 0, len(c.first.sizes)))
         assert all(v.dtype == t for v in coeffs)
     # _hnf_buckets indexes cyclic by u n + v, up to n^2 - 1, in that type
     top = [np.full(1, n - 1, dtype=t)] * 6
@@ -990,41 +980,41 @@ def test_parallel_censuses_are_deterministic():
     assert one.counts == two.counts
 
 
-def test_threads_share_tables_built_before_dispatch(monkeypatch):
-    # more jobs and threads than cores, frequent switches: every cached table
-    # a job reads is built once, before the jobs are dispatched. _CHUNK = 1
-    # gives one live first-row triple per orbit job
-    orbit_tables = (oracle._form_tables, oracle._row_orbits, oracle._divisor_rows)
-    cases = [
-        (1, orbit_tables, lambda: oracle.census_tiered(7, threads=4).counts, CENSUS3[7]),
-        (
-            1,
-            (*orbit_tables, oracle._valuations),
-            lambda: oracle.class_census(3, 2, threads=4).counts,
-            oracle.class_census(3, 2).counts,
-        ),
-    ]
-    real_sum_jobs, at_dispatch = oracle._sum_jobs, []
+@pytest.mark.parametrize("threads", [1, 3])
+def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
+    # every table builder raises once _orbit_jobs has returned, so a job that
+    # built or looked up a table of its own would fail its census; _CHUNK = 1
+    # gives one live first-row triple per job, so the merge adds many, and
+    # the counts must equal those of the default chunks
+    runs = (
+        lambda: oracle.census_tiered(12, threads=threads).counts,
+        lambda: oracle.class_census(3, 2, threads=threads).counts,
+        lambda: oracle.case_census(7, threads=threads),
+    )
+    want, jobs, real_orbit_jobs = [run() for run in runs], [], oracle._orbit_jobs
 
-    def sum_jobs(fn, jobs, threads, progress):
-        at_dispatch.append((len(jobs), [f.cache_info().currsize for f in cached]))
-        return real_sum_jobs(fn, jobs, threads, progress)
+    def guarded(build):
+        def builder(*args):
+            if jobs:
+                pytest.fail(f"{build.__name__}{args} called after the jobs were dispatched")
+            return build(*args)
 
-    monkeypatch.setattr(oracle, "_sum_jobs", sum_jobs)
-    interval = sys.getswitchinterval()
-    try:
-        for chunk, cached, run, want in cases:
-            monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            for f in cached:
-                f.cache_clear()
-            sys.setswitchinterval(1e-6)
-            assert run() == want
-            sys.setswitchinterval(interval)
-            jobs, built = at_dispatch.pop()
-            assert jobs >= 3 and built == [1] * len(cached), (jobs, built)
-            assert [f.cache_info().misses for f in cached] == [1] * len(cached)
-    finally:
-        sys.setswitchinterval(interval)
+        return builder
+
+    def orbit_jobs(*args):
+        jobs.append(real_orbit_jobs(*args))
+        return jobs[-1]
+
+    for name in ("_form_tables", "_euclid_table", "_row_orbits", "_prime_power_row_orbits",
+                 "_divisor_rows", "_bucket_tables", "_unit_mask", "_valuations"):
+        monkeypatch.setattr(oracle, name, guarded(getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "_orbit_jobs", orbit_jobs)
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+    for run, counts in zip(runs, want):
+        jobs.clear()
+        assert run() == counts
+        (c, *_), _ = jobs[0][0]
+        assert len(jobs) == 1 and len(jobs[0]) == c.first.live.sum() >= 3
 
 
 def test_progress_hook_reports_completion():

@@ -597,12 +597,13 @@ ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), seed=0)
 key_check = raises(lambda: verify._case_table(ctx))
 
 # first-row orbit sizes off by one make the left-over class tallies mod 9 inexact
-rows2, o = oracle._divisor_rows(9, True), oracle._row_orbits(9)
+c = oracle._orbit_tables(9, True)
+rows2, o = c.first, c.second
 i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
 A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], 9))
 left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
-bad = dataclasses.replace(o, sizes=o.sizes + 1)
-tally_check = raises(lambda: oracle._leftover_tally(rows2, bad, i[left], j[left], 3, 2))
+bad = dataclasses.replace(c, second=dataclasses.replace(o, sizes=o.sizes + 1))
+tally_check = raises(lambda: oracle._leftover_tally(bad, i[left], j[left], 3, 2, oracle._valuations(3, 2)))
 
 # the first head batch of (3, 2) has label 0; rows 2 and 3 of (1, 0, 0), (0, 1, 0) give prefix 0 label 2
 batch = [v.copy() for v in next(structure_maps.zero_perm_members(3, 2))]
