@@ -238,7 +238,7 @@ def form_tables_by_unique(n: int):
 
 
 def bucket_tables_by_elements(n: int) -> np.ndarray:
-    """oracle._bucket_tables(n), by listing every element i (a, 0) + j (b, d) of every subgroup."""
+    """oracle._bucket_tables(oracle._form_tables(n)), by listing every element i (a, 0) + j (b, d) of every subgroup."""
     a, b, d = (np.array(v, dtype=np.int64) for v in zip(*oracle._form_tables(n).triples))
     sizes = n * n // (a * d)
     sid = np.repeat(np.arange(sizes.size), sizes)

@@ -1,10 +1,13 @@
+import collections
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -216,8 +219,16 @@ def test_case_census_rejects_bad_p():
         oracle.case_census(9)
 
 
+@pytest.fixture
+def cold_tables():
+    """The per-modulus tables' cache cleared before and after: no record built under a patch outlives the test."""
+    oracle._modulus_tables.cache_clear()
+    yield
+    oracle._modulus_tables.cache_clear()
+
+
 @pytest.mark.parametrize("live", ["zero row too", "one orbit short"])
-def test_case_census_guards_its_live_weight(monkeypatch, live):
+def test_case_census_guards_its_live_weight(monkeypatch, cold_tables, live):
     # walking the zero row puts weight on pattern 7, whose bucket counts are
     # all 0; skipping a live orbit leaves the tally short of p^6 - (2 p^3 - 1)
     real = oracle._row_orbits
@@ -262,7 +273,7 @@ def _signature(triple, n):
 @pytest.mark.parametrize("n", range(1, 33))
 def test_bucket_tables_match_third_row_sweep(n):
     t = oracle._form_tables(n)
-    tables = oracle._bucket_tables(n)
+    tables = oracle._bucket_tables(t)
     assert tables.shape == (len(t.triples), n)
     for triple, row in zip(t.triples, tables):
         assert row.tolist() == third_row_counts_generic(_signature(triple, n), n).tolist(), triple
@@ -272,7 +283,7 @@ def test_generic_counts_random_signatures():
     rng = np.random.default_rng(7)
     for n in (4, 6, 9, 12):
         t = oracle._form_tables(n)
-        tables = oracle._bucket_tables(n)
+        tables = oracle._bucket_tables(t)
         for _ in range(25):
             sig = tuple(int(v) for v in rng.integers(0, n, 6))
             direct = third_row_counts_generic(sig, n)
@@ -373,7 +384,6 @@ def test_form_table_build_is_blocked():
     # join (1,776 x 770 at 120) is built in blocks of _BLOCK entries: the
     # peak is the tables plus a few int64 blocks, where one unblocked
     # gather of the Euclid table alone would take 3 x 8 bytes per entry (33 MB)
-    oracle._form_tables.cache_clear()
     tracemalloc.start()
     try:
         t = oracle._form_tables(120)
@@ -390,7 +400,7 @@ def test_bucket_symmetries_of_the_orbit_pass(n):
     # which moves the key but keeps the bucket's third-row counts
     rng = np.random.default_rng(n)
     t = oracle._form_tables(n)
-    tables = oracle._bucket_tables(n)
+    tables = oracle._bucket_tables(t)
     units = np.flatnonzero(oracle._unit_mask(n))
     r1, r2 = rng.integers(0, n, size=(2, 3, 200))
 
@@ -486,7 +496,7 @@ def test_euclid_table_holds_bezout_within_the_fold_bound():
 def test_bucket_tables_match_every_element(n):
     # above the third-row sweep's range: the d = 1 rows read off the unit
     # multiples of b mod a, against a listing of every element of every subgroup
-    _same_arrays([oracle._bucket_tables(n)], [bucket_tables_by_elements(n)])
+    _same_arrays([oracle._bucket_tables(oracle._form_tables(n))], [bucket_tables_by_elements(n)])
 
 
 def test_divisor_row_weights_cover_every_row():
@@ -1015,6 +1025,34 @@ def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
         assert run() == counts
         (c, *_), _ = jobs[0][0]
         assert len(jobs) == 1 and len(jobs[0]) == c.first.live.sum() >= 3
+
+
+def test_censuses_at_one_modulus_share_one_build(monkeypatch, cold_tables):
+    # the tiered, class and case censuses at 13 in a row: one build of the
+    # form tables, the second-row orbits and the bucket tables serves all three
+    calls = collections.Counter()
+
+    def counted(build):
+        def builder(*args):
+            calls[build.__name__] += 1
+            return build(*args)
+
+        return builder
+
+    for name in ("_form_tables", "_row_orbits", "_bucket_tables"):
+        monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+    oracle.census_tiered(13)
+    oracle.class_census(13)
+    oracle.case_census(13)
+    assert calls == {"_form_tables": 1, "_row_orbits": 1, "_bucket_tables": 1}
+
+
+def test_a_census_at_another_modulus_releases_the_last_tables():
+    oracle.census_tiered(12)
+    tables = weakref.ref(oracle._orbit_tables(12, False).subgroups)
+    oracle.census_tiered(13)
+    gc.collect()
+    assert tables() is None
 
 
 def test_progress_hook_reports_completion():
