@@ -14,17 +14,20 @@ reference and refuses n > 8.
 census_tiered works on prefixes (the first two
 rows): for a fixed prefix, both the permanent and the determinant are linear
 forms in the third row, and the joint distribution of the two forms depends
-only on the subgroup of (Z/n)^2 generated by their three coefficient columns.
-Each subgroup is keyed by the Hermite normal form of its lattice between nZ^2
-and Z^2, and its third-row counts are read off that basis: the forms map the
-n^3 third rows onto the subgroup H with every fiber of size n^3/|H|, so the
-counts are the first coordinates of the elements of H whose second coordinate
-is a unit, each counted n^3/|H| times. The two engines agree entry for entry
+only on the subgroup H of (Z/n)^2 generated by their three coefficient
+columns. The forms map the n^3 third rows onto H with every fiber of size
+n^3/|H|, so a prefix's third-row counts are the first coordinates of the
+elements of H whose second coordinate is a unit, and they depend on three
+gcds with n alone: of the determinant's coefficients, of the columns' 2x2
+minors and of the permanent's coefficients. A closed form in the three gives
+each bucket's counts, and each gcd is the product of its parts at the prime
+powers of n, so a prefix's key joins one local key per prime power, read from
+one small table per prime power. The two engines agree entry for entry
 wherever both run.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
-a unit leaves the subgroup alone; so does scaling a column of both rows by a
-unit, and permuting the columns keeps each bucket's third-row counts. The
+a unit leaves the gcds alone; so does scaling a column of both rows by a unit,
+and permuting the columns keeps each bucket's third-row counts. The
 prefix pass therefore walks pairs of a first-row orbit under those column maps
 (a sorted triple of divisors of n) and a second-row orbit under unit scaling,
 each weighted by the product of its orbit sizes (orbit counting, as in
@@ -60,7 +63,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -316,167 +319,72 @@ def _sum_jobs(fn, jobs, threads, progress):
 
 
 # ---------------------------------------------------------------------------
-# linear-form buckets: subgroups of (Z/n)^2, keyed by Hermite normal form
+# linear-form buckets: keyed by three gcds, read per prime power
 #
-# A pair of linear forms (perm, det) in the third row is summarized by the
-# subgroup H of (Z/n)^2 generated by its three coefficient columns. The forms
-# map the n^3 third rows uniformly onto H, so two prefixes whose columns
-# generate the same subgroup have identical third-row count tables. The
-# lattice H + nZ^2 of Z^2 has a unique basis (a, 0), (b, d) with a | n, d | n
-# and 0 <= b < a (H. Cohen, A Course in Computational Algebraic Number Theory,
-# GTM 138, section 2.4); the triple (a, b, d) is the subgroup's key.
+# A prefix's forms perm = A x + B y + C z and det = D x + E y + F z map the n^3
+# third rows onto the subgroup H of (Z/n)^2 spanned by the columns (A, D),
+# (B, E), (C, F), each element n^3 / |H| times. A bucket's row counts the first
+# coordinates of the elements of H whose second coordinate is a unit, and it
+# depends on three gcds with n: d of D, E, F, a of the 2x2 minors AE - BD,
+# AF - CD, BF - CE, and g of A, B, C. Where d > 1 no second coordinate is a
+# unit and the row is 0. Where d = 1 the lattice H + nZ^2 has a basis (a, 0),
+# (b, 1) with g = gcd(a, b), so H holds the n^2 / a elements (i a + j b, j),
+# each the image of n a third rows. x = j b mod a for some unit j only where
+# gcd(x, a) = g, and then for phi(n) / phi(a / g) units j. So the row is
+# n a phi(n) / phi(a / g) at every x with gcd(x, a) = g, and 0 elsewhere
+# (arXiv 2105.03602; M. Hampejs et al., "On the subgroups of the group
+# Z_m x Z_n", J. Numbers, 2014).
 #
-# The span of columns c1, c2, c3 is <c1> + <c2> + <c3>, so a prefix's subgroup
-# is found by table lookups alone: cyclic names the cyclic subgroup <c> of
-# each of the n^2 columns, and join gives H_s + <c> for every subgroup s and
-# cyclic subgroup c. The Euclid reduction builds those two tables once per
-# modulus and never runs per prefix.
+# Each gcd is the product of its parts at the prime powers p^k || n, so a key
+# is one local key per prime power, joined in mixed radix with the first prime
+# power's most significant: e_a (k + 1) + e_g, the valuations of a and g at p,
+# or the dead key (k + 1)^2 where p | d.
 
 
-@dataclass(frozen=True, eq=False)
-class _FormTables:
-    n: int
-    triples: tuple[tuple[int, int, int], ...]  # HNF (a, b, d): H = <(a, 0), (b, d)> mod n, of order n^2 / (a d)
-    cyclic: np.ndarray  # column u * n + v -> index c of the cyclic subgroup <(u, v)>
-    join: np.ndarray  # (subgroups, cyclic subgroups): subgroup index of H_s + <c>
+def _local_keys(coeffs, p: int, k: int, val: np.ndarray) -> np.ndarray:
+    """The local keys at p^k of the forms coeffs = (A, ..., F), residues mod p^k; val = _valuations(p, k).
 
-
-def _euclid_table(n: int, divisors: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (5, nd n) table of (s, t, v / g, d / g, pos[g]) and the nd n gcds g, at pos[d] n + v.
-
-    For every divisor d of n and v < n, g = gcd(d, v) = s d + t v, and
-    pos[g] is g's place among the nd divisors; both arrays have the dtype of
-    pos. Any such s and t serve _form_tables' fold. t is the least t >= 0
-    with t v = g mod d: it depends on v mod d alone, so it is searched once
-    per cell (d, r), r < d, among t < n (sigma(n) n <= 43,200 < _BLOCK
-    candidates at every n <= INT64_CEILING). It is below d / g, so
-    |s| = |g - t v| / d < n.
+    val caps each valuation at k, as the gcd with n does. The minors are
+    formed in the coefficients' type, which holds their (p^k - 1)^2
+    magnitude when it is _kernel_type(p^k). The keys are of val's type.
     """
-    start = np.cumsum(divisors) - divisors  # the cell (d, 0) of each divisor
-    cell_d = np.repeat(divisors, divisors)
-    r = np.arange(cell_d.size) - np.repeat(start, divisors)
-    least = (np.arange(n)[:, None] * r % cell_d == np.gcd(cell_d, r)).argmax(axis=0)
-    d, v = divisors[:, None], np.arange(n)
-    t = least[start[:, None] + v % d]
-    g = np.gcd(d, v)
-    euclid = np.stack([(g - t * v) // d, t, v // g, d // g, pos[g]]).reshape(5, -1)
-    return euclid.astype(pos.dtype), g.ravel().astype(pos.dtype)
+    q = p**k
+    A, B, C, D, E, F = coeffs
+
+    def least(*terms):
+        return np.minimum.reduce([val.take(v) for v in terms])
+
+    e_a = least(mod(A * E - B * D, q), mod(A * F - C * D, q), mod(B * F - C * E, q))
+    return np.where(least(D, E, F) > 0, (k + 1) ** 2, e_a * (k + 1) + least(A, B, C))
 
 
-def _form_tables(n: int) -> _FormTables:
-    """Every subgroup of (Z/n)^2 as an HNF triple, with the cyclic and join tables.
+def _bucket_rows(n: int) -> np.ndarray:
+    """Per-permanent counts of unit-determinant third rows, (keys, n) int64, one row per key mod n.
 
-    (a, b, d) is a valid triple when the lattice it spans contains nZ^2:
-    a | n, d | n and a | b * (n / d), that is, b is one of the gcd(a, n / d)
-    multiples of a / gcd(a, n / d) below a. The triples are listed by a,
-    then d, then b. The last triple, (n, 0, n), is the trivial subgroup, so
-    join[-1, c] is the subgroup index of <c>. The cyclic subgroups are
-    numbered in the order of their triples. join is built in blocks of at
-    most _BLOCK entries.
-
-    A fold reads a triple's index off a lookup at (pos[a] n + r) nd + pos[d]
-    for every residue r mod n, nd divisors: the index of (a, r mod a, d),
-    where r mod a is a valid b, as it is for every lattice the fold forms.
-    The folds run in _int_type(max(2 n^2, nd^2 n)): s, t, u, v, b and the
-    quotients are below n, so every value they form, mod's intermediates
-    included, is below 2 n^2 in magnitude, and every place in the lookup
-    below nd^2 n; int16 holds both at every n <= INT64_CEILING.
+    A key with a dead local key, or with e_g > e_a at some p, has the row 0.
+    Every other key names a and g, and its row is the closed form above.
+    phi(n / v) is the number of residues whose gcd with n is v.
     """
-    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
-    nd = divisors.size
-    a, d = divisors[np.indices((nd, nd)).reshape(2, -1)]
-    per = np.gcd(a, n // d)  # triples per (a, d)
-    first, step = np.cumsum(per) - per, a // per
-    pair = np.repeat(np.arange(nd * nd), per)
-    it = _int_type(max(2 * n * n, nd * nd * n))
-    a, b, d = np.stack([a[pair], (np.arange(pair.size) - first[pair]) * step[pair], d[pair]]).astype(it)
-    r = np.arange(n)[:, None] % divisors[:, None, None]  # (nd, n, 1): r mod a
-    lookup = (first.reshape(nd, 1, nd) + r // step.reshape(nd, 1, nd)).ravel().astype(_int_type(pair.size))
-    pos = np.zeros(n + 1, dtype=it)
-    pos[divisors] = np.arange(nd)
-    at_n, at_lookup = pos * n, pos * (n * nd)  # by a divisor: its first cell, its first lookup place
-    euclid, gcds = _euclid_table(n, divisors, pos)
-
-    def fold(a, b, d, u, v):
-        # an extended-Euclid step on second coordinates folds (u, v) into
-        # s (b, d) + t (u, v) = (b', g), and the combination it drops,
-        # (d / g) (u, v) - (v / g) (b, d), has second coordinate 0, so it
-        # joins aZ x 0: a' = gcd(a, (v / g) b - (d / g) u), and the result
-        # is the index of (a', b' mod a', g). As a | n, a' and b' are read
-        # through residues mod n.
-        s, t, vg, dg, g = np.take(euclid, at_n.take(d) + v, axis=1)
-        a = gcds.take(at_n.take(a) + mod(vg * b - dg * u, n))
-        return lookup.take(at_lookup.take(a) + mod(s * b + t * u, n) * nd + g)
-
-    # the lattice nZ^2 is (n, 0, n): the triple index of each column's cyclic subgroup
-    keys = fold(n, 0, n, *np.divmod(np.arange(n * n, dtype=it), n))
-    is_cyclic = np.zeros(pair.size, dtype=bool)
-    is_cyclic[keys] = True
-    # any column of a cyclic subgroup generates it, so whichever one the scatter keeps serves
-    rep = np.empty(pair.size, dtype=it)
-    rep[keys] = np.arange(n * n)
-    u, v = np.divmod(rep[is_cyclic], n)
-    join = np.empty((pair.size, u.size), dtype=lookup.dtype)
-    rows_per = max(1, _BLOCK // u.size)
-    for s in range(0, pair.size, rows_per):
-        rows = slice(s, s + rows_per)
-        join[rows] = fold(a[rows, None], b[rows, None], d[rows, None], u, v)
-    return _FormTables(
-        n=n,
-        triples=tuple(zip(a.tolist(), b.tolist(), d.tolist())),
-        cyclic=(np.cumsum(is_cyclic) - 1)[keys].astype(_int_type(u.size)),
-        join=join,
-    )
-
-
-def _hnf_buckets(t: _FormTables, forms) -> np.ndarray:
-    """Subgroup index of the columns (A, D), (B, E), (C, F) of forms = (A, B, C, D, E, F).
-
-    The span 0 + <c1> + <c2> + <c3>, joined one cyclic subgroup at a time,
-    each join a take from the flattened table at s * C + c (C cyclic
-    subgroups). Entries of forms lie in [0, n), so u n + v < n^2 stays
-    within their _kernel_type(n).
-    """
-    n = t.n
-    A, B, C, D, E, F = forms
-    c1, c2, c3 = (t.cyclic.take(u * n + v) for u, v in ((A, D), (B, E), (C, F)))
-    flat, width = t.join.reshape(-1), t.join.shape[1]
-    at = _int_type(t.join.size - 1)  # holds every flat index s * width + c
-    s = t.join[-1].take(c1)
-    for c in (c2, c3):
-        s = flat.take(s.astype(at, copy=False) * width + c)
-    return s
-
-
-def _bucket_tables(t: _FormTables) -> np.ndarray:
-    """Per-permanent counts of unit-determinant third rows, one row per subgroup of t.
-
-    H = <(a, 0), (b, d)> has the |H| = n^2 / (a d) distinct elements
-    i (a, 0) + j (b, d) mod n, 0 <= i < n / a, 0 <= j < n / d. The forms map
-    the n^3 third rows onto H, each element n^3 / |H| = n a d times, so a
-    row counts the first coordinates of the elements whose second
-    coordinate is a unit. A second coordinate j d is a unit only if d = 1,
-    as d | n; then j runs over the units mod n, and i a over the multiples
-    of a, so x is hit once for each unit j with j b = x mod a.
-    """
-    n = t.n
-    sid, a, b = np.array([(s, a, b) for s, (a, b, d) in enumerate(t.triples) if d == 1]).T[..., None]
-    rows = np.arange(sid.size)[:, None]
-    units = np.flatnonzero(_unit_mask(n))
-    hits = np.bincount((rows * n + units * b % a).ravel(), minlength=sid.size * n).reshape(-1, n)
-    tables = np.zeros((len(t.triples), n), dtype=np.int64)
-    tables[sid[:, 0]] = hits[rows, np.arange(n) % a] * (n * a)
-    return tables
+    a = g = np.ones(1, dtype=np.int64)
+    live = np.ones(1, dtype=bool)
+    for p, k in factorize(n).factors:
+        e_a, e_g = np.divmod(np.arange((k + 1) ** 2 + 1), k + 1)
+        a, g = (np.multiply.outer(v, p**e).ravel() for v, e in ((a, e_a), (g, e_g)))
+        live = np.logical_and.outer(live, (e_g <= e_a) & (e_a <= k)).ravel()
+    a, g = np.where(live, a, 1), np.where(live, g, 1)
+    phi = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / v) at v | n
+    hit = live[:, None] & (np.gcd(np.arange(n), a[:, None]) == g[:, None])
+    return np.where(hit, (n * a * phi[1] // phi[n * g // a])[:, None], 0)
 
 
 # ---------------------------------------------------------------------------
 # the orbit-pair prefix pass
 #
 # Scaling a prefix row by a unit scales all six forms by that unit, which
-# keeps the subgroup, whether P11, P12 or P13 is a unit, and the zero pattern.
+# keeps the key, whether P11, P12 or P13 is a unit, and the zero pattern.
 # For a column permutation P and a unit diagonal D, perm(M P D) = perm(M) prod
 # d_i and det(M P D) = +-det(M) prod d_i: the forms' coefficient columns are
-# scaled by units (same subgroup) or permuted with the determinant coordinate at
+# scaled by units (same key) or permuted with the determinant coordinate at
 # most negated (same third-row counts). (r1, r2) -> (r1 P D, r2 P D) permutes
 # the prefixes, so each first row of an orbit adds up like its rep. Units scale
 # a residue onto exactly the residues of its gcd g with n, so an orbit is a
@@ -501,17 +409,20 @@ class _RowOrbits:
     _kernel_type(n), as the prefix pass feeds them to the kernel, sizes each
     orbit's size in int64, as the weights are summed, and live whether no
     prime dividing n divides all three entries of the rep (the same holds
-    for every member).
+    for every member). The unit-scaling orbits keep their prime-power parts
+    in local: per p^k || n, the (3, orbits) int64 normal forms mod p^k, of
+    which the orbits are the product in C order.
     """
 
     reps: tuple[np.ndarray, np.ndarray, np.ndarray]
     sizes: np.ndarray
     live: np.ndarray
+    local: tuple[np.ndarray, ...] = ()
 
 
-def _orbits(reps: np.ndarray, sizes: np.ndarray, live: np.ndarray, n: int) -> _RowOrbits:
+def _orbits(reps: np.ndarray, sizes: np.ndarray, live: np.ndarray, n: int, local=()) -> _RowOrbits:
     """The (3, orbits) int64 reps as three digit arrays of _kernel_type(n), cast in one step."""
-    return _RowOrbits(reps=tuple(reps.astype(_kernel_type(n))), sizes=sizes, live=live)
+    return _RowOrbits(reps=tuple(reps.astype(_kernel_type(n))), sizes=sizes, live=live, local=local)
 
 
 def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -557,15 +468,17 @@ def _row_orbits(n: int) -> _RowOrbits:
     """
     reps, sizes, m = np.zeros((3, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
     live = np.ones(1, dtype=bool)
+    parts = []
     for p, k in factorize(n).factors:
         q = p**k
         local, local_sizes = _prime_power_row_orbits(p, k)
+        parts.append(local)
         # x = reps mod m and x = local mod q; both coefficients are below m q <= n
         x = reps[:, :, None] * (q * pow(q, -1, m)) + local[:, None, :] * (m * pow(m, -1, q))
         reps, m = (x % (m * q)).reshape(3, -1), m * q
         sizes = np.multiply.outer(sizes, local_sizes).ravel()
         live = np.logical_and.outer(live, (local % p).any(axis=0)).ravel()
-    return _orbits(reps, sizes, live, n)
+    return _orbits(reps, sizes, live, n, tuple(parts))
 
 
 def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
@@ -589,41 +502,110 @@ def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
 
 
 @dataclass(frozen=True, eq=False)
+class _KeyTable:
+    """One prime power's part of the keys of an orbit census's pairs.
+
+    The pair of first-row triple i and second-row orbit j adds
+    codes[rows[i] + cols[j]] to its key: its local key times the local
+    key's place value. rows and cols are of _int_type(codes.size - 1).
+    """
+
+    codes: np.ndarray  # flat (exponent triples, live local orbits), of the key's type
+    rows: np.ndarray  # per first-row triple: its exponent triple's offset in codes, 0 if the triple is dead
+    cols: np.ndarray  # per second-row orbit: its local orbit's place among the live ones
+
+
+def _key_tables(n: int, first: _RowOrbits, second: _RowOrbits) -> tuple[_KeyTable, ...]:
+    """The key tables, one per p^k || n, of the census whose row orbits are first and second.
+
+    At p^k a first-row triple (g1, g2, g3) of gcds reads as the row
+    (p^e1, p^e2, p^e3), e_i the valuation of g_i at p, and a second-row
+    orbit as its local orbit: its digit in the C order of second.local.
+    The table holds the local keys of every pair of an exponent triple of a
+    live first-row triple and a live local orbit, formed mod p^k in
+    _kernel_type(p^k) in blocks of at most _BLOCK pairs.
+
+    By the CRT a unit diagonal U maps the rep r1 of the first-row triple onto
+    the row r1 U that is (p^e1, p^e2, p^e3) mod every p^k, so the pair
+    (r1, r2) is keyed as (r1 U, r2), whose forms are those of (r1, r2 U^-1)
+    scaled by units. r2 -> r2 U^-1 maps the unit-scaling orbits onto orbits
+    of the same size, so the weights of each first-row triple over all
+    second-row orbits land on the same keys as by the pairs' own forms. At a
+    prime power g_i = p^e_i, and each pair is keyed by its own forms.
+    """
+    factors = factorize(n).factors
+    counts = [r.shape[1] for r in second.local]
+    orbit = np.arange(len(second.sizes))
+    digits = [orbit // prod(counts[i + 1 :]) % m for i, m in enumerate(counts)]
+    radices = [(k + 1) ** 2 + 1 for _, k in factors]
+    key_type, place = _int_type(prod(radices) - 1), prod(radices)
+    reps = np.stack(first.reps)[:, first.live]
+    tables = []
+    for (p, k), local, digit, radix in zip(factors, second.local, digits, radices):
+        q, val, place = p**k, _valuations(p, k), place // radix
+        live = (local % p).any(axis=0)
+        r2 = [v[None, :] for v in local[:, live].astype(_kernel_type(q))]
+        shape = (k + 1,) * 3  # exponent triples, numbered in C order
+        exp = np.ravel_multi_index(val.take(reps % q), shape)
+        present = np.bincount(exp, minlength=(k + 1) ** 3) > 0
+        exps, at = np.flatnonzero(present), (np.cumsum(present) - 1)[exp]
+        r1 = (p ** np.array(np.unravel_index(exps, shape)) % q).astype(_kernel_type(q))
+        codes = np.empty((exps.size, r2[0].size), dtype=key_type)
+        step = max(1, _BLOCK // r2[0].size)
+        for s in range(0, len(codes), step):
+            coeffs = forms([v[s : s + step, None] for v in r1], r2, q)
+            codes[s : s + step] = place * _local_keys(coeffs, p, k, val).astype(key_type)
+        index = _int_type(codes.size - 1)
+        rows = np.zeros(len(first.sizes), dtype=index)
+        rows[first.live] = at * r2[0].size
+        cols = (np.cumsum(live) - 1).astype(index)[digit]
+        tables.append(_KeyTable(codes.ravel(), rows, cols))
+    return tuple(tables)
+
+
+@dataclass(frozen=True, eq=False)
 class _OrbitTables:
     """Every table the jobs of one orbit census read, handed to each job in its arguments."""
 
     n: int
-    subgroups: _FormTables  # keys the coefficient columns of a pair
     first: _RowOrbits  # first-row triples
     second: _RowOrbits  # second-row orbits
-    buckets: np.ndarray  # third-row counts of each subgroup
+    keys: tuple[_KeyTable, ...]  # key the pairs, one per prime power
+    buckets: np.ndarray  # third-row counts of each key
 
     def contract(self, mult: np.ndarray) -> np.ndarray:
-        """Counts by permanent, (keys, n), of prefix weights tallied per key and subgroup in mult.
+        """Counts by permanent, (rows, n), of prefix weights tallied per row and key in mult.
 
-        Row s of buckets counts the completions of any prefix in subgroup
-        s, so an entry counts at most n^9 matrices.
+        Row s of buckets counts the completions of any prefix of key s, so an
+        entry counts at most n^9 matrices.
         """
         return mult.reshape(-1, len(self.buckets)) @ self.buckets
 
 
 @lru_cache(maxsize=1)
-def _modulus_tables(n: int) -> tuple[_FormTables, _RowOrbits, np.ndarray]:
-    """The form tables, second-row orbits and bucket tables that every orbit census mod n reads."""
-    t = _form_tables(n)
-    return t, _row_orbits(n), _bucket_tables(t)
+def _modulus_tables(n: int) -> tuple[_RowOrbits, np.ndarray, dict]:
+    """The second-row orbits and bucket rows every orbit census mod n reads, and its tables by ordering.
+
+    The dict starts empty; _orbit_tables fills it with each ordering's
+    first-row triples and key tables.
+    """
+    return _row_orbits(n), _bucket_rows(n), {}
 
 
 def _orbit_tables(n: int, ordered: bool) -> _OrbitTables:
     """The tables of one census mod n, built before dispatch; first-row triples ordered for the class census.
 
     Only the last modulus's tables outlive their census: consecutive
-    censuses at one modulus share one build, and the first census at
-    another modulus releases them. The first-row triples are rebuilt for
-    each census (under 0.2 ms at every n <= INT64_CEILING).
+    censuses at one modulus share one build of the second-row orbits and
+    bucket rows and one of each ordering's first-row triples and key
+    tables, and the first census at another modulus releases them all.
     """
-    subgroups, second, buckets = _modulus_tables(n)
-    return _OrbitTables(n, subgroups, _divisor_rows(n, ordered), second, buckets)
+    second, buckets, by_ordering = _modulus_tables(n)
+    if ordered not in by_ordering:
+        first = _divisor_rows(n, ordered)
+        by_ordering[ordered] = first, _key_tables(n, first, second)
+    first, keys = by_ordering[ordered]
+    return _OrbitTables(n=n, first=first, second=second, keys=keys, buckets=buckets)
 
 
 def _orbit_jobs(c: _OrbitTables, *extra) -> list[tuple[tuple, int]]:
@@ -649,23 +631,24 @@ def _orbit_jobs(c: _OrbitTables, *extra) -> list[tuple[tuple, int]]:
 
 
 def _orbit_blocks(c: _OrbitTables, i0: int, i1: int):
-    """Blocks of live orbit pairs (i, j), i0 <= i < i1, as (rows, cols, forms, buckets, weights).
+    """Blocks of live orbit pairs (i, j), i0 <= i < i1, as (rows, cols, keys, weights).
 
     rows are the live first-row triples of the block and cols the live
     second-row orbits, both as indices into c.first and c.second; the arrays
     are shaped (rows, cols), with at most max(_BLOCK, len(cols)) elements.
-    weights are the pairs' |orbit i| * |orbit j|.
+    A pair's key is the sum of its entries in the key tables of c (0 at
+    n = 1, which has no prime powers), and its weight |orbit i| * |orbit j|.
     """
     first, second = c.first, c.second
     live = i0 + np.flatnonzero(first.live[i0:i1])
     cols = np.flatnonzero(second.live)
-    r2 = [v[None, cols] for v in second.reps]
+    at = [t.cols[None, cols] for t in c.keys]
     step = max(1, _BLOCK // cols.size)
     for s in range(0, live.size, step):
         rows = live[s : s + step]
-        coeffs = forms([v[rows, None] for v in first.reps], r2, c.n)
+        keys = sum(t.codes.take(t.rows[rows, None] + a) for t, a in zip(c.keys, at))
         weights = first.sizes[rows, None] * second.sizes[None, cols]
-        yield rows, cols, coeffs, _hnf_buckets(c.subgroups, coeffs), weights
+        yield rows, cols, np.broadcast_to(keys, weights.shape), weights
 
 
 def _tally(key, weights, n_keys: int) -> np.ndarray:
@@ -682,8 +665,8 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 def _tiered_job(args):
     c = args[0]
     mult = np.zeros(len(c.buckets), dtype=np.int64)
-    for *_, s, w in _orbit_blocks(*args):
-        mult += _tally(s, w, mult.size)
+    for *_, key, w in _orbit_blocks(*args):
+        mult += _tally(key, w, mult.size)
     return mult
 
 
@@ -897,21 +880,23 @@ def _leftover_tally(c: _OrbitTables, i, j, p: int, k: int, val: np.ndarray) -> n
 
 
 def _class_job(args):
-    """(3, subgroups + n): prefixes per (head class, subgroup), then the left-over tallies."""
+    """(3, keys + n): prefixes per (head class, key), then the left-over tallies."""
     c, _, _, p, k, val = args
-    n_subs = len(c.buckets)
-    mult = np.zeros(3 * n_subs, dtype=np.int64)
+    n_keys = len(c.buckets)
+    mult = np.zeros(3 * n_keys, dtype=np.int64)
     left = np.zeros((3, c.n), dtype=np.int64)
+    r3 = [v[None, c.second.live] for v in c.second.reps]  # the cols of every block
     step = max(1, _BLOCK // len(c.second.sizes))  # left-over pairs per block
-    for rows, cols, (p11, p12, p13, d1, d2, d3), s, w in _orbit_blocks(*args[:3]):
+    for rows, cols, key, w in _orbit_blocks(*args[:3]):
+        p11, p12, p13, d1, d2, d3 = forms([v[rows, None] for v in c.first.reps], r3, c.n)
         lab, pivot = first_unit((p11, p12, p13), p)
         headed = mod(pivot, p) != 0
-        mult += _tally((lab.astype(np.int64) * n_subs + s)[headed], w[headed], 3 * n_subs)
+        mult += _tally((lab.astype(np.int64) * n_keys + key)[headed], w[headed], 3 * n_keys)
         i, j = np.nonzero(~headed & ((mod(d1, p) != 0) | (mod(d2, p) != 0) | (mod(d3, p) != 0)))
         for b in range(0, i.size, step):
             block = slice(b, b + step)
             left += _leftover_tally(c, rows[i[block]], cols[j[block]], p, k, val)
-    return np.hstack([mult.reshape(3, n_subs), left])
+    return np.hstack([mult.reshape(3, n_keys), left])
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
@@ -961,12 +946,12 @@ _PATTERN_KEYS = ((1, None), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 def _case_job(args):
     c = args[0]
-    n_subs = len(c.buckets)
+    n_keys = len(c.buckets)
     nnz1, nnz2 = (sum((v != 0).astype(np.int64) for v in o.reps) for o in (c.first, c.second))
-    mult = np.zeros(8 * n_subs, dtype=np.int64)
-    for rows, cols, _, s, w in _orbit_blocks(*args):
+    mult = np.zeros(8 * n_keys, dtype=np.int64)
+    for rows, cols, key, w in _orbit_blocks(*args):
         pattern = _PATTERN_OF[nnz1[rows, None], nnz2[None, cols]]
-        mult += _tally(pattern * n_subs + s, w, 8 * n_subs)
+        mult += _tally(pattern * n_keys + key, w, 8 * n_keys)
     return mult
 
 

@@ -6,9 +6,11 @@ kernel as the engines, so its independent pins are the Leibniz tests in
 test_matrices and the frozen tables below, which were produced by exhaustive
 enumeration.
 
-third_row_counts_generic is the reference for the per-subgroup third-row
-tables of the orbit engines, which read them off each subgroup's Hermite
-basis instead of sweeping all n^3 third rows.
+third_row_counts_generic is the reference for the third-row counts of the
+orbit engines' buckets, which read them off a closed form in three gcds
+instead of sweeping all n^3 third rows. subgroup_rows is the reference above
+the sweep's range: it lists every element of a subgroup of (Z/n)^2 given by
+its Hermite basis (a, 0), (b, d).
 
 zero_perm_members_by_filter and members_per_prefix_by_filter are the
 references for structure_maps.zero_perm_members, the shift check's member
@@ -21,23 +23,23 @@ turns a batch into (9, m) members, widened from the batch's unsigned member
 type to int64, and member_groups counts the prefixes of a range in each
 label group of each grid.
 
-hnf_buckets_by_euclid is the reference for oracle._hnf_buckets, which looks
-a prefix's subgroup up in the cyclic and join tables instead of reducing its
-three coefficient columns to Hermite normal form one prefix at a time.
+hnf_by_euclid reduces the three coefficient columns of each prefix to the
+Hermite basis of their span, one extended-Euclid step per column, so that
+subgroup_rows gives the prefix's third-row counts. gcd_keys is the
+reference for the orbit engines' bucket keys: it forms each prefix's three
+gcds and joins their valuations at each prime power as oracle does, one
+prefix at a time, where the engines read them off per-prime-power tables.
 
 row_orbits_by_unit_minimum is the reference for oracle._row_orbits, which
 builds each unit-scaling orbit's normal form directly instead of taking the
 least image of every row over all units.
 
-normal_forms_by_meshgrid, row_orbits_by_crt_loop, divisor_rows_by_itertools
-and form_tables_by_unique are the earlier constructions of
-oracle._prime_power_row_orbits, _row_orbits, _divisor_rows and _form_tables,
-kept as references for the whole-array builders: one meshgrid per
-(valuation, pivot) block of normal forms, a Chinese-remainder loop that
-tests each rep's gcds for liveness, divisor triples listed by itertools, and
-cyclic subgroups numbered by np.unique over a Euclid table of one Python
-extended-Euclid step per cell. bucket_tables_by_elements is the earlier
-oracle._bucket_tables, which lists every element of every subgroup.
+normal_forms_by_meshgrid, row_orbits_by_crt_loop and divisor_rows_by_itertools
+are the earlier constructions of oracle._prime_power_row_orbits, _row_orbits
+and _divisor_rows, kept as references for the whole-array builders: one
+meshgrid per (valuation, pivot) block of normal forms, a Chinese-remainder
+loop that tests each rep's gcds for liveness, and divisor triples listed by
+itertools.
 
 naive_joint_by_matrix is the earlier oracle._naive_job, the reference for the
 naive sweep's tallies: it lists each matrix's own index over all n^3 first
@@ -58,6 +60,7 @@ label_pivot is the reference for matrices.first_unit on the five
 sub-permanents.
 """
 
+import functools
 import itertools
 from math import gcd
 
@@ -91,13 +94,14 @@ def third_row_counts_generic(sig: tuple[int, int, int, int, int, int], n: int) -
     return np.bincount(perm[np.gcd(det, n) == 1], minlength=n)
 
 
-def hnf_buckets_by_euclid(n: int, forms) -> np.ndarray:
-    """Subgroup index of the columns (A, D), (B, E), (C, F) of forms, by row reduction per entry.
+def hnf_by_euclid(n: int, forms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermite basis (a, 0), (b, d) of the span of the columns (A, D), (B, E), (C, F) of forms, per entry.
 
     From the basis (n, 0), (0, n) of nZ^2, an extended-Euclid step on second
     coordinates folds each column into (b, d), and the combination it drops
-    has second coordinate 0, so it joins aZ x 0. The HNF triple (a, b, d)
-    left is looked up among oracle._form_tables(n).triples.
+    has second coordinate 0, so it joins aZ x 0. The lattice spanned is the
+    subgroup's preimage in Z^2, with a | n, d | n and 0 <= b < a (H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, section 2.4).
     """
     euclid = np.array([[ext_gcd(y, v) for v in range(n)] for y in range(n + 1)])
     A, B, C, D, E, F = (np.asarray(f, dtype=np.int64) for f in forms)
@@ -109,8 +113,48 @@ def hnf_buckets_by_euclid(n: int, forms) -> np.ndarray:
         a = np.gcd(a, (v // g) * b - (d // g) * u)
         b = (s * b + t * u) % a
         d = g
-    index = {triple: sid for sid, triple in enumerate(oracle._form_tables(n).triples)}
-    return np.array([index[key] for key in zip(a.flat, b.flat, d.flat)]).reshape(a.shape)
+    return a, b, d
+
+
+def subgroup_rows(n: int, a, b, d) -> np.ndarray:
+    """Per-permanent counts of unit-determinant third rows over each subgroup <(a, 0), (b, d)> mod n.
+
+    The forms map the n^3 third rows onto H evenly, n^3 / |H| rows to each
+    element. The rows come from a listing of every element i (a, 0) + j (b, d)
+    of H, 0 <= i < n / a, 0 <= j < n / d, |H| = n^2 / (a d) of them, and
+    count the first coordinates of those whose second coordinate is a unit.
+    """
+    a, b, d = (np.asarray(v, dtype=np.int64).ravel() for v in (a, b, d))
+    sizes = n * n // (a * d)
+    sid = np.repeat(np.arange(sizes.size), sizes)
+    a, b, d = a[sid], b[sid], d[sid]
+    e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]
+    i, j = e % (n // a), e // (n // a)
+    key = sid * n + (i * a + j * b) % n
+    counts = np.bincount(key[oracle._unit_mask(n)[j * d % n]], minlength=sizes.size * n)
+    return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
+
+
+def gcd_keys(n: int, forms) -> np.ndarray:
+    """The bucket key of the forms (A, B, C, D, E, F), residues mod n, by their three gcds with n, per entry.
+
+    d = gcd(D, E, F, n), a = gcd(AE - BD, AF - CD, BF - CE, n) and
+    g = gcd(A, B, C, n). At each p^k || n the local key is the dead key
+    (k + 1)^2 where p | d, else e_a (k + 1) + e_g, the valuations of a and g
+    at p; the local keys are joined in mixed radix, (k + 1)^2 + 1 each, the
+    first prime power's most significant.
+    """
+    A, B, C, D, E, F = (np.asarray(f, dtype=np.int64) for f in forms)
+
+    def gcd_n(*terms):
+        return functools.reduce(np.gcd, terms, n)
+
+    a, g, d = gcd_n(A * E - B * D, A * F - C * D, B * F - C * E), gcd_n(A, B, C), gcd_n(D, E, F)
+    key = np.zeros_like(a)
+    for p, k in factorize(n).factors:
+        e_a, e_g, e_d = (sum(v % p**t == 0 for t in range(1, k + 1)) for v in (a, g, d))
+        key = key * ((k + 1) ** 2 + 1) + np.where(e_d > 0, (k + 1) ** 2, e_a * (k + 1) + e_g)
+    return key
 
 
 def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,18 +179,6 @@ def ext_gcd(y: int, v: int) -> tuple[int, int, int]:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return y, s0, t0
-
-
-def fold(euclid: np.ndarray, n: int, a, b, d, u, v):
-    """The HNF triple of <(a, 0), (b, d), (u, v)> mod n, from the HNF triple (a, b, d).
-
-    euclid[:, d * n + v] = (g, s, t) with s d + t v = g = gcd(d, v); an
-    extended-Euclid step on second coordinates folds (u, v) into (b, d),
-    and the combination it drops has second coordinate 0, so it joins aZ x 0.
-    """
-    g, s, t = np.take(euclid, d * n + v, axis=1)
-    a = np.gcd(a, (v // g) * b - (d // g) * u)
-    return a, (s * b + t * u) % a, g
 
 
 def normal_forms_by_meshgrid(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,55 +231,6 @@ def divisor_rows_by_itertools(n: int, ordered: bool) -> oracle._RowOrbits:
         np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
         n,
     )
-
-
-def form_tables_by_unique(n: int):
-    """(triples, cyclic, join) of oracle._form_tables(n), cyclic subgroups numbered by np.unique.
-
-    The triples are listed by a Python loop over (a, d, b), the Euclid
-    table filled by one ext_gcd per cell, and the cyclic subgroups are the
-    distinct triple indices of the n^2 columns, in index order.
-    """
-    divisors = [v for v in range(1, n + 1) if n % v == 0]
-    triples = [
-        (a, b, d) for a in divisors for d in divisors for b in range(a) if b * (n // d) % a == 0
-    ]
-    a, b, d = (np.array(v, dtype=np.int64) for v in zip(*triples))
-    pos = np.zeros(n + 1, dtype=np.int64)
-    pos[divisors] = range(len(divisors))
-    lookup = np.zeros(len(divisors) ** 2 * n, dtype=np.int64)
-    lookup[(pos[a] * n + b) * len(divisors) + pos[d]] = range(len(triples))
-
-    def index(a, b, d):
-        return lookup[(pos[a] * n + b) * len(divisors) + pos[d]]
-
-    euclid = np.zeros((3, (n + 1) * n), dtype=np.int64)
-    cells = [y * n + v for y in divisors for v in range(n)]
-    euclid[:, cells] = np.array([ext_gcd(*divmod(c, n)) for c in cells]).T
-    u, v = np.divmod(np.arange(n * n), n)
-    _, rep, cyclic = np.unique(
-        index(*fold(euclid, n, n, 0, n, u, v)), return_index=True, return_inverse=True
-    )
-    u, v = u[rep], v[rep]
-    join = np.empty((len(triples), rep.size), dtype=oracle._int_type(len(triples)))
-    step = max(1, oracle._BLOCK // rep.size)
-    for s in range(0, len(triples), step):
-        rows = slice(s, s + step)
-        join[rows] = index(*fold(euclid, n, a[rows, None], b[rows, None], d[rows, None], u, v))
-    return tuple(triples), cyclic.astype(oracle._int_type(rep.size)), join
-
-
-def bucket_tables_by_elements(n: int) -> np.ndarray:
-    """oracle._bucket_tables(oracle._form_tables(n)), by listing every element i (a, 0) + j (b, d) of every subgroup."""
-    a, b, d = (np.array(v, dtype=np.int64) for v in zip(*oracle._form_tables(n).triples))
-    sizes = n * n // (a * d)
-    sid = np.repeat(np.arange(sizes.size), sizes)
-    a, b, d = a[sid], b[sid], d[sid]
-    e = np.arange(sid.size) - (np.cumsum(sizes) - sizes)[sid]
-    i, j = e % (n // a), e // (n // a)
-    key = sid * n + (i * a + j * b) % n
-    counts = np.bincount(key[oracle._unit_mask(n)[j * d % n]], minlength=sizes.size * n)
-    return counts.reshape(sizes.size, n) * (n**3 // sizes)[:, None]
 
 
 def naive_joint_by_matrix(args) -> np.ndarray:

@@ -22,15 +22,15 @@ from support import (
     CENSUS2,
     CENSUS3,
     CLASS_TABLE,
-    bucket_tables_by_elements,
     divisor_rows_by_itertools,
-    form_tables_by_unique,
-    hnf_buckets_by_euclid,
+    gcd_keys,
+    hnf_by_euclid,
     naive_joint_by_matrix,
     normal_forms_by_meshgrid,
     object_census3,
     row_orbits_by_crt_loop,
     row_orbits_by_unit_minimum,
+    subgroup_rows,
     third_row_counts_generic,
 )
 
@@ -246,166 +246,68 @@ def test_case_census_guards_its_live_weight(monkeypatch, cold_tables, live):
         oracle.case_census(5)
 
 
-def test_form_tables_subgroup_counts():
-    # (Z/p)^2 has the trivial group, p+1 lines, and the full group
-    for p in (2, 3, 5, 7, 11, 13):
-        orders = [p * p // (a * d) for a, _, d in oracle._form_tables(p).triples]
-        assert len(orders) == p + 3
-        assert sorted(set(orders)) == [1, p, p * p]
-        for size in orders:
-            assert (p * p) % size == 0  # Lagrange
+def _divisors(n):
+    return [v for v in range(1, n + 1) if n % v == 0]
 
 
-def test_form_tables_composite_eleven_twelve():
-    # subgroup lattice of (Z/12)^2 is the product of the 4- and 3-part lattices
-    t12 = oracle._form_tables(12)
-    t4 = oracle._form_tables(4)
-    t3 = oracle._form_tables(3)
-    assert len(t12.triples) == len(t4.triples) * len(t3.triples)
+def _signature(a, g):
+    """Forms (A, B, C, D, E, F) of the gcds a of the minors and g of A, B, C, with d = 1: <(a, 0), (g, 1)>."""
+    return (a, g, 0, 0, 1, 0)
 
 
-def _signature(triple, n):
-    """Forms (A, B, C, D, E, F) whose columns (A, D), (B, E), (C, F) span the subgroup."""
-    a, b, d = triple
-    return (a % n, b, 0, 0, d % n, 0)
+def _closed_form_keys(n):
+    """(a, g, key) for every g | a | n: the live keys, each the key of its signature."""
+    pairs = [(a, g) for a in _divisors(n) for g in _divisors(a)]
+    keys = gcd_keys(n, np.array([_signature(a % n, g % n) for a, g in pairs]).T)
+    return [(a, g, int(key)) for (a, g), key in zip(pairs, keys)]
 
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_bucket_tables_match_third_row_sweep(n):
-    t = oracle._form_tables(n)
-    tables = oracle._bucket_tables(t)
-    assert tables.shape == (len(t.triples), n)
-    for triple, row in zip(t.triples, tables):
-        assert row.tolist() == third_row_counts_generic(_signature(triple, n), n).tolist(), triple
+    # the row of key (a, g) is the third-row sweep of its signature
+    rows = oracle._bucket_rows(n)
+    for a, g, key in _closed_form_keys(n):
+        assert rows[key].tolist() == third_row_counts_generic(_signature(a % n, g % n), n).tolist(), (a, g)
 
 
 def test_generic_counts_random_signatures():
     rng = np.random.default_rng(7)
     for n in (4, 6, 9, 12):
-        t = oracle._form_tables(n)
-        tables = oracle._bucket_tables(t)
+        rows = oracle._bucket_rows(n)
         for _ in range(25):
             sig = tuple(int(v) for v in rng.integers(0, n, 6))
-            direct = third_row_counts_generic(sig, n)
-            # bucketing a signature through its HNF key gives the same counts
-            sid = int(oracle._hnf_buckets(t, [np.array(v) for v in sig]))
-            via_rep = tables[sid]
-            assert direct.tolist() == via_rep.tolist()
-
-
-def _closure(cols, n):
-    """The subgroup of (Z/n)^2 spanned by the columns, by brute force over all combinations."""
-    coeffs = oracle._digits(range(n**3), n, 3)
-    u = sum(c * a for c, (a, _) in zip(coeffs, cols)) % n
-    v = sum(c * d for c, (_, d) in zip(coeffs, cols)) % n
-    return frozenset((u * n + v).tolist())
-
-
-def _same_subgroup(cols, rng, n):
-    """Permute, shear and unit-scale the columns: the span does not change."""
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    cols = [cols[i] for i in rng.permutation(3)]
-    i, j = rng.choice(3, 2, replace=False)
-    k = int(rng.integers(n))
-    cols[i] = ((cols[i][0] + k * cols[j][0]) % n, (cols[i][1] + k * cols[j][1]) % n)
-    return [(u * a % n, u * d % n) for (a, d), u in zip(cols, rng.choice(units, 3))]
-
-
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16])
-def test_hnf_keys_are_canonical_for_subgroups(n):
-    rng = np.random.default_rng(n)
-    t = oracle._form_tables(n)
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    triples = []
-    for _ in range(30):
-        base = [
-            tuple(int(rng.integers(n)) * int(rng.choice(divisors)) % n for _ in range(2))
-            for _ in range(3)
-        ]
-        triples += [base, _same_subgroup(base, rng, n)]
-    forms = [np.array([cols[i][c] for cols in triples]) for c in (0, 1) for i in range(3)]
-    keys = oracle._hnf_buckets(t, forms).tolist()
-    closures = [_closure(cols, n) for cols in triples]
-    assert len(set(closures)) > 5
-    orders = [n * n // (a * d) for a, _, d in t.triples]
-    for i in range(len(triples)):
-        assert len(closures[i]) == orders[keys[i]]
-        for j in range(i):
-            assert (keys[i] == keys[j]) == (closures[i] == closures[j]), (triples[i], triples[j])
-    # every bucket's triple, as a signature, lands in its own bucket
-    for sid, triple in enumerate(t.triples):
-        rep = _signature(triple, n)
-        assert int(oracle._hnf_buckets(t, [np.array(v) for v in rep])) == sid
-        assert len(_closure(list(zip(rep[:3], rep[3:])), n)) == orders[sid]
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_cyclic_and_join_tables_match_closures(n):
-    t = oracle._form_tables(n)
-    bases = [[(a % n, 0), (b, d % n)] for a, b, d in t.triples]
-    subgroup = {_closure(basis, n): sid for sid, basis in enumerate(bases)}
-    assert len(subgroup) == len(t.triples)
-    # each column's cyclic subgroup, read through the trivial subgroup's join row
-    columns = list(itertools.product(range(n), repeat=2))
-    cyclic = t.cyclic.tolist()
-    for (u, v), c in zip(columns, cyclic):
-        assert t.join[-1, c] == subgroup[_closure([(u, v)], n)], (u, v)
-    rep = {c: col for col, c in zip(columns, cyclic)}
-    assert sorted(rep) == list(range(t.join.shape[1]))
-    assert len({int(t.join[-1, c]) for c in rep}) == len(rep)
-    for sid, basis in enumerate(bases):
-        for c, col in rep.items():
-            assert t.join[sid, c] == subgroup[_closure([*basis, col], n)], (basis, col)
+            # bucketing a signature through its gcd key gives the same counts
+            assert third_row_counts_generic(sig, n).tolist() == rows[gcd_keys(n, sig)].tolist(), sig
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 16, 30, 36, 60, 64, 81, 96, 105, 120, 125, 127])
 def test_hnf_buckets_match_the_per_prefix_reduction(n):
+    # the row read through a prefix's gcd key is the row of the subgroup its
+    # columns span, reduced to Hermite normal form one prefix at a time and
+    # listed element by element
     rng = np.random.default_rng(n)
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    divisors = _divisors(n)
+    rows = oracle._bucket_rows(n)
     # random forms times random divisors, so that small subgroups come up too
     sig = rng.integers(0, n, (6, 1000)) * rng.choice(divisors, (6, 1000)) % n
     r1, r2 = rng.integers(0, n, size=(2, 3, 1000))
     for f in (list(sig), forms(list(r1), list(r2), n)):
-        keys = oracle._hnf_buckets(oracle._form_tables(n), f)
-        assert keys.tolist() == hnf_buckets_by_euclid(n, f).tolist()
-
-
-@pytest.mark.parametrize("n", [12, 16, 120, 127])
-def test_form_tables_hold_cyclic_and_join_entries_only(n):
-    # n^2 cyclic entries and S x C join entries, and no array indexed by the
-    # HNF triple itself, which would take n (n + 1)^2 slots (1.76 million at 120)
-    t = oracle._form_tables(n)
-    subgroups, cyclics = t.join.shape
-    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    assert sum(v.size for v in arrays) <= n * n + subgroups * cyclics
-
-
-def test_form_table_build_is_blocked():
-    # join (1,776 x 770 at 120) is built in blocks of _BLOCK entries: the
-    # peak is the tables plus a few int64 blocks, where one unblocked
-    # gather of the Euclid table alone would take 3 x 8 bytes per entry (33 MB)
-    tracemalloc.start()
-    try:
-        t = oracle._form_tables(120)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < t.join.nbytes + t.cyclic.nbytes + 16 * oracle._BLOCK * 8
+        triples, sid = np.unique(np.stack(hnf_by_euclid(n, f)), axis=1, return_inverse=True)
+        assert (rows[gcd_keys(n, f)] == subgroup_rows(n, *triples)[sid.ravel()]).all()
 
 
 @pytest.mark.parametrize("n", range(2, 33))
 def test_bucket_symmetries_of_the_orbit_pass(n):
-    # unit row and column scaling keep a prefix's subgroup key; column
+    # unit row and column scaling keep a prefix's gcd key; column
     # permutations and the row swap may negate the determinant coordinate,
-    # which moves the key but keeps the bucket's third-row counts
+    # and keep the bucket's third-row counts
     rng = np.random.default_rng(n)
-    t = oracle._form_tables(n)
-    tables = oracle._bucket_tables(t)
+    rows = oracle._bucket_rows(n)
     units = np.flatnonzero(oracle._unit_mask(n))
     r1, r2 = rng.integers(0, n, size=(2, 3, 200))
 
     def key(a, b):
-        return oracle._hnf_buckets(t, forms(list(a), list(b), n))
+        return gcd_keys(n, forms(list(a), list(b), n))
 
     base = key(r1, r2)
     u, v = rng.choice(units, size=(2, 1, 200))
@@ -413,8 +315,8 @@ def test_bucket_symmetries_of_the_orbit_pass(n):
     d = rng.choice(units, size=(3, 200))
     assert (key(r1 * d % n, r2 * d % n) == base).all()
     for cols in itertools.permutations(range(3)):
-        assert (tables[key(r1[list(cols)], r2[list(cols)])] == tables[base]).all(), cols
-    assert (tables[key(r2, r1)] == tables[base]).all()
+        assert (rows[key(r1[list(cols)], r2[list(cols)])] == rows[base]).all(), cols
+    assert (rows[key(r2, r1)] == rows[base]).all()
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -461,42 +363,70 @@ def test_row_and_divisor_orbits_match_the_earlier_builds(n):
             _same_orbits(oracle._divisor_rows(m, ordered), divisor_rows_by_itertools(m, ordered))
 
 
-@pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1, 16))
-def test_form_tables_match_the_unique_numbering(n):
-    # the triples, cyclic and join tables, values and dtypes, equal
-    # the build that lists triples in Python, fills the Euclid table one
-    # extended-Euclid step per cell and numbers cyclic subgroups by np.unique
-    for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
-        t = oracle._form_tables(m)
-        triples, cyclic, join = form_tables_by_unique(m)
-        assert t.triples == triples, m
-        assert all(type(v) is int for v in t.triples[-1])
-        _same_arrays([t.cyclic, t.join], [cyclic, join])
-
-
-def test_euclid_table_holds_bezout_within_the_fold_bound():
-    # every cell (d, v), d | n, v < n: s d + t v = g = gcd(d, v), and s, t,
-    # v / g and d / g within n, the bounds that keep _form_tables' folds in
-    # _int_type(2 n^2); the gcds and the divisor places of g beside them
-    for n in range(1, oracle.INT64_CEILING + 1):
-        divisors = np.array([d for d in range(1, n + 1) if n % d == 0])
-        pos = np.zeros(n + 1, dtype=np.int64)
-        pos[divisors] = np.arange(divisors.size)
-        euclid, gcds = oracle._euclid_table(n, divisors, pos)
-        s, t, vg, dg, place = euclid
-        d, v = (x.ravel() for x in np.meshgrid(divisors, np.arange(n), indexing="ij"))
-        g = np.gcd(d, v)
-        assert (gcds == g).all() and (divisors[place] == g).all(), n
-        assert (s * d + t * v == g).all() and (vg == v // g).all() and (dg == d // g).all(), n
-        assert (np.abs(s) <= max(n - 1, 1)).all(), n
-        assert (0 <= t).all() and (t < np.maximum(d // g, 1)).all(), n
-
-
-@pytest.mark.parametrize("n", [*range(33, 49), 64, 81, 96, 120, 125, 126, 127])
+@pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1))
 def test_bucket_tables_match_every_element(n):
-    # above the third-row sweep's range: the d = 1 rows read off the unit
-    # multiples of b mod a, against a listing of every element of every subgroup
-    _same_arrays([oracle._bucket_tables(oracle._form_tables(n))], [bucket_tables_by_elements(n)])
+    # the closed form n a phi(n) / phi(a / g) at gcd(x, a) = g, against a
+    # listing of every element of <(a, 0), (g, 1)>, at every key (a, g), and
+    # 0 at every other key: those with a dead part
+    rows = oracle._bucket_rows(n)
+    live = _closed_form_keys(n)
+    a, g, keys = (np.array(v) for v in zip(*live))
+    _same_arrays([rows[keys]], [subgroup_rows(n, a, g, np.ones_like(a))])
+    dead = np.ones(len(rows), dtype=bool)
+    dead[keys] = False
+    assert len(set(keys.tolist())) == len(live) and not rows[dead].any()
+
+
+def _exponent_rows(rows, n):
+    """The rows that are (p^e1, p^e2, p^e3) mod every p^k || n, e_i the valuation at p of each entry of rows.
+
+    rows is a (3, m) int64 array of residues mod n; a valuation is capped at
+    k, as p^k is 0 mod p^k. The prime powers' parts are joined by the CRT.
+    """
+    out = np.zeros_like(rows)
+    for p, k in factorize(n).factors:
+        q = p**k
+        e = sum(rows % p**t == 0 for t in range(1, k + 1))
+        out += p**e % q * ((n // q) * pow(n // q, -1, q))
+    return out % n
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 60, 72, 105, 120, 127])
+def test_orbit_pass_keys_are_the_gcd_keys_of_its_pairs(n):
+    # the pass keys the pair (r1, r2) by the forms of (r1', r2), r1' the
+    # exponent row of r1: r1 itself at a prime power. So each first-row
+    # triple's weights over the second-row orbits fall on the keys of its own
+    # pairs, in the same totals. Above 40, about 50 triples per ordering.
+    for ordered in (False, True):
+        c = oracle._orbit_tables(n, ordered)
+        r1 = np.stack(c.first.reps).astype(np.int64)
+        r1_exp = _exponent_rows(r1, n)
+        r2 = np.stack(c.second.reps).astype(np.int64)
+        step = 1 if n <= 40 else max(1, len(c.first.sizes) // 50)
+        for i in range(0, len(c.first.sizes), step):
+            for _, cols, key, w in oracle._orbit_blocks(c, i, i + 1):
+                own = gcd_keys(n, forms(r1[:, [i], None], r2[:, None, cols], n))
+                assert (key == gcd_keys(n, forms(r1_exp[:, [i], None], r2[:, None, cols], n))).all()
+                if len(factorize(n).factors) < 2:
+                    assert (key == own).all()
+                tallies = (oracle._tally(v, w, len(c.buckets)) for v in (key, own))
+                assert np.array_equal(*tallies), (ordered, i)
+
+
+def test_key_table_build_is_blocked():
+    # the class census at 64 keys 127 live exponent triples against 7,168
+    # live local orbits; the build forms them _BLOCK pairs at a time, so its
+    # peak is the table plus a few blocks, where one unblocked build's six
+    # int16 coefficient arrays alone would take 11 MB
+    first, second = oracle._divisor_rows(64, True), oracle._row_orbits(64)
+    tracemalloc.start()
+    try:
+        (t,) = oracle._key_tables(64, first, second)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.codes.size == 127 * 7168
+    assert peak < t.codes.nbytes + t.rows.nbytes + t.cols.nbytes + 16 * oracle._BLOCK * 8
 
 
 def test_divisor_row_weights_cover_every_row():
@@ -730,19 +660,28 @@ def test_int_type_holds_the_kernel_bound(n, want):
 @pytest.mark.parametrize("n", [7, 8, 105, 106, 127])
 def test_tables_are_built_in_the_kernel_type(n):
     # the int8 edge (7, 8), the int16 edge (105, 106) and the int32 range
-    # (127): the table builders hold their residues in _kernel_type(n), so
-    # the orbit pass forms its coefficients in that type with no cast
+    # (127): the row builders hold their residues in _kernel_type(n), so the
+    # class census forms its coefficients in that type with no cast. The key
+    # tables form theirs mod each p^k || n in _kernel_type(p^k), and hold
+    # the keys in the narrowest type of the key count, their offsets in that
+    # of the table size
     t = oracle._kernel_type(n)
     assert all(v.dtype == t for v in oracle._row_orbits(n).reps)
+    key_type = oracle._int_type(len(oracle._bucket_rows(n)) - 1)
     for ordered in (False, True):
         c = oracle._orbit_tables(n, ordered)
         assert all(v.dtype == t for v in c.first.reps)
-        _, _, coeffs, _, _ = next(oracle._orbit_blocks(c, 0, len(c.first.sizes)))
-        assert all(v.dtype == t for v in coeffs)
-    # _hnf_buckets indexes cyclic by u n + v, up to n^2 - 1, in that type
-    top = [np.full(1, n - 1, dtype=t)] * 6
-    assert n * n - 1 <= np.iinfo(t).max
-    assert oracle._hnf_buckets(oracle._form_tables(n), top) == hnf_buckets_by_euclid(n, top)
+        _, _, key, _ = next(oracle._orbit_blocks(c, 0, len(c.first.sizes)))
+        assert key.dtype == key_type
+        for table in c.keys:
+            assert table.codes.dtype == key_type
+            assert table.rows.dtype == table.cols.dtype == oracle._int_type(table.codes.size - 1)
+    # _kernel_type(p^k) holds the largest minors: A E - B D = A F - C D =
+    # (p^k - 1)^2 and B F - C E = -(p^k - 1)^2
+    for p, k in factorize(n).factors:
+        q = p**k
+        top = [np.full(1, v, dtype=oracle._kernel_type(q)) for v in (q - 1, 0, q - 1, 0, q - 1, q - 1)]
+        assert oracle._local_keys(top, p, k, oracle._valuations(p, k)) == gcd_keys(q, top)
     inverse = oracle._inverse_table(n)
     assert inverse.dtype == t
     unit = oracle._unit_mask(n)
@@ -1015,8 +954,8 @@ def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
         jobs.append(real_orbit_jobs(*args))
         return jobs[-1]
 
-    for name in ("_form_tables", "_euclid_table", "_row_orbits", "_prime_power_row_orbits",
-                 "_divisor_rows", "_bucket_tables", "_unit_mask", "_valuations"):
+    for name in ("_row_orbits", "_prime_power_row_orbits", "_divisor_rows", "_key_tables",
+                 "_local_keys", "_bucket_rows", "_unit_mask", "_valuations"):
         monkeypatch.setattr(oracle, name, guarded(getattr(oracle, name)))
     monkeypatch.setattr(oracle, "_orbit_jobs", orbit_jobs)
     monkeypatch.setattr(oracle, "_CHUNK", 1)
@@ -1029,7 +968,9 @@ def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
 
 def test_censuses_at_one_modulus_share_one_build(monkeypatch, cold_tables):
     # the tiered, class and case censuses at 13 in a row: one build of the
-    # form tables, the second-row orbits and the bucket tables serves all three
+    # second-row orbits and the bucket rows serves all three, and one of the
+    # first-row triples and key tables serves each ordering: the sorted one
+    # the tiered and case censuses, the ordered one the class census
     calls = collections.Counter()
 
     def counted(build):
@@ -1039,20 +980,22 @@ def test_censuses_at_one_modulus_share_one_build(monkeypatch, cold_tables):
 
         return builder
 
-    for name in ("_form_tables", "_row_orbits", "_bucket_tables"):
+    for name in ("_row_orbits", "_bucket_rows", "_divisor_rows", "_key_tables"):
         monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
     oracle.census_tiered(13)
     oracle.class_census(13)
     oracle.case_census(13)
-    assert calls == {"_form_tables": 1, "_row_orbits": 1, "_bucket_tables": 1}
+    assert calls == {"_row_orbits": 1, "_bucket_rows": 1, "_divisor_rows": 2, "_key_tables": 2}
 
 
 def test_a_census_at_another_modulus_releases_the_last_tables():
     oracle.census_tiered(12)
-    tables = weakref.ref(oracle._orbit_tables(12, False).subgroups)
+    c = oracle._orbit_tables(12, False)
+    tables = [weakref.ref(v) for v in (c.first, c.second, c.buckets, *c.keys)]
+    del c
     oracle.census_tiered(13)
     gc.collect()
-    assert tables() is None
+    assert all(t() is None for t in tables)
 
 
 def test_progress_hook_reports_completion():
