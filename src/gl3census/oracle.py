@@ -35,8 +35,9 @@ Burnside's lemma), rather than all n^6 prefixes. The second-row orbits are
 built from their normal form, prime power by prime power and joined by the
 Chinese remainder theorem, never by scanning the n^3 rows. A pair in which
 some prime p | n divides every entry of one row has no invertible completion,
-so the pass skips it. case_census shares that pass; class_census, whose class
-head a column permutation reorders, walks ordered triples.
+so the pass skips it. class_census and case_census share that pass and its
+tables; class_census, whose class head a column permutation reorders, counts
+each pair's labels over the six column orderings.
 
 Censuses may run on several worker threads; orbit pairs (or, for the scanning
 engines, index ranges) are split into fixed chunks, each thread tallies its
@@ -71,7 +72,6 @@ from .closed_form import CaseCensusRow
 from .matrices import (
     CLASS_LABELS,
     ClassLabel,
-    first_unit,
     forms,
     mod,
     perm_det2,
@@ -81,6 +81,10 @@ from .modring import Modulus, factorize, is_prime
 
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
 # orbit censuses' contraction, _OrbitTables.contract); 127^9 < 2^63 <= 128^9.
+# The class census's job tallies hold every matrix six times (once per column
+# ordering) until _class_scan divides them: a left-over entry counts the
+# matrices of one permanent, at most n^8 at n <= 127 (closed_form.count), so
+# below 6 * 127^8 < 2^59, and the prefix weights sum to 6 n^6.
 INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
 # still reaches n = 8 (n^9 matrices, each covered once, its third entry's
@@ -386,13 +390,14 @@ def _bucket_rows(n: int) -> np.ndarray:
 # d_i and det(M P D) = +-det(M) prod d_i: the forms' coefficient columns are
 # scaled by units (same key) or permuted with the determinant coordinate at
 # most negated (same third-row counts). (r1, r2) -> (r1 P D, r2 P D) permutes
-# the prefixes, so each first row of an orbit adds up like its rep. Units scale
-# a residue onto exactly the residues of its gcd g with n, so an orbit is a
-# triple of gcds (g = n for a zero entry), sorted, or ordered for the class
-# census (see there); the second row keeps its unit-scaling orbits, built from
-# their normal form (see _row_orbits). Each engine sums the weights
-# |orbit 1| * |orbit 2| of its pairs per key in int64; they add up to
-# n^6 <= 127^6 < 2^43, so every sum is exact.
+# the prefixes, so each first row of an orbit adds up like its rep (the class
+# census, whose labels a permutation reorders, counts them per ordering: see
+# there). Units scale a residue onto exactly the residues of its gcd g with n,
+# so an orbit is a sorted triple of gcds (g = n for a zero entry); the second
+# row keeps its unit-scaling orbits, built from their normal form (see
+# _row_orbits). Each engine sums the weights |orbit 1| * |orbit 2| of its
+# pairs per key in int64; they add up to n^6 <= 127^6 < 2^43, so every sum is
+# exact.
 #
 # A row is dead when some prime p | n divides all three of its entries. The
 # forms are bilinear, so a prefix with a dead row has all six coefficients
@@ -481,23 +486,21 @@ def _row_orbits(n: int) -> _RowOrbits:
     return _orbits(reps, sizes, live, n, tuple(parts))
 
 
-def _divisor_rows(n: int, ordered: bool) -> _RowOrbits:
-    """Orbits under unit column scaling, and under column permutation unless ordered.
+def _divisor_rows(n: int) -> _RowOrbits:
+    """Orbits under unit column scaling and column permutation.
 
-    An orbit is the triple (g1, g2, g3) of its entries' gcds with n, and its
-    rep the row (g1, g2, g3) mod n, sorted unless ordered. phi(n / g) residues
-    have gcd g, so an orbit has prod phi(n / g_i) rows, times the number of
-    distinct orderings (the multinomial coefficient) unless ordered.
+    An orbit is the sorted triple (g1, g2, g3) of its entries' gcds with n,
+    and its rep the row (g1, g2, g3) mod n. phi(n / g) residues have gcd g,
+    so an orbit has prod phi(n / g_i) rows times the number of distinct
+    orderings of the triple (the multinomial coefficient).
     """
     per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / g) at g
     divisors = np.flatnonzero(per_gcd)
     i = np.indices((divisors.size,) * 3).reshape(3, -1)  # divisor positions, in product order
-    if not ordered:
-        i = i[:, (i[0] <= i[1]) & (i[1] <= i[2])]  # sorted, in combinations_with_replacement order
+    i = i[:, (i[0] <= i[1]) & (i[1] <= i[2])]  # sorted, in combinations_with_replacement order
     g = divisors[i]
-    sizes = per_gcd[g].prod(axis=0)
-    if not ordered:  # 1, 3 or 6 orderings for 1, 2 or 3 distinct gcds
-        sizes *= np.array([1, 3, 6])[(i[1:] != i[:2]).sum(axis=0)]
+    # 1, 3 or 6 orderings for 1, 2 or 3 distinct gcds
+    sizes = per_gcd[g].prod(axis=0) * np.array([1, 3, 6])[(i[1:] != i[:2]).sum(axis=0)]
     return _orbits(g % n, sizes, np.gcd(np.gcd(g[0], g[1]), g[2]) == 1, n)
 
 
@@ -583,29 +586,16 @@ class _OrbitTables:
 
 
 @lru_cache(maxsize=1)
-def _modulus_tables(n: int) -> tuple[_RowOrbits, np.ndarray, dict]:
-    """The second-row orbits and bucket rows every orbit census mod n reads, and its tables by ordering.
+def _orbit_tables(n: int) -> _OrbitTables:
+    """The tables of every orbit census mod n, built before dispatch.
 
-    The dict starts empty; _orbit_tables fills it with each ordering's
-    first-row triples and key tables.
+    Only the last modulus's tables outlive their census: consecutive tiered,
+    class and case censuses at one modulus share one build, and the first
+    census at another modulus releases it.
     """
-    return _row_orbits(n), _bucket_rows(n), {}
-
-
-def _orbit_tables(n: int, ordered: bool) -> _OrbitTables:
-    """The tables of one census mod n, built before dispatch; first-row triples ordered for the class census.
-
-    Only the last modulus's tables outlive their census: consecutive
-    censuses at one modulus share one build of the second-row orbits and
-    bucket rows and one of each ordering's first-row triples and key
-    tables, and the first census at another modulus releases them all.
-    """
-    second, buckets, by_ordering = _modulus_tables(n)
-    if ordered not in by_ordering:
-        first = _divisor_rows(n, ordered)
-        by_ordering[ordered] = first, _key_tables(n, first, second)
-    first, keys = by_ordering[ordered]
-    return _OrbitTables(n=n, first=first, second=second, keys=keys, buckets=buckets)
+    first, second = _divisor_rows(n), _row_orbits(n)
+    keys = _key_tables(n, first, second)
+    return _OrbitTables(n=n, first=first, second=second, keys=keys, buckets=_bucket_rows(n))
 
 
 def _orbit_jobs(c: _OrbitTables, *extra) -> list[tuple[tuple, int]]:
@@ -673,7 +663,7 @@ def _tiered_job(args):
 def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
     """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= INT64_CEILING."""
     modulus = _modulus("census_tiered", n)
-    c = _orbit_tables(modulus.n, False)
+    c = _orbit_tables(modulus.n)
     counts = c.contract(_sum_jobs(_tiered_job, _orbit_jobs(c), threads, progress))[0]
     return CountTable(modulus, tuple(int(v) for v in counts))
 
@@ -816,87 +806,94 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # ---------------------------------------------------------------------------
 # class census: prefix = rows 2 and 3, inner variable = row 1
 #
-# The three row-1 sub-permanents P11, P12, P13 depend only on the prefix; if
-# one of them is a unit mod p the class of every matrix over that prefix is
-# already decided, and the (perm, det) pair is again two linear forms in the
-# inner row. With rows 2 and 3 as the prefix, P11, P12, P13 are the forms A, B,
-# C and the row-1 cofactors are D, E, F.
+# With rows 2 and 3 as the prefix, the row-1 sub-permanents P11, P12, P13 are
+# its forms A, B, C and the row-1 cofactors are D, E, F. If one of P11, P12,
+# P13 is a unit mod p, the class of every matrix over the prefix is decided,
+# and the (perm, det) pair is again two linear forms in the inner row.
 #
-# A column permutation reorders P11, P12 and P13, so row 2 runs over ordered
-# divisor triples (unit column scaling only), of weight prod phi(n / g_i).
+# Row 2 runs over the sorted divisor triples of the tiered census, whose
+# sub-permanents a column permutation reorders. An ordering s, column s_i
+# moved to position i, takes the prefix (r2, r3) to (r2 s, r3 s): its P1i and
+# P2i are P1,s_i and P2,s_i, and its key, permanent and whether its
+# determinant is a unit are those of (r2, r3). Over all row-3 orbits, the
+# pairs of a sorted triple under s add up as the ordered triple (g_s1, g_s2,
+# g_s3), whose weight is the sorted triple's over its m orderings, and the six
+# orderings meet each of those m ordered triples 6 / m times. So each pair,
+# weighted as its sorted triple, once per ordering, counts every matrix six
+# times, and _class_scan divides by 6 (RuntimeError if not exact). How many
+# orderings give each label depends only on how many of P11, P12, P13 (or, in
+# a left-over row, P21, P22, P23) are units, u: 2u put a unit first, u (3 - u)
+# one second after a non-unit, and 2 at u = 1 the only one third.
+# _HEAD_ORDERINGS[u] counts those per head label C11, C12, C13, and
+# _LEFTOVER_ORDERINGS[u] per C21, C22 and violation (no unit in the first two).
 #
-# The orbit pairs whose P11, P12, P13 are all divisible by p are left over:
-# there the class depends on the first row, through P21 and then P22. A
-# left-over pair whose cofactors D, E, F are all divisible by p too has no
-# invertible completion and is skipped. At p = 2 that is every left-over
-# pair, since each cofactor is then congruent to its sub-permanent.
-#
-# Two symmetries reduce each remaining pair to one representative prefix
-# swept against one representative first row per orbit.
-# - Scaling the first row by a unit w multiplies the determinant, the
-#   permanent, P21 and P22 by w. Units scale a residue onto exactly the
-#   residues of its valuation, the class C_g of valuation g: phi(p^(k - g))
-#   residues for g < k, and 0 alone at g = k. So the rows of first-row orbit
-#   r (size s_r, permanent v_r) spread evenly over the class of v_r, and
-#   over all n^3 first rows the tally is t[v] = T(C_g) / |C_g| at every v
-#   of valuation g, where T(C_g) adds s_r over the reps whose permanent has
-#   valuation g. The division is exact; _leftover_tally raises RuntimeError
-#   if it is not.
-# - Scaling rows 2 and 3 by units u2 and u3 leaves unchanged, for every
-#   first row, whether the determinant is a unit and whether P21 or P22 is,
-#   and multiplies the permanent by u2 u3. As t is constant on each
-#   valuation class, every prefix of the pair (i, j) has the tally t, and
-#   the pair contributes s_i s_j t.
-# - Scaling the columns by a unit diagonal D keeps whether det, P21 or P22
-#   is a unit, and multiplies the permanent by prod d_c; as t is
-#   unit-invariant and M -> M D permutes the first rows, the prefix
-#   (r2 D, r3 D) has the tally t of (r2, r3). So s_i may be a row-2 triple's.
-# Unit-determinant matrices with neither P21 nor P22 a unit are violations.
+# The pairs with none of P11, P12, P13 a unit are left over: there the class
+# depends on the first row, through P21 and then P22. A left-over pair whose
+# D, E, F are all divisible by p too has no invertible completion and is
+# skipped; at p = 2 that is every left-over pair, each cofactor being
+# congruent to its sub-permanent. Scaling the first row by a unit w multiplies
+# the determinant, the permanent, P21, P22 and P23 by w, and units scale a
+# residue onto exactly the residues of its valuation g, the class C_g:
+# phi(p^(k - g)) residues for g < k, and 0 alone at g = k. So over all n^3
+# first rows, a pair's tally is T(C_g) / |C_g| at every permanent of
+# valuation g, where T(C_g) adds the orbit sizes of the first-row reps whose
+# permanent has valuation g, per number of units among P21, P22, P23;
+# _leftover_tally raises RuntimeError if a division is not exact. Scaling
+# rows 2 and 3 by units, or the columns by a unit diagonal, keeps whether the
+# determinant and each of P21, P22, P23 is a unit and scales the permanent by
+# a unit, so, the tally being constant on each valuation class, every prefix
+# a pair stands for has its rep's tally. Matrices of unit determinant with
+# neither P21 nor P22 a unit are violations.
+
+_HEAD_ORDERINGS = np.array([[0, 0, 0], [2, 2, 2], [4, 2, 0], [6, 0, 0]])
+_LEFTOVER_ORDERINGS = np.array([[0, 0, 6], [2, 2, 2], [4, 2, 0], [6, 0, 0]])
 
 
 def _leftover_tally(c: _OrbitTables, i, j, p: int, k: int, val: np.ndarray) -> np.ndarray:
-    """C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, p^k).
+    """Six-fold C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, p^k).
 
     Row 2 is rep i of c.first, row 3 rep j of c.second, the first rows run
     over c.second, and the kernel runs in the reps' type. Each pair is
-    tallied in int64 by label and the valuation val = _valuations(p, k) of
-    its permanent, and each valuation class's tally divided by the class's
-    size. A function, so that each block's (pairs x first-row orbits) arrays
-    are freed before the next block allocates its own.
+    tallied in int64 by its number of units among P21, P22, P23 and the
+    valuation val = _valuations(p, k) of its permanent, and each valuation
+    class's tally divided by the class's size. A function, so that each
+    block's (pairs x first-row orbits) arrays are freed before the next
+    block allocates its own.
     """
     n, rows2, o = c.n, c.first, c.second
     e = [*(v[None, :] for v in o.reps), *(v[i, None] for v in rows2.reps), *(v[j, None] for v in o.reps)]
     perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
-    lab, pivot = first_unit((p21, p22), p)
-    label = lab + (mod(pivot, p) == 0)  # 0 or 1 for C21 or C22, 2 where neither is a unit
-    # int8 label plus the int64 pair index: the key is formed in int64
-    key = (np.arange(i.size)[:, None] * 3 + label) * (k + 1) + val.take(perm)
+    p23 = e[0] * e[7] + e[1] * e[6]  # a11 a32 + a12 a31, within the kernel's bound
+    units = sum(mod(v, p) != 0 for v in (p21, p22, p23))
+    # the int64 pair index and unit count: the key is formed in int64
+    key = (np.arange(i.size)[:, None] * 4 + units) * (k + 1) + val.take(perm)
     weights = np.where(mod(det, p) != 0, o.sizes, 0)
-    tally = _tally(key, weights, 3 * (k + 1) * i.size).reshape(i.size, 3, k + 1)
+    tally = _tally(key, weights, 4 * (k + 1) * i.size).reshape(i.size, 4, k + 1)
     whole, rest = np.divmod(tally, np.bincount(val, minlength=k + 1))
     if rest.any():
         raise RuntimeError(f"left-over class tallies mod {n} are not divisible by their class sizes")
-    return np.tensordot(rows2.sizes[i] * o.sizes[j], whole, axes=1).take(val, axis=1)
+    per_units = np.tensordot(rows2.sizes[i] * o.sizes[j], whole, axes=1)
+    return (_LEFTOVER_ORDERINGS.T @ per_units).take(val, axis=1)
 
 
 def _class_job(args):
-    """(3, keys + n): prefixes per (head class, key), then the left-over tallies."""
+    """(3, keys + n), six-fold: prefixes per (head class, key), then the left-over tallies."""
     c, _, _, p, k, val = args
     n_keys = len(c.buckets)
-    mult = np.zeros(3 * n_keys, dtype=np.int64)
+    mult = np.zeros(4 * n_keys, dtype=np.int64)
     left = np.zeros((3, c.n), dtype=np.int64)
     r3 = [v[None, c.second.live] for v in c.second.reps]  # the cols of every block
     step = max(1, _BLOCK // len(c.second.sizes))  # left-over pairs per block
     for rows, cols, key, w in _orbit_blocks(*args[:3]):
-        p11, p12, p13, d1, d2, d3 = forms([v[rows, None] for v in c.first.reps], r3, c.n)
-        lab, pivot = first_unit((p11, p12, p13), p)
-        headed = mod(pivot, p) != 0
-        mult += _tally((lab.astype(np.int64) * n_keys + key)[headed], w[headed], 3 * n_keys)
-        i, j = np.nonzero(~headed & ((mod(d1, p) != 0) | (mod(d2, p) != 0) | (mod(d3, p) != 0)))
+        coeffs = forms([v[rows, None] for v in c.first.reps], r3, c.n)
+        units = sum(mod(v, p) != 0 for v in coeffs[:3])  # among P11, P12, P13
+        mult += _tally(units * n_keys + key, w, 4 * n_keys)
+        cofactor = np.logical_or.reduce([mod(d, p) != 0 for d in coeffs[3:]])  # some D, E, F a unit
+        i, j = np.nonzero((units == 0) & cofactor)
         for b in range(0, i.size, step):
             block = slice(b, b + step)
             left += _leftover_tally(c, rows[i[block]], cols[j[block]], p, k, val)
-    return np.hstack([mult.reshape(3, n_keys), left])
+    return np.hstack([_HEAD_ORDERINGS.T @ mult.reshape(4, n_keys), left])
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
@@ -911,8 +908,11 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
         raise ValueError(f"class census needs a prime, got {p}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    c = _orbit_tables(p**k, True)
-    tallies = _sum_jobs(_class_job, _orbit_jobs(c, p, k, _valuations(p, k)), threads, progress)
+    c = _orbit_tables(p**k)
+    six_fold = _sum_jobs(_class_job, _orbit_jobs(c, p, k, _valuations(p, k)), threads, progress)
+    tallies, rest = np.divmod(six_fold, 6)
+    if rest.any():
+        raise RuntimeError(f"class tallies mod {p}^{k} over six column orderings are not multiples of 6")
     heads, left = np.split(tallies, [len(c.buckets)], axis=1)
     return np.vstack([c.contract(heads), left[:2]]).T, int(left[2].sum())
 
@@ -960,7 +960,7 @@ def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
     _check_bound("case_census", p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
-    c = _orbit_tables(p, False)
+    c = _orbit_tables(p)
     mult = _sum_jobs(_case_job, _orbit_jobs(c), threads, progress).reshape(8, -1)
     # at a prime the only dead row is the zero row, so the live pairs are the
     # p^6 - (2 p^3 - 1) prefixes with no all-zero row, and none is pattern 7

@@ -217,15 +217,12 @@ def row_orbits_by_crt_loop(n: int) -> oracle._RowOrbits:
     return _orbits_by_gcd(reps, sizes, n)
 
 
-def divisor_rows_by_itertools(n: int, ordered: bool) -> oracle._RowOrbits:
-    """oracle._divisor_rows(n, ordered): gcd triples listed by itertools, orderings counted by set."""
+def divisor_rows_by_itertools(n: int) -> oracle._RowOrbits:
+    """oracle._divisor_rows(n): sorted gcd triples listed by itertools, orderings counted by set."""
     per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)
     divisors = np.flatnonzero(per_gcd).tolist()
-    if ordered:
-        triples = list(itertools.product(divisors, repeat=3))
-    else:
-        triples = list(itertools.combinations_with_replacement(divisors, 3))
-    orderings = [1 if ordered else len(set(itertools.permutations(g))) for g in triples]
+    triples = list(itertools.combinations_with_replacement(divisors, 3))
+    orderings = [len(set(itertools.permutations(g))) for g in triples]
     return _orbits_by_gcd(
         [np.array(v, dtype=np.int64) % n for v in zip(*triples)],
         np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),

@@ -261,7 +261,7 @@ def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(oracle, "_tiered_job", tiered_job)
-    assert len(oracle._orbit_jobs(oracle._orbit_tables(5, False))) > 1
+    assert len(oracle._orbit_jobs(oracle._orbit_tables(5))) > 1
     assert main(["oracle", "5", "--threads", "2"]) == 4
     assert capsys.readouterr().err == "error: out of memory\n"
 
@@ -275,7 +275,7 @@ def test_runtime_error_in_a_pool_job_exits_four(monkeypatch, capsys):
         raise RuntimeError("row orbits mod 5 cover too few rows")
 
     monkeypatch.setattr(oracle, "_tiered_job", tiered_job)
-    assert len(oracle._orbit_jobs(oracle._orbit_tables(5, False))) > 1
+    assert len(oracle._orbit_jobs(oracle._orbit_tables(5))) > 1
     code = main(["oracle", "5", "--threads", "2"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""

@@ -73,10 +73,10 @@ def test_only_a_census_on_a_pool_loads_concurrent_futures():
 import sys
 from gl3census import closed_form, oracle
 
-assert len(oracle._orbit_jobs(oracle._orbit_tables(13, False))) == 1
+assert len(oracle._orbit_jobs(oracle._orbit_tables(13))) == 1
 oracle.census_tiered(13, threads=2)  # one job: inline
 print("concurrent.futures" in sys.modules)
-jobs = len(oracle._orbit_jobs(oracle._orbit_tables(120, False)))
+jobs = len(oracle._orbit_jobs(oracle._orbit_tables(120)))
 table = oracle.census_tiered(120, threads=2)
 print(jobs, "concurrent.futures" in sys.modules)
 print(table.counts == tuple(closed_form.count(120, x) for x in range(120)))

@@ -125,12 +125,42 @@ def test_class_scan_matches_symmetry_free_sweep(p, k):
     assert violations == expected_violations == 0
 
 
-def _member_sweep(rep2, rep3, p, n):
-    """C21, C22 and violation tallies of the prefixes a left-over pair stands for, and their number.
+def _row_two_subperms(e, n):
+    """(perm, det, P21, P22, P23) mod n of the row-major entries e."""
+    perm, det, *_, p21, p22 = perm_det_subperms(e, n)
+    return perm, det, p21, p22, mod(e[0] * e[7] + e[1] * e[6], n)
 
-    Those are, for each row r2 = rep2 D in rep2's orbit under unit column
-    scaling (one unit diagonal D per row), the rows u rep3 D for units u; each
-    prefix is swept against all n^3 first rows.
+
+def test_column_orderings_reorder_row_two_subpermanents():
+    # moving column s_j to position j turns P2j into P2,s_j
+    m = np.random.default_rng(7).integers(0, 25, size=(3, 3, 500))
+    subs = _row_two_subperms(list(m.reshape(9, -1)), 25)[2:]
+    for s in itertools.permutations(range(3)):
+        moved = _row_two_subperms(list(m[:, list(s)].reshape(9, -1)), 25)[2:]
+        assert all(np.array_equal(moved[j], subs[c]) for j, c in enumerate(s)), s
+
+
+def test_ordering_tables_count_the_six_column_orderings():
+    # per unit pattern of three entries, the position of each ordering's
+    # first unit (3 for none) counted over the six: it depends on the number
+    # u of units alone; a left-over label past the first two is a violation
+    orders = list(itertools.permutations(range(3)))
+    for bits in range(8):
+        first = [next((i for i, c in enumerate(s) if bits >> c & 1), 3) for s in orders]
+        u = bin(bits).count("1")
+        head, left = oracle._HEAD_ORDERINGS[u].tolist(), oracle._LEFTOVER_ORDERINGS[u].tolist()
+        assert head == [first.count(i) for i in range(3)] and left == [*head[:2], 6 - sum(head[:2])], bits
+
+
+def _member_sweep(rep2, rep3, p, n):
+    """C21, C22 and violation tallies, over the six column orderings, of the prefixes of a left-over pair.
+
+    Those prefixes are, for each row r2 = rep2 D in rep2's orbit under unit
+    column scaling (one unit diagonal D per row), the rows u rep3 D for units
+    u; each is swept against all n^3 first rows, once. Ordering s (column s_j
+    moved to position j) labels a matrix M S by P2,s_1 and P2,s_2 of M, so
+    the sum is that of the sweeps of the pairs (rep2 s, rep3 s). Returns the
+    tallies and the number of prefixes.
     """
     units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1])
     diag = np.array(list(itertools.product(units, repeat=3)))
@@ -139,25 +169,31 @@ def _member_sweep(rep2, rep3, p, n):
         [[*r2, *(u * rep3 * d % n)] for r2, d in zip(rows2, diag[first_d]) for u in units], axis=0
     ).astype(oracle._kernel_type(n))
     first = [(np.arange(n**3) // n**t % n).astype(prefixes.dtype)[None, :] for t in range(3)]
-    counts = np.zeros(3 * n, dtype=np.int64)
+    counts = np.zeros(8 * n, dtype=np.int64)  # by (unit pattern of P21, P22, P23, permanent)
     for s in range(0, len(prefixes), 256):
         e = [*first, *(prefixes[s : s + 256, [c]] for c in range(6))]
-        perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
-        label = np.where(mod(p21, p) != 0, 0, np.where(mod(p22, p) != 0, 1, 2))
-        counts += np.bincount((label * n + perm)[mod(det, p) != 0], minlength=3 * n)
-    return counts.reshape(3, n), len(prefixes)
+        perm, det, *subs = _row_two_subperms(e, n)
+        bits = sum((mod(v, p) != 0) << c for c, v in enumerate(subs))
+        counts += np.bincount((bits * n + perm)[mod(det, p) != 0], minlength=8 * n)
+    out = np.zeros((3, n), dtype=np.int64)
+    for bits, row in enumerate(counts.reshape(8, n)):
+        for s in itertools.permutations(range(3)):
+            out[0 if bits >> s[0] & 1 else 1 if bits >> s[1] & 1 else 2] += row
+    return out, len(prefixes)
 
 
 @pytest.mark.parametrize("p,k,pairs", [(3, 2, None), (5, 2, 2), (3, 3, 2)])
 def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # left-over pairs with an invertible completion; at p = 2 there are none,
     # and at k = 1 their permanents are all 0, so these pin the division of
-    # each valuation class's tally by its size and its invariance under unit
-    # column scaling. Row 2 runs over the class census's ordered divisor
-    # triples; at (5, 2) and (3, 3) the lightest pairs come first, and at
-    # (3, 3) the second of them reaches the permanents of valuation 2 and 3.
+    # each valuation class's tally by its size, its invariance under unit
+    # column scaling and the count of labels over the column orderings. Row 2
+    # runs over sorted divisor triples, each of weight m times its unit
+    # column-scaling orbit's size, m its number of distinct orderings; at
+    # (5, 2) and (3, 3) the lightest pairs come first, and at (3, 3) the
+    # second of them reaches the permanents of valuation 2 and 3.
     n = p**k
-    c = oracle._orbit_tables(n, True)
+    c = oracle._orbit_tables(n)
     rows2, o, val = c.first, c.second, oracle._valuations(p, k)
     i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
     A, B, C, D, E, F = (v % p for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], n))
@@ -168,11 +204,27 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     for pair in left[:pairs]:
         tally = oracle._leftover_tally(c, i[[pair]], j[[pair]], p, k, val)
         reps = [np.array([int(v[x]) for v in r.reps]) for r, x in ((rows2, i[pair]), (o, j[pair]))]
+        orderings = len(set(itertools.permutations(reps[0].tolist())))
         sweep, members = _member_sweep(*reps, p, n)
-        assert members == weights[pair]
-        assert tally.tolist() == sweep.tolist(), reps
+        assert members * orderings == weights[pair]
+        assert tally.tolist() == (orderings * sweep).tolist(), reps
         reached |= set(val[np.flatnonzero(tally.sum(axis=0))].tolist())
     assert reached == set(range(1, k + 1))
+
+
+@pytest.mark.parametrize("p,k", [(127, 1), (5, 3)])
+def test_six_fold_class_tallies_stay_in_int64(p, k):
+    # the job tallies hold every matrix six times until _class_scan divides
+    # them: n^6 prefix weights, and a left-over entry the C21 or C22 matrices
+    # of one permanent, at most n^8 at n <= 127 (closed forms): 6 n^8 < 2^63
+    n = p**k
+    assert max(cf.count(n, x) for x in range(n)) <= n**8 and 6 * oracle.INT64_CEILING**8 < 2**63
+    c = oracle._orbit_tables(n)
+    jobs = oracle._orbit_jobs(c, p, k, oracle._valuations(p, k))
+    heads, left = np.split(sum(oracle._class_job(args) for args, _ in jobs), [len(c.buckets)], axis=1)
+    assert 0 < heads.sum() <= 6 * n**6 and 0 < left.max() <= 6 * n**8
+    counts, violations = oracle._class_scan(p, k)
+    assert left.tolist() == [*(6 * counts[:, 3:]).T.tolist(), [0] * n] and violations == 0
 
 
 def _prime_powers(bound):
@@ -222,9 +274,9 @@ def test_case_census_rejects_bad_p():
 @pytest.fixture
 def cold_tables():
     """The per-modulus tables' cache cleared before and after: no record built under a patch outlives the test."""
-    oracle._modulus_tables.cache_clear()
+    oracle._orbit_tables.cache_clear()
     yield
-    oracle._modulus_tables.cache_clear()
+    oracle._orbit_tables.cache_clear()
 
 
 @pytest.mark.parametrize("live", ["zero row too", "one orbit short"])
@@ -321,17 +373,14 @@ def test_bucket_symmetries_of_the_orbit_pass(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_divisor_rows_match_gcd_classes(n):
-    # group all n^3 rows by their triple of gcds with n, ordered and sorted:
-    # each class is one rep, whose gcd triple is the class, weighted by its size
+    # group all n^3 rows by their sorted triple of gcds with n: each class is
+    # one rep, whose gcd triple is the class, weighted by its size
     rows = np.array(list(itertools.product(range(n), repeat=3)))
-    gcds = np.gcd(rows, n)
-    for ordered in (True, False):
-        keys = gcds if ordered else np.sort(gcds, axis=1)
-        classes, sizes = np.unique(keys, axis=0, return_counts=True)
-        o = oracle._divisor_rows(n, ordered)
-        reps = np.gcd(np.stack(o.reps, axis=1), n)
-        got = sorted(zip(map(tuple, reps.tolist()), o.sizes.tolist()))
-        assert got == sorted(zip(map(tuple, classes.tolist()), sizes.tolist())), ordered
+    classes, sizes = np.unique(np.sort(np.gcd(rows, n), axis=1), axis=0, return_counts=True)
+    o = oracle._divisor_rows(n)
+    reps = np.gcd(np.stack(o.reps, axis=1), n)
+    got = sorted(zip(map(tuple, reps.tolist()), o.sizes.tolist()))
+    assert got == sorted(zip(map(tuple, classes.tolist()), sizes.tolist()))
 
 
 def _same_arrays(got, want):
@@ -359,8 +408,7 @@ def test_row_and_divisor_orbits_match_the_earlier_builds(n):
     # tests gcds and the itertools listing
     for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
         _same_orbits(oracle._row_orbits(m), row_orbits_by_crt_loop(m))
-        for ordered in (False, True):
-            _same_orbits(oracle._divisor_rows(m, ordered), divisor_rows_by_itertools(m, ordered))
+        _same_orbits(oracle._divisor_rows(m), divisor_rows_by_itertools(m))
 
 
 @pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1))
@@ -396,43 +444,42 @@ def test_orbit_pass_keys_are_the_gcd_keys_of_its_pairs(n):
     # the pass keys the pair (r1, r2) by the forms of (r1', r2), r1' the
     # exponent row of r1: r1 itself at a prime power. So each first-row
     # triple's weights over the second-row orbits fall on the keys of its own
-    # pairs, in the same totals. Above 40, about 50 triples per ordering.
-    for ordered in (False, True):
-        c = oracle._orbit_tables(n, ordered)
-        r1 = np.stack(c.first.reps).astype(np.int64)
-        r1_exp = _exponent_rows(r1, n)
-        r2 = np.stack(c.second.reps).astype(np.int64)
-        step = 1 if n <= 40 else max(1, len(c.first.sizes) // 50)
-        for i in range(0, len(c.first.sizes), step):
-            for _, cols, key, w in oracle._orbit_blocks(c, i, i + 1):
-                own = gcd_keys(n, forms(r1[:, [i], None], r2[:, None, cols], n))
-                assert (key == gcd_keys(n, forms(r1_exp[:, [i], None], r2[:, None, cols], n))).all()
-                if len(factorize(n).factors) < 2:
-                    assert (key == own).all()
-                tallies = (oracle._tally(v, w, len(c.buckets)) for v in (key, own))
-                assert np.array_equal(*tallies), (ordered, i)
+    # pairs, in the same totals. Above 40, about 50 triples.
+    c = oracle._orbit_tables(n)
+    r1 = np.stack(c.first.reps).astype(np.int64)
+    r1_exp = _exponent_rows(r1, n)
+    r2 = np.stack(c.second.reps).astype(np.int64)
+    step = 1 if n <= 40 else max(1, len(c.first.sizes) // 50)
+    for i in range(0, len(c.first.sizes), step):
+        for _, cols, key, w in oracle._orbit_blocks(c, i, i + 1):
+            own = gcd_keys(n, forms(r1[:, [i], None], r2[:, None, cols], n))
+            assert (key == gcd_keys(n, forms(r1_exp[:, [i], None], r2[:, None, cols], n))).all()
+            if len(factorize(n).factors) < 2:
+                assert (key == own).all()
+            tallies = (oracle._tally(v, w, len(c.buckets)) for v in (key, own))
+            assert np.array_equal(*tallies), i
 
 
 def test_key_table_build_is_blocked():
-    # the class census at 64 keys 127 live exponent triples against 7,168
-    # live local orbits; the build forms them _BLOCK pairs at a time, so its
-    # peak is the table plus a few blocks, where one unblocked build's six
-    # int16 coefficient arrays alone would take 11 MB
-    first, second = oracle._divisor_rows(64, True), oracle._row_orbits(64)
+    # the orbit censuses at 64 key 28 live exponent triples against 7,168
+    # live local orbits; the build forms them in blocks of at most _BLOCK
+    # pairs (9 triples, 64,512 pairs), so its peak is the table plus a few
+    # blocks: tracemalloc puts it 2.0 MB above the table, where one unblocked
+    # build's reaches 6.0 MB
+    first, second = oracle._divisor_rows(64), oracle._row_orbits(64)
     tracemalloc.start()
     try:
         (t,) = oracle._key_tables(64, first, second)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert t.codes.size == 127 * 7168
-    assert peak < t.codes.nbytes + t.rows.nbytes + t.cols.nbytes + 16 * oracle._BLOCK * 8
+    assert t.codes.size == 28 * 7168
+    assert peak < t.codes.nbytes + t.rows.nbytes + t.cols.nbytes + 6 * oracle._BLOCK * 8
 
 
 def test_divisor_row_weights_cover_every_row():
     for n in range(1, oracle.INT64_CEILING + 1):
-        for ordered in (True, False):
-            assert int(oracle._divisor_rows(n, ordered).sizes.sum()) == n**3, (n, ordered)
+        assert int(oracle._divisor_rows(n).sizes.sum()) == n**3, n
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -462,17 +509,16 @@ def test_orbit_pass_skips_exactly_the_dead_prefixes(n):
     for p, _ in factorize(n).factors:
         dead |= (rows % p == 0).all(axis=1)
     dead_prefixes = int(np.logical_or.outer(dead, dead).sum())
-    for ordered in (False, True):
-        c = oracle._orbit_tables(n, ordered)
-        first, second = c.first, c.second
-        pairs, walked = [], 0
-        for i, j, *_, w in oracle._orbit_blocks(c, 0, len(first.sizes)):
-            pairs += itertools.product(i.tolist(), j.tolist())
-            walked += int(w.sum())
-        live = np.outer(first.live, second.live)
-        assert sorted(pairs) == list(zip(*(v.tolist() for v in np.nonzero(live))))
-        weights = np.outer(first.sizes, second.sizes)
-        assert int(weights[~live].sum()) == n**6 - walked == dead_prefixes, ordered
+    c = oracle._orbit_tables(n)
+    first, second = c.first, c.second
+    pairs, walked = [], 0
+    for i, j, *_, w in oracle._orbit_blocks(c, 0, len(first.sizes)):
+        pairs += itertools.product(i.tolist(), j.tolist())
+        walked += int(w.sum())
+    live = np.outer(first.live, second.live)
+    assert sorted(pairs) == list(zip(*(v.tolist() for v in np.nonzero(live))))
+    weights = np.outer(first.sizes, second.sizes)
+    assert int(weights[~live].sum()) == n**6 - walked == dead_prefixes
     seen = []
     oracle.census_tiered(n, progress=lambda done, total: seen.append((done, total)))
     assert seen[-1] == (n**6, n**6)
@@ -488,16 +534,15 @@ def test_orbit_jobs_balance_live_pairs(monkeypatch, n, chunk):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
     live_second = int(oracle._row_orbits(n).live.sum())
     step = max(1, oracle._CHUNK // live_second)
-    for ordered in (False, True):
-        c = oracle._orbit_tables(n, ordered)
-        first, jobs = c.first, oracle._orbit_jobs(c)
-        bounds = [args[1:3] for args, _ in jobs]
-        assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
-        assert bounds[-1][1] == len(first.sizes)
-        live = [int(first.live[a:b].sum()) for a, b in bounds]
-        assert live[:-1] == [step] * (len(jobs) - 1) and 1 <= live[-1] <= step
-        assert max(live) * live_second <= max(oracle._CHUNK, live_second)
-        assert sum(size for _, size in jobs) == n**6
+    c = oracle._orbit_tables(n)
+    first, jobs = c.first, oracle._orbit_jobs(c)
+    bounds = [args[1:3] for args, _ in jobs]
+    assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+    assert bounds[-1][1] == len(first.sizes)
+    live = [int(first.live[a:b].sum()) for a, b in bounds]
+    assert live[:-1] == [step] * (len(jobs) - 1) and 1 <= live[-1] <= step
+    assert max(live) * live_second <= max(oracle._CHUNK, live_second)
+    assert sum(size for _, size in jobs) == n**6
 
 
 def test_tally_sums_weights_exactly():
@@ -668,14 +713,13 @@ def test_tables_are_built_in_the_kernel_type(n):
     t = oracle._kernel_type(n)
     assert all(v.dtype == t for v in oracle._row_orbits(n).reps)
     key_type = oracle._int_type(len(oracle._bucket_rows(n)) - 1)
-    for ordered in (False, True):
-        c = oracle._orbit_tables(n, ordered)
-        assert all(v.dtype == t for v in c.first.reps)
-        _, _, key, _ = next(oracle._orbit_blocks(c, 0, len(c.first.sizes)))
-        assert key.dtype == key_type
-        for table in c.keys:
-            assert table.codes.dtype == key_type
-            assert table.rows.dtype == table.cols.dtype == oracle._int_type(table.codes.size - 1)
+    c = oracle._orbit_tables(n)
+    assert all(v.dtype == t for v in c.first.reps)
+    _, _, key, _ = next(oracle._orbit_blocks(c, 0, len(c.first.sizes)))
+    assert key.dtype == key_type
+    for table in c.keys:
+        assert table.codes.dtype == key_type
+        assert table.rows.dtype == table.cols.dtype == oracle._int_type(table.codes.size - 1)
     # _kernel_type(p^k) holds the largest minors: A E - B D = A F - C D =
     # (p^k - 1)^2 and B F - C E = -(p^k - 1)^2
     for p, k in factorize(n).factors:
@@ -968,9 +1012,8 @@ def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
 
 def test_censuses_at_one_modulus_share_one_build(monkeypatch, cold_tables):
     # the tiered, class and case censuses at 13 in a row: one build of the
-    # second-row orbits and the bucket rows serves all three, and one of the
-    # first-row triples and key tables serves each ordering: the sorted one
-    # the tiered and case censuses, the ordered one the class census
+    # first-row triples, second-row orbits, key tables and bucket rows serves
+    # all three
     calls = collections.Counter()
 
     def counted(build):
@@ -985,12 +1028,12 @@ def test_censuses_at_one_modulus_share_one_build(monkeypatch, cold_tables):
     oracle.census_tiered(13)
     oracle.class_census(13)
     oracle.case_census(13)
-    assert calls == {"_row_orbits": 1, "_bucket_rows": 1, "_divisor_rows": 2, "_key_tables": 2}
+    assert calls == {"_row_orbits": 1, "_bucket_rows": 1, "_divisor_rows": 1, "_key_tables": 1}
 
 
 def test_a_census_at_another_modulus_releases_the_last_tables():
     oracle.census_tiered(12)
-    c = oracle._orbit_tables(12, False)
+    c = oracle._orbit_tables(12)
     tables = [weakref.ref(v) for v in (c.first, c.second, c.buckets, *c.keys)]
     del c
     oracle.census_tiered(13)

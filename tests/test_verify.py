@@ -597,7 +597,7 @@ ctx = verify._Ctx(dataclasses.replace(verify.QUICK, case_primes=(3,)), seed=0)
 key_check = raises(lambda: verify._case_table(ctx))
 
 # first-row orbit sizes off by one make the left-over class tallies mod 9 inexact
-c = oracle._orbit_tables(9, True)
+c = oracle._orbit_tables(9)
 rows2, o = c.first, c.second
 i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
 A, B, C, D, E, F = (v % 3 for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], 9))
@@ -605,13 +605,22 @@ left = (A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0))
 bad = dataclasses.replace(c, second=dataclasses.replace(o, sizes=o.sizes + 1))
 tally_check = raises(lambda: oracle._leftover_tally(bad, i[left], j[left], 3, 2, oracle._valuations(3, 2)))
 
+# the row-2 triple (1, 0, 0) one heavier and the zero row one lighter still
+# cover 5^6 prefixes, but leave the six-fold class tallies mod 5 inexact
+c = oracle._orbit_tables(5)
+triples, sizes = np.stack(c.first.reps).T.tolist(), c.first.sizes.copy()
+sizes[triples.index([1, 0, 0])] += 1
+sizes[triples.index([0, 0, 0])] -= 1
+oracle._orbit_tables = lambda n: dataclasses.replace(c, first=dataclasses.replace(c.first, sizes=sizes))
+six_check = raises(lambda: oracle._class_scan(5, 1), "multiples of 6")
+
 # the first head batch of (3, 2) has label 0; rows 2 and 3 of (1, 0, 0), (0, 1, 0) give prefix 0 label 2
 batch = [v.copy() for v in next(structure_maps.zero_perm_members(3, 2))]
 for v, entry in zip(batch[3:], (1, 0, 0, 0, 1, 0)):
     v[0, 0] = entry
 inv = oracle._inverse_table(9)
 label_check = raises(lambda: verify._shift_verify(batch, 9, 3, [0, 3, 6], inv), "one label")
-print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check, label_check)
+print(sys.flags.optimize, sum_check, shift_check, key_check, tally_check, six_check, label_check)
 """
 
 
@@ -623,7 +632,7 @@ def test_invariants_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True"]
+    assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True", "True"]
 
 
 def test_src_has_no_assert_statements():
