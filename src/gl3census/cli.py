@@ -6,10 +6,12 @@ Exit codes: 0 success, 1 verification failures (including a table --check
 row that disagrees), 2 usage error, 3 census bound exceeded (oracle's
 INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 out of
 memory, or a census, one of its workers or a check that fails its own
-invariant (a RuntimeError). --threads sets the number of worker threads, by
-default the CPUs this process may run on: oracle, table and verify give them
-to each census's jobs, and verify runs its checks one after another. Output
-carries no timestamps, so identical invocations produce identical bytes.
+invariant (a RuntimeError), 141 stdout closed by its reader (128 + SIGPIPE,
+the code a shell reports for a filter killed by a closed pipe). --threads
+sets the number of worker threads, by default the CPUs this process may run
+on: oracle, table and verify give them to each census's jobs, and verify runs
+its checks one after another. Output carries no timestamps, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -261,7 +263,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # inside the try, so that a closed pipe raises here and not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so that the flush at exit finds nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except oracle.CensusTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

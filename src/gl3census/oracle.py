@@ -37,7 +37,11 @@ Chinese remainder theorem, never by scanning the n^3 rows. A pair in which
 some prime p | n divides every entry of one row has no invertible completion,
 so the pass skips it. class_census and case_census share that pass and its
 tables; class_census, whose class head a column permutation reorders, counts
-each pair's labels over the six column orderings.
+each pair's labels over the six column orderings. It reads each pair twice:
+as rows 2 and 3 for the classes with a unit among P11, P12, P13, and as rows
+3 and 1 for the left-over classes, expanded along row 2 over the rows that
+keep P11, P12, P13 divisible by p, the image of a lattice map whose forms
+read the same keys and bucket rows.
 
 Censuses may run on several worker threads; orbit pairs (or, for the scanning
 engines, index ranges) are split into fixed chunks, each thread tallies its
@@ -69,22 +73,15 @@ from math import gcd, prod
 import numpy as np
 
 from .closed_form import CaseCensusRow
-from .matrices import (
-    CLASS_LABELS,
-    ClassLabel,
-    forms,
-    mod,
-    perm_det2,
-    perm_det_subperms,
-)
+from .matrices import CLASS_LABELS, ClassLabel, forms, mod, perm_det2
 from .modring import Modulus, factorize, is_prime
 
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
 # orbit censuses' contraction, _OrbitTables.contract); 127^9 < 2^63 <= 128^9.
-# The class census's job tallies hold every matrix six times (once per column
-# ordering) until _class_scan divides them: a left-over entry counts the
-# matrices of one permanent, at most n^8 at n <= 127 (closed_form.count), so
-# below 6 * 127^8 < 2^59, and the prefix weights sum to 6 n^6.
+# The class census's job tallies are prefix weights counted once per column
+# ordering, at most 6 n^6 per half until _class_scan divides them by 6; its
+# left-over contraction counts rows t, each matrix p^2 times, at most n^9
+# before the division by p^2.
 INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
 # still reaches n = 8 (n^9 matrices, each covered once, its third entry's
@@ -804,96 +801,75 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 
 
 # ---------------------------------------------------------------------------
-# class census: prefix = rows 2 and 3, inner variable = row 1
+# class census: each orbit pair read twice, as rows 2 and 3 and as rows 3 and 1
 #
 # With rows 2 and 3 as the prefix, the row-1 sub-permanents P11, P12, P13 are
 # its forms A, B, C and the row-1 cofactors are D, E, F. If one of P11, P12,
-# P13 is a unit mod p, the class of every matrix over the prefix is decided,
-# and the (perm, det) pair is again two linear forms in the inner row.
+# P13 is a unit mod p, the class of every matrix over the prefix is decided
+# (C11, C12 or C13), and the (perm, det) pair is two linear forms in row 1.
 #
-# Row 2 runs over the sorted divisor triples of the tiered census, whose
+# The other matrices, with none of P11, P12, P13 a unit, are left over, and
+# the same pairs count them, read a second time: the divisor triple f as row
+# 3, the unit-scaling orbit r as row 1 and row 2 as the inner row. The
+# matrix (r, row 2, f) is a cyclic shift of (f, r, row 2), so expanded along
+# row 2 its perm and det are again the forms (A, ..., F) = forms(f, r), and
+# A, B, C are now P21, P22, P23, which decide C21, C22 or a violation (no
+# unit among the five). Row 2 is held to the rows x with (P11, P12, P13) =
+# S(f) x = 0 mod p, where S(f) has a zero diagonal and f3, f2, f1 off it.
+# With u units among f's entries mod p (f is sorted, so they come first),
+# those rows are x2 = x3 = 0 mod p at u = 1, and x3 = x1 + x2 = 0 mod p at
+# u = 2: either way the rows L t over all n^3 rows t, each hit p^2 times,
+# where L has the columns (1, s, 0), p e2 and p e3, s = -1 at u = 2 and 0 at
+# u = 1. In t, perm and det are the forms (A + s B, p B, p C) and (D + s E,
+# p E, p F), whose key reads the bucket rows as for any prefix; so
+# contracting the left-over tallies counts every matrix p^2 times, and
+# _class_scan divides by p^2 (RuntimeError if not exact). At u = 3 and odd
+# p, S(f) is invertible mod p, so x = 0 mod p and the determinant is never a
+# unit; at p = 2 no left-over matrix is invertible, each cofactor being
+# congruent to its sub-permanent. Putting p in place of L's leading 1 at
+# u = 3 makes every such key dead.
+#
+# f runs over the sorted divisor triples of the tiered census, whose
 # sub-permanents a column permutation reorders. An ordering s, column s_i
-# moved to position i, takes the prefix (r2, r3) to (r2 s, r3 s): its P1i and
+# moved to position i, takes a prefix (r2, r3) to (r2 s, r3 s): its P1i and
 # P2i are P1,s_i and P2,s_i, and its key, permanent and whether its
-# determinant is a unit are those of (r2, r3). Over all row-3 orbits, the
-# pairs of a sorted triple under s add up as the ordered triple (g_s1, g_s2,
-# g_s3), whose weight is the sorted triple's over its m orderings, and the six
-# orderings meet each of those m ordered triples 6 / m times. So each pair,
-# weighted as its sorted triple, once per ordering, counts every matrix six
-# times, and _class_scan divides by 6 (RuntimeError if not exact). How many
-# orderings give each label depends only on how many of P11, P12, P13 (or, in
-# a left-over row, P21, P22, P23) are units, u: 2u put a unit first, u (3 - u)
-# one second after a non-unit, and 2 at u = 1 the only one third.
+# determinant is a unit are those of (r2, r3). Over all orbits of the other
+# row, the pairs of a sorted triple under s add up as the ordered triple
+# (g_s1, g_s2, g_s3), whose weight is the sorted triple's over its m
+# orderings, and the six orderings meet each of those m ordered triples 6 / m
+# times. So each pair, weighted as its sorted triple, once per ordering,
+# counts every matrix six times, and _class_scan divides by 6 (RuntimeError
+# if not exact). How many orderings give each label depends only on how many
+# of P11, P12, P13 (or P21, P22, P23) are units, u: 2u put a unit first, u (3
+# - u) one second after a non-unit, and 2 at u = 1 the only one third.
 # _HEAD_ORDERINGS[u] counts those per head label C11, C12, C13, and
 # _LEFTOVER_ORDERINGS[u] per C21, C22 and violation (no unit in the first two).
-#
-# The pairs with none of P11, P12, P13 a unit are left over: there the class
-# depends on the first row, through P21 and then P22. A left-over pair whose
-# D, E, F are all divisible by p too has no invertible completion and is
-# skipped; at p = 2 that is every left-over pair, each cofactor being
-# congruent to its sub-permanent. Scaling the first row by a unit w multiplies
-# the determinant, the permanent, P21, P22 and P23 by w, and units scale a
-# residue onto exactly the residues of its valuation g, the class C_g:
-# phi(p^(k - g)) residues for g < k, and 0 alone at g = k. So over all n^3
-# first rows, a pair's tally is T(C_g) / |C_g| at every permanent of
-# valuation g, where T(C_g) adds the orbit sizes of the first-row reps whose
-# permanent has valuation g, per number of units among P21, P22, P23;
-# _leftover_tally raises RuntimeError if a division is not exact. Scaling
-# rows 2 and 3 by units, or the columns by a unit diagonal, keeps whether the
-# determinant and each of P21, P22, P23 is a unit and scales the permanent by
-# a unit, so, the tally being constant on each valuation class, every prefix
-# a pair stands for has its rep's tally. Matrices of unit determinant with
-# neither P21 nor P22 a unit are violations.
 
 _HEAD_ORDERINGS = np.array([[0, 0, 0], [2, 2, 2], [4, 2, 0], [6, 0, 0]])
 _LEFTOVER_ORDERINGS = np.array([[0, 0, 6], [2, 2, 2], [4, 2, 0], [6, 0, 0]])
 
 
-def _leftover_tally(c: _OrbitTables, i, j, p: int, k: int, val: np.ndarray) -> np.ndarray:
-    """Six-fold C21, C22 and violation tallies by permanent of the orbit pairs (i, j), shaped (3, p^k).
-
-    Row 2 is rep i of c.first, row 3 rep j of c.second, the first rows run
-    over c.second, and the kernel runs in the reps' type. Each pair is
-    tallied in int64 by its number of units among P21, P22, P23 and the
-    valuation val = _valuations(p, k) of its permanent, and each valuation
-    class's tally divided by the class's size. A function, so that each
-    block's (pairs x first-row orbits) arrays are freed before the next
-    block allocates its own.
-    """
-    n, rows2, o = c.n, c.first, c.second
-    e = [*(v[None, :] for v in o.reps), *(v[i, None] for v in rows2.reps), *(v[j, None] for v in o.reps)]
-    perm, det, _, _, _, p21, p22 = perm_det_subperms(e, n)
-    p23 = e[0] * e[7] + e[1] * e[6]  # a11 a32 + a12 a31, within the kernel's bound
-    units = sum(mod(v, p) != 0 for v in (p21, p22, p23))
-    # the int64 pair index and unit count: the key is formed in int64
-    key = (np.arange(i.size)[:, None] * 4 + units) * (k + 1) + val.take(perm)
-    weights = np.where(mod(det, p) != 0, o.sizes, 0)
-    tally = _tally(key, weights, 4 * (k + 1) * i.size).reshape(i.size, 4, k + 1)
-    whole, rest = np.divmod(tally, np.bincount(val, minlength=k + 1))
-    if rest.any():
-        raise RuntimeError(f"left-over class tallies mod {n} are not divisible by their class sizes")
-    per_units = np.tensordot(rows2.sizes[i] * o.sizes[j], whole, axes=1)
-    return (_LEFTOVER_ORDERINGS.T @ per_units).take(val, axis=1)
-
-
 def _class_job(args):
-    """(3, keys + n), six-fold: prefixes per (head class, key), then the left-over tallies."""
+    """(6, keys), six-fold: prefix weights per key of C11, C12, C13, then of C21, C22 and violations."""
     c, _, _, p, k, val = args
-    n_keys = len(c.buckets)
-    mult = np.zeros(4 * n_keys, dtype=np.int64)
-    left = np.zeros((3, c.n), dtype=np.int64)
+    n, n_keys = c.n, len(c.buckets)
+    head, left = (np.zeros(4 * n_keys, dtype=np.int64) for _ in range(2))
     r3 = [v[None, c.second.live] for v in c.second.reps]  # the cols of every block
-    step = max(1, _BLOCK // len(c.second.sizes))  # left-over pairs per block
-    for rows, cols, key, w in _orbit_blocks(*args[:3]):
-        coeffs = forms([v[rows, None] for v in c.first.reps], r3, c.n)
-        units = sum(mod(v, p) != 0 for v in coeffs[:3])  # among P11, P12, P13
-        mult += _tally(units * n_keys + key, w, 4 * n_keys)
-        cofactor = np.logical_or.reduce([mod(d, p) != 0 for d in coeffs[3:]])  # some D, E, F a unit
-        i, j = np.nonzero((units == 0) & cofactor)
-        for b in range(0, i.size, step):
-            block = slice(b, b + step)
-            left += _leftover_tally(c, rows[i[block]], cols[j[block]], p, k, val)
-    return np.hstack([_HEAD_ORDERINGS.T @ mult.reshape(4, n_keys), left])
+    # per first-row triple f with u units mod p, in the kernel's type: L's leading entry and s
+    u = sum(mod(v, p) != 0 for v in c.first.reps)
+    lead, s = np.where(u < 3, 1, p).astype(r3[0].dtype), -(u == 2).astype(r3[0].dtype)
+    for rows, _, key, w in _orbit_blocks(*args[:3]):
+        coeffs = list(forms([v[rows, None] for v in c.first.reps], r3, n))
+        units = sum(mod(v, p) != 0 for v in coeffs[:3])  # among P11, P12, P13, or P21, P22, P23
+        head += _tally(units * n_keys + key, w, head.size)
+        # the forms in t replace those in row 2 one by one, so that no block holds both sets; each is
+        # within p (n - 1) <= n (n - 1) of 0 before mod, so the kernel's bound holds
+        a, b = lead[rows, None], s[rows, None]
+        for i in (0, 3):
+            coeffs[i] = mod(a * coeffs[i] + b * coeffs[i + 1], n)
+            coeffs[i + 1], coeffs[i + 2] = mod(p * coeffs[i + 1], n), mod(p * coeffs[i + 2], n)
+        left += _tally(units * n_keys + _local_keys(coeffs, p, k, val), w, left.size)
+    return np.vstack([_HEAD_ORDERINGS.T @ head.reshape(4, -1), _LEFTOVER_ORDERINGS.T @ left.reshape(4, -1)])
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
@@ -910,11 +886,14 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
         raise ValueError(f"exponent must be >= 1, got {k}")
     c = _orbit_tables(p**k)
     six_fold = _sum_jobs(_class_job, _orbit_jobs(c, p, k, _valuations(p, k)), threads, progress)
-    tallies, rest = np.divmod(six_fold, 6)
+    prefixes, rest = np.divmod(six_fold, 6)
     if rest.any():
         raise RuntimeError(f"class tallies mod {p}^{k} over six column orderings are not multiples of 6")
-    heads, left = np.split(tallies, [len(c.buckets)], axis=1)
-    return np.vstack([c.contract(heads), left[:2]]).T, int(left[2].sum())
+    counts = c.contract(prefixes)
+    left, rest = np.divmod(counts[3:], p * p)
+    if rest.any():
+        raise RuntimeError(f"left-over class counts mod {p}^{k} are not multiples of p^2 = {p * p}")
+    return np.vstack([counts[:3], left[:2]]).T, int(left[2].sum())
 
 
 def class_census(p: int, k: int = 1, *, threads: int = 1, progress=None) -> ClassCensus:

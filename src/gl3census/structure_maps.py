@@ -169,12 +169,13 @@ def emptiness_scan(p: int, k: int = 1, *, threads: int = 1, progress=None) -> Em
 
     Covers all of GL3(Z/p^k), p^k <= oracle.INT64_CEILING; a violation is an
     invertible matrix whose five sub-permanents P11, P12, P13, P21, P22 are
-    all divisible by p. The scan is the class census's: it evaluates one
-    prefix (rows 2 and 3) per pair of a row-2 orbit under unit column scaling
-    and column permutation (a sorted triple of divisors of p^k) and a row-3
-    orbit under unit scaling, and, where P11, P12 and P13 are all divisible
-    by p, one first row per orbit under unit scaling, each under the six
-    column orderings.
+    all divisible by p. The scan is the class census's: it pairs an orbit of
+    rows under unit column scaling and column permutation (a sorted triple of
+    divisors of p^k) with an orbit of rows under unit scaling, each under the
+    six column orderings, and reads each pair twice. As rows 2 and 3 it
+    counts the matrices with a unit among P11, P12 and P13; as rows 3 and 1
+    it counts the others, with row 2 over the rows that keep P11, P12 and P13
+    divisible by p, the image of a lattice map counted p^2 times over.
     Scaling any row or any column by a unit scales each sub-permanent by a
     unit or not at all, and the determinant by a unit, so every member of an
     orbit is a violation exactly when its representative is; each

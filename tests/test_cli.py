@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -312,3 +314,18 @@ def test_default_threads_fall_back_to_cpu_count(monkeypatch, argv):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert cli._build_parser().parse_args(argv).threads == 64
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # a reader that stops after one line closes the pipe mid-output: exit
+    # code 1 is kept for failed verification, so this exits 128 + SIGPIPE
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    p_list = ",".join(["3"] * 3000)
+    argv = [sys.executable, "-m", "gl3census", "table", "--section", "case-table", "--p-list", p_list]
+    with subprocess.Popen(
+        argv, env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141 and stderr == b""

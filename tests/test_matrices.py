@@ -238,8 +238,9 @@ def test_kernel_on_int64_arrays_column_by_column(batch):
 )
 def test_fused_kernel_equals_perm_det_and_subperms(dtype, moduli):
     # each type up to the largest n that oracle._kernel_type gives it, on a
-    # (9, m) batch and in _leftover_tally's layout: first rows along one axis,
-    # rows 2 and 3 along the other. The sub-permanents are the permanents of
+    # (9, m) batch and in a spread layout, as the symmetry-free sweeps lay
+    # their matrices out: first rows along one axis, rows 2 and 3 along the
+    # other. The sub-permanents are the permanents of
     # the 2x2 minors, by perm_det2
     rng = np.random.default_rng(dtype().itemsize)
     for n in moduli:

@@ -126,17 +126,16 @@ def test_class_scan_matches_symmetry_free_sweep(p, k):
 
 
 def _row_two_subperms(e, n):
-    """(perm, det, P21, P22, P23) mod n of the row-major entries e."""
-    perm, det, *_, p21, p22 = perm_det_subperms(e, n)
-    return perm, det, p21, p22, mod(e[0] * e[7] + e[1] * e[6], n)
+    """(perm, det, P11, P12, P13, P21, P22, P23) mod n of the row-major entries e."""
+    return (*perm_det_subperms(e, n), mod(e[0] * e[7] + e[1] * e[6], n))
 
 
 def test_column_orderings_reorder_row_two_subpermanents():
     # moving column s_j to position j turns P2j into P2,s_j
     m = np.random.default_rng(7).integers(0, 25, size=(3, 3, 500))
-    subs = _row_two_subperms(list(m.reshape(9, -1)), 25)[2:]
+    subs = _row_two_subperms(list(m.reshape(9, -1)), 25)[5:]
     for s in itertools.permutations(range(3)):
-        moved = _row_two_subperms(list(m[:, list(s)].reshape(9, -1)), 25)[2:]
+        moved = _row_two_subperms(list(m[:, list(s)].reshape(9, -1)), 25)[5:]
         assert all(np.array_equal(moved[j], subs[c]) for j, c in enumerate(s)), s
 
 
@@ -152,29 +151,37 @@ def test_ordering_tables_count_the_six_column_orderings():
         assert head == [first.count(i) for i in range(3)] and left == [*head[:2], 6 - sum(head[:2])], bits
 
 
-def _member_sweep(rep2, rep3, p, n):
-    """C21, C22 and violation tallies, over the six column orderings, of the prefixes of a left-over pair.
+def _prime_powers(bound):
+    return [(p, k) for p in range(2, bound + 1) if is_prime(p) for k in range(1, 8) if p**k <= bound]
 
-    Those prefixes are, for each row r2 = rep2 D in rep2's orbit under unit
-    column scaling (one unit diagonal D per row), the rows u rep3 D for units
-    u; each is swept against all n^3 first rows, once. Ordering s (column s_j
-    moved to position j) labels a matrix M S by P2,s_1 and P2,s_2 of M, so
-    the sum is that of the sweeps of the pairs (rep2 s, rep3 s). Returns the
-    tallies and the number of prefixes.
+
+def _leftover_sweep(rep1, rep3, p, n):
+    """C21, C22 and violation tallies, over the six column orderings, of a pair's prefixes (row 1, row 3).
+
+    Those prefixes are, for each row r3 = rep3 D in rep3's orbit under unit
+    column scaling (one unit diagonal D per row), the rows u rep1 D for units
+    u; each is swept against all n^3 second rows, once, and the matrices with
+    P11, P12, P13 = 0 mod p and a unit determinant are kept. Ordering s
+    (column s_j moved to position j) labels a matrix M S by P2,s_1 and P2,s_2
+    of M, so the sum is that of the sweeps of the pairs (rep1 s, rep3 s).
+    Returns the tallies and the number of prefixes.
     """
     units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1])
     diag = np.array(list(itertools.product(units, repeat=3)))
-    rows2, first_d = np.unique(diag * rep2 % n, axis=0, return_index=True)
+    rows3, first_d = np.unique(diag * rep3 % n, axis=0, return_index=True)
     prefixes = np.unique(
-        [[*r2, *(u * rep3 * d % n)] for r2, d in zip(rows2, diag[first_d]) for u in units], axis=0
+        [[*(u * rep1 * d % n), *r3] for r3, d in zip(rows3, diag[first_d]) for u in units], axis=0
     ).astype(oracle._kernel_type(n))
-    first = [(np.arange(n**3) // n**t % n).astype(prefixes.dtype)[None, :] for t in range(3)]
+    second = [(np.arange(n**3) // n**t % n).astype(prefixes.dtype)[None, :] for t in range(3)]
     counts = np.zeros(8 * n, dtype=np.int64)  # by (unit pattern of P21, P22, P23, permanent)
-    for s in range(0, len(prefixes), 256):
-        e = [*first, *(prefixes[s : s + 256, [c]] for c in range(6))]
-        perm, det, *subs = _row_two_subperms(e, n)
+    step = max(1, (1 << 18) // n**3)
+    for s in range(0, len(prefixes), step):
+        block = prefixes[s : s + step]
+        e = [*(block[:, [c]] for c in range(3)), *second, *(block[:, [c]] for c in range(3, 6))]
+        perm, det, p11, p12, p13, *subs = _row_two_subperms(e, n)
+        keep = (mod(det, p) != 0) & (mod(p11, p) == 0) & (mod(p12, p) == 0) & (mod(p13, p) == 0)
         bits = sum((mod(v, p) != 0) << c for c, v in enumerate(subs))
-        counts += np.bincount((bits * n + perm)[mod(det, p) != 0], minlength=8 * n)
+        counts += np.bincount(np.broadcast_to(bits * n + perm, keep.shape)[keep], minlength=8 * n)
     out = np.zeros((3, n), dtype=np.int64)
     for bits, row in enumerate(counts.reshape(8, n)):
         for s in itertools.permutations(range(3)):
@@ -182,53 +189,107 @@ def _member_sweep(rep2, rep3, p, n):
     return out, len(prefixes)
 
 
+def _pair_leftover(c, i, j, p, k):
+    """The class job's six-fold C21, C22 and violation counts, by permanent, of orbit pair (i, j) alone."""
+    sizes = np.where(np.arange(len(c.second.sizes)) == j, c.second.sizes, 0)
+    alone = dataclasses.replace(c, second=dataclasses.replace(c.second, sizes=sizes))
+    six_fold = oracle._class_job((alone, i, i + 1, p, k, oracle._valuations(p, k)))[3:]
+    left, rest = np.divmod(alone.contract(six_fold), p * p)
+    assert not rest.any()
+    return left
+
+
 @pytest.mark.parametrize("p,k,pairs", [(3, 2, None), (5, 2, 2), (3, 3, 2)])
 def test_leftover_tally_matches_member_sweep(p, k, pairs):
-    # left-over pairs with an invertible completion; at p = 2 there are none,
-    # and at k = 1 their permanents are all 0, so these pin the division of
-    # each valuation class's tally by its size, its invariance under unit
-    # column scaling and the count of labels over the column orderings. Row 2
-    # runs over sorted divisor triples, each of weight m times its unit
-    # column-scaling orbit's size, m its number of distinct orderings; at
-    # (5, 2) and (3, 3) the lightest pairs come first, and at (3, 3) the
-    # second of them reaches the permanents of valuation 2 and 3.
+    # the pair (first-row triple f, second-row orbit r), read as row 3 = f and
+    # row 1 = r, against a sweep of every second row with no lattice and no
+    # key. A pair has left-over matrices exactly when its rep prefix has them
+    # mod p: the others must count none. At p = 2 there are none, and at k =
+    # 1 their permanents are all 0, so these pin the lattice of second rows,
+    # the p^2 division, the invariance under unit column scaling and the count
+    # of labels over the column orderings. f runs over sorted divisor triples,
+    # each of weight m times its unit column-scaling orbit's size, m its
+    # number of distinct orderings; at (5, 2) and (3, 3) the lightest pairs
+    # come first, and they reach permanents of every valuation 1..k.
     n = p**k
     c = oracle._orbit_tables(n)
-    rows2, o, val = c.first, c.second, oracle._valuations(p, k)
-    i, j = np.indices((len(rows2.sizes), len(o.sizes))).reshape(2, -1)
-    A, B, C, D, E, F = (v % p for v in forms([v[i] for v in rows2.reps], [v[j] for v in o.reps], n))
-    left = np.flatnonzero((A == 0) & (B == 0) & (C == 0) & ((D != 0) | (E != 0) | (F != 0)))
-    weights = rows2.sizes[i] * o.sizes[j]
+    first, o, val = c.first, c.second, oracle._valuations(p, k)
+    i, j = np.indices((len(first.sizes), len(o.sizes))).reshape(2, -1)
+    live = np.flatnonzero(first.live[i] & o.live[j])
+    weights = first.sizes[i] * o.sizes[j]
+    reps = [np.stack([v[x] for v in r.reps]).astype(np.int64) for r, x in ((first, i), (o, j))]
+    has_left = np.array([_leftover_sweep(reps[1][:, x] % p, reps[0][:, x] % p, p, p)[0].any() for x in live])
+    for pair in live[~has_left]:
+        assert not _pair_leftover(c, i[pair], j[pair], p, k).any()
+    left = live[has_left]
     left = left[np.argsort(weights[left], kind="stable")]
     reached = set()
     for pair in left[:pairs]:
-        tally = oracle._leftover_tally(c, i[[pair]], j[[pair]], p, k, val)
-        reps = [np.array([int(v[x]) for v in r.reps]) for r, x in ((rows2, i[pair]), (o, j[pair]))]
-        orderings = len(set(itertools.permutations(reps[0].tolist())))
-        sweep, members = _member_sweep(*reps, p, n)
+        tally = _pair_leftover(c, i[pair], j[pair], p, k)
+        rep3, rep1 = reps[0][:, pair], reps[1][:, pair]
+        orderings = len(set(itertools.permutations(rep3.tolist())))
+        sweep, members = _leftover_sweep(rep1, rep3, p, n)
         assert members * orderings == weights[pair]
-        assert tally.tolist() == (orderings * sweep).tolist(), reps
+        assert tally.tolist() == (orderings * sweep).tolist(), (rep3, rep1)
         reached |= set(val[np.flatnonzero(tally.sum(axis=0))].tolist())
     assert reached == set(range(1, k + 1))
 
 
+def _lattice(units, p):
+    """L of the class census's row-2 lattice for a row-3 triple with units units mod p.
+
+    Its columns are (lead, s, 0), p e2 and p e3: lead is 1 at one or two
+    units and p at three, s is -1 at two and 0 otherwise.
+    """
+    return np.array([[1 if units < 3 else p, 0, 0], [-(units == 2), p, 0], [0, 0, p]])
+
+
+@pytest.mark.parametrize("p,k", _prime_powers(27))
+def test_row_two_lattice_is_the_rows_that_keep_p1j_divisible(p, k):
+    # every live sorted triple f as row 3: with one or two units mod p, L t
+    # over all n^3 rows t hits every row x with S(f) x = (P11, P12, P13) = 0
+    # mod p exactly p^2 times, and no other row; with three at odd p those
+    # rows are p (Z/n)^3, which L = p I reaches. At p = 2, see the next test.
+    n = p**k
+    c = oracle._orbit_tables(n)
+    x = np.indices((n,) * 3).reshape(3, -1)  # every row, in C order
+    for f in np.stack(c.first.reps).T[c.first.live].astype(np.int64):
+        S = np.array([[0, f[2], f[1]], [f[2], 0, f[0]], [f[1], f[0], 0]])
+        kept = (S @ x % p == 0).all(axis=0)
+        units = int((f % p != 0).sum())
+        hits = np.bincount(np.ravel_multi_index(tuple(_lattice(units, p) @ x % n), (n,) * 3), minlength=n**3)
+        if units < 3:
+            assert hits.tolist() == (p * p * kept).tolist(), (n, f)
+        elif p > 2:
+            assert (hits > 0).tolist() == kept.tolist() == (x % p == 0).all(axis=0).tolist(), (n, f)
+
+
+def test_no_leftover_matrix_is_invertible_mod_2():
+    # mod 2 each cofactor is its sub-permanent, so a matrix with P11, P12,
+    # P13 even has an even determinant; this covers the three-unit triple at
+    # p = 2, whose row-2 lattice is larger than 2 (Z/n)^3, and every 2^k
+    e = list(np.indices((2,) * 9).reshape(9, -1))
+    _, det, *subs = perm_det_subperms(e, 2)
+    cofactors = forms(e[3:6], e[6:9], 2)[3:]
+    assert all(np.array_equal(a, b) for a, b in zip(cofactors, subs[:3]))
+    assert not (det[(subs[0] == 0) & (subs[1] == 0) & (subs[2] == 0)] % 2).any()
+
+
 @pytest.mark.parametrize("p,k", [(127, 1), (5, 3)])
 def test_six_fold_class_tallies_stay_in_int64(p, k):
-    # the job tallies hold every matrix six times until _class_scan divides
-    # them: n^6 prefix weights, and a left-over entry the C21 or C22 matrices
-    # of one permanent, at most n^8 at n <= 127 (closed forms): 6 n^8 < 2^63
+    # the job tallies are prefix weights, each half's counted once per column
+    # ordering: at most 6 n^6 until _class_scan divides them by 6. The
+    # left-over contraction counts rows t, each matrix p^2 times: at most n^9
+    # before the division by p^2, and 127^9 < 2^63
     n = p**k
-    assert max(cf.count(n, x) for x in range(n)) <= n**8 and 6 * oracle.INT64_CEILING**8 < 2**63
     c = oracle._orbit_tables(n)
     jobs = oracle._orbit_jobs(c, p, k, oracle._valuations(p, k))
-    heads, left = np.split(sum(oracle._class_job(args) for args, _ in jobs), [len(c.buckets)], axis=1)
-    assert 0 < heads.sum() <= 6 * n**6 and 0 < left.max() <= 6 * n**8
+    heads, left = np.split(sum(oracle._class_job(args) for args, _ in jobs), 2)
+    assert 0 < heads.sum() <= 6 * n**6 and 0 < left.sum() <= 6 * n**6
+    rows_t = c.contract(left // 6)
+    assert 0 < rows_t.sum() <= n**9 and oracle.INT64_CEILING**9 < 2**63
     counts, violations = oracle._class_scan(p, k)
-    assert left.tolist() == [*(6 * counts[:, 3:]).T.tolist(), [0] * n] and violations == 0
-
-
-def _prime_powers(bound):
-    return [(p, k) for p in range(2, bound + 1) if is_prime(p) for k in range(1, 8) if p**k <= bound]
+    assert rows_t.tolist() == [*(p * p * counts[:, 3:]).T.tolist(), [0] * n] and violations == 0
 
 
 def test_valuations_match_brute_force():
@@ -999,7 +1060,7 @@ def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
         return jobs[-1]
 
     for name in ("_row_orbits", "_prime_power_row_orbits", "_divisor_rows", "_key_tables",
-                 "_local_keys", "_bucket_rows", "_unit_mask", "_valuations"):
+                 "_bucket_rows", "_unit_mask", "_valuations"):
         monkeypatch.setattr(oracle, name, guarded(getattr(oracle, name)))
     monkeypatch.setattr(oracle, "_orbit_jobs", orbit_jobs)
     monkeypatch.setattr(oracle, "_CHUNK", 1)
