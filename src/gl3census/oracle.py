@@ -27,39 +27,43 @@ wherever both run.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
 a unit leaves the gcds alone; so does scaling a column of both rows by a unit,
-and permuting the columns keeps each bucket's third-row counts. The
-prefix pass therefore walks pairs of a first-row orbit under those column maps
-(a sorted triple of divisors of n) and a second-row orbit under unit scaling,
-each weighted by the product of its orbit sizes (orbit counting, as in
-Burnside's lemma), rather than all n^6 prefixes. The second-row orbits are
-built from their normal form, prime power by prime power and joined by the
-Chinese remainder theorem, never by scanning the n^3 rows. A pair in which
-some prime p | n divides every entry of one row has no invertible completion,
-so the pass skips it. class_census and case_census share that pass and its
-tables; class_census, whose class head a column permutation reorders, counts
-each pair's labels over the six column orderings. It reads each pair twice:
-as rows 2 and 3 for the classes with a unit among P11, P12, P13, and as rows
-3 and 1 for the left-over classes, expanded along row 2 over the rows that
-keep P11, P12, P13 divisible by p, the image of a lattice map whose forms
-read the same keys and bucket rows.
+and permuting the columns keeps each bucket's third-row counts. A prefix's
+part of each gcd at p^k || n depends only on its rows mod p^k. So the prefix
+pass never pairs rows mod n: at each prime power it pairs the first row's
+sorted triple of valuations at p (its orbit under those column maps) with the
+second row's orbits under unit scaling, built from their normal form, and
+keeps only the summed orbit sizes per exponent triple and local key: one small
+table per prime power, built once per process. By the Chinese remainder
+theorem and the distributive law, census_tiered then tallies the weights of
+its first-row orbits (sorted triples of divisors of n; orbit counting, as in
+Burnside's lemma) by their exponent triple at each prime power and contracts
+that tensor with one table per prime power, giving every prefix's key and
+weight without forming a single pair mod n. A row with every entry divisible
+by some p | n has no invertible completion, and its prefixes all get a dead
+key. class_census and case_census read the same table at p^k and at p, by the
+units among P11, P12, P13 and by the second row's zero count. class_census,
+whose class head a column permutation reorders, counts its labels over the
+six column orderings, and reads each pair a second time as rows 3 and 1 for
+the left-over classes, expanded along row 2 over the rows that keep P11, P12,
+P13 divisible by p: the image of a lattice map whose forms read the same keys
+and bucket rows. That second read walks the pairs at p^k again, as no other
+census reads it.
 
-Censuses may run on several worker threads; orbit pairs (or, for the scanning
-engines, index ranges) are split into fixed chunks, each thread tallies its
-chunks into int64 arrays, and the merge adds them in chunk order. Results are
-identical for every thread count. An orbit census hands its jobs every table
-they read in one record (_OrbitTables), built before they are dispatched, and
-contracts their summed tally with its bucket tables once. The tables of the
-last modulus alone are kept, so that consecutive censuses at one modulus share
-one build and no other modulus's tables stay in memory. Only a numpy call's
-array loop runs without the interpreter lock, and every call hands the lock
-over, so threads gain on large calls and lose on small ones: on a 2-vCPU host
-a 262,144-element uint8 add ran 1.72 times as fast on two threads, a
-2,400-element one 0.49 times, and a thread making the large calls fell from
-89,800 to 28,300 calls/s beside one making the small ones. The engines
-therefore keep their calls block-sized. verify.run_suite runs its checks one
-after another and gives its threads to each census's jobs, so that no two
-checks share the interpreter lock and their working sets are never in memory
-at once.
+census_naive and census_2x2 may run on several worker threads: index ranges
+are split into fixed chunks, each thread tallies its chunks into int64
+arrays, and the merge adds them in chunk order, so results are identical for
+every thread count. The orbit censuses run inline whatever threads they are
+given: their largest pair walk, the table at 64, is 200,704 pairs, less than
+one chunk of _CHUNK = 1,048,576, so none would split into a second job. Only a
+numpy call's array loop runs without the interpreter lock, and every call
+hands the lock over, so threads gain on large calls and lose on small ones:
+on a 2-vCPU host a 262,144-element uint8 add ran 1.72 times as fast on two
+threads, a 2,400-element one 0.49 times, and a thread making the large calls
+fell from 89,800 to 28,300 calls/s beside one making the small ones. The
+engines therefore keep their calls block-sized. verify.run_suite runs its
+checks one after another and gives its threads to each census's jobs, so that
+no two checks share the interpreter lock and their working sets are never in
+memory at once.
 """
 
 from __future__ import annotations
@@ -77,11 +81,11 @@ from .matrices import CLASS_LABELS, ClassLabel, forms, mod, perm_det2
 from .modring import Modulus, factorize, is_prime
 
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
-# orbit censuses' contraction, _OrbitTables.contract); 127^9 < 2^63 <= 128^9.
-# The class census's job tallies are prefix weights counted once per column
-# ordering, at most 6 n^6 per half until _class_scan divides them by 6; its
-# left-over contraction counts rows t, each matrix p^2 times, at most n^9
-# before the division by p^2.
+# orbit censuses' product of per-key prefix tallies with _bucket_rows);
+# 127^9 < 2^63 <= 128^9. The class census's tallies are prefix weights counted
+# once per column ordering, at most 6 n^6 per half until _class_scan divides
+# them by 6; its left-over contraction counts rows t, each matrix p^2 times, at
+# most n^9 before the division by p^2.
 INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
 # still reaches n = 8 (n^9 matrices, each covered once, its third entry's
@@ -90,8 +94,8 @@ INT64_CEILING = 127
 # and verify.shift_round_trip's population scan, charged n^8, n = 10.
 SCAN_BUDGET = 1 << 27
 
-_CHUNK = 1 << 20  # matrices, or orbit pairs, per job
-# array elements per vectorized block of the orbit pass and of the naive
+_CHUNK = 1 << 20  # matrices per job
+# array elements per vectorized block of the table builds and of the naive
 # sweep's grouped indexes; the naive sweep builds its per-census keys from
 # slices of _BLOCK, and the shift population's one-byte batches take 4 _BLOCK
 # (head) and 2 _BLOCK (left-over) members. Bounds the memory of each such
@@ -267,6 +271,11 @@ def _digits(idx: range, n: int, k: int) -> list[np.ndarray]:
     return out
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _sum_jobs(fn, jobs, threads, progress):
     """Sum fn(args) over one or more (args, size) jobs, inline or on a thread pool, adding in job order.
 
@@ -279,8 +288,7 @@ def _sum_jobs(fn, jobs, threads, progress):
     the caller's side raises (progress, or an interrupt while waiting),
     queued jobs are cancelled and only the running ones are waited for.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
     total = sum(size for _, size in jobs)
     workers = min(threads, len(jobs))
     arglist = [args for args, _ in jobs]
@@ -359,12 +367,15 @@ def _local_keys(coeffs, p: int, k: int, val: np.ndarray) -> np.ndarray:
     return np.where(least(D, E, F) > 0, (k + 1) ** 2, e_a * (k + 1) + least(A, B, C))
 
 
+@lru_cache(maxsize=1)
 def _bucket_rows(n: int) -> np.ndarray:
-    """Per-permanent counts of unit-determinant third rows, (keys, n) int64, one row per key mod n.
+    """Per-permanent counts of unit-determinant third rows, (keys, n) int64 and read-only, one row per key mod n.
 
     A key with a dead local key, or with e_g > e_a at some p, has the row 0.
     Every other key names a and g, and its row is the closed form above.
-    phi(n / v) is the number of residues whose gcd with n is v.
+    phi(n / v) is the number of residues whose gcd with n is v. The last
+    modulus's rows are kept, so that consecutive censuses at one modulus
+    share them.
     """
     a = g = np.ones(1, dtype=np.int64)
     live = np.ones(1, dtype=bool)
@@ -375,56 +386,58 @@ def _bucket_rows(n: int) -> np.ndarray:
     a, g = np.where(live, a, 1), np.where(live, g, 1)
     phi = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / v) at v | n
     hit = live[:, None] & (np.gcd(np.arange(n), a[:, None]) == g[:, None])
-    return np.where(hit, (n * a * phi[1] // phi[n * g // a])[:, None], 0)
+    rows = np.where(hit, (n * a * phi[1] // phi[n * g // a])[:, None], 0)
+    rows.flags.writeable = False
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# the orbit-pair prefix pass
+# the prefix pass: one table per prime power
 #
 # Scaling a prefix row by a unit scales all six forms by that unit, which
 # keeps the key, whether P11, P12 or P13 is a unit, and the zero pattern.
 # For a column permutation P and a unit diagonal D, perm(M P D) = perm(M) prod
 # d_i and det(M P D) = +-det(M) prod d_i: the forms' coefficient columns are
 # scaled by units (same key) or permuted with the determinant coordinate at
-# most negated (same third-row counts). (r1, r2) -> (r1 P D, r2 P D) permutes
-# the prefixes, so each first row of an orbit adds up like its rep (the class
-# census, whose labels a permutation reorders, counts them per ordering: see
-# there). Units scale a residue onto exactly the residues of its gcd g with n,
-# so an orbit is a sorted triple of gcds (g = n for a zero entry); the second
-# row keeps its unit-scaling orbits, built from their normal form (see
-# _row_orbits). Each engine sums the weights |orbit 1| * |orbit 2| of its
-# pairs per key in int64; they add up to n^6 <= 127^6 < 2^43, so every sum is
-# exact.
+# most negated (same key and third-row counts). So the second row needs only
+# its unit-scaling orbits, built from their normal form (see
+# _prime_power_row_orbits), each weighted by its size (orbit counting, as in
+# Burnside's lemma), and the first row only its orbit under unit column
+# scaling and column permutation, which mod p^k is the sorted triple
+# e1 <= e2 <= e3 of its entries' valuations at p: the row (p^e1, p^e2, p^e3).
 #
-# A row is dead when some prime p | n divides all three of its entries. The
-# forms are bilinear, so a prefix with a dead row has all six coefficients
-# divisible by p: its determinant is never a unit, and no third row makes it
-# invertible. The pass walks only live pairs; the weight of the dead ones
-# still counts towards the n^6 the jobs cover.
+# A prefix's key is one local key per p^k || n, and its local key depends only
+# on the prefix mod p^k. By the Chinese remainder theorem its rows mod n are
+# any pair of rows mod each p^k, so, by the distributive law, a first row's
+# key histogram over all n^3 second rows is the outer product over p^k || n of
+# its exponent triple's row of the local key histogram at p^k. A census
+# tallies the weights of its first-row triples (sorted triples of divisors of
+# n) into a tensor W with one axis per prime power, indexed by the triple's
+# exponent triple there, and contracts each axis with that prime power's
+# histogram: the result, raveled in C order, is the per-key prefix tally in
+# the order of _bucket_rows(n). Every weight and sum is exact in int64: they
+# add up to n^6 <= 127^6 < 2^43.
+#
+# A row is dead at p when p divides all three of its entries, so e1 > 0 for a
+# first row. The forms are bilinear, so a prefix with a row dead at p has all
+# six coefficients divisible by p: its local key at p is the dead key, and no
+# third row makes it invertible. The table pairs only the live exponent
+# triples, those with e1 = 0, with the live orbits; it adds the dead orbits'
+# sizes at the dead key, and W puts every dead first row at one last index.
 
 
-@dataclass(frozen=True, eq=False)
-class _RowOrbits:
-    """Orbits of the rows (Z/n)^3 under a group of symmetries.
-
-    reps holds one member of each orbit as three digit arrays of
-    _kernel_type(n), as the prefix pass feeds them to the kernel, sizes each
-    orbit's size in int64, as the weights are summed, and live whether no
-    prime dividing n divides all three entries of the rep (the same holds
-    for every member). The unit-scaling orbits keep their prime-power parts
-    in local: per p^k || n, the (3, orbits) int64 normal forms mod p^k, of
-    which the orbits are the product in C order.
-    """
-
-    reps: tuple[np.ndarray, np.ndarray, np.ndarray]
-    sizes: np.ndarray
-    live: np.ndarray
-    local: tuple[np.ndarray, ...] = ()
+@lru_cache(maxsize=None)
+def _sorted_triples(m: int) -> np.ndarray:
+    """The triples i1 <= i2 <= i3 in [0, m) as a read-only (3, C(m + 2, 3)) int64 array, in lexicographic order."""
+    i = np.indices((m,) * 3).reshape(3, -1)
+    i = i[:, (i[0] <= i[1]) & (i[1] <= i[2])]
+    i.flags.writeable = False
+    return i
 
 
-def _orbits(reps: np.ndarray, sizes: np.ndarray, live: np.ndarray, n: int, local=()) -> _RowOrbits:
-    """The (3, orbits) int64 reps as three digit arrays of _kernel_type(n), cast in one step."""
-    return _RowOrbits(reps=tuple(reps.astype(_kernel_type(n))), sizes=sizes, live=live, local=local)
+def _live_triples(k: int) -> np.ndarray:
+    """The live sorted exponent triples at p^k, (3, C(k + 2, 2)): those with e1 = 0, which come first."""
+    return _sorted_triples(k + 1)[:, : (k + 1) * (k + 2) // 2]
 
 
 def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +447,8 @@ def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     p. Let c be the first position where r' holds a unit; scaling by its
     inverse sets it to 1, leaves multiples of p before c and anything mod
     p^(k - v) after it. Only units that are 1 mod p^(k - v) fix r', so the
-    orbit has phi(p^(k - v)) rows. The zero row is an orbit of its own.
+    orbit has phi(p^(k - v)) rows. The zero row is an orbit of its own. An
+    orbit is live, its rows not all divisible by p, where v = 0.
 
     The zero row comes first, then one block per (v, c), v outer, each in C
     order: with m = p^(k - v), the block's two free entries are a high
@@ -459,183 +473,109 @@ def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.concatenate([[1], np.repeat(m - m // p, count)])
 
 
-def _row_orbits(n: int) -> _RowOrbits:
-    """Orbits under scaling by units, one normal-form rep each.
-
-    By the Chinese remainder theorem a row mod n and a unit mod n are their
-    residues mod each p^k || n, and each prime power's units act on its own
-    residues. So an orbit is one prime-power orbit per p^k, its rep their CRT
-    combination and its size the product of theirs; it is live when each
-    prime power's rep has an entry prime to its p.
-    """
-    reps, sizes, m = np.zeros((3, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
-    live = np.ones(1, dtype=bool)
-    parts = []
-    for p, k in factorize(n).factors:
-        q = p**k
-        local, local_sizes = _prime_power_row_orbits(p, k)
-        parts.append(local)
-        # x = reps mod m and x = local mod q; both coefficients are below m q <= n
-        x = reps[:, :, None] * (q * pow(q, -1, m)) + local[:, None, :] * (m * pow(m, -1, q))
-        reps, m = (x % (m * q)).reshape(3, -1), m * q
-        sizes = np.multiply.outer(sizes, local_sizes).ravel()
-        live = np.logical_and.outer(live, (local % p).any(axis=0)).ravel()
-    return _orbits(reps, sizes, live, n, tuple(parts))
-
-
-def _divisor_rows(n: int) -> _RowOrbits:
-    """Orbits under unit column scaling and column permutation.
+def _divisor_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the rows (Z/n)^3 under unit column scaling and column permutation, as (3, orbits) gcds and sizes.
 
     An orbit is the sorted triple (g1, g2, g3) of its entries' gcds with n,
-    and its rep the row (g1, g2, g3) mod n. phi(n / g) residues have gcd g,
-    so an orbit has prod phi(n / g_i) rows times the number of distinct
-    orderings of the triple (the multinomial coefficient).
+    g = n for a zero entry, in lexicographic order. phi(n / g) residues have
+    gcd g, so an orbit has prod phi(n / g_i) rows times the number of
+    distinct orderings of the triple (the multinomial coefficient). Both
+    arrays are int64.
     """
     per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / g) at g
     divisors = np.flatnonzero(per_gcd)
-    i = np.indices((divisors.size,) * 3).reshape(3, -1)  # divisor positions, in product order
-    i = i[:, (i[0] <= i[1]) & (i[1] <= i[2])]  # sorted, in combinations_with_replacement order
+    i = _sorted_triples(divisors.size)
     g = divisors[i]
     # 1, 3 or 6 orderings for 1, 2 or 3 distinct gcds
-    sizes = per_gcd[g].prod(axis=0) * np.array([1, 3, 6])[(i[1:] != i[:2]).sum(axis=0)]
-    return _orbits(g % n, sizes, np.gcd(np.gcd(g[0], g[1]), g[2]) == 1, n)
+    return g, per_gcd[g].prod(axis=0) * np.array([1, 3, 6])[(i[1:] != i[:2]).sum(axis=0)]
 
 
-@dataclass(frozen=True, eq=False)
-class _KeyTable:
-    """One prime power's part of the keys of an orbit census's pairs.
+def _pair_blocks(p: int, k: int, r2):
+    """Blocks of the pairs of the live exponent triples at p^k with the rows r2, as (triples, forms).
 
-    The pair of first-row triple i and second-row orbit j adds
-    codes[rows[i] + cols[j]] to its key: its local key times the local
-    key's place value. rows and cols are of _int_type(codes.size - 1).
+    r2 holds three (1, m) arrays of _kernel_type(p^k). A block's triples are
+    the indices of its live exponent triples, shaped (t, 1), and its forms
+    (A, ..., F) of the rows (p^e1, p^e2, p^e3) and r2 are shaped (t, m), with
+    at most max(_BLOCK, m) elements, formed mod p^k in _kernel_type(p^k).
     """
+    q = p**k
+    r1 = (p ** _live_triples(k) % q).astype(_kernel_type(q))
+    step = max(1, _BLOCK // r2[0].size)
+    for s in range(0, r1.shape[1], step):
+        yield np.arange(s, min(s + step, r1.shape[1]))[:, None], forms([v[s : s + step, None] for v in r1], r2, q)
 
-    codes: np.ndarray  # flat (exponent triples, live local orbits), of the key's type
-    rows: np.ndarray  # per first-row triple: its exponent triple's offset in codes, 0 if the triple is dead
-    cols: np.ndarray  # per second-row orbit: its local orbit's place among the live ones
 
+@lru_cache(maxsize=None)
+def _prime_power_table(p: int, k: int) -> np.ndarray:
+    """The summed orbit sizes at p^k per (live exponent triple e, u, z, local key), int64.
 
-def _key_tables(n: int, first: _RowOrbits, second: _RowOrbits) -> tuple[_KeyTable, ...]:
-    """The key tables, one per p^k || n, of the census whose row orbits are first and second.
-
-    At p^k a first-row triple (g1, g2, g3) of gcds reads as the row
-    (p^e1, p^e2, p^e3), e_i the valuation of g_i at p, and a second-row
-    orbit as its local orbit: its digit in the C order of second.local.
-    The table holds the local keys of every pair of an exponent triple of a
-    live first-row triple and a live local orbit, formed mod p^k in
-    _kernel_type(p^k) in blocks of at most _BLOCK pairs.
-
-    By the CRT a unit diagonal U maps the rep r1 of the first-row triple onto
-    the row r1 U that is (p^e1, p^e2, p^e3) mod every p^k, so the pair
-    (r1, r2) is keyed as (r1 U, r2), whose forms are those of (r1, r2 U^-1)
-    scaled by units. r2 -> r2 U^-1 maps the unit-scaling orbits onto orbits
-    of the same size, so the weights of each first-row triple over all
-    second-row orbits land on the same keys as by the pairs' own forms. At a
-    prime power g_i = p^e_i, and each pair is keyed by its own forms.
+    Over every unit-scaling orbit of the second rows mod p^k: u counts the
+    units mod p among the forms A, B, C (P11, P12, P13 with the pair as rows
+    2 and 3) of the pair of (p^e1, p^e2, p^e3) with the orbit's rep, z the
+    nonzero entries of that rep, and the key is the pair's local key. Each
+    live pair is formed once, in _pair_blocks; a dead orbit's forms are all
+    divisible by p, so it goes to u = 0 and the dead key. Each row (fixed e)
+    sums to p^(3k). The table is C(k + 2, 2) x 4 x 4 x ((k + 1)^2 + 1)
+    entries, read-only, 0.54 MB for all 43 p^k <= 127 together, and is kept
+    for the process; no per-orbit array outlives the build.
     """
-    factors = factorize(n).factors
-    counts = [r.shape[1] for r in second.local]
-    orbit = np.arange(len(second.sizes))
-    digits = [orbit // prod(counts[i + 1 :]) % m for i, m in enumerate(counts)]
-    radices = [(k + 1) ** 2 + 1 for _, k in factors]
-    key_type, place = _int_type(prod(radices) - 1), prod(radices)
-    reps = np.stack(first.reps)[:, first.live]
-    tables = []
-    for (p, k), local, digit, radix in zip(factors, second.local, digits, radices):
-        q, val, place = p**k, _valuations(p, k), place // radix
-        live = (local % p).any(axis=0)
-        r2 = [v[None, :] for v in local[:, live].astype(_kernel_type(q))]
-        shape = (k + 1,) * 3  # exponent triples, numbered in C order
-        exp = np.ravel_multi_index(val.take(reps % q), shape)
-        present = np.bincount(exp, minlength=(k + 1) ** 3) > 0
-        exps, at = np.flatnonzero(present), (np.cumsum(present) - 1)[exp]
-        r1 = (p ** np.array(np.unravel_index(exps, shape)) % q).astype(_kernel_type(q))
-        codes = np.empty((exps.size, r2[0].size), dtype=key_type)
-        step = max(1, _BLOCK // r2[0].size)
-        for s in range(0, len(codes), step):
-            coeffs = forms([v[s : s + step, None] for v in r1], r2, q)
-            codes[s : s + step] = place * _local_keys(coeffs, p, k, val).astype(key_type)
-        index = _int_type(codes.size - 1)
-        rows = np.zeros(len(first.sizes), dtype=index)
-        rows[first.live] = at * r2[0].size
-        cols = (np.cumsum(live) - 1).astype(index)[digit]
-        tables.append(_KeyTable(codes.ravel(), rows, cols))
-    return tuple(tables)
+    n_keys, val = (k + 1) ** 2 + 1, _valuations(p, k)
+    reps, sizes = _prime_power_row_orbits(p, k)
+    live, z = (reps % p).any(axis=0), (reps != 0).sum(axis=0)
+    table = np.zeros((_live_triples(k).shape[1], 4, 4, n_keys), dtype=np.int64)
+    table[:, 0, :, -1] = _tally(z[~live], sizes[~live], 4)
+    r2 = [v[None, live] for v in reps.astype(_kernel_type(p**k))]
+    index = _int_type(table.size - 1)
+    cols, weights = (z[live] * n_keys).astype(index), sizes[live]
+    for rows, coeffs in _pair_blocks(p, k, r2):
+        # each cell's flat index, in the narrowest type that holds them all
+        cell = _local_keys(coeffs, p, k, val).astype(index) + (rows.astype(index) * (16 * n_keys) + cols)
+        for v in coeffs[:3]:
+            np.add(cell, 4 * n_keys, out=cell, where=mod(v, p) != 0)
+        np.add.at(table.reshape(-1), cell.ravel(), np.broadcast_to(weights, cell.shape).ravel())
+    table.flags.writeable = False
+    return table
 
 
-@dataclass(frozen=True, eq=False)
-class _OrbitTables:
-    """Every table the jobs of one orbit census read, handed to each job in its arguments."""
+def _weights_and_tables(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """W and the table of each p^k || n, checked: RuntimeError unless W sums to n^3 and each table row to p^(3k).
 
-    n: int
-    first: _RowOrbits  # first-row triples
-    second: _RowOrbits  # second-row orbits
-    keys: tuple[_KeyTable, ...]  # key the pairs, one per prime power
-    buckets: np.ndarray  # third-row counts of each key
-
-    def contract(self, mult: np.ndarray) -> np.ndarray:
-        """Counts by permanent, (rows, n), of prefix weights tallied per row and key in mult.
-
-        Row s of buckets counts the completions of any prefix of key s, so an
-        entry counts at most n^9 matrices.
-        """
-        return mult.reshape(-1, len(self.buckets)) @ self.buckets
-
-
-@lru_cache(maxsize=1)
-def _orbit_tables(n: int) -> _OrbitTables:
-    """The tables of every orbit census mod n, built before dispatch.
-
-    Only the last modulus's tables outlive their census: consecutive tiered,
-    class and case censuses at one modulus share one build, and the first
-    census at another modulus releases it.
+    W[i1, ..., im] is the summed size of the first-row triples of n
+    (_divisor_rows) whose sorted exponent triple at the j-th prime power is
+    its i_j-th live one, or, where the triple is dead there, its last index.
     """
-    first, second = _divisor_rows(n), _row_orbits(n)
-    keys = _key_tables(n, first, second)
-    return _OrbitTables(n=n, first=first, second=second, keys=keys, buckets=_bucket_rows(n))
+    g, sizes = _divisor_rows(n)
+    flat, shape, tables = 0, [], []
+    for p, k in factorize(n).factors:
+        cube, live = (k + 1,) * 3, _live_triples(k)
+        e = np.sort(_valuations(p, k).take(g % p**k), axis=0)
+        # a dead triple's code is past every live one's, and lands on the last index
+        at = np.searchsorted(np.ravel_multi_index(live, cube), np.ravel_multi_index(e, cube))
+        flat = flat * (live.shape[1] + 1) + at
+        shape.append(live.shape[1] + 1)
+        tables.append(_prime_power_table(p, k))
+        if (tables[-1].sum(axis=(1, 2, 3)) != p ** (3 * k)).any():
+            raise RuntimeError(f"a row of the table at {p}^{k} does not sum to p^(3k) = {p ** (3 * k)}")
+    W = _tally(flat, sizes, prod(shape)).reshape(shape)
+    if int(W.sum()) != n**3:
+        raise RuntimeError(f"first-row triples mod {n} weigh {int(W.sum())}, not n^3 = {n**3}")
+    return W, tables
 
 
-def _orbit_jobs(c: _OrbitTables, *extra) -> list[tuple[tuple, int]]:
-    """Chunks of the orbit pairs of c, split by first-row triple, as (job args, prefixes covered).
+def _prefix_tally(n: int) -> np.ndarray:
+    """The prefixes mod n per key, in the order of _bucket_rows(n): all n^6, the dead ones included.
 
-    Job (c, i0, i1, *extra) takes the triples i0 <= i < i1 of c.first
-    against every second-row orbit, dead or live, and reads the tables of c
-    alone. Every live triple meets the same live second-row orbits, so the
-    split balances live pairs by giving each job max(1, _CHUNK // live
-    second-row orbits) live triples; a dead triple goes with the job whose
-    range holds it. Raises RuntimeError unless the pair weights sum to n^6.
+    Contracts W with each prime power's table summed over u and z, a last row
+    for the dead first rows appended: all p^(3k) second rows at the dead key.
     """
-    first, second, n = c.first, c.second, c.n
-    step = max(1, _CHUNK // int(second.live.sum()))
-    cuts = [0, *np.flatnonzero(first.live)[step::step].tolist(), len(first.sizes)]
-    n_second = int(second.sizes.sum())
-    bounds = zip(cuts[:-1], cuts[1:])
-    jobs = [((c, a, b, *extra), int(first.sizes[a:b].sum()) * n_second) for a, b in bounds]
-    covered = sum(size for _, size in jobs)
-    if covered != n**6:
-        raise RuntimeError(f"row orbits mod {n} cover {covered} prefixes, not n^6 = {n**6}")
-    return jobs
-
-
-def _orbit_blocks(c: _OrbitTables, i0: int, i1: int):
-    """Blocks of live orbit pairs (i, j), i0 <= i < i1, as (rows, cols, keys, weights).
-
-    rows are the live first-row triples of the block and cols the live
-    second-row orbits, both as indices into c.first and c.second; the arrays
-    are shaped (rows, cols), with at most max(_BLOCK, len(cols)) elements.
-    A pair's key is the sum of its entries in the key tables of c (0 at
-    n = 1, which has no prime powers), and its weight |orbit i| * |orbit j|.
-    """
-    first, second = c.first, c.second
-    live = i0 + np.flatnonzero(first.live[i0:i1])
-    cols = np.flatnonzero(second.live)
-    at = [t.cols[None, cols] for t in c.keys]
-    step = max(1, _BLOCK // cols.size)
-    for s in range(0, live.size, step):
-        rows = live[s : s + step]
-        keys = sum(t.codes.take(t.rows[rows, None] + a) for t, a in zip(c.keys, at))
-        weights = first.sizes[rows, None] * second.sizes[None, cols]
-        yield rows, cols, np.broadcast_to(keys, weights.shape), weights
+    tally, tables = _weights_and_tables(n)
+    for (p, k), table in zip(factorize(n).factors, tables):
+        local = np.zeros((len(table) + 1, table.shape[-1]), dtype=np.int64)
+        table.sum(axis=(1, 2), out=local[:-1])
+        local[-1, -1] = p ** (3 * k)
+        # contract the leading axis, this prime power's; its keys become the trailing axis
+        tally = tally.reshape(len(local), -1).T @ local
+    return tally.ravel()
 
 
 def _tally(key, weights, n_keys: int) -> np.ndarray:
@@ -649,19 +589,20 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 # censuses
 
 
-def _tiered_job(args):
-    c = args[0]
-    mult = np.zeros(len(c.buckets), dtype=np.int64)
-    for *_, key, w in _orbit_blocks(*args):
-        mult += _tally(key, w, mult.size)
-    return mult
-
-
 def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
-    """Exact permanent census over GL3(Z/n) via orbit-pair bucketing; n <= INT64_CEILING."""
+    """Exact permanent census over GL3(Z/n) from per-prime-power key tables; n <= INT64_CEILING.
+
+    Runs inline for every threads >= 1: its only pair walks are the table
+    builds, at most 200,704 pairs (at 64), less than one _CHUNK, so no job
+    would split. progress(n^6, n^6) is called once the prefix tally is done.
+    """
     modulus = _modulus("census_tiered", n)
-    c = _orbit_tables(modulus.n)
-    counts = c.contract(_sum_jobs(_tiered_job, _orbit_jobs(c), threads, progress))[0]
+    _check_threads(threads)
+    n = modulus.n
+    tally = _prefix_tally(n)
+    if progress is not None:
+        progress(n**6, n**6)
+    counts = tally @ _bucket_rows(n)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
@@ -809,8 +750,8 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # (C11, C12 or C13), and the (perm, det) pair is two linear forms in row 1.
 #
 # The other matrices, with none of P11, P12, P13 a unit, are left over, and
-# the same pairs count them, read a second time: the divisor triple f as row
-# 3, the unit-scaling orbit r as row 1 and row 2 as the inner row. The
+# the same pairs count them, read a second time: the first-row triple f as
+# row 3, the unit-scaling orbit r as row 1 and row 2 as the inner row. The
 # matrix (r, row 2, f) is a cyclic shift of (f, r, row 2), so expanded along
 # row 2 its perm and det are again the forms (A, ..., F) = forms(f, r), and
 # A, B, C are now P21, P22, P23, which decide C21, C22 or a violation (no
@@ -829,8 +770,10 @@ def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTab
 # congruent to its sub-permanent. Putting p in place of L's leading 1 at
 # u = 3 makes every such key dead.
 #
-# f runs over the sorted divisor triples of the tiered census, whose
-# sub-permanents a column permutation reorders. An ordering s, column s_i
+# f runs over the sorted divisor triples of p^k, the rows (p^e1, p^e2, p^e3)
+# of the table's live exponent triples, whose sub-permanents a column
+# permutation reorders. The head classes read the table summed over z, whose
+# u counts the units among P11, P12, P13. An ordering s, column s_i
 # moved to position i, takes a prefix (r2, r3) to (r2 s, r3 s): its P1i and
 # P2i are P1,s_i and P2,s_i, and its key, permanent and whether its
 # determinant is a unit are those of (r2, r3). Over all orbits of the other
@@ -849,27 +792,45 @@ _HEAD_ORDERINGS = np.array([[0, 0, 0], [2, 2, 2], [4, 2, 0], [6, 0, 0]])
 _LEFTOVER_ORDERINGS = np.array([[0, 0, 6], [2, 2, 2], [4, 2, 0], [6, 0, 0]])
 
 
-def _class_job(args):
-    """(6, keys), six-fold: prefix weights per key of C11, C12, C13, then of C21, C22 and violations."""
-    c, _, _, p, k, val = args
-    n, n_keys = c.n, len(c.buckets)
-    head, left = (np.zeros(4 * n_keys, dtype=np.int64) for _ in range(2))
-    r3 = [v[None, c.second.live] for v in c.second.reps]  # the cols of every block
-    # per first-row triple f with u units mod p, in the kernel's type: L's leading entry and s
-    u = sum(mod(v, p) != 0 for v in c.first.reps)
-    lead, s = np.where(u < 3, 1, p).astype(r3[0].dtype), -(u == 2).astype(r3[0].dtype)
-    for rows, _, key, w in _orbit_blocks(*args[:3]):
-        coeffs = list(forms([v[rows, None] for v in c.first.reps], r3, n))
-        units = sum(mod(v, p) != 0 for v in coeffs[:3])  # among P11, P12, P13, or P21, P22, P23
-        head += _tally(units * n_keys + key, w, head.size)
-        # the forms in t replace those in row 2 one by one, so that no block holds both sets; each is
-        # within p (n - 1) <= n (n - 1) of 0 before mod, so the kernel's bound holds
-        a, b = lead[rows, None], s[rows, None]
+def _leftover_weights(p: int, k: int, weights: np.ndarray, reps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(4, keys): the left-over read's prefix weights per (units among P21, P22, P23, key of the mapped forms).
+
+    weights are the first-row weights of the live exponent triples, and reps
+    and sizes the second-row orbits mod p^k, as _prime_power_row_orbits gives
+    them. Each pair of a live triple f and a live orbit r is formed again,
+    in _pair_blocks, and weighted by weights[f] |r|.
+    """
+    q, n_keys, val = p**k, (k + 1) ** 2 + 1, _valuations(p, k)
+    live = (reps % p).any(axis=0)
+    r1 = [v[None, live] for v in reps.astype(_kernel_type(q))]
+    # per live exponent triple, with u units mod p, in the kernel's type: L's leading entry and s
+    u = (_live_triples(k) == 0).sum(axis=0)
+    lead, s = np.where(u < 3, 1, p).astype(r1[0].dtype), -(u == 2).astype(r1[0].dtype)
+    out = np.zeros(4 * n_keys, dtype=np.int64)
+    for rows, coeffs in _pair_blocks(p, k, r1):
+        coeffs = list(coeffs)
+        units = sum(mod(v, p) != 0 for v in coeffs[:3])  # among P21, P22, P23
+        # the forms in t replace those in row 2 one by one; each is within
+        # p (q - 1) <= q (q - 1) of 0 before mod, so the kernel's bound holds
+        a, b = lead[rows], s[rows]
         for i in (0, 3):
-            coeffs[i] = mod(a * coeffs[i] + b * coeffs[i + 1], n)
-            coeffs[i + 1], coeffs[i + 2] = mod(p * coeffs[i + 1], n), mod(p * coeffs[i + 2], n)
-        left += _tally(units * n_keys + _local_keys(coeffs, p, k, val), w, left.size)
-    return np.vstack([_HEAD_ORDERINGS.T @ head.reshape(4, -1), _LEFTOVER_ORDERINGS.T @ left.reshape(4, -1)])
+            coeffs[i] = mod(a * coeffs[i] + b * coeffs[i + 1], q)
+            coeffs[i + 1], coeffs[i + 2] = mod(p * coeffs[i + 1], q), mod(p * coeffs[i + 2], q)
+        key = units * n_keys + _local_keys(coeffs, p, k, val)
+        np.add.at(out, key.ravel(), (weights[rows] * sizes[live]).ravel())
+    return out.reshape(4, -1)
+
+
+def _class_tallies(p: int, k: int) -> np.ndarray:
+    """(6, keys), six-fold: prefix weights per key of C11, C12, C13, then of C21, C22 and violations.
+
+    The head half reads the table at p^k summed over z; the left-over half
+    walks the pairs again (_leftover_weights), as no other census reads it.
+    """
+    W, (table,) = _weights_and_tables(p**k)
+    head = (W[:-1] @ table.sum(axis=2).reshape(len(table), -1)).reshape(4, -1)
+    left = _leftover_weights(p, k, W[:-1], *_prime_power_row_orbits(p, k))
+    return np.vstack([_HEAD_ORDERINGS.T @ head, _LEFTOVER_ORDERINGS.T @ left])
 
 
 def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
@@ -877,19 +838,25 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
 
     Returns (counts, violations): counts is an (n, 5) int array of per-x
     per-class tallies over GL3(Z/p^k); violations counts invertible matrices
-    with no unit among the five sub-permanents (always 0 in practice).
+    with no unit among the five sub-permanents (always 0 in practice). Runs
+    inline for every threads >= 1, as census_tiered does: the left-over walk
+    is one table's pairs, at most 200,704 (at 64). progress(n^6, n^6) is
+    called once the tallies are done.
     """
     _check_bound("class_census", p, k)
     if not is_prime(p):
         raise ValueError(f"class census needs a prime, got {p}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    c = _orbit_tables(p**k)
-    six_fold = _sum_jobs(_class_job, _orbit_jobs(c, p, k, _valuations(p, k)), threads, progress)
+    _check_threads(threads)
+    n = p**k
+    six_fold = _class_tallies(p, k)
+    if progress is not None:
+        progress(n**6, n**6)
     prefixes, rest = np.divmod(six_fold, 6)
     if rest.any():
         raise RuntimeError(f"class tallies mod {p}^{k} over six column orderings are not multiples of 6")
-    counts = c.contract(prefixes)
+    counts = prefixes @ _bucket_rows(n)
     left, rest = np.divmod(counts[3:], p * p)
     if rest.any():
         raise RuntimeError(f"left-over class counts mod {p}^{k} are not multiples of p^2 = {p * p}")
@@ -910,7 +877,7 @@ def class_census(p: int, k: int = 1, *, threads: int = 1, progress=None) -> Clas
 # zero-pattern case census
 
 
-# pattern index by (row-1 nonzeros, row-2 nonzeros); 7 = impossible (an all-zero row)
+# pattern index by (row-1 nonzeros, row-2 nonzeros); 7 = an all-zero row, which no third row completes
 _PATTERN_OF = np.array(
     [
         [7, 7, 7, 7],
@@ -923,33 +890,35 @@ _PATTERN_OF = np.array(
 _PATTERN_KEYS = ((1, None), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 
-def _case_job(args):
-    c = args[0]
-    n_keys = len(c.buckets)
-    nnz1, nnz2 = (sum((v != 0).astype(np.int64) for v in o.reps) for o in (c.first, c.second))
-    mult = np.zeros(8 * n_keys, dtype=np.int64)
-    for rows, cols, key, w in _orbit_blocks(*args):
-        pattern = _PATTERN_OF[nnz1[rows, None], nnz2[None, cols]]
-        mult += _tally(pattern * n_keys + key, w, 8 * n_keys)
-    return mult
-
-
 def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
-    """Zero-permanent census over GL3(Z/p), p <= INT64_CEILING, split by the seven zero patterns."""
+    """Zero-permanent census over GL3(Z/p), p <= INT64_CEILING, split by the seven zero patterns.
+
+    Reads the table at p summed over u, one pattern per live first-row triple
+    and z; runs inline for every threads >= 1, and calls progress(p^6, p^6)
+    once the tally is done.
+    """
     _check_bound("case_census", p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
-    c = _orbit_tables(p)
-    mult = _sum_jobs(_case_job, _orbit_jobs(c), threads, progress).reshape(8, -1)
-    # at a prime the only dead row is the zero row, so the live pairs are the
-    # p^6 - (2 p^3 - 1) prefixes with no all-zero row, and none is pattern 7
+    _check_threads(threads)
+    W, (table,) = _weights_and_tables(p)
+    n_keys = table.shape[-1]
+    # the live triples (1, 1, 1), (1, 1, 0) and (1, 0, 0) have 3, 2 and 1 nonzero entries
+    pattern = _PATTERN_OF[(_live_triples(1) == 0).sum(axis=0)[:, None], np.arange(4)]
+    cells = pattern[:, :, None] * n_keys + np.arange(n_keys)
+    mult = _tally(cells, W[:-1, None, None] * table.sum(axis=1), 8 * n_keys).reshape(8, -1)
+    if progress is not None:
+        progress(p**6, p**6)
+    # at a prime the only dead row is the zero row, so the live first rows meet
+    # it at the dead key alone (pattern 7), and the other p^3 - 1 second rows
+    # give the p^6 - (2 p^3 - 1) prefixes with no all-zero row
     live = p**6 - (2 * p**3 - 1)
-    if mult[7].any() or int(mult.sum()) != live:
+    if mult[7, :-1].any() or int(mult[:7].sum()) != live:
         raise RuntimeError(
-            f"case census mod {p} tallied {int(mult.sum())} prefixes, {int(mult[7].sum())} "
-            f"of them with an all-zero row; want {live} and none"
+            f"case census mod {p} tallied {int(mult[:7].sum())} prefixes with no all-zero row, and "
+            f"{int(mult[7, :-1].sum())} with a zero second row at a live key; want {live} and none"
         )
-    per_pattern = c.contract(mult)[:, 0].tolist()
+    per_pattern = (mult @ _bucket_rows(p))[:, 0].tolist()
     rows = tuple(
         CaseCensusRow(key[0], key[1], per_pattern[r]) for r, key in enumerate(_PATTERN_KEYS)
     )

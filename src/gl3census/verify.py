@@ -165,7 +165,7 @@ class _Ctx:
     """What the checks share: the profile, the seed, the threads and the censuses, each computed once.
 
     The checks run one after another on the calling thread, and every
-    census they run gives the suite's threads to its own jobs.
+    census they run gives the suite's threads to its own jobs, if it has any.
     """
 
     profile: SuiteProfile
@@ -913,8 +913,8 @@ def run_suite(
     """Run every check in the profile; returns results in canonical order.
 
     The checks run one after another on the calling thread, in
-    registration order, and every census they run gives its jobs to up to
-    threads threads, as oracle and table do. The censuses the checks share
+    registration order, and every census they run that splits into jobs
+    gives them to up to threads threads, as oracle and table do. The censuses the checks share
     are computed once each (_Ctx), and the report does not depend on
     threads. progress(i, total, tag) is called just before check i runs,
     for i = 0 to total - 1, then (total, total, "done"). A check or a

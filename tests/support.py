@@ -29,17 +29,19 @@ subgroup_rows gives the prefix's third-row counts. gcd_keys is the
 reference for the orbit engines' bucket keys: it forms each prefix's three
 gcds and joins their valuations at each prime power as oracle does, one
 prefix at a time, where the engines read them off per-prime-power tables.
+prefix_tally_by_gcd_keys is the reference for oracle._prefix_tally, the
+tiered census's per-key prefix tally: it keys every sorted divisor triple of
+n against all n^3 second rows by gcd_keys, with no orbits, no Chinese
+remainder theorem and no per-prime-power table.
 
-row_orbits_by_unit_minimum is the reference for oracle._row_orbits, which
-builds each unit-scaling orbit's normal form directly instead of taking the
-least image of every row over all units.
+row_orbits_by_unit_minimum is the reference for oracle._prime_power_row_orbits,
+which builds each unit-scaling orbit's normal form directly instead of taking
+the least image of every row over all units.
 
-normal_forms_by_meshgrid, row_orbits_by_crt_loop and divisor_rows_by_itertools
-are the earlier constructions of oracle._prime_power_row_orbits, _row_orbits
-and _divisor_rows, kept as references for the whole-array builders: one
-meshgrid per (valuation, pivot) block of normal forms, a Chinese-remainder
-loop that tests each rep's gcds for liveness, and divisor triples listed by
-itertools.
+normal_forms_by_meshgrid and divisor_rows_by_itertools are the earlier
+constructions of oracle._prime_power_row_orbits and _divisor_rows, kept as
+references for the whole-array builders: one meshgrid per (valuation, pivot)
+block of normal forms, and divisor triples listed by itertools.
 
 naive_joint_by_matrix is the earlier oracle._naive_job, the reference for the
 naive sweep's tallies: it lists each matrix's own index over all n^3 first
@@ -67,7 +69,7 @@ from math import gcd
 import numpy as np
 
 from gl3census import oracle, structure_maps
-from gl3census.matrices import Mat3, determinant3, mod, permanent3, perm_det, perm_det_subperms
+from gl3census.matrices import Mat3, determinant3, forms, mod, permanent3, perm_det, perm_det_subperms
 from gl3census.modring import factorize
 
 
@@ -199,35 +201,32 @@ def normal_forms_by_meshgrid(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(reps), np.concatenate(sizes)
 
 
-def _orbits_by_gcd(reps, sizes, n: int) -> oracle._RowOrbits:
-    r0, r1, r2 = (v.astype(oracle._kernel_type(n)) for v in reps)
-    live = np.gcd(np.gcd(r0, r1), np.gcd(r2, n)) == 1
-    return oracle._RowOrbits(reps=(r0, r1, r2), sizes=sizes, live=live)
-
-
-def row_orbits_by_crt_loop(n: int) -> oracle._RowOrbits:
-    """oracle._row_orbits(n): the prime powers' normal forms joined one CRT step at a time."""
-    reps, sizes, m = np.zeros((3, 1), dtype=np.int64), np.ones(1, dtype=np.int64), 1
-    for p, k in factorize(n).factors:
-        q = p**k
-        local, local_sizes = normal_forms_by_meshgrid(p, k)
-        x = reps[:, :, None] * (q * pow(q, -1, m)) + local[:, None, :] * (m * pow(m, -1, q))
-        reps, m = (x % (m * q)).reshape(3, -1), m * q
-        sizes = (sizes[:, None] * local_sizes[None, :]).ravel()
-    return _orbits_by_gcd(reps, sizes, n)
-
-
-def divisor_rows_by_itertools(n: int) -> oracle._RowOrbits:
+def divisor_rows_by_itertools(n: int) -> tuple[np.ndarray, np.ndarray]:
     """oracle._divisor_rows(n): sorted gcd triples listed by itertools, orderings counted by set."""
     per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)
     divisors = np.flatnonzero(per_gcd).tolist()
     triples = list(itertools.combinations_with_replacement(divisors, 3))
     orderings = [len(set(itertools.permutations(g))) for g in triples]
-    return _orbits_by_gcd(
-        [np.array(v, dtype=np.int64) % n for v in zip(*triples)],
-        np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1),
-        n,
-    )
+    sizes = np.array(orderings, dtype=np.int64) * per_gcd[triples].prod(axis=1)
+    return np.array(triples, dtype=np.int64).reshape(-1, 3).T, sizes
+
+
+def prefix_tally_by_gcd_keys(n: int) -> np.ndarray:
+    """The prefixes mod n per bucket key, all n^6: every sorted divisor triple against all n^3 second rows.
+
+    Each triple (g1, g2, g3), as the row (g1, g2, g3) mod n, is paired with
+    every second row and keyed by gcd_keys; its key counts are multiplied by
+    the triple's orbit size, the number of rows whose sorted gcds with n it
+    is (itertools listing, as in divisor_rows_by_itertools).
+    """
+    n_keys = int(np.prod([(k + 1) ** 2 + 1 for _, k in factorize(n).factors]))
+    triples, sizes = divisor_rows_by_itertools(n)
+    second = [(np.arange(n**3, dtype=np.int64) // n**t % n)[None, :] for t in range(3)]
+    tally = np.zeros(n_keys, dtype=np.int64)
+    for row, size in zip(triples.T % n, sizes.tolist()):
+        keys = gcd_keys(n, forms([np.full((1, 1), v) for v in row], second, n))
+        tally += size * np.bincount(keys.ravel(), minlength=n_keys)
+    return tally
 
 
 def naive_joint_by_matrix(args) -> np.ndarray:

@@ -256,32 +256,28 @@ def test_verify_quick_cli(capsys):
 
 
 def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
-    # one live first-row triple per job: several jobs at n = 5, on two threads
-    monkeypatch.setattr(oracle, "_CHUNK", 1)
-
-    def tiered_job(args):
+    # the naive census at 6 splits into 10 jobs, on two threads through the pool
+    def naive_job(args):
         raise MemoryError
 
-    monkeypatch.setattr(oracle, "_tiered_job", tiered_job)
-    assert len(oracle._orbit_jobs(oracle._orbit_tables(5))) > 1
-    assert main(["oracle", "5", "--threads", "2"]) == 4
+    monkeypatch.setattr(oracle, "_naive_job", naive_job)
+    assert len(oracle._range_jobs(6**6, 6**3)) == 10
+    assert main(["oracle", "6", "--engine", "naive", "--threads", "2"]) == 4
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_runtime_error_in_a_pool_job_exits_four(monkeypatch, capsys):
     # an engine's self-check that fails inside a job, on two threads: one
     # stderr line and exit 4, not a traceback
-    monkeypatch.setattr(oracle, "_CHUNK", 1)
+    def naive_job(args):
+        raise RuntimeError("naive tally mod 6 covers too few prefixes")
 
-    def tiered_job(args):
-        raise RuntimeError("row orbits mod 5 cover too few rows")
-
-    monkeypatch.setattr(oracle, "_tiered_job", tiered_job)
-    assert len(oracle._orbit_jobs(oracle._orbit_tables(5))) > 1
-    code = main(["oracle", "5", "--threads", "2"])
+    monkeypatch.setattr(oracle, "_naive_job", naive_job)
+    assert len(oracle._range_jobs(6**6, 6**3)) == 10
+    code = main(["oracle", "6", "--engine", "naive", "--threads", "2"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert captured.err == "error: row orbits mod 5 cover too few rows\n"
+    assert captured.err == "error: naive tally mod 6 covers too few prefixes\n"
 
 
 def test_runtime_error_in_a_verify_check_exits_four(monkeypatch, capsys):

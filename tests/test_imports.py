@@ -69,16 +69,20 @@ for argv in (["eval", "5", "1"], ["oracle", "12"], ["table", "--section", "case-
 
 
 def test_only_a_census_on_a_pool_loads_concurrent_futures():
+    # the orbit censuses run inline on any thread count; the naive census at
+    # 6 splits into 10 jobs, which two threads run on a pool
     code = """
 import sys
 from gl3census import closed_form, oracle
 
-assert len(oracle._orbit_jobs(oracle._orbit_tables(13))) == 1
-oracle.census_tiered(13, threads=2)  # one job: inline
-print("concurrent.futures" in sys.modules)
-jobs = len(oracle._orbit_jobs(oracle._orbit_tables(120)))
 table = oracle.census_tiered(120, threads=2)
-print(jobs, "concurrent.futures" in sys.modules)
+oracle.class_census(5, 3, threads=2)
+oracle.case_census(13, threads=2)
+print("concurrent.futures" in sys.modules)
 print(table.counts == tuple(closed_form.count(120, x) for x in range(120)))
+jobs = len(oracle._range_jobs(6**6, 6**3))
+table = oracle.census_naive(6, threads=2)
+print(jobs, "concurrent.futures" in sys.modules)
+print(table.counts == tuple(closed_form.count(6, x) for x in range(6)))
 """
-    assert run_fresh(code) == ["False", "15 True", "True"]
+    assert run_fresh(code) == ["False", "True", "10 True", "True"]

@@ -1,5 +1,3 @@
-import collections
-import dataclasses
 import functools
 import gc
 import itertools
@@ -28,7 +26,7 @@ from support import (
     naive_joint_by_matrix,
     normal_forms_by_meshgrid,
     object_census3,
-    row_orbits_by_crt_loop,
+    prefix_tally_by_gcd_keys,
     row_orbits_by_unit_minimum,
     subgroup_rows,
     third_row_counts_generic,
@@ -189,12 +187,18 @@ def _leftover_sweep(rep1, rep3, p, n):
     return out, len(prefixes)
 
 
-def _pair_leftover(c, i, j, p, k):
-    """The class job's six-fold C21, C22 and violation counts, by permanent, of orbit pair (i, j) alone."""
-    sizes = np.where(np.arange(len(c.second.sizes)) == j, c.second.sizes, 0)
-    alone = dataclasses.replace(c, second=dataclasses.replace(c.second, sizes=sizes))
-    six_fold = oracle._class_job((alone, i, i + 1, p, k, oracle._valuations(p, k)))[3:]
-    left, rest = np.divmod(alone.contract(six_fold), p * p)
+def _pair_leftover(p, k, i, j):
+    """The class pass's C21, C22 and violation counts, by permanent, of live triple i with the orbits j alone.
+
+    j is an orbit's index, or an array of them: their pairs with i are summed.
+    """
+    n = p**k
+    W, _ = oracle._weights_and_tables(n)
+    reps, sizes = oracle._prime_power_row_orbits(p, k)
+    weights = np.where(np.arange(len(W) - 1) == i, W[:-1], 0)
+    alone = np.where(np.isin(np.arange(len(sizes)), j), sizes, 0)
+    six_fold = oracle._LEFTOVER_ORDERINGS.T @ oracle._leftover_weights(p, k, weights, reps, alone)
+    left, rest = np.divmod(six_fold @ oracle._bucket_rows(n), p * p)
     assert not rest.any()
     return left
 
@@ -209,24 +213,30 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # the p^2 division, the invariance under unit column scaling and the count
     # of labels over the column orderings. f runs over sorted divisor triples,
     # each of weight m times its unit column-scaling orbit's size, m its
-    # number of distinct orderings; at (5, 2) and (3, 3) the lightest pairs
+    # number of distinct orderings: at p^k the live ones come first in the
+    # divisor rows, as the rows (p^e1, p^e2, p^e3) of the live exponent
+    # triples the class pass reads. At (5, 2) and (3, 3) the lightest pairs
     # come first, and they reach permanents of every valuation 1..k.
     n = p**k
-    c = oracle._orbit_tables(n)
-    first, o, val = c.first, c.second, oracle._valuations(p, k)
-    i, j = np.indices((len(first.sizes), len(o.sizes))).reshape(2, -1)
-    live = np.flatnonzero(first.live[i] & o.live[j])
-    weights = first.sizes[i] * o.sizes[j]
-    reps = [np.stack([v[x] for v in r.reps]).astype(np.int64) for r, x in ((first, i), (o, j))]
-    has_left = np.array([_leftover_sweep(reps[1][:, x] % p, reps[0][:, x] % p, p, p)[0].any() for x in live])
-    for pair in live[~has_left]:
-        assert not _pair_leftover(c, i[pair], j[pair], p, k).any()
+    g, first_sizes = oracle._divisor_rows(n)
+    f = g[:, : oracle._live_triples(k).shape[1]] % n
+    assert np.array_equal(f, p ** oracle._live_triples(k) % n)
+    reps, sizes = oracle._prime_power_row_orbits(p, k)
+    val = oracle._valuations(p, k)
+    i, j = np.indices((f.shape[1], len(sizes))).reshape(2, -1)
+    live = np.flatnonzero((reps[:, j] % p).any(axis=0))
+    weights = first_sizes[i] * sizes[j]
+    has_left = np.array([_leftover_sweep(reps[:, j[x]] % p, f[:, i[x]] % p, p, p)[0].any() for x in live])
+    # counts are never negative, so a triple's pairs with none sum to none
+    for t in range(f.shape[1]):
+        none = live[~has_left & (i[live] == t)]
+        assert not _pair_leftover(p, k, t, j[none]).any(), t
     left = live[has_left]
     left = left[np.argsort(weights[left], kind="stable")]
     reached = set()
     for pair in left[:pairs]:
-        tally = _pair_leftover(c, i[pair], j[pair], p, k)
-        rep3, rep1 = reps[0][:, pair], reps[1][:, pair]
+        tally = _pair_leftover(p, k, i[pair], j[pair])
+        rep3, rep1 = f[:, i[pair]], reps[:, j[pair]]
         orderings = len(set(itertools.permutations(rep3.tolist())))
         sweep, members = _leftover_sweep(rep1, rep3, p, n)
         assert members * orderings == weights[pair]
@@ -251,9 +261,9 @@ def test_row_two_lattice_is_the_rows_that_keep_p1j_divisible(p, k):
     # mod p exactly p^2 times, and no other row; with three at odd p those
     # rows are p (Z/n)^3, which L = p I reaches. At p = 2, see the next test.
     n = p**k
-    c = oracle._orbit_tables(n)
+    g, _ = oracle._divisor_rows(n)
     x = np.indices((n,) * 3).reshape(3, -1)  # every row, in C order
-    for f in np.stack(c.first.reps).T[c.first.live].astype(np.int64):
+    for f in (g % n).T[np.gcd.reduce(g, axis=0) == 1]:
         S = np.array([[0, f[2], f[1]], [f[2], 0, f[0]], [f[1], f[0], 0]])
         kept = (S @ x % p == 0).all(axis=0)
         units = int((f % p != 0).sum())
@@ -277,16 +287,14 @@ def test_no_leftover_matrix_is_invertible_mod_2():
 
 @pytest.mark.parametrize("p,k", [(127, 1), (5, 3)])
 def test_six_fold_class_tallies_stay_in_int64(p, k):
-    # the job tallies are prefix weights, each half's counted once per column
+    # the class tallies are prefix weights, each half's counted once per column
     # ordering: at most 6 n^6 until _class_scan divides them by 6. The
     # left-over contraction counts rows t, each matrix p^2 times: at most n^9
     # before the division by p^2, and 127^9 < 2^63
     n = p**k
-    c = oracle._orbit_tables(n)
-    jobs = oracle._orbit_jobs(c, p, k, oracle._valuations(p, k))
-    heads, left = np.split(sum(oracle._class_job(args) for args, _ in jobs), 2)
+    heads, left = np.split(oracle._class_tallies(p, k), 2)
     assert 0 < heads.sum() <= 6 * n**6 and 0 < left.sum() <= 6 * n**6
-    rows_t = c.contract(left // 6)
+    rows_t = (left // 6) @ oracle._bucket_rows(n)
     assert 0 < rows_t.sum() <= n**9 and oracle.INT64_CEILING**9 < 2**63
     counts, violations = oracle._class_scan(p, k)
     assert rows_t.tolist() == [*(p * p * counts[:, 3:]).T.tolist(), [0] * n] and violations == 0
@@ -334,27 +342,30 @@ def test_case_census_rejects_bad_p():
 
 @pytest.fixture
 def cold_tables():
-    """The per-modulus tables' cache cleared before and after: no record built under a patch outlives the test."""
-    oracle._orbit_tables.cache_clear()
+    """The caches of tables and bucket rows cleared before and after: nothing built under a patch outlives the test."""
+    for cache in (oracle._prime_power_table, oracle._bucket_rows):
+        cache.cache_clear()
     yield
-    oracle._orbit_tables.cache_clear()
+    for cache in (oracle._prime_power_table, oracle._bucket_rows):
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("live", ["zero row too", "one orbit short"])
-def test_case_census_guards_its_live_weight(monkeypatch, cold_tables, live):
-    # walking the zero row puts weight on pattern 7, whose bucket counts are
-    # all 0; skipping a live orbit leaves the tally short of p^6 - (2 p^3 - 1)
-    real = oracle._row_orbits
-
-    def row_orbits(n):
-        o = real(n)
-        if live == "zero row too":
-            return dataclasses.replace(o, live=np.ones_like(o.live))
-        mask = o.live.copy()
-        mask[np.flatnonzero(mask)[0]] = False
-        return dataclasses.replace(o, live=mask)
-
-    monkeypatch.setattr(oracle, "_row_orbits", row_orbits)
+def test_case_census_guards_its_live_weight(monkeypatch, live):
+    # the zero second row moved to a live key puts weight on pattern 7 where
+    # the bucket counts are not all 0; a live orbit moved onto the zero row
+    # leaves the live prefixes short of p^6 - (2 p^3 - 1). Either keeps every
+    # table row's sum, so the case census's own check must catch it
+    table = oracle._prime_power_table(5, 1).copy()
+    if live == "zero row too":
+        table[0, 0, 0, -1] -= 1
+        table[0, 0, 0, 0] += 1
+    else:
+        u, z, key = np.argwhere(table[0, :, 1:] >= 4)[0]
+        table[0, u, z + 1, key] -= 4  # a live orbit mod 5 has 4 rows
+        table[0, 0, 0, -1] += 4
+    assert (table.sum(axis=(1, 2, 3)) == 5**3).all()
+    monkeypatch.setattr(oracle, "_prime_power_table", lambda p, k: table)
     with pytest.raises(RuntimeError, match="case census mod 5"):
         oracle.case_census(5)
 
@@ -438,9 +449,8 @@ def test_divisor_rows_match_gcd_classes(n):
     # one rep, whose gcd triple is the class, weighted by its size
     rows = np.array(list(itertools.product(range(n), repeat=3)))
     classes, sizes = np.unique(np.sort(np.gcd(rows, n), axis=1), axis=0, return_counts=True)
-    o = oracle._divisor_rows(n)
-    reps = np.gcd(np.stack(o.reps, axis=1), n)
-    got = sorted(zip(map(tuple, reps.tolist()), o.sizes.tolist()))
+    g, sizes = oracle._divisor_rows(n)
+    got = sorted(zip(map(tuple, np.gcd(g, n).T.tolist()), sizes.tolist()))
     assert got == sorted(zip(map(tuple, classes.tolist()), sizes.tolist()))
 
 
@@ -449,10 +459,6 @@ def _same_arrays(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-
-
-def _same_orbits(got: oracle._RowOrbits, want: oracle._RowOrbits):
-    _same_arrays([*got.reps, got.sizes, got.live], [*want.reps, want.sizes, want.live])
 
 
 def test_prime_power_row_orbits_match_the_meshgrid_blocks():
@@ -464,12 +470,12 @@ def test_prime_power_row_orbits_match_the_meshgrid_blocks():
 
 @pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1, 16))
 def test_row_and_divisor_orbits_match_the_earlier_builds(n):
-    # sixteen moduli per test, n, n + 1, ..., n + 15: the same reps, sizes
-    # and live flags, in the same order and types, as the CRT loop that
-    # tests gcds and the itertools listing
+    # sixteen moduli per test, n, n + 1, ..., n + 15: the same first-row
+    # triples and sizes, in the same order and types, as the itertools
+    # listing. The second-row orbits exist only at prime powers, pinned to
+    # the meshgrid blocks above
     for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
-        _same_orbits(oracle._row_orbits(m), row_orbits_by_crt_loop(m))
-        _same_orbits(oracle._divisor_rows(m), divisor_rows_by_itertools(m))
+        _same_arrays(oracle._divisor_rows(m), divisor_rows_by_itertools(m))
 
 
 @pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1))
@@ -486,124 +492,100 @@ def test_bucket_tables_match_every_element(n):
     assert len(set(keys.tolist())) == len(live) and not rows[dead].any()
 
 
-def _exponent_rows(rows, n):
-    """The rows that are (p^e1, p^e2, p^e3) mod every p^k || n, e_i the valuation at p of each entry of rows.
-
-    rows is a (3, m) int64 array of residues mod n; a valuation is capped at
-    k, as p^k is 0 mod p^k. The prime powers' parts are joined by the CRT.
-    """
-    out = np.zeros_like(rows)
-    for p, k in factorize(n).factors:
-        q = p**k
-        e = sum(rows % p**t == 0 for t in range(1, k + 1))
-        out += p**e % q * ((n // q) * pow(n // q, -1, q))
-    return out % n
-
-
 @pytest.mark.parametrize("n", [*range(1, 41), 60, 72, 105, 120, 127])
 def test_orbit_pass_keys_are_the_gcd_keys_of_its_pairs(n):
-    # the pass keys the pair (r1, r2) by the forms of (r1', r2), r1' the
-    # exponent row of r1: r1 itself at a prime power. So each first-row
-    # triple's weights over the second-row orbits fall on the keys of its own
-    # pairs, in the same totals. Above 40, about 50 triples.
-    c = oracle._orbit_tables(n)
-    r1 = np.stack(c.first.reps).astype(np.int64)
-    r1_exp = _exponent_rows(r1, n)
-    r2 = np.stack(c.second.reps).astype(np.int64)
-    step = 1 if n <= 40 else max(1, len(c.first.sizes) // 50)
-    for i in range(0, len(c.first.sizes), step):
-        for _, cols, key, w in oracle._orbit_blocks(c, i, i + 1):
-            own = gcd_keys(n, forms(r1[:, [i], None], r2[:, None, cols], n))
-            assert (key == gcd_keys(n, forms(r1_exp[:, [i], None], r2[:, None, cols], n))).all()
-            if len(factorize(n).factors) < 2:
-                assert (key == own).all()
-            tallies = (oracle._tally(v, w, len(c.buckets)) for v in (key, own))
-            assert np.array_equal(*tallies), i
+    # at each p^k || n the table holds, per live exponent triple e, the sizes
+    # of all unit-scaling orbits mod p^k, dead ones included, by the units mod
+    # p among A, B, C, the nonzero entries of the rep and the gcd key of the
+    # pair's own forms, each pair formed here with no block and no shortcut
+    for p, k in factorize(n).factors:
+        q, n_keys = p**k, (k + 1) ** 2 + 1
+        reps, sizes = oracle._prime_power_row_orbits(p, k)
+        r1 = p ** oracle._live_triples(k).astype(np.int64) % q
+        f = forms(r1[:, :, None], reps[:, None, :], q)
+        units = sum(v % p != 0 for v in f[:3])
+        cells = (units * 4 + (reps != 0).sum(axis=0)) * n_keys + gcd_keys(q, f)
+        want = np.zeros((r1.shape[1], 16 * n_keys), dtype=np.int64)
+        np.add.at(want, (np.arange(r1.shape[1])[:, None], cells), np.broadcast_to(sizes, cells.shape))
+        assert np.array_equal(oracle._prime_power_table(p, k).reshape(len(want), -1), want), (p, k)
+
+
+@pytest.mark.parametrize("n", [*range(1, 25), 30])
+def test_prefix_tally_matches_the_gcd_key_reference(n):
+    # the contraction of W with the tables, before the bucket rows, against
+    # every sorted divisor triple keyed with all n^3 second rows by gcd_keys:
+    # no orbits, no Chinese remainder theorem and no per-prime-power table
+    assert np.array_equal(oracle._prefix_tally(n), prefix_tally_by_gcd_keys(n))
 
 
 def test_key_table_build_is_blocked():
-    # the orbit censuses at 64 key 28 live exponent triples against 7,168
-    # live local orbits; the build forms them in blocks of at most _BLOCK
-    # pairs (9 triples, 64,512 pairs), so its peak is the table plus a few
-    # blocks: tracemalloc puts it 2.0 MB above the table, where one unblocked
-    # build's reaches 6.0 MB
-    first, second = oracle._divisor_rows(64), oracle._row_orbits(64)
+    # the table at 64 keys 28 live exponent triples against 7,168 live local
+    # orbits; the build forms them in blocks of at most _BLOCK pairs (9
+    # triples, 64,512 pairs), so its peak is the orbits, the table and a few
+    # blocks: tracemalloc puts it at 2.8 MB, 2.6 MB above the 0.18 MB table,
+    # where one unblocked build's reaches 6.5 MB
     tracemalloc.start()
     try:
-        (t,) = oracle._key_tables(64, first, second)
+        table = oracle._prime_power_table.__wrapped__(2, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert t.codes.size == 28 * 7168
-    assert peak < t.codes.nbytes + t.rows.nbytes + t.cols.nbytes + 6 * oracle._BLOCK * 8
+    assert table.shape == (28, 4, 4, 50) and table.sum() == 28 * 64**3
+    assert peak < table.nbytes + 6 * oracle._BLOCK * 8
 
 
 def test_divisor_row_weights_cover_every_row():
     for n in range(1, oracle.INT64_CEILING + 1):
-        assert int(oracle._divisor_rows(n).sizes.sum()) == n**3, n
+        assert int(oracle._divisor_rows(n)[1].sum()) == n**3, n
 
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_row_orbits_are_the_unit_scaling_orbits(n):
-    # each normal-form rep, scaled by every unit, fills an orbit of its stated
-    # size; the reps' orbits are distinct and are exactly the reference's
-    o = oracle._row_orbits(n)
-    units = np.flatnonzero(oracle._unit_mask(n))[:, None]
-    images = sum(units * r % n * n**c for c, r in enumerate(o.reps))
-    images.sort(axis=0)
-    assert ((np.diff(images, axis=0) != 0).sum(axis=0) + 1).tolist() == o.sizes.tolist()
-    assert int(o.sizes.sum()) == n**3
-    least, sizes = row_orbits_by_unit_minimum(n)
-    assert len(o.sizes) == len(least)
-    order = np.argsort(images[0])
-    assert images[0][order].tolist() == least.tolist()
-    assert o.sizes[order].tolist() == sizes.tolist()
+    # at each p^k || n, each normal-form rep, scaled by every unit, fills an
+    # orbit of its stated size; the reps' orbits are distinct and are exactly
+    # the reference's
+    for p, k in factorize(n).factors:
+        q = p**k
+        reps, own = oracle._prime_power_row_orbits(p, k)
+        units = np.flatnonzero(oracle._unit_mask(q))[:, None]
+        images = sum(units * r % q * q**c for c, r in enumerate(reps))
+        images.sort(axis=0)
+        assert ((np.diff(images, axis=0) != 0).sum(axis=0) + 1).tolist() == own.tolist()
+        assert int(own.sum()) == q**3
+        least, sizes = row_orbits_by_unit_minimum(q)
+        assert len(own) == len(least)
+        order = np.argsort(images[0])
+        assert images[0][order].tolist() == least.tolist()
+        assert own[order].tolist() == sizes.tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_orbit_pass_skips_exactly_the_dead_prefixes(n):
-    # a row is dead when one prime p | n divides all three of its entries; the
-    # pass walks each pair of live orbits once, and the weight it skips is the
-    # number of prefixes with a dead row, by brute force over all n^6 of them
-    rows = np.array(list(itertools.product(range(n), repeat=3)))
-    dead = np.zeros(n**3, dtype=bool)
-    for p, _ in factorize(n).factors:
-        dead |= (rows % p == 0).all(axis=1)
-    dead_prefixes = int(np.logical_or.outer(dead, dead).sum())
-    c = oracle._orbit_tables(n)
-    first, second = c.first, c.second
-    pairs, walked = [], 0
-    for i, j, *_, w in oracle._orbit_blocks(c, 0, len(first.sizes)):
-        pairs += itertools.product(i.tolist(), j.tolist())
-        walked += int(w.sum())
-    live = np.outer(first.live, second.live)
-    assert sorted(pairs) == list(zip(*(v.tolist() for v in np.nonzero(live))))
-    weights = np.outer(first.sizes, second.sizes)
-    assert int(weights[~live].sum()) == n**6 - walked == dead_prefixes
+    # a row is dead at p when p divides all three of its entries. At each
+    # p^k || n the table build forms each pair of a live exponent triple and
+    # a live orbit once, and the weight it leaves to the dead rows, the live
+    # triples' first-row weights included, is the number of prefixes mod p^k
+    # with a row dead at p, by brute force over all q^6 of them
+    for p, k in factorize(n).factors:
+        q, n_live = p**k, oracle._live_triples(k).shape[1]
+        rows = np.array(list(itertools.product(range(q), repeat=3)))
+        dead = (rows % p == 0).all(axis=1)
+        dead_prefixes = int(np.logical_or.outer(dead, dead).sum())
+        g, first = oracle._divisor_rows(q)
+        assert np.array_equal(g[:, :n_live], p ** oracle._live_triples(k))
+        reps, sizes = oracle._prime_power_row_orbits(p, k)
+        live = (reps % p).any(axis=0)
+        r2 = [v[None, live] for v in reps.astype(oracle._kernel_type(q))]
+        pairs, walked = [], 0
+        for triples, coeffs in oracle._pair_blocks(p, k, r2):
+            assert all(v.shape == (len(triples), live.sum()) for v in coeffs)
+            pairs += itertools.product(triples.ravel().tolist(), np.flatnonzero(live).tolist())
+            walked += int((first[triples] * sizes[live]).sum())
+        assert sorted(pairs) == list(itertools.product(range(n_live), np.flatnonzero(live).tolist()))
+        assert q**6 - walked == dead_prefixes
     seen = []
     oracle.census_tiered(n, progress=lambda done, total: seen.append((done, total)))
     assert seen[-1] == (n**6, n**6)
-
-
-@pytest.mark.parametrize("n,chunk", [(120, None), (12, 1), (12, 100)])
-def test_orbit_jobs_balance_live_pairs(monkeypatch, n, chunk):
-    # every live first-row triple meets the same live second-row orbits, so
-    # jobs of equal live-triple counts hold equal live-pair counts; the jobs
-    # tile the triples in order, dead ones included, and none is left without
-    # a live pair (at 120 the split by all triples left 13 of 55 jobs empty)
-    if chunk is not None:
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    live_second = int(oracle._row_orbits(n).live.sum())
-    step = max(1, oracle._CHUNK // live_second)
-    c = oracle._orbit_tables(n)
-    first, jobs = c.first, oracle._orbit_jobs(c)
-    bounds = [args[1:3] for args, _ in jobs]
-    assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
-    assert bounds[-1][1] == len(first.sizes)
-    live = [int(first.live[a:b].sum()) for a, b in bounds]
-    assert live[:-1] == [step] * (len(jobs) - 1) and 1 <= live[-1] <= step
-    assert max(live) * live_second <= max(oracle._CHUNK, live_second)
-    assert sum(size for _, size in jobs) == n**6
 
 
 def test_tally_sums_weights_exactly():
@@ -625,11 +607,13 @@ def _block_sensitive_results():
     )
 
 
-def test_results_do_not_depend_on_block_budget(monkeypatch):
-    # _BLOCK = 1 gives one first-row orbit per bucket block, one pair per
-    # left-over block and one prefix per naive block
+def test_results_do_not_depend_on_block_budget(monkeypatch, cold_tables):
+    # _BLOCK = 1 gives one exponent triple per block of a table build and of
+    # the left-over read, and one prefix per naive block; the tables built
+    # with the default blocks are dropped first
     default = _block_sensitive_results()
     monkeypatch.setattr(oracle, "_BLOCK", 1)
+    oracle._prime_power_table.cache_clear()
     assert _block_sensitive_results() == default
 
 
@@ -766,21 +750,18 @@ def test_int_type_holds_the_kernel_bound(n, want):
 @pytest.mark.parametrize("n", [7, 8, 105, 106, 127])
 def test_tables_are_built_in_the_kernel_type(n):
     # the int8 edge (7, 8), the int16 edge (105, 106) and the int32 range
-    # (127): the row builders hold their residues in _kernel_type(n), so the
-    # class census forms its coefficients in that type with no cast. The key
-    # tables form theirs mod each p^k || n in _kernel_type(p^k), and hold
-    # the keys in the narrowest type of the key count, their offsets in that
-    # of the table size
+    # (127): the table builds and the left-over read form their pairs mod
+    # each p^k || n in _kernel_type(p^k), with no cast, and the tables hold
+    # int64 sums, one row per live exponent triple
     t = oracle._kernel_type(n)
-    assert all(v.dtype == t for v in oracle._row_orbits(n).reps)
-    key_type = oracle._int_type(len(oracle._bucket_rows(n)) - 1)
-    c = oracle._orbit_tables(n)
-    assert all(v.dtype == t for v in c.first.reps)
-    _, _, key, _ = next(oracle._orbit_blocks(c, 0, len(c.first.sizes)))
-    assert key.dtype == key_type
-    for table in c.keys:
-        assert table.codes.dtype == key_type
-        assert table.rows.dtype == table.cols.dtype == oracle._int_type(table.codes.size - 1)
+    for p, k in factorize(n).factors:
+        q = p**k
+        reps, _ = oracle._prime_power_row_orbits(p, k)
+        r2 = [v[None, :] for v in reps.astype(oracle._kernel_type(q))]
+        _, coeffs = next(oracle._pair_blocks(p, k, r2))
+        assert all(v.dtype == oracle._kernel_type(q) for v in coeffs), (p, k)
+        table = oracle._prime_power_table(p, k)
+        assert table.dtype == np.int64 and table.shape == (oracle._live_triples(k).shape[1], 4, 4, (k + 1) ** 2 + 1)
     # _kernel_type(p^k) holds the largest minors: A E - B D = A F - C D =
     # (p^k - 1)^2 and B F - C E = -(p^k - 1)^2
     for p, k in factorize(n).factors:
@@ -1019,10 +1000,18 @@ def test_no_later_job_starts_once_a_job_has_raised():
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_raise(threads):
+    # the orbit censuses run inline and never reach _sum_jobs, so each checks threads itself
     with pytest.raises(ValueError, match="threads must be >= 1"):
         oracle._sum_jobs(sum, [((1, 2), 5)], threads, None)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        oracle.census_naive(2, threads=threads)
+    calls = [
+        lambda: oracle.census_naive(2, threads=threads),
+        lambda: oracle.census_tiered(12, threads=threads),
+        lambda: oracle.class_census(3, 2, threads=threads),
+        lambda: oracle.case_census(5, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            call()
 
 
 def test_parallel_censuses_are_deterministic():
@@ -1034,72 +1023,48 @@ def test_parallel_censuses_are_deterministic():
     assert one.counts == two.counts
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_orbit_jobs_read_only_their_arguments(monkeypatch, threads):
-    # every table builder raises once _orbit_jobs has returned, so a job that
-    # built or looked up a table of its own would fail its census; _CHUNK = 1
-    # gives one live first-row triple per job, so the merge adds many, and
-    # the counts must equal those of the default chunks
-    runs = (
-        lambda: oracle.census_tiered(12, threads=threads).counts,
-        lambda: oracle.class_census(3, 2, threads=threads).counts,
-        lambda: oracle.case_census(7, threads=threads),
-    )
-    want, jobs, real_orbit_jobs = [run() for run in runs], [], oracle._orbit_jobs
+def _tracked_row_orbits(monkeypatch):
+    """Weak references to every orbit array that _prime_power_row_orbits hands out from now on."""
+    orbits, real = [], oracle._prime_power_row_orbits
 
-    def guarded(build):
-        def builder(*args):
-            if jobs:
-                pytest.fail(f"{build.__name__}{args} called after the jobs were dispatched")
-            return build(*args)
+    def row_orbits(p, k):
+        out = real(p, k)
+        orbits.extend(weakref.ref(v) for v in out)
+        return out
 
-        return builder
-
-    def orbit_jobs(*args):
-        jobs.append(real_orbit_jobs(*args))
-        return jobs[-1]
-
-    for name in ("_row_orbits", "_prime_power_row_orbits", "_divisor_rows", "_key_tables",
-                 "_bucket_rows", "_unit_mask", "_valuations"):
-        monkeypatch.setattr(oracle, name, guarded(getattr(oracle, name)))
-    monkeypatch.setattr(oracle, "_orbit_jobs", orbit_jobs)
-    monkeypatch.setattr(oracle, "_CHUNK", 1)
-    for run, counts in zip(runs, want):
-        jobs.clear()
-        assert run() == counts
-        (c, *_), _ = jobs[0][0]
-        assert len(jobs) == 1 and len(jobs[0]) == c.first.live.sum() >= 3
+    monkeypatch.setattr(oracle, "_prime_power_row_orbits", row_orbits)
+    return orbits
 
 
 def test_censuses_at_one_modulus_share_one_build(monkeypatch, cold_tables):
-    # the tiered, class and case censuses at 13 in a row: one build of the
-    # first-row triples, second-row orbits, key tables and bucket rows serves
-    # all three
-    calls = collections.Counter()
-
-    def counted(build):
-        def builder(*args):
-            calls[build.__name__] += 1
-            return build(*args)
-
-        return builder
-
-    for name in ("_row_orbits", "_bucket_rows", "_divisor_rows", "_key_tables"):
-        monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
-    oracle.census_tiered(13)
-    oracle.class_census(13)
-    oracle.case_census(13)
-    assert calls == {"_row_orbits": 1, "_bucket_rows": 1, "_divisor_rows": 1, "_key_tables": 1}
-
-
-def test_a_census_at_another_modulus_releases_the_last_tables():
+    # the tiered censuses at 12 = 2^2 3 and 24 = 2^3 3, the class censuses at
+    # 2^2 and 3 and the case census at 3 read three tables, (2, 2), (2, 3) and
+    # (3, 1): each is built once per process, and the cache holds only them,
+    # a row per live exponent triple and no axis per orbit
+    _tracked_row_orbits(monkeypatch)
     oracle.census_tiered(12)
-    c = oracle._orbit_tables(12)
-    tables = [weakref.ref(v) for v in (c.first, c.second, c.buckets, *c.keys)]
-    del c
+    oracle.census_tiered(24)
+    oracle.class_census(2, 2)
+    oracle.class_census(3)
+    oracle.case_census(3)
+    info = oracle._prime_power_table.cache_info()
+    assert info.misses == info.currsize == 3
+    for p, k in ((2, 2), (2, 3), (3, 1)):
+        shape = (oracle._live_triples(k).shape[1], 4, 4, (k + 1) ** 2 + 1)
+        assert oracle._prime_power_table(p, k).shape == shape
+    assert oracle._prime_power_table.cache_info().misses == 3
+
+
+def test_a_census_at_another_modulus_releases_the_last_tables(monkeypatch, cold_tables):
+    # what a census keeps is one summed table per prime power; every orbit
+    # array it formed, of the table builds and of the class census's
+    # left-over read, is freed by the time a census at another modulus ran
+    orbits = _tracked_row_orbits(monkeypatch)
+    oracle.census_tiered(12)
+    oracle.class_census(2, 2)
     oracle.census_tiered(13)
     gc.collect()
-    assert all(t() is None for t in tables)
+    assert len(orbits) == 2 * 4 and all(ref() is None for ref in orbits)
 
 
 def test_progress_hook_reports_completion():

@@ -599,20 +599,39 @@ key_check = raises(lambda: verify._case_table(ctx))
 # bucket rows one higher at every permanent keep the division by 6 exact, as it
 # comes before the contraction, but leave the left-over counts mod 3 off
 # multiples of p^2 = 9 (mod 9 every pair weight is a multiple of 9)
-real_tables = oracle._orbit_tables
-c = real_tables(3)
-oracle._orbit_tables = lambda n: dataclasses.replace(c, buckets=c.buckets + 1)
+real_rows = oracle._bucket_rows
+oracle._bucket_rows = lambda n: real_rows(n) + 1
 square_check = raises(lambda: oracle._class_scan(3, 1), "multiples of p^2")
-oracle._orbit_tables = real_tables
+oracle._bucket_rows = real_rows
 
-# the row-2 triple (1, 0, 0) one heavier and the zero row one lighter still
-# cover 5^6 prefixes, but leave the six-fold class tallies mod 5 inexact
-c = oracle._orbit_tables(5)
-triples, sizes = np.stack(c.first.reps).T.tolist(), c.first.sizes.copy()
-sizes[triples.index([1, 0, 0])] += 1
-sizes[triples.index([0, 0, 0])] -= 1
-oracle._orbit_tables = lambda n: dataclasses.replace(c, first=dataclasses.replace(c.first, sizes=sizes))
+# the first-row triple (1, 5, 5) one heavier and (5, 5, 5) one lighter still
+# weigh 5^3, but leave the six-fold class tallies mod 5 inexact; one more row
+# in all leaves the first-row weights off n^3
+real_divisor_rows = oracle._divisor_rows
+g, sizes = real_divisor_rows(5)
+moved, triples = sizes.copy(), g.T.tolist()
+moved[triples.index([1, 5, 5])] += 1
+moved[triples.index([5, 5, 5])] -= 1
+oracle._divisor_rows = lambda n: (g, moved)
 six_check = raises(lambda: oracle._class_scan(5, 1), "multiples of 6")
+oracle._divisor_rows = lambda n: (g, sizes + (np.arange(len(sizes)) == 0))
+cover_check = raises(lambda: oracle.census_tiered(5), "not n^3")
+oracle._divisor_rows = real_divisor_rows
+
+# one table entry one higher leaves its row off p^(3k); a live orbit's weight
+# moved onto the zero second row keeps the row's sum, but leaves the case
+# census's live prefixes short
+real_table = oracle._prime_power_table
+table = real_table(5, 1).copy()
+table[0, 3, 3, 0] += 1
+oracle._prime_power_table = lambda p, k: table
+table_check = raises(lambda: oracle.census_tiered(10), "p^(3k)")
+table = real_table(5, 1).copy()
+u, z, key = np.argwhere(table[0, :, 1:] >= 4)[0]
+table[0, u, z + 1, key] -= 4
+table[0, 0, 0, -1] += 4
+case_check = raises(lambda: oracle.case_census(5), "case census mod 5")
+oracle._prime_power_table = real_table
 
 # the first head batch of (3, 2) has label 0; rows 2 and 3 of (1, 0, 0), (0, 1, 0) give prefix 0 label 2
 batch = [v.copy() for v in next(structure_maps.zero_perm_members(3, 2))]
@@ -620,7 +639,8 @@ for v, entry in zip(batch[3:], (1, 0, 0, 0, 1, 0)):
     v[0, 0] = entry
 inv = oracle._inverse_table(9)
 label_check = raises(lambda: verify._shift_verify(batch, 9, 3, [0, 3, 6], inv), "one label")
-print(sys.flags.optimize, sum_check, shift_check, key_check, square_check, six_check, label_check)
+checks = (sum_check, shift_check, key_check, square_check, six_check, cover_check, table_check, case_check, label_check)
+print(sys.flags.optimize, *checks)
 """
 
 
@@ -632,7 +652,7 @@ def test_invariants_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True", "True"]
+    assert proc.stdout.split() == ["1"] + ["True"] * 9
 
 
 def test_src_has_no_assert_statements():
