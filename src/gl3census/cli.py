@@ -9,10 +9,10 @@ memory, or a census, one of its workers or a check that fails its own
 invariant (a RuntimeError), 141 stdout closed by its reader (128 + SIGPIPE,
 the code a shell reports for a filter killed by a closed pipe). --threads
 sets the number of worker threads, by default the CPUs this process may run
-on: oracle, table and verify give them to each census's jobs (the scanning
-engines'; the orbit censuses run inline), and verify runs its checks one
-after another. Output carries no timestamps, so identical
-invocations produce identical bytes.
+on: oracle, table and verify give them to each census, and verify runs its
+checks one after another. census_2x2 is the only engine that splits across
+threads; the naive and orbit censuses run inline. Output carries no
+timestamps, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations

@@ -913,8 +913,10 @@ def run_suite(
     """Run every check in the profile; returns results in canonical order.
 
     The checks run one after another on the calling thread, in
-    registration order, and every census they run that splits into jobs
-    gives them to up to threads threads, as oracle and table do. The censuses the checks share
+    registration order, and each census they run is given threads, as
+    oracle and table do. census_2x2 is the only engine that splits across
+    threads: the naive census runs its jobs inline (a pool loses there),
+    and the orbit censuses are one job each. The censuses the checks share
     are computed once each (_Ctx), and the report does not depend on
     threads. progress(i, total, tag) is called just before check i runs,
     for i = 0 to total - 1, then (total, total, "done"). A check or a

@@ -255,8 +255,9 @@ def test_verify_quick_cli(capsys):
     assert len(lines) > 300
 
 
-def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
-    # the naive census at 6 splits into 10 jobs, on two threads through the pool
+def test_memory_error_in_a_census_job_exits_four(monkeypatch, capsys):
+    # the naive census at 6 splits into 10 jobs, which it runs inline on two
+    # threads too; test_oracle covers a job raising on a pool
     def naive_job(args):
         raise MemoryError
 
@@ -266,9 +267,10 @@ def test_memory_error_in_a_pool_job_exits_four(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
-def test_runtime_error_in_a_pool_job_exits_four(monkeypatch, capsys):
-    # an engine's self-check that fails inside a job, on two threads: one
-    # stderr line and exit 4, not a traceback
+def test_runtime_error_in_a_census_job_exits_four(monkeypatch, capsys):
+    # an engine's self-check that fails inside a job, given two threads (the
+    # naive census's jobs run inline): one stderr line and exit 4, not a
+    # traceback
     def naive_job(args):
         raise RuntimeError("naive tally mod 6 covers too few prefixes")
 

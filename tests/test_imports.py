@@ -69,8 +69,9 @@ for argv in (["eval", "5", "1"], ["oracle", "12"], ["table", "--section", "case-
 
 
 def test_only_a_census_on_a_pool_loads_concurrent_futures():
-    # the orbit censuses run inline on any thread count; the naive census at
-    # 6 splits into 10 jobs, which two threads run on a pool
+    # the orbit censuses and the naive census run inline on any thread count,
+    # the naive one although it splits into 10 jobs at 6; the 2x2 census at
+    # 37 splits into 2 jobs, which two threads run on a pool
     code = """
 import sys
 from gl3census import closed_form, oracle
@@ -84,5 +85,9 @@ jobs = len(oracle._range_jobs(6**6, 6**3))
 table = oracle.census_naive(6, threads=2)
 print(jobs, "concurrent.futures" in sys.modules)
 print(table.counts == tuple(closed_form.count(6, x) for x in range(6)))
+jobs = len(oracle._range_jobs(37**4, 1))
+table = oracle.census_2x2(37, threads=2)
+print(jobs, "concurrent.futures" in sys.modules)
+print(table.counts == tuple(closed_form.count2_prime(37, x) for x in range(37)))
 """
-    assert run_fresh(code) == ["False", "True", "10 True", "True"]
+    assert run_fresh(code) == ["False", "True", "10 False", "True", "2 True", "True"]

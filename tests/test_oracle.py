@@ -1000,7 +1000,8 @@ def test_no_later_job_starts_once_a_job_has_raised():
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_raise(threads):
-    # the orbit censuses run inline and never reach _sum_jobs, so each checks threads itself
+    # the orbit censuses never reach _sum_jobs and the naive one gives it 1,
+    # so each checks threads itself
     with pytest.raises(ValueError, match="threads must be >= 1"):
         oracle._sum_jobs(sum, [((1, 2), 5)], threads, None)
     calls = [
@@ -1012,6 +1013,38 @@ def test_threads_below_one_raise(threads):
     for call in calls:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_naive_census_runs_every_job_on_the_calling_thread(monkeypatch, n):
+    # a pool loses at every n the naive census admits, so threads=3 runs inline
+    idents, real = [], oracle._naive_job
+
+    def naive_job(args):
+        idents.append(threading.get_ident())
+        return real(args)
+
+    monkeypatch.setattr(oracle, "_naive_job", naive_job)
+    assert oracle.census_naive(n, threads=3).counts == CENSUS3[n]
+    assert len(idents) == len(oracle._range_jobs(n**6, n**3)) > 1
+    assert set(idents) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+def test_pool_job_exception_reaches_the_census_caller(monkeypatch, error):
+    # census_2x2(37) splits into 2 jobs, which two threads run on a pool
+    raised, idents = error("2x2 job"), []
+
+    def two_by_two_job(args):
+        idents.append(threading.get_ident())
+        raise raised
+
+    monkeypatch.setattr(oracle, "_two_by_two_job", two_by_two_job)
+    assert len(oracle._range_jobs(37**4, 1)) == 2
+    with pytest.raises(error) as info:
+        oracle.census_2x2(37, threads=2)
+    assert info.value is raised
+    assert idents and threading.get_ident() not in idents
 
 
 def test_parallel_censuses_are_deterministic():
