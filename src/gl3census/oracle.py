@@ -20,10 +20,10 @@ n^3/|H|, so a prefix's third-row counts are the first coordinates of the
 elements of H whose second coordinate is a unit, and they depend on three
 gcds with n alone: of the determinant's coefficients, of the columns' 2x2
 minors and of the permanent's coefficients. A closed form in the three gives
-each bucket's counts, and each gcd is the product of its parts at the prime
-powers of n, so a prefix's key joins one local key per prime power, read from
-one small table per prime power. The two engines agree entry for entry
-wherever both run.
+each bucket's counts. Each gcd, and so the closed form read at x mod p^k,
+is the product of its parts at the prime powers p^k of n: keys exist only
+per prime power, and the Chinese remainder theorem joins x alone. The two
+engines agree entry for entry wherever both run.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
 a unit leaves the gcds alone; so does scaling a column of both rows by a unit,
@@ -37,17 +37,18 @@ table per prime power, built once per process. By the Chinese remainder
 theorem and the distributive law, census_tiered then tallies the weights of
 its first-row orbits (sorted triples of divisors of n; orbit counting, as in
 Burnside's lemma) by their exponent triple at each prime power and contracts
-that tensor with one table per prime power, giving every prefix's key and
-weight without forming a single pair mod n. A row with every entry divisible
-by some p | n has no invertible completion, and its prefixes all get a dead
-key. class_census and case_census read the same table at p^k and at p, by the
-units among P11, P12, P13 and by the second row's zero count. class_census,
-whose class head a column permutation reorders, counts its labels over the
-six column orderings, and reads each pair a second time as rows 3 and 1 for
-the left-over classes, expanded along row 2 over the rows that keep P11, P12,
-P13 divisible by p: the image of a lattice map whose forms read the same keys
-and bucket rows. That second read walks the pairs at p^k again, as no other
-census reads it.
+that tensor, one prime power at a time, with that power's table times its
+bucket rows, which turns the axis into x mod p^k, and reads the count at x at
+its residues: no pair of rows and no key mod n is formed. A row with every
+entry divisible by some p | n has no invertible completion, and its prefixes
+all get a dead key. class_census and case_census read the same table and
+bucket rows at p^k and at p, by the units among P11, P12, P13 and by the
+second row's zero count. class_census, whose class head a column permutation
+reorders, counts its labels over the six column orderings, and reads each pair
+a second time as rows 3 and 1 for the left-over classes, expanded along row 2
+over the rows that keep P11, P12, P13 divisible by p: the image of a lattice
+map whose forms read the same keys and bucket rows. That second read walks the
+pairs at p^k again, as no other census reads it.
 
 census_2x2 may run on several worker threads: its index range is split into
 fixed chunks, each thread tallies its chunks into int64 arrays, and the merge
@@ -62,14 +63,14 @@ threads by about 3 MB. The orbit censuses run inline too: their largest
 pair walk, the table at 64, is 200,704 pairs, less than one chunk of
 _CHUNK = 1,048,576, so none would split into a second job. Only a numpy
 call's array loop runs without the interpreter lock, and every call
-hands the lock over, so threads gain on large calls and lose on small ones:
-on a 2-vCPU host a 262,144-element uint8 add ran 1.72 times as fast on two
-threads, a 2,400-element one 0.49 times, and a thread making the large calls
-fell from 89,800 to 28,300 calls/s beside one making the small ones. The
-engines therefore keep their calls block-sized. verify.run_suite runs its
-checks one after another and gives its threads to each census's jobs, so that
-no two checks share the interpreter lock and their working sets are never in
-memory at once.
+hands the lock over. On a 2-vCPU Intel Xeon (Python 3.11.7, numpy 2.4.6, 6
+fresh processes), 262,144-element uint8 adds split over two threads ran
+0.60-0.98 times as fast as on one, 2,400-element ones 0.34-0.69 times, and
+even two 64 MB sha256 hashes, which hold no lock, took 0.053-0.094 s at once
+against 0.047-0.054 s for one. The engines keep their calls block-sized.
+verify.run_suite runs its checks one after another and gives its threads to
+each census's jobs, so that no two checks share the interpreter lock and
+their working sets are never in memory at once.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ from .matrices import CLASS_LABELS, ClassLabel, forms, mod, perm_det2
 from .modring import Modulus, factorize, is_prime
 
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
-# orbit censuses' product of per-key prefix tallies with _bucket_rows);
-# 127^9 < 2^63 <= 128^9. The class census's tallies are prefix weights counted
-# once per column ordering, at most 6 n^6 per half until _class_scan divides
-# them by 6; its left-over contraction counts rows t, each matrix p^2 times, at
-# most n^9 before the division by p^2.
+# orbit censuses' contractions with _bucket_rows); 127^9 < 2^63 <= 128^9. Keys
+# exist only per prime power, and the tiered census contracts one at a time: a
+# first-row triple's third-row counts at p^k sum to at most p^(6k), so every
+# partial sum of its nonnegative terms is at most n^3 prod p^(6k) = n^9; the
+# Chinese remainder theorem joins only x. The class census's tallies are prefix
+# weights counted once per column ordering, at most 6 n^6 per half until
+# _class_scan divides them by 6; its left-over contraction counts rows t, each
+# matrix p^2 times, at most n^9 before the division by p^2.
 INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
 # still reaches n = 8 (n^9 matrices, each covered once, its third entry's
@@ -350,10 +354,10 @@ def _sum_jobs(fn, jobs, threads, progress):
 # (arXiv 2105.03602; M. Hampejs et al., "On the subgroups of the group
 # Z_m x Z_n", J. Numbers, 2014).
 #
-# Each gcd is the product of its parts at the prime powers p^k || n, so a key
-# is one local key per prime power, joined in mixed radix with the first prime
-# power's most significant: e_a (k + 1) + e_g, the valuations of a and g at p,
-# or the dead key (k + 1)^2 where p | d.
+# Each gcd is the product of its parts at the prime powers q = p^k || n, and so
+# is the row, read at x mod q. So keys exist only per prime power: the local
+# key e_a (k + 1) + e_g, the valuations of a and g at p, or the dead key
+# (k + 1)^2 where p | d, whose row is 0. No key mod n is formed.
 
 
 def _local_keys(coeffs, p: int, k: int, val: np.ndarray) -> np.ndarray:
@@ -373,26 +377,22 @@ def _local_keys(coeffs, p: int, k: int, val: np.ndarray) -> np.ndarray:
     return np.where(least(D, E, F) > 0, (k + 1) ** 2, e_a * (k + 1) + least(A, B, C))
 
 
-@lru_cache(maxsize=1)
-def _bucket_rows(n: int) -> np.ndarray:
-    """Per-permanent counts of unit-determinant third rows, (keys, n) int64 and read-only, one row per key mod n.
+@lru_cache(maxsize=None)
+def _bucket_rows(p: int, k: int) -> np.ndarray:
+    """Per-permanent counts of unit-determinant third rows mod q = p^k, one row per local key.
 
-    A key with a dead local key, or with e_g > e_a at some p, has the row 0.
-    Every other key names a and g, and its row is the closed form above.
-    phi(n / v) is the number of residues whose gcd with n is v. The last
-    modulus's rows are kept, so that consecutive censuses at one modulus
-    share them.
+    ((k + 1)^2 + 1, q) int64, read-only and kept for the process, as the
+    tables are. The dead key, and a key with e_g > e_a, have the row 0.
+    Every other key names a = p^e_a and g = p^e_g, and its row is the closed
+    form above at q: q a phi(q) / phi(a / g) where gcd(x, a) = g, that is
+    where the valuation of x, capped at e_a, is e_g.
     """
-    a = g = np.ones(1, dtype=np.int64)
-    live = np.ones(1, dtype=bool)
-    for p, k in factorize(n).factors:
-        e_a, e_g = np.divmod(np.arange((k + 1) ** 2 + 1), k + 1)
-        a, g = (np.multiply.outer(v, p**e).ravel() for v, e in ((a, e_a), (g, e_g)))
-        live = np.logical_and.outer(live, (e_g <= e_a) & (e_a <= k)).ravel()
-    a, g = np.where(live, a, 1), np.where(live, g, 1)
-    phi = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / v) at v | n
-    hit = live[:, None] & (np.gcd(np.arange(n), a[:, None]) == g[:, None])
-    rows = np.where(hit, (n * a * phi[1] // phi[n * g // a])[:, None], 0)
+    q, val = p**k, _valuations(p, k)
+    e_a, e_g = np.divmod(np.arange((k + 1) ** 2), k + 1)
+    phi = np.bincount(val, minlength=k + 1)[::-1]  # phi(p^j) at j: the residues of valuation k - j
+    rows = np.zeros(((k + 1) ** 2 + 1, q), dtype=np.int64)
+    value = q * p**e_a * phi[k] // phi[np.maximum(e_a - e_g, 0)]
+    np.copyto(rows[:-1], value[:, None], where=np.minimum(val, e_a[:, None]) == e_g[:, None])
     rows.flags.writeable = False
     return rows
 
@@ -412,17 +412,17 @@ def _bucket_rows(n: int) -> np.ndarray:
 # scaling and column permutation, which mod p^k is the sorted triple
 # e1 <= e2 <= e3 of its entries' valuations at p: the row (p^e1, p^e2, p^e3).
 #
-# A prefix's key is one local key per p^k || n, and its local key depends only
-# on the prefix mod p^k. By the Chinese remainder theorem its rows mod n are
-# any pair of rows mod each p^k, so, by the distributive law, a first row's
-# key histogram over all n^3 second rows is the outer product over p^k || n of
-# its exponent triple's row of the local key histogram at p^k. A census
-# tallies the weights of its first-row triples (sorted triples of divisors of
-# n) into a tensor W with one axis per prime power, indexed by the triple's
-# exponent triple there, and contracts each axis with that prime power's
-# histogram: the result, raveled in C order, is the per-key prefix tally in
-# the order of _bucket_rows(n). Every weight and sum is exact in int64: they
-# add up to n^6 <= 127^6 < 2^43.
+# A prefix's local key at p^k || n depends only on the prefix mod p^k. By the
+# Chinese remainder theorem its rows mod n are any pair of rows mod each p^k,
+# so, by the distributive law, a first row's third-row counts over all n^3
+# second rows are the outer product over p^k || n of those of its exponent
+# triple at p^k: its table row, summed over u and z, times the bucket rows. A
+# census tallies the weights of its first-row triples (sorted triples of
+# divisors of n) into a tensor W with one axis per prime power, indexed by the
+# triple's exponent triple there, and contracts each axis with that product,
+# which turns it into x mod p^k; the count at x is read at its residues, the
+# one join by the Chinese remainder theorem. The int64 bound is at
+# INT64_CEILING.
 #
 # A row is dead at p when p divides all three of its entries, so e1 > 0 for a
 # first row. The forms are bilinear, so a prefix with a row dead at p has all
@@ -568,22 +568,6 @@ def _weights_and_tables(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return W, tables
 
 
-def _prefix_tally(n: int) -> np.ndarray:
-    """The prefixes mod n per key, in the order of _bucket_rows(n): all n^6, the dead ones included.
-
-    Contracts W with each prime power's table summed over u and z, a last row
-    for the dead first rows appended: all p^(3k) second rows at the dead key.
-    """
-    tally, tables = _weights_and_tables(n)
-    for (p, k), table in zip(factorize(n).factors, tables):
-        local = np.zeros((len(table) + 1, table.shape[-1]), dtype=np.int64)
-        table.sum(axis=(1, 2), out=local[:-1])
-        local[-1, -1] = p ** (3 * k)
-        # contract the leading axis, this prime power's; its keys become the trailing axis
-        tally = tally.reshape(len(local), -1).T @ local
-    return tally.ravel()
-
-
 def _tally(key, weights, n_keys: int) -> np.ndarray:
     """Exact int64 sums of weights per key in [0, n_keys); key and weights share a shape."""
     out = np.zeros(n_keys, dtype=np.int64)
@@ -596,20 +580,25 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 
 
 def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
-    """Exact permanent census over GL3(Z/n) from per-prime-power key tables; n <= INT64_CEILING.
+    """Exact permanent census over GL3(Z/n) from per-prime-power tables and bucket rows; n <= INT64_CEILING.
 
     Runs inline for every threads >= 1: its only pair walks are the table
     builds, at most 200,704 pairs (at 64), less than one _CHUNK, so no job
-    would split. progress(n^6, n^6) is called once the prefix tally is done.
+    would split. progress(n^6, n^6) is called once the contraction is done.
     """
     modulus = _modulus("census_tiered", n)
     _check_threads(threads)
     n = modulus.n
-    tally = _prefix_tally(n)
+    W, tables = _weights_and_tables(n)
+    # W's last index on an axis holds the first rows dead there, which no third row completes
+    counts, at = W[(slice(-1),) * W.ndim], np.zeros(n, dtype=np.int64)
+    for (p, k), table in zip(modulus.factors, tables):
+        # contract the leading axis, this prime power's; x mod p^k becomes the trailing one
+        counts = counts.reshape(len(table), -1).T @ (table.sum(axis=(1, 2)) @ _bucket_rows(p, k))
+        at = at * p**k + np.arange(n) % p**k
     if progress is not None:
         progress(n**6, n**6)
-    counts = tally @ _bucket_rows(n)
-    return CountTable(modulus, tuple(int(v) for v in counts))
+    return CountTable(modulus, tuple(int(v) for v in counts.ravel()[at]))
 
 
 def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
@@ -742,9 +731,13 @@ def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountT
 
 
 def _two_by_two_job(args):
+    """The permanents of the invertible 2x2 matrices start..stop-1, tallied in blocks of _BLOCK matrices."""
     n, start, stop = args
-    perm, det = perm_det2(_digits(range(start, stop), n, 4), n)
-    return np.bincount(perm[_unit_mask(n).take(det)], minlength=n)
+    unit, tally = _unit_mask(n), np.zeros(n, dtype=np.int64)
+    for s in range(start, stop, _BLOCK):
+        perm, det = perm_det2(_digits(range(s, min(s + _BLOCK, stop)), n, 4), n)
+        tally += np.bincount(perm[unit.take(det)], minlength=n)
+    return tally
 
 
 def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
@@ -870,7 +863,7 @@ def _class_scan(p: int, k: int, *, threads: int = 1, progress=None):
     prefixes, rest = np.divmod(six_fold, 6)
     if rest.any():
         raise RuntimeError(f"class tallies mod {p}^{k} over six column orderings are not multiples of 6")
-    counts = prefixes @ _bucket_rows(n)
+    counts = prefixes @ _bucket_rows(p, k)
     left, rest = np.divmod(counts[3:], p * p)
     if rest.any():
         raise RuntimeError(f"left-over class counts mod {p}^{k} are not multiples of p^2 = {p * p}")
@@ -932,7 +925,7 @@ def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
             f"case census mod {p} tallied {int(mult[:7].sum())} prefixes with no all-zero row, and "
             f"{int(mult[7, :-1].sum())} with a zero second row at a live key; want {live} and none"
         )
-    per_pattern = (mult @ _bucket_rows(p))[:, 0].tolist()
+    per_pattern = (mult @ _bucket_rows(p, 1))[:, 0].tolist()
     rows = tuple(
         CaseCensusRow(key[0], key[1], per_pattern[r]) for r, key in enumerate(_PATTERN_KEYS)
     )

@@ -25,13 +25,17 @@ label group of each grid.
 
 hnf_by_euclid reduces the three coefficient columns of each prefix to the
 Hermite basis of their span, one extended-Euclid step per column, so that
-subgroup_rows gives the prefix's third-row counts. gcd_keys is the
-reference for the orbit engines' bucket keys: it forms each prefix's three
-gcds and joins their valuations at each prime power as oracle does, one
-prefix at a time, where the engines read them off per-prime-power tables.
-prefix_tally_by_gcd_keys is the reference for oracle._prefix_tally, the
-tiered census's per-key prefix tally: it keys every sorted divisor triple of
-n against all n^3 second rows by gcd_keys, with no orbits, no Chinese
+subgroup_rows gives the prefix's third-row counts. gcd_keys is the reference
+for the orbit engines' bucket keys: it forms each prefix's three gcds with
+n, one prefix at a time, and joins their valuations at each prime power into
+one key mod n. The engines form no key mod n at all: their keys exist only
+per prime power, read off per-prime-power tables, and the Chinese remainder
+theorem joins x alone. bucket_rows gives the row of each gcd_keys key as the
+product of oracle._bucket_rows(p, k) at its local keys, read at x mod p^k,
+so every test that reads a key's row through it also pins the product rule
+on which that join rests. prefix_tally_by_gcd_keys is the reference for the
+tiered census's prefix pass: it keys every sorted divisor triple of n
+against all n^3 second rows by gcd_keys, with no orbits, no Chinese
 remainder theorem and no per-prime-power table.
 
 row_orbits_by_unit_minimum is the reference for oracle._prime_power_row_orbits,
@@ -159,6 +163,19 @@ def gcd_keys(n: int, forms) -> np.ndarray:
     return key
 
 
+def bucket_rows(n: int) -> np.ndarray:
+    """The (keys, n) rows of the gcd_keys(n, ...) keys: per key, the product of its local keys' oracle._bucket_rows.
+
+    The local rows at p^k are read at x mod p^k, and the keys come in
+    gcd_keys' mixed-radix order, the first prime power's most significant.
+    """
+    rows, x = np.ones((1, n), dtype=np.int64), np.arange(n)
+    for p, k in factorize(n).factors:
+        local = oracle._bucket_rows(p, k)[:, x % p**k]
+        rows = (rows[:, None, :] * local[None, :, :]).reshape(-1, n)
+    return rows
+
+
 def row_orbits_by_unit_minimum(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the rows (Z/n)^3 under unit scaling, as (least row index, size) arrays.
 
@@ -212,7 +229,7 @@ def divisor_rows_by_itertools(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prefix_tally_by_gcd_keys(n: int) -> np.ndarray:
-    """The prefixes mod n per bucket key, all n^6: every sorted divisor triple against all n^3 second rows.
+    """The prefixes mod n per gcd_keys key, all n^6: every sorted divisor triple against all n^3 second rows.
 
     Each triple (g1, g2, g3), as the row (g1, g2, g3) mod n, is paired with
     every second row and keyed by gcd_keys; its key counts are multiplied by

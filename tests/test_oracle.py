@@ -13,13 +13,14 @@ import pytest
 from gl3census import closed_form as cf
 from gl3census import oracle, verify
 from gl3census import structure_maps as sm
-from gl3census.matrices import CLASS_LABELS, ClassLabel, forms, mat3, mod, perm_det_subperms
+from gl3census.matrices import CLASS_LABELS, ClassLabel, forms, mat3, mod, perm_det2, perm_det_subperms
 from gl3census.modring import factorize, is_prime
 from support import (
     CASE_ROWS,
     CENSUS2,
     CENSUS3,
     CLASS_TABLE,
+    bucket_rows,
     divisor_rows_by_itertools,
     gcd_keys,
     hnf_by_euclid,
@@ -198,7 +199,7 @@ def _pair_leftover(p, k, i, j):
     weights = np.where(np.arange(len(W) - 1) == i, W[:-1], 0)
     alone = np.where(np.isin(np.arange(len(sizes)), j), sizes, 0)
     six_fold = oracle._LEFTOVER_ORDERINGS.T @ oracle._leftover_weights(p, k, weights, reps, alone)
-    left, rest = np.divmod(six_fold @ oracle._bucket_rows(n), p * p)
+    left, rest = np.divmod(six_fold @ oracle._bucket_rows(p, k), p * p)
     assert not rest.any()
     return left
 
@@ -294,7 +295,7 @@ def test_six_fold_class_tallies_stay_in_int64(p, k):
     n = p**k
     heads, left = np.split(oracle._class_tallies(p, k), 2)
     assert 0 < heads.sum() <= 6 * n**6 and 0 < left.sum() <= 6 * n**6
-    rows_t = (left // 6) @ oracle._bucket_rows(n)
+    rows_t = (left // 6) @ oracle._bucket_rows(p, k)
     assert 0 < rows_t.sum() <= n**9 and oracle.INT64_CEILING**9 < 2**63
     counts, violations = oracle._class_scan(p, k)
     assert rows_t.tolist() == [*(p * p * counts[:, 3:]).T.tolist(), [0] * n] and violations == 0
@@ -389,7 +390,7 @@ def _closed_form_keys(n):
 @pytest.mark.parametrize("n", range(1, 33))
 def test_bucket_tables_match_third_row_sweep(n):
     # the row of key (a, g) is the third-row sweep of its signature
-    rows = oracle._bucket_rows(n)
+    rows = bucket_rows(n)
     for a, g, key in _closed_form_keys(n):
         assert rows[key].tolist() == third_row_counts_generic(_signature(a % n, g % n), n).tolist(), (a, g)
 
@@ -397,7 +398,7 @@ def test_bucket_tables_match_third_row_sweep(n):
 def test_generic_counts_random_signatures():
     rng = np.random.default_rng(7)
     for n in (4, 6, 9, 12):
-        rows = oracle._bucket_rows(n)
+        rows = bucket_rows(n)
         for _ in range(25):
             sig = tuple(int(v) for v in rng.integers(0, n, 6))
             # bucketing a signature through its gcd key gives the same counts
@@ -411,7 +412,7 @@ def test_hnf_buckets_match_the_per_prefix_reduction(n):
     # listed element by element
     rng = np.random.default_rng(n)
     divisors = _divisors(n)
-    rows = oracle._bucket_rows(n)
+    rows = bucket_rows(n)
     # random forms times random divisors, so that small subgroups come up too
     sig = rng.integers(0, n, (6, 1000)) * rng.choice(divisors, (6, 1000)) % n
     r1, r2 = rng.integers(0, n, size=(2, 3, 1000))
@@ -426,7 +427,7 @@ def test_bucket_symmetries_of_the_orbit_pass(n):
     # permutations and the row swap may negate the determinant coordinate,
     # and keep the bucket's third-row counts
     rng = np.random.default_rng(n)
-    rows = oracle._bucket_rows(n)
+    rows = bucket_rows(n)
     units = np.flatnonzero(oracle._unit_mask(n))
     r1, r2 = rng.integers(0, n, size=(2, 3, 200))
 
@@ -483,7 +484,7 @@ def test_bucket_tables_match_every_element(n):
     # the closed form n a phi(n) / phi(a / g) at gcd(x, a) = g, against a
     # listing of every element of <(a, 0), (g, 1)>, at every key (a, g), and
     # 0 at every other key: those with a dead part
-    rows = oracle._bucket_rows(n)
+    rows = bucket_rows(n)
     live = _closed_form_keys(n)
     a, g, keys = (np.array(v) for v in zip(*live))
     _same_arrays([rows[keys]], [subgroup_rows(n, a, g, np.ones_like(a))])
@@ -512,10 +513,13 @@ def test_orbit_pass_keys_are_the_gcd_keys_of_its_pairs(n):
 
 @pytest.mark.parametrize("n", [*range(1, 25), 30])
 def test_prefix_tally_matches_the_gcd_key_reference(n):
-    # the contraction of W with the tables, before the bucket rows, against
-    # every sorted divisor triple keyed with all n^3 second rows by gcd_keys:
-    # no orbits, no Chinese remainder theorem and no per-prime-power table
-    assert np.array_equal(oracle._prefix_tally(n), prefix_tally_by_gcd_keys(n))
+    # the census, which contracts W with each prime power's table and bucket
+    # rows and joins x alone by the Chinese remainder theorem, against every
+    # sorted divisor triple keyed with all n^3 second rows by gcd_keys, one
+    # key mod n each, times each key's row mod n: no orbits, no Chinese
+    # remainder theorem and no per-prime-power table
+    want = prefix_tally_by_gcd_keys(n) @ bucket_rows(n)
+    assert oracle.census_tiered(n).counts == tuple(want.tolist())
 
 
 def test_key_table_build_is_blocked():
@@ -532,6 +536,28 @@ def test_key_table_build_is_blocked():
         tracemalloc.stop()
     assert table.shape == (28, 4, 4, 50) and table.sum() == 28 * 64**3
     assert peak < table.nbytes + 6 * oracle._BLOCK * 8
+
+
+def test_tiered_census_forms_no_key_space_mod_n():
+    # keys exist only per prime power, and the Chinese remainder theorem
+    # joins x alone. With the tables and bucket rows of 120 = 2^3 3 5 cached
+    # by the censuses at 8, 3 and 5, a census at 120 holds W, each prime
+    # power's (live triples, p^k) third-row counts and the contraction's
+    # partial tensors, none of more than W.size n entries, and the 816
+    # first-row triples of 120: tracemalloc puts its peak at 85 kB, below
+    # one int64 array of W.size n entries (169 kB). Rows per key mod 120,
+    # 425 x 120 int64 (408 kB), would pass it on their own
+    for n in (8, 3, 5):
+        oracle.census_tiered(n)
+    W, _ = oracle._weights_and_tables(120)
+    tracemalloc.start()
+    try:
+        table = oracle.census_tiered(120)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.counts == tuple(cf.count(120, x) for x in range(120))
+    assert peak < W.size * 120 * 8 < 425 * 120 * 8
 
 
 def test_divisor_row_weights_cover_every_row():
@@ -604,12 +630,14 @@ def _block_sensitive_results():
         oracle.case_census(7),
         oracle.census_naive(4).counts,
         oracle.census_naive(5).counts,
+        oracle.census_2x2(7).counts,
     )
 
 
 def test_results_do_not_depend_on_block_budget(monkeypatch, cold_tables):
     # _BLOCK = 1 gives one exponent triple per block of a table build and of
-    # the left-over read, and one prefix per naive block; the tables built
+    # the left-over read, one prefix per naive block and one matrix per 2x2
+    # block; the tables built
     # with the default blocks are dropped first
     default = _block_sensitive_results()
     monkeypatch.setattr(oracle, "_BLOCK", 1)
@@ -648,6 +676,25 @@ def test_naive_job_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 4 * oracle._BLOCK * 8
+
+
+def test_two_by_two_job_memory_is_bounded_by_the_block_budget():
+    # a job of census_2x2(37) spans _CHUNK = 2^20 matrices, formed and
+    # tallied _BLOCK at a time: the int32 digits, perm_det2's permanents and
+    # determinants and the unit mask of one block. tracemalloc puts its peak
+    # at 2.4 MB, where forming the whole chunk at once reached 29 MB. The
+    # tally must be the whole chunk's, formed at once after the trace
+    (args, size), *_ = oracle._range_jobs(37**4, 1, 37)
+    assert size == oracle._CHUNK
+    tracemalloc.start()
+    try:
+        tally = oracle._two_by_two_job(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * oracle._BLOCK * 8
+    perm, det = perm_det2(oracle._digits(range(*args[1:]), 37, 4), 37)
+    assert tally.tolist() == np.bincount(perm[oracle._unit_mask(37)[det]], minlength=37).tolist()
 
 
 def test_naive_keys_are_built_in_slices_of_the_block_budget():

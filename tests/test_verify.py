@@ -83,6 +83,17 @@ def test_corrupted_formula_is_detected(monkeypatch):
     assert any(not r.passed for r in results)
 
 
+def test_full_suite_builds_each_prime_power_once():
+    # the tables and bucket rows are cached per prime power, so the moduli
+    # the suite revisits read them again and none is built twice
+    for cache in (oracle._prime_power_table, oracle._bucket_rows):
+        cache.cache_clear()
+    assert all(r.passed for r in verify.run_suite("full"))
+    for cache in (oracle._prime_power_table, oracle._bucket_rows):
+        info = cache.cache_info()
+        assert info.misses == info.currsize and info.hits > 0, (cache, info)
+
+
 def test_subperm_identity_draws_one_block_at_a_time(monkeypatch):
     # each block of _BLOCK samples is drawn in the kernel's type, so the check
     # never holds the whole (9, samples) int64 draw
@@ -600,7 +611,7 @@ key_check = raises(lambda: verify._case_table(ctx))
 # comes before the contraction, but leave the left-over counts mod 3 off
 # multiples of p^2 = 9 (mod 9 every pair weight is a multiple of 9)
 real_rows = oracle._bucket_rows
-oracle._bucket_rows = lambda n: real_rows(n) + 1
+oracle._bucket_rows = lambda p, k: real_rows(p, k) + 1
 square_check = raises(lambda: oracle._class_scan(3, 1), "multiples of p^2")
 oracle._bucket_rows = real_rows
 
