@@ -20,10 +20,13 @@ n^3/|H|, so a prefix's third-row counts are the first coordinates of the
 elements of H whose second coordinate is a unit, and they depend on three
 gcds with n alone: of the determinant's coefficients, of the columns' 2x2
 minors and of the permanent's coefficients. A closed form in the three gives
-each bucket's counts. Each gcd, and so the closed form read at x mod p^k,
-is the product of its parts at the prime powers p^k of n: keys exist only
-per prime power, and the Chinese remainder theorem joins x alone. The two
-engines agree entry for entry wherever both run.
+each bucket's counts. By the Chinese remainder theorem GL3(Z/n) is the
+product of the GL3(Z/p^k) over the prime powers p^k || n, and a matrix's
+permanent mod n is its permanents mod each p^k, so census_tiered(n) at x is
+the product of the censuses at p^k read at x mod p^k: keys, tables and
+bucket rows exist only per prime power. The two engines agree entry for
+entry wherever both run, and census_naive, which uses no Chinese remainder
+theorem, checks that product at n = 6.
 
 The coefficients are bilinear in the two prefix rows, so scaling either row by
 a unit leaves the gcds alone; so does scaling a column of both rows by a unit,
@@ -33,17 +36,15 @@ pass never pairs rows mod n: at each prime power it pairs the first row's
 sorted triple of valuations at p (its orbit under those column maps) with the
 second row's orbits under unit scaling, built from their normal form, and
 keeps only the summed orbit sizes per exponent triple and local key: one small
-table per prime power, built once per process. By the Chinese remainder
-theorem and the distributive law, census_tiered then tallies the weights of
-its first-row orbits (sorted triples of divisors of n; orbit counting, as in
-Burnside's lemma) by their exponent triple at each prime power and contracts
-that tensor, one prime power at a time, with that power's table times its
-bucket rows, which turns the axis into x mod p^k, and reads the count at x at
-its residues: no pair of rows and no key mod n is formed. A row with every
-entry divisible by some p | n has no invertible completion, and its prefixes
-all get a dead key. class_census and case_census read the same table and
-bucket rows at p^k and at p, by the units among P11, P12, P13 and by the
-second row's zero count. class_census, whose class head a column permutation
+table per prime power, built once per process. The census at p^k weighs each
+live exponent triple by its first-row orbit's size (orbit counting, as in
+Burnside's lemma) and contracts those weights with the table times the bucket
+rows, and census_tiered(n) multiplies the censuses at its prime powers: no
+pair of rows mod n, no key mod n and no array sized by the divisors of a
+composite n is formed. A row with every entry divisible by some p | n has no
+invertible completion, and its prefixes all get a dead key. class_census and
+case_census read the same weights, table and bucket rows at p^k and at p, by
+the units among P11, P12, P13 and by the second row's zero count. class_census, whose class head a column permutation
 reorders, counts its labels over the six column orderings, and reads each pair
 a second time as rows 3 and 1 for the left-over classes, expanded along row 2
 over the rows that keep P11, P12, P13 divisible by p: the image of a lattice
@@ -62,12 +63,15 @@ malloc arenas after the jobs ended, which raised verify's peak RSS on 2
 threads by about 3 MB. The orbit censuses run inline too: their largest
 pair walk, the table at 64, is 200,704 pairs, less than one chunk of
 _CHUNK = 1,048,576, so none would split into a second job. Only a numpy
-call's array loop runs without the interpreter lock, and every call
-hands the lock over. On a 2-vCPU Intel Xeon (Python 3.11.7, numpy 2.4.6, 6
-fresh processes), 262,144-element uint8 adds split over two threads ran
-0.60-0.98 times as fast as on one, 2,400-element ones 0.34-0.69 times, and
-even two 64 MB sha256 hashes, which hold no lock, took 0.053-0.094 s at once
-against 0.047-0.054 s for one. The engines keep their calls block-sized.
+call's array loop runs without the interpreter lock, and every call hands
+the lock over, yet census_2x2's chunks pay on two threads. On a 2-vCPU Intel
+Xeon (Python 3.11.7, numpy 2.4.6, 5 alternating fresh processes, timed
+in-process) it took 0.17-0.22 s on 2 threads against 0.26-0.30 s on 1 at
+n = 64, and 1.01-1.19 s against 1.93-2.11 s at n = 107. At 107 the process's
+CPU time was 1.2-1.8 times its wall time, so both threads ran at once; at 64
+it equalled the wall time, and the pool's worker threads took 1,507-36,675
+minor page faults against the calling thread's 73,037. The engines keep
+their calls block-sized.
 verify.run_suite runs its checks one after another and gives its threads to
 each census's jobs, so that no two checks share the interpreter lock and
 their working sets are never in memory at once.
@@ -79,7 +83,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -89,10 +93,10 @@ from .modring import Modulus, factorize, is_prime
 
 # A 3x3 census counts at most n^9 matrices in int64 tallies (bincounts and the
 # orbit censuses' contractions with _bucket_rows); 127^9 < 2^63 <= 128^9. Keys
-# exist only per prime power, and the tiered census contracts one at a time: a
-# first-row triple's third-row counts at p^k sum to at most p^(6k), so every
-# partial sum of its nonnegative terms is at most n^3 prod p^(6k) = n^9; the
-# Chinese remainder theorem joins only x. The class census's tallies are prefix
+# exist only per prime power: the census at q = p^k counts at most q^9
+# matrices, every partial sum of its nonnegative terms included, and
+# census_tiered(n) is the product of the censuses at its prime powers, every
+# partial product at most prod q^9 = n^9. The class census's tallies are prefix
 # weights counted once per column ordering, at most 6 n^6 per half until
 # _class_scan divides them by 6; its left-over contraction counts rows t, each
 # matrix p^2 times, at most n^9 before the division by p^2.
@@ -412,24 +416,22 @@ def _bucket_rows(p: int, k: int) -> np.ndarray:
 # scaling and column permutation, which mod p^k is the sorted triple
 # e1 <= e2 <= e3 of its entries' valuations at p: the row (p^e1, p^e2, p^e3).
 #
-# A prefix's local key at p^k || n depends only on the prefix mod p^k. By the
-# Chinese remainder theorem its rows mod n are any pair of rows mod each p^k,
-# so, by the distributive law, a first row's third-row counts over all n^3
-# second rows are the outer product over p^k || n of those of its exponent
-# triple at p^k: its table row, summed over u and z, times the bucket rows. A
-# census tallies the weights of its first-row triples (sorted triples of
-# divisors of n) into a tensor W with one axis per prime power, indexed by the
-# triple's exponent triple there, and contracts each axis with that product,
-# which turns it into x mod p^k; the count at x is read at its residues, the
-# one join by the Chinese remainder theorem. The int64 bound is at
-# INT64_CEILING.
+# The census at p^k weighs each live exponent triple by the size of its
+# first-row orbit (_divisor_rows) and contracts those weights with the table,
+# summed over u and z, times the bucket rows. By the Chinese remainder theorem
+# a matrix mod n is any matrix mod each p^k || n, and its permanent and
+# determinant mod n are theirs mod each p^k, so census_tiered(n) at x is the
+# product over p^k || n of the census at p^k read at x mod p^k. The int64
+# bound is at INT64_CEILING. Two checks confirm that product without the
+# Chinese remainder theorem: census_naive at n = 6 (verify's engine agreement),
+# and the gcd-key reference of the tests at every n <= 24 and at 30.
 #
 # A row is dead at p when p divides all three of its entries, so e1 > 0 for a
 # first row. The forms are bilinear, so a prefix with a row dead at p has all
 # six coefficients divisible by p: its local key at p is the dead key, and no
 # third row makes it invertible. The table pairs only the live exponent
-# triples, those with e1 = 0, with the live orbits; it adds the dead orbits'
-# sizes at the dead key, and W puts every dead first row at one last index.
+# triples, those with e1 = 0, with the live orbits, and adds the dead orbits'
+# sizes at the dead key; the dead first-row triples weigh nothing in a census.
 
 
 @lru_cache(maxsize=None)
@@ -479,21 +481,20 @@ def _prime_power_row_orbits(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.concatenate([[1], np.repeat(m - m // p, count)])
 
 
-def _divisor_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the rows (Z/n)^3 under unit column scaling and column permutation, as (3, orbits) gcds and sizes.
+def _divisor_rows(p: int, k: int) -> np.ndarray:
+    """Sizes of the orbits of the rows (Z/p^k)^3 under unit column scaling and column permutation, int64.
 
-    An orbit is the sorted triple (g1, g2, g3) of its entries' gcds with n,
-    g = n for a zero entry, in lexicographic order. phi(n / g) residues have
-    gcd g, so an orbit has prod phi(n / g_i) rows times the number of
-    distinct orderings of the triple (the multinomial coefficient). Both
-    arrays are int64.
+    An orbit is the sorted triple e1 <= e2 <= e3 of its entries' valuations
+    at p, the row (p^e1, p^e2, p^e3), one per column of _sorted_triples(k +
+    1) and in its order, so the live triples (e1 = 0) come first. Units scale
+    a residue onto exactly the residues of its valuation (_valuations), so an
+    orbit has the product of those residue counts rows times the number of
+    distinct orderings of the triple (the multinomial coefficient).
     """
-    per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)  # phi(n / g) at g
-    divisors = np.flatnonzero(per_gcd)
-    i = _sorted_triples(divisors.size)
-    g = divisors[i]
-    # 1, 3 or 6 orderings for 1, 2 or 3 distinct gcds
-    return g, per_gcd[g].prod(axis=0) * np.array([1, 3, 6])[(i[1:] != i[:2]).sum(axis=0)]
+    e = _sorted_triples(k + 1)
+    per_valuation = np.bincount(_valuations(p, k), minlength=k + 1)
+    # 1, 3 or 6 orderings for 1, 2 or 3 distinct valuations
+    return per_valuation[e].prod(axis=0) * np.array([1, 3, 6])[(e[1:] != e[:2]).sum(axis=0)]
 
 
 def _pair_blocks(p: int, k: int, r2):
@@ -543,29 +544,18 @@ def _prime_power_table(p: int, k: int) -> np.ndarray:
     return table
 
 
-def _weights_and_tables(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """W and the table of each p^k || n, checked: RuntimeError unless W sums to n^3 and each table row to p^(3k).
+def _prime_power_weights(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-row weights of the live exponent triples at p^k and the table at p^k, both int64.
 
-    W[i1, ..., im] is the summed size of the first-row triples of n
-    (_divisor_rows) whose sorted exponent triple at the j-th prime power is
-    its i_j-th live one, or, where the triple is dead there, its last index.
+    RuntimeError unless the first-row triples (_divisor_rows), the dead ones
+    included, weigh p^(3k) and each table row sums to p^(3k).
     """
-    g, sizes = _divisor_rows(n)
-    flat, shape, tables = 0, [], []
-    for p, k in factorize(n).factors:
-        cube, live = (k + 1,) * 3, _live_triples(k)
-        e = np.sort(_valuations(p, k).take(g % p**k), axis=0)
-        # a dead triple's code is past every live one's, and lands on the last index
-        at = np.searchsorted(np.ravel_multi_index(live, cube), np.ravel_multi_index(e, cube))
-        flat = flat * (live.shape[1] + 1) + at
-        shape.append(live.shape[1] + 1)
-        tables.append(_prime_power_table(p, k))
-        if (tables[-1].sum(axis=(1, 2, 3)) != p ** (3 * k)).any():
-            raise RuntimeError(f"a row of the table at {p}^{k} does not sum to p^(3k) = {p ** (3 * k)}")
-    W = _tally(flat, sizes, prod(shape)).reshape(shape)
-    if int(W.sum()) != n**3:
-        raise RuntimeError(f"first-row triples mod {n} weigh {int(W.sum())}, not n^3 = {n**3}")
-    return W, tables
+    cube, sizes, table = p ** (3 * k), _divisor_rows(p, k), _prime_power_table(p, k)
+    if int(sizes.sum()) != cube:
+        raise RuntimeError(f"first-row triples mod {p}^{k} weigh {int(sizes.sum())}, not p^(3k) = {cube}")
+    if (table.sum(axis=(1, 2, 3)) != cube).any():
+        raise RuntimeError(f"a row of the table at {p}^{k} does not sum to p^(3k) = {cube}")
+    return sizes[: len(table)], table
 
 
 def _tally(key, weights, n_keys: int) -> np.ndarray:
@@ -580,25 +570,23 @@ def _tally(key, weights, n_keys: int) -> np.ndarray:
 
 
 def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
-    """Exact permanent census over GL3(Z/n) from per-prime-power tables and bucket rows; n <= INT64_CEILING.
+    """Exact permanent census over GL3(Z/n), the product of its censuses at each p^k || n; n <= INT64_CEILING.
 
     Runs inline for every threads >= 1: its only pair walks are the table
     builds, at most 200,704 pairs (at 64), less than one _CHUNK, so no job
-    would split. progress(n^6, n^6) is called once the contraction is done.
+    would split. progress(n^6, n^6) is called once the product is formed.
     """
     modulus = _modulus("census_tiered", n)
     _check_threads(threads)
     n = modulus.n
-    W, tables = _weights_and_tables(n)
-    # W's last index on an axis holds the first rows dead there, which no third row completes
-    counts, at = W[(slice(-1),) * W.ndim], np.zeros(n, dtype=np.int64)
-    for (p, k), table in zip(modulus.factors, tables):
-        # contract the leading axis, this prime power's; x mod p^k becomes the trailing one
-        counts = counts.reshape(len(table), -1).T @ (table.sum(axis=(1, 2)) @ _bucket_rows(p, k))
-        at = at * p**k + np.arange(n) % p**k
+    counts = np.ones(n, dtype=np.int64)
+    for p, k in modulus.factors:
+        w, table = _prime_power_weights(p, k)
+        # the census at p^k, read at x mod p^k
+        counts *= np.tile(w @ table.sum(axis=(1, 2)) @ _bucket_rows(p, k), n // p**k)
     if progress is not None:
         progress(n**6, n**6)
-    return CountTable(modulus, tuple(int(v) for v in counts.ravel()[at]))
+    return CountTable(modulus, tuple(int(v) for v in counts))
 
 
 def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
@@ -834,9 +822,9 @@ def _class_tallies(p: int, k: int) -> np.ndarray:
     The head half reads the table at p^k summed over z; the left-over half
     walks the pairs again (_leftover_weights), as no other census reads it.
     """
-    W, (table,) = _weights_and_tables(p**k)
-    head = (W[:-1] @ table.sum(axis=2).reshape(len(table), -1)).reshape(4, -1)
-    left = _leftover_weights(p, k, W[:-1], *_prime_power_row_orbits(p, k))
+    w, table = _prime_power_weights(p, k)
+    head = (w @ table.sum(axis=2).reshape(len(table), -1)).reshape(4, -1)
+    left = _leftover_weights(p, k, w, *_prime_power_row_orbits(p, k))
     return np.vstack([_HEAD_ORDERINGS.T @ head, _LEFTOVER_ORDERINGS.T @ left])
 
 
@@ -908,12 +896,12 @@ def case_census(p: int, *, threads: int = 1, progress=None) -> CaseCensus:
     if not is_prime(p) or p == 2:
         raise ValueError(f"case census needs an odd prime, got {p}")
     _check_threads(threads)
-    W, (table,) = _weights_and_tables(p)
+    w, table = _prime_power_weights(p, 1)
     n_keys = table.shape[-1]
     # the live triples (1, 1, 1), (1, 1, 0) and (1, 0, 0) have 3, 2 and 1 nonzero entries
     pattern = _PATTERN_OF[(_live_triples(1) == 0).sum(axis=0)[:, None], np.arange(4)]
     cells = pattern[:, :, None] * n_keys + np.arange(n_keys)
-    mult = _tally(cells, W[:-1, None, None] * table.sum(axis=1), 8 * n_keys).reshape(8, -1)
+    mult = _tally(cells, w[:, None, None] * table.sum(axis=1), 8 * n_keys).reshape(8, -1)
     if progress is not None:
         progress(p**6, p**6)
     # at a prime the only dead row is the zero row, so the live first rows meet

@@ -29,14 +29,16 @@ subgroup_rows gives the prefix's third-row counts. gcd_keys is the reference
 for the orbit engines' bucket keys: it forms each prefix's three gcds with
 n, one prefix at a time, and joins their valuations at each prime power into
 one key mod n. The engines form no key mod n at all: their keys exist only
-per prime power, read off per-prime-power tables, and the Chinese remainder
-theorem joins x alone. bucket_rows gives the row of each gcd_keys key as the
-product of oracle._bucket_rows(p, k) at its local keys, read at x mod p^k,
-so every test that reads a key's row through it also pins the product rule
-on which that join rests. prefix_tally_by_gcd_keys is the reference for the
-tiered census's prefix pass: it keys every sorted divisor triple of n
-against all n^3 second rows by gcd_keys, with no orbits, no Chinese
-remainder theorem and no per-prime-power table.
+per prime power, read off per-prime-power tables, and census_tiered(n) is
+the product of its censuses at each p^k || n, read at x mod p^k.
+bucket_rows gives the row of each gcd_keys key as the product of
+oracle._bucket_rows(p, k) at its local keys, read at x mod p^k, so every
+test that reads a key's row through it also pins that product rule for one
+key. prefix_tally_by_gcd_keys is the reference for the tiered census: it
+keys every sorted divisor triple of n against all n^3 second rows by
+gcd_keys, with no orbits, no Chinese remainder theorem and no
+per-prime-power table. With census_naive at n = 6, it is what confirms the
+product of the prime-power censuses at a composite n.
 
 row_orbits_by_unit_minimum is the reference for oracle._prime_power_row_orbits,
 which builds each unit-scaling orbit's normal form directly instead of taking
@@ -45,7 +47,8 @@ the least image of every row over all units.
 normal_forms_by_meshgrid and divisor_rows_by_itertools are the earlier
 constructions of oracle._prime_power_row_orbits and _divisor_rows, kept as
 references for the whole-array builders: one meshgrid per (valuation, pivot)
-block of normal forms, and divisor triples listed by itertools.
+block of normal forms, and divisor triples listed by itertools, at any n
+where oracle._divisor_rows(p, k) counts them per prime power.
 
 naive_joint_by_matrix is the earlier oracle._naive_job, the reference for the
 naive sweep's tallies: it lists each matrix's own index over all n^3 first
@@ -219,7 +222,11 @@ def normal_forms_by_meshgrid(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def divisor_rows_by_itertools(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """oracle._divisor_rows(n): sorted gcd triples listed by itertools, orderings counted by set."""
+    """Sorted gcd triples mod n and their orbit sizes, listed by itertools, orderings counted by set.
+
+    At n = p^k these are the rows p ** oracle._sorted_triples(k + 1) and the
+    sizes oracle._divisor_rows(p, k), in the same order.
+    """
     per_gcd = np.bincount(np.gcd(np.arange(n), n), minlength=n + 1)
     divisors = np.flatnonzero(per_gcd).tolist()
     triples = list(itertools.combinations_with_replacement(divisors, 3))

@@ -193,10 +193,9 @@ def _pair_leftover(p, k, i, j):
 
     j is an orbit's index, or an array of them: their pairs with i are summed.
     """
-    n = p**k
-    W, _ = oracle._weights_and_tables(n)
+    first, _ = oracle._prime_power_weights(p, k)
     reps, sizes = oracle._prime_power_row_orbits(p, k)
-    weights = np.where(np.arange(len(W) - 1) == i, W[:-1], 0)
+    weights = np.where(np.arange(len(first)) == i, first, 0)
     alone = np.where(np.isin(np.arange(len(sizes)), j), sizes, 0)
     six_fold = oracle._LEFTOVER_ORDERINGS.T @ oracle._leftover_weights(p, k, weights, reps, alone)
     left, rest = np.divmod(six_fold @ oracle._bucket_rows(p, k), p * p)
@@ -212,16 +211,15 @@ def test_leftover_tally_matches_member_sweep(p, k, pairs):
     # mod p: the others must count none. At p = 2 there are none, and at k =
     # 1 their permanents are all 0, so these pin the lattice of second rows,
     # the p^2 division, the invariance under unit column scaling and the count
-    # of labels over the column orderings. f runs over sorted divisor triples,
-    # each of weight m times its unit column-scaling orbit's size, m its
-    # number of distinct orderings: at p^k the live ones come first in the
-    # divisor rows, as the rows (p^e1, p^e2, p^e3) of the live exponent
-    # triples the class pass reads. At (5, 2) and (3, 3) the lightest pairs
-    # come first, and they reach permanents of every valuation 1..k.
+    # of labels over the column orderings. f runs over the live sorted
+    # divisor triples, the rows (p^e1, p^e2, p^e3) of the live exponent
+    # triples the class pass reads, each of weight m times its unit
+    # column-scaling orbit's size, m its number of distinct orderings, as
+    # _prime_power_weights gives them. At (5, 2) and (3, 3) the lightest
+    # pairs come first, and they reach permanents of every valuation 1..k.
     n = p**k
-    g, first_sizes = oracle._divisor_rows(n)
-    f = g[:, : oracle._live_triples(k).shape[1]] % n
-    assert np.array_equal(f, p ** oracle._live_triples(k) % n)
+    first_sizes, _ = oracle._prime_power_weights(p, k)
+    f = p ** oracle._live_triples(k) % n
     reps, sizes = oracle._prime_power_row_orbits(p, k)
     val = oracle._valuations(p, k)
     i, j = np.indices((f.shape[1], len(sizes))).reshape(2, -1)
@@ -262,7 +260,7 @@ def test_row_two_lattice_is_the_rows_that_keep_p1j_divisible(p, k):
     # mod p exactly p^2 times, and no other row; with three at odd p those
     # rows are p (Z/n)^3, which L = p I reaches. At p = 2, see the next test.
     n = p**k
-    g, _ = oracle._divisor_rows(n)
+    g = p ** oracle._sorted_triples(k + 1)
     x = np.indices((n,) * 3).reshape(3, -1)  # every row, in C order
     for f in (g % n).T[np.gcd.reduce(g, axis=0) == 1]:
         S = np.array([[0, f[2], f[1]], [f[2], 0, f[0]], [f[1], f[0], 0]])
@@ -446,13 +444,15 @@ def test_bucket_symmetries_of_the_orbit_pass(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_divisor_rows_match_gcd_classes(n):
-    # group all n^3 rows by their sorted triple of gcds with n: each class is
-    # one rep, whose gcd triple is the class, weighted by its size
-    rows = np.array(list(itertools.product(range(n), repeat=3)))
-    classes, sizes = np.unique(np.sort(np.gcd(rows, n), axis=1), axis=0, return_counts=True)
-    g, sizes = oracle._divisor_rows(n)
-    got = sorted(zip(map(tuple, np.gcd(g, n).T.tolist()), sizes.tolist()))
-    assert got == sorted(zip(map(tuple, classes.tolist()), sizes.tolist()))
+    # at each p^k || n, group all q^3 rows by their sorted triple of gcds
+    # with q: each class is the row (p^e1, p^e2, p^e3) of one sorted exponent
+    # triple, weighted by its size
+    for p, k in factorize(n).factors:
+        q = p**k
+        rows = np.array(list(itertools.product(range(q), repeat=3)))
+        classes, sizes = np.unique(np.sort(np.gcd(rows, q), axis=1), axis=0, return_counts=True)
+        got = zip(map(tuple, (p ** oracle._sorted_triples(k + 1)).T.tolist()), oracle._divisor_rows(p, k).tolist())
+        assert sorted(got) == sorted(zip(map(tuple, classes.tolist()), sizes.tolist())), q
 
 
 def _same_arrays(got, want):
@@ -471,12 +471,14 @@ def test_prime_power_row_orbits_match_the_meshgrid_blocks():
 
 @pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1, 16))
 def test_row_and_divisor_orbits_match_the_earlier_builds(n):
-    # sixteen moduli per test, n, n + 1, ..., n + 15: the same first-row
-    # triples and sizes, in the same order and types, as the itertools
-    # listing. The second-row orbits exist only at prime powers, pinned to
-    # the meshgrid blocks above
-    for m in range(n, min(n + 16, oracle.INT64_CEILING + 1)):
-        _same_arrays(oracle._divisor_rows(m), divisor_rows_by_itertools(m))
+    # the prime powers among n, n + 1, ..., n + 15: the same first-row
+    # triples, as the rows of the sorted exponent triples, and sizes, in the
+    # same order and types, as the itertools listing. The second-row orbits
+    # are pinned to the meshgrid blocks above
+    for p, k in _prime_powers(oracle.INT64_CEILING):
+        if n <= p**k < n + 16:
+            got = (p ** oracle._sorted_triples(k + 1), oracle._divisor_rows(p, k))
+            _same_arrays(got, divisor_rows_by_itertools(p**k))
 
 
 @pytest.mark.parametrize("n", range(1, oracle.INT64_CEILING + 1))
@@ -513,11 +515,11 @@ def test_orbit_pass_keys_are_the_gcd_keys_of_its_pairs(n):
 
 @pytest.mark.parametrize("n", [*range(1, 25), 30])
 def test_prefix_tally_matches_the_gcd_key_reference(n):
-    # the census, which contracts W with each prime power's table and bucket
-    # rows and joins x alone by the Chinese remainder theorem, against every
-    # sorted divisor triple keyed with all n^3 second rows by gcd_keys, one
-    # key mod n each, times each key's row mod n: no orbits, no Chinese
-    # remainder theorem and no per-prime-power table
+    # the census, the product of its censuses at each p^k || n, against
+    # every sorted divisor triple of n keyed with all n^3 second rows by
+    # gcd_keys, one key mod n each, times each key's row mod n: no orbits, no
+    # Chinese remainder theorem and no per-prime-power table. With
+    # census_naive at 6, this is what confirms the product rule at composite n
     want = prefix_tally_by_gcd_keys(n) @ bucket_rows(n)
     assert oracle.census_tiered(n).counts == tuple(want.tolist())
 
@@ -538,18 +540,17 @@ def test_key_table_build_is_blocked():
     assert peak < table.nbytes + 6 * oracle._BLOCK * 8
 
 
-def test_tiered_census_forms_no_key_space_mod_n():
-    # keys exist only per prime power, and the Chinese remainder theorem
-    # joins x alone. With the tables and bucket rows of 120 = 2^3 3 5 cached
-    # by the censuses at 8, 3 and 5, a census at 120 holds W, each prime
-    # power's (live triples, p^k) third-row counts and the contraction's
-    # partial tensors, none of more than W.size n entries, and the 816
-    # first-row triples of 120: tracemalloc puts its peak at 85 kB, below
-    # one int64 array of W.size n entries (169 kB). Rows per key mod 120,
-    # 425 x 120 int64 (408 kB), would pass it on their own
+def test_tiered_census_at_a_composite_n_holds_a_few_vectors_of_n():
+    # census_tiered(n) multiplies its censuses at each p^k || n, each tiled
+    # to length n. With the tables and bucket rows of 120 = 2^3 3 5 cached by
+    # the censuses at 8, 3 and 5, a census at 120 holds a few int64 vectors
+    # of 120 entries and the table it returns: tracemalloc puts its peak at
+    # 5.4 kB, below 16 such vectors (15.4 kB). The 816 sorted divisor triples
+    # of 120 and their sizes (26 kB) would pass it on their own, as did the
+    # joint first-row weight tensor over 8, 3 and 5 with its contraction
+    # (85-134 kB, whether or not the triples' listing was cached)
     for n in (8, 3, 5):
         oracle.census_tiered(n)
-    W, _ = oracle._weights_and_tables(120)
     tracemalloc.start()
     try:
         table = oracle.census_tiered(120)
@@ -557,12 +558,17 @@ def test_tiered_census_forms_no_key_space_mod_n():
     finally:
         tracemalloc.stop()
     assert table.counts == tuple(cf.count(120, x) for x in range(120))
-    assert peak < W.size * 120 * 8 < 425 * 120 * 8
+    assert peak < 16 * 120 * 8
 
 
 def test_divisor_row_weights_cover_every_row():
-    for n in range(1, oracle.INT64_CEILING + 1):
-        assert int(oracle._divisor_rows(n)[1].sum()) == n**3, n
+    # at every p^k <= INT64_CEILING the first-row triples weigh q^3, and the
+    # live weights the censuses read are the itertools listing's first ones
+    for p, k in _prime_powers(oracle.INT64_CEILING):
+        _, sizes = divisor_rows_by_itertools(p**k)
+        assert int(oracle._divisor_rows(p, k).sum()) == int(sizes.sum()) == p ** (3 * k), (p, k)
+        first, _ = oracle._prime_power_weights(p, k)
+        assert first.tolist() == sizes[: oracle._live_triples(k).shape[1]].tolist(), (p, k)
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -597,8 +603,9 @@ def test_orbit_pass_skips_exactly_the_dead_prefixes(n):
         rows = np.array(list(itertools.product(range(q), repeat=3)))
         dead = (rows % p == 0).all(axis=1)
         dead_prefixes = int(np.logical_or.outer(dead, dead).sum())
-        g, first = oracle._divisor_rows(q)
-        assert np.array_equal(g[:, :n_live], p ** oracle._live_triples(k))
+        e = oracle._sorted_triples(k + 1)
+        assert np.array_equal(e[:, e[0] == 0], oracle._live_triples(k))
+        first, _ = oracle._prime_power_weights(p, k)
         reps, sizes = oracle._prime_power_row_orbits(p, k)
         live = (reps % p).any(axis=0)
         r2 = [v[None, live] for v in reps.astype(oracle._kernel_type(q))]

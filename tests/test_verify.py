@@ -615,18 +615,19 @@ oracle._bucket_rows = lambda p, k: real_rows(p, k) + 1
 square_check = raises(lambda: oracle._class_scan(3, 1), "multiples of p^2")
 oracle._bucket_rows = real_rows
 
-# the first-row triple (1, 5, 5) one heavier and (5, 5, 5) one lighter still
-# weigh 5^3, but leave the six-fold class tallies mod 5 inexact; one more row
-# in all leaves the first-row weights off n^3
+# the first-row triple (1, 5, 5), exponents (0, 1, 1), one heavier and
+# (5, 5, 5), exponents (1, 1, 1), one lighter still weigh 5^3, but leave the
+# six-fold class tallies mod 5 inexact; one more row in all leaves the
+# first-row weights off p^(3k)
 real_divisor_rows = oracle._divisor_rows
-g, sizes = real_divisor_rows(5)
-moved, triples = sizes.copy(), g.T.tolist()
-moved[triples.index([1, 5, 5])] += 1
-moved[triples.index([5, 5, 5])] -= 1
-oracle._divisor_rows = lambda n: (g, moved)
+sizes = real_divisor_rows(5, 1)
+moved, triples = sizes.copy(), oracle._sorted_triples(2).T.tolist()
+moved[triples.index([0, 1, 1])] += 1
+moved[triples.index([1, 1, 1])] -= 1
+oracle._divisor_rows = lambda p, k: moved
 six_check = raises(lambda: oracle._class_scan(5, 1), "multiples of 6")
-oracle._divisor_rows = lambda n: (g, sizes + (np.arange(len(sizes)) == 0))
-cover_check = raises(lambda: oracle.census_tiered(5), "not n^3")
+oracle._divisor_rows = lambda p, k: sizes + (np.arange(len(sizes)) == 0)
+cover_check = raises(lambda: oracle.census_tiered(5), "first-row triples mod 5^1 weigh 126")
 oracle._divisor_rows = real_divisor_rows
 
 # one table entry one higher leaves its row off p^(3k); a live orbit's weight
