@@ -5,14 +5,13 @@ Subcommands: eval (closed-form count), oracle (exhaustive census), table
 Exit codes: 0 success, 1 verification failures (including a table --check
 row that disagrees), 2 usage error, 3 census bound exceeded (oracle's
 INT64_CEILING or SCAN_BUDGET, checked before n is factorized), 4 out of
-memory, or a census, one of its workers or a check that fails its own
-invariant (a RuntimeError), 141 stdout closed by its reader (128 + SIGPIPE,
-the code a shell reports for a filter killed by a closed pipe). --threads
-sets the number of worker threads, by default the CPUs this process may run
-on: oracle, table and verify give them to each census, and verify runs its
-checks one after another. census_2x2 is the only engine that splits across
-threads; the naive and orbit censuses run inline. Output carries no
-timestamps, so identical invocations produce identical bytes.
+memory, or a census or a check that fails its own invariant (a
+RuntimeError), 141 stdout closed by its reader (128 + SIGPIPE, the code a
+shell reports for a filter killed by a closed pipe). --threads, by default
+the CPUs this process may run on, is checked and given to each census by
+oracle, table and verify, but every census runs on the calling thread, and
+verify runs its checks one after another. Output carries no timestamps, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations

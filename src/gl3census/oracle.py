@@ -51,36 +51,27 @@ over the rows that keep P11, P12, P13 divisible by p: the image of a lattice
 map whose forms read the same keys and bucket rows. That second read walks the
 pairs at p^k again, as no other census reads it.
 
-census_2x2 may run on several worker threads: its index range is split into
-fixed chunks, each thread tallies its chunks into int64 arrays, and the merge
-adds them in chunk order, so results are identical for every thread count.
-census_naive splits its range into the same chunks but runs them inline, in
-chunk order, whatever threads it is given: its tally is an np.bincount per
-block, which holds the interpreter lock (numpy 2.4.6), so a second thread
-only waits. On a 2-vCPU host its 128 chunks at n = 8 took 52 ms on 1 thread
-against 69 ms on 2, and the pool's workers kept their tallies in their
-malloc arenas after the jobs ended, which raised verify's peak RSS on 2
-threads by about 3 MB. The orbit censuses run inline too: their largest
-pair walk, the table at 64, is 200,704 pairs, less than one chunk of
-_CHUNK = 1,048,576, so none would split into a second job. Only a numpy
-call's array loop runs without the interpreter lock, and every call hands
-the lock over, yet census_2x2's chunks pay on two threads. On a 2-vCPU Intel
-Xeon (Python 3.11.7, numpy 2.4.6, 5 alternating fresh processes, timed
-in-process) it took 0.17-0.22 s on 2 threads against 0.26-0.30 s on 1 at
-n = 64, and 1.01-1.19 s against 1.93-2.11 s at n = 107. At 107 the process's
-CPU time was 1.2-1.8 times its wall time, so both threads ran at once; at 64
-it equalled the wall time, and the pool's worker threads took 1,507-36,675
-minor page faults against the calling thread's 73,037. The engines keep
-their calls block-sized.
-verify.run_suite runs its checks one after another and gives its threads to
-each census's jobs, so that no two checks share the interpreter lock and
+census_2x2 counts GL2(Z/n) from the products s = ad and t = bc mod n: the
+permanent s + t and the determinant s - t of (a, b; c, d) depend on the
+matrix only through them, and the two products share no entry. So it counts
+the pairs (a, d) per product once and adds ways[s] ways[t] at s + t wherever
+s - t is a unit, by the distributive law census_naive uses for its third
+entry's term: every matrix is counted once and no symmetry is used.
+
+Every engine runs on the calling thread. threads is checked and kept for
+callers that pass one count to every engine, but nothing splits. The naive
+census's jobs run in job order: each tallies with an np.bincount per block,
+which holds the interpreter lock (numpy 2.4.6), so a pool lost to the
+calling thread at every n <= 8, and its workers' malloc arenas kept their
+tallies after the jobs ended. The orbit censuses' largest pair walk, the
+table at 64, is 200,704 pairs, less than one _CHUNK job, and census_2x2
+forms n^2 products. verify.run_suite runs its checks one after another, so
 their working sets are never in memory at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -104,8 +95,9 @@ INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
 # still reaches n = 8 (n^9 matrices, each covered once, its third entry's
 # term added per z-column key rather than per matrix), census_2x2 n = 107
-# (n^4), fiber_count 2^4, 3^2, 5^2 and 7^2 but not 3^3 (p^(9(k - 1)) lifts),
-# and verify.shift_round_trip's population scan, charged n^8, n = 10.
+# (charged the n^4 matrices it covers, though it forms only n^2 products of
+# two entries), fiber_count 2^4, 3^2, 5^2 and 7^2 but not 3^3 (p^(9(k - 1))
+# lifts), and verify.shift_round_trip's population scan, charged n^8, n = 10.
 SCAN_BUDGET = 1 << 27
 
 _CHUNK = 1 << 20  # matrices per job
@@ -290,54 +282,25 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def _sum_jobs(fn, jobs, threads, progress):
-    """Sum fn(args) over one or more (args, size) jobs, inline or on a thread pool, adding in job order.
+def _sum_jobs(fn, jobs, progress):
+    """Sum fn(args) over one or more (args, size) jobs, on the calling thread and in job order.
 
     The sum starts from the first job's result and adds the others into it
     in place, so jobs return numbers or fresh arrays that nothing else holds.
-    progress(done, total) reports the summed sizes of the jobs finished, from
-    the calling thread. The pool has at most one thread per job, and a single
-    job runs inline. A job's exception reaches the caller as it was raised,
-    and no later job starts once it has been raised. If
-    the caller's side raises (progress, or an interrupt while waiting),
-    queued jobs are cancelled and only the running ones are waited for.
+    progress(done, total) reports the summed sizes of the jobs finished. An
+    exception from a job or from progress reaches the caller as it was
+    raised, and no later job starts.
     """
-    _check_threads(threads)
-    total = sum(size for _, size in jobs)
-    workers = min(threads, len(jobs))
-    arglist = [args for args, _ in jobs]
-    failed = len(jobs)  # the first job that raised; -1 once the caller's side has
-    lock = threading.Lock()
-    if workers > 1:  # imported here, so that a run without a pool never loads it
-        from concurrent.futures import CancelledError, ThreadPoolExecutor
-
-    def run(i):
-        nonlocal failed
-        if i > failed:  # a job before the one that raised still runs: its result is read first
-            raise CancelledError
-        try:
-            return fn(arglist[i])
-        except BaseException:
-            with lock:
-                failed = min(failed, i)
-            raise
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        results = pool.map(run, range(len(jobs))) if pool is not None else map(fn, arglist)
-        done, out = 0, None
-        for (_, size), res in zip(jobs, results):
-            if out is None:
-                out = res
-            else:
-                out += res
-            done += size
-            if progress is not None:
-                progress(done, total)
-    finally:
-        if pool is not None:  # after the last result nothing is left to cancel
-            failed = -1
-            pool.shutdown(cancel_futures=True)
+    total, done, out = sum(size for _, size in jobs), 0, None
+    for args, size in jobs:
+        res = fn(args)
+        if out is None:
+            out = res
+        else:
+            out += res
+        done += size
+        if progress is not None:
+            progress(done, total)
     return out
 
 
@@ -700,39 +663,40 @@ def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountT
     unreduced (perm, det) tally mod n, and sums its unit-determinant columns.
     It frees the tables when it returns.
 
-    The jobs run inline, in job order, for every threads >= 1, and progress
-    ticks once per job. A job's tally is an np.bincount per block, which
-    holds the interpreter lock, so a pool loses to the calling thread at
-    every n <= 8 and its workers' malloc arenas keep their tallies after
-    the jobs end (see the module docstring). threads is still checked, and
-    kept for callers that pass the same count to every engine.
+    The jobs run on the calling thread, in job order, for every threads >= 1
+    (see the module docstring), and progress ticks once per job.
     """
     modulus = _modulus("census_naive", n, scan=9)
     _check_threads(threads)
     n, w = modulus.n, 3 * modulus.n - 2
     tables = _naive_keys(n)
-    tally = _sum_jobs(_naive_job, _range_jobs(n**6, n**3, n, tables), 1, progress)
+    tally = _sum_jobs(_naive_job, _range_jobs(n**6, n**3, n, tables), progress)
     fold = mod(np.arange(w), n)
     joint = _naive_joint(n, tables[2], tally).reshape(w, w)
     counts = _tally(fold, joint[:, _unit_mask(n).take(fold)].sum(axis=1), n)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
-def _two_by_two_job(args):
-    """The permanents of the invertible 2x2 matrices start..stop-1, tallied in blocks of _BLOCK matrices."""
-    n, start, stop = args
-    unit, tally = _unit_mask(n), np.zeros(n, dtype=np.int64)
-    for s in range(start, stop, _BLOCK):
-        perm, det = perm_det2(_digits(range(s, min(s + _BLOCK, stop)), n, 4), n)
-        tally += np.bincount(perm[unit.take(det)], minlength=n)
-    return tally
-
-
 def census_2x2(n: int | Modulus, *, threads: int = 1, progress=None) -> CountTable:
-    """Exact permanent census over GL2(Z/n), scanning all n^4 <= SCAN_BUDGET matrices; n <= 107."""
+    """Exact permanent census over GL2(Z/n), covering all n^4 <= SCAN_BUDGET matrices; n <= 107.
+
+    ways[s] counts the pairs (a, d) with ad = s mod n, over all n^2 of them.
+    Each pair (s, t) of products is the matrix (s, t; 1, 1) to perm_det2,
+    whose permanent and determinant are those of every matrix with ad = s
+    and bc = t, so where its determinant is a unit it adds ways[s] ways[t]
+    at its permanent (see the module docstring). Runs on the calling thread
+    for every threads >= 1, and calls progress(n^4, n^4) once the tally is
+    done.
+    """
     modulus = _modulus("census_2x2", n, scan=4)
+    _check_threads(threads)
     n = modulus.n
-    counts = _sum_jobs(_two_by_two_job, _range_jobs(n**4, 1, n), threads, progress)
+    pairs = _digits(range(n * n), n, 2)  # the pairs (a, d), then the pairs (s, t)
+    ways = np.bincount(mod(pairs[0] * pairs[1], n), minlength=n)
+    perm, det = perm_det2((*pairs, 1, 1), n)
+    counts = _tally(perm, ways[pairs[0]] * ways[pairs[1]] * _unit_mask(n).take(det), n)
+    if progress is not None:
+        progress(n**4, n**4)
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 

@@ -107,7 +107,7 @@ def fiber_count(a: Mat3, p: int, k: int, *, progress=None) -> int:
     q = p ** (k - 1)
     flat = tuple(v for row in a.rows for v in row)
     jobs = oracle._range_jobs(q**9, 1, flat, p, k)
-    return int(oracle._sum_jobs(_fiber_job, jobs, 1, progress))
+    return int(oracle._sum_jobs(_fiber_job, jobs, progress))
 
 
 def _fiber_job(args):

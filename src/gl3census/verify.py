@@ -165,7 +165,7 @@ class _Ctx:
     """What the checks share: the profile, the seed, the threads and the censuses, each computed once.
 
     The checks run one after another on the calling thread, and every
-    census they run gives the suite's threads to its own jobs, if it has any.
+    census they run is given the suite's threads and runs on that thread too.
     """
 
     profile: SuiteProfile
@@ -914,13 +914,11 @@ def run_suite(
 
     The checks run one after another on the calling thread, in
     registration order, and each census they run is given threads, as
-    oracle and table do. census_2x2 is the only engine that splits across
-    threads: the naive census runs its jobs inline (a pool loses there),
-    and the orbit censuses are one job each. The censuses the checks share
-    are computed once each (_Ctx), and the report does not depend on
-    threads. progress(i, total, tag) is called just before check i runs,
-    for i = 0 to total - 1, then (total, total, "done"). A check or a
-    progress callback that raises stops the checks after it.
+    oracle and table do, and runs on that thread too. The censuses the
+    checks share are computed once each (_Ctx), and the report does not
+    depend on threads. progress(i, total, tag) is called just before check
+    i runs, for i = 0 to total - 1, then (total, total, "done"). A check or
+    a progress callback that raises stops the checks after it.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

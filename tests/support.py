@@ -55,6 +55,11 @@ naive sweep's tallies: it lists each matrix's own index over all n^3 first
 rows of each prefix, where the job lists the first two entries once per prefix
 and oracle._naive_joint adds the third entry's term per z-column key.
 
+census_2x2_by_scan is the earlier oracle.census_2x2, the reference for the
+2x2 census: it lists all n^4 matrices and tallies each one's permanent where
+its determinant is a unit, where the census counts the products ad and bc
+once each and adds their pairs.
+
 shift_verify_members_by_scatter is the reference for the shift check,
 verify._shift_verify, on (9, m) members and on grid batches alike: it copies
 each batch per shift, moves the pivot entries by a flat gather and scatter,
@@ -76,7 +81,7 @@ from math import gcd
 import numpy as np
 
 from gl3census import oracle, structure_maps
-from gl3census.matrices import Mat3, determinant3, forms, mod, permanent3, perm_det, perm_det_subperms
+from gl3census.matrices import Mat3, determinant3, forms, mod, permanent3, perm_det, perm_det2, perm_det_subperms
 from gl3census.modring import factorize
 
 
@@ -270,6 +275,15 @@ def naive_joint_by_matrix(args) -> np.ndarray:
         index = T.take(key3[block], axis=0)[:, :, None] + TT.take(key12[block], axis=0)[:, None, :]
         joint += np.bincount(index.ravel(), minlength=w * w)
     return joint
+
+
+def census_2x2_by_scan(n: int) -> tuple[int, ...]:
+    """The permanent census over GL2(Z/n) from every one of the n^4 matrices, _BLOCK matrices at a time."""
+    unit, tally = oracle._unit_mask(n), np.zeros(n, dtype=np.int64)
+    for s in range(0, n**4, oracle._BLOCK):
+        perm, det = perm_det2(oracle._digits(range(s, min(s + oracle._BLOCK, n**4)), n, 4), n)
+        tally += np.bincount(perm[unit.take(det)], minlength=n)
+    return tuple(int(v) for v in tally)
 
 
 def zero_perm_members_by_filter(n: int):

@@ -256,8 +256,8 @@ def test_verify_quick_cli(capsys):
 
 
 def test_memory_error_in_a_census_job_exits_four(monkeypatch, capsys):
-    # the naive census at 6 splits into 10 jobs, which it runs inline on two
-    # threads too; test_oracle covers a job raising on a pool
+    # the naive census at 6 splits into 10 jobs, which it runs on the calling
+    # thread, two threads given or not
     def naive_job(args):
         raise MemoryError
 

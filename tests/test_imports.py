@@ -68,26 +68,23 @@ for argv in (["eval", "5", "1"], ["oracle", "12"], ["table", "--section", "case-
     assert run_fresh(code) == ["eval 0 []", "oracle 0 []", "table 0 []"]
 
 
-def test_only_a_census_on_a_pool_loads_concurrent_futures():
-    # the orbit censuses and the naive census run inline on any thread count,
-    # the naive one although it splits into 10 jobs at 6; the 2x2 census at
-    # 37 splits into 2 jobs, which two threads run on a pool
+def test_no_census_loads_concurrent_futures():
+    # every engine runs on the calling thread, given two threads or not: the
+    # orbit censuses, the naive census at 6 (10 jobs) and the 2x2 census at
+    # 37 and at 107, its bound
     code = """
 import sys
 from gl3census import closed_form, oracle
 
 table = oracle.census_tiered(120, threads=2)
+print(table.counts == tuple(closed_form.count(120, x) for x in range(120)))
 oracle.class_census(5, 3, threads=2)
 oracle.case_census(13, threads=2)
-print("concurrent.futures" in sys.modules)
-print(table.counts == tuple(closed_form.count(120, x) for x in range(120)))
-jobs = len(oracle._range_jobs(6**6, 6**3))
 table = oracle.census_naive(6, threads=2)
-print(jobs, "concurrent.futures" in sys.modules)
 print(table.counts == tuple(closed_form.count(6, x) for x in range(6)))
-jobs = len(oracle._range_jobs(37**4, 1))
-table = oracle.census_2x2(37, threads=2)
-print(jobs, "concurrent.futures" in sys.modules)
-print(table.counts == tuple(closed_form.count2_prime(37, x) for x in range(37)))
+for p in (37, 107):
+    table = oracle.census_2x2(p, threads=2)
+    print(table.counts == tuple(closed_form.count2_prime(p, x) for x in range(p)))
+print("concurrent.futures" in sys.modules)
 """
-    assert run_fresh(code) == ["False", "True", "10 False", "True", "2 True", "True"]
+    assert run_fresh(code) == ["True", "True", "True", "True", "False"]

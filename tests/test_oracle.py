@@ -3,7 +3,6 @@ import gc
 import itertools
 import math
 import threading
-import time
 import tracemalloc
 import weakref
 
@@ -21,6 +20,7 @@ from support import (
     CENSUS3,
     CLASS_TABLE,
     bucket_rows,
+    census_2x2_by_scan,
     divisor_rows_by_itertools,
     gcd_keys,
     hnf_by_euclid,
@@ -60,6 +60,20 @@ def test_census_totals_are_group_orders():
 def test_census_2x2_matches_frozen():
     for n, row in CENSUS2.items():
         assert oracle.census_2x2(n).counts == row
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64])
+def test_census_2x2_matches_the_scan(n):
+    # the census counts the products ad and bc once each; the scan lists all
+    # n^4 matrices
+    assert oracle.census_2x2(n).counts == census_2x2_by_scan(n)
+
+
+def test_census_2x2_matches_the_closed_form_at_every_odd_prime():
+    primes = [p for p in range(3, 108) if is_prime(p)]
+    assert primes[-1] == 107
+    for p in primes:
+        assert oracle.census_2x2(p).counts == tuple(cf.count2_prime(p, x) for x in range(p)), p
 
 
 def test_bounds_are_enforced(monkeypatch):
@@ -685,25 +699,6 @@ def test_naive_job_memory_is_bounded_by_the_block_budget():
     assert peak < 4 * oracle._BLOCK * 8
 
 
-def test_two_by_two_job_memory_is_bounded_by_the_block_budget():
-    # a job of census_2x2(37) spans _CHUNK = 2^20 matrices, formed and
-    # tallied _BLOCK at a time: the int32 digits, perm_det2's permanents and
-    # determinants and the unit mask of one block. tracemalloc puts its peak
-    # at 2.4 MB, where forming the whole chunk at once reached 29 MB. The
-    # tally must be the whole chunk's, formed at once after the trace
-    (args, size), *_ = oracle._range_jobs(37**4, 1, 37)
-    assert size == oracle._CHUNK
-    tracemalloc.start()
-    try:
-        tally = oracle._two_by_two_job(args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * oracle._BLOCK * 8
-    perm, det = perm_det2(oracle._digits(range(*args[1:]), 37, 4), 37)
-    assert tally.tolist() == np.bincount(perm[oracle._unit_mask(37)[det]], minlength=37).tolist()
-
-
 def test_naive_keys_are_built_in_slices_of_the_block_budget():
     # at n = 8 the tables hold 1.31 MB: key12 and TT of 8^6 and 8^4 x 8^2
     # int16 entries, key3 of 8^6 int8 ones and T of 8^2 x 8. They are formed
@@ -893,7 +888,7 @@ def test_case_census_matches_case_rows(p):
 
 
 class Dispatched(Exception):
-    """Raised by a patched oracle._sum_jobs: the engine passed its bounds and dispatched jobs."""
+    """Raised by a patched oracle._sum_jobs or oracle._digits: the engine passed its bounds and started work."""
 
 
 def _dispatched(*args):
@@ -904,8 +899,10 @@ def test_size_rules_follow_from_their_arithmetic(monkeypatch):
     # the int64 tallies reach n^9
     assert oracle.INT64_CEILING**9 < 2**63 <= (oracle.INT64_CEILING + 1) ** 9
     # the scan budget admits each brute-force scan at its bound; the shift
-    # population starts by listing its members
+    # population starts by listing its members, the 2x2 census by listing
+    # its pairs of entries and the naive census by building its keys
     monkeypatch.setattr(oracle, "_sum_jobs", _dispatched)
+    monkeypatch.setattr(oracle, "_digits", _dispatched)
     monkeypatch.setattr(sm, "zero_perm_members", _dispatched)
     calls = [
         lambda: oracle.census_naive(8),
@@ -926,8 +923,10 @@ def test_size_rules_follow_from_their_arithmetic(monkeypatch):
 def test_every_engine_refuses_one_past_its_bound(monkeypatch):
     # 127^9 < 2^63 <= 128^9 for the orbit engines and the sampled shift check,
     # n^9, n^4, p^(9(k - 1)) and n^8 matrices within 2^27 for the scans:
-    # refused before any job is dispatched, any member listed or any matrix sampled
+    # refused before any job is dispatched, any pair of entries or member
+    # listed or any matrix sampled
     monkeypatch.setattr(oracle, "_sum_jobs", lambda *args: pytest.fail("enumeration started"))
+    monkeypatch.setattr(oracle, "_digits", lambda *args: pytest.fail("enumeration started"))
     monkeypatch.setattr(sm, "zero_perm_members", lambda *args: pytest.fail("enumeration started"))
     a = sm.witness(ClassLabel.C12, 3)
     calls = [
@@ -974,36 +973,24 @@ def test_bounds_are_checked_before_factorizing(monkeypatch):
             call()
 
 
-def test_single_job_runs_inline():
-    assert oracle._sum_jobs(lambda args: sum(args), [((1, 2), 5)], 4, None) == 3
-    # the job runs on the calling thread, not on a pool's
-    here = threading.get_ident()
-    assert oracle._sum_jobs(lambda args: threading.get_ident(), [((), 1)], 4, None) == here
-
-
 @pytest.mark.parametrize("threads", [1, 2])
-def test_raising_progress_cancels_queued_jobs(threads):
-    started, finished = [], []
+def test_raising_progress_cancels_queued_jobs(monkeypatch, threads):
+    # census_naive(6) runs its 10 jobs on the calling thread whatever threads
+    # it is given; once progress raises after the third, no later job starts
+    started, real = [], oracle._naive_job
 
-    def job(args):
-        started.append(args)
-        time.sleep(0.1)
-        finished.append(args)
-        return 1
+    def naive_job(args):
+        started.append(args[2])
+        return real(args)
 
     def progress(done, total):
-        if done == 3:
+        if len(started) == 3:
             raise KeyboardInterrupt
 
-    before = threading.active_count()
+    monkeypatch.setattr(oracle, "_naive_job", naive_job)
     with pytest.raises(KeyboardInterrupt):
-        oracle._sum_jobs(job, [(i, 1) for i in range(20)], threads, progress)
-    # the 3 reported jobs, at most one running per thread, and one a thread
-    # may have taken up before the queue was cancelled; every one of them ran
-    # to its end before the map returned
-    assert 3 <= len(started) <= 3 + 2 * threads
-    assert sorted(finished) == sorted(started)
-    assert threading.active_count() == before
+        oracle.census_naive(6, threads=threads, progress=progress)
+    assert started == [a for (_, _, a, _), _ in oracle._range_jobs(6**6, 6**3, 6, None)[:3]]
 
 
 class JobFailed(Exception):
@@ -1020,46 +1007,24 @@ def test_job_exception_reaches_the_caller_unwrapped(error):
         return i
 
     with pytest.raises(error) as info:
-        oracle._sum_jobs(job, [(i, 1) for i in range(10)], 3, None)
+        oracle._sum_jobs(job, [(i, 1) for i in range(10)], None)
     assert info.value is raised
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_job_lists_are_concatenated_in_job_order(threads):
-    def job(i):
-        time.sleep(0.01 * (i % 2))  # odd jobs finish after the even job behind them
-        return [i, i]
-
-    got = oracle._sum_jobs(job, [(i, 1) for i in range(6)], threads, None)
+def test_job_lists_are_concatenated_in_job_order():
+    ticks = []
+    got = oracle._sum_jobs(lambda i: [i, i], [(i, i + 1) for i in range(6)], lambda *tick: ticks.append(tick))
     assert got == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-
-
-def test_no_later_job_starts_once_a_job_has_raised():
-    # job 0 holds one thread while job 1 raises on the other; that thread
-    # then takes up jobs 2 and 3 but must not run them
-    started, raised = [], JobFailed("job 1")
-
-    def job(i):
-        started.append(i)
-        if i == 1:
-            raise raised
-        time.sleep(0.2 if i == 0 else 0)
-        return i
-
-    with pytest.raises(JobFailed) as info:
-        oracle._sum_jobs(job, [(i, 1) for i in range(4)], 2, None)
-    assert info.value is raised
-    assert sorted(started) == [0, 1]
+    assert ticks == [(1, 21), (3, 21), (6, 21), (10, 21), (15, 21), (21, 21)]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
-def test_threads_below_one_raise(threads):
-    # the orbit censuses never reach _sum_jobs and the naive one gives it 1,
-    # so each checks threads itself
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        oracle._sum_jobs(sum, [((1, 2), 5)], threads, None)
+def test_threads_below_one_raise(monkeypatch, threads):
+    # nothing splits, so each engine checks threads itself, before any work
+    monkeypatch.setattr(oracle, "_digits", lambda *args: pytest.fail("enumeration started"))
     calls = [
         lambda: oracle.census_naive(2, threads=threads),
+        lambda: oracle.census_2x2(7, threads=threads),
         lambda: oracle.census_tiered(12, threads=threads),
         lambda: oracle.class_census(3, 2, threads=threads),
         lambda: oracle.case_census(5, threads=threads),
@@ -1071,7 +1036,7 @@ def test_threads_below_one_raise(threads):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_naive_census_runs_every_job_on_the_calling_thread(monkeypatch, n):
-    # a pool loses at every n the naive census admits, so threads=3 runs inline
+    # every engine runs on the calling thread, so threads=3 runs inline
     idents, real = [], oracle._naive_job
 
     def naive_job(args):
@@ -1084,27 +1049,11 @@ def test_naive_census_runs_every_job_on_the_calling_thread(monkeypatch, n):
     assert set(idents) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("error", [MemoryError, RuntimeError])
-def test_pool_job_exception_reaches_the_census_caller(monkeypatch, error):
-    # census_2x2(37) splits into 2 jobs, which two threads run on a pool
-    raised, idents = error("2x2 job"), []
-
-    def two_by_two_job(args):
-        idents.append(threading.get_ident())
-        raise raised
-
-    monkeypatch.setattr(oracle, "_two_by_two_job", two_by_two_job)
-    assert len(oracle._range_jobs(37**4, 1)) == 2
-    with pytest.raises(error) as info:
-        oracle.census_2x2(37, threads=2)
-    assert info.value is raised
-    assert idents and threading.get_ident() not in idents
-
-
 def test_parallel_censuses_are_deterministic():
     for threads in (1, 2, 3):
         assert oracle.census_tiered(7, threads=threads).counts == CENSUS3[7]
         assert oracle.census_naive(4, threads=threads).counts == CENSUS3[4]
+        assert oracle.census_2x2(5, threads=threads).counts == CENSUS2[5]
     one = oracle.class_census(5, 1, threads=1)
     two = oracle.class_census(5, 1, threads=2)
     assert one.counts == two.counts
