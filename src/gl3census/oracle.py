@@ -2,15 +2,17 @@
 
 Two engines produce the same table. census_naive covers all n^9 matrices
 by cofactor expansion along the first row: once per census it keys every
-(row 2, row 3) prefix by its coefficient columns and tabulates what each
-first-row entry adds, under each column, to a matrix's unreduced (perm, det)
-index. The third entry's term depends on the prefix only through its
-z-column key, so a job tallies each prefix's n^2 first-two-entry terms
-(one lookup, one add and one bincount per block) by that key, and the
-census adds the n third-entry terms to the summed tally once per key, by
-the distributive law over z, then reduces it mod n. Every matrix is
-covered exactly once and no symmetry is used: it is the dumb, trustworthy
-reference and refuses n > 8.
+(row 2, row 3) prefix by its three coefficient columns and tabulates what
+each first-row entry adds, under each column, to a matrix's unreduced
+(perm, det) index. A matrix's index depends on its prefix only through that
+key, and few keys are live (6,584 of the 262,144 prefixes at n = 8). So the
+census counts the prefixes per key and tallies each live key's n^2
+first-two-entry terms once, weighted by its count, by z-column key (one
+lookup, one add and one weighted tally per block); it adds the n
+third-entry terms to that tally once per z-column key, by the distributive
+law over z, then reduces it mod n. Every matrix is covered exactly once,
+through its prefix's count, and no symmetry is used: it is the dumb,
+trustworthy reference and refuses n > 8.
 census_tiered works on prefixes (the first two
 rows): for a fixed prefix, both the permanent and the determinant are linear
 forms in the third row, and the joint distribution of the two forms depends
@@ -60,10 +62,11 @@ entry's term: every matrix is counted once and no symmetry is used.
 
 Every engine runs on the calling thread. threads is checked and kept for
 callers that pass one count to every engine, but nothing splits. The naive
-census's jobs run in job order: each tallies with an np.bincount per block,
-which holds the interpreter lock (numpy 2.4.6), so a pool lost to the
-calling thread at every n <= 8, and its workers' malloc arenas kept their
-tallies after the jobs ended. The orbit censuses' largest pair walk, the
+census's blocks run in key order, 13 at n = 7 and 7 at 8. When it still
+split its prefixes into jobs of an np.bincount per block, which holds the
+interpreter lock (numpy 2.4.6), a pool lost to the calling thread at every
+n <= 8, and its workers' malloc arenas kept their tallies after the jobs
+ended. The orbit censuses' largest pair walk, the
 table at 64, is 200,704 pairs, less than one _CHUNK job, and census_2x2
 forms n^2 products. verify.run_suite runs its checks one after another, so
 their working sets are never in memory at once.
@@ -93,17 +96,18 @@ from .modring import Modulus, factorize, is_prime
 # matrix p^2 times, at most n^9 before the division by p^2.
 INT64_CEILING = 127
 # Matrices a brute-force scan may cover: 8^9 = 2^27, so the naive reference
-# still reaches n = 8 (n^9 matrices, each covered once, its third entry's
-# term added per z-column key rather than per matrix), census_2x2 n = 107
+# still reaches n = 8 (n^9 matrices, each covered once, though it lists the
+# first two entries' terms once per live prefix key and adds its third
+# entry's term per z-column key rather than per matrix), census_2x2 n = 107
 # (charged the n^4 matrices it covers, though it forms only n^2 products of
 # two entries), fiber_count 2^4, 3^2, 5^2 and 7^2 but not 3^3 (p^(9(k - 1))
 # lifts), and verify.shift_round_trip's population scan, charged n^8, n = 10.
 SCAN_BUDGET = 1 << 27
 
-_CHUNK = 1 << 20  # matrices per job
+_CHUNK = 1 << 20  # matrices per fiber_count job; zero_perm_members sizes its blocks by it
 # array elements per vectorized block of the table builds and of the naive
-# sweep's grouped indexes; the naive sweep builds its per-census keys from
-# slices of _BLOCK, and the shift population's one-byte batches take 4 _BLOCK
+# census's grouped indexes; the naive census forms and counts its prefix keys
+# in slices of _BLOCK, and the shift population's one-byte batches take 4 _BLOCK
 # (head) and 2 _BLOCK (left-over) members. Bounds the memory of each such
 # step: its temporaries hold a few _BLOCK elements, whatever n and the chunk
 # size.
@@ -282,6 +286,18 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
+def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
+    """Jobs (*head, start, stop) over chunks of [0, count), as (job args, matrices covered).
+
+    Each index stands for per_index matrices, and a chunk spans at most
+    _CHUNK of them (at least one index). Its one caller is
+    structure_maps.fiber_count, over its p^(9(k - 1)) lifts.
+    """
+    step = max(1, _CHUNK // per_index)
+    bounds = [(s, min(s + step, count)) for s in range(0, count, step)]
+    return [((*head, a, b), (b - a) * per_index) for a, b in bounds]
+
+
 def _sum_jobs(fn, jobs, progress):
     """Sum fn(args) over one or more (args, size) jobs, on the calling thread and in job order.
 
@@ -289,7 +305,8 @@ def _sum_jobs(fn, jobs, progress):
     in place, so jobs return numbers or fresh arrays that nothing else holds.
     progress(done, total) reports the summed sizes of the jobs finished. An
     exception from a job or from progress reaches the caller as it was
-    raised, and no later job starts.
+    raised, and no later job starts. Its one caller is
+    structure_maps.fiber_count.
     """
     total, done, out = sum(size for _, size in jobs), 0, None
     for args, size in jobs:
@@ -552,54 +569,57 @@ def census_tiered(n: int | Modulus, *, threads: int = 1, progress=None) -> Count
     return CountTable(modulus, tuple(int(v) for v in counts))
 
 
-def _range_jobs(count: int, per_index: int, *head) -> list[tuple[tuple, int]]:
-    """Jobs (*head, start, stop) over chunks of [0, count), as (job args, matrices covered).
+def _prefix_keys(n: int, third: range) -> np.ndarray:
+    """The keys of the prefixes whose third row is in the range third, shaped (len(third), n^3).
 
-    Each index stands for per_index matrices, and a chunk spans at most
-    _CHUNK of them (at least one index).
+    Over the prefix r = i2 + n^3 i3, second row i2 and third row i3 (base-n
+    digits, least significant first), with forms (A, B, C, D, E, F), the key
+    is key12 n^2 + key3, with key12 = (A n + D) n^2 + (B n + E) and key3 =
+    C n + F: the six forms (A, D, B, E, C, F) as one base-n number, of
+    _int_type(n^6 - 1). Row i3 - third.start, column i2 holds the key of r,
+    so _prefix_keys(n, range(n^3)).ravel() lists every prefix in order.
     """
-    step = max(1, _CHUNK // per_index)
-    bounds = [(s, min(s + step, count)) for s in range(0, count, step)]
-    return [((*head, a, b), (b - a) * per_index) for a, b in bounds]
+    row2 = [v[None, :] for v in _digits(range(n**3), n, 3)]
+    row3 = [v[:, None] for v in _digits(third, n, 3)]
+    A, B, C, D, E, F = forms(row2, row3, n)
+    key = A.astype(_int_type(n**6 - 1))
+    for c in (D, B, E, C, F):
+        key *= n
+        key += c
+    return key
 
 
 def _naive_keys(n: int):
-    """The naive sweep's tables (key12, key3, T, TT), built once per census.
+    """The naive census's tables (carried, T, TT), built once per census.
 
-    Over the prefix r = i2 + n^3 i3, second row i2 and third row i3 (base-n
-    digits, least significant first), with forms (A, B, C, D, E, F), the
-    matrix with first row (x, y, z) has the index perm' w + det', w = 3n - 2,
-    where perm' = (A x mod n) + (B y mod n) + (C z mod n) and det' is the same
-    sum over D, E, F: perm and det unreduced, each below w, so the index is
-    below w^2. Each entry adds its terms on its own: T[u n + v, x] =
+    carried[k], of _int_type(n^6), counts the prefixes whose key (see
+    _prefix_keys) is k. The keys are formed by forms over all n^3 second
+    rows against slices of at most max(1, _BLOCK // n^3) third rows, and each
+    slice is counted into carried and freed before the next is formed, so
+    no array of all n^6 keys is made. The matrix with first row (x, y, z) of
+    a prefix with key key12 n^2 + key3 has the index perm' w + det', w =
+    3n - 2, where perm' = (A x mod n) + (B y mod n) + (C z mod n) and det' is
+    the same sum over D, E, F: perm and det unreduced, each below w, so the
+    index is below w^2. Each entry adds its terms on its own: T[u n + v, x] =
     (u x mod n) w + (v x mod n), shaped (n^2, n), is the term of an entry x
     under the coefficient column (u, v), and TT[c1 n^2 + c2, x n + y] =
-    T[c1, x] + T[c2, y], shaped (n^4, n^2), those of x and y together. The
-    keys key12[r] = (A n + D) n^2 + (B n + E) and key3[r] = C n + F then give
-    the index as T[key3[r], z] + TT[key12[r], x n + y]: the jobs tally the
-    second term per z-column key key3, and census_naive adds the first.
-
-    The keys are of _int_type(n^4 - 1) and _int_type(n^2 - 1), and are
-    formed by forms over all n^3 second rows against slices of at most
-    max(1, _BLOCK // n^3) third rows. T and TT are of _int_type(w^2 - 1),
-    which holds every index and every product u x < n^2 formed on the way.
+    T[c1, x] + T[c2, y], shaped (n^4, n^2), those of x and y together, so the
+    index is T[key3, z] + TT[key12, x n + y]. T and TT are of
+    _int_type(w^2 - 1), which holds every index and every product u x < n^2
+    formed on the way.
     """
     w = 3 * n - 2
-    t12, t3, t = _int_type(n**4 - 1), _int_type(n * n - 1), _int_type(w * w - 1)
-    key12, key3 = np.empty(n**6, dtype=t12), np.empty(n**6, dtype=t3)
-    row2 = [v[None, :] for v in _digits(range(n**3), n, 3)]
+    t = _int_type(w * w - 1)
+    carried = np.zeros(n**6, dtype=_int_type(n**6))
+    one = carried.dtype.type(1)  # of carried's type, which keeps np.add.at on its fast path
     step = max(1, _BLOCK // n**3)
     for s in range(0, n**3, step):
-        row3 = [v[:, None] for v in _digits(range(s, min(s + step, n**3)), n, 3)]
-        A, B, C, D, E, F = forms(row2, row3, n)
-        rows = slice(s * n**3, (s + len(row3[0])) * n**3)
-        key12[rows] = ((A.astype(t12) * n + D) * (n * n) + B * n + E).ravel()
-        key3[rows] = (C.astype(t3) * n + F).ravel()
+        np.add.at(carried, _prefix_keys(n, range(s, min(s + step, n**3))).ravel(), one)
     x = np.arange(n, dtype=t)
     u, v = (c.astype(t)[:, None] for c in np.divmod(np.arange(n * n), n))
     T = mod(u * x, n) * w + mod(v * x, n)
     TT = (T[:, None, :, None] + T[None, :, None, :]).reshape(n**4, n * n)
-    return key12, key3, T, TT
+    return carried, T, TT
 
 
 def _naive_width(n: int) -> int:
@@ -613,38 +633,31 @@ def _naive_width(n: int) -> int:
     return 2 * (w * w - 1) // 3 + 1
 
 
-def _naive_job(args):
-    """The tally by z-column key of the first two entries' terms over prefixes start..stop-1.
+def _naive_block(n: int, TT: np.ndarray, keys: np.ndarray, sizes: np.ndarray, tally: np.ndarray) -> None:
+    """Add the first two entries' terms of the live keys keys, sizes[i] times each, to tally by z-column key.
 
-    Each of the prefix's matrices has the unreduced index T[key3, z] +
-    TT[key12, x n + y] (see _naive_keys), and the term of z depends on the
-    prefix only through its z-column key key3. So the job lists each prefix's
-    n^2 pairs (x, y) once, as key3 W + TT[key12, x n + y] with W =
-    _naive_width(n), of _int_type(n^2 W - 1), and tallies them into an
-    (n^2, W) int64 array by z-column key; census_naive then adds the n z-terms
-    per key. A block of max(1, _BLOCK // n^2) prefixes is one take, one add
-    and one bincount. The job reads the census's _naive_keys tables and
-    makes no per-prefix table of its own.
+    Each matrix of a prefix with key k12 n^2 + k3 has the unreduced index
+    T[k3, z] + TT[k12, x n + y] (see _naive_keys), and the term of z depends
+    on the prefix only through its z-column key k3. So the block lists each
+    key's n^2 pairs (x, y) once, as k3 W + TT[k12, x n + y] with W =
+    _naive_width(n), of _int_type(n^2 W - 1), and adds each into the
+    (n^2 W,) int64 tally, weighted by the number of prefixes that carry the
+    key: one take, one add and one np.add.at of int64 weights, exact. The
+    census then adds the n z-terms per z-column key.
     """
-    n, (key12, key3, _, TT), start, stop = args
     width = _naive_width(n)
-    t = _int_type(n * n * width - 1)
-    step = max(1, _BLOCK // (n * n))
-    tally = np.zeros(n * n * width, dtype=np.int64)
-    for s in range(start, stop, step):
-        block = slice(s, min(s + step, stop))
-        index = TT.take(key12[block], axis=0).astype(t, copy=False)
-        index += key3[block].astype(t)[:, None] * width
-        tally += np.bincount(index.ravel(), minlength=tally.size)
-    return tally
+    key12, key3 = np.divmod(keys, n * n)
+    index = TT.take(key12, axis=0).astype(_int_type(n * n * width - 1), copy=False)
+    index += key3.astype(index.dtype)[:, None] * width
+    np.add.at(tally, index.ravel(), np.repeat(sizes, n * n))
 
 
 def _naive_joint(n: int, T: np.ndarray, tally: np.ndarray) -> np.ndarray:
-    """The (w^2,) tally of unreduced indexes perm' w + det', w = 3n - 2, from _naive_job's tally.
+    """The (w^2,) tally of unreduced indexes perm' w + det', w = 3n - 2, from the _naive_block tally.
 
     Adds each z-column key's row of the tally at offset T[key3, z], for each
     of the n values of z: by the distributive law over z this covers every
-    first row of every prefix the tally came from, once. The highest offset
+    first row of every prefix the tally counts, once. The highest offset
     is (w^2 - 1) / 3, so the last entry lands on w^2 - 1.
     """
     w = 3 * n - 2
@@ -657,22 +670,36 @@ def census_naive(n: int | Modulus, *, threads: int = 1, progress=None) -> CountT
     """Exact permanent census covering all n^9 matrices; n^9 <= SCAN_BUDGET, so n <= 8.
 
     Every matrix is covered exactly once, with no symmetry used: the census
-    builds its _naive_keys tables, about 1.3 MB at n = 8, runs jobs of
-    _CHUNK matrices through _naive_job, adds the third entry's terms to the
-    summed tallies once per z-column key (_naive_joint), reduces the
-    unreduced (perm, det) tally mod n, and sums its unit-determinant columns.
-    It frees the tables when it returns.
+    counts the prefixes per key (_naive_keys, about 1.5 MB of tables at
+    n = 8), tallies each live key's first two entries' terms once, weighted
+    by that count, in blocks of max(1, _BLOCK // n^2) keys (_naive_block),
+    adds the third entry's terms once per z-column key (_naive_joint),
+    reduces the unreduced (perm, det) tally mod n, and sums its
+    unit-determinant columns. It frees the tables when it returns.
 
-    The jobs run on the calling thread, in job order, for every threads >= 1
-    (see the module docstring), and progress ticks once per job.
+    The blocks run on the calling thread, in key order, for every threads
+    >= 1 (see the module docstring). progress ticks once per block with the
+    matrices of the prefixes whose keys are done, so the last tick is
+    (n^9, n^9).
     """
     modulus = _modulus("census_naive", n, scan=9)
     _check_threads(threads)
     n, w = modulus.n, 3 * modulus.n - 2
-    tables = _naive_keys(n)
-    tally = _sum_jobs(_naive_job, _range_jobs(n**6, n**3, n, tables), progress)
+    carried, T, TT = _naive_keys(n)
+    live = np.flatnonzero(carried)
+    sizes = carried[live].astype(np.int64)  # int64 weights keep np.add.at on its fast path
+    del carried
+    if sizes.sum() != n**6:
+        raise RuntimeError(f"naive keys mod {n} count {sizes.sum()} prefixes, not n^6 = {n**6}")
+    tally = np.zeros(n * n * _naive_width(n), dtype=np.int64)
+    done, step = 0, max(1, _BLOCK // (n * n))
+    for s in range(0, live.size, step):
+        _naive_block(n, TT, live[s : s + step], sizes[s : s + step], tally)
+        done += int(sizes[s : s + step].sum()) * n**3
+        if progress is not None:
+            progress(done, n**9)
     fold = mod(np.arange(w), n)
-    joint = _naive_joint(n, tables[2], tally).reshape(w, w)
+    joint = _naive_joint(n, T, tally).reshape(w, w)
     counts = _tally(fold, joint[:, _unit_mask(n).take(fold)].sum(axis=1), n)
     return CountTable(modulus, tuple(int(v) for v in counts))
 

@@ -788,12 +788,8 @@ def _projection(ctx):
         )
     rng = ctx.rng("projection")
     e = _sample_matrices(rng, 9, 1000, 3)  # members of the union over 3 | x
-    bad = 0
-    for i in range(e.shape[1]):
-        m = mat3(e[:, i].reshape(3, 3).tolist(), 9)
-        img = structure_maps.project(m, 3)
-        if permanent3(img).value != 0 or not is_invertible(img):
-            bad += 1
+    perm, det = perm_det(mod(e, 3), 3)  # the entrywise reductions mod 3, all at once
+    bad = int(np.count_nonzero((perm != 0) | ~oracle._unit_mask(3).take(det)))
     out.append(result("projection-into-zero-class", 0, bad, n=9, samples=e.shape[1]))
     return out
 

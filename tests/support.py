@@ -37,8 +37,8 @@ test that reads a key's row through it also pins that product rule for one
 key. prefix_tally_by_gcd_keys is the reference for the tiered census: it
 keys every sorted divisor triple of n against all n^3 second rows by
 gcd_keys, with no orbits, no Chinese remainder theorem and no
-per-prime-power table. With census_naive at n = 6, it is what confirms the
-product of the prime-power censuses at a composite n.
+per-prime-power table. With census_naive at n = 6, 10 and 12, it is what
+confirms the product of the prime-power censuses at a composite n.
 
 row_orbits_by_unit_minimum is the reference for oracle._prime_power_row_orbits,
 which builds each unit-scaling orbit's normal form directly instead of taking
@@ -50,10 +50,11 @@ references for the whole-array builders: one meshgrid per (valuation, pivot)
 block of normal forms, and divisor triples listed by itertools, at any n
 where oracle._divisor_rows(p, k) counts them per prime power.
 
-naive_joint_by_matrix is the earlier oracle._naive_job, the reference for the
-naive sweep's tallies: it lists each matrix's own index over all n^3 first
-rows of each prefix, where the job lists the first two entries once per prefix
-and oracle._naive_joint adds the third entry's term per z-column key.
+naive_joint_by_matrix is the reference for the naive census's tallies: it
+lists each matrix's own index over all n^3 first rows of each prefix, where
+oracle._naive_block lists the first two entries once per live prefix key,
+weighted by the prefixes that carry it, and oracle._naive_joint adds the
+third entry's term per z-column key.
 
 census_2x2_by_scan is the earlier oracle.census_2x2, the reference for the
 2x2 census: it lists all n^4 matrices and tallies each one's permanent where
@@ -258,21 +259,21 @@ def prefix_tally_by_gcd_keys(n: int) -> np.ndarray:
     return tally
 
 
-def naive_joint_by_matrix(args) -> np.ndarray:
-    """The (w^2,) unreduced (perm, det) tally, w = 3n - 2, of the matrices of an oracle._naive_job chunk.
+def naive_joint_by_matrix(n: int, keys: np.ndarray, T: np.ndarray, TT: np.ndarray) -> np.ndarray:
+    """The (w^2,) unreduced (perm, det) tally, w = 3n - 2, of every matrix of the prefixes with the keys keys.
 
-    The earlier oracle._naive_job before its reduction mod n: it lists every
+    keys holds one key per prefix, as oracle._naive_keys gives them, so a key
+    carried by several prefixes comes as often. It lists every
     matrix's own index, T[key3, z] + TT[key12, x n + y] over all n^3 first
-    rows (x, y, z) of each prefix, in blocks of max(1, 2 _BLOCK // n^3)
-    prefixes, and bincounts them.
+    rows (x, y, z) of each prefix, where key12 n^2 + key3 is the prefix's
+    key, in blocks of max(1, 2 _BLOCK // n^3) prefixes, and bincounts them.
     """
-    n, (key12, key3, T, TT), start, stop = args
     w = 3 * n - 2
     step = max(1, 2 * oracle._BLOCK // n**3)
     joint = np.zeros(w * w, dtype=np.int64)
-    for s in range(start, stop, step):
-        block = slice(s, min(s + step, stop))
-        index = T.take(key3[block], axis=0)[:, :, None] + TT.take(key12[block], axis=0)[:, None, :]
+    for s in range(0, keys.size, step):
+        key12, key3 = np.divmod(keys[s : s + step].astype(np.int64), n * n)
+        index = T.take(key3, axis=0)[:, :, None] + TT.take(key12, axis=0)[:, None, :]
         joint += np.bincount(index.ravel(), minlength=w * w)
     return joint
 

@@ -256,29 +256,34 @@ def test_verify_quick_cli(capsys):
 
 
 def test_memory_error_in_a_census_job_exits_four(monkeypatch, capsys):
-    # the naive census at 6 splits into 10 jobs, which it runs on the calling
-    # thread, two threads given or not
-    def naive_job(args):
+    # the naive census runs its blocks on the calling thread, two threads
+    # given or not
+    calls = []
+
+    def naive_block(*args):
+        calls.append(args[0])
         raise MemoryError
 
-    monkeypatch.setattr(oracle, "_naive_job", naive_job)
-    assert len(oracle._range_jobs(6**6, 6**3)) == 10
+    monkeypatch.setattr(oracle, "_naive_block", naive_block)
     assert main(["oracle", "6", "--engine", "naive", "--threads", "2"]) == 4
+    assert calls == [6]
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_runtime_error_in_a_census_job_exits_four(monkeypatch, capsys):
-    # an engine's self-check that fails inside a job, given two threads (the
-    # naive census's jobs run inline): one stderr line and exit 4, not a
-    # traceback
-    def naive_job(args):
+    # an engine's self-check that fails inside a block, given two threads
+    # (the naive census's blocks run inline): one stderr line and exit 4, not
+    # a traceback
+    calls = []
+
+    def naive_block(*args):
+        calls.append(args[0])
         raise RuntimeError("naive tally mod 6 covers too few prefixes")
 
-    monkeypatch.setattr(oracle, "_naive_job", naive_job)
-    assert len(oracle._range_jobs(6**6, 6**3)) == 10
+    monkeypatch.setattr(oracle, "_naive_block", naive_block)
     code = main(["oracle", "6", "--engine", "naive", "--threads", "2"])
     captured = capsys.readouterr()
-    assert code == 4 and captured.out == ""
+    assert code == 4 and captured.out == "" and calls == [6]
     assert captured.err == "error: naive tally mod 6 covers too few prefixes\n"
 
 

@@ -666,33 +666,117 @@ def test_results_do_not_depend_on_block_budget(monkeypatch, cold_tables):
     assert _block_sensitive_results() == default
 
 
+def _naive_blocks(n):
+    """census_naive's per-prefix keys and tables at n, its live keys with their prefix counts, and its block slices."""
+    carried, T, TT = oracle._naive_keys(n)
+    live = np.flatnonzero(carried)
+    step = max(1, oracle._BLOCK // (n * n))
+    blocks = [slice(s, s + step) for s in range(0, live.size, step)]
+    return oracle._prefix_keys(n, range(n**3)).ravel(), T, TT, live, carried[live].astype(np.int64), blocks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_live_keys_and_their_counts_are_those_of_unique(n):
+    # carried[k] counts the prefixes with key k: its nonzero entries, in key
+    # order, are the distinct keys of all n^6 prefixes and their counts
+    carried, *_ = oracle._naive_keys(n)
+    keys = oracle._prefix_keys(n, range(n**3)).ravel()
+    live, counts = np.unique(keys, return_counts=True)
+    assert keys.shape == carried.shape == (n**6,)
+    assert np.array_equal(np.flatnonzero(carried), live) and np.array_equal(carried[live], counts), n
+    assert np.iinfo(carried.dtype).max >= n**6 and carried.sum() == n**6
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_naive_job_matches_the_per_matrix_listing(n):
-    # the job lists each prefix's first two entries once, tallied by z-column
-    # key, and _naive_joint adds the third entry's term per key: folded, the
-    # tally must be the per-matrix listing's, on the first, a middle and the
-    # last chunk (one chunk below n = 6, ten at 6, 128 at 8)
-    tables = oracle._naive_keys(n)
-    jobs = oracle._range_jobs(n**6, n**3, n, tables)
-    for args, _ in (jobs[0], jobs[len(jobs) // 2], jobs[-1]):
-        tally = oracle._naive_job(args)
-        assert tally.shape == (n * n * oracle._naive_width(n),)
-        folded = oracle._naive_joint(n, tables[2], tally)
-        assert np.array_equal(folded, naive_joint_by_matrix(args)), (n, args[2:])
-        assert folded.sum() == (args[3] - args[2]) * n**3
+    # a block lists each live key's first two entries once, weighted by the
+    # prefixes that carry the key, tallied by z-column key, and _naive_joint
+    # adds the third entry's term per key: folded, the tally must be the
+    # per-matrix listing's over those prefixes, on the first, a middle and the
+    # last block (one block at n <= 4 and at 6, two at 5, 13 at 7, 7 at 8)
+    keys, T, TT, live, sizes, blocks = _naive_blocks(n)
+    for block in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+        tally = np.zeros(n * n * oracle._naive_width(n), dtype=np.int64)
+        oracle._naive_block(n, TT, live[block], sizes[block], tally)
+        folded = oracle._naive_joint(n, T, tally)
+        carried = keys[np.isin(keys, live[block])]
+        assert carried.size == sizes[block].sum()
+        assert np.array_equal(folded, naive_joint_by_matrix(n, carried, T, TT)), (n, block)
+        assert folded.sum() == carried.size * n**3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_naive_census_tally_matches_the_per_matrix_listing(monkeypatch, n):
+    # the whole census: the tally census_naive folds, over all its blocks, is
+    # the per-matrix listing's over all n^6 prefixes
+    seen, real = [], oracle._naive_joint
+
+    def naive_joint(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_naive_joint", naive_joint)
+    assert oracle.census_naive(n).counts == CENSUS3[n]
+    keys, T, TT, *_ = _naive_blocks(n)
+    (joint,) = seen
+    assert np.array_equal(joint, naive_joint_by_matrix(n, keys, T, TT)), n
+    assert joint.sum() == n**9
+
+
+def test_naive_census_refuses_keys_that_miss_a_prefix(monkeypatch):
+    # the prefix counts must cover all n^6 prefixes, under -O too
+    real = oracle._naive_keys
+
+    def naive_keys(n):
+        carried, T, TT = real(n)
+        carried[np.flatnonzero(carried)[-1]] -= 1
+        return carried, T, TT
+
+    monkeypatch.setattr(oracle, "_naive_keys", naive_keys)
+    with pytest.raises(RuntimeError, match="count 46655 prefixes, not n\\^6 = 46656"):
+        oracle.census_naive(6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_naive_census_ticks_once_per_block_up_to_every_matrix(n):
+    # done counts the matrices of the prefixes whose keys are done, so the
+    # last tick is (n^9, n^9), which perfbench's traced gate reads
+    *_, sizes, blocks = _naive_blocks(n)
+    ticks = []
+    oracle.census_naive(n, progress=lambda *tick: ticks.append(tick))
+    assert ticks == [(int(sizes[: b.stop].sum()) * n**3, n**9) for b in blocks], n
+    assert ticks[-1] == (n**9, n**9)
+
+
+def test_naive_census_memory_is_bounded_by_its_key_counts_and_one_slice():
+    # at n = 8 the census peaks while it counts its keys: the 8^6 int32
+    # prefix counts, and forms' six int16 arrays of one slice of _BLOCK
+    # entries with two temporaries. No array of all n^6 keys is made, and the
+    # blocks run once the counts are freed. tracemalloc puts the peak at
+    # 2.14 MB (2.64 MB when the census tallied each prefix, 2.10 MB with all
+    # n^6 keys sorted in place, 3.25 MB with np.unique of them)
+    oracle.census_naive(8)
+    tracemalloc.start()
+    try:
+        oracle.census_naive(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8**6 * 4 + 9 * oracle._BLOCK * 2 < 2.52e6
 
 
 def test_naive_job_memory_is_bounded_by_the_block_budget():
-    # a job spans _CHUNK matrices, 2,048 prefixes at n = 8, and reads the
-    # census's key tables. Its block of _BLOCK // 64 = 1,024 prefixes x 64
-    # (x, y) pairs is 128 kB of int16 grouped indexes, bincount's int64 copy
-    # of them 512 kB, and the bincount and the job's (64 x 323) tally 165 kB
-    # each: tracemalloc puts its peak at 0.99 MB
-    (args, size), *_ = oracle._range_jobs(8**6, 8**3, 8, oracle._naive_keys(8))
-    assert size == oracle._CHUNK
+    # a block at n = 8 is _BLOCK // 64 = 1,024 live keys x 64 (x, y) pairs:
+    # 128 kB of int16 grouped indexes and 512 kB of their int64 weights, the
+    # repeated prefix counts, added into the census's tally: tracemalloc puts
+    # its peak at 0.74 MB
+    _, _, TT, live, sizes, blocks = _naive_blocks(8)
+    block = blocks[0]
+    assert block.stop - block.start == 1024 < live.size
+    tally = np.zeros(64 * oracle._naive_width(8), dtype=np.int64)
     tracemalloc.start()
     try:
-        oracle._naive_job(args)
+        oracle._naive_block(8, TT, live[block], sizes[block], tally)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -700,54 +784,59 @@ def test_naive_job_memory_is_bounded_by_the_block_budget():
 
 
 def test_naive_keys_are_built_in_slices_of_the_block_budget():
-    # at n = 8 the tables hold 1.31 MB: key12 and TT of 8^6 and 8^4 x 8^2
-    # int16 entries, key3 of 8^6 int8 ones and T of 8^2 x 8. They are formed
-    # from slices of 128 third rows against the 512 second rows, _BLOCK
-    # entries each: forms' six int16 arrays, and with the temporaries of forms
-    # and of the keys at most twelve such arrays at a time. tracemalloc puts
-    # the peak at 2.63 MB
+    # at n = 8 the tables hold 1.57 MB: the prefix counts of 8^6 int32
+    # entries, TT of 8^4 x 8^2 int16 ones and T of 8^2 x 8. The keys are
+    # formed from slices of 128 third rows against the 512 second rows,
+    # _BLOCK entries each, and counted and freed slice by slice: forms' six
+    # int16 arrays, with its temporaries at most eight, or its six with the
+    # slice's int32 keys. tracemalloc puts the peak at 2.14 MB
     tracemalloc.start()
     try:
         tables = oracle._naive_keys(8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(t.nbytes for t in tables) == 2 * 8**6 * 2 + 8**6 + 8**3 * 2
-    assert peak < sum(t.nbytes for t in tables) + 12 * oracle._BLOCK * 2
+    assert [t.dtype for t in tables] == [np.int32, np.int16, np.int16]
+    assert sum(t.nbytes for t in tables) == 8**6 * 4 + 8**4 * 8**2 * 2 + 8**3 * 2
+    assert peak < tables[0].nbytes + 9 * oracle._BLOCK * 2
 
 
 def test_naive_index_type_holds_the_largest_raw_index():
-    # the sweep covers each matrix by its unreduced index perm' w + det',
+    # the census covers each matrix by its unreduced index perm' w + det',
     # w = 3n - 2, where perm' = (A x mod n) + (B y mod n) + (C z mod n) over
     # the prefix's forms and det' likewise with D, E, F. Each is at most
     # 3 (n - 1) = w - 1, so the index is at most w^2 - 1, which the type of
-    # the term tables T and TT must hold, as the key types must hold the
-    # largest keys, n^4 - 1 and n^2 - 1; n = 9 is swept in
-    # test_bounds_are_enforced. On seeded prefixes T[key3] + TT[key12] must
-    # give that index, as computed in Python ints. The job groups the first
-    # two entries' terms under the z-column key as key3 W + TT[key12], W =
-    # TT.max() + 1, so its index type must hold n^2 W - 1, and the third
-    # entry's offsets T[key3, z] must carry the last of them to exactly
-    # w^2 - 1.
+    # the term tables T and TT must hold, as the key type must hold the
+    # largest key, the six forms (A, D, B, E, C, F) in base n, n^6 - 1; n = 9
+    # is counted in test_bounds_are_enforced. On seeded prefixes the key must
+    # be that base-n number of the forms, computed in Python ints, and
+    # T[key3] + TT[key12], key = key12 n^2 + key3, must give that index. A
+    # block groups the first two entries' terms under the z-column key as
+    # key3 W + TT[key12], W = TT.max() + 1, so its index type must hold
+    # n^2 W - 1, and the third entry's offsets T[key3, z] must carry the last
+    # of them to exactly w^2 - 1.
     rng = np.random.default_rng(9)
     for n in range(1, 10):
         w, width = 3 * n - 2, oracle._naive_width(n)
-        key12, key3, T, TT = oracle._naive_keys(n)
-        assert np.iinfo(key12.dtype).max >= n**4 - 1 and np.iinfo(key3.dtype).max >= n**2 - 1, n
+        _, T, TT = oracle._naive_keys(n)
+        keys = oracle._prefix_keys(n, range(n**3)).ravel()
+        assert np.iinfo(keys.dtype).max >= n**6 - 1, n
         assert T.dtype == TT.dtype and np.iinfo(T.dtype).max >= w * w - 1, n
-        assert key12.shape == key3.shape == (n**6,) and T.shape == (n * n, n) and TT.shape == (n**4, n * n)
+        assert keys.shape == (n**6,) and T.shape == (n * n, n) and TT.shape == (n**4, n * n)
         assert width == TT.max() + 1 and T.max() + width - 1 == w * w - 1, n
         assert np.iinfo(oracle._int_type(n * n * width - 1)).max >= n * n * width - 1, n
         x = np.arange(n, dtype=np.int64)
         for r in rng.integers(0, n**6, size=8).tolist():
             digits = [r // n**i % n for i in range(6)]
             A, B, C, D, E, F = forms(digits[0:3], digits[3:6], n)
+            assert int(keys[r]) == functools.reduce(lambda k, c: k * n + c, (A, D, B, E, C, F)), (n, r)
+            key12, key3 = divmod(int(keys[r]), n * n)
             perm = (A * x % n)[:, None, None] + (B * x % n)[None, :, None] + (C * x % n)[None, None, :]
             det = (D * x % n)[:, None, None] + (E * x % n)[None, :, None] + (F * x % n)[None, None, :]
-            got = TT[key12[r]].reshape(n, n, 1).astype(np.int64) + T[key3[r]].reshape(1, 1, n)
+            got = TT[key12].reshape(n, n, 1).astype(np.int64) + T[key3].reshape(1, 1, n)
             assert np.array_equal(got, perm * w + det), (n, r)
             assert got.max() <= w * w - 1
-        # the job's last slot, grouped index n^2 W - 1, is the column key
+        # a block's last slot, grouped index n^2 W - 1, is the column key
         # (n - 1, n - 1) with its largest first-two-entries term. _naive_joint
         # adds it at each z's offset, and at z = 1 (the key's largest term,
         # n > 1) it lands on exactly w^2 - 1, the last slot of the joint tally
@@ -975,22 +1064,24 @@ def test_bounds_are_checked_before_factorizing(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_raising_progress_cancels_queued_jobs(monkeypatch, threads):
-    # census_naive(6) runs its 10 jobs on the calling thread whatever threads
-    # it is given; once progress raises after the third, no later job starts
-    started, real = [], oracle._naive_job
+    # census_naive(8) runs its 7 blocks on the calling thread whatever threads
+    # it is given; once progress raises after the third, no later block starts
+    started, real = [], oracle._naive_block
 
-    def naive_job(args):
-        started.append(args[2])
-        return real(args)
+    def naive_block(n, TT, keys, *args):
+        started.append(int(keys[0]))
+        return real(n, TT, keys, *args)
 
     def progress(done, total):
         if len(started) == 3:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(oracle, "_naive_job", naive_job)
+    *_, live, _, blocks = _naive_blocks(8)
+    assert len(blocks) == 7
+    monkeypatch.setattr(oracle, "_naive_block", naive_block)
     with pytest.raises(KeyboardInterrupt):
-        oracle.census_naive(6, threads=threads, progress=progress)
-    assert started == [a for (_, _, a, _), _ in oracle._range_jobs(6**6, 6**3, 6, None)[:3]]
+        oracle.census_naive(8, threads=threads, progress=progress)
+    assert started == [int(live[b.start]) for b in blocks[:3]]
 
 
 class JobFailed(Exception):
@@ -1036,17 +1127,30 @@ def test_threads_below_one_raise(monkeypatch, threads):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_naive_census_runs_every_job_on_the_calling_thread(monkeypatch, n):
-    # every engine runs on the calling thread, so threads=3 runs inline
-    idents, real = [], oracle._naive_job
+    # every engine runs on the calling thread, so threads=3 runs inline; a
+    # quarter of the block budget gives every n here several blocks
+    monkeypatch.setattr(oracle, "_BLOCK", oracle._BLOCK // 4)
+    idents, real = [], oracle._naive_block
 
-    def naive_job(args):
+    def naive_block(*args):
         idents.append(threading.get_ident())
-        return real(args)
+        return real(*args)
 
-    monkeypatch.setattr(oracle, "_naive_job", naive_job)
+    monkeypatch.setattr(oracle, "_naive_block", naive_block)
     assert oracle.census_naive(n, threads=3).counts == CENSUS3[n]
-    assert len(idents) == len(oracle._range_jobs(n**6, n**3)) > 1
+    assert len(idents) == len(_naive_blocks(n)[-1]) > 1
     assert set(idents) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_naive_census_confirms_the_prime_power_product_at_composites(monkeypatch, n):
+    # census_naive uses no Chinese remainder theorem, so at 10 and 12 it
+    # confirms census_tiered's product of prime-power censuses and the closed
+    # form; the scan budget is raised to n^9 for it, as at 9 in
+    # test_bounds_are_enforced
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", n**9)
+    counts = oracle.census_naive(n).counts
+    assert counts == tiered_counts(n) == tuple(cf.count(n, x) for x in range(n))
 
 
 def test_parallel_censuses_are_deterministic():
